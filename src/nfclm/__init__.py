@@ -10,8 +10,7 @@ from .classfst import ProbClassFst, build_from_entities, load_entities
 from .cfg import CfgGrammar, expand, expand_tagged, mix_corpora, parse_grammar
 from .dynfst import DynFstSession
 from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
-                     DeadHistoryError, NfclmModel, advance,
-                     class_component_prob, class_emission_dist, class_prefix,
+                     DeadHistoryError, NfclmModel, advance, class_prefix,
                      decider_history, eos_logprob, exact_alignment_histories,
                      exact_next_dist, extend, last_class, next_dist, sample,
                      sequence_logprob, start_beam)
@@ -33,10 +32,9 @@ __all__ = [
     "DeadHistoryError", "DeciderModel", "DynFstSession", "EOS", "EPSILON",
     "FusionWeights", "NBestEntry", "NfclmModel", "PerplexityReport",
     "ProbClassFst", "RescoredEntry", "UniformModel", "Vocabulary", "advance",
-    "build_from_entities", "bundle", "class_component_prob",
-    "class_emission_dist", "class_prefix", "decider_history", "detokenize",
-    "eos_logprob", "exact_alignment_histories", "exact_next_dist", "expand",
-    "expand_tagged", "extend",
+    "build_from_entities", "bundle", "class_prefix", "decider_history",
+    "detokenize", "eos_logprob", "exact_alignment_histories", "exact_next_dist",
+    "expand", "expand_tagged", "extend",
     "last_class", "load_class_alphabet", "load_entities", "load_vocabulary",
     "mix_corpora", "next_dist", "parse_grammar", "perplexity",
     "renormalize_by_prior", "rescore_nbest", "sample", "sequence_logprob",

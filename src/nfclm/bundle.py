@@ -20,6 +20,8 @@ from .vocab import load_class_alphabet, load_vocabulary
 MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "nfclm-bundle"
 BUNDLE_VERSION = 1
+MANIFEST_KEYS = ("files", "class_fsts", "beam_size", "beam_delta", "renormalize")
+COMPONENT_KEYS = ("vocabulary", "classes", "background", "decider")
 
 
 class BundleError(Exception):
@@ -92,14 +94,64 @@ def _read_manifest(directory) -> dict:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise BundleError(f"unreadable manifest: {exc}") from exc
-    if manifest.get("format") != BUNDLE_FORMAT:
-        raise BundleError(f"not a model bundle: format {manifest.get('format')!r}")
+    if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
+        raise BundleError(f"not a model bundle: {path}")
     if manifest.get("version") != BUNDLE_VERSION:
         raise BundleError(
             f"unsupported bundle version {manifest.get('version')!r} "
             f"(expected {BUNDLE_VERSION})"
         )
+    for key in MANIFEST_KEYS:
+        if key not in manifest:
+            raise BundleError(f"{path}: manifest has no {key!r}")
+    for key in ("files", "class_fsts"):
+        if not isinstance(manifest[key], dict):
+            raise BundleError(f"{path}: manifest {key!r} is not an object")
+    for key in COMPONENT_KEYS:
+        if key not in manifest["files"]:
+            raise BundleError(f"{path}: manifest 'files' has no {key!r}")
     return manifest
+
+
+def assemble(vocabulary_path, classes_path, background_path, decider_path,
+             fst_paths: dict, *, beam_size: int, beam_delta: float,
+             alpha: Optional[float], renormalize: bool) -> NfclmModel:
+    """Read the component files and build the model.
+
+    ``fst_paths`` maps each class label to its FST file.  ``alpha`` None
+    keeps the decider's stored exponent.  Raises BundleError for a
+    missing file or a model that fails its invariants.
+    """
+    def component(path):
+        if not os.path.exists(path):
+            raise BundleError(f"missing component file {os.fspath(path)!r}")
+        return path
+
+    def binary(path) -> bytes:
+        with open(component(path), "rb") as fh:
+            return fh.read()
+
+    vocabulary = load_vocabulary(component(vocabulary_path))
+    classes = load_class_alphabet(component(classes_path))
+    background = BackoffNGram.deserialize(binary(background_path))
+    decider = DeciderModel.deserialize(binary(decider_path))
+    class_fsts = {label: ProbClassFst.deserialize(binary(path))
+                  for label, path in fst_paths.items()}
+    if alpha is not None:
+        decider.alpha = alpha
+    try:
+        return NfclmModel(
+            vocabulary=vocabulary,
+            classes=classes,
+            background=background,
+            class_fsts=class_fsts,
+            decider=decider,
+            beam_size=beam_size,
+            beam_delta=beam_delta,
+            renormalize=renormalize,
+        )
+    except ValueError as exc:
+        raise BundleError(f"components fail model invariants: {exc}") from exc
 
 
 def load(directory, *, beam_size: Optional[int] = None,
@@ -108,39 +160,13 @@ def load(directory, *, beam_size: Optional[int] = None,
     """Load and validate a bundle; keyword overrides replace manifest values."""
     directory = os.fspath(directory)
     manifest = _read_manifest(directory)
-
-    def component(name: str) -> str:
-        path = os.path.join(directory, name)
-        if not os.path.exists(path):
-            raise BundleError(f"missing component file {name!r}")
-        return path
-
-    files = manifest["files"]
-    vocabulary = load_vocabulary(component(files["vocabulary"]))
-    classes = load_class_alphabet(component(files["classes"]))
-    with open(component(files["background"]), "rb") as fh:
-        background = BackoffNGram.deserialize(fh.read())
-    with open(component(files["decider"]), "rb") as fh:
-        decider = DeciderModel.deserialize(fh.read())
-    class_fsts = {}
-    for label, name in manifest["class_fsts"].items():
-        with open(component(name), "rb") as fh:
-            class_fsts[label] = ProbClassFst.deserialize(fh.read())
-        class_fsts[label].validate()
-    if alpha is not None:
-        decider.alpha = alpha
-    elif "alpha" in manifest:
-        decider.alpha = manifest["alpha"]
-    try:
-        return NfclmModel(
-            vocabulary=vocabulary,
-            classes=classes,
-            background=background,
-            class_fsts=class_fsts,
-            decider=decider,
-            beam_size=beam_size if beam_size is not None else manifest["beam_size"],
-            beam_delta=beam_delta if beam_delta is not None else manifest["beam_delta"],
-            renormalize=renormalize if renormalize is not None else manifest["renormalize"],
-        )
-    except ValueError as exc:
-        raise BundleError(f"bundle fails model invariants: {exc}") from exc
+    files = {key: os.path.join(directory, name) for key, name in manifest["files"].items()}
+    return assemble(
+        files["vocabulary"], files["classes"], files["background"], files["decider"],
+        {label: os.path.join(directory, name)
+         for label, name in manifest["class_fsts"].items()},
+        beam_size=beam_size if beam_size is not None else manifest["beam_size"],
+        beam_delta=beam_delta if beam_delta is not None else manifest["beam_delta"],
+        alpha=alpha if alpha is not None else manifest.get("alpha"),
+        renormalize=renormalize if renormalize is not None else manifest["renormalize"],
+    )

@@ -196,8 +196,8 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
         count = float(count)
         if not symbols:
             raise ValueError(f"{label}: empty entity")
-        if count <= 0:
-            raise ValueError(f"{label}: non-positive entity count {count!r}")
+        if not 0 < count < math.inf:
+            raise ValueError(f"{label}: non-positive or non-finite entity count {count!r}")
         normalized.append((symbols, count))
     if not normalized:
         raise ValueError(f"{label}: empty entity list")
@@ -250,6 +250,8 @@ def parse_entity_line(line: str, where: str) -> Entity:
             count = float(count_text)
         except ValueError:
             raise ValueError(f"{where}: bad count {count_text!r}") from None
+        if not math.isfinite(count):
+            raise ValueError(f"{where}: bad count {count_text!r}")
         if count <= 0:
             raise ValueError(f"{where}: non-positive count {count_text!r}")
     return symbols, count

@@ -14,14 +14,14 @@ import sys
 
 from . import bundle as bundle_mod
 from . import cfg as cfg_mod
-from .classfst import ProbClassFst, build_from_entities, load_entities
+from .classfst import build_from_entities, load_entities
 from .dynfst import DynFstSession
 from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, DeadHistoryError,
-                     NfclmModel, advance, exact_next_dist, next_dist, sample,
+                     advance, exact_next_dist, next_dist, sample,
                      sequence_logprob)
 from .evaluate import (FusionWeights, parse_nbest_file, perplexity,
                        rescore_nbest)
-from .seqmodel import BackoffNGram, DeciderModel, train_decider, train_ngram
+from .seqmodel import train_decider, train_ngram
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
 
@@ -126,29 +126,18 @@ def cmd_mix(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    vocabulary = load_vocabulary(args.vocab)
-    classes = load_class_alphabet(args.classes)
-    with open(args.bglm, "rb") as fh:
-        background = BackoffNGram.deserialize(fh.read())
-    with open(args.decider, "rb") as fh:
-        decider = DeciderModel.deserialize(fh.read())
     class_fsts = {}
     for spec in args.fst or []:
         label, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--fst expects label=path, got {spec!r}")
-        with open(path, "rb") as fh:
-            class_fsts[label] = ProbClassFst.deserialize(fh.read())
-    if args.alpha is not None:
-        decider.alpha = args.alpha
-    model = NfclmModel(
-        vocabulary=vocabulary,
-        classes=classes,
-        background=background,
-        class_fsts=class_fsts,
-        decider=decider,
+        class_fsts[label] = path
+    model = bundle_mod.assemble(
+        args.vocab, args.classes, args.bglm, args.decider, class_fsts,
         beam_size=args.beam_n if args.beam_n is not None else DEFAULT_BEAM_SIZE,
         beam_delta=args.beam_delta if args.beam_delta is not None else DEFAULT_BEAM_DELTA,
+        alpha=args.alpha,
+        renormalize=True,
     )
     report = bundle_mod.pack(model, args.out_dir)
     for name in sorted(report):

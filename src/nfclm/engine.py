@@ -13,6 +13,13 @@ accumulated joint log-weight of alignment and symbols.  Hypotheses that
 agree on (decider history, position) are exchangeable for every future
 step, so they are merged by log-sum-exp.
 
+Beam mode writes the mixture step once, in ``_routes``: a hypothesis
+inside a class span may stay on its automaton's arcs, and a hypothesis
+whose state can exit splits the exit mass among the classes by the
+decider.  ``extend``, ``eos_logprob``, ``next_dist`` and ``sample`` all
+read those routes.  The exact oracle enumerates alignments from the
+definitions without them, so comparing the two checks the beam path.
+
 All arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
 
@@ -120,6 +127,12 @@ class NfclmModel:
             raise ValueError("background model must predict the vocabulary plus EOS")
         if set(self.decider.alphabet) != set(self.classes.labels):
             raise ValueError("decider classes do not match the class alphabet")
+        # (class, arcs out of its start state; None for the background) in
+        # alphabet order: the routes of every hypothesis whose state exits
+        self._entry_routes = tuple(
+            (c, None) if c == BACKGROUND
+            else (c, self.class_fsts[c].arcs[self.class_fsts[c].start])
+            for c in self.classes.labels)
         self._bg_cache: dict[tuple, float] = {}
         self._decider_cache: dict[tuple, dict[str, float]] = {}
 
@@ -207,104 +220,48 @@ def log_sum_exp(values: Sequence[float]) -> float:
     return best + math.log(math.fsum(math.exp(v - best) for v in values))
 
 
-def _exit_prob(model: NfclmModel, position: Position) -> float:
-    if position is None:
-        return 1.0  # background always "exits": each symbol is its own span
-    label, state = position
-    return model.class_fsts[label].exit_prob(state)
-
-
-def class_emission_dist(model: NfclmModel, hypothesis: AlignmentHypothesis) -> dict[str, float]:
-    """Distribution over classes + continuation for the next position."""
-    exit_p = _exit_prob(model, hypothesis.position)
-    dist = {EPSILON: 1.0 - exit_p}
-    if exit_p > 0.0:
-        decider = model.decider_dist(hypothesis.decider_history)
-        for c in model.classes.labels:
-            dist[c] = exit_p * decider[c]
-    else:
-        for c in model.classes.labels:
-            dist[c] = 0.0
-    return dist
-
-
-def class_component_prob(model: NfclmModel, symbol: str, candidate: str,
-                         hypothesis: AlignmentHypothesis,
-                         history: Sequence[str]) -> float:
-    """Probability the chosen class generates ``symbol``.
-
-    Background conditions on the raw token history; a named class
-    conditions on its open-span prefix through the class automaton, with
-    continuation arcs normalized by the state's stay probability.
-    """
-    if candidate == EPSILON:
-        if hypothesis.position is None:
-            return 0.0  # no open span to continue
-        label, state = hypothesis.position
-        fst = model.class_fsts[label]
-        arc = fst.arc_prob(state, symbol)
-        if arc == 0.0:
-            return 0.0
-        return arc / (1.0 - fst.exit_prob(state))
-    if candidate == BACKGROUND:
-        return math.exp(model.background_logprob(symbol, history))
-    fst = model.class_fsts.get(candidate)
-    if fst is None:
-        raise ValueError(f"class {candidate!r} has no FST")
-    return fst.arc_prob(fst.start, symbol)
-
-
 def _position_sort_key(position: Position) -> tuple[str, int]:
     return ("", -1) if position is None else position
 
 
-def _successors(model: NfclmModel, beam: AlignmentBeam, symbol: str):
-    """Merged successor hypotheses for one extension symbol.
+def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis]):
+    """The mixture step: every route out of each hypothesis, in a fixed order.
 
-    Iteration order is fixed (beam order, then continuation, background,
-    classes in alphabet order) so merged sums are reproducible.
+    Yields ``(hypothesis, route, arcs, log_weight)``.  A hypothesis inside
+    a class span first yields its stay route (``route`` is EPSILON): the
+    raw arcs at its class state, whose probabilities already carry the
+    stay mass, at the hypothesis weight.  If its state can exit, one route
+    per class follows in alphabet order, weighted hypothesis weight + log
+    exit + log decider share: the background route has ``arcs`` None and
+    takes the background model's symbol probability, an entry route the
+    arcs out of its class automaton's start state.  Callers add the
+    emitted symbol's log-probability to ``log_weight``.
     """
-    bg_lp = model.background_logprob(symbol, beam.history)
-    decider_cache: dict[tuple[str, ...], dict[str, float]] = {}
-    merged: dict[tuple, tuple[tuple[str, ...], Position, list[float]]] = {}
-
-    def emit(dh: tuple[str, ...], pos: Position, lw: float) -> None:
-        key = (dh, pos)
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = (dh, pos, [lw])
+    for hyp in hypotheses:
+        if hyp.position is None:
+            log_exit = 0.0
         else:
-            slot[2].append(lw)
-
-    for hyp in beam.hypotheses:
-        if hyp.position is not None:
             label, state = hyp.position
             fst = model.class_fsts[label]
-            hit = fst.arcs[state].get(symbol)
-            if hit is not None:
-                # stay emission times normalized arc collapses to the raw arc
-                arc, dest = hit
-                emit(hyp.decider_history, (label, dest), hyp.log_weight + math.log(arc))
+            yield hyp, EPSILON, fst.arcs[state], hyp.log_weight
             exit_p = fst.exit_prob(state)
             if exit_p == 0.0:
                 continue
             log_exit = math.log(exit_p)
-        else:
-            log_exit = 0.0
-        decider = decider_cache.get(hyp.decider_history)
-        if decider is None:
-            decider = model.decider_dist(hyp.decider_history)
-            decider_cache[hyp.decider_history] = decider
-        emit(hyp.decider_history + (symbol,), None,
-             hyp.log_weight + log_exit + math.log(decider[BACKGROUND]) + bg_lp)
-        for c in model.classes.nonbackground:
-            fst = model.class_fsts[c]
-            hit = fst.arcs[fst.start].get(symbol)
-            if hit is not None:
-                arc, dest = hit
-                emit(hyp.decider_history + (c,), (c, dest),
-                     hyp.log_weight + log_exit + math.log(decider[c]) + math.log(arc))
-    return merged
+        decider = model.decider_dist(hyp.decider_history)
+        base = hyp.log_weight + log_exit
+        for c, arcs in model._entry_routes:
+            yield hyp, c, arcs, base + math.log(decider[c])
+
+
+def _successor(hyp: AlignmentHypothesis, route: str, symbol: str,
+               dest: Optional[int]) -> tuple[tuple[str, ...], Position]:
+    """(decider history, position) after ``route`` emits ``symbol`` into ``dest``."""
+    if route == EPSILON:
+        return hyp.decider_history, (hyp.position[0], dest)
+    if route == BACKGROUND:
+        return hyp.decider_history + (symbol,), None
+    return hyp.decider_history + (route,), (route, dest)
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
@@ -315,15 +272,29 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     """
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
-    if not beam.hypotheses:
-        raise DeadHistoryError(beam.history, symbol)
-    merged = _successors(model, beam, symbol)
+    bg_lp = model.background_logprob(symbol, beam.history)
+    merged: dict[tuple, list[float]] = {}
+    for hyp, route, arcs, lw in _routes(model, beam.hypotheses):
+        if arcs is None:
+            dest, lw = None, lw + bg_lp
+        else:
+            hit = arcs.get(symbol)
+            if hit is None:
+                continue
+            arc, dest = hit
+            lw += math.log(arc)
+        key = _successor(hyp, route, symbol, dest)
+        slot = merged.get(key)
+        if slot is None:
+            merged[key] = [lw]
+        else:
+            slot.append(lw)
     if not merged:
         raise DeadHistoryError(beam.history, symbol)
 
     successors = [
         AlignmentHypothesis(dh, pos, log_sum_exp(weights))
-        for dh, pos, weights in merged.values()
+        for (dh, pos), weights in merged.items()
     ]
     step_logprob = log_sum_exp([h.log_weight for h in successors]) - beam.log_norm
 
@@ -350,19 +321,8 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     """log P(EOS | history) under the beam; -inf when no alignment can stop."""
     eos_lp = model.background_logprob(EOS, beam.history)
-    decider_cache: dict[tuple[str, ...], float] = {}
-    contributions = []
-    for hyp in beam.hypotheses:
-        exit_p = _exit_prob(model, hyp.position)
-        if exit_p == 0.0:
-            continue
-        bg_share = decider_cache.get(hyp.decider_history)
-        if bg_share is None:
-            bg_share = model.decider_dist(hyp.decider_history)[BACKGROUND]
-            decider_cache[hyp.decider_history] = bg_share
-        contributions.append(
-            hyp.log_weight + math.log(exit_p) + math.log(bg_share) + eos_lp
-        )
+    contributions = [lw + eos_lp for _, route, _, lw in _routes(model, beam.hypotheses)
+                     if route == BACKGROUND]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm
@@ -377,34 +337,64 @@ def advance(model: NfclmModel, symbols: Sequence[str]) -> AlignmentBeam:
 
 
 def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
-    """Beam-mode next-symbol distribution over the vocabulary plus EOS."""
+    """Beam-mode next-symbol distribution over the vocabulary plus EOS.
+
+    One sweep over the routes: the background routes' summed weight times
+    one background distribution, plus each class route's arcs.  Entry
+    ``s`` equals ``exp`` of ``extend``'s step log-probability for ``s``
+    (0 where ``extend`` finds no alignment) up to rounding.
+    """
+    terms: dict[str, list[float]] = {}
+    background: list[float] = []
+    for _, _, arcs, lw in _routes(model, beam.hypotheses):
+        if arcs is None:
+            background.append(lw)
+            continue
+        for sym, (arc, _) in arcs.items():
+            terms.setdefault(sym, []).append(lw + math.log(arc))
+    if background:
+        share = log_sum_exp(background)
+        bg = model.background.distribution(model._padded(beam.history, model.background))
+        for sym, p in bg.items():
+            terms.setdefault(sym, []).append(share + math.log(p))
     dist = {}
-    for sym in model.vocabulary.symbols:
-        try:
-            _, lp = extend(model, beam, sym)
-        except DeadHistoryError:
-            dist[sym] = 0.0
-        else:
-            dist[sym] = math.exp(lp)
-    dist[EOS] = math.exp(eos_logprob(model, beam))
+    for sym in model.vocabulary.symbols + (EOS,):
+        weights = terms.get(sym)
+        dist[sym] = math.exp(log_sum_exp(weights) - beam.log_norm) if weights else 0.0
     return dist
 
 
 # -- exact enumeration (the oracle path) ----------------------------------
 
+def _alignment_exit(model: NfclmModel, history: tuple[str, ...],
+                    alignment: tuple[str, ...]) -> Optional[float]:
+    """Exit probability after an aligned history; None off the automaton."""
+    open_label = last_class(alignment, EPSILON)
+    if open_label in (EPSILON, BACKGROUND):
+        return 1.0
+    fst = model.class_fsts[open_label]
+    state = fst.walk(class_prefix(history, alignment, open_label))
+    return None if state is None else fst.exit_prob(state)
+
+
+def _stop_mass(model: NfclmModel, history: tuple[str, ...],
+               alignment: tuple[str, ...], weight: float) -> float:
+    """Joint probability of an alignment of weight ``weight`` followed by EOS."""
+    exit_p = _alignment_exit(model, history, alignment)
+    if not exit_p:
+        return 0.0
+    dh = decider_history(history, alignment)
+    return (weight * exit_p * model.decider_dist(dh)[BACKGROUND]
+            * math.exp(model.background_logprob(EOS, history)))
+
+
 def _alignment_step(model: NfclmModel, history: tuple[str, ...],
                     alignment: tuple[str, ...], candidate: str,
                     symbol: str) -> float:
     """Probability contribution of one (emission, symbol) step, from definitions."""
-    open_label = last_class(alignment, EPSILON)
-    if open_label in (EPSILON, BACKGROUND):
-        exit_p = 1.0
-    else:
-        fst = model.class_fsts[open_label]
-        state = fst.walk(class_prefix(history, alignment, open_label))
-        if state is None:
-            return 0.0
-        exit_p = fst.exit_prob(state)
+    exit_p = _alignment_exit(model, history, alignment)
+    if exit_p is None:
+        return 0.0
     if candidate == EPSILON:
         emission = 1.0 - exit_p
     else:
@@ -489,18 +479,7 @@ def exact_next_dist(model: NfclmModel, history: Sequence[str]) -> dict[str, floa
                 p = _alignment_step(model, history, alignment, candidate, sym)
                 if p > 0.0:
                     masses[sym].append(weight * p)
-        open_label = last_class(alignment, EPSILON)
-        if open_label in (EPSILON, BACKGROUND):
-            exit_p = 1.0
-        else:
-            fst = model.class_fsts[open_label]
-            exit_p = fst.exit_prob(fst.walk(class_prefix(history, alignment, open_label)))
-        if exit_p > 0.0:
-            dh = decider_history(history, alignment)
-            masses[EOS].append(
-                weight * exit_p * model.decider_dist(dh)[BACKGROUND]
-                * math.exp(model.background_logprob(EOS, history))
-            )
+        masses[EOS].append(_stop_mass(model, history, alignment, weight))
     return {sym: math.fsum(values) / marginal for sym, values in masses.items()}
 
 
@@ -511,20 +490,8 @@ def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
             f"sequence of length {len(symbols)} exceeds the exact-mode limit "
             f"({EXACT_HISTORY_LIMIT})"
         )
-    alignments = _enumerate_alignments(model, symbols)
-    eos_lp = math.exp(model.background_logprob(EOS, symbols)) if alignments else 0.0
-    terms = []
-    for alignment, weight in alignments:
-        open_label = last_class(alignment, EPSILON)
-        if open_label in (EPSILON, BACKGROUND):
-            exit_p = 1.0
-        else:
-            fst = model.class_fsts[open_label]
-            exit_p = fst.exit_prob(fst.walk(class_prefix(symbols, alignment, open_label)))
-        if exit_p > 0.0:
-            dh = decider_history(symbols, alignment)
-            terms.append(weight * exit_p * model.decider_dist(dh)[BACKGROUND] * eos_lp)
-    total = math.fsum(terms)
+    total = math.fsum(_stop_mass(model, symbols, alignment, weight)
+                      for alignment, weight in _enumerate_alignments(model, symbols))
     return math.log(total) if total > 0.0 else -math.inf
 
 
@@ -572,26 +539,24 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     hyp = AlignmentHypothesis(decider_history=(), position=None, log_weight=0.0)
     out: list[str] = []
     while len(out) < max_length:
-        route = draw(class_emission_dist(model, hyp))
-        if route == BACKGROUND:
-            bg = model.background.distribution(
-                model._padded(out, model.background))
-            symbol = draw(bg)
+        routes = {route: (arcs, lw) for _, route, arcs, lw in _routes(model, [hyp])}
+        # the stay route's mass is that of its arcs; the others carry it in lw
+        route = draw({
+            route: math.fsum(p for p, _ in arcs.values()) if route == EPSILON
+            else math.exp(lw)
+            for route, (arcs, lw) in routes.items()
+        })
+        arcs = routes[route][0]
+        if arcs is None:
+            symbol = draw(model.background.distribution(
+                model._padded(out, model.background)))
             if symbol == EOS:
                 break
-            hyp = AlignmentHypothesis(hyp.decider_history + (symbol,), None, 0.0)
-        elif route == EPSILON:
-            label, state = hyp.position
-            fst = model.class_fsts[label]
-            arcs = {sym: p for sym, (p, _) in fst.arcs[state].items()}
-            symbol = draw(arcs)
-            hyp = AlignmentHypothesis(hyp.decider_history,
-                                      (label, fst.step(state, symbol)), 0.0)
+            dest = None
         else:
-            fst = model.class_fsts[route]
-            arcs = {sym: p for sym, (p, _) in fst.arcs[fst.start].items()}
-            symbol = draw(arcs)
-            hyp = AlignmentHypothesis(hyp.decider_history + (route,),
-                                      (route, fst.step(fst.start, symbol)), 0.0)
+            symbol = draw({sym: p for sym, (p, _) in arcs.items()})
+            dest = arcs[symbol][1]
+        dh, position = _successor(hyp, route, symbol, dest)
+        hyp = AlignmentHypothesis(dh, position, 0.0)
         out.append(symbol)
     return out

@@ -90,6 +90,7 @@ class ClassAlphabet:
         if BACKGROUND not in seen:
             raise ValueError(f"class alphabet must contain {BACKGROUND!r}")
         self.labels: tuple[str, ...] = tuple(labels)
+        self.nonbackground: tuple[str, ...] = tuple(c for c in self.labels if c != BACKGROUND)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -102,10 +103,6 @@ class ClassAlphabet:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ClassAlphabet) and self.labels == other.labels
-
-    @property
-    def nonbackground(self) -> tuple[str, ...]:
-        return tuple(c for c in self.labels if c != BACKGROUND)
 
 
 def _read_lines(source) -> list[str]:

@@ -75,8 +75,9 @@ class TestBuildFromEntities:
             build_from_entities("@x", [()])
 
     def test_nonpositive_count_rejected(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            build_from_entities("@x", [(("a",), 0)])
+        for count in (0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-positive"):
+                build_from_entities("@x", [(("a",), count)])
 
 
 class TestQueries:
@@ -211,9 +212,11 @@ class TestEntityFiles:
 
     def test_bad_count(self, tmp_path):
         path = tmp_path / "e.txt"
-        path.write_text("a\tzero\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bad count"):
-            load_entities(path)
+        for count in ("zero", "nan", "inf", "-inf"):
+            path.write_text(f"b\na\t{count}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="bad count") as info:
+                load_entities(path)
+            assert str(info.value).startswith(f"{path}:2:")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.txt"

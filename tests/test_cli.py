@@ -171,6 +171,17 @@ class TestFailures:
         assert code == 1
         assert "non-positive" in err
 
+    def test_pack_class_without_fst_rejected(self, workspace, capsys):
+        build_bundle(workspace, capsys)
+        code, _, err = run(["pack", "--vocab", workspace / "vocab.txt",
+                            "--classes", workspace / "classes.txt",
+                            "--bglm", workspace / "bg.bin",
+                            "--decider", workspace / "decider.bin",
+                            "--fst", f"@song={workspace / '@song.fst'}",
+                            "--out-dir", workspace / "partial"], capsys)
+        assert code == 1
+        assert "do not match class alphabet" in err
+
     def test_determinism_across_runs(self, workspace, tmp_path, capsys):
         first = build_bundle(workspace, capsys)
         snapshot = {p.name: p.read_bytes() for p in first.iterdir()}

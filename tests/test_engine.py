@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 
-from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentHypothesis,
-                   DeadHistoryError, advance, class_component_prob,
-                   class_emission_dist, class_prefix, decider_history,
-                   eos_logprob, exact_alignment_histories, exact_next_dist,
-                   extend, last_class, next_dist, sample, sequence_logprob,
+from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
+                   AlignmentHypothesis, DeadHistoryError, advance,
+                   class_prefix, decider_history, eos_logprob,
+                   exact_alignment_histories, exact_next_dist, extend,
+                   last_class, next_dist, sample, sequence_logprob,
                    start_beam)
+from nfclm.engine import _routes
 
 from conftest import random_instance
 
@@ -18,6 +19,24 @@ FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
 def hyp(decider_hist=(), position=None, weight=0.0):
     return AlignmentHypothesis(tuple(decider_hist), position, weight)
+
+
+def routes(model, h):
+    """The kernel's routes out of one hypothesis: route -> (arcs, log weight)."""
+    return {route: (arcs, lw) for _, route, arcs, lw in _routes(model, [h])}
+
+
+def route_masses(model, h):
+    """Probability of taking each route: the stay route's is that of its arcs."""
+    return {route: math.fsum(p for p, _ in arcs.values()) if route == EPSILON
+            else math.exp(lw)
+            for route, (arcs, lw) in routes(model, h).items()}
+
+
+def single_beam(model, h, history):
+    """A beam holding only ``h``, normalized to it."""
+    return AlignmentBeam(history=tuple(history), hypotheses=[h], log_norm=h.log_weight,
+                         size_limit=model.beam_size, delta=model.beam_delta)
 
 
 class TestLastClass:
@@ -72,23 +91,31 @@ class TestDeciderHistory:
 
 
 class TestClassComponentProb:
+    """What each class generates once chosen, read from the route kernel."""
+
     def test_continuation_arc(self, toy_model):
         fst = toy_model.class_fsts["@song"]
         inside = hyp(("_play", "@song"), ("@song", fst.walk(("_ro",))))
-        p = class_component_prob(toy_model, "sie", EPSILON, inside, ("_play", "_ro"))
-        assert p == 0.5
+        (stay_arcs, _), = routes(toy_model, inside).values()
+        assert stay_arcs["sie"][0] == 0.5
+        beam = single_beam(toy_model, inside, ("_play", "_ro"))
+        assert next_dist(toy_model, beam)["sie"] == 0.5
 
     def test_fresh_entry_uses_start_arc(self, toy_model):
         background = hyp(("_play",), None)
-        p = class_component_prob(toy_model, "_ro", "@song", background, ("_play",))
-        assert p == 1.0
+        arcs, _ = routes(toy_model, background)["@song"]
+        assert arcs["_ro"][0] == 1.0
 
     def test_no_open_span_is_zero(self, toy_model):
-        assert class_component_prob(toy_model, "_ro", EPSILON, hyp(), ()) == 0.0
+        assert EPSILON not in routes(toy_model, hyp())
 
     def test_background_uses_symbol_model(self, toy_model):
-        p = class_component_prob(toy_model, "_by", BACKGROUND, hyp(("x",)), ("_play",))
-        assert p == pytest.approx(1 / 9)  # uniform over 8 symbols + EOS
+        arcs, _ = routes(toy_model, hyp(("_play",)))[BACKGROUND]
+        assert arcs is None  # the symbol comes from the background model
+        beam = single_beam(toy_model, hyp(("_play",)), ("_play",))
+        # no class starts with _by: only the background can emit it
+        want = toy_model.decider_dist(("_play",))[BACKGROUND] / 9  # uniform over 8 + EOS
+        assert next_dist(toy_model, beam)["_by"] == pytest.approx(want, rel=1e-12)
 
     def test_continuation_normalizes_by_stay_mass(self, toy_vocab, toy_classes):
         # exit 0.5 at the fork: staying renormalizes the single arc to 1
@@ -99,41 +126,41 @@ class TestClassComponentProb:
         model = make_toy_model(toy_vocab, toy_classes, song, artist)
         fst = model.class_fsts["@song"]
         inside = hyp(("@song",), ("@song", fst.walk(("_ro",))))
-        assert class_component_prob(model, "sie", EPSILON, inside, ("_ro",)) == \
+        stay_arcs, lw = routes(model, inside)[EPSILON]
+        assert lw == 0.0
+        assert route_masses(model, inside)[EPSILON] == pytest.approx(0.5)
+        assert stay_arcs["sie"][0] / route_masses(model, inside)[EPSILON] == \
             pytest.approx(1.0)
-
-    def test_unknown_class_rejected(self, toy_model):
-        with pytest.raises(ValueError, match="no FST"):
-            class_component_prob(toy_model, "_ro", "@genre", hyp(), ())
 
 
 class TestClassEmissionDist:
+    """How the kernel splits a hypothesis's mass among its routes."""
+
     def test_background_position(self, toy_model):
-        dist = class_emission_dist(toy_model, hyp(("_play",), None))
-        assert dist[EPSILON] == 0.0
+        masses = route_masses(toy_model, hyp(("_play",), None))
+        assert list(masses) == list(toy_model.classes.labels)  # no stay route
         decider = toy_model.decider_dist(("_play",))
         for c in toy_model.classes.labels:
-            assert dist[c] == decider[c]
+            assert masses[c] == pytest.approx(decider[c], rel=1e-12)
 
     def test_nonfinal_state_forces_continuation(self, toy_model):
         fst = toy_model.class_fsts["@song"]
-        dist = class_emission_dist(
+        masses = route_masses(
             toy_model, hyp(("_play", "@song"), ("@song", fst.walk(("_ro",)))))
-        assert dist[EPSILON] == 1.0
-        assert all(dist[c] == 0.0 for c in toy_model.classes.labels)
+        assert masses == {EPSILON: 1.0}
 
     def test_final_state_releases_full_mass(self, toy_model):
         fst = toy_model.class_fsts["@song"]
         leaf = fst.walk(("_ro", "sie"))
-        dist = class_emission_dist(toy_model, hyp(("_play", "@song"), ("@song", leaf)))
-        assert dist[EPSILON] == 0.0
+        masses = route_masses(toy_model, hyp(("_play", "@song"), ("@song", leaf)))
+        assert masses[EPSILON] == 0.0
         decider = toy_model.decider_dist(("_play", "@song"))
         for c in toy_model.classes.labels:
-            assert dist[c] == pytest.approx(decider[c])
+            assert masses[c] == pytest.approx(decider[c])
 
     def test_sums_to_one_when_classes_reachable(self, toy_model):
         for h in (hyp(), hyp(("_play",), None)):
-            assert math.fsum(class_emission_dist(toy_model, h).values()) == \
+            assert math.fsum(route_masses(toy_model, h).values()) == \
                 pytest.approx(1.0, abs=1e-9)
 
 
@@ -351,6 +378,46 @@ class TestNormalization:
         assert total < 1.0  # the singleton beam dropped real alignments
 
 
+class TestNextDist:
+    def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
+                                       artist_fst):
+        """Entry s is exp of extend's step log-probability; 0 where extend dies."""
+        import dataclasses
+        from conftest import make_toy_model
+        variants = ({}, {"beam_size": 2}, {"beam_size": 2, "renormalize": False})
+        cases = []
+        toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        histories = [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
+        histories.append(("_ro", "sie", "_ro", "berta"))
+        cases.append((toy, histories))
+        rng = random.Random(1234)
+        for _ in range(10):
+            cases.append(random_instance(rng))
+        checked = zeros = 0
+        for base, histories in cases:
+            for kwargs in variants:
+                model = dataclasses.replace(base, **kwargs)
+                for history in histories:
+                    try:
+                        beam = advance(model, history)
+                    except DeadHistoryError:
+                        continue  # a pruned beam can lose every alignment
+                    dist = next_dist(model, beam)
+                    assert list(dist) == list(model.vocabulary.symbols) + [EOS]
+                    for sym in model.vocabulary.symbols:
+                        try:
+                            _, lp = extend(model, beam, sym)
+                        except DeadHistoryError:
+                            assert dist[sym] == 0.0, (history, sym)
+                            zeros += 1
+                            continue
+                        assert dist[sym] == pytest.approx(math.exp(lp), rel=1e-12, abs=0)
+                    assert dist[EOS] == pytest.approx(
+                        math.exp(eos_logprob(model, beam)), rel=1e-12, abs=0)
+                    checked += 1
+        assert checked > 100 and zeros > 0
+
+
 class TestOracleEquivalence:
     def test_random_instances_beam_equals_exact(self):
         rng = random.Random(1234)
@@ -378,6 +445,19 @@ class TestSample:
         a = sample(toy_model, max_length=20, seed=99)
         b = sample(toy_model, max_length=20, seed=99)
         assert a == b
+
+    def test_recorded_fixed_seed_sample(self, toy_model):
+        # frozen from the reference run: random_instance draws the oracle's
+        # histories from sample, so its stream must not change unnoticed
+        assert sample(toy_model, max_length=20, seed=1) == [
+            "_flack", "_browne", "_ro", "sie", "_play", "_ro", "salie", "_ro", "sie",
+            "_browne", "_browne", "_browne", "_by", "_ro", "_ro", "salie", "_browne",
+            "_play", "_ro", "salie"]
+        assert sample(toy_model, max_length=20, seed=5) == [
+            "berta", "_ro", "berta", "_flack", "_ro", "berta", "_flack", "_ro", "salie"]
+        assert [len(sample(toy_model, max_length=30, seed=s)) for s in range(40)] == [
+            24, 30, 30, 30, 30, 9, 30, 30, 0, 30, 5, 30, 7, 30, 30, 19, 30, 8, 30, 30,
+            30, 15, 1, 30, 1, 0, 30, 6, 7, 19, 25, 7, 1, 30, 20, 30, 0, 30, 30, 30]
 
     def test_only_vocabulary_symbols(self, toy_model):
         for seed in range(30):

@@ -202,6 +202,29 @@ class TestBundle:
         with pytest.raises(bundle.BundleError, match="version"):
             bundle.load(d)
 
+    def test_manifest_missing_key(self, toy_vocab, toy_classes, song_fst,
+                                  artist_fst, tmp_path):
+        import json
+        from nfclm import NfclmModel, train_decider
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        good = json.loads(path.read_text(encoding="utf-8"))
+        for drop in ("files", "class_fsts", "files.vocabulary", "files.decider"):
+            manifest = json.loads(json.dumps(good))
+            *parents, key = drop.split(".")
+            table = manifest[parents[0]] if parents else manifest
+            del table[key]
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            for read in (bundle.load, bundle.size_report):
+                with pytest.raises(bundle.BundleError) as info:
+                    read(tmp_path / "b")
+                assert str(path) in str(info.value) and repr(key) in str(info.value)
+
     def test_repack_touches_only_edited_class(self, toy_vocab, toy_classes,
                                               song_fst, artist_fst, tmp_path):
         from nfclm import NfclmModel, build_from_entities, train_decider
