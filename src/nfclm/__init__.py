@@ -13,7 +13,7 @@ from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
                      DeadHistoryError, NfclmModel, advance, class_prefix,
                      decider_history, eos_logprob, exact_alignment_histories,
                      exact_next_dist, extend, last_class, next_dist, sample,
-                     sequence_logprob, start_beam)
+                     sequence_logprob, sequence_logprobs, start_beam)
 from .evaluate import (FusionWeights, NBestEntry, PerplexityReport,
                        RescoredEntry, perplexity, rescore_nbest)
 from .seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
@@ -38,5 +38,5 @@ __all__ = [
     "last_class", "load_class_alphabet", "load_entities", "load_vocabulary",
     "mix_corpora", "next_dist", "parse_grammar", "perplexity",
     "renormalize_by_prior", "rescore_nbest", "sample", "sequence_logprob",
-    "start_beam", "tokenize", "train_decider", "train_ngram",
+    "sequence_logprobs", "start_beam", "tokenize", "train_decider", "train_ngram",
 ]

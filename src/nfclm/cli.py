@@ -187,11 +187,16 @@ def cmd_rescore(args) -> int:
     entries = parse_nbest_file(args.nbest, references=args.references)
     weights = FusionWeights(lm_weight=args.lm_weight, ilm_weight=args.ilm_weight)
     mode = "exact" if args.exact else "beam"
-    for rank, r in enumerate(rescore_nbest(model, entries, weights, mode=mode), start=1):
-        flag = "FAILED" if r.failed else "ok"
-        print(f"{rank}\t{r.entry.utterance_id}\t{_fmt(r.fused_score)}"
-              f"\t{_fmt(r.entry.asr_score)}\t{_fmt(r.lm_logprob)}"
-              f"\t{_fmt(r.entry.ilm_score)}\t{flag}\t{' '.join(r.entry.tokens)}")
+    # each utterance is its own n-best list, in order of first appearance
+    utterances: dict[str, list] = {}
+    for entry in entries:
+        utterances.setdefault(entry.utterance_id, []).append(entry)
+    for group in utterances.values():
+        for rank, r in enumerate(rescore_nbest(model, group, weights, mode=mode), start=1):
+            flag = "FAILED" if r.failed else "ok"
+            print(f"{rank}\t{r.entry.utterance_id}\t{_fmt(r.fused_score)}"
+                  f"\t{_fmt(r.entry.asr_score)}\t{_fmt(r.lm_logprob)}"
+                  f"\t{_fmt(r.entry.ilm_score)}\t{flag}\t{' '.join(r.entry.tokens)}")
     return 0
 
 

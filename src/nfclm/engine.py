@@ -20,6 +20,11 @@ decider.  ``extend``, ``eos_logprob``, ``next_dist`` and ``sample`` all
 read those routes.  The exact oracle enumerates alignments from the
 definitions without them, so comparing the two checks the beam path.
 
+Beam-mode sentence scores come from one walk, ``sequence_logprobs``: it
+scores a batch of token lists in sorted order over a stack of beams, so
+a prefix that several lists share (as the hypotheses of an n-best list
+do) is extended once.  ``sequence_logprob`` is its one-list case.
+
 All arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
 
@@ -214,6 +219,8 @@ def start_beam(model: NfclmModel) -> AlignmentBeam:
 
 
 def log_sum_exp(values: Sequence[float]) -> float:
+    if len(values) == 1:
+        return values[0] + 0.0  # the bits of best + log(1.0), -inf and -0.0 included
     best = max(values)
     if best == -math.inf:
         return -math.inf
@@ -499,22 +506,56 @@ def sequence_logprob(model: NfclmModel, symbols: Sequence[str],
                      mode: str = "beam") -> float:
     """Sentence log-probability including the end-of-sentence factor.
 
-    Beam mode accumulates step log-probabilities through the stored joint
-    weights; a dead history yields -inf.
+    Beam mode is the one-list case of ``sequence_logprobs``; a dead
+    history yields -inf.
     """
     if mode == "exact":
         return exact_sequence_logprob(model, symbols)
     if mode != "beam":
         raise ValueError(f"unknown mode {mode!r}")
-    beam = start_beam(model)
-    total = 0.0
-    try:
-        for sym in symbols:
-            beam, lp = extend(model, beam, sym)
-            total += lp
-    except DeadHistoryError:
-        return -math.inf
-    return total + eos_logprob(model, beam)
+    return sequence_logprobs(model, [symbols])[0]
+
+
+def sequence_logprobs(model: NfclmModel,
+                      token_lists: Sequence[Sequence[str]]) -> list[float]:
+    """Beam-mode ``sequence_logprob`` of each list, in input order.
+
+    The lists are walked in sorted order over a stack whose entry ``d``
+    holds (beam, running total) after ``d`` tokens, so a prefix shared
+    by several lists is extended once.  A prefix with no surviving
+    alignment is marked dead and every list that starts with it scores
+    -inf.  ``extend`` depends only on (model, beam, symbol) and totals are
+    summed in token order, so each result has the bits of scoring that
+    list alone.  The stack holds at most one beam per token of the
+    longest list.
+    """
+    lists = [tuple(tokens) for tokens in token_lists]
+    results = [-math.inf] * len(lists)
+    stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start_beam(model), 0.0)]
+    previous: tuple[str, ...] = ()
+    for i in sorted(range(len(lists)), key=lists.__getitem__):
+        tokens = lists[i]
+        # the stack holds prefixes of ``previous``; keep those shared with ``tokens``
+        depth = 0
+        limit = min(len(stack) - 1, len(tokens))
+        while depth < limit and tokens[depth] == previous[depth]:
+            depth += 1
+        del stack[depth + 1:]
+        previous = tokens
+        for sym in tokens[depth:]:
+            top = stack[-1]
+            if top is None:
+                break
+            try:
+                beam, lp = extend(model, top[0], sym)
+            except DeadHistoryError:
+                stack.append(None)
+            else:
+                stack.append((beam, top[1] + lp))
+        top = stack[-1]
+        if top is not None:
+            results[i] = top[1] + eos_logprob(model, top[0])
+    return results
 
 
 def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine import NfclmModel, sequence_logprob
+from .engine import NfclmModel, sequence_logprob, sequence_logprobs
 from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob
 
 
@@ -104,19 +104,27 @@ def rescore_nbest(model: NfclmModel, entries: Sequence[NBestEntry],
                   weights: FusionWeights, mode: str = "beam") -> list[RescoredEntry]:
     """Fuse scores and re-rank: ASR + lm_weight * LM - ilm_weight * ILM.
 
-    The sort is stable with ties broken by original rank; entries whose
-    hypotheses cannot be scored (symbols outside the vocabulary or a dead
-    history) are flagged and ranked last in original order.
+    Beam mode scores the list's hypotheses in one ``sequence_logprobs``
+    walk, so a prefix they share is extended once; exact mode scores each
+    on its own.  The sort is stable with ties broken by original rank;
+    entries whose hypotheses cannot be scored (symbols outside the
+    vocabulary or a dead history) are flagged and ranked last in original
+    order.
     """
     if not entries:
         raise ValueError("empty n-best list")
+    scorable = [rank for rank, entry in enumerate(entries)
+                if all(tok in model.vocabulary for tok in entry.tokens)]
+    token_lists = [entries[rank].tokens for rank in scorable]
+    if mode == "beam":
+        scores = sequence_logprobs(model, token_lists)
+    else:
+        scores = [sequence_logprob(model, tokens, mode=mode) for tokens in token_lists]
+    lm_of = dict(zip(scorable, scores))
     rescored = []
     for rank, entry in enumerate(entries):
-        failed = any(tok not in model.vocabulary for tok in entry.tokens)
-        lm = -math.inf
-        if not failed:
-            lm = sequence_logprob(model, entry.tokens, mode=mode)
-            failed = lm == -math.inf
+        lm = lm_of.get(rank, -math.inf)
+        failed = lm == -math.inf
         fused = -math.inf if failed else (
             entry.asr_score + weights.lm_weight * lm - weights.ilm_weight * entry.ilm_score
         )

@@ -130,6 +130,24 @@ class TestPipeline:
         assert lines[0].startswith("1\tutt1")
         assert len(lines) == 2
 
+    def test_rescore_ranks_within_each_utterance(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        (workspace / "nbest.tsv").write_text(
+            "utt1\t-2.0\t-1.0\t_by _by\n"
+            "utt2\t-1.0\t-1.0\t_play _ro sie\n"
+            "utt1\t-2.5\t-1.0\t_play _ro sie\n"
+            "utt2\t-3.0\t-1.0\t_by _browne\n", encoding="utf-8")
+        code, out, err = run(["rescore", "--bundle", bundle,
+                              "--nbest", workspace / "nbest.tsv",
+                              "--lm-weight", 2.0], capsys)
+        assert code == 0, err
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("1", "utt1"), ("2", "utt1"), ("1", "utt2"), ("2", "utt2")]
+        for utt in ("utt1", "utt2"):
+            fused = [float(r[2]) for r in rows if r[1] == utt]
+            assert fused == sorted(fused, reverse=True)
+
     def test_sample_deterministic(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
         _, a, _ = run(["sample", "--bundle", bundle, "-n", 3, "--seed", 11], capsys)

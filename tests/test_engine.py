@@ -3,16 +3,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
                    AlignmentHypothesis, DeadHistoryError, advance,
                    class_prefix, decider_history, eos_logprob,
                    exact_alignment_histories, exact_next_dist, extend,
                    last_class, next_dist, sample, sequence_logprob,
-                   start_beam)
-from nfclm.engine import _routes
+                   sequence_logprobs, start_beam)
+from nfclm import engine
+from nfclm.engine import _routes, log_sum_exp
 
-from conftest import random_instance
+from conftest import TOY_SYMBOLS, make_toy_model, random_instance
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -358,6 +361,138 @@ class TestSequenceLogprob:
                 for sym in sentence[:k]:
                     fresh, lp = extend(toy_model, fresh, sym)
                 assert lp == incremental[k - 1]  # bit-for-bit
+
+
+def score_alone(model, tokens):
+    """One list scored from the start beam, as a per-hypothesis loop does."""
+    beam = start_beam(model)
+    total = 0.0
+    try:
+        for sym in tokens:
+            beam, lp = extend(model, beam, sym)
+            total += lp
+    except DeadHistoryError:
+        return -math.inf
+    return total + eos_logprob(model, beam)
+
+
+def alive(model, tokens):
+    try:
+        advance(model, tokens)
+    except DeadHistoryError:
+        return False
+    return True
+
+
+def shared_prefix_lists(model, histories, rng):
+    """Lists with shared prefixes, duplicates, the empty list and dead prefixes."""
+    symbols = model.vocabulary.symbols
+    lists = [()]
+    for history in histories:
+        lists.append(history)
+        lists.append(history[:len(history) // 2])
+        for _ in range(3):
+            cut = rng.randint(0, len(history))
+            lists.append(history[:cut] + tuple(
+                rng.choice(symbols) for _ in range(rng.randint(1, 3))))
+    lists.append(tuple(rng.choice(symbols) for _ in range(5)))
+    lists += [rng.choice(lists) for _ in range(3)]  # duplicates
+    lists += [tokens + (rng.choice(symbols),) for tokens in lists
+              if not alive(model, tokens)]  # lists extending a dead prefix
+    rng.shuffle(lists)
+    return lists
+
+
+class TestSequenceLogprobs:
+    """The shared-prefix walk returns each list's own score, bit for bit."""
+
+    VARIANTS = ({}, {"beam_size": 2}, {"beam_size": 2, "renormalize": False})
+
+    def cases(self, toy_vocab, toy_classes, song_fst, artist_fst):
+        toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        histories = [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta"), ("_browne",)]
+        yield toy, histories
+        rng = random.Random(1234)
+        for _ in range(12):
+            yield random_instance(rng)
+
+    def test_equals_per_list_scores(self, toy_vocab, toy_classes, song_fst,
+                                    artist_fst):
+        import dataclasses
+        rng = random.Random(5)
+        dead = extended_dead = 0
+        for base, histories in self.cases(toy_vocab, toy_classes, song_fst, artist_fst):
+            for kwargs in self.VARIANTS:
+                model = dataclasses.replace(base, **kwargs)
+                lists = shared_prefix_lists(model, histories, rng)
+                walked = sequence_logprobs(model, lists)
+                assert [x.hex() for x in walked] == \
+                    [score_alone(model, t).hex() for t in lists]
+                assert [x.hex() for x in walked] == \
+                    [sequence_logprob(model, t).hex() for t in lists]
+                dead += walked.count(-math.inf)
+                extended_dead += sum(not alive(model, t[:-1]) for t in lists if t)
+        assert dead > 0 and extended_dead > 0
+
+    def test_each_live_prefix_extended_once(self, toy_vocab, toy_classes,
+                                            song_fst, artist_fst, monkeypatch):
+        import dataclasses
+        rng = random.Random(9)
+        calls = Counter()
+        real_extend = engine.extend
+
+        def counted(model, beam, symbol):
+            calls[beam.history + (symbol,)] += 1
+            return real_extend(model, beam, symbol)
+
+        for base, histories in self.cases(toy_vocab, toy_classes, song_fst, artist_fst):
+            for kwargs in self.VARIANTS:
+                model = dataclasses.replace(base, **kwargs)
+                lists = shared_prefix_lists(model, histories, rng)
+                # prefixes whose own prefix is alive; none below a dead one
+                expected = {t[:k] for t in lists for k in range(1, len(t) + 1)
+                            if alive(model, t[:k - 1])}
+                calls.clear()
+                monkeypatch.setattr(engine, "extend", counted)
+                sequence_logprobs(model, lists)
+                monkeypatch.setattr(engine, "extend", real_extend)
+                assert set(calls) == expected
+                assert set(calls.values()) <= {1}
+
+    def test_edge_lists(self, toy_model):
+        a = ("_play", "_ro", "sie")
+        lists = [a, (), a[:1], a, (), a + ("_by",)]
+        walked = sequence_logprobs(toy_model, lists)
+        assert [x.hex() for x in walked] == [score_alone(toy_model, t).hex() for t in lists]
+        assert sequence_logprobs(toy_model, []) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(lists=st.lists(st.lists(st.sampled_from(TOY_SYMBOLS), max_size=6)
+                          .map(tuple), max_size=8),
+           variant=st.sampled_from(VARIANTS))
+    def test_toy_lists(self, toy_vocab, toy_classes, song_fst, artist_fst,
+                       lists, variant):
+        model = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, **variant)
+        walked = sequence_logprobs(model, lists)
+        assert [x.hex() for x in walked] == [score_alone(model, t).hex() for t in lists]
+
+    def test_outside_vocabulary_raises(self, toy_model):
+        with pytest.raises(KeyError):
+            sequence_logprobs(toy_model, [("_play",), ("_play", "nope")])
+
+
+class TestLogSumExp:
+    def test_one_value_has_the_general_bits(self):
+        def general(values):
+            best = max(values)
+            if best == -math.inf:
+                return -math.inf
+            return best + math.log(math.fsum(math.exp(v - best) for v in values))
+
+        for v in (-math.inf, -0.0, 0.0, -1e-300, -0.1, -2.5, -745.0, 3.0):
+            assert log_sum_exp([v]).hex() == general([v]).hex()
+            assert math.copysign(1.0, log_sum_exp([v])) == math.copysign(1.0, general([v]))
+        assert math.isnan(log_sum_exp([math.nan]))
 
 
 class TestNormalization:

@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -7,7 +11,7 @@ from nfclm import (EOS, FusionWeights, NBestEntry, UniformModel, bundle,
                    sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
 
-from conftest import make_toy_model
+from conftest import make_toy_model, random_instance
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -130,6 +134,42 @@ class TestRescore:
         out = rescore_nbest(toy_model, entries, FusionWeights(0.3, 0.0))
         assert [r.original_rank for r in out] == [0, 1]
 
+    def test_shared_walk_keeps_ranks_ties_and_flags(self, toy_vocab, toy_classes,
+                                                    song_fst, artist_fst):
+        # shared prefixes, a duplicate (a tie), a dead hypothesis and OOV
+        # hypotheses mixed in; each entry keeps the score it gets alone
+        model = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
+                               beam_size=1)
+        texts = ["_play _ro sie", "_play zzz", "_play _ro sie _by _browne",
+                 "_play _ro sie", "_ro _by", "_play _ro", "qq _play", "_ro _by _play",
+                 "_play"]
+        entries = [NBestEntry("u", -1.0 - 0.5 * (i % 3), -0.5, tuple(t.split()))
+                   for i, t in enumerate(texts)]
+        weights = FusionWeights(0.8, 0.3)
+        out = rescore_nbest(model, entries, weights)
+        by_rank = {r.original_rank: r for r in out}
+        assert sorted(by_rank) == list(range(len(entries)))
+        for rank, entry in enumerate(entries):
+            r = by_rank[rank]
+            assert r.entry is entry
+            oov = any(tok not in model.vocabulary for tok in entry.tokens)
+            lm = -math.inf if oov else sequence_logprob(model, entry.tokens)
+            assert r.lm_logprob.hex() == lm.hex()
+            assert r.failed == (lm == -math.inf)
+        assert by_rank[1].failed and by_rank[6].failed
+        # the singleton beam keeps only the in-class reading of _ro, which
+        # cannot continue with _by; the list below it dies with it
+        assert by_rank[4].failed and by_rank[7].failed
+        assert by_rank[5].failed  # nor stop inside the song span
+        scored = [r for r in out if not r.failed]
+        flagged = [r for r in out if r.failed]
+        assert out == scored + flagged
+        assert [r.original_rank for r in flagged] == [1, 4, 5, 6, 7]
+        keys = [(-r.fused_score, r.original_rank) for r in scored]
+        assert keys == sorted(keys)
+        assert by_rank[0].fused_score == by_rank[3].fused_score
+        assert out.index(by_rank[0]) + 1 == out.index(by_rank[3])
+
     def test_empty_list_rejected(self, toy_model):
         with pytest.raises(ValueError):
             rescore_nbest(toy_model, [], FusionWeights(0.0, 0.0))
@@ -139,6 +179,45 @@ class TestRescore:
             FusionWeights(-0.1, 0.0)
         with pytest.raises(ValueError):
             FusionWeights(0.0, math.inf)
+
+
+class TestConcurrency:
+    def test_threads_match_serial_scoring(self):
+        """4 threads scoring one model from empty caches give the serial bits."""
+        def jobs(rng):
+            model, histories = random_instance(random.Random(77))
+            symbols = model.vocabulary.symbols
+            lists = [h[:cut] + tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+                     for h in histories for cut in range(len(h) + 1)]
+            nbest = [NBestEntry("u", -rng.random(), -rng.random(), t) for t in lists]
+            return model, lists, nbest
+
+        def run(model, lists, nbest):
+            ranked = rescore_nbest(model, nbest, FusionWeights(0.6, 0.2))
+            return ([(r.original_rank, r.lm_logprob.hex(), r.fused_score.hex(), r.failed)
+                     for r in ranked],
+                    [sequence_logprob(model, t).hex() for t in reversed(lists)])
+
+        model, lists, nbest = jobs(random.Random(3))
+        serial = run(model, lists, nbest)
+        model, lists, nbest = jobs(random.Random(3))
+        model._bg_cache.clear()
+        model._decider_cache.clear()
+        start = threading.Barrier(4, timeout=30)
+
+        def worker(_):
+            start.wait()
+            return [run(model, lists, nbest) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside cache fills too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        assert all(r == serial for rs in results for r in rs)
 
 
 class TestNBestFile:
