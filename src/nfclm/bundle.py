@@ -15,6 +15,7 @@ from typing import Optional
 from .classfst import ProbClassFst
 from .engine import NfclmModel
 from .seqmodel import BackoffNGram, DeciderModel
+from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
 
 MANIFEST_NAME = "manifest.json"
@@ -120,22 +121,28 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
 
     ``fst_paths`` maps each class label to its FST file.  ``alpha`` None
     keeps the decider's stored exponent.  Raises BundleError for a
-    missing file or a model that fails its invariants.
+    missing file or a model that fails its invariants, and
+    SerializationError, its message starting with the file's path, for a
+    corrupt component binary.
     """
     def component(path):
         if not os.path.exists(path):
             raise BundleError(f"missing component file {os.fspath(path)!r}")
         return path
 
-    def binary(path) -> bytes:
+    def binary(path, deserialize):
         with open(component(path), "rb") as fh:
-            return fh.read()
+            data = fh.read()
+        try:
+            return deserialize(data)
+        except SerializationError as exc:
+            raise SerializationError(f"{os.fspath(path)}: {exc.message}", exc.offset) from exc
 
     vocabulary = load_vocabulary(component(vocabulary_path))
     classes = load_class_alphabet(component(classes_path))
-    background = BackoffNGram.deserialize(binary(background_path))
-    decider = DeciderModel.deserialize(binary(decider_path))
-    class_fsts = {label: ProbClassFst.deserialize(binary(path))
+    background = binary(background_path, BackoffNGram.deserialize)
+    decider = binary(decider_path, DeciderModel.deserialize)
+    class_fsts = {label: binary(path, ProbClassFst.deserialize)
                   for label, path in fst_paths.items()}
     if alpha is not None:
         decider.alpha = alpha

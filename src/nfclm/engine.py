@@ -138,7 +138,7 @@ class NfclmModel:
             (c, None) if c == BACKGROUND
             else (c, self.class_fsts[c].arcs[self.class_fsts[c].start])
             for c in self.classes.labels)
-        self._bg_cache: dict[tuple, float] = {}
+        self._bg_cache: dict[tuple[str, ...], dict[str, float]] = {}
         self._decider_cache: dict[tuple, dict[str, float]] = {}
 
     # -- component lookups ------------------------------------------------
@@ -151,11 +151,19 @@ class NfclmModel:
         return history[len(history) - cs:]
 
     def background_logprob(self, symbol: str, history: Sequence[str]) -> float:
-        key = (symbol, self._padded(history, self.background))
-        hit = self._bg_cache.get(key)
+        """Background log P(symbol | history), memoized per padded context.
+
+        The cache holds one ``{symbol: logprob}`` row per context, so a
+        hit costs two dict lookups and builds no key tuple.
+        """
+        context = self._padded(history, self.background)
+        row = self._bg_cache.get(context)
+        if row is None:
+            row = self._bg_cache.setdefault(context, {})
+        hit = row.get(symbol)
         if hit is None:
-            hit = self.background.logprob(symbol, key[1])
-            self._bg_cache[key] = hit
+            hit = self.background.logprob(symbol, context)
+            row[symbol] = hit
         return hit
 
     def decider_dist(self, decider_history: Sequence[str]) -> dict[str, float]:

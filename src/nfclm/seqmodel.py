@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .serialization import ByteReader, ByteWriter, SerializationError
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
@@ -53,6 +53,7 @@ class UniformModel(ConditionalSymbolModel):
         if not alphabet:
             raise ValueError("uniform model needs a nonempty alphabet")
         self._alphabet = tuple(alphabet)
+        self._symbols = frozenset(self._alphabet)
         self._p = 1.0 / len(self._alphabet)
 
     @property
@@ -63,7 +64,7 @@ class UniformModel(ConditionalSymbolModel):
         return {sym: self._p for sym in self._alphabet}
 
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
-        if symbol not in self._alphabet:
+        if symbol not in self._symbols:
             raise KeyError(f"unknown symbol {symbol!r}")
         return math.log(self._p)
 
@@ -75,6 +76,11 @@ class BackoffNGram(ConditionalSymbolModel):
     level interpolates with the uniform distribution over the predicted
     alphabet, so every symbol keeps probability above a positive floor.
     History symbols outside ``history_alphabet`` are rejected.
+
+    That context-free level is one ``{symbol: p}`` table, built on first
+    use and dropped by ``observe``; change counts only through
+    ``observe`` so it never goes stale.  A query then walks only the
+    levels its context reaches.
     """
 
     def __init__(self, order: int, discount: float, predicted: Sequence[str],
@@ -83,6 +89,8 @@ class BackoffNGram(ConditionalSymbolModel):
             raise ValueError(f"order must be >= 1, got {order}")
         if not 0.0 < discount < 1.0:
             raise ValueError(f"discount must be in (0,1), got {discount}")
+        if not predicted:
+            raise ValueError("n-gram needs a nonempty predicted alphabet")
         self.order = order
         self.discount = discount
         self._predicted = tuple(predicted)
@@ -91,6 +99,7 @@ class BackoffNGram(ConditionalSymbolModel):
         self.counts: list[dict[tuple[str, ...], Counter]] = [
             {} for _ in range(order)
         ]
+        self._level0: Optional[dict[str, float]] = None
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -106,6 +115,7 @@ class BackoffNGram(ConditionalSymbolModel):
             context = history[len(history) - length:]
             table = self.counts[length].setdefault(context, Counter())
             table[target] += 1
+        self._level0 = None
 
     def _check_history(self, history: Sequence[str]) -> tuple[str, ...]:
         for sym in history:
@@ -114,11 +124,10 @@ class BackoffNGram(ConditionalSymbolModel):
         usable = min(len(history), self.order - 1)
         return tuple(history[len(history) - usable:])
 
-    def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        context = self._check_history(history)
-        uniform = 1.0 / len(self._predicted)
-        dist = {sym: uniform for sym in self._predicted}
-        for length in range(len(context) + 1):
+    def _walk(self, dist: dict[str, float], context: tuple[str, ...],
+              first: int) -> dict[str, float]:
+        """Interpolate levels ``first..len(context)`` into ``dist`` in place."""
+        for length in range(first, len(context) + 1):
             table = self.counts[length].get(context[len(context) - length:])
             if not table:
                 continue
@@ -130,21 +139,24 @@ class BackoffNGram(ConditionalSymbolModel):
                 dist[sym] = head + backoff * dist[sym]
         return dist
 
+    def _level0_table(self) -> dict[str, float]:
+        table = self._level0
+        if table is None:
+            uniform = 1.0 / len(self._predicted)
+            table = self._walk({sym: uniform for sym in self._predicted}, (), 0)
+            self._level0 = table  # published whole: sharing threads never see it half built
+        return table
+
+    def distribution(self, history: Sequence[str]) -> dict[str, float]:
+        context = self._check_history(history)
+        return self._walk(dict(self._level0_table()), context, 1)
+
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
-        if symbol not in self._predicted:
+        level0 = self._level0_table()
+        if symbol not in level0:
             raise KeyError(f"symbol {symbol!r} is not predictable")
         context = self._check_history(history)
-        p = 1.0 / len(self._predicted)
-        for length in range(len(context) + 1):
-            table = self.counts[length].get(context[len(context) - length:])
-            if not table:
-                continue
-            total = sum(table.values())
-            backoff = self.discount * len(table) / total
-            seen = table.get(symbol, 0)
-            head = (seen - self.discount) / total if seen else 0.0
-            p = head + backoff * p
-        return math.log(p)
+        return math.log(self._walk({symbol: level0[symbol]}, context, 1)[symbol])
 
     def serialize(self) -> bytes:
         symbols = sorted(set(self._predicted) | self._history_alphabet
@@ -185,6 +197,7 @@ class BackoffNGram(ConditionalSymbolModel):
         predicted = [symbols[r.u32()] for _ in range(r.u32())]
         history_alphabet = [symbols[r.u32()] for _ in range(r.u32())]
         model = cls(order, discount, predicted, history_alphabet)
+        targets = frozenset(predicted)
         for length in range(order):
             n_contexts = r.u32()
             level = model.counts[length]
@@ -192,8 +205,15 @@ class BackoffNGram(ConditionalSymbolModel):
                 context = tuple(symbols[r.u32()] for _ in range(length))
                 table = Counter()
                 for _ in range(r.u32()):
+                    at = r.offset
                     sym = symbols[r.u32()]
-                    table[sym] = r.u64()
+                    count = r.u64()
+                    if sym not in targets:
+                        raise SerializationError(
+                            f"count target {sym!r} is outside the predicted alphabet", at)
+                    if not count:
+                        raise SerializationError(f"zero count for {sym!r}", at + 4)
+                    table[sym] = count
                 level[context] = table
         return model
 

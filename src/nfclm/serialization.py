@@ -14,6 +14,7 @@ class SerializationError(Exception):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

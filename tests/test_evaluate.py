@@ -203,6 +203,8 @@ class TestConcurrency:
         model, lists, nbest = jobs(random.Random(3))
         model._bg_cache.clear()
         model._decider_cache.clear()
+        model.background._level0 = None  # threads race to build the level-0 tables too
+        model.decider.ngram._level0 = None
         start = threading.Barrier(4, timeout=30)
 
         def worker(_):
@@ -271,6 +273,28 @@ class TestBundle:
         (tmp_path / "b" / "@song.fst").unlink()
         with pytest.raises(bundle.BundleError, match="missing component"):
             bundle.load(tmp_path / "b")
+
+    def test_corrupt_component_names_file(self, toy_vocab, toy_classes, song_fst,
+                                          artist_fst, tmp_path, capsys):
+        from nfclm import NfclmModel, train_decider
+        from nfclm.cli import main
+        from nfclm.serialization import SerializationError
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+        path = tmp_path / "b" / "background.bin"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(SerializationError) as info:
+            bundle.load(tmp_path / "b")
+        assert str(info.value).startswith(f"{path}: unexpected end of data")
+        assert info.value.offset == len(path.read_bytes()) - 5
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("_play _ro sie\n", encoding="utf-8")
+        assert main(["ppl", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err.startswith(f"nfclm: error: {path}: ")
 
     def test_version_mismatch(self, tmp_path):
         import json

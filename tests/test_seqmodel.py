@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary,
                    renormalize_by_prior, train_decider, train_ngram)
+from nfclm.serialization import SerializationError
 from nfclm.seqmodel import (BackoffNGram, DeciderModel, UniformModel,
                             class_prior_from_corpus, ngram_sequence_logprob)
 
@@ -97,6 +98,24 @@ class TestTrainNgram:
             BackoffNGram(0, 0.5, ["a"], ["a"])
         with pytest.raises(ValueError):
             BackoffNGram(2, 1.0, ["a"], ["a"])
+        with pytest.raises(ValueError, match="nonempty"):
+            BackoffNGram(2, 0.5, [], ["a"])
+
+    def test_observe_resets_level0(self):
+        corpus = [("a", "b", "c"), ("b", "b"), ("c", "a")]
+        model = train_ngram(corpus[:-1], list("abc"), order=3)
+        histories = [(), (BOS, BOS), ("c",), ("b", "c")]
+        for history in histories:  # build the level-0 table before observing
+            model.distribution(history)
+            model.logprob("a", history)
+        padded = (BOS, BOS) + corpus[-1] + (EOS,)
+        for i in range(2, len(padded)):
+            model.observe(padded[i - 2:i], padded[i])
+        fresh = train_ngram(corpus, list("abc"), order=3)
+        for history in histories:
+            assert model.distribution(history) == fresh.distribution(history)
+            for sym in fresh.alphabet:
+                assert model.logprob(sym, history).hex() == fresh.logprob(sym, history).hex()
 
 
 class TestDistribution:
@@ -135,11 +154,119 @@ class TestSerialization:
         history = ("a", "b")
         assert back.distribution(history) == model.distribution(history)
 
+    def test_zero_count_rejected(self):
+        ngram = train_ngram([("a", "b")], ["a", "b"], order=2)
+        decider = train_decider([("a", "@x")], load_vocabulary(["a", "b"]),
+                                load_class_alphabet(["@bg", "@x"]), order=2)
+        ngram.counts[1][("a",)]["b"] = 0
+        decider.ngram.counts[0][()]["@x"] = 0
+        for model in (ngram, decider):
+            data = model.serialize()
+            with pytest.raises(SerializationError, match="zero count") as info:
+                type(model).deserialize(data)
+            assert "byte offset" in str(info.value)
+        # the offset points at the zero u64 in the n-gram payload
+        data = ngram.serialize()
+        with pytest.raises(SerializationError) as info:
+            BackoffNGram.deserialize(data)
+        assert data[info.value.offset:info.value.offset + 8] == bytes(8)
+
+    def test_target_outside_predicted_alphabet_rejected(self):
+        model = train_ngram([("a", "b")], ["a", "b"], order=2)
+        model.counts[1][("a",)][BOS] = 1  # BOS is a history symbol, never predicted
+        data = model.serialize()
+        with pytest.raises(SerializationError, match="outside the predicted") as info:
+            BackoffNGram.deserialize(data)
+        symbols = sorted({"a", "b", BOS, EOS})
+        at = info.value.offset
+        assert int.from_bytes(data[at:at + 4], "little") == symbols.index(BOS)
+
     def test_dump_counts_contains_observations(self):
         model = train_ngram([("a", "b")], ["a", "b"], order=2)
         dump = model.dump_counts()
         assert "0\t\ta\t1" in dump
         assert "1\ta\tb\t1" in dump
+
+
+class TestRecordedBits:
+    """``float.hex`` of probabilities recorded from the per-query loop that
+    re-summed every count table; the level-0 table and the shared level
+    walk must reproduce them bit for bit.  ``logprob`` must be the log of
+    the recorded probability, bit for bit too."""
+
+    ALPHABET = ["a", "b", "c", "d"]
+    CORPUS = [
+        ("b", "c", "b", "d"), ("c", "b", "d", "c", "d", "b", "c"), ("c", "a", "b", "d", "b"),
+        ("b", "d", "a", "c", "d"), ("a", "b", "c", "d"), ("c", "b", "c"),
+        ("d", "c", "b", "d"), ("b", "a"), ("b", "a", "c", "c", "d", "a"), ("b", "b", "d"),
+        ("b", "b", "c"), ("b", "c", "d", "c"),
+    ]
+    TAGGED = [
+        ("@y", "@y", "d"), ("@y", "@y"), ("c", "b"), ("@y", "a", "a", "b", "a"), ("d", "@y"),
+        ("c", "b"), ("b",), ("b", "@y", "d"), ("c", "d", "@x", "d", "@y"), ("b", "a", "c", "c"),
+    ]
+    # order-3 n-gram, discount 0.7; columns follow the alphabet a, b, c, d, EOS
+    NGRAM = {
+        (): ("0x1.8c6318c6318c6p-4", "0x1.18c6318c6318dp-2", "0x1.ef7bdef7bdef8p-3",
+             "0x1.8c6318c6318c7p-3", "0x1.8c6318c6318c7p-3"),
+        (BOS,): ("0x1.85c7d85c7d85dp-5", "0x1.2d8e96d8e96d9p-1", "0x1.fc256fc256fc2p-3",
+                 "0x1.1f6171f6171f6p-4", "0x1.71f6171f6171fp-5"),
+        (BOS, BOS): ("0x1.27bfb27bfb27dp-5", "0x1.5329cddd47888p-1", "0x1.ff19cd46f229cp-3",
+                     "0x1.52e9352e9352fp-5", "0x1.594c1594c1594p-7"),
+        (BOS, "a"): ("0x1.8475984759845p-6", "0x1.09a5ee9a5ee9ap-1", "0x1.b001c3001c2ffp-3",
+                     "0x1.8475984759846p-5", "0x1.97ba697ba697cp-3"),
+        ("b",): ("0x1.8ad527bc618aep-4", "0x1.103983d66b104p-3", "0x1.7240b45138724p-2",
+                 "0x1.680d3680d3681p-2", "0x1.d7004a9d31d70p-5"),
+        ("a", "b"): ("0x1.1462023711146p-4", "0x1.7d1d522c2f7d2p-4", "0x1.9cc6e49f411cdp-2",
+                     "0x1.95a2d95a2d95ap-2", "0x1.49b3676e0949bp-5"),
+        ("d", "d"): ("0x1.0c1ca0c1ca0c2p-3", "0x1.60e5060e5060ep-3", "0x1.fc256fc256fc2p-3",
+                     "0x1.71f6171f6171fp-5", "0x1.9d2db1d2db1d3p-2"),
+        ("c", "a", "b"): ("0x1.1462023711146p-4", "0x1.7d1d522c2f7d2p-4", "0x1.9cc6e49f411cdp-2",
+                          "0x1.95a2d95a2d95ap-2", "0x1.49b3676e0949bp-5"),
+    }
+    # order-3 decider, alpha 1; columns follow the classes @bg, @x, @y
+    DECIDER = {
+        (): ("0x1.e79e79e79e79fp-2", "0x1.0c30c30c30c31p-2", "0x1.0c30c30c30c31p-2"),
+        (BOS, BOS): ("0x1.539223eb0655dp-1", "0x1.f9333a78c92e5p-8", "0x1.50f6eb40102fbp-2"),
+        (BOS, "a"): ("0x1.a8aea2ba8aea3p-1", "0x1.5d457515d4575p-4", "0x1.5d457515d4575p-4"),
+        ("@x",): ("0x1.25fcb25fcb260p-1", "0x1.b4069b4069b41p-3", "0x1.b4069b4069b41p-3"),
+        ("a", "@y"): ("0x1.11d5536aaf755p-1", "0x1.7b7c4b4943c8ep-4", "0x1.7d76465850234p-2"),
+        ("b", "b"): ("0x1.3691c3345f38dp-1", "0x1.3565bda344c78p-3", "0x1.f053358b3e555p-3"),
+        ("@x", "c", "@y"): ("0x1.11d5536aaf755p-1", "0x1.7b7c4b4943c8ep-4",
+                            "0x1.7d76465850234p-2"),
+    }
+    # the decider's inner n-gram, before the floor and the prior
+    DECIDER_NGRAM = {
+        (): ("0x1.611a7b9611a7cp-1", "0x1.1a7b9611a7b96p-5", "0x1.1a7b9611a7b96p-2"),
+        (BOS, BOS): ("0x1.77f1e0387f1e0p-1", "0x1.96c671b30600bp-11", "0x1.0f50dc5628410p-2"),
+        (BOS, "a"): ("0x1.d8469ee58469fp-1", "0x1.1a7b9611a7b96p-7", "0x1.1a7b9611a7b96p-4"),
+        ("@x",): ("0x1.88d3dcb08d3ddp-1", "0x1.a7b9611a7b961p-6", "0x1.a7b9611a7b961p-3"),
+        ("a", "@y"): ("0x1.5054bead054bfp-1", "0x1.52fab4152fab4p-7", "0x1.54bead054beadp-2"),
+        ("b", "b"): ("0x1.85e293205e294p-1", "0x1.1a7b9611a7b96p-6", "0x1.c52640bc52640p-3"),
+        ("@x", "c", "@y"): ("0x1.5054bead054bfp-1", "0x1.52fab4152fab4p-7",
+                            "0x1.54bead054beadp-2"),
+    }
+
+    def check(self, model, recorded):
+        for history, column in recorded.items():
+            dist = model.distribution(history)
+            assert list(dist) == list(model.alphabet)
+            assert tuple(dist[s].hex() for s in model.alphabet) == column
+            for sym, p in zip(model.alphabet, column):
+                assert model.logprob(sym, history).hex() == math.log(float.fromhex(p)).hex()
+
+    def test_ngram(self):
+        model = train_ngram(self.CORPUS, self.ALPHABET, order=3, discount=0.7)
+        self.check(model, self.NGRAM)
+        # logprob first, so it builds the level-0 table on a fresh model
+        fresh = train_ngram(self.CORPUS, self.ALPHABET, order=3, discount=0.7)
+        assert fresh.logprob(EOS, ()).hex() == math.log(float.fromhex(self.NGRAM[()][4])).hex()
+
+    def test_decider(self):
+        model = train_decider(self.TAGGED, load_vocabulary(self.ALPHABET),
+                              load_class_alphabet(["@bg", "@x", "@y"]), order=3)
+        self.check(model, self.DECIDER)
+        self.check(model.ngram, self.DECIDER_NGRAM)
 
 
 class TestDecider:
