@@ -17,8 +17,13 @@ Beam mode writes the mixture step once, in ``_routes``: a hypothesis
 inside a class span may stay on its automaton's arcs, and a hypothesis
 whose state can exit splits the exit mass among the classes by the
 decider.  ``extend``, ``eos_logprob``, ``next_dist`` and ``sample`` all
-read those routes.  The exact oracle enumerates alignments from the
-definitions without them, so comparing the two checks the beam path.
+read those routes.  The routes are filtered by symbol: each model indexes
+once, per symbol, the background route and the classes whose start state
+has an arc for it, so ``extend`` visits only routes that can emit its
+symbol and ``eos_logprob`` only the background route; ``next_dist`` and
+``sample`` take every route.  The exact oracle enumerates alignments
+from the definitions without them, so comparing the two checks the beam
+path.
 
 Beam-mode sentence scores come from one walk, ``sequence_logprobs``: it
 scores a batch of token lists in sorted order over a stack of beams, so
@@ -138,17 +143,18 @@ class NfclmModel:
             (c, None) if c == BACKGROUND
             else (c, self.class_fsts[c].arcs[self.class_fsts[c].start])
             for c in self.classes.labels)
+        # per symbol (EOS included), the entry routes that can emit it: the
+        # background route and each class whose start state has an arc for it
+        self._symbol_routes = {
+            sym: tuple((c, arcs) for c, arcs in self._entry_routes
+                       if arcs is None or sym in arcs)
+            for sym in self.vocabulary.symbols + (EOS,)}
+        self._bg_context_size = self.background.context_size
+        self._decider_context_size = self.decider.context_size
         self._bg_cache: dict[tuple[str, ...], dict[str, float]] = {}
-        self._decider_cache: dict[tuple, dict[str, float]] = {}
+        self._decider_cache: dict[tuple[str, ...], dict[str, float]] = {}
 
     # -- component lookups ------------------------------------------------
-
-    def _padded(self, history: Sequence[str], model: ConditionalSymbolModel) -> tuple[str, ...]:
-        cs = model.context_size
-        history = tuple(history)
-        if len(history) < cs:
-            return (BOS,) * (cs - len(history)) + history
-        return history[len(history) - cs:]
 
     def background_logprob(self, symbol: str, history: Sequence[str]) -> float:
         """Background log P(symbol | history), memoized per padded context.
@@ -156,7 +162,7 @@ class NfclmModel:
         The cache holds one ``{symbol: logprob}`` row per context, so a
         hit costs two dict lookups and builds no key tuple.
         """
-        context = self._padded(history, self.background)
+        context = _context(history, self._bg_context_size)
         row = self._bg_cache.get(context)
         if row is None:
             row = self._bg_cache.setdefault(context, {})
@@ -168,12 +174,19 @@ class NfclmModel:
 
     def decider_dist(self, decider_history: Sequence[str]) -> dict[str, float]:
         """Renormalized class distribution for a collapsed history."""
-        key = (self._padded(decider_history, self.decider), self.decider.alpha)
-        hit = self._decider_cache.get(key)
+        context = _context(decider_history, self._decider_context_size)
+        hit = self._decider_cache.get(context)
         if hit is None:
-            hit = self.decider.distribution(key[0])
-            self._decider_cache[key] = hit
+            hit = self.decider.distribution(context)
+            self._decider_cache[context] = hit
         return hit
+
+
+def _context(history: Sequence[str], size: int) -> tuple[str, ...]:
+    """The last ``size`` symbols of ``history``, padded with BOS on the left."""
+    history = tuple(history)
+    n = len(history)
+    return history[n - size:] if n >= size else (BOS,) * (size - n) + history
 
 
 def last_class(alignment: Sequence[str], candidate: str) -> str:
@@ -239,18 +252,21 @@ def _position_sort_key(position: Position) -> tuple[str, int]:
     return ("", -1) if position is None else position
 
 
-def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis]):
-    """The mixture step: every route out of each hypothesis, in a fixed order.
+def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
+            entries: Sequence[tuple[str, Optional[dict]]]):
+    """The mixture step: the routes out of each hypothesis, in a fixed order.
 
     Yields ``(hypothesis, route, arcs, log_weight)``.  A hypothesis inside
     a class span first yields its stay route (``route`` is EPSILON): the
     raw arcs at its class state, whose probabilities already carry the
     stay mass, at the hypothesis weight.  If its state can exit, one route
-    per class follows in alphabet order, weighted hypothesis weight + log
+    per entry of ``entries`` follows, weighted hypothesis weight + log
     exit + log decider share: the background route has ``arcs`` None and
     takes the background model's symbol probability, an entry route the
-    arcs out of its class automaton's start state.  Callers add the
-    emitted symbol's log-probability to ``log_weight``.
+    arcs out of its class automaton's start state.  ``entries`` is
+    ``model._entry_routes`` (every class, in alphabet order) or the part
+    of it that can emit one symbol, ``model._symbol_routes[symbol]``.
+    Callers add the emitted symbol's log-probability to ``log_weight``.
     """
     for hyp in hypotheses:
         if hyp.position is None:
@@ -265,7 +281,7 @@ def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis]):
             log_exit = math.log(exit_p)
         decider = model.decider_dist(hyp.decider_history)
         base = hyp.log_weight + log_exit
-        for c, arcs in model._entry_routes:
+        for c, arcs in entries:
             yield hyp, c, arcs, base + math.log(decider[c])
 
 
@@ -283,13 +299,16 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     """Advance the beam by one symbol; returns (new beam, log P(symbol | history)).
 
     Successors sharing (decider history, position) are merged by
-    log-sum-exp before pruning to the size and log-width limits.
+    log-sum-exp before pruning to the size and log-width limits.  Only the
+    entry routes that can emit ``symbol`` are visited, and hypotheses are
+    built only for the successors that survive pruning.
     """
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
     bg_lp = model.background_logprob(symbol, beam.history)
     merged: dict[tuple, list[float]] = {}
-    for hyp, route, arcs, lw in _routes(model, beam.hypotheses):
+    for hyp, route, arcs, lw in _routes(model, beam.hypotheses,
+                                        model._symbol_routes[symbol]):
         if arcs is None:
             dest, lw = None, lw + bg_lp
         else:
@@ -307,25 +326,28 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     if not merged:
         raise DeadHistoryError(beam.history, symbol)
 
-    successors = [
-        AlignmentHypothesis(dh, pos, log_sum_exp(weights))
-        for (dh, pos), weights in merged.items()
-    ]
-    step_logprob = log_sum_exp([h.log_weight for h in successors]) - beam.log_norm
+    # best first, ties by (decider history, position), which no two share;
+    # each rank holds the negated weight
+    ranked = sorted((-log_sum_exp(weights), len(dh), dh, _position_sort_key(pos), pos)
+                    for (dh, pos), weights in merged.items())
+    # log_sum_exp is max plus an exactly rounded fsum: any term order gives its bits
+    total = log_sum_exp([-rank[0] for rank in ranked])
+    step_logprob = total - beam.log_norm
 
-    successors.sort(key=lambda h: (-h.log_weight, len(h.decider_history),
-                                   h.decider_history, _position_sort_key(h.position)))
-    kept = successors[: beam.size_limit]
-    best = kept[0].log_weight
-    kept = [h for h in kept if best - h.log_weight <= beam.delta]
+    kept = ranked[: beam.size_limit]
+    best = -kept[0][0]
+    kept = [rank for rank in kept if best + rank[0] <= beam.delta]
+    hypotheses = [AlignmentHypothesis(dh, pos, -neg) for neg, _, dh, _, pos in kept]
 
-    if model.renormalize:
-        new_norm = log_sum_exp([h.log_weight for h in kept])
-    else:
+    if not model.renormalize:
         new_norm = beam.log_norm + step_logprob
+    elif len(kept) == len(ranked):
+        new_norm = total
+    else:
+        new_norm = log_sum_exp([h.log_weight for h in hypotheses])
     new_beam = AlignmentBeam(
         history=beam.history + (symbol,),
-        hypotheses=kept,
+        hypotheses=hypotheses,
         log_norm=new_norm,
         size_limit=beam.size_limit,
         delta=beam.delta,
@@ -336,8 +358,10 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     """log P(EOS | history) under the beam; -inf when no alignment can stop."""
     eos_lp = model.background_logprob(EOS, beam.history)
-    contributions = [lw + eos_lp for _, route, _, lw in _routes(model, beam.hypotheses)
-                     if route == BACKGROUND]
+    # EOS has the background route alone; stay routes (arcs set) cannot emit it
+    contributions = [lw + eos_lp for _, _, arcs, lw
+                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS])
+                     if arcs is None]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm
@@ -361,7 +385,7 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     """
     terms: dict[str, list[float]] = {}
     background: list[float] = []
-    for _, _, arcs, lw in _routes(model, beam.hypotheses):
+    for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
         if arcs is None:
             background.append(lw)
             continue
@@ -369,7 +393,7 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
             terms.setdefault(sym, []).append(lw + math.log(arc))
     if background:
         share = log_sum_exp(background)
-        bg = model.background.distribution(model._padded(beam.history, model.background))
+        bg = model.background.distribution(_context(beam.history, model._bg_context_size))
         for sym, p in bg.items():
             terms.setdefault(sym, []).append(share + math.log(p))
     dist = {}
@@ -588,7 +612,8 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     hyp = AlignmentHypothesis(decider_history=(), position=None, log_weight=0.0)
     out: list[str] = []
     while len(out) < max_length:
-        routes = {route: (arcs, lw) for _, route, arcs, lw in _routes(model, [hyp])}
+        routes = {route: (arcs, lw)
+                  for _, route, arcs, lw in _routes(model, [hyp], model._entry_routes)}
         # the stay route's mass is that of its arcs; the others carry it in lw
         route = draw({
             route: math.fsum(p for p, _ in arcs.values()) if route == EPSILON
@@ -598,7 +623,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
         arcs = routes[route][0]
         if arcs is None:
             symbol = draw(model.background.distribution(
-                model._padded(out, model.background)))
+                _context(out, model._bg_context_size)))
             if symbol == EOS:
                 break
             dest = None

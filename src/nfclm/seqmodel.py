@@ -352,7 +352,11 @@ class DeciderModel(ConditionalSymbolModel):
         start = r.offset
         if start + body_len > len(data):
             raise SerializationError("truncated decider payload", start)
-        ngram = BackoffNGram.deserialize(data[start:start + body_len])
+        try:
+            ngram = BackoffNGram.deserialize(data[start:start + body_len])
+        except SerializationError as exc:
+            # the n-gram counts offsets from the start of its own slice
+            raise SerializationError(exc.message, start + exc.offset) from exc
         r.offset = start + body_len
         r.done()
         try:

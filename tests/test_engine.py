@@ -1,21 +1,26 @@
+import dataclasses
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
-                   AlignmentHypothesis, DeadHistoryError, advance,
-                   class_prefix, decider_history, eos_logprob,
-                   exact_alignment_histories, exact_next_dist, extend,
-                   last_class, next_dist, sample, sequence_logprob,
-                   sequence_logprobs, start_beam)
+                   AlignmentHypothesis, DeadHistoryError, NfclmModel,
+                   UniformModel, advance, build_from_entities, class_prefix,
+                   decider_history, eos_logprob, exact_alignment_histories,
+                   exact_next_dist, extend, last_class, load_class_alphabet,
+                   load_vocabulary, next_dist, sample, sequence_logprob,
+                   sequence_logprobs, start_beam, train_decider)
 from nfclm import engine
 from nfclm.engine import _routes, log_sum_exp
 
-from conftest import TOY_SYMBOLS, make_toy_model, random_instance
+from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
+                      make_toy_model, random_instance)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -24,9 +29,14 @@ def hyp(decider_hist=(), position=None, weight=0.0):
     return AlignmentHypothesis(tuple(decider_hist), position, weight)
 
 
-def routes(model, h):
-    """The kernel's routes out of one hypothesis: route -> (arcs, log weight)."""
-    return {route: (arcs, lw) for _, route, arcs, lw in _routes(model, [h])}
+def routes(model, h, entries=None):
+    """The kernel's routes out of one hypothesis: route -> (arcs, log weight).
+
+    ``entries`` defaults to every class's entry route.
+    """
+    if entries is None:
+        entries = model._entry_routes
+    return {route: (arcs, lw) for _, route, arcs, lw in _routes(model, [h], entries)}
 
 
 def route_masses(model, h):
@@ -165,6 +175,63 @@ class TestClassEmissionDist:
         for h in (hyp(), hyp(("_play",), None)):
             assert math.fsum(route_masses(toy_model, h).values()) == \
                 pytest.approx(1.0, abs=1e-9)
+
+
+class TestSymbolRoutes:
+    """The entry routes ``extend`` visits for a symbol are the ones that can emit it."""
+
+    @staticmethod
+    def live_hypotheses(model, histories):
+        """Every hypothesis of the beams along each history's prefixes."""
+        out = []
+        for history in histories:
+            beam = start_beam(model)
+            out += beam.hypotheses
+            for sym in history:
+                try:
+                    beam, _ = extend(model, beam, sym)
+                except DeadHistoryError:
+                    break
+                out += beam.hypotheses
+        return out
+
+    def test_filtered_routes_equal_emitting_routes(self, toy_model_exact_beam):
+        cases = [(toy_model_exact_beam,
+                  [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")])]
+        rng = random.Random(1234)
+        cases += [random_instance(rng) for _ in range(6)]
+        checked = dropped = 0
+        for model, histories in cases:
+            hyps = self.live_hypotheses(model, histories)
+            every = [(h, route, id(arcs), arcs, lw.hex())
+                     for h, route, arcs, lw in _routes(model, hyps, model._entry_routes)]
+            for sym in model.vocabulary.symbols + (EOS,):
+                got = [(h, route, id(arcs), arcs, lw.hex()) for h, route, arcs, lw
+                       in _routes(model, hyps, model._symbol_routes[sym])]
+                want = [r for r in every
+                        if r[1] == EPSILON or r[3] is None or sym in r[3]]
+                assert got == want, sym
+                checked += 1
+                dropped += len(every) - len(want)
+        assert checked > 50 and dropped > 0
+
+    def test_class_without_start_arc_has_no_entry_route(self, toy_model):
+        background = hyp(("_play",))
+        # no class starts with _by, only @artist with _browne, both with _ro
+        assert list(routes(toy_model, background, toy_model._symbol_routes["_by"])) == \
+            [BACKGROUND]
+        assert list(routes(toy_model, background, toy_model._symbol_routes["_browne"])) == \
+            [BACKGROUND, "@artist"]
+        assert list(routes(toy_model, background, toy_model._symbol_routes["_ro"])) == \
+            list(toy_model.classes.labels)
+        assert list(routes(toy_model, background, toy_model._symbol_routes[EOS])) == \
+            [BACKGROUND]
+        for sym, entries in toy_model._symbol_routes.items():
+            for label, arcs in entries:
+                if label != BACKGROUND:
+                    fst = toy_model.class_fsts[label]
+                    assert fst.arc_prob(fst.start, sym) > 0.0
+                    assert arcs is fst.arcs[fst.start]
 
 
 class TestExtend:
@@ -625,3 +692,87 @@ class TestEos:
             exact = exact_next_dist(toy_model, prefix)
             beam_eos = eos_logprob(toy_model, advance(toy_model, prefix))
             assert beam_eos == pytest.approx(math.log(exact[EOS]), abs=1e-9)
+
+
+# -- recorded bits of extend and eos_logprob --------------------------------
+
+BITS_FILE = Path(__file__).parent / "data" / "extend_bits.json"
+BITS_SETTINGS = [(n, delta, renorm) for n in (2, 3) for delta in (0.5, 1.0)
+                 for renorm in (True, False)]
+
+
+def bits_cases():
+    """(name, model, histories): the toy model, a model whose classes tie
+    exactly, and three random instances."""
+    vocab = load_vocabulary(TOY_SYMBOLS)
+    classes = load_class_alphabet(["@bg", "@song", "@artist"])
+    toy = make_toy_model(vocab, classes, build_from_entities("@song", SONG_ENTITIES),
+                         build_from_entities("@artist", ARTIST_ENTITIES))
+    yield "toy", toy, [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack"),
+                       ("_browne", "_ro", "salie")]
+    # equal automata and equal decider shares give successors of equal weight,
+    # so the tie order decides the beam order and which one the N cut keeps
+    twins = [("_ro", "sie"), ("_ro",)]
+    decider = train_decider([("_play", "@song"), ("_play", "@artist"),
+                             ("@song", "_by", "@artist"), ("@artist", "_by", "@song")],
+                            vocab, classes, order=2)
+    tied = NfclmModel(vocabulary=vocab, classes=classes,
+                      background=UniformModel(vocab.symbols + (EOS,)),
+                      class_fsts={"@song": build_from_entities("@song", twins),
+                                  "@artist": build_from_entities("@artist", twins)},
+                      decider=decider)
+    yield "twins", tied, [("_play", "_ro", "sie", "_by", "_ro"), ("_ro", "_ro", "sie", "_ro")]
+    rng = random.Random(1234)
+    for i in range(3):
+        model, histories = random_instance(rng)
+        yield f"random{i}", model, [h for h in histories if h]
+
+
+def bits_transcript(model, history):
+    """Per step: hex of the step log-prob, log_norm and EOS log-prob, then
+    each kept hypothesis as (decider history, position, hex weight);
+    ``"dead"`` where the history dies."""
+    beam = start_beam(model)
+    steps = []
+    for sym in history:
+        try:
+            beam, lp = extend(model, beam, sym)
+        except DeadHistoryError:
+            steps.append("dead")
+            break
+        steps.append([lp.hex(), beam.log_norm.hex(), eos_logprob(model, beam).hex(),
+                      [[" ".join(h.decider_history),
+                        "-" if h.position is None else f"{h.position[0]}:{h.position[1]}",
+                        h.log_weight.hex()] for h in beam.hypotheses]])
+    return steps
+
+
+def record_bits():
+    """Transcripts of every bits case under every beam setting.
+
+    ``extend_bits.json`` holds this, one case per line, as computed by
+    the engine that split exit mass over every class for every symbol.
+    """
+    out = {}
+    for name, base, histories in bits_cases():
+        for n, delta, renorm in BITS_SETTINGS:
+            model = dataclasses.replace(base, beam_size=n, beam_delta=delta,
+                                        renormalize=renorm)
+            out[f"{name} N={n} delta={delta} renormalize={renorm}"] = \
+                [bits_transcript(model, h) for h in histories]
+    return out
+
+
+class TestRecordedBits:
+    """``extend`` and ``eos_logprob`` reproduce recorded ``float.hex`` values.
+
+    The narrow beams make both the N cut and the δ cut fire, with and
+    without renormalization, and the twin classes make weights tie.
+    """
+
+    def test_transcripts(self):
+        recorded = json.loads(BITS_FILE.read_text(encoding="utf-8"))
+        got = record_bits()
+        assert list(got) == list(recorded)
+        for key, steps in recorded.items():
+            assert got[key] == steps, key

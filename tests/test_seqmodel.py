@@ -171,6 +171,25 @@ class TestSerialization:
             BackoffNGram.deserialize(data)
         assert data[info.value.offset:info.value.offset + 8] == bytes(8)
 
+    def test_decider_error_offset_points_into_decider_payload(self):
+        decider = train_decider([("a", "@x")], load_vocabulary(["a", "b"]),
+                                load_class_alphabet(["@bg", "@x"]), order=2)
+        decider.ngram.counts[0][()]["@x"] = 0
+        data = decider.serialize()
+        inner = decider.ngram.serialize()
+        start = data.index(inner)
+        with pytest.raises(SerializationError) as info:
+            DeciderModel.deserialize(data)
+        # the zero u64 of the embedded n-gram, counted from the decider's first byte
+        assert info.value.offset == 175 and start == 64
+        assert data[info.value.offset:info.value.offset + 8] == bytes(8)
+        assert str(info.value).endswith("(byte offset 175)")
+        # an embedded n-gram cut short is reported at its end, in decider bytes
+        cut = data[:start - 8] + (20).to_bytes(8, "little") + inner[:20]
+        with pytest.raises(SerializationError, match="unexpected end") as info:
+            DeciderModel.deserialize(cut)
+        assert start < info.value.offset <= start + 20
+
     def test_target_outside_predicted_alphabet_rejected(self):
         model = train_ngram([("a", "b")], ["a", "b"], order=2)
         model.counts[1][("a",)][BOS] = 1  # BOS is a history symbol, never predicted
