@@ -211,8 +211,10 @@ def cmd_sample(args) -> int:
 def cmd_dump_dynfst(args) -> int:
     model = _load_bundle(args)
     if args.exact:
+        # keep every alignment, each with its whole decider history (Fig. 1)
         model.beam_size = 10 ** 6
         model.beam_delta = math.inf
+        model.merge = "full"
     session = DynFstSession(model)
     state = session.start_state()
     for symbol in args.sentence.split():

@@ -13,6 +13,17 @@ accumulated joint log-weight of alignment and symbols.  Hypotheses that
 agree on (decider history, position) are exchangeable for every future
 step, so they are merged by log-sum-exp.
 
+By default (``merge="context"``) the stored decider history is only the
+decider's context: its last ``decider.context_size`` tokens.  Merging on
+that is exact, not an approximation.  The background model conditions
+on the token history, which every hypothesis of a beam shares, and the
+decider reads only its padded context, so two hypotheses that agree on
+context and position get the same factor on every future step.  Merging
+them shrinks the beam on entity text to a few hypotheses, and a step
+copies at most ``context_size + 1`` tokens per hypothesis.
+``merge="full"`` keeps each alignment's whole collapsed history, as in
+the paper's Fig. 1 boxes; both modes extend through ``_successor``.
+
 Beam mode writes the mixture step once, in ``_routes``: a hypothesis
 inside a class span may stay on its automaton's arcs, and a hypothesis
 whose state can exit splits the exit mass among the classes by the
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,6 +67,10 @@ DEFAULT_BEAM_SIZE = 100
 DEFAULT_BEAM_DELTA = 30.0
 
 EXACT_HISTORY_LIMIT = 12
+
+# what a hypothesis keeps of its decider history: the decider's context,
+# or the whole collapsed history
+MERGE_MODES = ("context", "full")
 
 # background position: the hypothesis is not inside any class span
 Position = Optional[tuple[str, int]]
@@ -73,7 +89,14 @@ class DeadHistoryError(Exception):
 
 @dataclass(frozen=True)
 class AlignmentHypothesis:
-    """One class alignment of the consumed history."""
+    """One class alignment of the consumed history.
+
+    ``decider_history`` is the collapsed history as far as the decider
+    can see it: its last ``decider.context_size`` tokens under
+    ``merge="context"``, all of it under ``merge="full"``.  Alignments
+    that agree on it and on ``position`` score every continuation alike,
+    so the beam holds them as one hypothesis.
+    """
 
     decider_history: tuple[str, ...]
     position: Position
@@ -115,8 +138,11 @@ class NfclmModel:
     beam_size: int = DEFAULT_BEAM_SIZE
     beam_delta: float = DEFAULT_BEAM_DELTA
     renormalize: bool = True
+    merge: str = "context"
 
     def __post_init__(self):
+        if self.merge not in MERGE_MODES:
+            raise ValueError(f"merge must be one of {MERGE_MODES}, got {self.merge!r}")
         wanted = set(self.classes.nonbackground)
         have = set(self.class_fsts)
         if wanted != have:
@@ -285,27 +311,43 @@ def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
             yield hyp, c, arcs, base + math.log(decider[c])
 
 
+def _history_bound(model: NfclmModel) -> int:
+    """How many trailing decider tokens a hypothesis keeps under ``model.merge``.
+
+    Read on every call, so a model whose ``merge`` is reassigned takes
+    effect at once.
+    """
+    return model._decider_context_size if model.merge == "context" else sys.maxsize
+
+
 def _successor(hyp: AlignmentHypothesis, route: str, symbol: str,
-               dest: Optional[int]) -> tuple[tuple[str, ...], Position]:
-    """(decider history, position) after ``route`` emits ``symbol`` into ``dest``."""
+               dest: Optional[int], bound: int) -> tuple[tuple[str, ...], Position]:
+    """(decider history, position) after ``route`` emits ``symbol`` into ``dest``.
+
+    The history keeps its last ``bound`` tokens (``_history_bound``).
+    """
     if route == EPSILON:
         return hyp.decider_history, (hyp.position[0], dest)
     if route == BACKGROUND:
-        return hyp.decider_history + (symbol,), None
-    return hyp.decider_history + (route,), (route, dest)
+        dh, position = hyp.decider_history + (symbol,), None
+    else:
+        dh, position = hyp.decider_history + (route,), (route, dest)
+    return (dh[len(dh) - bound:] if len(dh) > bound else dh), position
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
     """Advance the beam by one symbol; returns (new beam, log P(symbol | history)).
 
     Successors sharing (decider history, position) are merged by
-    log-sum-exp before pruning to the size and log-width limits.  Only the
+    log-sum-exp before pruning to the size and log-width limits; the
+    history is bounded as ``model.merge`` says.  Only the
     entry routes that can emit ``symbol`` are visited, and hypotheses are
     built only for the successors that survive pruning.
     """
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
     bg_lp = model.background_logprob(symbol, beam.history)
+    bound = _history_bound(model)
     merged: dict[tuple, list[float]] = {}
     for hyp, route, arcs, lw in _routes(model, beam.hypotheses,
                                         model._symbol_routes[symbol]):
@@ -317,7 +359,7 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
                 continue
             arc, dest = hit
             lw += math.log(arc)
-        key = _successor(hyp, route, symbol, dest)
+        key = _successor(hyp, route, symbol, dest, bound)
         slot = merged.get(key)
         if slot is None:
             merged[key] = [lw]
@@ -630,7 +672,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
         else:
             symbol = draw({sym: p for sym, (p, _) in arcs.items()})
             dest = arcs[symbol][1]
-        dh, position = _successor(hyp, route, symbol, dest)
+        dh, position = _successor(hyp, route, symbol, dest, _history_bound(model))
         hyp = AlignmentHypothesis(dh, position, 0.0)
         out.append(symbol)
     return out

@@ -138,19 +138,26 @@ def parse_nbest_file(source, references=None) -> list[NBestEntry]:
     """Read entries: ``utt-id TAB asr TAB ilm TAB tokens`` per line.
 
     ``references`` optionally maps utterance ids to transcripts, or names
-    a file of ``utt-id TAB transcript`` lines.
+    a file of ``utt-id TAB transcript`` lines.  Format errors name the
+    file and line (``path:line``), or the n-best line when ``source`` is
+    an iterable of lines.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+        where = f"{os.fspath(source)}:"
     else:
         lines = list(source)
+        where = "n-best line "
     refs = {}
     if isinstance(references, (str, os.PathLike)):
         with open(references, "r", encoding="utf-8") as fh:
-            for line in fh.read().splitlines():
+            for i, line in enumerate(fh.read().splitlines(), start=1):
                 if line.strip():
-                    utt, _, text = line.partition("\t")
+                    utt, tab, text = line.partition("\t")
+                    if not tab:
+                        raise ValueError(f"{os.fspath(references)}:{i}: expected "
+                                         "utt-id TAB transcript, found no tab")
                     refs[utt] = text
     elif references:
         refs = dict(references)
@@ -160,13 +167,14 @@ def parse_nbest_file(source, references=None) -> list[NBestEntry]:
             continue
         parts = line.split("\t")
         if len(parts) != 4:
-            raise ValueError(f"n-best line {i}: expected 4 tab-separated fields, got {len(parts)}")
+            raise ValueError(f"{where}{i}: expected 4 tab-separated fields, "
+                             f"got {len(parts)}")
         utt, asr, ilm, hyp = parts
         try:
             entry = NBestEntry(utt, float(asr), float(ilm), tuple(hyp.split()),
                                reference=refs.get(utt))
         except ValueError as exc:
-            raise ValueError(f"n-best line {i}: {exc}") from exc
+            raise ValueError(f"{where}{i}: {exc}") from exc
         entries.append(entry)
     if not entries:
         raise ValueError("empty n-best list")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -59,6 +60,41 @@ def toy_model_exact_beam(toy_vocab, toy_classes, song_fst, artist_fst):
     """Beam settings wide enough to keep every alignment."""
     return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
                           beam_size=10 ** 6, beam_delta=float("inf"))
+
+
+@pytest.fixture()
+def toy_model_full(toy_vocab, toy_classes, song_fst, artist_fst):
+    """The toy model keeping whole decider histories, as Fig. 1 draws them."""
+    return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, merge="full")
+
+
+@pytest.fixture()
+def toy_model_exact_beam_full(toy_vocab, toy_classes, song_fst, artist_fst):
+    """Every alignment, each with its whole decider history (Fig. 1)."""
+    return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
+                          beam_size=10 ** 6, beam_delta=float("inf"), merge="full")
+
+
+def assert_beam_matches_oracle(model, history) -> bool:
+    """Beam ``next_dist`` after ``history`` equals the exact oracle within
+    1e-9 in log space; a history the oracle finds dead must die in the
+    beam too.  Returns whether the history was live."""
+    from nfclm import (DeadHistoryError, advance, exact_next_dist,
+                       next_dist)
+
+    try:
+        exact = exact_next_dist(model, history)
+    except DeadHistoryError:
+        with pytest.raises(DeadHistoryError):
+            advance(model, history)
+        return False
+    beamed = next_dist(model, advance(model, history))
+    for sym, p in exact.items():
+        if p == 0.0:
+            assert beamed[sym] == 0.0, (history, sym)
+        else:
+            assert abs(math.log(beamed[sym]) - math.log(p)) <= 1e-9, (history, sym)
+    return True
 
 
 def random_instance(rng: random.Random, max_history: int = 8):

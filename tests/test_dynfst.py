@@ -41,8 +41,8 @@ class TestTransition:
         assert arc is not None
         assert arc[1] == pytest.approx(-math.log(p1), abs=1e-12)
 
-    def test_destination_beam_labels(self, toy_model):
-        session = DynFstSession(toy_model)
+    def test_destination_beam_labels(self, toy_model_full):
+        session = DynFstSession(toy_model_full)
         state = session.start_state()
         for sym in ("_play", "_ro"):
             state, _ = session.transition(state, sym)
@@ -194,8 +194,8 @@ class TestFig1Boxes:
          ("_play", "@song", "_by", "@artist")},
     ]
 
-    def test_state_beams_match_boxes_under_exact_settings(self, toy_model_exact_beam):
-        session = DynFstSession(toy_model_exact_beam)
+    def test_state_beams_match_boxes_under_exact_settings(self, toy_model_exact_beam_full):
+        session = DynFstSession(toy_model_exact_beam_full)
         state = session.start_state()
         for sym, want in zip(FIG1_SENTENCE, self.BOXES):
             state, _ = session.transition(state, sym)
@@ -204,8 +204,8 @@ class TestFig1Boxes:
 
 
 class TestDump:
-    def test_fig1_dump_contains_boxes(self, toy_model_exact_beam):
-        session = DynFstSession(toy_model_exact_beam)
+    def test_fig1_dump_contains_boxes(self, toy_model_exact_beam_full):
+        session = DynFstSession(toy_model_exact_beam_full)
         state = session.start_state()
         for sym in FIG1_SENTENCE:
             state, _ = session.transition(state, sym)

@@ -17,10 +17,11 @@ from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
                    load_vocabulary, next_dist, sample, sequence_logprob,
                    sequence_logprobs, start_beam, train_decider)
 from nfclm import engine
-from nfclm.engine import _routes, log_sum_exp
+from nfclm.engine import EXACT_HISTORY_LIMIT, MERGE_MODES, _routes, log_sum_exp
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
-                      make_toy_model, random_instance)
+                      assert_beam_matches_oracle, make_toy_model,
+                      random_instance)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -242,13 +243,13 @@ class TestExtend:
         assert lp == pytest.approx(math.log(want), abs=1e-12)
         assert beam.decider_histories() == [("_play",)]
 
-    def test_second_step_opens_three_alignments(self, toy_model):
-        beam = advance(toy_model, ("_play", "_ro"))
+    def test_second_step_opens_three_alignments(self, toy_model_full):
+        beam = advance(toy_model_full, ("_play", "_ro"))
         assert sorted(beam.decider_histories()) == [
             ("_play", "@artist"), ("_play", "@song"), ("_play", "_ro")]
 
-    def test_third_step_kills_artist(self, toy_model):
-        beam = advance(toy_model, ("_play", "_ro", "sie"))
+    def test_third_step_kills_artist(self, toy_model_full):
+        beam = advance(toy_model_full, ("_play", "_ro", "sie"))
         assert sorted(beam.decider_histories()) == [
             ("_play", "@song"), ("_play", "_ro", "sie")]
 
@@ -321,16 +322,16 @@ class TestFig1:
             got = exact_alignment_histories(toy_model, FIG1_SENTENCE[:k])
             assert got == want, f"prefix {k}"
 
-    def test_beam_matches_exact_sets(self, toy_model_exact_beam):
-        model = toy_model_exact_beam
+    def test_beam_matches_exact_sets(self, toy_model_exact_beam_full):
+        model = toy_model_exact_beam_full
         beam = start_beam(model)
         for k, sym in enumerate(FIG1_SENTENCE, start=1):
             beam, _ = extend(model, beam, sym)
             assert set(beam.decider_histories()) == self.BOXES[k]
 
-    def test_best_alignment_factorizes(self, toy_model_exact_beam):
+    def test_best_alignment_factorizes(self, toy_model_exact_beam_full):
         """The green-path weight is the product of its step factors."""
-        model = toy_model_exact_beam
+        model = toy_model_exact_beam_full
         song = model.class_fsts["@song"]
         artist = model.class_fsts["@artist"]
         d = model.decider_dist
@@ -641,6 +642,61 @@ class TestOracleEquivalence:
                         assert abs(math.log(beamed[sym]) - math.log(p)) <= 1e-9, \
                             (history, sym)
 
+    @pytest.mark.parametrize("merge", MERGE_MODES)
+    def test_each_merge_mode_equals_exact(self, merge):
+        rng = random.Random(4321)
+        for _ in range(25):
+            model, histories = random_instance(rng)
+            model = dataclasses.replace(model, merge=merge)
+            for history in histories:
+                assert_beam_matches_oracle(model, history)
+
+
+class TestMergeModes:
+    def test_unknown_merge_rejected(self, toy_vocab, toy_classes, song_fst, artist_fst):
+        with pytest.raises(ValueError, match="merge"):
+            make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, merge="prefix")
+
+    def test_context_keeps_decider_context(self, toy_model):
+        size = toy_model.decider.context_size
+        beam = advance(toy_model, FIG1_SENTENCE)
+        assert all(len(h.decider_history) <= size for h in beam.hypotheses)
+
+    def test_context_equals_full_past_oracle_limit(self):
+        """Unpruned, context merging gives full merging's values to 1e-12.
+
+        The histories run past ``EXACT_HISTORY_LIMIT``, where the oracle
+        cannot check either mode.  A history whose full-mode beam fills
+        N at some step is pruned there, so it is no reference and is
+        left out; the count of compared histories is asserted.
+        """
+        rng = random.Random(2027)
+        compared = 0
+        for _ in range(24):
+            model, histories = random_instance(rng, max_history=30)
+            full = dataclasses.replace(model, merge="full")
+            for history in histories:
+                if len(history) <= EXACT_HISTORY_LIMIT:
+                    continue
+                beam_full = start_beam(full)
+                for sym in history:
+                    beam_full, _ = extend(full, beam_full, sym)
+                    if len(beam_full.hypotheses) == full.beam_size:
+                        break
+                else:
+                    compared += 1
+                    beam_context = advance(model, history)
+                    assert sequence_logprob(model, history) == pytest.approx(
+                        sequence_logprob(full, history), rel=1e-12, abs=0)
+                    assert eos_logprob(model, beam_context) == pytest.approx(
+                        eos_logprob(full, beam_full), rel=1e-12, abs=0)
+                    want = next_dist(full, beam_full)
+                    got = next_dist(model, beam_context)
+                    for sym, p in want.items():
+                        assert got[sym] == pytest.approx(p, rel=1e-12, abs=0), \
+                            (history, sym)
+        assert compared >= 20
+
 
 class TestSample:
     def test_deterministic_under_seed(self, toy_model):
@@ -697,6 +753,7 @@ class TestEos:
 # -- recorded bits of extend and eos_logprob --------------------------------
 
 BITS_FILE = Path(__file__).parent / "data" / "extend_bits.json"
+CONTEXT_BITS_FILE = Path(__file__).parent / "data" / "extend_bits_context.json"
 BITS_SETTINGS = [(n, delta, renorm) for n in (2, 3) for delta in (0.5, 1.0)
                  for renorm in (True, False)]
 
@@ -747,17 +804,20 @@ def bits_transcript(model, history):
     return steps
 
 
-def record_bits():
+def record_bits(merge="full"):
     """Transcripts of every bits case under every beam setting.
 
-    ``extend_bits.json`` holds this, one case per line, as computed by
-    the engine that split exit mass over every class for every symbol.
+    ``extend_bits.json`` holds this for ``merge="full"``, one case per
+    line, as computed by the engine that split exit mass over every class
+    for every symbol; ``extend_bits_context.json`` holds it for
+    ``merge="context"``, as computed by the first engine that merged on
+    the decider's context.
     """
     out = {}
     for name, base, histories in bits_cases():
         for n, delta, renorm in BITS_SETTINGS:
             model = dataclasses.replace(base, beam_size=n, beam_delta=delta,
-                                        renormalize=renorm)
+                                        renormalize=renorm, merge=merge)
             out[f"{name} N={n} delta={delta} renormalize={renorm}"] = \
                 [bits_transcript(model, h) for h in histories]
     return out
@@ -773,6 +833,17 @@ class TestRecordedBits:
     def test_transcripts(self):
         recorded = json.loads(BITS_FILE.read_text(encoding="utf-8"))
         got = record_bits()
+        assert list(got) == list(recorded)
+        for key, steps in recorded.items():
+            assert got[key] == steps, key
+
+
+class TestRecordedContextBits:
+    """The recorded transcripts of the default, context-merging beam."""
+
+    def test_transcripts(self):
+        recorded = json.loads(CONTEXT_BITS_FILE.read_text(encoding="utf-8"))
+        got = record_bits(merge="context")
         assert list(got) == list(recorded)
         for key, steps in recorded.items():
             assert got[key] == steps, key

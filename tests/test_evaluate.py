@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -239,6 +240,27 @@ class TestNBestFile:
         path.write_text("utt1\t-3.0\t_play\n", encoding="utf-8")
         with pytest.raises(ValueError, match="4 tab-separated"):
             parse_nbest_file(path)
+
+    def test_format_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "nbest.tsv"
+        path.write_text("utt1\t-3.0\t-4.0\t_play\n\nutt2\t-3.0\t_play\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 4"):
+            parse_nbest_file(path)
+        path.write_text("utt1\tnan\t-4.0\t_play\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: utt1: scores"):
+            parse_nbest_file(path)
+
+    def test_lines_without_a_file_name_their_line(self):
+        with pytest.raises(ValueError, match="^n-best line 2: expected 4"):
+            parse_nbest_file(["utt1\t-3.0\t-4.0\t_play", "utt2\t_play"])
+
+    def test_reference_line_without_tab_rejected(self, tmp_path):
+        path = tmp_path / "nbest.tsv"
+        path.write_text("utt1\t-3.0\t-4.0\t_play _ro sie\n", encoding="utf-8")
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("utt1\tplay rosie\nutt2 play browne\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refs))}:2: expected utt-id TAB"):
+            parse_nbest_file(path, references=refs)
 
 
 class TestBundle:
