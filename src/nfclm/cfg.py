@@ -23,9 +23,6 @@ class CfgGrammar:
     patterns: list[tuple[str, ...]]
     entities: dict[str, list[Entity]]
 
-    def nonterminals_of(self, pattern: Sequence[str]) -> list[str]:
-        return [tok for tok in pattern if tok.startswith("@")]
-
 
 def parse_grammar(pattern_source, entity_dir, vocabulary: Vocabulary,
                   classes: ClassAlphabet) -> CfgGrammar:

@@ -8,6 +8,7 @@ back to the NFCLM_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -37,16 +38,22 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: $NFCLM_SEED or 0)")
-    parser.add_argument("--beam-n", type=int, default=None, help="beam size override")
-    parser.add_argument("--beam-delta", type=float, default=None,
-                        help="beam log-prob band override")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="decider prior-renormalization exponent override")
-    parser.add_argument("--exact", action="store_true",
-                        help="use exhaustive alignment enumeration instead of the beam")
+_OPTIONS = {
+    "--seed": dict(type=int, default=None, help="random seed (default: $NFCLM_SEED or 0)"),
+    "--beam-n": dict(type=int, default=None, help="beam size override"),
+    "--beam-delta": dict(type=float, default=None, help="beam log-prob band override"),
+    "--alpha": dict(type=float, default=None,
+                    help="decider prior-renormalization exponent override"),
+    "--exact": dict(action="store_true",
+                    help="use exhaustive alignment enumeration instead of the beam"),
+}
+_MODEL_OPTIONS = ("--beam-n", "--beam-delta", "--alpha")
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared options ``names``; each subcommand takes only those it reads."""
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def _load_bundle(args):
@@ -212,9 +219,8 @@ def cmd_dump_dynfst(args) -> int:
     model = _load_bundle(args)
     if args.exact:
         # keep every alignment, each with its whole decider history (Fig. 1)
-        model.beam_size = 10 ** 6
-        model.beam_delta = math.inf
-        model.merge = "full"
+        model = dataclasses.replace(model, beam_size=10 ** 6, beam_delta=math.inf,
+                                    merge="full")
     session = DynFstSession(model)
     state = session.start_state()
     for symbol in args.sentence.split():
@@ -239,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--text-dump", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_build_fst)
 
     p = sub.add_parser("train-bglm", help="train the background n-gram")
@@ -248,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--discount", type=float, default=0.75)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_train_bglm)
 
     p = sub.add_parser("train-decider", help="train the class decider")
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--discount", type=float, default=0.75)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_options(p, "--alpha")
     p.set_defaults(func=cmd_train_decider)
 
     p = sub.add_parser("expand-cfg", help="expand grammar patterns into sentences")
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tagged", action="store_true",
                    help="keep class tokens instead of expanding entities")
     p.add_argument("--out", default="-")
-    _add_common(p)
+    _add_options(p, "--seed")
     p.set_defaults(func=cmd_expand_cfg)
 
     p = sub.add_parser("mix", help="mix background and tagged corpora")
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--out", default="-")
-    _add_common(p)
+    _add_options(p, "--seed")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("pack", help="assemble a model bundle directory")
@@ -289,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decider", required=True)
     p.add_argument("--fst", action="append", metavar="LABEL=PATH")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("score", help="log-probability per sentence")
     p.add_argument("--bundle", required=True)
     p.add_argument("--corpus", required=True)
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("ppl", help="corpus perplexity")
@@ -304,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background-only", action="store_true")
     p.add_argument("--skip-dead", action="store_true",
                    help="exclude zero-probability sentences instead of failing")
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_ppl)
 
     p = sub.add_parser("next", help="next-symbol distribution after a history")
     p.add_argument("--bundle", required=True)
     p.add_argument("--history", default="")
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_next)
 
     p = sub.add_parser("rescore", help="shallow-fusion n-best rescoring")
@@ -319,20 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", default=None)
     p.add_argument("--lm-weight", type=float, default=0.0)
     p.add_argument("--ilm-weight", type=float, default=0.0)
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_rescore)
 
     p = sub.add_parser("sample", help="draw sentences from the model")
     p.add_argument("--bundle", required=True)
     p.add_argument("-n", type=int, default=1)
     p.add_argument("--max-len", type=int, default=30)
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS, "--seed")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("dump-dynfst", help="expand a sentence and dump the sub-graph")
     p.add_argument("--bundle", required=True)
     p.add_argument("--sentence", required=True)
-    _add_common(p)
+    _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_dump_dynfst)
 
     return parser

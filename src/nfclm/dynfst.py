@@ -3,10 +3,11 @@
 States are token histories carrying an alignment beam; arcs appear on
 demand with negative-log next-symbol probabilities as weights, so any
 FST-shaped consumer can drive the model without knowing about
-alignments.  The automaton is infinite, so state payloads live in a
-bounded LRU cache and are replayed from the nearest resident ancestor
-when needed again; replays are bit-exact because beam extension is
-deterministic.
+alignments.  The automaton is infinite, so each state is recorded only
+as the arc that created it (parent id, symbol) plus its final weight;
+beams live in a bounded LRU cache and are replayed from the nearest
+resident ancestor when needed again; replays are bit-exact because beam
+extension is deterministic.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ from typing import Optional
 
 from .engine import (AlignmentBeam, DeadHistoryError, NfclmModel, eos_logprob,
                      extend, start_beam)
-
-
-@dataclass
-class DynFstState:
-    state_id: int
-    history: tuple[str, ...]
-    beam: AlignmentBeam
-    final_log_weight: float  # -log P(EOS | history); inf when mid-class
-
-    @property
-    def is_final(self) -> bool:
-        return self.final_log_weight != math.inf
 
 
 @dataclass
@@ -51,9 +40,10 @@ class SessionStats:
 class DynFstSession:
     """Single-consumer expansion session over a shared immutable model.
 
-    ``capacity`` bounds how many state payloads stay resident (the start
-    state is never evicted); ids, arcs, and weights are remembered for
-    every state ever expanded, so arc queries stay cheap after eviction.
+    ``capacity`` bounds how many beams stay resident, the start state's
+    included (it is never evicted); arcs and final weights are remembered
+    for every state ever expanded, so arc queries stay cheap after
+    eviction.
     """
 
     def __init__(self, model: NfclmModel, capacity: Optional[int] = None):
@@ -62,67 +52,62 @@ class DynFstSession:
         self.model = model
         self.capacity = capacity
         self.stats = SessionStats()
-        self._ids: dict[tuple[str, ...], int] = {}
-        self._histories: list[tuple[str, ...]] = []
-        self._resident: OrderedDict[int, DynFstState] = OrderedDict()
+        # per state id: the (parent id, symbol) arc that created it; None
+        # for the start state, id 0
+        self._links: list[Optional[tuple[int, str]]] = []
+        # per state id: -log P(EOS | history), None when it cannot stop
+        self._finals: list[Optional[float]] = []
         self._arcs: dict[tuple[int, str], Optional[tuple[int, float]]] = {}
-        self._finals: dict[int, float] = {}
-        root = self._install((), start_beam(model))
-        self._start_id = root.state_id
+        self._start_beam = start_beam(model)
+        self._resident: OrderedDict[int, AlignmentBeam] = OrderedDict()
+        self._start_id = self._create(None, self._start_beam)
+        self.stats.expansions += 1
 
     # -- state bookkeeping -------------------------------------------------
 
-    def _install(self, history: tuple[str, ...], beam: AlignmentBeam) -> DynFstState:
-        state_id = self._ids.get(history)
-        if state_id is None:
-            state_id = len(self._histories)
-            self._ids[history] = state_id
-            self._histories.append(history)
+    def _create(self, link: Optional[tuple[int, str]], beam: AlignmentBeam) -> int:
+        state_id = len(self._links)
+        self._links.append(link)
         final = eos_logprob(self.model, beam)
-        state = DynFstState(
-            state_id=state_id,
-            history=history,
-            beam=beam,
-            final_log_weight=-final if final != -math.inf else math.inf,
-        )
-        self._finals[state_id] = state.final_log_weight
-        self._resident[state_id] = state
-        self._resident.move_to_end(state_id)
+        self._finals.append(-final if final != -math.inf else None)
+        return state_id
+
+    def _install(self, state_id: int, beam: AlignmentBeam) -> None:
+        self._resident[state_id] = beam
         self.stats.expansions += 1
         self._enforce_capacity()
-        return state
 
     def _enforce_capacity(self) -> None:
-        if self.capacity is None:
-            return
-        while len(self._resident) > self.capacity:
-            for candidate in self._resident:
-                if candidate != self._start_id:
-                    self._resident.pop(candidate)
-                    self.stats.evictions += 1
-                    break
-            else:
-                break  # only the start state is resident
+        # the start beam, held apart, takes one of the ``capacity`` slots
+        while self.capacity is not None and len(self._resident) >= self.capacity:
+            self._resident.popitem(last=False)
+            self.stats.evictions += 1
 
-    def _resolve(self, state_id: int) -> DynFstState:
-        if not 0 <= state_id < len(self._histories):
+    def _check(self, state_id: int) -> None:
+        if not 0 <= state_id < len(self._links):
             raise KeyError(f"unknown state id {state_id}")
-        state = self._resident.get(state_id)
-        if state is not None:
+
+    def _resolve(self, state_id: int) -> AlignmentBeam:
+        self._check(state_id)
+        if state_id == self._start_id:
+            return self._start_beam
+        beam = self._resident.get(state_id)
+        if beam is not None:
             self._resident.move_to_end(state_id)
-            return state
+            return beam
         # Replay from the nearest resident ancestor.
-        history = self._histories[state_id]
-        depth = len(history) - 1
-        while self._ids.get(history[:depth]) not in self._resident:
-            depth -= 1  # terminates: the start state is never evicted
-        ancestor = self._resident[self._ids[history[:depth]]]
+        ancestor, symbol = self._links[state_id]
+        symbols = [symbol]
+        while ancestor != self._start_id and ancestor not in self._resident:
+            ancestor, symbol = self._links[ancestor]
+            symbols.append(symbol)
+        beam = self._resident.get(ancestor, self._start_beam)
         self.stats.replays += 1
-        beam = ancestor.beam
-        for i in range(depth, len(history)):
-            beam, _ = extend(self.model, beam, history[i])
+        for symbol in reversed(symbols):
+            beam, _ = extend(self.model, beam, symbol)
             self.stats.replayed_steps += 1
-        return self._install(history, beam)
+        self._install(state_id, beam)
+        return beam
 
     # -- FST surface ---------------------------------------------------------
 
@@ -130,36 +115,38 @@ class DynFstSession:
         return self._start_id
 
     def history_of(self, state_id: int) -> tuple[str, ...]:
-        if not 0 <= state_id < len(self._histories):
-            raise KeyError(f"unknown state id {state_id}")
-        return self._histories[state_id]
+        self._check(state_id)
+        symbols = []
+        link = self._links[state_id]
+        while link is not None:
+            state_id, symbol = link
+            symbols.append(symbol)
+            link = self._links[state_id]
+        return tuple(reversed(symbols))
 
     def beam_of(self, state_id: int) -> AlignmentBeam:
-        return self._resolve(state_id).beam
+        return self._resolve(state_id)
 
     def transition(self, state_id: int, symbol: str) -> Optional[tuple[int, float]]:
         """(destination id, arc weight) or None when no alignment survives."""
         key = (state_id, symbol)
         if key in self._arcs:
             return self._arcs[key]
-        state = self._resolve(state_id)
         try:
-            beam, step = extend(self.model, state.beam, symbol)
+            beam, step = extend(self.model, self._resolve(state_id), symbol)
         except DeadHistoryError:
             self._arcs[key] = None
             return None
-        dest = self._install(state.history + (symbol,), beam)
-        arc = (dest.state_id, -step)
+        dest = self._create(key, beam)
+        self._install(dest, beam)
+        arc = (dest, -step)
         self._arcs[key] = arc
         return arc
 
     def final_weight(self, state_id: int) -> Optional[float]:
         """-log P(EOS | history); None when the state cannot terminate."""
-        if state_id in self._finals:
-            weight = self._finals[state_id]
-        else:
-            weight = self._resolve(state_id).final_log_weight
-        return None if weight == math.inf else weight
+        self._check(state_id)
+        return self._finals[state_id]
 
     def evict_and_replay(self, capacity: Optional[int] = None) -> SessionStats:
         """Shrink the resident set (to ``capacity`` if given) and report stats.
@@ -181,7 +168,7 @@ class DynFstSession:
         arc, and one ``final`` line per stoppable state.
         """
         lines = []
-        for state_id, history in enumerate(self._histories):
+        for state_id in range(len(self._links)):
             beam = self.beam_of(state_id)
             labels = " | ".join(
                 f"{','.join(h.decider_history) or '<start>'}"
@@ -189,13 +176,13 @@ class DynFstSession:
                 f" {h.log_weight:.6f}"
                 for h in beam.hypotheses
             )
+            history = self.history_of(state_id)
             lines.append(f"state {state_id}\t{' '.join(history) or '<start>'}\t{labels}")
         for (src, symbol), arc in sorted(self._arcs.items()):
             if arc is not None:
                 dest, weight = arc
                 lines.append(f"arc {src}\t{symbol}\t{weight:.6f}\t{dest}")
-        for state_id in range(len(self._histories)):
-            weight = self._finals.get(state_id, math.inf)
-            if weight != math.inf:
+        for state_id, weight in enumerate(self._finals):
+            if weight is not None:
                 lines.append(f"final {state_id}\t{weight:.6f}")
         return "\n".join(lines) + "\n"

@@ -128,7 +128,12 @@ class AlignmentBeam:
 
 @dataclass
 class NfclmModel:
-    """Background model + per-class FSTs mixed by the decider."""
+    """Background model + per-class FSTs mixed by the decider.
+
+    Fields must not change after construction, which derives lookup
+    tables and the ``merge`` bound from them; build a variant with
+    ``dataclasses.replace`` instead.
+    """
 
     vocabulary: Vocabulary
     classes: ClassAlphabet
@@ -177,6 +182,9 @@ class NfclmModel:
             for sym in self.vocabulary.symbols + (EOS,)}
         self._bg_context_size = self.background.context_size
         self._decider_context_size = self.decider.context_size
+        # trailing decider tokens a hypothesis keeps under ``merge``
+        self._history_bound = (self._decider_context_size if self.merge == "context"
+                               else sys.maxsize)
         self._bg_cache: dict[tuple[str, ...], dict[str, float]] = {}
         self._decider_cache: dict[tuple[str, ...], dict[str, float]] = {}
 
@@ -311,20 +319,11 @@ def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
             yield hyp, c, arcs, base + math.log(decider[c])
 
 
-def _history_bound(model: NfclmModel) -> int:
-    """How many trailing decider tokens a hypothesis keeps under ``model.merge``.
-
-    Read on every call, so a model whose ``merge`` is reassigned takes
-    effect at once.
-    """
-    return model._decider_context_size if model.merge == "context" else sys.maxsize
-
-
 def _successor(hyp: AlignmentHypothesis, route: str, symbol: str,
                dest: Optional[int], bound: int) -> tuple[tuple[str, ...], Position]:
     """(decider history, position) after ``route`` emits ``symbol`` into ``dest``.
 
-    The history keeps its last ``bound`` tokens (``_history_bound``).
+    The history keeps its last ``bound`` tokens (``model._history_bound``).
     """
     if route == EPSILON:
         return hyp.decider_history, (hyp.position[0], dest)
@@ -347,7 +346,7 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
     bg_lp = model.background_logprob(symbol, beam.history)
-    bound = _history_bound(model)
+    bound = model._history_bound
     merged: dict[tuple, list[float]] = {}
     for hyp, route, arcs, lw in _routes(model, beam.hypotheses,
                                         model._symbol_routes[symbol]):
@@ -672,7 +671,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
         else:
             symbol = draw({sym: p for sym, (p, _) in arcs.items()})
             dest = arcs[symbol][1]
-        dh, position = _successor(hyp, route, symbol, dest, _history_bound(model))
+        dh, position = _successor(hyp, route, symbol, dest, model._history_bound)
         hyp = AlignmentHypothesis(dh, position, 0.0)
         out.append(symbol)
     return out

@@ -200,6 +200,17 @@ class TestFailures:
         assert code == 1
         assert "do not match class alphabet" in err
 
+    @pytest.mark.parametrize("args", [
+        ["sample", "--bundle", "bundle", "--exact"],
+        ["build-fst", "--class-label", "@x", "--entities", "x.txt", "--out", "x.fst",
+         "--beam-n", 3],
+    ])
+    def test_options_a_subcommand_ignores_are_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(args, capsys)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_determinism_across_runs(self, workspace, tmp_path, capsys):
         first = build_bundle(workspace, capsys)
         snapshot = {p.name: p.read_bytes() for p in first.iterdir()}

@@ -181,6 +181,77 @@ class TestEviction:
         with pytest.raises(ValueError):
             DynFstSession(toy_model, capacity=0)
 
+    def test_final_weights_computed_once_per_state(self, toy_model, monkeypatch):
+        calls = []
+
+        def counting_eos(model, beam):
+            calls.append(beam.history)
+            return eos_logprob(model, beam)
+
+        monkeypatch.setattr("nfclm.dynfst.eos_logprob", counting_eos)
+        session = DynFstSession(toy_model, capacity=1)
+        state = session.start_state()
+        for sym in FIG1_SENTENCE:
+            state, _ = session.transition(state, sym)
+        session.dump()
+        # each step but the first replays its source; the dump replays
+        # every state but the start
+        assert session.stats.replays == 2 * len(FIG1_SENTENCE) - 1
+        assert calls == [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
+
+
+class TestUnknownStates:
+    @pytest.mark.parametrize("unknown", [-1, 3])  # ids 0-2 exist
+    def test_unknown_ids_raise_key_error(self, toy_model, unknown):
+        session = DynFstSession(toy_model, capacity=2)
+        state = session.start_state()
+        for sym in ("_play", "_ro"):
+            state, _ = session.transition(state, sym)
+        with pytest.raises(KeyError):
+            session.transition(unknown, "_play")
+        with pytest.raises(KeyError):
+            session.final_weight(unknown)
+        with pytest.raises(KeyError):
+            session.beam_of(unknown)
+        with pytest.raises(KeyError):
+            session.history_of(unknown)
+
+
+class TestRecordedWalk:
+    """A capacity-2 toy walk with one forced replay, pinned to recorded output."""
+
+    DUMP = (
+        "state 0\t<start>\t<start> 0.000000\n"
+        "state 1\t_play\t_play -2.469158\n"
+        "state 2\t_play _ro\t@song[@song:1] -2.864041 | @artist[@artist:2] -5.115333"
+        " | _ro -6.357046\n"
+        "state 3\t_play _ro sie\t@song[@song:3] -3.557188 | sie -9.652883\n"
+        "state 4\t_play _ro sie _by\t_by -6.563655\n"
+        "arc 0\t_play\t2.469158\t1\n"
+        "arc 1\t_ro\t0.267658\t2\n"
+        "arc 2\tsie\t0.818122\t3\n"
+        "arc 3\t_by\t3.008717\t4\n"
+        "final 0\t2.469158\n"
+        "final 1\t3.887888\n"
+        "final 2\t6.916067\n"
+        "final 3\t3.008717\n"
+        "final 4\t4.548600\n"
+    )
+
+    def test_dump_and_stats(self, toy_model):
+        session = DynFstSession(toy_model, capacity=2)
+        state = session.start_state()
+        states = [state]
+        for sym in ("_play", "_ro", "sie", "_by"):
+            state, _ = session.transition(state, sym)
+            states.append(state)
+        session.beam_of(states[2])  # evicted by now: one replay of two steps
+        assert session.stats.as_dict() == {
+            "expansions": 6, "replays": 1, "replayed_steps": 2, "evictions": 4}
+        assert session.dump() == self.DUMP
+        assert session.stats.as_dict() == {
+            "expansions": 10, "replays": 5, "replayed_steps": 6, "evictions": 8}
+
 
 class TestFig1Boxes:
     BOXES = [
