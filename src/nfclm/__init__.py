@@ -12,8 +12,9 @@ from .dynfst import DynFstSession
 from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
                      DeadHistoryError, NfclmModel, advance, class_prefix,
                      decider_history, eos_logprob, exact_alignment_histories,
-                     exact_next_dist, extend, last_class, next_dist, sample,
-                     sequence_logprob, sequence_logprobs, start_beam)
+                     exact_next_dist, exact_sequence_logprob, extend, last_class,
+                     next_dist, sample, sequence_logprob, sequence_logprobs,
+                     start_beam)
 from .evaluate import (FusionWeights, NBestEntry, PerplexityReport,
                        RescoredEntry, perplexity, rescore_nbest)
 from .seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
@@ -34,7 +35,7 @@ __all__ = [
     "ProbClassFst", "RescoredEntry", "UniformModel", "Vocabulary", "advance",
     "build_from_entities", "bundle", "class_prefix", "decider_history",
     "detokenize", "eos_logprob", "exact_alignment_histories", "exact_next_dist",
-    "expand", "expand_tagged", "extend",
+    "exact_sequence_logprob", "expand", "expand_tagged", "extend",
     "last_class", "load_class_alphabet", "load_entities", "load_vocabulary",
     "mix_corpora", "next_dist", "parse_grammar", "perplexity",
     "renormalize_by_prior", "rescore_nbest", "sample", "sequence_logprob",

@@ -162,8 +162,7 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
 
 
 def load(directory, *, beam_size: Optional[int] = None,
-         beam_delta: Optional[float] = None, alpha: Optional[float] = None,
-         renormalize: Optional[bool] = None) -> NfclmModel:
+         beam_delta: Optional[float] = None, alpha: Optional[float] = None) -> NfclmModel:
     """Load and validate a bundle; keyword overrides replace manifest values."""
     directory = os.fspath(directory)
     manifest = _read_manifest(directory)
@@ -175,5 +174,5 @@ def load(directory, *, beam_size: Optional[int] = None,
         beam_size=beam_size if beam_size is not None else manifest["beam_size"],
         beam_delta=beam_delta if beam_delta is not None else manifest["beam_delta"],
         alpha=alpha if alpha is not None else manifest.get("alpha"),
-        renormalize=renormalize if renormalize is not None else manifest["renormalize"],
+        renormalize=manifest["renormalize"],
     )

@@ -18,8 +18,7 @@ from . import cfg as cfg_mod
 from .classfst import build_from_entities, load_entities
 from .dynfst import DynFstSession
 from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, DeadHistoryError,
-                     advance, exact_next_dist, next_dist, sample,
-                     sequence_logprob)
+                     advance, next_dist, sample, sequence_logprobs)
 from .evaluate import (FusionWeights, parse_nbest_file, perplexity,
                        rescore_nbest)
 from .seqmodel import train_decider, train_ngram
@@ -45,7 +44,7 @@ _OPTIONS = {
     "--alpha": dict(type=float, default=None,
                     help="decider prior-renormalization exponent override"),
     "--exact": dict(action="store_true",
-                    help="use exhaustive alignment enumeration instead of the beam"),
+                    help="keep every alignment (no beam pruning)"),
 }
 _MODEL_OPTIONS = ("--beam-n", "--beam-delta", "--alpha")
 
@@ -57,10 +56,12 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _load_bundle(args):
+    """The bundle with the flag overrides; ``--exact`` switches pruning off."""
+    exact = getattr(args, "exact", False)
     return bundle_mod.load(
         args.bundle,
-        beam_size=args.beam_n,
-        beam_delta=args.beam_delta,
+        beam_size=10 ** 6 if exact else args.beam_n,
+        beam_delta=math.inf if exact else args.beam_delta,
         alpha=args.alpha,
     )
 
@@ -154,9 +155,8 @@ def cmd_pack(args) -> int:
 
 def cmd_score(args) -> int:
     model = _load_bundle(args)
-    mode = "exact" if args.exact else "beam"
-    for sentence in _read_sentences(args.corpus):
-        lp = sequence_logprob(model, sentence, mode=mode)
+    sentences = _read_sentences(args.corpus)
+    for sentence, lp in zip(sentences, sequence_logprobs(model, sentences)):
         print(f"{_fmt(lp)}\t{' '.join(sentence)}")
     return 0
 
@@ -164,9 +164,7 @@ def cmd_score(args) -> int:
 def cmd_ppl(args) -> int:
     model = _load_bundle(args)
     scorer = model.background if args.background_only else model
-    report = perplexity(scorer, _read_sentences(args.corpus),
-                        mode="exact" if args.exact else "beam",
-                        skip_dead=args.skip_dead)
+    report = perplexity(scorer, _read_sentences(args.corpus), skip_dead=args.skip_dead)
     print(f"perplexity\t{_fmt(report.perplexity)}")
     print(f"logprob\t{_fmt(report.total_logprob)}")
     print(f"symbols\t{report.symbol_count}")
@@ -179,11 +177,7 @@ def cmd_ppl(args) -> int:
 
 def cmd_next(args) -> int:
     model = _load_bundle(args)
-    history = tuple(args.history.split())
-    if args.exact:
-        dist = exact_next_dist(model, history)
-    else:
-        dist = next_dist(model, advance(model, history))
+    dist = next_dist(model, advance(model, args.history.split()))
     for sym in sorted(dist, key=lambda s: (-dist[s], s)):
         print(f"{sym}\t{_fmt(dist[sym])}")
     return 0
@@ -193,13 +187,12 @@ def cmd_rescore(args) -> int:
     model = _load_bundle(args)
     entries = parse_nbest_file(args.nbest, references=args.references)
     weights = FusionWeights(lm_weight=args.lm_weight, ilm_weight=args.ilm_weight)
-    mode = "exact" if args.exact else "beam"
     # each utterance is its own n-best list, in order of first appearance
     utterances: dict[str, list] = {}
     for entry in entries:
         utterances.setdefault(entry.utterance_id, []).append(entry)
     for group in utterances.values():
-        for rank, r in enumerate(rescore_nbest(model, group, weights, mode=mode), start=1):
+        for rank, r in enumerate(rescore_nbest(model, group, weights), start=1):
             flag = "FAILED" if r.failed else "ok"
             print(f"{rank}\t{r.entry.utterance_id}\t{_fmt(r.fused_score)}"
                   f"\t{_fmt(r.entry.asr_score)}\t{_fmt(r.lm_logprob)}"
@@ -218,9 +211,8 @@ def cmd_sample(args) -> int:
 def cmd_dump_dynfst(args) -> int:
     model = _load_bundle(args)
     if args.exact:
-        # keep every alignment, each with its whole decider history (Fig. 1)
-        model = dataclasses.replace(model, beam_size=10 ** 6, beam_delta=math.inf,
-                                    merge="full")
+        # every alignment, each with its whole decider history (Fig. 1)
+        model = dataclasses.replace(model, merge="full")
     session = DynFstSession(model)
     state = session.start_state()
     for symbol in args.sentence.split():

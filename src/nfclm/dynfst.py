@@ -165,11 +165,17 @@ class DynFstSession:
 
         One ``state`` line per state (history, then each alignment's
         decider history and log-weight), one ``arc`` line per surviving
-        arc, and one ``final`` line per stoppable state.
+        arc, and one ``final`` line per stoppable state.  Evicted beams
+        are replayed but not installed: the cache and stats stay as they were.
         """
         lines = []
-        for state_id in range(len(self._links)):
-            beam = self.beam_of(state_id)
+        beams: list[AlignmentBeam] = []  # by state id; a parent's id is smaller
+        for state_id, link in enumerate(self._links):
+            beam = self._start_beam if link is None else self._resident.get(state_id)
+            if beam is None:
+                parent, symbol = link
+                beam, _ = extend(self.model, beams[parent], symbol)
+            beams.append(beam)
             labels = " | ".join(
                 f"{','.join(h.decider_history) or '<start>'}"
                 f"{'' if h.position is None else f'[{h.position[0]}:{h.position[1]}]'}"

@@ -3,8 +3,10 @@
 The model assigns each history symbol to a generating class: the
 background class, a named entity class, or the continuation marker for a
 class span that is still open.  Next-symbol probabilities marginalize
-over these alignments; exact mode enumerates every alignment, beam mode
-keeps only the most probable ones per history.
+over these alignments with a beam of the most probable ones per history.
+With pruning off (``beam_delta`` infinite, ``beam_size`` never reached)
+the beam is the forward algorithm over merged hypotheses: exact at any
+length.
 
 Each alignment hypothesis carries its collapsed decider history (class
 spans as single tokens, background symbols verbatim), its position (in
@@ -24,7 +26,7 @@ copies at most ``context_size + 1`` tokens per hypothesis.
 ``merge="full"`` keeps each alignment's whole collapsed history, as in
 the paper's Fig. 1 boxes; both modes extend through ``_successor``.
 
-Beam mode writes the mixture step once, in ``_routes``: a hypothesis
+The beam writes the mixture step once, in ``_routes``: a hypothesis
 inside a class span may stay on its automaton's arcs, and a hypothesis
 whose state can exit splits the exit mass among the classes by the
 decider.  ``extend``, ``eos_logprob``, ``next_dist`` and ``sample`` all
@@ -32,11 +34,11 @@ read those routes.  The routes are filtered by symbol: each model indexes
 once, per symbol, the background route and the classes whose start state
 has an arc for it, so ``extend`` visits only routes that can emit its
 symbol and ``eos_logprob`` only the background route; ``next_dist`` and
-``sample`` take every route.  The exact oracle enumerates alignments
-from the definitions without them, so comparing the two checks the beam
-path.
+``sample`` take every route.  The exact oracle (``exact_*``, at most
+``EXACT_HISTORY_LIMIT`` symbols) enumerates alignments from the
+definitions without them, so comparing the two checks the beam path.
 
-Beam-mode sentence scores come from one walk, ``sequence_logprobs``: it
+Every sentence score comes from one walk, ``sequence_logprobs``: it
 scores a batch of token lists in sorted order over a stack of beams, so
 a prefix that several lists share (as the hypotheses of an n-best list
 do) is extended once.  ``sequence_logprob`` is its one-list case.
@@ -148,6 +150,13 @@ class NfclmModel:
     def __post_init__(self):
         if self.merge not in MERGE_MODES:
             raise ValueError(f"merge must be one of {MERGE_MODES}, got {self.merge!r}")
+        # exact types, so that True is no beam size; NaN fails ``>= 0``
+        if type(self.beam_size) is not int or self.beam_size < 1:
+            raise ValueError(f"beam_size must be an int >= 1, got {self.beam_size!r}")
+        if type(self.beam_delta) not in (int, float) or not self.beam_delta >= 0:
+            raise ValueError(f"beam_delta must be a number >= 0, got {self.beam_delta!r}")
+        if type(self.renormalize) is not bool:
+            raise ValueError(f"renormalize must be a bool, got {self.renormalize!r}")
         wanted = set(self.classes.nonbackground)
         have = set(self.class_fsts)
         if wanted != have:
@@ -417,7 +426,7 @@ def advance(model: NfclmModel, symbols: Sequence[str]) -> AlignmentBeam:
 
 
 def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
-    """Beam-mode next-symbol distribution over the vocabulary plus EOS.
+    """Next-symbol distribution over the vocabulary plus EOS.
 
     One sweep over the routes: the background routes' summed weight times
     one background distribution, plus each class route's arcs.  Entry
@@ -535,17 +544,23 @@ def exact_alignment_histories(model: NfclmModel, history: Sequence[str]) -> set[
     }
 
 
-def exact_next_dist(model: NfclmModel, history: Sequence[str]) -> dict[str, float]:
-    """Next-symbol distribution by exhaustive alignment enumeration."""
-    history = tuple(history)
-    if len(history) > EXACT_HISTORY_LIMIT:
+def _oracle_input(model: NfclmModel, symbols: Sequence[str]) -> tuple[str, ...]:
+    """``symbols`` as a tuple, checked against the length limit and the vocabulary."""
+    symbols = tuple(symbols)
+    if len(symbols) > EXACT_HISTORY_LIMIT:
         raise ValueError(
-            f"history of length {len(history)} exceeds the exact-mode limit "
+            f"input of {len(symbols)} symbols exceeds the exact-oracle limit "
             f"({EXACT_HISTORY_LIMIT})"
         )
-    for sym in history:
+    for sym in symbols:
         if sym not in model.vocabulary:
             raise KeyError(f"symbol {sym!r} is outside the vocabulary")
+    return symbols
+
+
+def exact_next_dist(model: NfclmModel, history: Sequence[str]) -> dict[str, float]:
+    """Next-symbol distribution by exhaustive alignment enumeration."""
+    history = _oracle_input(model, history)
     alignments = _enumerate_alignments(model, history)
     if not alignments:
         raise DeadHistoryError(history, "<next>")
@@ -564,34 +579,24 @@ def exact_next_dist(model: NfclmModel, history: Sequence[str]) -> dict[str, floa
 
 
 def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
-    symbols = tuple(symbols)
-    if len(symbols) > EXACT_HISTORY_LIMIT:
-        raise ValueError(
-            f"sequence of length {len(symbols)} exceeds the exact-mode limit "
-            f"({EXACT_HISTORY_LIMIT})"
-        )
+    """Sentence log-probability, EOS included, by exhaustive enumeration."""
+    symbols = _oracle_input(model, symbols)
     total = math.fsum(_stop_mass(model, symbols, alignment, weight)
                       for alignment, weight in _enumerate_alignments(model, symbols))
     return math.log(total) if total > 0.0 else -math.inf
 
 
-def sequence_logprob(model: NfclmModel, symbols: Sequence[str],
-                     mode: str = "beam") -> float:
+def sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
     """Sentence log-probability including the end-of-sentence factor.
 
-    Beam mode is the one-list case of ``sequence_logprobs``; a dead
-    history yields -inf.
+    The one-list case of ``sequence_logprobs``; a dead history yields -inf.
     """
-    if mode == "exact":
-        return exact_sequence_logprob(model, symbols)
-    if mode != "beam":
-        raise ValueError(f"unknown mode {mode!r}")
     return sequence_logprobs(model, [symbols])[0]
 
 
 def sequence_logprobs(model: NfclmModel,
                       token_lists: Sequence[Sequence[str]]) -> list[float]:
-    """Beam-mode ``sequence_logprob`` of each list, in input order.
+    """Sentence log-probability, EOS included, of each list, in input order.
 
     The lists are walked in sorted order over a stack whose entry ``d``
     holds (beam, running total) after ``d`` tokens, so a prefix shared

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine import NfclmModel, sequence_logprob, sequence_logprobs
+from .engine import NfclmModel, sequence_logprobs
 from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob
 
 
@@ -56,29 +56,28 @@ class PerplexityReport:
     dead_sentences: list[int] = field(default_factory=list)
 
 
-def score_sentence(model, tokens: Sequence[str], mode: str = "beam") -> float:
-    """Sentence log-probability for either a full model or a plain symbol model."""
-    if isinstance(model, NfclmModel):
-        return sequence_logprob(model, tokens, mode=mode)
-    if isinstance(model, ConditionalSymbolModel):
-        return ngram_sequence_logprob(model, tokens)
-    raise TypeError(f"cannot score with {type(model).__name__}")
-
-
-def perplexity(model, corpus: Sequence[Sequence[str]], mode: str = "beam",
+def perplexity(model, corpus: Sequence[Sequence[str]],
                skip_dead: bool = False) -> PerplexityReport:
     """Corpus perplexity: exp(-logprob / symbols), EOS counted per sentence.
 
-    A sentence no alignment can generate makes the whole corpus
-    unscorable unless ``skip_dead`` excludes it from both the mass and
-    the symbol count; excluded line numbers are reported either way.
+    ``model`` is a full model, whose corpus is scored in one
+    ``sequence_logprobs`` walk, or a plain symbol model.  Log-probs are
+    summed in corpus order.  A sentence no alignment can generate makes
+    the whole corpus unscorable unless ``skip_dead`` excludes it from
+    both the mass and the symbol count; excluded line numbers are
+    reported either way.
     """
+    if isinstance(model, NfclmModel):
+        scores = sequence_logprobs(model, corpus)
+    elif isinstance(model, ConditionalSymbolModel):
+        scores = [ngram_sequence_logprob(model, sentence) for sentence in corpus]
+    else:
+        raise TypeError(f"cannot score with {type(model).__name__}")
     total = 0.0
     symbols = 0
     scored = 0
     dead: list[int] = []
-    for i, sentence in enumerate(corpus):
-        lp = score_sentence(model, sentence, mode=mode)
+    for i, (sentence, lp) in enumerate(zip(corpus, scores)):
         if lp == -math.inf:
             dead.append(i)
             if skip_dead:
@@ -101,25 +100,21 @@ def perplexity(model, corpus: Sequence[Sequence[str]], mode: str = "beam",
 
 
 def rescore_nbest(model: NfclmModel, entries: Sequence[NBestEntry],
-                  weights: FusionWeights, mode: str = "beam") -> list[RescoredEntry]:
+                  weights: FusionWeights) -> list[RescoredEntry]:
     """Fuse scores and re-rank: ASR + lm_weight * LM - ilm_weight * ILM.
 
-    Beam mode scores the list's hypotheses in one ``sequence_logprobs``
-    walk, so a prefix they share is extended once; exact mode scores each
-    on its own.  The sort is stable with ties broken by original rank;
-    entries whose hypotheses cannot be scored (symbols outside the
-    vocabulary or a dead history) are flagged and ranked last in original
-    order.
+    The list's hypotheses are scored in one ``sequence_logprobs`` walk,
+    so a prefix they share is extended once; a model with pruning off
+    gives the exact marginal at any length.  The sort is stable with ties
+    broken by original rank; entries whose hypotheses cannot be scored
+    (symbols outside the vocabulary or a dead history) are flagged and
+    ranked last in original order.
     """
     if not entries:
         raise ValueError("empty n-best list")
     scorable = [rank for rank, entry in enumerate(entries)
                 if all(tok in model.vocabulary for tok in entry.tokens)]
-    token_lists = [entries[rank].tokens for rank in scorable]
-    if mode == "beam":
-        scores = sequence_logprobs(model, token_lists)
-    else:
-        scores = [sequence_logprob(model, tokens, mode=mode) for tokens in token_lists]
+    scores = sequence_logprobs(model, [entries[rank].tokens for rank in scorable])
     lm_of = dict(zip(scorable, scores))
     rescored = []
     for rank, entry in enumerate(entries):

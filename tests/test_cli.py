@@ -2,9 +2,15 @@ import math
 
 import pytest
 
-from nfclm.cli import main
+from nfclm import (advance, bundle as bundle_mod, exact_sequence_logprob,
+                   next_dist, perplexity, rescore_nbest, sequence_logprob)
+from nfclm.cli import _fmt, main
+from nfclm.evaluate import FusionWeights, parse_nbest_file
 
 from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS
+
+# 14 tokens: past the exact oracle's 12-symbol limit
+LONG_SENTENCE = "_play _ro sie _by _browne _play _ro salie _by _ro berta _flack _by _browne"
 
 
 @pytest.fixture()
@@ -174,6 +180,79 @@ class TestPipeline:
             assert label in out
 
 
+def unpruned(bundle):
+    """The bundle as ``--exact`` loads it: every alignment kept."""
+    return bundle_mod.load(bundle, beam_size=10 ** 6, beam_delta=math.inf)
+
+
+class TestExact:
+    """``--exact`` keeps every alignment, at any length."""
+
+    def test_score(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        sentences = [LONG_SENTENCE, "_play _ro sie", "_by _browne"]
+        (workspace / "long.txt").write_text("\n".join(sentences) + "\n", encoding="utf-8")
+        code, out, err = run(["score", "--bundle", bundle, "--corpus",
+                              workspace / "long.txt", "--exact"], capsys)
+        assert code == 0, err
+        model = unpruned(bundle)
+        assert out == "".join(f"{_fmt(sequence_logprob(model, s.split()))}\t{s}\n"
+                              for s in sentences)
+
+    def test_ppl(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        (workspace / "long.txt").write_text(LONG_SENTENCE + "\n", encoding="utf-8")
+        code, out, err = run(["ppl", "--bundle", bundle, "--corpus",
+                              workspace / "long.txt", "--exact"], capsys)
+        assert code == 0, err
+        report = perplexity(unpruned(bundle), [LONG_SENTENCE.split()])
+        fields = dict(line.split("\t", 1) for line in out.splitlines())
+        assert fields["perplexity"] == _fmt(report.perplexity)
+        assert fields["logprob"] == _fmt(report.total_logprob)
+        assert fields["symbols"] == "15"
+
+    def test_rescore(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        lines = [f"utt1\t-2.0\t-1.0\t{LONG_SENTENCE}", "utt1\t-2.5\t-1.0\t_play _ro sie"]
+        (workspace / "nbest.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(["rescore", "--bundle", bundle, "--nbest",
+                              workspace / "nbest.tsv", "--lm-weight", 2.0, "--exact"],
+                             capsys)
+        assert code == 0, err
+        ranked = rescore_nbest(unpruned(bundle), parse_nbest_file(lines),
+                               FusionWeights(lm_weight=2.0))
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert [(r[2], r[4], r[6], r[7]) for r in rows] == [
+            (_fmt(r.fused_score), _fmt(r.lm_logprob), "ok", " ".join(r.entry.tokens))
+            for r in ranked]
+
+    def test_next(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        code, out, err = run(["next", "--bundle", bundle, "--history", LONG_SENTENCE,
+                              "--exact"], capsys)
+        assert code == 0, err
+        model = unpruned(bundle)
+        dist = next_dist(model, advance(model, LONG_SENTENCE.split()))
+        assert dict(line.split("\t") for line in out.splitlines()) == \
+            {sym: _fmt(p) for sym, p in dist.items()}
+
+    def test_score_equals_oracle_within_its_limit(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        sentences = ["_play", "_play _ro sie", "_ro berta _flack _by _browne",
+                     " ".join(LONG_SENTENCE.split()[:12])]
+        (workspace / "short.txt").write_text("\n".join(sentences) + "\n", encoding="utf-8")
+        code, out, err = run(["score", "--bundle", bundle, "--corpus",
+                              workspace / "short.txt", "--exact"], capsys)
+        assert code == 0, err
+        printed = [line.split("\t")[0] for line in out.splitlines()]
+        loaded, model = bundle_mod.load(bundle), unpruned(bundle)
+        for sentence, field in zip(sentences, printed):
+            lp = sequence_logprob(model, sentence.split())
+            assert field == _fmt(lp)
+            assert lp == pytest.approx(exact_sequence_logprob(loaded, sentence.split()),
+                                       rel=1e-12)
+
+
 class TestFailures:
     def test_bad_bundle_dir(self, tmp_path, capsys):
         code, _, err = run(["ppl", "--bundle", tmp_path / "nope",
@@ -199,6 +278,17 @@ class TestFailures:
                             "--out-dir", workspace / "partial"], capsys)
         assert code == 1
         assert "do not match class alphabet" in err
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--beam-n", 0], "beam_size"), (["--beam-n", -2], "beam_size"),
+        (["--beam-delta", -1], "beam_delta"), (["--beam-delta", "nan"], "beam_delta")])
+    def test_bad_beam_flag_rejected(self, workspace, capsys, flags, name):
+        bundle = build_bundle(workspace, capsys)
+        (workspace / "test.txt").write_text("_play _ro sie\n", encoding="utf-8")
+        code, out, err = run(["score", "--bundle", bundle, "--corpus",
+                              workspace / "test.txt", *flags], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("nfclm: error: ") and name in err
 
     @pytest.mark.parametrize("args", [
         ["sample", "--bundle", "bundle", "--exact"],

@@ -193,10 +193,12 @@ class TestEviction:
         state = session.start_state()
         for sym in FIG1_SENTENCE:
             state, _ = session.transition(state, sym)
+        stats = session.stats.as_dict()
         session.dump()
-        # each step but the first replays its source; the dump replays
-        # every state but the start
-        assert session.stats.replays == 2 * len(FIG1_SENTENCE) - 1
+        # each step but the first replays its source; the dump's replays
+        # install and count nothing
+        assert session.stats.replays == len(FIG1_SENTENCE) - 1
+        assert session.stats.as_dict() == stats
         assert calls == [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
 
 
@@ -248,9 +250,12 @@ class TestRecordedWalk:
         session.beam_of(states[2])  # evicted by now: one replay of two steps
         assert session.stats.as_dict() == {
             "expansions": 6, "replays": 1, "replayed_steps": 2, "evictions": 4}
+        resident = list(session._resident)
         assert session.dump() == self.DUMP
+        # the dump replays evicted states without installing or counting them
         assert session.stats.as_dict() == {
-            "expansions": 10, "replays": 5, "replayed_steps": 6, "evictions": 8}
+            "expansions": 6, "replays": 1, "replayed_steps": 2, "evictions": 4}
+        assert list(session._resident) == resident
 
 
 class TestFig1Boxes:

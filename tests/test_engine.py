@@ -13,9 +13,9 @@ from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
                    AlignmentHypothesis, DeadHistoryError, NfclmModel,
                    UniformModel, advance, build_from_entities, class_prefix,
                    decider_history, eos_logprob, exact_alignment_histories,
-                   exact_next_dist, extend, last_class, load_class_alphabet,
-                   load_vocabulary, next_dist, sample, sequence_logprob,
-                   sequence_logprobs, start_beam, train_decider)
+                   exact_next_dist, exact_sequence_logprob, extend, last_class,
+                   load_class_alphabet, load_vocabulary, next_dist, sample,
+                   sequence_logprob, sequence_logprobs, start_beam, train_decider)
 from nfclm import engine
 from nfclm.engine import EXACT_HISTORY_LIMIT, MERGE_MODES, _routes, log_sum_exp
 
@@ -275,8 +275,11 @@ class TestExtend:
             extend(model, only_artist, "_by")
 
     def test_unknown_symbol_rejected(self, toy_model):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="outside the vocabulary"):
             extend(toy_model, start_beam(toy_model), "zzz")
+        for oracle in (exact_next_dist, exact_sequence_logprob):
+            with pytest.raises(KeyError, match="outside the vocabulary"):
+                oracle(toy_model, ("_play", "zzz"))
 
     def test_merging_collapses_equal_keys(self, toy_vocab, toy_classes):
         # entities (x) and (x,x): two alignments of x,x,x,x share
@@ -369,8 +372,9 @@ class TestExactNextDist:
             assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_history_limit(self, toy_model):
-        with pytest.raises(ValueError, match="exceeds"):
-            exact_next_dist(toy_model, ("_play",) * 13)
+        for oracle in (exact_next_dist, exact_sequence_logprob):
+            with pytest.raises(ValueError, match="exceeds"):
+                oracle(toy_model, ("_play",) * 13)
 
     def test_adjacent_class_spans_are_reachable(self, toy_model):
         # @song span directly followed by an @artist span, no background gap
@@ -381,7 +385,7 @@ class TestExactNextDist:
 
 class TestSequenceLogprob:
     def test_single_symbol_base_case(self, toy_model):
-        lp = sequence_logprob(toy_model, ("_play",), mode="exact")
+        lp = exact_sequence_logprob(toy_model, ("_play",))
         dist = exact_next_dist(toy_model, ())
         after = exact_next_dist(toy_model, ("_play",))
         assert lp == pytest.approx(math.log(dist["_play"]) + math.log(after[EOS]),
@@ -394,19 +398,15 @@ class TestSequenceLogprob:
         for k, sym in enumerate(sentence):
             chained += math.log(exact_next_dist(toy_model, sentence[:k])[sym])
         chained += math.log(exact_next_dist(toy_model, sentence)[EOS])
-        assert sequence_logprob(toy_model, sentence, mode="exact") == \
+        assert exact_sequence_logprob(toy_model, sentence) == \
             pytest.approx(chained, abs=1e-9)
 
     def test_beam_equals_exact_on_toy(self, toy_model_exact_beam):
         for sentence in (FIG1_SENTENCE, ("_play",), ("_ro", "sie"),
                          ("_browne", "_by", "_play")):
-            beam_lp = sequence_logprob(toy_model_exact_beam, sentence, mode="beam")
-            exact_lp = sequence_logprob(toy_model_exact_beam, sentence, mode="exact")
+            beam_lp = sequence_logprob(toy_model_exact_beam, sentence)
+            exact_lp = exact_sequence_logprob(toy_model_exact_beam, sentence)
             assert beam_lp == pytest.approx(exact_lp, abs=1e-9)
-
-    def test_unknown_mode(self, toy_model):
-        with pytest.raises(ValueError):
-            sequence_logprob(toy_model, ("_play",), mode="nope")
 
     def test_memoization_bit_exact(self, toy_model):
         rng = random.Random(17)
@@ -650,6 +650,25 @@ class TestOracleEquivalence:
             model = dataclasses.replace(model, merge=merge)
             for history in histories:
                 assert_beam_matches_oracle(model, history)
+
+
+class TestBeamSettings:
+    @pytest.mark.parametrize("setting", [
+        {"beam_size": 0}, {"beam_size": -3}, {"beam_size": 2.0}, {"beam_size": "100"},
+        {"beam_size": True}, {"beam_delta": -1.0}, {"beam_delta": float("nan")},
+        {"beam_delta": "30"}, {"beam_delta": None}, {"renormalize": 1},
+        {"renormalize": "true"}])
+    def test_invalid_rejected(self, toy_vocab, toy_classes, song_fst, artist_fst,
+                              setting):
+        name = next(iter(setting))
+        with pytest.raises(ValueError, match=name):
+            make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, **setting)
+
+    @pytest.mark.parametrize("setting", [{"beam_delta": 0.0}, {"beam_delta": 0}])
+    def test_edge_values_accepted(self, toy_vocab, toy_classes, song_fst, artist_fst,
+                                  setting):
+        model = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, **setting)
+        assert sequence_logprob(model, FIG1_SENTENCE) < 0.0
 
 
 class TestMergeModes:

@@ -46,6 +46,18 @@ class TestPerplexity:
         with pytest.raises(ValueError, match="probability 0"):
             perplexity(model, [dead])
 
+    def test_sums_sentence_scores_in_corpus_order(self, toy_model):
+        # one walk over the corpus keeps the bits of scoring each sentence
+        # alone and summing in corpus order
+        corpus = [FIG1_SENTENCE, ("_play",), ("_play", "_ro"), FIG1_SENTENCE,
+                  ("_ro", "sie"), ("_by", "_browne", "_play")]
+        total = 0.0
+        for sentence in corpus:
+            total += sequence_logprob(toy_model, sentence)
+        report = perplexity(toy_model, corpus)
+        assert report.total_logprob.hex() == total.hex()
+        assert report.symbol_count == sum(len(s) + 1 for s in corpus)
+
     def test_empty_corpus_rejected(self, toy_model):
         with pytest.raises(ValueError):
             perplexity(toy_model, [])
@@ -349,6 +361,31 @@ class TestBundle:
                 with pytest.raises(bundle.BundleError) as info:
                     read(tmp_path / "b")
                 assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+    @pytest.mark.parametrize("key,value", [
+        ("beam_size", "100"), ("beam_size", 0), ("beam_delta", -1.0),
+        ("beam_delta", "30"), ("renormalize", "yes")])
+    def test_manifest_bad_beam_setting(self, toy_vocab, toy_classes, song_fst,
+                                       artist_fst, tmp_path, capsys, key, value):
+        import json
+        from nfclm import NfclmModel, train_decider
+        from nfclm.cli import main
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest[key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(bundle.BundleError, match=key):
+            bundle.load(tmp_path / "b")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("_play _ro sie\n", encoding="utf-8")
+        assert main(["score", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_repack_touches_only_edited_class(self, toy_vocab, toy_classes,
                                               song_fst, artist_fst, tmp_path):
