@@ -23,6 +23,15 @@ BUNDLE_FORMAT = "nfclm-bundle"
 BUNDLE_VERSION = 1
 MANIFEST_KEYS = ("files", "class_fsts", "beam_size", "beam_delta", "renormalize")
 COMPONENT_KEYS = ("vocabulary", "classes", "background", "decider")
+# what each model setting in a manifest must hold: the checks NfclmModel
+# and DeciderModel make, so that a bad value is named by file and key
+SETTING_RULES = {
+    "beam_size": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "beam_delta": ("a number >= 0", lambda v: type(v) in (int, float) and v >= 0),
+    "alpha": ("a number >= 0 or null",
+              lambda v: v is None or type(v) in (int, float) and v >= 0),
+    "renormalize": ("a bool", lambda v: type(v) is bool),
+}
 
 
 class BundleError(Exception):
@@ -111,6 +120,10 @@ def _read_manifest(directory) -> dict:
     for key in COMPONENT_KEYS:
         if key not in manifest["files"]:
             raise BundleError(f"{path}: manifest 'files' has no {key!r}")
+    for key, (rule, holds) in SETTING_RULES.items():
+        if not holds(manifest.get(key)):
+            raise BundleError(f"{path}: manifest {key!r} must be {rule}, "
+                              f"got {manifest.get(key)!r}")
     return manifest
 
 

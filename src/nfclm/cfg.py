@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classfst import Entity, load_entities
-from .vocab import BACKGROUND, ClassAlphabet, Vocabulary
+from .vocab import BACKGROUND, ClassAlphabet, Vocabulary, read_lines
 
 
 @dataclass
@@ -28,48 +28,39 @@ def parse_grammar(pattern_source, entity_dir, vocabulary: Vocabulary,
                   classes: ClassAlphabet) -> CfgGrammar:
     """Load and validate a grammar from a pattern file and an entity directory.
 
-    Entity files are named ``<class>.txt`` in the entity-list format.
-    Every referenced non-terminal needs a nonempty entity list; terminals
-    must be vocabulary symbols.
+    ``pattern_source`` is read by :func:`nfclm.vocab.read_lines`.  Entity
+    files are named ``<class>.txt`` in the entity-list format.  Every
+    referenced non-terminal needs a nonempty entity list; terminals and
+    entity symbols must be vocabulary symbols.
     """
-    if isinstance(pattern_source, (str, os.PathLike)):
-        with open(pattern_source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        where = os.fspath(pattern_source)
-    else:
-        lines = list(pattern_source)
-        where = "<patterns>"
+    name, lines = read_lines(pattern_source, "<patterns>")
     if not lines:
-        raise ValueError(f"{where}: empty pattern file")
+        raise ValueError(f"{name}: empty pattern file")
 
     patterns: list[tuple[str, ...]] = []
-    used: set[str] = set()
+    first_use: dict[str, int] = {}
     for i, line in enumerate(lines, start=1):
         tokens = tuple(line.split())
         if not tokens:
-            raise ValueError(f"{where}:{i}: empty pattern")
+            raise ValueError(f"{name}:{i}: empty pattern")
         for tok in tokens:
             if tok.startswith("@"):
                 if tok == BACKGROUND:
-                    raise ValueError(f"{where}:{i}: {BACKGROUND} cannot appear in a pattern")
+                    raise ValueError(f"{name}:{i}: {BACKGROUND} cannot appear in a pattern")
                 if tok not in classes:
-                    raise ValueError(f"{where}:{i}: unknown class {tok!r}")
-                used.add(tok)
+                    raise ValueError(f"{name}:{i}: unknown class {tok!r}")
+                first_use.setdefault(tok, i)
             elif tok not in vocabulary:
-                raise ValueError(f"{where}:{i}: unknown terminal symbol {tok!r}")
+                raise ValueError(f"{name}:{i}: unknown terminal symbol {tok!r}")
         patterns.append(tokens)
 
     entities: dict[str, list[Entity]] = {}
-    for label in sorted(used):
+    for label in sorted(first_use):
         path = os.path.join(os.fspath(entity_dir), f"{label}.txt")
         if not os.path.exists(path):
-            raise ValueError(f"non-terminal {label} has no entity file at {path}")
-        entries = load_entities(path)
-        for symbols, _ in entries:
-            for sym in symbols:
-                if sym not in vocabulary:
-                    raise ValueError(f"{path}: entity symbol {sym!r} is outside the vocabulary")
-        entities[label] = entries
+            raise ValueError(f"{name}:{first_use[label]}: non-terminal {label} "
+                             f"has no entity file at {path}")
+        entities[label] = load_entities(path, vocabulary)
     return CfgGrammar(patterns=patterns, entities=entities)
 
 
@@ -145,10 +136,20 @@ def write_corpus(sentences: Iterable[Sequence[str]], path) -> None:
             fh.write(" ".join(sentence) + "\n")
 
 
-def read_corpus(source) -> list[tuple[str, ...]]:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = list(source)
-    return [tuple(line.split()) for line in lines if line.strip()]
+def read_corpus(source, alphabet=None, name: str = "<corpus>") -> list[tuple[str, ...]]:
+    """Sentences of whitespace-separated symbols, one per nonblank line.
+
+    ``source`` is read by :func:`nfclm.vocab.read_lines`, lines named
+    ``name``.  With an ``alphabet`` (a container of symbols), every
+    symbol must belong to it.
+    """
+    name, lines = read_lines(source, name)
+    sentences = []
+    for i, line in enumerate(lines, start=1):
+        sentence = tuple(line.split())
+        for sym in sentence:
+            if alphabet is not None and sym not in alphabet:
+                raise ValueError(f"{name}:{i}: unknown symbol {sym!r}")
+        if sentence:
+            sentences.append(sentence)
+    return sentences

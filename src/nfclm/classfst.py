@@ -12,11 +12,11 @@ Automata are immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .serialization import ByteReader, ByteWriter, SerializationError
+from .vocab import Vocabulary, read_lines
 
 MAGIC = b"PCFST\x00"
 VERSION = 1
@@ -238,39 +238,35 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
     return fst
 
 
-def parse_entity_line(line: str, where: str) -> Entity:
-    """Parse one entity line: space-separated symbols, optional TAB count."""
-    body, sep, count_text = line.partition("\t")
-    symbols = tuple(body.split())
-    if not symbols:
-        raise ValueError(f"{where}: empty entity")
-    count = 1.0
-    if sep:
-        try:
-            count = float(count_text)
-        except ValueError:
-            raise ValueError(f"{where}: bad count {count_text!r}") from None
-        if not math.isfinite(count):
-            raise ValueError(f"{where}: bad count {count_text!r}")
-        if count <= 0:
-            raise ValueError(f"{where}: non-positive count {count_text!r}")
-    return symbols, count
+def load_entities(source, vocabulary: Optional[Vocabulary] = None) -> list[Entity]:
+    """Read an entity list: space-separated symbols and an optional TAB count per line.
 
-
-def load_entities(source) -> list[Entity]:
-    """Read an entity list file (or iterable of lines)."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        name = os.fspath(source)
-    else:
-        lines = list(source)
-        name = "<entities>"
+    ``source`` is read by :func:`nfclm.vocab.read_lines`; blank lines are
+    skipped.  With a ``vocabulary``, every entity symbol must belong to it.
+    """
+    name, lines = read_lines(source, "<entities>")
     entities = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        entities.append(parse_entity_line(line, f"{name}:{i}"))
+        body, sep, count_text = line.partition("\t")
+        symbols = tuple(body.split())
+        if not symbols:
+            raise ValueError(f"{name}:{i}: empty entity")
+        for sym in symbols:
+            if vocabulary is not None and sym not in vocabulary:
+                raise ValueError(f"{name}:{i}: entity symbol {sym!r} is outside the vocabulary")
+        count = 1.0
+        if sep:
+            try:
+                count = float(count_text)
+            except ValueError:
+                raise ValueError(f"{name}:{i}: bad count {count_text!r}") from None
+            if not math.isfinite(count):
+                raise ValueError(f"{name}:{i}: bad count {count_text!r}")
+            if count <= 0:
+                raise ValueError(f"{name}:{i}: non-positive count {count_text!r}")
+        entities.append((symbols, count))
     if not entities:
         raise ValueError(f"{name}: no entities")
     return entities

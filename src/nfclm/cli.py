@@ -66,8 +66,12 @@ def _load_bundle(args):
     )
 
 
-def _read_sentences(path):
-    return cfg_mod.read_corpus(path if path != "-" else sys.stdin.read().splitlines())
+def _read_sentences(path, alphabet=None):
+    """The corpus at ``path``, ``-`` for stdin; see :func:`nfclm.cfg.read_corpus`."""
+    if path == "-":
+        return cfg_mod.read_corpus([line.rstrip("\n") for line in sys.stdin], alphabet,
+                                   "<stdin>")
+    return cfg_mod.read_corpus(path, alphabet)
 
 
 def cmd_build_fst(args) -> int:
@@ -83,7 +87,7 @@ def cmd_build_fst(args) -> int:
 
 def cmd_train_bglm(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
-    corpus = _read_sentences(args.corpus)
+    corpus = _read_sentences(args.corpus, vocabulary)
     model = train_ngram(corpus, vocabulary, order=args.order, discount=args.discount)
     with open(args.out, "wb") as fh:
         fh.write(model.serialize())
@@ -94,7 +98,7 @@ def cmd_train_bglm(args) -> int:
 def cmd_train_decider(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
     classes = load_class_alphabet(args.classes)
-    corpus = _read_sentences(args.corpus)
+    corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.labels})
     alpha = args.alpha if args.alpha is not None else 1.0
     model = train_decider(corpus, vocabulary, classes, order=args.order,
                           discount=args.discount, alpha=alpha)
@@ -155,7 +159,7 @@ def cmd_pack(args) -> int:
 
 def cmd_score(args) -> int:
     model = _load_bundle(args)
-    sentences = _read_sentences(args.corpus)
+    sentences = _read_sentences(args.corpus, model.vocabulary)
     for sentence, lp in zip(sentences, sequence_logprobs(model, sentences)):
         print(f"{_fmt(lp)}\t{' '.join(sentence)}")
     return 0
@@ -164,7 +168,8 @@ def cmd_score(args) -> int:
 def cmd_ppl(args) -> int:
     model = _load_bundle(args)
     scorer = model.background if args.background_only else model
-    report = perplexity(scorer, _read_sentences(args.corpus), skip_dead=args.skip_dead)
+    report = perplexity(scorer, _read_sentences(args.corpus, model.vocabulary),
+                        skip_dead=args.skip_dead)
     print(f"perplexity\t{_fmt(report.perplexity)}")
     print(f"logprob\t{_fmt(report.total_logprob)}")
     print(f"symbols\t{report.symbol_count}")
@@ -340,7 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError, DeadHistoryError,
             SerializationError, bundle_mod.BundleError) as exc:
-        print(f"nfclm: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"nfclm: error: {message}", file=sys.stderr)
         return 1
 
 

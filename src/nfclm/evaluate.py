@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .engine import NfclmModel, sequence_logprobs
 from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob
+from .vocab import read_lines
 
 
 @dataclass
@@ -132,45 +133,38 @@ def rescore_nbest(model: NfclmModel, entries: Sequence[NBestEntry],
 def parse_nbest_file(source, references=None) -> list[NBestEntry]:
     """Read entries: ``utt-id TAB asr TAB ilm TAB tokens`` per line.
 
-    ``references`` optionally maps utterance ids to transcripts, or names
-    a file of ``utt-id TAB transcript`` lines.  Format errors name the
-    file and line (``path:line``), or the n-best line when ``source`` is
-    an iterable of lines.
+    ``source`` is read by :func:`nfclm.vocab.read_lines`, lines named
+    ``<n-best>``.  ``references`` optionally maps utterance ids to
+    transcripts, or is read the same way as ``utt-id TAB transcript``
+    lines named ``<references>``.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        where = f"{os.fspath(source)}:"
-    else:
-        lines = list(source)
-        where = "n-best line "
+    name, lines = read_lines(source, "<n-best>")
     refs = {}
-    if isinstance(references, (str, os.PathLike)):
-        with open(references, "r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh.read().splitlines(), start=1):
-                if line.strip():
-                    utt, tab, text = line.partition("\t")
-                    if not tab:
-                        raise ValueError(f"{os.fspath(references)}:{i}: expected "
-                                         "utt-id TAB transcript, found no tab")
-                    refs[utt] = text
-    elif references:
+    if isinstance(references, Mapping):
         refs = dict(references)
+    elif references is not None:
+        ref_name, ref_lines = read_lines(references, "<references>")
+        for i, line in enumerate(ref_lines, start=1):
+            if line.strip():
+                utt, tab, text = line.partition("\t")
+                if not tab:
+                    raise ValueError(f"{ref_name}:{i}: expected utt-id TAB transcript, "
+                                     "found no tab")
+                refs[utt] = text
     entries = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 4:
-            raise ValueError(f"{where}{i}: expected 4 tab-separated fields, "
-                             f"got {len(parts)}")
+            raise ValueError(f"{name}:{i}: expected 4 tab-separated fields, got {len(parts)}")
         utt, asr, ilm, hyp = parts
         try:
             entry = NBestEntry(utt, float(asr), float(ilm), tuple(hyp.split()),
                                reference=refs.get(utt))
         except ValueError as exc:
-            raise ValueError(f"{where}{i}: {exc}") from exc
+            raise ValueError(f"{name}:{i}: {exc}") from exc
         entries.append(entry)
     if not entries:
-        raise ValueError("empty n-best list")
+        raise ValueError(f"{name}: empty n-best list")
     return entries

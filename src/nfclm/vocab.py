@@ -1,4 +1,4 @@
-"""Symbol vocabulary, class alphabet, and sub-word tokenization."""
+"""Symbol vocabulary, class alphabet, sub-word tokenization, and the text reader."""
 
 from __future__ import annotations
 
@@ -12,84 +12,75 @@ BACKGROUND = "@bg"
 
 
 class Vocabulary:
-    """Ordered set of sub-word symbols with BOS/EOS sentinels appended.
+    """Ordered set of sub-word symbols, given as the lines of a vocabulary file.
 
-    Ids 0..n-1 are the sub-words in load order; BOS and EOS take the two
-    ids after them.  Sub-words may carry a leading ``_`` marking the start
-    of a word; ``_`` is reserved and may not appear anywhere else.
+    Sub-words may carry a leading ``_`` marking the start of a word;
+    ``_`` is reserved and may not appear anywhere else.  Errors start
+    with ``name:line:``, counting symbols from 1.
     """
 
-    def __init__(self, symbols: Sequence[str]):
-        seen = {}
-        for i, sym in enumerate(symbols):
-            if not sym:
-                raise ValueError(f"empty symbol at position {i}")
-            if sym in (BOS, EOS):
-                raise ValueError(f"symbol {sym!r} collides with a reserved sentinel")
-            if sym.startswith("@"):
-                raise ValueError(f"symbol {sym!r} collides with the class-label convention")
-            if BOUNDARY in sym[1:]:
-                raise ValueError(
-                    f"symbol {sym!r} uses the word-boundary marker {BOUNDARY!r} mid-symbol"
-                )
-            if any(ch.isspace() for ch in sym):
-                raise ValueError(f"symbol {sym!r} contains whitespace")
-            if sym in seen:
-                raise ValueError(f"duplicate symbol {sym!r} at position {i}")
-            seen[sym] = i
+    def __init__(self, symbols: Sequence[str], name: str = "<vocabulary>"):
         self.symbols: tuple[str, ...] = tuple(symbols)
-        self._index = seen
-        self.bos_id = len(self.symbols)
-        self.eos_id = len(self.symbols) + 1
-        self._max_len = max((len(s) for s in self.symbols), default=0)
+        if not self.symbols:
+            raise ValueError(f"{name}: empty vocabulary")
+        seen: dict[str, int] = {}
+        for i, sym in enumerate(self.symbols, start=1):
+            if not sym.strip():
+                raise ValueError(f"{name}:{i}: blank line")
+            if sym in (BOS, EOS):
+                raise ValueError(f"{name}:{i}: symbol {sym!r} collides with a reserved sentinel")
+            if sym.startswith("@"):
+                raise ValueError(
+                    f"{name}:{i}: symbol {sym!r} collides with the class-label convention")
+            if BOUNDARY in sym[1:]:
+                raise ValueError(f"{name}:{i}: symbol {sym!r} uses the word-boundary "
+                                 f"marker {BOUNDARY!r} mid-symbol")
+            if any(ch.isspace() for ch in sym):
+                raise ValueError(f"{name}:{i}: symbol {sym!r} contains whitespace")
+            if sym in seen:
+                raise ValueError(f"{name}:{i}: duplicate symbol {sym!r} "
+                                 f"(line {i} repeats line {seen[sym]})")
+            seen[sym] = i
+        self._members = seen
+        self._max_len = max(len(s) for s in self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
+        return symbol in self._members
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocabulary) and self.symbols == other.symbols
 
-    def id_of(self, symbol: str) -> int:
-        if symbol == BOS:
-            return self.bos_id
-        if symbol == EOS:
-            return self.eos_id
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise KeyError(f"unknown symbol {symbol!r}") from None
-
-    def symbol_of(self, symbol_id: int) -> str:
-        if symbol_id == self.bos_id:
-            return BOS
-        if symbol_id == self.eos_id:
-            return EOS
-        if 0 <= symbol_id < len(self.symbols):
-            return self.symbols[symbol_id]
-        raise KeyError(f"unknown symbol id {symbol_id}")
-
 
 class ClassAlphabet:
-    """Ordered class labels, always containing the background label @bg.
+    """Ordered class labels, given as the lines of a class-alphabet file.
 
-    The continuation marker used in alignments is not a member; it only
-    appears in alignment sequences (see :mod:`nfclm.engine`).
+    Surrounding whitespace is dropped and blank lines are skipped; the
+    background label @bg is required.  Errors start with ``name:line:``,
+    counting lines from 1.  The continuation marker used in alignments
+    is not a member; it only appears in alignment sequences (see
+    :mod:`nfclm.engine`).
     """
 
-    def __init__(self, labels: Sequence[str]):
-        seen = set()
-        for i, label in enumerate(labels):
+    def __init__(self, labels: Sequence[str], name: str = "<classes>"):
+        seen: dict[str, int] = {}
+        for i, line in enumerate(labels, start=1):
+            label = line.strip()
+            if not label:
+                continue
             if not label.startswith("@"):
-                raise ValueError(f"class label {label!r} must begin with '@' (position {i})")
+                raise ValueError(f"{name}:{i}: class label {label!r} must begin with '@'")
+            if any(ch.isspace() for ch in label):
+                raise ValueError(f"{name}:{i}: class label {label!r} contains whitespace")
             if label in seen:
-                raise ValueError(f"duplicate class label {label!r} at position {i}")
-            seen.add(label)
+                raise ValueError(f"{name}:{i}: duplicate class label {label!r} "
+                                 f"(first on line {seen[label]})")
+            seen[label] = i
         if BACKGROUND not in seen:
-            raise ValueError(f"class alphabet must contain {BACKGROUND!r}")
-        self.labels: tuple[str, ...] = tuple(labels)
+            raise ValueError(f"{name}: class alphabet must contain {BACKGROUND!r}")
+        self.labels: tuple[str, ...] = tuple(seen)
         self.nonbackground: tuple[str, ...] = tuple(c for c in self.labels if c != BACKGROUND)
 
     def __len__(self) -> int:
@@ -105,40 +96,33 @@ class ClassAlphabet:
         return isinstance(other, ClassAlphabet) and self.labels == other.labels
 
 
-def _read_lines(source) -> list[str]:
+def read_lines(source, default_name: str) -> tuple[str, list[str]]:
+    """The name and lines of a text input: a file path, or lines already read.
+
+    A path names itself; an iterable of lines is named ``default_name``,
+    such as ``<vocabulary>``.  Every text loader reads through here,
+    checks its format once, and starts an error about line ``i``
+    (counted from 1) with ``f"{name}:{i}: "`` and any other error with
+    ``f"{name}: "``.  A file's lines end only at LF, CRLF or CR, as
+    editors count them; ``str.splitlines`` would also end them at form
+    feeds and other separators.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    return list(source)
+            return os.fspath(source), [line.rstrip("\n") for line in fh]
+    return default_name, list(source)
 
 
 def load_vocabulary(source) -> Vocabulary:
-    """Load a vocabulary from a file path or an iterable of lines.
-
-    One symbol per line; file order defines ids; duplicates and empty
-    files are rejected.
-    """
-    lines = _read_lines(source)
-    if not lines:
-        raise ValueError("vocabulary source is empty")
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            raise ValueError(f"blank vocabulary line {i}")
-    dupes = {}
-    for i, line in enumerate(lines, start=1):
-        if line in dupes:
-            raise ValueError(f"duplicate symbol {line!r} on line {i} (first seen line {dupes[line]})")
-        dupes[line] = i
-    return Vocabulary(lines)
+    """Load a vocabulary: one symbol per line, in order, no blanks or duplicates."""
+    name, lines = read_lines(source, "<vocabulary>")
+    return Vocabulary(lines, name)
 
 
 def load_class_alphabet(source) -> ClassAlphabet:
-    """Load a class alphabet (one ``@``-prefixed name per line, ``@bg`` required)."""
-    lines = [ln.strip() for ln in _read_lines(source)]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError("class alphabet source is empty")
-    return ClassAlphabet(lines)
+    """Load a class alphabet: one ``@``-prefixed label per line, ``@bg`` required."""
+    name, lines = read_lines(source, "<classes>")
+    return ClassAlphabet(lines, name)
 
 
 def tokenize(text: str, vocabulary: Vocabulary) -> list[str]:

@@ -289,6 +289,34 @@ class TestFailures:
                               workspace / "test.txt", *flags], capsys)
         assert code == 1 and out == ""
         assert err.startswith("nfclm: error: ") and name in err
+        assert "manifest.json" not in err
+
+    @pytest.mark.parametrize("command", ["score", "ppl", "train-bglm", "train-decider"])
+    def test_corpus_symbol_outside_alphabet_names_line(self, workspace, capsys, command):
+        bundle = build_bundle(workspace, capsys)
+        corpus = workspace / "bad.txt"
+        corpus.write_text("_play @song\n\n_play zzz\n", encoding="utf-8")
+        inputs = {"score": ["--bundle", bundle], "ppl": ["--bundle", bundle],
+                  "train-bglm": ["--vocab", workspace / "vocab.txt", "--out", workspace / "x"],
+                  "train-decider": ["--vocab", workspace / "vocab.txt", "--classes",
+                                    workspace / "classes.txt", "--out", workspace / "x"]}
+        code, out, err = run([command, "--corpus", corpus, *inputs[command]], capsys)
+        # class tokens belong only to the decider's corpus
+        bad = ("3: unknown symbol 'zzz'" if command == "train-decider"
+               else "1: unknown symbol '@song'")
+        assert (code, out, err) == (1, "", f"nfclm: error: {corpus}:{bad}\n")
+
+    def test_stdin_corpus_is_named_stdin(self, workspace, capsys, monkeypatch):
+        import io
+        bundle = build_bundle(workspace, capsys)
+        monkeypatch.setattr("sys.stdin", io.StringIO("_play\n_play zzz\n"))
+        code, _, err = run(["score", "--bundle", bundle, "--corpus", "-"], capsys)
+        assert (code, err) == (1, "nfclm: error: <stdin>:2: unknown symbol 'zzz'\n")
+
+    def test_key_error_printed_without_repr_quotes(self, workspace, capsys):
+        bundle = build_bundle(workspace, capsys)
+        code, _, err = run(["next", "--bundle", bundle, "--history", "_play zzz"], capsys)
+        assert (code, err) == (1, "nfclm: error: symbol 'zzz' is outside the vocabulary\n")
 
     @pytest.mark.parametrize("args", [
         ["sample", "--bundle", "bundle", "--exact"],

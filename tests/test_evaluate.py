@@ -263,7 +263,7 @@ class TestNBestFile:
             parse_nbest_file(path)
 
     def test_lines_without_a_file_name_their_line(self):
-        with pytest.raises(ValueError, match="^n-best line 2: expected 4"):
+        with pytest.raises(ValueError, match="^<n-best>:2: expected 4"):
             parse_nbest_file(["utt1\t-3.0\t-4.0\t_play", "utt2\t_play"])
 
     def test_reference_line_without_tab_rejected(self, tmp_path):
@@ -364,7 +364,7 @@ class TestBundle:
 
     @pytest.mark.parametrize("key,value", [
         ("beam_size", "100"), ("beam_size", 0), ("beam_delta", -1.0),
-        ("beam_delta", "30"), ("renormalize", "yes")])
+        ("beam_delta", "30"), ("renormalize", "yes"), ("alpha", -1.0), ("alpha", "1")])
     def test_manifest_bad_beam_setting(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst, tmp_path, capsys, key, value):
         import json
@@ -380,12 +380,13 @@ class TestBundle:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         manifest[key] = value
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(bundle.BundleError, match=key):
+        with pytest.raises(bundle.BundleError) as info:
             bundle.load(tmp_path / "b")
+        assert str(info.value).startswith(f"{path}: manifest {key!r} must be ")
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("_play _ro sie\n", encoding="utf-8")
         assert main(["score", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"nfclm: error: {path}: manifest {key!r}")
 
     def test_repack_touches_only_edited_class(self, toy_vocab, toy_classes,
                                               song_fst, artist_fst, tmp_path):

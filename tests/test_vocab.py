@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import (BOS, EOS, ClassAlphabet, detokenize, load_class_alphabet,
+from nfclm import (BOS, ClassAlphabet, detokenize, load_class_alphabet,
                    load_vocabulary, tokenize)
 
 
@@ -10,7 +10,6 @@ class TestLoadVocabulary:
     def test_fig1_symbols(self):
         v = load_vocabulary(["_play", "_ro", "sie", "_by", "_browne"])
         assert len(v) == 5
-        assert v.bos_id == 5 and v.eos_id == 6
 
     def test_single_symbol(self):
         v = load_vocabulary(["a"])
@@ -31,13 +30,6 @@ class TestLoadVocabulary:
     def test_class_convention_rejected(self):
         with pytest.raises(ValueError):
             load_vocabulary(["@song"])
-
-    def test_id_roundtrip(self):
-        v = load_vocabulary(["_play", "_ro", "sie"])
-        for sym in list(v.symbols) + [BOS, EOS]:
-            assert v.symbol_of(v.id_of(sym)) == sym
-        for i in range(len(v) + 2):
-            assert v.id_of(v.symbol_of(i)) == i
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "vocab.txt"
