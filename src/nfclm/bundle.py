@@ -3,7 +3,10 @@
 Layout: ``manifest.json`` plus one file per component (vocabulary and
 class alphabet as text, background/decider/class FSTs as versioned
 binaries).  Class FSTs are separate files on purpose: editing one
-class's entities and repacking rewrites only that component.
+class's entities and repacking rewrites only that component.  The
+manifest's three model settings are checked by their classes' rules
+(``alpha`` null keeps the decider's); older manifests may also hold
+``"renormalize": true``, which every beam does, and no other value.
 """
 
 from __future__ import annotations
@@ -21,17 +24,9 @@ from .vocab import load_class_alphabet, load_vocabulary
 MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "nfclm-bundle"
 BUNDLE_VERSION = 1
-MANIFEST_KEYS = ("files", "class_fsts", "beam_size", "beam_delta", "renormalize")
 COMPONENT_KEYS = ("vocabulary", "classes", "background", "decider")
-# what each model setting in a manifest must hold: the checks NfclmModel
-# and DeciderModel make, so that a bad value is named by file and key
-SETTING_RULES = {
-    "beam_size": ("an int >= 1", lambda v: type(v) is int and v >= 1),
-    "beam_delta": ("a number >= 0", lambda v: type(v) in (int, float) and v >= 0),
-    "alpha": ("a number >= 0 or null",
-              lambda v: v is None or type(v) in (int, float) and v >= 0),
-    "renormalize": ("a bool", lambda v: type(v) is bool),
-}
+# each model setting a manifest holds, and the class whose rule checks it
+MODEL_SETTINGS = {"beam_size": NfclmModel, "beam_delta": NfclmModel, "alpha": DeciderModel}
 
 
 class BundleError(Exception):
@@ -48,25 +43,23 @@ def pack(model: NfclmModel, directory) -> dict[str, int]:
         "background": "background.bin",
         "decider": "decider.bin",
     }
-    with open(os.path.join(directory, files["vocabulary"]), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(model.vocabulary.symbols) + "\n")
-    with open(os.path.join(directory, files["classes"]), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(model.classes.labels) + "\n")
     background = model.background
     if not isinstance(background, BackoffNGram):
         raise BundleError(
             f"only n-gram background models can be packed, got {type(background).__name__}"
         )
-    with open(os.path.join(directory, files["background"]), "wb") as fh:
-        fh.write(background.serialize())
-    with open(os.path.join(directory, files["decider"]), "wb") as fh:
-        fh.write(model.decider.serialize())
-    fst_files = {}
-    for label in sorted(model.class_fsts):
-        name = f"{label}.fst"
-        fst_files[label] = name
+
+    def write(name: str, data: bytes) -> None:
         with open(os.path.join(directory, name), "wb") as fh:
-            fh.write(model.class_fsts[label].serialize())
+            fh.write(data)
+
+    write(files["vocabulary"], ("\n".join(model.vocabulary.symbols) + "\n").encode())
+    write(files["classes"], ("\n".join(model.classes.labels) + "\n").encode())
+    write(files["background"], background.serialize())
+    write(files["decider"], model.decider.serialize())
+    fst_files = {label: f"{label}.fst" for label in sorted(model.class_fsts)}
+    for label, name in fst_files.items():
+        write(name, model.class_fsts[label].serialize())
     manifest = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -75,11 +68,8 @@ def pack(model: NfclmModel, directory) -> dict[str, int]:
         "beam_size": model.beam_size,
         "beam_delta": model.beam_delta,
         "alpha": model.decider.alpha,
-        "renormalize": model.renormalize,
     }
-    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write(MANIFEST_NAME, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return size_report(directory)
 
 
@@ -88,9 +78,7 @@ def size_report(directory) -> dict[str, int]:
     directory = os.fspath(directory)
     manifest = _read_manifest(directory)
     report = {MANIFEST_NAME: os.path.getsize(os.path.join(directory, MANIFEST_NAME))}
-    for key, name in sorted(manifest["files"].items()):
-        report[name] = os.path.getsize(os.path.join(directory, name))
-    for label, name in sorted(manifest["class_fsts"].items()):
+    for name in [*manifest["files"].values(), *manifest["class_fsts"].values()]:
         report[name] = os.path.getsize(os.path.join(directory, name))
     return report
 
@@ -111,32 +99,34 @@ def _read_manifest(directory) -> dict:
             f"unsupported bundle version {manifest.get('version')!r} "
             f"(expected {BUNDLE_VERSION})"
         )
-    for key in MANIFEST_KEYS:
-        if key not in manifest:
-            raise BundleError(f"{path}: manifest has no {key!r}")
     for key in ("files", "class_fsts"):
-        if not isinstance(manifest[key], dict):
-            raise BundleError(f"{path}: manifest {key!r} is not an object")
+        if not isinstance(manifest.get(key), dict):
+            raise BundleError(f"{path}: manifest {key!r} must be an object, "
+                              f"got {manifest.get(key)!r}")
     for key in COMPONENT_KEYS:
         if key not in manifest["files"]:
             raise BundleError(f"{path}: manifest 'files' has no {key!r}")
-    for key, (rule, holds) in SETTING_RULES.items():
-        if not holds(manifest.get(key)):
-            raise BundleError(f"{path}: manifest {key!r} must be {rule}, "
-                              f"got {manifest.get(key)!r}")
+    for key, owner in MODEL_SETTINGS.items():
+        rule, value = owner.RULES[key], manifest.get(key)
+        if not (rule.holds(value) or key == "alpha" and value is None):
+            raise BundleError(f"{path}: manifest {key!r} must be {rule.text}"
+                              f"{' or null' if key == 'alpha' else ''}, got {value!r}")
+    if manifest.get("renormalize", True) is not True:
+        raise BundleError(f"{path}: manifest 'renormalize' must be true, "
+                          f"got {manifest['renormalize']!r}")
     return manifest
 
 
 def assemble(vocabulary_path, classes_path, background_path, decider_path,
              fst_paths: dict, *, beam_size: int, beam_delta: float,
-             alpha: Optional[float], renormalize: bool) -> NfclmModel:
+             alpha: Optional[float]) -> NfclmModel:
     """Read the component files and build the model.
 
     ``fst_paths`` maps each class label to its FST file.  ``alpha`` None
-    keeps the decider's stored exponent.  Raises BundleError for a
-    missing file or a model that fails its invariants, and
-    SerializationError, its message starting with the file's path, for a
-    corrupt component binary.
+    keeps the decider's stored exponent; another value rebuilds the
+    decider over its n-gram and prior.  Raises BundleError for a missing
+    file or a model that fails its invariants, and SerializationError,
+    its message starting with the file's path, for a corrupt binary.
     """
     def component(path):
         if not os.path.exists(path):
@@ -157,19 +147,13 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
     decider = binary(decider_path, DeciderModel.deserialize)
     class_fsts = {label: binary(path, ProbClassFst.deserialize)
                   for label, path in fst_paths.items()}
-    if alpha is not None:
-        decider.alpha = alpha
     try:
-        return NfclmModel(
-            vocabulary=vocabulary,
-            classes=classes,
-            background=background,
-            class_fsts=class_fsts,
-            decider=decider,
-            beam_size=beam_size,
-            beam_delta=beam_delta,
-            renormalize=renormalize,
-        )
+        if alpha is not None:
+            decider = DeciderModel(decider.ngram, decider.prior, alpha=alpha,
+                                   floor=decider.floor)
+        return NfclmModel(vocabulary=vocabulary, classes=classes, background=background,
+                          class_fsts=class_fsts, decider=decider,
+                          beam_size=beam_size, beam_delta=beam_delta)
     except ValueError as exc:
         raise BundleError(f"components fail model invariants: {exc}") from exc
 
@@ -187,5 +171,4 @@ def load(directory, *, beam_size: Optional[int] = None,
         beam_size=beam_size if beam_size is not None else manifest["beam_size"],
         beam_delta=beam_delta if beam_delta is not None else manifest["beam_delta"],
         alpha=alpha if alpha is not None else manifest.get("alpha"),
-        renormalize=manifest["renormalize"],
     )

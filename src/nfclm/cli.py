@@ -58,12 +58,8 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 def _load_bundle(args):
     """The bundle with the flag overrides; ``--exact`` switches pruning off."""
     exact = getattr(args, "exact", False)
-    return bundle_mod.load(
-        args.bundle,
-        beam_size=10 ** 6 if exact else args.beam_n,
-        beam_delta=math.inf if exact else args.beam_delta,
-        alpha=args.alpha,
-    )
+    return bundle_mod.load(args.bundle, beam_size=10 ** 6 if exact else args.beam_n,
+                           beam_delta=math.inf if exact else args.beam_delta, alpha=args.alpha)
 
 
 def _read_sentences(path, alphabet=None):
@@ -99,9 +95,8 @@ def cmd_train_decider(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
     classes = load_class_alphabet(args.classes)
     corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.labels})
-    alpha = args.alpha if args.alpha is not None else 1.0
-    model = train_decider(corpus, vocabulary, classes, order=args.order,
-                          discount=args.discount, alpha=alpha)
+    model = train_decider(corpus, vocabulary, classes, order=args.order, discount=args.discount,
+                          alpha=1.0 if args.alpha is None else args.alpha)
     with open(args.out, "wb") as fh:
         fh.write(model.serialize())
     prior = "\t".join(f"{c}\t{_fmt(model.prior[c])}" for c in model.classes)
@@ -149,7 +144,6 @@ def cmd_pack(args) -> int:
         beam_size=args.beam_n if args.beam_n is not None else DEFAULT_BEAM_SIZE,
         beam_delta=args.beam_delta if args.beam_delta is not None else DEFAULT_BEAM_DELTA,
         alpha=args.alpha,
-        renormalize=True,
     )
     report = bundle_mod.pack(model, args.out_dir)
     for name in sorted(report):

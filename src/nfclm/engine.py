@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .classfst import ProbClassFst
-from .seqmodel import ConditionalSymbolModel, DeciderModel
+from .seqmodel import ConditionalSymbolModel, DeciderModel, Rule
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 EPSILON = "<eps>"
@@ -113,9 +113,8 @@ class AlignmentHypothesis:
 class AlignmentBeam:
     """Bounded set of alignment hypotheses for one token history.
 
-    ``log_norm`` is the running estimate of log P(history) used to turn
-    joint weights into posteriors; with renormalization it tracks the
-    in-beam mass, without it the product of returned step probabilities.
+    ``log_norm`` is the log of the kept hypotheses' total weight, which
+    turns their joint weights into posteriors.
     """
 
     history: tuple[str, ...]
@@ -134,8 +133,15 @@ class NfclmModel:
 
     Fields must not change after construction, which derives lookup
     tables and the ``merge`` bound from them; build a variant with
-    ``dataclasses.replace`` instead.
+    ``dataclasses.replace`` instead.  ``RULES`` checks each setting.
     """
+
+    # exact types, so that True is no beam size; NaN fails ``>= 0``
+    RULES = {
+        "beam_size": Rule("an int >= 1", lambda v: type(v) is int and v >= 1),
+        "beam_delta": Rule("a number >= 0", lambda v: type(v) in (int, float) and v >= 0),
+        "merge": Rule(f"one of {MERGE_MODES}", lambda v: v in MERGE_MODES),
+    }
 
     vocabulary: Vocabulary
     classes: ClassAlphabet
@@ -144,19 +150,11 @@ class NfclmModel:
     decider: DeciderModel
     beam_size: int = DEFAULT_BEAM_SIZE
     beam_delta: float = DEFAULT_BEAM_DELTA
-    renormalize: bool = True
     merge: str = "context"
 
     def __post_init__(self):
-        if self.merge not in MERGE_MODES:
-            raise ValueError(f"merge must be one of {MERGE_MODES}, got {self.merge!r}")
-        # exact types, so that True is no beam size; NaN fails ``>= 0``
-        if type(self.beam_size) is not int or self.beam_size < 1:
-            raise ValueError(f"beam_size must be an int >= 1, got {self.beam_size!r}")
-        if type(self.beam_delta) not in (int, float) or not self.beam_delta >= 0:
-            raise ValueError(f"beam_delta must be a number >= 0, got {self.beam_delta!r}")
-        if type(self.renormalize) is not bool:
-            raise ValueError(f"renormalize must be a bool, got {self.renormalize!r}")
+        for name, rule in self.RULES.items():
+            rule.check(name, getattr(self, name))
         wanted = set(self.classes.nonbackground)
         have = set(self.class_fsts)
         if wanted != have:
@@ -389,20 +387,10 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     kept = [rank for rank in kept if best + rank[0] <= beam.delta]
     hypotheses = [AlignmentHypothesis(dh, pos, -neg) for neg, _, dh, _, pos in kept]
 
-    if not model.renormalize:
-        new_norm = beam.log_norm + step_logprob
-    elif len(kept) == len(ranked):
-        new_norm = total
-    else:
-        new_norm = log_sum_exp([h.log_weight for h in hypotheses])
-    new_beam = AlignmentBeam(
-        history=beam.history + (symbol,),
-        hypotheses=hypotheses,
-        log_norm=new_norm,
-        size_limit=beam.size_limit,
-        delta=beam.delta,
-    )
-    return new_beam, step_logprob
+    new_norm = (total if len(kept) == len(ranked)
+                else log_sum_exp([h.log_weight for h in hypotheses]))
+    return AlignmentBeam(beam.history + (symbol,), hypotheses, new_norm,
+                         beam.size_limit, beam.delta), step_logprob
 
 
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:

@@ -10,9 +10,10 @@ engine pads with BOS up to ``context_size``).
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .serialization import ByteReader, ByteWriter, SerializationError
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
@@ -23,6 +24,17 @@ DECIDER_MAGIC = b"NDCD\x00"
 DECIDER_VERSION = 1
 
 DECIDER_FLOOR = 1e-6
+
+
+class Rule(NamedTuple):
+    """What one model setting must hold: its text for errors, and its test."""
+
+    text: str
+    holds: Callable[[object], bool]
+
+    def check(self, name: str, value) -> None:
+        if not self.holds(value):
+            raise ValueError(f"{name} must be {self.text}, got {value!r}")
 
 
 class ConditionalSymbolModel(ABC):
@@ -269,14 +281,25 @@ def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
 def renormalize_by_prior(raw: Mapping[str, float], prior: Mapping[str, float],
                          alpha: float) -> dict[str, float]:
     """Scale a class distribution by inverse prior mass: P'(c) ∝ P(c)/prior(c)^alpha."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    DeciderModel.RULES["alpha"].check("alpha", alpha)
     for c in raw:
-        if prior.get(c, 0.0) <= 0.0:
-            raise ValueError(f"prior for class {c!r} must be strictly positive")
-    scaled = {c: p / prior[c] ** alpha for c, p in raw.items()}
-    total = math.fsum(scaled.values())
-    return {c: p / total for c, p in scaled.items()}
+        DeciderModel.RULES["prior"].check(f"prior for class {c!r}", prior.get(c))
+    return _scale_by_prior(raw, prior, alpha)
+
+
+def _scale_by_prior(raw, prior, alpha) -> dict[str, float]:
+    """``renormalize_by_prior`` for settings a decider has already checked."""
+    return _normalized({c: p / prior[c] ** alpha for c, p in raw.items()})
+
+
+def _normalized(weights: Mapping[str, float]) -> dict[str, float]:
+    total = math.fsum(weights.values())
+    return {c: p / total for c, p in weights.items()}
+
+
+class _Prior(dict):
+    """A decider's normalized class prior: a decider built from it keeps
+    its bits, which normalizing it again could move."""
 
 
 class DeciderModel(ConditionalSymbolModel):
@@ -285,20 +308,29 @@ class DeciderModel(ConditionalSymbolModel):
     Wraps a back-off n-gram whose targets are class labels, applies a
     small probability floor so every class stays reachable, then
     renormalizes by the inverse class prior to keep mass from pooling on
-    the background class.
+    the background class.  ``RULES`` checks each setting and prior entry.
     """
+
+    # exact types, so that True is no number; NaN fails every comparison
+    RULES = {
+        "alpha": Rule("a finite number >= 0",
+                      lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
+        "prior": Rule("finite and strictly positive",
+                      lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
+        "floor": Rule("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    }
 
     def __init__(self, ngram: BackoffNGram, prior: Mapping[str, float],
                  alpha: float = 1.0, floor: float = DECIDER_FLOOR):
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        self.RULES["alpha"].check("alpha", alpha)
+        self.RULES["floor"].check("floor", floor)
         self.ngram = ngram
         self.classes = ngram.alphabet
-        missing = [c for c in self.classes if prior.get(c, 0.0) <= 0.0]
-        if missing:
-            raise ValueError(f"prior must be strictly positive; bad classes: {missing}")
-        total = math.fsum(prior[c] for c in self.classes)
-        self.prior = {c: prior[c] / total for c in self.classes}
+        for c in self.classes:
+            self.RULES["prior"].check(f"prior for class {c!r}", prior.get(c))
+        if not (isinstance(prior, _Prior) and len(prior) == len(self.classes)):
+            prior = _Prior(_normalized({c: prior[c] for c in self.classes}))
+        self.prior = prior
         self.alpha = alpha
         self.floor = floor
 
@@ -313,12 +345,10 @@ class DeciderModel(ConditionalSymbolModel):
     def raw_distribution(self, history: Sequence[str]) -> dict[str, float]:
         """Floored decider output before prior renormalization."""
         dist = self.ngram.distribution(history)
-        floored = {c: max(p, self.floor) for c, p in dist.items()}
-        total = math.fsum(floored.values())
-        return {c: p / total for c, p in floored.items()}
+        return _normalized({c: max(p, self.floor) for c, p in dist.items()})
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        return renormalize_by_prior(self.raw_distribution(history), self.prior, self.alpha)
+        return _scale_by_prior(self.raw_distribution(history), self.prior, self.alpha)
 
     def serialize(self) -> bytes:
         w = ByteWriter()
@@ -340,13 +370,19 @@ class DeciderModel(ConditionalSymbolModel):
         r = ByteReader(data)
         r.expect_magic(DECIDER_MAGIC, "decider model")
         r.expect_version(DECIDER_VERSION, "decider model")
-        alpha = r.f64()
-        floor = r.f64()
+
+        def setting(key: str, name: str) -> float:
+            at, value, rule = r.offset, r.f64(), cls.RULES[key]
+            if not rule.holds(value):
+                raise SerializationError(f"{name} must be {rule.text}, got {value!r}", at)
+            return value
+
+        alpha, floor = setting("alpha", "alpha"), setting("floor", "floor")
         prior = {}
         order = []
         for _ in range(r.u32()):
             c = r.string()
-            prior[c] = r.f64()
+            prior[c] = setting("prior", f"prior for class {c!r}")
             order.append(c)
         body_len = r.u64()
         start = r.offset
@@ -361,7 +397,7 @@ class DeciderModel(ConditionalSymbolModel):
         r.done()
         try:
             model = cls(ngram, prior, alpha=alpha, floor=floor)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # prior entries can sum past float range
             raise SerializationError(f"corrupt decider payload: {exc}", start) from exc
         if list(model.classes) != order:
             raise SerializationError("decider class order mismatch", start)
@@ -388,9 +424,7 @@ def class_prior_from_corpus(corpus: Iterable[Sequence[str]],
     if total == 0:
         # Degenerate (no tagged lines): fall back to uniform.
         return {c: 1.0 / len(classes) for c in classes}
-    floored = {c: max(counts[c] / total, DECIDER_FLOOR) for c in classes}
-    norm = math.fsum(floored.values())
-    return {c: p / norm for c, p in floored.items()}
+    return _normalized({c: max(counts[c] / total, DECIDER_FLOOR) for c in classes})
 
 
 def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,

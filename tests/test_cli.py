@@ -291,6 +291,29 @@ class TestFailures:
         assert err.startswith("nfclm: error: ") and name in err
         assert "manifest.json" not in err
 
+    @pytest.mark.parametrize("command,value", [
+        ("score", "nan"), ("score", "inf"), ("score", "-1"), ("train-decider", "nan"),
+        ("train-decider", "inf"), ("pack", "nan")])
+    def test_bad_alpha_flag_rejected(self, workspace, capsys, command, value):
+        """``--alpha`` is checked by the decider's rule: no traceback, no NaN score."""
+        bundle = build_bundle(workspace, capsys)
+        (workspace / "test.txt").write_text("_play _ro sie\n", encoding="utf-8")
+        inputs = {
+            "score": ["--bundle", bundle, "--corpus", workspace / "test.txt"],
+            "train-decider": ["--corpus", workspace / "mixed.txt", "--vocab",
+                              workspace / "vocab.txt", "--classes", workspace / "classes.txt",
+                              "--out", workspace / "x.bin"],
+            "pack": ["--vocab", workspace / "vocab.txt", "--classes", workspace / "classes.txt",
+                     "--bglm", workspace / "bg.bin", "--decider", workspace / "decider.bin",
+                     "--fst", f"@song={workspace / '@song.fst'}",
+                     "--fst", f"@artist={workspace / '@artist.fst'}",
+                     "--out-dir", workspace / "x"]}
+        code, out, err = run([command, *inputs[command], "--alpha", value], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("nfclm: error: ") and err.count("\n") == 1
+        assert f"alpha must be a finite number >= 0, got {float(value)!r}" in err
+        assert not (workspace / "x.bin").exists() and not (workspace / "x").exists()
+
     @pytest.mark.parametrize("command", ["score", "ppl", "train-bglm", "train-decider"])
     def test_corpus_symbol_outside_alphabet_names_line(self, workspace, capsys, command):
         bundle = build_bundle(workspace, capsys)

@@ -474,7 +474,7 @@ def shared_prefix_lists(model, histories, rng):
 class TestSequenceLogprobs:
     """The shared-prefix walk returns each list's own score, bit for bit."""
 
-    VARIANTS = ({}, {"beam_size": 2}, {"beam_size": 2, "renormalize": False})
+    VARIANTS = ({}, {"beam_size": 2}, {"beam_delta": 0.5})
 
     def cases(self, toy_vocab, toy_classes, song_fst, artist_fst):
         toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
@@ -570,16 +570,6 @@ class TestNormalization:
             dist = next_dist(toy_model, beam)
             assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_unrenormalized_pruned_beam_loses_mass(self, toy_vocab, toy_classes,
-                                                   song_fst, artist_fst):
-        from conftest import make_toy_model
-        model = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
-                               beam_size=1, renormalize=False)
-        beam = advance(model, ("_play", "_ro"))
-        total = math.fsum(next_dist(model, beam).values())
-        assert total <= 1.0 + 1e-12
-        assert total < 1.0  # the singleton beam dropped real alignments
-
 
 class TestNextDist:
     def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
@@ -587,7 +577,7 @@ class TestNextDist:
         """Entry s is exp of extend's step log-probability; 0 where extend dies."""
         import dataclasses
         from conftest import make_toy_model
-        variants = ({}, {"beam_size": 2}, {"beam_size": 2, "renormalize": False})
+        variants = ({}, {"beam_size": 2}, {"beam_delta": 0.5})
         cases = []
         toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
         histories = [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
@@ -656,8 +646,7 @@ class TestBeamSettings:
     @pytest.mark.parametrize("setting", [
         {"beam_size": 0}, {"beam_size": -3}, {"beam_size": 2.0}, {"beam_size": "100"},
         {"beam_size": True}, {"beam_delta": -1.0}, {"beam_delta": float("nan")},
-        {"beam_delta": "30"}, {"beam_delta": None}, {"renormalize": 1},
-        {"renormalize": "true"}])
+        {"beam_delta": "30"}, {"beam_delta": None}])
     def test_invalid_rejected(self, toy_vocab, toy_classes, song_fst, artist_fst,
                               setting):
         name = next(iter(setting))
@@ -773,8 +762,7 @@ class TestEos:
 
 BITS_FILE = Path(__file__).parent / "data" / "extend_bits.json"
 CONTEXT_BITS_FILE = Path(__file__).parent / "data" / "extend_bits_context.json"
-BITS_SETTINGS = [(n, delta, renorm) for n in (2, 3) for delta in (0.5, 1.0)
-                 for renorm in (True, False)]
+BITS_SETTINGS = [(n, delta) for n in (2, 3) for delta in (0.5, 1.0)]
 
 
 def bits_cases():
@@ -834,10 +822,9 @@ def record_bits(merge="full"):
     """
     out = {}
     for name, base, histories in bits_cases():
-        for n, delta, renorm in BITS_SETTINGS:
-            model = dataclasses.replace(base, beam_size=n, beam_delta=delta,
-                                        renormalize=renorm, merge=merge)
-            out[f"{name} N={n} delta={delta} renormalize={renorm}"] = \
+        for n, delta in BITS_SETTINGS:
+            model = dataclasses.replace(base, beam_size=n, beam_delta=delta, merge=merge)
+            out[f"{name} N={n} delta={delta}"] = \
                 [bits_transcript(model, h) for h in histories]
     return out
 
@@ -845,8 +832,8 @@ def record_bits(merge="full"):
 class TestRecordedBits:
     """``extend`` and ``eos_logprob`` reproduce recorded ``float.hex`` values.
 
-    The narrow beams make both the N cut and the δ cut fire, with and
-    without renormalization, and the twin classes make weights tie.
+    The narrow beams make both the N cut and the δ cut fire, and the twin
+    classes make weights tie.
     """
 
     def test_transcripts(self):

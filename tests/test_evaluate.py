@@ -364,7 +364,7 @@ class TestBundle:
 
     @pytest.mark.parametrize("key,value", [
         ("beam_size", "100"), ("beam_size", 0), ("beam_delta", -1.0),
-        ("beam_delta", "30"), ("renormalize", "yes"), ("alpha", -1.0), ("alpha", "1")])
+        ("beam_delta", "30"), ("alpha", -1.0), ("alpha", "1")])
     def test_manifest_bad_beam_setting(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst, tmp_path, capsys, key, value):
         import json
