@@ -16,7 +16,7 @@ import os
 from typing import Optional
 
 from .classfst import ProbClassFst
-from .engine import NfclmModel
+from .engine import ComponentError, NfclmModel
 from .seqmodel import BackoffNGram, DeciderModel
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
@@ -125,8 +125,10 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
     ``fst_paths`` maps each class label to its FST file.  ``alpha`` None
     keeps the decider's stored exponent; another value rebuilds the
     decider over its n-gram and prior.  Raises BundleError for a missing
-    file or a model that fails its invariants, and SerializationError,
-    its message starting with the file's path, for a corrupt binary.
+    file or a model that fails its invariants, its message starting with
+    the path of the component at fault where there is one, and
+    SerializationError, its message starting with the file's path, for a
+    corrupt binary.
     """
     def component(path):
         if not os.path.exists(path):
@@ -154,6 +156,10 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
         return NfclmModel(vocabulary=vocabulary, classes=classes, background=background,
                           class_fsts=class_fsts, decider=decider,
                           beam_size=beam_size, beam_delta=beam_delta)
+    except ComponentError as exc:
+        path = {"background": background_path, "decider": decider_path,
+                **fst_paths}[exc.component]
+        raise BundleError(f"{os.fspath(path)}: {exc}") from exc
     except ValueError as exc:
         raise BundleError(f"components fail model invariants: {exc}") from exc
 

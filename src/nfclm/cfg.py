@@ -143,13 +143,23 @@ def read_corpus(source, alphabet=None, name: str = "<corpus>") -> list[tuple[str
     ``name``.  With an ``alphabet`` (a container of symbols), every
     symbol must belong to it.
     """
+    return [sentence for _, sentence in read_numbered_corpus(source, alphabet, name)[1]]
+
+
+def read_numbered_corpus(source, alphabet=None, name: str = "<corpus>"
+                         ) -> tuple[str, list[tuple[int, tuple[str, ...]]]]:
+    """The input's name and its ``read_corpus`` sentences, each with its line number.
+
+    Lines count from 1 and include blank lines, so an error about a
+    sentence can start with ``f"{name}:{line}: "``.
+    """
     name, lines = read_lines(source, name)
-    sentences = []
+    numbered = []
     for i, line in enumerate(lines, start=1):
         sentence = tuple(line.split())
         for sym in sentence:
             if alphabet is not None and sym not in alphabet:
                 raise ValueError(f"{name}:{i}: unknown symbol {sym!r}")
         if sentence:
-            sentences.append(sentence)
-    return sentences
+            numbered.append((i, sentence))
+    return name, numbered

@@ -19,8 +19,8 @@ from .classfst import build_from_entities, load_entities
 from .dynfst import DynFstSession
 from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, DeadHistoryError,
                      advance, next_dist, sample, sequence_logprobs)
-from .evaluate import (FusionWeights, parse_nbest_file, perplexity,
-                       rescore_nbest)
+from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
+                       perplexity, rescore_nbest)
 from .seqmodel import train_decider, train_ngram
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
@@ -62,12 +62,17 @@ def _load_bundle(args):
                            beam_delta=math.inf if exact else args.beam_delta, alpha=args.alpha)
 
 
-def _read_sentences(path, alphabet=None):
-    """The corpus at ``path``, ``-`` for stdin; see :func:`nfclm.cfg.read_corpus`."""
+def _read_numbered(path, alphabet=None):
+    """The corpus at ``path``, ``-`` for stdin; see :func:`nfclm.cfg.read_numbered_corpus`."""
     if path == "-":
-        return cfg_mod.read_corpus([line.rstrip("\n") for line in sys.stdin], alphabet,
-                                   "<stdin>")
-    return cfg_mod.read_corpus(path, alphabet)
+        return cfg_mod.read_numbered_corpus([line.rstrip("\n") for line in sys.stdin],
+                                            alphabet, "<stdin>")
+    return cfg_mod.read_numbered_corpus(path, alphabet)
+
+
+def _read_sentences(path, alphabet=None):
+    """The sentences of the corpus at ``path``, ``-`` for stdin."""
+    return [sentence for _, sentence in _read_numbered(path, alphabet)[1]]
 
 
 def cmd_build_fst(args) -> int:
@@ -162,15 +167,21 @@ def cmd_score(args) -> int:
 def cmd_ppl(args) -> int:
     model = _load_bundle(args)
     scorer = model.background if args.background_only else model
-    report = perplexity(scorer, _read_sentences(args.corpus, model.vocabulary),
-                        skip_dead=args.skip_dead)
+    name, numbered = _read_numbered(args.corpus, model.vocabulary)
+    lines = [line for line, _ in numbered]
+    try:
+        report = perplexity(scorer, [sentence for _, sentence in numbered],
+                            skip_dead=args.skip_dead)
+    except DeadSentenceError as exc:
+        raise ValueError(f"{name}:{lines[exc.index]}: sentence has probability 0; "
+                         "pass --skip-dead to exclude it") from None
     print(f"perplexity\t{_fmt(report.perplexity)}")
     print(f"logprob\t{_fmt(report.total_logprob)}")
     print(f"symbols\t{report.symbol_count}")
     print(f"sentences\t{report.sentence_count}")
     print(f"dead\t{len(report.dead_sentences)}")
-    for line in report.dead_sentences:
-        print(f"dead-line\t{line}")
+    for i in report.dead_sentences:
+        print(f"dead-line\t{lines[i]}")
     return 0
 
 

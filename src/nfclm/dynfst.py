@@ -4,10 +4,10 @@ States are token histories carrying an alignment beam; arcs appear on
 demand with negative-log next-symbol probabilities as weights, so any
 FST-shaped consumer can drive the model without knowing about
 alignments.  The automaton is infinite, so each state is recorded only
-as the arc that created it (parent id, symbol) plus its final weight;
-beams live in a bounded LRU cache and are replayed from the nearest
-resident ancestor when needed again; replays are bit-exact because beam
-extension is deterministic.
+as the arc that created it (parent id, symbol); its final weight is
+computed on first request.  Beams live in a bounded LRU cache and are
+replayed from the nearest resident ancestor when needed again; replays
+are bit-exact because beam extension is deterministic.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ class DynFstSession:
     """Single-consumer expansion session over a shared immutable model.
 
     ``capacity`` bounds how many beams stay resident, the start state's
-    included (it is never evicted); arcs and final weights are remembered
-    for every state ever expanded, so arc queries stay cheap after
-    eviction.
+    included (it is never evicted); arcs are remembered for every state
+    ever expanded, so arc queries stay cheap after eviction.  A state's
+    final weight is computed from its beam when first asked for, replaying
+    the beam if it was evicted, and remembered from then on.
     """
 
     def __init__(self, model: NfclmModel, capacity: Optional[int] = None):
@@ -55,21 +56,20 @@ class DynFstSession:
         # per state id: the (parent id, symbol) arc that created it; None
         # for the start state, id 0
         self._links: list[Optional[tuple[int, str]]] = []
-        # per state id: -log P(EOS | history), None when it cannot stop
-        self._finals: list[Optional[float]] = []
+        # state id -> -log P(EOS | history), None when it cannot stop; filled
+        # on first request
+        self._finals: dict[int, Optional[float]] = {}
         self._arcs: dict[tuple[int, str], Optional[tuple[int, float]]] = {}
         self._start_beam = start_beam(model)
         self._resident: OrderedDict[int, AlignmentBeam] = OrderedDict()
-        self._start_id = self._create(None, self._start_beam)
+        self._start_id = self._create(None)
         self.stats.expansions += 1
 
     # -- state bookkeeping -------------------------------------------------
 
-    def _create(self, link: Optional[tuple[int, str]], beam: AlignmentBeam) -> int:
+    def _create(self, link: Optional[tuple[int, str]]) -> int:
         state_id = len(self._links)
         self._links.append(link)
-        final = eos_logprob(self.model, beam)
-        self._finals.append(-final if final != -math.inf else None)
         return state_id
 
     def _install(self, state_id: int, beam: AlignmentBeam) -> None:
@@ -82,6 +82,10 @@ class DynFstSession:
         while self.capacity is not None and len(self._resident) >= self.capacity:
             self._resident.popitem(last=False)
             self.stats.evictions += 1
+
+    def _final_of(self, beam: AlignmentBeam) -> Optional[float]:
+        final = eos_logprob(self.model, beam)
+        return -final if final != -math.inf else None
 
     def _check(self, state_id: int) -> None:
         if not 0 <= state_id < len(self._links):
@@ -137,15 +141,20 @@ class DynFstSession:
         except DeadHistoryError:
             self._arcs[key] = None
             return None
-        dest = self._create(key, beam)
+        dest = self._create(key)
         self._install(dest, beam)
         arc = (dest, -step)
         self._arcs[key] = arc
         return arc
 
     def final_weight(self, state_id: int) -> Optional[float]:
-        """-log P(EOS | history); None when the state cannot terminate."""
-        self._check(state_id)
+        """-log P(EOS | history); None when the state cannot terminate.
+
+        Computed on the first request for the state, from its beam (an
+        evicted beam is replayed and counted like any other), then remembered.
+        """
+        if state_id not in self._finals:
+            self._finals[state_id] = self._final_of(self._resolve(state_id))
         return self._finals[state_id]
 
     def evict_and_replay(self, capacity: Optional[int] = None) -> SessionStats:
@@ -166,7 +175,9 @@ class DynFstSession:
         One ``state`` line per state (history, then each alignment's
         decider history and log-weight), one ``arc`` line per surviving
         arc, and one ``final`` line per stoppable state.  Evicted beams
-        are replayed but not installed: the cache and stats stay as they were.
+        are replayed but not installed: the cache and stats stay as they
+        were.  Final weights not yet asked for are computed from the
+        rebuilt beams and remembered.
         """
         lines = []
         beams: list[AlignmentBeam] = []  # by state id; a parent's id is smaller
@@ -176,6 +187,8 @@ class DynFstSession:
                 parent, symbol = link
                 beam, _ = extend(self.model, beams[parent], symbol)
             beams.append(beam)
+            if state_id not in self._finals:
+                self._finals[state_id] = self._final_of(beam)
             labels = " | ".join(
                 f"{','.join(h.decider_history) or '<start>'}"
                 f"{'' if h.position is None else f'[{h.position[0]}:{h.position[1]}]'}"
@@ -188,7 +201,8 @@ class DynFstSession:
             if arc is not None:
                 dest, weight = arc
                 lines.append(f"arc {src}\t{symbol}\t{weight:.6f}\t{dest}")
-        for state_id, weight in enumerate(self._finals):
+        for state_id in range(len(self._links)):
+            weight = self._finals[state_id]
             if weight is not None:
                 lines.append(f"final {state_id}\t{weight:.6f}")
         return "\n".join(lines) + "\n"

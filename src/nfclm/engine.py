@@ -43,8 +43,10 @@ scores a batch of token lists in sorted order over a stack of beams, so
 a prefix that several lists share (as the hypotheses of an n-best list
 do) is extended once.  ``sequence_logprob`` is its one-list case.
 
-All arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
+Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
+``next_dist`` sums in the linear domain instead: each route's posterior
+weight times its probabilities, one product per symbol it can emit.
 
 Model components never change after construction (internal lookup caches
 only memoize idempotent values), so one model can serve any number of
@@ -87,6 +89,17 @@ class DeadHistoryError(Exception):
         super().__init__(
             f"no alignment can generate {symbol!r} after {' '.join(self.history) or '<start>'}"
         )
+
+
+class ComponentError(ValueError):
+    """A model component that does not fit the others.
+
+    ``component`` is ``"background"``, ``"decider"`` or a class label.
+    """
+
+    def __init__(self, component: str, message: str):
+        super().__init__(message)
+        self.component = component
 
 
 @dataclass(frozen=True)
@@ -163,30 +176,37 @@ class NfclmModel:
             )
         for label, fst in self.class_fsts.items():
             if fst.label != label:
-                raise ValueError(f"FST labeled {fst.label!r} registered under {label!r}")
+                raise ComponentError(label, f"FST labeled {fst.label!r} registered under "
+                                            f"{label!r}")
             for out in fst.arcs:
                 for sym in out:
                     if sym not in self.vocabulary:
-                        raise ValueError(
-                            f"{label}: arc symbol {sym!r} is outside the vocabulary"
-                        )
-        bg_alpha = set(self.background.alphabet)
-        if bg_alpha != set(self.vocabulary.symbols) | {EOS}:
-            raise ValueError("background model must predict the vocabulary plus EOS")
+                        raise ComponentError(
+                            label, f"{label}: arc symbol {sym!r} is outside the vocabulary")
+        symbols = set(self.vocabulary.symbols)
+        if set(self.background.alphabet) != symbols | {EOS}:
+            raise ComponentError("background",
+                                 "background model must predict the vocabulary plus EOS")
         if set(self.decider.alphabet) != set(self.classes.labels):
-            raise ValueError("decider classes do not match the class alphabet")
+            raise ComponentError("decider", "decider classes do not match the class alphabet")
+        # histories hold vocabulary symbols and BOS padding, the decider's
+        # also class tokens
+        _check_histories("background", self.background, symbols | {BOS})
+        _check_histories("decider", self.decider,
+                         symbols | {BOS} | set(self.classes.nonbackground))
         # (class, arcs out of its start state; None for the background) in
         # alphabet order: the routes of every hypothesis whose state exits
         self._entry_routes = tuple(
             (c, None) if c == BACKGROUND
             else (c, self.class_fsts[c].arcs[self.class_fsts[c].start])
             for c in self.classes.labels)
+        self._predicted = self.vocabulary.symbols + (EOS,)
         # per symbol (EOS included), the entry routes that can emit it: the
         # background route and each class whose start state has an arc for it
         self._symbol_routes = {
             sym: tuple((c, arcs) for c, arcs in self._entry_routes
                        if arcs is None or sym in arcs)
-            for sym in self.vocabulary.symbols + (EOS,)}
+            for sym in self._predicted}
         self._bg_context_size = self.background.context_size
         self._decider_context_size = self.decider.context_size
         # trailing decider tokens a hypothesis keeps under ``merge``
@@ -221,6 +241,16 @@ class NfclmModel:
             hit = self.decider.distribution(context)
             self._decider_cache[context] = hit
         return hit
+
+
+def _check_histories(name: str, component: ConditionalSymbolModel, needed: set) -> None:
+    """Raise ComponentError unless ``component`` reads histories of ``needed``."""
+    if component.history_alphabet is None:
+        return
+    missing = sorted(needed - component.history_alphabet)
+    if missing:
+        more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+        raise ComponentError(name, f"{name} history alphabet lacks {missing[0]!r}{more}")
 
 
 def _context(history: Sequence[str], size: int) -> tuple[str, ...]:
@@ -414,30 +444,31 @@ def advance(model: NfclmModel, symbols: Sequence[str]) -> AlignmentBeam:
 
 
 def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
-    """Next-symbol distribution over the vocabulary plus EOS.
+    """Next-symbol distribution over the vocabulary plus EOS, in that order.
 
-    One sweep over the routes: the background routes' summed weight times
-    one background distribution, plus each class route's arcs.  Entry
-    ``s`` equals ``exp`` of ``extend``'s step log-probability for ``s``
-    (0 where ``extend`` finds no alignment) up to rounding.
+    One linear-domain sweep over the routes: the background routes'
+    posterior weight times one background distribution, plus each class
+    route's posterior weight times its arcs.  Entry ``s`` equals ``exp``
+    of ``extend``'s step log-probability for ``s`` within 1e-12 relative
+    (0 where ``extend`` finds no alignment).
     """
-    terms: dict[str, list[float]] = {}
     background: list[float] = []
+    classes: list[tuple[dict, float]] = []
     for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
         if arcs is None:
             background.append(lw)
-            continue
-        for sym, (arc, _) in arcs.items():
-            terms.setdefault(sym, []).append(lw + math.log(arc))
+        else:
+            classes.append((arcs, lw))
     if background:
-        share = log_sum_exp(background)
+        scale = math.exp(log_sum_exp(background) - beam.log_norm)
         bg = model.background.distribution(_context(beam.history, model._bg_context_size))
-        for sym, p in bg.items():
-            terms.setdefault(sym, []).append(share + math.log(p))
-    dist = {}
-    for sym in model.vocabulary.symbols + (EOS,):
-        weights = terms.get(sym)
-        dist[sym] = math.exp(log_sum_exp(weights) - beam.log_norm) if weights else 0.0
+        dist = {sym: scale * bg[sym] for sym in model._predicted}
+    else:
+        dist = dict.fromkeys(model._predicted, 0.0)
+    for arcs, lw in classes:
+        weight = math.exp(lw - beam.log_norm)
+        for sym, (arc, _) in arcs.items():
+            dist[sym] += weight * arc
     return dist
 
 

@@ -48,6 +48,14 @@ class RescoredEntry:
     failed: bool = False
 
 
+class DeadSentenceError(ValueError):
+    """A corpus sentence has probability 0; ``index`` is its position in the corpus."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"sentence {index} has probability 0; pass skip_dead=True to exclude it")
+
+
 @dataclass
 class PerplexityReport:
     perplexity: float
@@ -64,9 +72,9 @@ def perplexity(model, corpus: Sequence[Sequence[str]],
     ``model`` is a full model, whose corpus is scored in one
     ``sequence_logprobs`` walk, or a plain symbol model.  Log-probs are
     summed in corpus order.  A sentence no alignment can generate makes
-    the whole corpus unscorable unless ``skip_dead`` excludes it from
-    both the mass and the symbol count; excluded line numbers are
-    reported either way.
+    the whole corpus unscorable (``DeadSentenceError``) unless
+    ``skip_dead`` excludes it from both the mass and the symbol count;
+    the positions of excluded sentences in ``corpus`` are reported.
     """
     if isinstance(model, NfclmModel):
         scores = sequence_logprobs(model, corpus)
@@ -83,9 +91,7 @@ def perplexity(model, corpus: Sequence[Sequence[str]],
             dead.append(i)
             if skip_dead:
                 continue
-            raise ValueError(
-                f"sentence {i} has probability 0; pass skip_dead=True to exclude it"
-            )
+            raise DeadSentenceError(i)
         total += lp
         symbols += len(sentence) + 1
         scored += 1

@@ -50,6 +50,11 @@ class ConditionalSymbolModel(ABC):
         """How much history the model can use; callers may pad up to this."""
         return 0
 
+    @property
+    def history_alphabet(self) -> Optional[frozenset[str]]:
+        """Symbols a history may hold; None when any symbol may appear."""
+        return None
+
     @abstractmethod
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         """Normalized, strictly positive distribution over the alphabet."""
@@ -120,6 +125,10 @@ class BackoffNGram(ConditionalSymbolModel):
     @property
     def context_size(self) -> int:
         return self.order - 1
+
+    @property
+    def history_alphabet(self) -> frozenset[str]:
+        return self._history_alphabet
 
     def observe(self, history: Sequence[str], target: str) -> None:
         history = tuple(history)
@@ -288,8 +297,37 @@ def renormalize_by_prior(raw: Mapping[str, float], prior: Mapping[str, float],
 
 
 def _scale_by_prior(raw, prior, alpha) -> dict[str, float]:
-    """``renormalize_by_prior`` for settings a decider has already checked."""
-    return _normalized({c: p / prior[c] ** alpha for c, p in raw.items()})
+    """``renormalize_by_prior`` for settings a decider has already checked.
+
+    The direct form ``p / prior ** alpha`` serves whenever its weights and
+    their total are finite and positive: with a normalized prior each
+    weight is at least ``p``, so a finite total is the one test.  An
+    extreme alpha or prior entry that under- or overflows it is scaled in
+    log space instead.
+    """
+    try:
+        weights = {c: p / prior[c] ** alpha for c, p in raw.items()}
+        total = math.fsum(weights.values())
+    except (ZeroDivisionError, OverflowError):
+        total = math.inf
+    if total < math.inf:
+        return {c: w / total for c, w in weights.items()}
+    return _scale_in_log_space(raw, prior, alpha)
+
+
+def _scale_in_log_space(raw, prior, alpha) -> dict[str, float]:
+    """``_scale_by_prior`` for settings whose direct form under- or overflows.
+
+    Each class's log weight is taken relative to the smallest prior, so it
+    stays at most ``log p`` and the largest is finite.  A share too small
+    for a float is raised to the smallest normal one, which keeps every
+    class reachable, as the decider's floor does.
+    """
+    smallest = min(math.log(prior[c]) for c in raw)
+    logs = {c: math.log(p) - alpha * (math.log(prior[c]) - smallest) for c, p in raw.items()}
+    top = max(logs.values())
+    shares = _normalized({c: math.exp(lw - top) for c, lw in logs.items()})
+    return {c: max(share, sys.float_info.min) for c, share in shares.items()}
 
 
 def _normalized(weights: Mapping[str, float]) -> dict[str, float]:
@@ -341,6 +379,10 @@ class DeciderModel(ConditionalSymbolModel):
     @property
     def context_size(self) -> int:
         return self.ngram.context_size
+
+    @property
+    def history_alphabet(self) -> frozenset[str]:
+        return self.ngram.history_alphabet
 
     def raw_distribution(self, history: Sequence[str]) -> dict[str, float]:
         """Floored decider output before prior renormalization."""

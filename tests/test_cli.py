@@ -329,6 +329,33 @@ class TestFailures:
                else "1: unknown symbol '@song'")
         assert (code, out, err) == (1, "", f"nfclm: error: {corpus}:{bad}\n")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_dead_sentence_named_by_file_line(self, workspace, capsys, monkeypatch,
+                                              source):
+        """A dead sentence is named by its line in the input, blank lines counted."""
+        import io
+        bundle = build_bundle(workspace, capsys)
+        text = "_play _ro sie\n\n_play _ro\n_by _browne\n"
+        corpus = workspace / "dead.txt"
+        corpus.write_text(text, encoding="utf-8")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name, arg = (str(corpus), corpus) if source == "file" else ("<stdin>", "-")
+        # a singleton beam keeps only the in-class reading of _ro, which
+        # cannot end a sentence
+        flags = ["ppl", "--bundle", bundle, "--beam-n", 1, "--corpus", arg]
+        code, out, err = run(flags, capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"nfclm: error: {name}:3: sentence has probability 0; "
+                       "pass --skip-dead to exclude it\n")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run([*flags, "--skip-dead"], capsys)
+        assert code == 0, err
+        fields = [line.split("\t") for line in out.splitlines()]
+        assert ["dead", "1"] in fields and ["sentences", "2"] in fields
+        assert [f for f in fields if f[0] == "dead-line"] == [["dead-line", "3"]]
+
     def test_stdin_corpus_is_named_stdin(self, workspace, capsys, monkeypatch):
         import io
         bundle = build_bundle(workspace, capsys)

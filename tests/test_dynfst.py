@@ -193,13 +193,99 @@ class TestEviction:
         state = session.start_state()
         for sym in FIG1_SENTENCE:
             state, _ = session.transition(state, sym)
+        # no final weight is computed before it is asked for; each step but
+        # the first replays its source
+        assert calls == []
+        assert session.stats.replays == len(FIG1_SENTENCE) - 1
+        # capacity 1 holds only the start beam: the first request replays
+        session.final_weight(state)
+        session.final_weight(state)
+        assert calls == [FIG1_SENTENCE]
+        assert session.stats.replays == len(FIG1_SENTENCE)
         stats = session.stats.as_dict()
         session.dump()
-        # each step but the first replays its source; the dump's replays
-        # install and count nothing
-        assert session.stats.replays == len(FIG1_SENTENCE) - 1
+        # the dump's replays install and count nothing, and it computes only
+        # the finals not yet asked for, in state order
         assert session.stats.as_dict() == stats
-        assert calls == [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
+        assert calls == [FIG1_SENTENCE] + [FIG1_SENTENCE[:k]
+                                           for k in range(len(FIG1_SENTENCE))]
+        session.final_weight(session.start_state())
+        assert len(calls) == len(FIG1_SENTENCE) + 1
+
+
+class TestLazyFinals:
+    """Final weights are computed on first request, from the state's beam."""
+
+    def counting(self, monkeypatch):
+        calls = []
+
+        def counting_eos(model, beam):
+            calls.append(beam.history)
+            return eos_logprob(model, beam)
+
+        monkeypatch.setattr("nfclm.dynfst.eos_logprob", counting_eos)
+        return calls
+
+    def walk(self, session, symbols=FIG1_SENTENCE):
+        states = [session.start_state()]
+        for sym in symbols:
+            states.append(session.transition(states[-1], sym)[0])
+        return states
+
+    def test_bits_equal_eos_logprob(self, toy_model_exact_beam):
+        session = DynFstSession(toy_model_exact_beam, capacity=2)
+        states = self.walk(session)
+        resident = set(session._resident)
+        assert states[-1] in resident and states[1] not in resident
+        for k, state in enumerate(states):
+            beam = advance(toy_model_exact_beam, FIG1_SENTENCE[:k])
+            want = -eos_logprob(toy_model_exact_beam, beam)
+            assert session.final_weight(state).hex() == want.hex(), k
+
+    def test_none_when_no_alignment_can_stop(self, toy_vocab, toy_classes):
+        from conftest import make_toy_model
+        from nfclm import build_from_entities
+        song = build_from_entities("@song", [("berta", "salie")])
+        artist = build_from_entities("@artist", [("_browne",)])
+        # a singleton beam keeps only the in-class reading of berta
+        model = make_toy_model(toy_vocab, toy_classes, song, artist, beam_size=1)
+        session = DynFstSession(model)
+        state, _ = session.transition(session.start_state(), "berta")
+        assert session.beam_of(state).hypotheses[0].position is not None
+        assert session.final_weight(state) is None
+        assert "final 1" not in session.dump()
+
+    def test_transition_computes_no_final(self, toy_model, monkeypatch):
+        calls = self.counting(monkeypatch)
+        session = DynFstSession(toy_model, capacity=2)
+        self.walk(session)
+        self.walk(session, ("_ro", "salie", "_by"))
+        assert calls == []
+
+    def test_once_per_asked_state(self, toy_model, monkeypatch):
+        calls = self.counting(monkeypatch)
+        session = DynFstSession(toy_model)
+        states = self.walk(session)
+        for state in (states[2], states[4], states[2], states[4], states[2]):
+            session.final_weight(state)
+        assert calls == [FIG1_SENTENCE[:2], FIG1_SENTENCE[:4]]
+
+    def test_evicted_state_replays_once(self, toy_model, monkeypatch):
+        calls = self.counting(monkeypatch)
+        session = DynFstSession(toy_model, capacity=2)
+        states = self.walk(session)
+        assert states[2] not in session._resident
+        before = session.stats.as_dict()
+        weight = session.final_weight(states[2])
+        after = session.stats.as_dict()
+        # the replay from the start state is counted like any other
+        assert after["replays"] == before["replays"] + 1
+        assert after["replayed_steps"] == before["replayed_steps"] + 2
+        assert after["expansions"] == before["expansions"] + 1
+        assert calls == [FIG1_SENTENCE[:2]]
+        # remembered: asking again neither replays nor recomputes
+        assert session.final_weight(states[2]) == weight
+        assert session.stats.as_dict() == after and len(calls) == 1
 
 
 class TestUnknownStates:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
-                   AlignmentHypothesis, DeadHistoryError, NfclmModel,
-                   UniformModel, advance, build_from_entities, class_prefix,
+                   AlignmentHypothesis, ConditionalSymbolModel, DeadHistoryError,
+                   NfclmModel, UniformModel, advance, build_from_entities, class_prefix,
                    decider_history, eos_logprob, exact_alignment_histories,
                    exact_next_dist, exact_sequence_logprob, extend, last_class,
                    load_class_alphabet, load_vocabulary, next_dist, sample,
@@ -571,13 +571,53 @@ class TestNormalization:
             assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+class ReorderedBackground(ConditionalSymbolModel):
+    """A background model whose alphabet and distributions run in reverse order."""
+
+    def __init__(self, inner: ConditionalSymbolModel):
+        self.inner = inner
+
+    @property
+    def alphabet(self):
+        return tuple(reversed(self.inner.alphabet))
+
+    @property
+    def context_size(self):
+        return self.inner.context_size
+
+    def distribution(self, history):
+        dist = self.inner.distribution(history)
+        return {sym: dist[sym] for sym in reversed(list(dist))}
+
+    def logprob(self, symbol, history):
+        return self.inner.logprob(symbol, history)
+
+
+def log_domain_next_dist(model, beam):
+    """Reference sweep: per-symbol log-domain terms, each summed by log-sum-exp."""
+    terms: dict[str, list[float]] = {}
+    background: list[float] = []
+    for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
+        if arcs is None:
+            background.append(lw)
+            continue
+        for sym, (arc, _) in arcs.items():
+            terms.setdefault(sym, []).append(lw + math.log(arc))
+    if background:
+        share = log_sum_exp(background)
+        context = engine._context(beam.history, model.background.context_size)
+        for sym, p in model.background.distribution(context).items():
+            terms.setdefault(sym, []).append(share + math.log(p))
+    return {sym: math.exp(log_sum_exp(terms[sym]) - beam.log_norm) if sym in terms else 0.0
+            for sym in model.vocabulary.symbols + (EOS,)}
+
+
 class TestNextDist:
     def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst):
         """Entry s is exp of extend's step log-probability; 0 where extend dies."""
-        import dataclasses
-        from conftest import make_toy_model
-        variants = ({}, {"beam_size": 2}, {"beam_delta": 0.5})
+        variants = ({}, {"beam_size": 2}, {"beam_delta": 0.5},
+                    {"beam_size": 10 ** 6, "beam_delta": math.inf}, {"merge": "full"})
         cases = []
         toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
         histories = [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
@@ -586,6 +626,10 @@ class TestNextDist:
         rng = random.Random(1234)
         for _ in range(10):
             cases.append(random_instance(rng))
+        # keys follow the vocabulary, not the background's own order
+        model, histories = cases[1]
+        cases.append((dataclasses.replace(
+            model, background=ReorderedBackground(model.background)), histories))
         checked = zeros = 0
         for base, histories in cases:
             for kwargs in variants:
@@ -609,6 +653,27 @@ class TestNextDist:
                         math.exp(eos_logprob(model, beam)), rel=1e-12, abs=0)
                     checked += 1
         assert checked > 100 and zeros > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_linear_sweep_matches_log_domain_reference(self, seed):
+        """Within 1e-12 relative of the log-domain sweep, and sums to 1."""
+        model, histories = random_instance(random.Random(seed))
+        for variant in (model, dataclasses.replace(model, beam_size=3)):
+            for history in histories:
+                try:
+                    beam = advance(variant, history)
+                except DeadHistoryError:
+                    continue
+                dist = next_dist(variant, beam)
+                want = log_domain_next_dist(variant, beam)
+                assert list(dist) == list(want)
+                for sym, p in want.items():
+                    if p == 0.0:
+                        assert dist[sym] == 0.0, (history, sym)
+                    else:
+                        assert abs(dist[sym] - p) <= 1e-12 * p, (history, sym)
+                assert abs(math.fsum(dist.values()) - 1.0) <= 1e-12
 
 
 class TestOracleEquivalence:

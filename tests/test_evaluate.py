@@ -330,6 +330,60 @@ class TestBundle:
         assert main(["ppl", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1
         assert capsys.readouterr().err.startswith(f"nfclm: error: {path}: ")
 
+    @pytest.mark.parametrize("component,lost", [
+        ("background", "<s>"), ("background", "_ro"), ("decider", "<s>"),
+        ("decider", "_ro"), ("decider", "@song")])
+    def test_history_alphabet_checked_at_load(self, toy_vocab, toy_classes, song_fst,
+                                              artist_fst, tmp_path, capsys, component,
+                                              lost):
+        """A component binary whose history alphabet lacks a symbol fails the load."""
+        from nfclm import BackoffNGram, DeciderModel, NfclmModel, train_decider
+        from nfclm.cli import main
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+
+        def without(ngram):
+            # the same counts over a history alphabet that has lost one symbol
+            cut = BackoffNGram(ngram.order, ngram.discount, ngram.alphabet,
+                               ngram.history_alphabet - {lost})
+            cut.counts = ngram.counts
+            return cut
+
+        if component == "background":
+            data = without(background).serialize()
+        else:
+            data = DeciderModel(without(decider.ngram), decider.prior,
+                                alpha=decider.alpha, floor=decider.floor).serialize()
+        path = tmp_path / "b" / f"{component}.bin"
+        path.write_bytes(data)
+        message = f"{path}: {component} history alphabet lacks {lost!r}"
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.load(tmp_path / "b")
+        assert str(info.value) == message
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("_play _ro sie\n", encoding="utf-8")
+        assert main(["score", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr() == ("", f"nfclm: error: {message}\n")
+
+    def test_mislabeled_fst_names_its_file(self, toy_vocab, toy_classes, song_fst,
+                                           artist_fst, tmp_path):
+        from nfclm import NfclmModel, train_decider
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+        path = tmp_path / "b" / "@song.fst"
+        path.write_bytes((tmp_path / "b" / "@artist.fst").read_bytes())
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.load(tmp_path / "b")
+        assert str(info.value) == f"{path}: FST labeled '@artist' registered under '@song'"
+
     def test_version_mismatch(self, tmp_path):
         import json
         d = tmp_path / "b"

@@ -176,6 +176,59 @@ class TestDeciderBinary:
             bundle.load(packed)
 
 
+class TestExtremeDeciderSettings:
+    """Finite settings that under- or overflow the direct prior scaling still score."""
+
+    CORPUS = "_play _ro sie\n_by _browne\n_play\n"
+
+    def scores(self, packed, capsys, *flags):
+        corpus = packed / "corpus.txt"
+        corpus.write_text(self.CORPUS, encoding="utf-8")
+        # unpruned, so that no alignment the extreme shares starve is cut off
+        code = main(["score", "--bundle", str(packed), "--corpus", str(corpus), "--exact",
+                     *flags])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), err
+        scores = [float(line.split("\t")[0]) for line in out.splitlines()]
+        assert len(scores) == 3 and all(math.isfinite(x) for x in scores), out
+        return scores
+
+    @pytest.mark.parametrize("alpha", ["700", "1e300", "1.7e308"])
+    def test_alpha_flag(self, packed, capsys, alpha):
+        self.scores(packed, capsys, "--alpha", alpha)
+
+    def test_manifest_alpha(self, packed, capsys):
+        rewrite_manifest(packed, alpha=1e300)
+        self.scores(packed, capsys)
+
+    def test_subnormal_prior_entry(self, packed, capsys):
+        path = packed / "decider.bin"
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, decider_offsets(data)["prior"], 5e-324)
+        path.write_bytes(bytes(data))
+        self.scores(packed, capsys)
+
+    def test_every_share_positive_and_normalized(self):
+        from nfclm.seqmodel import renormalize_by_prior
+        raw = {"@bg": 0.8, "@song": 0.15, "@artist": 0.05}
+        prior = {"@bg": 0.6, "@song": 0.3, "@artist": 0.1}
+        for alpha in (700.0, 1e300, 1.7e308):
+            out = renormalize_by_prior(raw, prior, alpha)
+            assert all(p > 0 for p in out.values())
+            assert math.fsum(out.values()) == pytest.approx(1.0, abs=1e-12)
+            assert max(out, key=out.get) == "@artist"  # the smallest prior
+
+    def test_log_space_matches_direct_form(self):
+        from nfclm.seqmodel import _scale_by_prior, _scale_in_log_space
+        raw = {"@bg": 0.8, "@song": 0.15, "@artist": 0.05}
+        prior = {"@bg": 0.6, "@song": 0.3, "@artist": 0.1}
+        for alpha in (0.0, 0.5, 1.0, 3.0, 50.0):
+            direct = _scale_by_prior(raw, prior, alpha)
+            logs = _scale_in_log_space(raw, prior, alpha)
+            for c in raw:
+                assert logs[c] == pytest.approx(direct[c], rel=1e-12)
+
+
 # arbitrary JSON values, including those that json writes as NaN and Infinity
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
