@@ -103,6 +103,10 @@ def _read_manifest(directory) -> dict:
         if not isinstance(manifest.get(key), dict):
             raise BundleError(f"{path}: manifest {key!r} must be an object, "
                               f"got {manifest.get(key)!r}")
+        for name, value in manifest[key].items():
+            if not isinstance(value, str):
+                raise BundleError(f"{path}: manifest {key!r} entry {name!r} must be "
+                                  f"a file name, got {value!r}")
     for key in COMPONENT_KEYS:
         if key not in manifest["files"]:
             raise BundleError(f"{path}: manifest 'files' has no {key!r}")
@@ -131,7 +135,7 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
     corrupt binary.
     """
     def component(path):
-        if not os.path.exists(path):
+        if not os.path.isfile(path):  # a directory is no component file either
             raise BundleError(f"missing component file {os.fspath(path)!r}")
         return path
 

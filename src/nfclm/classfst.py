@@ -15,11 +15,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .serialization import ByteReader, ByteWriter, SerializationError
+from .serialization import ByteReader, ByteWriter, SerializationError, record
 from .vocab import Vocabulary, read_lines
 
 MAGIC = b"PCFST\x00"
 VERSION = 1
+# a state's (exit probability, arc count); an arc's (probability, destination)
+PROB_ID = record("dI")
 
 Entity = tuple[tuple[str, ...], float]
 
@@ -75,11 +77,54 @@ class ProbClassFst:
         return current
 
     def validate(self, tol: float = 1e-9) -> None:
-        """Raise ValueError on any violated structural invariant."""
+        """Raise ValueError on any violated structural invariant.
+
+        A table that fails the fast check of ``_sound`` is checked again
+        one state and one arc at a time, which names its first fault.
+        """
         if not self.arcs or len(self.arcs) != len(self.exits):
             raise ValueError(f"{self.label}: inconsistent state tables")
         if self.exits[self.start] != 0.0:
             raise ValueError(f"{self.label}: start state has nonzero exit probability")
+        if not self._sound(tol):
+            self._name_fault(tol)
+
+    def _sound(self, tol: float) -> bool:
+        """Whether every state passes the checks of ``_name_fault``.
+
+        A state with one arc is checked by hand, one with more by fsum,
+        min and max over its arcs.  Each test fails on NaN: a NaN arc
+        probability makes the state's mass NaN.
+        """
+        num_states = len(self.arcs)
+        reachable = {self.start}
+        fsum = math.fsum
+        for state, (out, exit_p) in enumerate(zip(self.arcs, self.exits)):
+            if not out:
+                if not (0.0 <= exit_p <= 1.0 and abs(exit_p - 1.0) <= tol):
+                    return False
+            elif len(out) == 1:
+                ((prob, dest),) = out.values()
+                # the fsum of one term is that term
+                if not (0.0 <= exit_p < 1.0 and abs(prob + exit_p - 1.0) <= tol
+                        and 0.0 < prob <= 1.0 and state < dest < num_states):
+                    return False
+                reachable.add(dest)
+            else:
+                probs, dests = zip(*out.values())
+                try:
+                    total = fsum(probs) + exit_p
+                except (ValueError, OverflowError):
+                    return False
+                if not (0.0 <= exit_p < 1.0 and abs(total - 1.0) <= tol
+                        and min(probs) > 0.0 and max(probs) <= 1.0
+                        and min(dests) > state and max(dests) < num_states):
+                    return False
+                reachable.update(dests)
+        return len(reachable) == num_states
+
+    def _name_fault(self, tol: float) -> None:
+        """Check a state and an arc at a time; raise on the first fault."""
         reachable = {self.start}
         for state, out in enumerate(self.arcs):
             exit_p = self.exits[state]
@@ -87,7 +132,11 @@ class ProbClassFst:
                 raise ValueError(f"{self.label}: exit probability out of range at state {state}")
             if exit_p == 1.0 and out:
                 raise ValueError(f"{self.label}: arcs leave full-exit state {state}")
-            total = math.fsum(p for p, _ in out.values()) + exit_p
+            probs = [p for p, _ in out.values()]
+            try:
+                total = math.fsum(probs) + exit_p
+            except OverflowError:  # the exact sum overflows: so does the plain one
+                total = sum(probs) + exit_p
             if abs(total - 1.0) > tol:
                 raise ValueError(
                     f"{self.label}: state {state} mass {total!r} is not stochastic"
@@ -134,20 +183,20 @@ class ProbClassFst:
         num_states = r.u32()
         arcs: list[dict[str, tuple[float, int]]] = []
         exits: list[float] = []
+        read_record, read_string = r.record, r.string
         for state in range(num_states):
-            exits.append(r.f64())
-            n_arcs = r.u32()
+            exit_p, n_arcs = read_record(PROB_ID)
+            exits.append(exit_p)
             out: dict[str, tuple[float, int]] = {}
             for _ in range(n_arcs):
                 at = r.offset
-                symbol = r.string()
-                prob = r.f64()
-                dest = r.u32()
+                symbol = read_string()
+                prob_dest = read_record(PROB_ID)
                 if symbol in out:
                     raise SerializationError(
                         f"duplicate arc symbol {symbol!r} at state {state}", at
                     )
-                out[symbol] = (prob, dest)
+                out[symbol] = prob_dest
             arcs.append(out)
         r.done()
         fst = cls(label=label, arcs=arcs, exits=exits,

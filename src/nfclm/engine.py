@@ -59,6 +59,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .classfst import ProbClassFst
@@ -174,16 +175,18 @@ class NfclmModel:
             raise ValueError(
                 f"class FSTs {sorted(have)} do not match class alphabet {sorted(wanted)}"
             )
+        symbols = set(self.vocabulary.symbols)
         for label, fst in self.class_fsts.items():
             if fst.label != label:
                 raise ComponentError(label, f"FST labeled {fst.label!r} registered under "
                                             f"{label!r}")
-            for out in fst.arcs:
+            if symbols.issuperset(chain.from_iterable(fst.arcs)):
+                continue
+            for out in fst.arcs:  # name the first arc outside the vocabulary
                 for sym in out:
-                    if sym not in self.vocabulary:
+                    if sym not in symbols:
                         raise ComponentError(
                             label, f"{label}: arc symbol {sym!r} is outside the vocabulary")
-        symbols = set(self.vocabulary.symbols)
         if set(self.background.alphabet) != symbols | {EOS}:
             raise ComponentError("background",
                                  "background model must predict the vocabulary plus EOS")

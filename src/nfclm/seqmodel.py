@@ -15,13 +15,14 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .serialization import ByteReader, ByteWriter, SerializationError
+from .serialization import ByteReader, ByteWriter, SerializationError, record
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 NGRAM_MAGIC = b"NGBO\x00"
 NGRAM_VERSION = 1
 DECIDER_MAGIC = b"NDCD\x00"
 DECIDER_VERSION = 1
+NGRAM_COUNT = record("IQ")  # an n-gram count: target symbol id, count
 
 DECIDER_FLOOR = 1e-6
 
@@ -219,16 +220,33 @@ class BackoffNGram(ConditionalSymbolModel):
         history_alphabet = [symbols[r.u32()] for _ in range(r.u32())]
         model = cls(order, discount, predicted, history_alphabet)
         targets = frozenset(predicted)
+        read_record, lookup = r.record, symbols.__getitem__
         for length in range(order):
             n_contexts = r.u32()
             level = model.counts[length]
+            if not n_contexts:  # so a corrupt order of many empty levels builds no records
+                continue
+            # a context's symbol ids and its number of counts
+            context_record = record(f"{length + 1}I")
             for _ in range(n_contexts):
-                context = tuple(symbols[r.u32()] for _ in range(length))
+                at = r.offset
+                try:
+                    *ids, n_counts = read_record(context_record)
+                    context = tuple(map(lookup, ids))
+                except (SerializationError, IndexError):
+                    r.offset = at  # read it again a field at a time: names the first fault
+                    context = tuple(symbols[r.u32()] for _ in range(length))
+                    n_counts = r.u32()
                 table = Counter()
-                for _ in range(r.u32()):
+                for _ in range(n_counts):
                     at = r.offset
-                    sym = symbols[r.u32()]
-                    count = r.u64()
+                    try:
+                        sym_id, count = read_record(NGRAM_COUNT)
+                        sym = symbols[sym_id]
+                    except (SerializationError, IndexError):
+                        r.offset = at
+                        sym = symbols[r.u32()]
+                        count = r.u64()
                     if sym not in targets:
                         raise SerializationError(
                             f"count target {sym!r} is outside the predicted alphabet", at)

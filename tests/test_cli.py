@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nfclm
 from nfclm import (advance, bundle as bundle_mod, exact_sequence_logprob,
                    next_dist, perplexity, rescore_nbest, sequence_logprob)
 from nfclm.cli import _fmt, main
@@ -391,3 +395,17 @@ class TestFailures:
             (workspace / name).unlink()
         second = build_bundle(workspace, capsys)
         assert {p.name: p.read_bytes() for p in second.iterdir()} == snapshot
+
+
+def test_module_runs_the_command_line(tmp_path):
+    """``python -m nfclm`` runs the same command line from a source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nfclm.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    ran = subprocess.run([sys.executable, "-m", "nfclm", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert ran.returncode == 0 and ran.stdout.startswith("usage: nfclm "), ran.stderr
+    ran = subprocess.run([sys.executable, "-m", "nfclm", "score", "--bundle",
+                          str(tmp_path / "none"), "--corpus", "-"], env=env, input="",
+                         capture_output=True, text=True, timeout=60)
+    assert (ran.returncode, ran.stdout) == (1, "")
+    assert ran.stderr.startswith("nfclm: error: missing manifest at "), ran.stderr

@@ -8,6 +8,7 @@ all reach those rules, and a bad value is named by where it came from.
 
 import json
 import math
+import os
 import struct
 
 import pytest
@@ -132,6 +133,34 @@ class TestManifestSettings:
     def test_library_alpha_override_checked(self, packed):
         with pytest.raises(bundle.BundleError, match="alpha must be a finite number"):
             bundle.load(packed, alpha=math.inf)
+
+
+class TestManifestComponents:
+    @pytest.mark.parametrize("section,key,value", [
+        ("class_fsts", "@song", 5), ("files", "vocabulary", None),
+        ("files", "decider", ["decider.bin"]), ("class_fsts", "@artist", {"a": 1})])
+    def test_non_string_entry_names_key(self, packed, capsys, section, key, value):
+        manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
+        path = rewrite_manifest(packed, **{section: {**manifest[section], key: value}})
+        prefix = f"{path}: manifest {section!r} entry {key!r} must be a file name, got "
+        for call in (bundle.load, bundle.size_report):
+            with pytest.raises(bundle.BundleError) as info:
+                call(packed)
+            assert str(info.value) == prefix + repr(value)
+        corpus = packed / "corpus.txt"
+        corpus.write_text("_play _ro sie\n", encoding="utf-8")
+        assert main(["score", "--bundle", str(packed), "--corpus", str(corpus)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"nfclm: error: {prefix}")
+
+    @pytest.mark.parametrize("name", [".", "sub", ""])
+    def test_directory_is_a_missing_component(self, packed, name):
+        (packed / "sub").mkdir()
+        manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
+        rewrite_manifest(packed, files={**manifest["files"], "background": name})
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.load(packed)
+        assert str(info.value) == f"missing component file {os.path.join(packed, name)!r}"
 
 
 def decider_offsets(data):
@@ -272,5 +301,37 @@ def test_fuzzed_manifest_settings(fuzz_bundle, values):
             got = model.decider.alpha if key == "alpha" else getattr(model, key)
             assert got == value or key == "alpha" and value is None
         assert math.isfinite(model.decider.alpha) and model.decider.alpha >= 0
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+
+MANIFEST_KEYS = st.sampled_from([*bundle.COMPONENT_KEYS, "@song", "@artist", "extra"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(section=st.sampled_from(["files", "class_fsts"]),
+       value=st.one_of(JSON_VALUES, st.dictionaries(MANIFEST_KEYS, JSON_VALUES, min_size=1)))
+def test_fuzzed_manifest_components(fuzz_bundle, section, value):
+    """A manifest's component entries either load or are named: the
+    section, the key of a non-string entry, or the missing file."""
+    directory, original = fuzz_bundle
+    path = directory / "manifest.json"
+    manifest = json.loads(original)
+    manifest[section] = {**manifest[section], **value} if isinstance(value, dict) else value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    try:
+        bundle.load(directory)
+    except bundle.BundleError as exc:
+        message = str(exc)
+        if not isinstance(value, dict):
+            assert message.startswith(f"{path}: manifest {section!r} must be an object"), message
+        elif any(not isinstance(v, str) for v in value.values()):
+            assert any(message.startswith(f"{path}: manifest {section!r} entry {key!r} ")
+                       for key, v in value.items() if not isinstance(v, str)), message
+        else:
+            assert message in {f"missing component file {os.path.join(directory, v)!r}"
+                               for v in value.values()}, message
+    else:
+        assert isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
     finally:
         path.write_text(original, encoding="utf-8")
