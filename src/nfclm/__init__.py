@@ -18,8 +18,7 @@ from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
 from .evaluate import (FusionWeights, NBestEntry, PerplexityReport,
                        RescoredEntry, perplexity, rescore_nbest)
 from .seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
-                       UniformModel, renormalize_by_prior, train_decider,
-                       train_ngram)
+                       renormalize_by_prior, train_decider, train_ngram)
 from .vocab import (BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary,
                     detokenize, load_class_alphabet, load_vocabulary,
                     tokenize)
@@ -32,7 +31,7 @@ __all__ = [
     "BackoffNGram", "CfgGrammar", "ClassAlphabet", "ConditionalSymbolModel",
     "DeadHistoryError", "DeciderModel", "DynFstSession", "EOS", "EPSILON",
     "FusionWeights", "NBestEntry", "NfclmModel", "PerplexityReport",
-    "ProbClassFst", "RescoredEntry", "UniformModel", "Vocabulary", "advance",
+    "ProbClassFst", "RescoredEntry", "Vocabulary", "advance",
     "build_from_entities", "bundle", "class_prefix", "decider_history",
     "detokenize", "eos_logprob", "exact_alignment_histories", "exact_next_dist",
     "exact_sequence_logprob", "expand", "expand_tagged", "extend",

@@ -2,7 +2,8 @@
 
 Layout: ``manifest.json`` plus one file per component (vocabulary and
 class alphabet as text, background/decider/class FSTs as versioned
-binaries).  Class FSTs are separate files on purpose: editing one
+binaries), which the manifest names by a plain file name in the same
+directory.  Class FSTs are separate files on purpose: editing one
 class's entities and repacking rewrites only that component.  The
 manifest's three model settings are checked by their classes' rules
 (``alpha`` null keeps the decider's); older manifests may also hold
@@ -104,7 +105,9 @@ def _read_manifest(directory) -> dict:
             raise BundleError(f"{path}: manifest {key!r} must be an object, "
                               f"got {manifest.get(key)!r}")
         for name, value in manifest[key].items():
-            if not isinstance(value, str):
+            # a plain name, so that every component lies in the bundle's directory
+            if not (isinstance(value, str) and value == os.path.basename(value)
+                    and value not in (".", "..")):
                 raise BundleError(f"{path}: manifest {key!r} entry {name!r} must be "
                                   f"a file name, got {value!r}")
     for key in COMPONENT_KEYS:

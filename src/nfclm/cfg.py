@@ -136,22 +136,15 @@ def write_corpus(sentences: Iterable[Sequence[str]], path) -> None:
             fh.write(" ".join(sentence) + "\n")
 
 
-def read_corpus(source, alphabet=None, name: str = "<corpus>") -> list[tuple[str, ...]]:
-    """Sentences of whitespace-separated symbols, one per nonblank line.
-
-    ``source`` is read by :func:`nfclm.vocab.read_lines`, lines named
-    ``name``.  With an ``alphabet`` (a container of symbols), every
-    symbol must belong to it.
-    """
-    return [sentence for _, sentence in read_numbered_corpus(source, alphabet, name)[1]]
-
-
 def read_numbered_corpus(source, alphabet=None, name: str = "<corpus>"
                          ) -> tuple[str, list[tuple[int, tuple[str, ...]]]]:
-    """The input's name and its ``read_corpus`` sentences, each with its line number.
+    """The input's name and its sentences, each with its line number.
 
-    Lines count from 1 and include blank lines, so an error about a
-    sentence can start with ``f"{name}:{line}: "``.
+    A sentence is the whitespace-separated symbols of one nonblank line.
+    ``source`` is read by :func:`nfclm.vocab.read_lines`, lines named
+    ``name``.  With an ``alphabet`` (a container of symbols), every
+    symbol must belong to it.  Lines count from 1 and include blank
+    lines, so an error about a sentence can start with ``f"{name}:{line}: "``.
     """
     name, lines = read_lines(source, name)
     numbered = []

@@ -22,6 +22,8 @@ MAGIC = b"PCFST\x00"
 VERSION = 1
 # a state's (exit probability, arc count); an arc's (probability, destination)
 PROB_ID = record("dI")
+# how far a state's exit plus arc probabilities may stray from 1
+MASS_TOLERANCE = 1e-9
 
 Entity = tuple[tuple[str, ...], float]
 
@@ -66,9 +68,9 @@ class ProbClassFst:
         self._check_state(state)
         return self.exits[state]
 
-    def walk(self, symbols: Sequence[str], state: Optional[int] = None) -> Optional[int]:
-        """Follow ``symbols`` from ``state`` (default start); None on a miss."""
-        current = self.start if state is None else state
+    def walk(self, symbols: Sequence[str]) -> Optional[int]:
+        """Follow ``symbols`` from the start state; None on a miss."""
+        current = self.start
         for sym in symbols:
             nxt = self.step(current, sym)
             if nxt is None:
@@ -76,7 +78,7 @@ class ProbClassFst:
             current = nxt
         return current
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Raise ValueError on any violated structural invariant.
 
         A table that fails the fast check of ``_sound`` is checked again
@@ -86,10 +88,10 @@ class ProbClassFst:
             raise ValueError(f"{self.label}: inconsistent state tables")
         if self.exits[self.start] != 0.0:
             raise ValueError(f"{self.label}: start state has nonzero exit probability")
-        if not self._sound(tol):
-            self._name_fault(tol)
+        if not self._sound():
+            self._name_fault()
 
-    def _sound(self, tol: float) -> bool:
+    def _sound(self) -> bool:
         """Whether every state passes the checks of ``_name_fault``.
 
         A state with one arc is checked by hand, one with more by fsum,
@@ -101,12 +103,12 @@ class ProbClassFst:
         fsum = math.fsum
         for state, (out, exit_p) in enumerate(zip(self.arcs, self.exits)):
             if not out:
-                if not (0.0 <= exit_p <= 1.0 and abs(exit_p - 1.0) <= tol):
+                if not (0.0 <= exit_p <= 1.0 and abs(exit_p - 1.0) <= MASS_TOLERANCE):
                     return False
             elif len(out) == 1:
                 ((prob, dest),) = out.values()
                 # the fsum of one term is that term
-                if not (0.0 <= exit_p < 1.0 and abs(prob + exit_p - 1.0) <= tol
+                if not (0.0 <= exit_p < 1.0 and abs(prob + exit_p - 1.0) <= MASS_TOLERANCE
                         and 0.0 < prob <= 1.0 and state < dest < num_states):
                     return False
                 reachable.add(dest)
@@ -116,14 +118,14 @@ class ProbClassFst:
                     total = fsum(probs) + exit_p
                 except (ValueError, OverflowError):
                     return False
-                if not (0.0 <= exit_p < 1.0 and abs(total - 1.0) <= tol
+                if not (0.0 <= exit_p < 1.0 and abs(total - 1.0) <= MASS_TOLERANCE
                         and min(probs) > 0.0 and max(probs) <= 1.0
                         and min(dests) > state and max(dests) < num_states):
                     return False
                 reachable.update(dests)
         return len(reachable) == num_states
 
-    def _name_fault(self, tol: float) -> None:
+    def _name_fault(self) -> None:
         """Check a state and an arc at a time; raise on the first fault."""
         reachable = {self.start}
         for state, out in enumerate(self.arcs):
@@ -137,7 +139,7 @@ class ProbClassFst:
                 total = math.fsum(probs) + exit_p
             except OverflowError:  # the exact sum overflows: so does the plain one
                 total = sum(probs) + exit_p
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > MASS_TOLERANCE:
                 raise ValueError(
                     f"{self.label}: state {state} mass {total!r} is not stochastic"
                 )

@@ -34,7 +34,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("NFCLM_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"NFCLM_SEED must be an integer, got {env!r}") from None
 
 
 _OPTIONS = {
@@ -195,7 +200,7 @@ def cmd_next(args) -> int:
 
 def cmd_rescore(args) -> int:
     model = _load_bundle(args)
-    entries = parse_nbest_file(args.nbest, references=args.references)
+    entries = parse_nbest_file(args.nbest)
     weights = FusionWeights(lm_weight=args.lm_weight, ilm_weight=args.ilm_weight)
     # each utterance is its own n-best list, in order of first appearance
     utterances: dict[str, list] = {}
@@ -322,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rescore", help="shallow-fusion n-best rescoring")
     p.add_argument("--bundle", required=True)
     p.add_argument("--nbest", required=True)
-    p.add_argument("--references", default=None)
     p.add_argument("--lm-weight", type=float, default=0.0)
     p.add_argument("--ilm-weight", type=float, default=0.0)
     _add_options(p, *_MODEL_OPTIONS, "--exact")

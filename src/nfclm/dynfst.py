@@ -75,9 +75,6 @@ class DynFstSession:
     def _install(self, state_id: int, beam: AlignmentBeam) -> None:
         self._resident[state_id] = beam
         self.stats.expansions += 1
-        self._enforce_capacity()
-
-    def _enforce_capacity(self) -> None:
         # the start beam, held apart, takes one of the ``capacity`` slots
         while self.capacity is not None and len(self._resident) >= self.capacity:
             self._resident.popitem(last=False)
@@ -156,18 +153,6 @@ class DynFstSession:
         if state_id not in self._finals:
             self._finals[state_id] = self._final_of(self._resolve(state_id))
         return self._finals[state_id]
-
-    def evict_and_replay(self, capacity: Optional[int] = None) -> SessionStats:
-        """Shrink the resident set (to ``capacity`` if given) and report stats.
-
-        Evicted states are reconstructed transparently on next touch.
-        """
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError("capacity must allow at least the start state")
-            self.capacity = capacity
-        self._enforce_capacity()
-        return self.stats
 
     def dump(self) -> str:
         """Text rendering of everything expanded so far.

@@ -118,10 +118,6 @@ class AlignmentHypothesis:
     position: Position
     log_weight: float
 
-    @property
-    def key(self) -> tuple[tuple[str, ...], Position]:
-        return (self.decider_history, self.position)
-
 
 @dataclass
 class AlignmentBeam:
@@ -136,9 +132,6 @@ class AlignmentBeam:
     log_norm: float = 0.0
     size_limit: int = DEFAULT_BEAM_SIZE
     delta: float = DEFAULT_BEAM_DELTA
-
-    def decider_histories(self) -> list[tuple[str, ...]]:
-        return [h.decider_history for h in self.hypotheses]
 
 
 @dataclass

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import NfclmModel, sequence_logprobs
 from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob
@@ -32,7 +31,6 @@ class NBestEntry:
     asr_score: float
     ilm_score: float
     tokens: tuple[str, ...]
-    reference: Optional[str] = None
 
     def __post_init__(self):
         if not math.isfinite(self.asr_score) or not math.isfinite(self.ilm_score):
@@ -136,27 +134,13 @@ def rescore_nbest(model: NfclmModel, entries: Sequence[NBestEntry],
     return rescored
 
 
-def parse_nbest_file(source, references=None) -> list[NBestEntry]:
+def parse_nbest_file(source) -> list[NBestEntry]:
     """Read entries: ``utt-id TAB asr TAB ilm TAB tokens`` per line.
 
     ``source`` is read by :func:`nfclm.vocab.read_lines`, lines named
-    ``<n-best>``.  ``references`` optionally maps utterance ids to
-    transcripts, or is read the same way as ``utt-id TAB transcript``
-    lines named ``<references>``.
+    ``<n-best>``.
     """
     name, lines = read_lines(source, "<n-best>")
-    refs = {}
-    if isinstance(references, Mapping):
-        refs = dict(references)
-    elif references is not None:
-        ref_name, ref_lines = read_lines(references, "<references>")
-        for i, line in enumerate(ref_lines, start=1):
-            if line.strip():
-                utt, tab, text = line.partition("\t")
-                if not tab:
-                    raise ValueError(f"{ref_name}:{i}: expected utt-id TAB transcript, "
-                                     "found no tab")
-                refs[utt] = text
     entries = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
@@ -166,8 +150,7 @@ def parse_nbest_file(source, references=None) -> list[NBestEntry]:
             raise ValueError(f"{name}:{i}: expected 4 tab-separated fields, got {len(parts)}")
         utt, asr, ilm, hyp = parts
         try:
-            entry = NBestEntry(utt, float(asr), float(ilm), tuple(hyp.split()),
-                               reference=refs.get(utt))
+            entry = NBestEntry(utt, float(asr), float(ilm), tuple(hyp.split()))
         except ValueError as exc:
             raise ValueError(f"{name}:{i}: {exc}") from exc
         entries.append(entry)

@@ -64,29 +64,6 @@ class ConditionalSymbolModel(ABC):
         return math.log(self.distribution(history)[symbol])
 
 
-class UniformModel(ConditionalSymbolModel):
-    """History-independent uniform distribution; handy as a toy background."""
-
-    def __init__(self, alphabet: Sequence[str]):
-        if not alphabet:
-            raise ValueError("uniform model needs a nonempty alphabet")
-        self._alphabet = tuple(alphabet)
-        self._symbols = frozenset(self._alphabet)
-        self._p = 1.0 / len(self._alphabet)
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return self._alphabet
-
-    def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        return {sym: self._p for sym in self._alphabet}
-
-    def logprob(self, symbol: str, history: Sequence[str]) -> float:
-        if symbol not in self._symbols:
-            raise KeyError(f"unknown symbol {symbol!r}")
-        return math.log(self._p)
-
-
 class BackoffNGram(ConditionalSymbolModel):
     """Interpolated absolute-discounting n-gram.
 
@@ -267,15 +244,6 @@ class BackoffNGram(ConditionalSymbolModel):
             raise SerializationError(f"corrupt n-gram payload: {exc}", r.offset) from exc
         r.done()
         return model
-
-    def dump_counts(self) -> str:
-        lines = []
-        for length, level in enumerate(self.counts):
-            for context in sorted(level):
-                prefix = " ".join(context)
-                for sym in sorted(level[context]):
-                    lines.append(f"{length}\t{prefix}\t{sym}\t{level[context][sym]}")
-        return "\n".join(lines) + "\n"
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
@@ -514,22 +482,19 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
     return DeciderModel(ngram, prior, alpha=alpha)
 
 
-def ngram_sequence_logprob(model: ConditionalSymbolModel, symbols: Sequence[str],
-                           include_eos: bool = True) -> float:
-    """Chain-rule sentence log-probability under a plain symbol model."""
+def ngram_sequence_logprob(model: ConditionalSymbolModel, symbols: Sequence[str]) -> float:
+    """Chain-rule sentence log-probability under a plain symbol model, EOS included."""
     cs = model.context_size
     seq = (BOS,) * cs + tuple(symbols)
     total = 0.0
     for i in range(cs, len(seq)):
         total += model.logprob(seq[i], seq[i - cs:i])
-    if include_eos:
-        total += model.logprob(EOS, seq[len(seq) - cs:])
-    return total
+    return total + model.logprob(EOS, seq[len(seq) - cs:])
 
 
 # re-export for callers that build toy models
 __all__ = [
-    "ConditionalSymbolModel", "UniformModel", "BackoffNGram", "DeciderModel",
+    "ConditionalSymbolModel", "BackoffNGram", "DeciderModel",
     "train_ngram", "train_decider", "renormalize_by_prior",
     "class_prior_from_corpus", "ngram_sequence_logprob", "DECIDER_FLOOR",
 ]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nfclm import (EOS, NfclmModel, UniformModel, build_from_entities,
+from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, build_from_entities,
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
 
@@ -33,6 +33,11 @@ def artist_fst():
     return build_from_entities("@artist", ARTIST_ENTITIES)
 
 
+def uniform_background(alphabet):
+    """An untrained unigram: every symbol of ``alphabet`` gets 1/len, after any history."""
+    return BackoffNGram(1, 0.5, alphabet, alphabet + (BOS,))
+
+
 def make_toy_model(vocab, classes, song, artist, **kwargs):
     """Uniform background over the toy symbols + EOS, tiny trained decider."""
     decider = train_decider(
@@ -43,7 +48,7 @@ def make_toy_model(vocab, classes, song, artist, **kwargs):
     return NfclmModel(
         vocabulary=vocab,
         classes=classes,
-        background=UniformModel(vocab.symbols + (EOS,)),
+        background=uniform_background(vocab.symbols + (EOS,)),
         class_fsts={"@song": song, "@artist": artist},
         decider=decider,
         **kwargs,

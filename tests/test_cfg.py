@@ -5,7 +5,7 @@ import pytest
 
 from nfclm import (expand, expand_tagged, load_class_alphabet, mix_corpora,
                    parse_grammar, sequence_logprob)
-from nfclm.cfg import read_corpus, write_corpus
+from nfclm.cfg import read_numbered_corpus, write_corpus
 
 from conftest import ARTIST_ENTITIES, SONG_ENTITIES, make_toy_model
 
@@ -163,4 +163,4 @@ class TestCorpusIo:
         path = tmp_path / "corpus.txt"
         sentences = [("a", "b"), ("c",)]
         write_corpus(sentences, path)
-        assert read_corpus(path) == sentences
+        assert read_numbered_corpus(path) == (str(path), [(1, ("a", "b")), (2, ("c",))])

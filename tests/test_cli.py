@@ -171,6 +171,13 @@ class TestPipeline:
         _, b, _ = run(["sample", "--bundle", bundle, "-n", 2, "--seed", 42], capsys)
         assert a == b
 
+    def test_malformed_seed_env_names_the_variable(self, workspace, capsys, monkeypatch):
+        monkeypatch.setenv("NFCLM_SEED", "abc")
+        code, out, err = run(["mix", "--background", workspace / "background.txt",
+                              "--cfg", workspace / "background.txt", "--fraction", 0.5], capsys)
+        assert (code, out, err) == (
+            1, "", "nfclm: error: NFCLM_SEED must be an integer, got 'abc'\n")
+
     def test_dump_dynfst_shows_fig1_labels(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
         code, out, err = run(["dump-dynfst", "--bundle", bundle,
@@ -376,6 +383,7 @@ class TestFailures:
         ["sample", "--bundle", "bundle", "--exact"],
         ["build-fst", "--class-label", "@x", "--entities", "x.txt", "--out", "x.fst",
          "--beam-n", 3],
+        ["rescore", "--bundle", "b", "--nbest", "n", "--references", "r"],
     ])
     def test_options_a_subcommand_ignores_are_rejected(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -46,7 +49,7 @@ class TestTransition:
         state = session.start_state()
         for sym in ("_play", "_ro"):
             state, _ = session.transition(state, sym)
-        got = set(session.beam_of(state).decider_histories())
+        got = {h.decider_history for h in session.beam_of(state).hypotheses}
         assert got == {("_play", "_ro"), ("_play", "@song"), ("_play", "@artist")}
 
     def test_repeated_calls_identical(self, toy_model):
@@ -143,29 +146,29 @@ class TestEviction:
             state, _ = session.transition(state, sym)
             states.append(state)
         session.beam_of(states[1])  # evicted by now: forces a replay
-        stats = session.evict_and_replay()
+        stats = session.stats
         assert stats.replays > 0
         assert stats.evictions > 0
 
     def test_random_walks_with_random_eviction_points(self, toy_model):
         rng = random.Random(5)
         symbols = toy_model.vocabulary.symbols
+        walks = [[rng.choice(symbols) for _ in range(8)] for _ in range(5)]
         reference = DynFstSession(toy_model)
-        cached = DynFstSession(toy_model, capacity=3)
-        for _ in range(5):
-            walk = [rng.choice(symbols) for _ in range(8)]
-            rs, cs = reference.start_state(), cached.start_state()
-            for i, sym in enumerate(walk):
-                if rng.random() < 0.3:
-                    cached.evict_and_replay(capacity=rng.randint(1, 4))
-                r_arc = reference.transition(rs, sym)
-                c_arc = cached.transition(cs, sym)
-                if r_arc is None:
-                    assert c_arc is None
-                    break
-                assert c_arc is not None
-                assert r_arc[1] == c_arc[1]  # 0 ulp
-                rs, cs = r_arc[0], c_arc[0]
+        for capacity in range(1, 5):
+            cached = DynFstSession(toy_model, capacity=capacity)
+            for walk in walks:
+                rs, cs = reference.start_state(), cached.start_state()
+                for sym in walk:
+                    r_arc = reference.transition(rs, sym)
+                    c_arc = cached.transition(cs, sym)
+                    if r_arc is None:
+                        assert c_arc is None
+                        break
+                    assert c_arc is not None
+                    assert r_arc[1] == c_arc[1]  # 0 ulp
+                    rs, cs = r_arc[0], c_arc[0]
+                    assert reference.final_weight(rs) == cached.final_weight(cs)
 
     def test_beam_replay_bit_exact(self, toy_model):
         session = DynFstSession(toy_model, capacity=1)
@@ -361,7 +364,7 @@ class TestFig1Boxes:
         state = session.start_state()
         for sym, want in zip(FIG1_SENTENCE, self.BOXES):
             state, _ = session.transition(state, sym)
-            got = set(session.beam_of(state).decider_histories())
+            got = {h.decider_history for h in session.beam_of(state).hypotheses}
             assert got == want
 
 
@@ -395,3 +398,60 @@ class TestDeterminism:
                     break
                 assert ra == rb
                 sa, sb = ra[0], rb[0]
+
+
+class TestConcurrency:
+    def test_threads_with_own_sessions_match_serial_walk(self):
+        """4 threads, each with its own bounded session over one model whose
+        caches start empty, give the arcs, final weights and stats of a
+        serial walk."""
+        def instance():
+            model, histories = random_instance(random.Random(77))
+            rng = random.Random(3)
+            symbols = model.vocabulary.symbols
+            # prefixes of the live histories plus random tails: walks share
+            # prefixes, so arcs are memoized and evicted beams replayed
+            walks = [h[:cut] + tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+                     for h in histories for cut in range(len(h) + 1)]
+            return model, walks
+
+        def run(model, walks):
+            session = DynFstSession(model, capacity=2)
+            steps, states = [], []
+            for walk in walks:
+                state = session.start_state()
+                for sym in walk:
+                    arc = session.transition(state, sym)
+                    steps.append(None if arc is None else (arc[0], arc[1].hex()))
+                    if arc is None:
+                        break
+                    state = arc[0]
+                    states.append(state)
+                final = session.final_weight(state)
+                steps.append(None if final is None else final.hex())
+            finals = [session.final_weight(s) for s in states]  # replays evicted beams
+            return (steps, [None if f is None else f.hex() for f in finals],
+                    session.stats.as_dict())
+
+        serial = run(*instance())
+        model, walks = instance()
+        model._bg_cache.clear()  # drawing the histories filled them
+        model._decider_cache.clear()
+        model.background._level0 = None
+        model.decider.ngram._level0 = None
+        start = threading.Barrier(4, timeout=30)
+
+        def worker(_):
+            start.wait()
+            return [run(model, walks) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside cache fills too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial[2]["evictions"] > 0 and serial[2]["replays"] > 0
+        assert len(results) == 4
+        assert all(r == serial for rs in results for r in rs)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
                    AlignmentHypothesis, ConditionalSymbolModel, DeadHistoryError,
-                   NfclmModel, UniformModel, advance, build_from_entities, class_prefix,
+                   NfclmModel, advance, build_from_entities, class_prefix,
                    decider_history, eos_logprob, exact_alignment_histories,
                    exact_next_dist, exact_sequence_logprob, extend, last_class,
                    load_class_alphabet, load_vocabulary, next_dist, sample,
@@ -21,7 +21,7 @@ from nfclm.engine import EXACT_HISTORY_LIMIT, MERGE_MODES, _routes, log_sum_exp
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, make_toy_model,
-                      random_instance)
+                      random_instance, uniform_background)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -241,16 +241,16 @@ class TestExtend:
         decider = toy_model.decider_dist(())
         want = decider[BACKGROUND] * (1 / 9)
         assert lp == pytest.approx(math.log(want), abs=1e-12)
-        assert beam.decider_histories() == [("_play",)]
+        assert [h.decider_history for h in beam.hypotheses] == [("_play",)]
 
     def test_second_step_opens_three_alignments(self, toy_model_full):
         beam = advance(toy_model_full, ("_play", "_ro"))
-        assert sorted(beam.decider_histories()) == [
+        assert sorted([h.decider_history for h in beam.hypotheses]) == [
             ("_play", "@artist"), ("_play", "@song"), ("_play", "_ro")]
 
     def test_third_step_kills_artist(self, toy_model_full):
         beam = advance(toy_model_full, ("_play", "_ro", "sie"))
-        assert sorted(beam.decider_histories()) == [
+        assert sorted([h.decider_history for h in beam.hypotheses]) == [
             ("_play", "@song"), ("_play", "_ro", "sie")]
 
     def test_dead_symbol_raises(self, toy_vocab, toy_classes, song_fst, artist_fst):
@@ -291,7 +291,7 @@ class TestExtend:
         model = make_toy_model(toy_vocab, toy_classes, song, artist,
                                beam_size=10 ** 6, beam_delta=float("inf"))
         beam = advance(model, ("sie",) * 4)
-        keys = [h.key for h in beam.hypotheses]
+        keys = [(h.decider_history, h.position) for h in beam.hypotheses]
         assert len(keys) == len(set(keys))
         # merged beam still matches the exact, merge-free enumeration
         exact = exact_next_dist(model, ("sie",) * 4)
@@ -330,7 +330,7 @@ class TestFig1:
         beam = start_beam(model)
         for k, sym in enumerate(FIG1_SENTENCE, start=1):
             beam, _ = extend(model, beam, sym)
-            assert set(beam.decider_histories()) == self.BOXES[k]
+            assert set([h.decider_history for h in beam.hypotheses]) == self.BOXES[k]
 
     def test_best_alignment_factorizes(self, toy_model_exact_beam_full):
         """The green-path weight is the product of its step factors."""
@@ -846,7 +846,7 @@ def bits_cases():
                              ("@song", "_by", "@artist"), ("@artist", "_by", "@song")],
                             vocab, classes, order=2)
     tied = NfclmModel(vocabulary=vocab, classes=classes,
-                      background=UniformModel(vocab.symbols + (EOS,)),
+                      background=uniform_background(vocab.symbols + (EOS,)),
                       class_fsts={"@song": build_from_entities("@song", twins),
                                   "@artist": build_from_entities("@artist", twins)},
                       decider=decider)

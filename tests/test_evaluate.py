@@ -7,12 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from nfclm import (EOS, FusionWeights, NBestEntry, UniformModel, bundle,
+from nfclm import (EOS, FusionWeights, NBestEntry, bundle,
                    load_vocabulary, perplexity, rescore_nbest,
                    sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
 
-from conftest import make_toy_model, random_instance
+from conftest import make_toy_model, random_instance, uniform_background
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -20,7 +20,7 @@ FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 class TestPerplexity:
     def test_uniform_model_identity(self):
         # uniform over 4 symbols incl. EOS mass folded uniformly -> ppl 4
-        model = UniformModel(("a", "b", "c", EOS))
+        model = uniform_background(("a", "b", "c", EOS))
         corpus = [("a", "b"), ("c",), ("b", "a", "c")]
         report = perplexity(model, corpus)
         assert report.perplexity == pytest.approx(4.0, abs=1e-6)
@@ -240,12 +240,8 @@ class TestNBestFile:
         path = tmp_path / "nbest.tsv"
         path.write_text("utt1\t-3.0\t-4.0\t_play _ro sie\n"
                         "utt2\t-1.5\t-2.5\t_browne\n", encoding="utf-8")
-        refs = tmp_path / "refs.tsv"
-        refs.write_text("utt1\tplay rosie\n", encoding="utf-8")
-        entries = parse_nbest_file(path, references=refs)
+        entries = parse_nbest_file(path)
         assert entries[0].tokens == ("_play", "_ro", "sie")
-        assert entries[0].reference == "play rosie"
-        assert entries[1].reference is None
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "nbest.tsv"
@@ -266,19 +262,11 @@ class TestNBestFile:
         with pytest.raises(ValueError, match="^<n-best>:2: expected 4"):
             parse_nbest_file(["utt1\t-3.0\t-4.0\t_play", "utt2\t_play"])
 
-    def test_reference_line_without_tab_rejected(self, tmp_path):
-        path = tmp_path / "nbest.tsv"
-        path.write_text("utt1\t-3.0\t-4.0\t_play _ro sie\n", encoding="utf-8")
-        refs = tmp_path / "refs.tsv"
-        refs.write_text("utt1\tplay rosie\nutt2 play browne\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(refs))}:2: expected utt-id TAB"):
-            parse_nbest_file(path, references=refs)
-
 
 class TestBundle:
     def test_pack_load_same_scores(self, toy_vocab, toy_classes, song_fst,
                                    artist_fst, tmp_path):
-        # the uniform toy background is not packable; use a trained one
+        # a trained background, so that scores depend on the history
         from nfclm import NfclmModel, train_decider
         background = train_ngram([FIG1_SENTENCE, ("_ro", "sie")], toy_vocab, order=2)
         decider = train_decider([("_play", "@song", "_by", "@artist")],

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary,
                    renormalize_by_prior, train_decider, train_ngram)
 from nfclm.serialization import SerializationError
-from nfclm.seqmodel import (BackoffNGram, DeciderModel, UniformModel,
-                            class_prior_from_corpus, ngram_sequence_logprob)
+from nfclm.seqmodel import (BackoffNGram, DeciderModel, class_prior_from_corpus,
+                            ngram_sequence_logprob)
+
+from conftest import uniform_background
 
 
 def reference_prob(corpus, order, discount, alphabet, symbol, history):
@@ -200,12 +202,6 @@ class TestSerialization:
         at = info.value.offset
         assert int.from_bytes(data[at:at + 4], "little") == symbols.index(BOS)
 
-    def test_dump_counts_contains_observations(self):
-        model = train_ngram([("a", "b")], ["a", "b"], order=2)
-        dump = model.dump_counts()
-        assert "0\t\ta\t1" in dump
-        assert "1\ta\tb\t1" in dump
-
 
 class TestRecordedBits:
     """``float.hex`` of probabilities recorded from the per-query loop that
@@ -389,7 +385,7 @@ class TestRenormalizeByPrior:
 
 class TestSequenceLogprob:
     def test_uniform_model_chain(self):
-        model = UniformModel(("a", "b", EOS))
+        model = uniform_background(("a", "b", EOS))
         assert ngram_sequence_logprob(model, ("a", "b")) == pytest.approx(
             3 * math.log(1 / 3))
 

@@ -9,6 +9,7 @@ all reach those rules, and a bad value is named by where it came from.
 import json
 import math
 import os
+import shutil
 import struct
 
 import pytest
@@ -153,7 +154,32 @@ class TestManifestComponents:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"nfclm: error: {prefix}")
 
-    @pytest.mark.parametrize("name", [".", "sub", ""])
+    @pytest.mark.parametrize("section,key", [("files", "classes"), ("class_fsts", "@song")])
+    @pytest.mark.parametrize("where", ["absolute", "parent", "sub", "dot", "dotdot"])
+    def test_entry_outside_the_bundle_names_key(self, packed, capsys, section, key, where):
+        """Only a plain file name is read, even where another names a loadable file."""
+        manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
+        own = manifest[section][key]
+        other = packed.parent / "other"
+        for directory in (other, packed / "sub"):
+            directory.mkdir()
+            shutil.copy(packed / own, directory / own)
+        value = {"absolute": str(other / own), "parent": f"../other/{own}",
+                 "sub": f"sub/{own}", "dot": ".", "dotdot": ".."}[where]
+        path = rewrite_manifest(packed, **{section: {**manifest[section], key: value}})
+        (packed / own).unlink()
+        message = f"{path}: manifest {section!r} entry {key!r} must be a file name, got {value!r}"
+        for call in (bundle.load, bundle.size_report):
+            with pytest.raises(bundle.BundleError) as info:
+                call(packed)
+            assert str(info.value) == message
+        corpus = packed / "corpus.txt"
+        corpus.write_text("_play _ro sie\n", encoding="utf-8")
+        assert main(["score", "--bundle", str(packed), "--corpus", str(corpus)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"nfclm: error: {message}\n")
+
+    @pytest.mark.parametrize("name", ["sub", ""])
     def test_directory_is_a_missing_component(self, packed, name):
         (packed / "sub").mkdir()
         manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
@@ -305,6 +331,13 @@ def test_fuzzed_manifest_settings(fuzz_bundle, values):
         path.write_text(original, encoding="utf-8")
 
 
+def plain_name(value) -> bool:
+    """Whether a manifest entry names a file in the bundle's own directory."""
+    return (isinstance(value, str) and value not in (".", "..")
+            and not os.path.isabs(value)
+            and not any(sep in value for sep in ("/", os.sep, os.altsep) if sep))
+
+
 MANIFEST_KEYS = st.sampled_from([*bundle.COMPONENT_KEYS, "@song", "@artist", "extra"])
 
 
@@ -313,7 +346,8 @@ MANIFEST_KEYS = st.sampled_from([*bundle.COMPONENT_KEYS, "@song", "@artist", "ex
        value=st.one_of(JSON_VALUES, st.dictionaries(MANIFEST_KEYS, JSON_VALUES, min_size=1)))
 def test_fuzzed_manifest_components(fuzz_bundle, section, value):
     """A manifest's component entries either load or are named: the
-    section, the key of a non-string entry, or the missing file."""
+    section, the key of an entry that is no plain file name, or the
+    missing file."""
     directory, original = fuzz_bundle
     path = directory / "manifest.json"
     manifest = json.loads(original)
@@ -325,13 +359,13 @@ def test_fuzzed_manifest_components(fuzz_bundle, section, value):
         message = str(exc)
         if not isinstance(value, dict):
             assert message.startswith(f"{path}: manifest {section!r} must be an object"), message
-        elif any(not isinstance(v, str) for v in value.values()):
+        elif any(not plain_name(v) for v in value.values()):
             assert any(message.startswith(f"{path}: manifest {section!r} entry {key!r} ")
-                       for key, v in value.items() if not isinstance(v, str)), message
+                       for key, v in value.items() if not plain_name(v)), message
         else:
             assert message in {f"missing component file {os.path.join(directory, v)!r}"
                                for v in value.values()}, message
     else:
-        assert isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+        assert isinstance(value, dict) and all(plain_name(v) for v in value.values())
     finally:
         path.write_text(original, encoding="utf-8")

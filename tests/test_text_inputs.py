@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nfclm import (load_class_alphabet, load_entities, load_vocabulary,
                    parse_grammar)
-from nfclm.cfg import read_corpus
+from nfclm.cfg import read_numbered_corpus
 from nfclm.evaluate import parse_nbest_file
 from nfclm.vocab import read_lines
 
@@ -34,9 +34,8 @@ LOADERS = {
                    lambda lines, entity_dir: parse_grammar(lines, entity_dir, VOCAB, CLASSES)),
     "<n-best>": (["u\t-1.5\t0\t_play _ro sie", "", "u\t-2\t0\t_by"],
                  lambda lines, _: parse_nbest_file(lines)),
-    "<references>": (["u\tplay rosie", "v\tplay"],
-                     lambda lines, _: parse_nbest_file(["u\t0\t0\t_play"], references=lines)),
-    "<corpus>": (["_play _ro sie", "", "_by"], lambda lines, _: read_corpus(lines, VOCAB)),
+    "<corpus>": (["_play _ro sie", "", "_by"],
+                 lambda lines, _: read_numbered_corpus(lines, VOCAB)),
 }
 
 PIECES = ["_play", "_ro", "sie", "zzz", "@bg", "@song", "@", "</s>", "x_y", "u",
@@ -93,9 +92,8 @@ BAD_LINE_3 = {
         "@song.txt", "_ro sie\n_ro salie\n_ro zzz\n",
         lambda path: parse_grammar(["_play @song"], path.parent, VOCAB, CLASSES)),
     "n-best fields": ("nbest.tsv", "u\t0\t0\t_play\n\nu\t0\t_play\n", parse_nbest_file),
-    "reference tab": ("refs.tsv", "u\tplay\nv\tplay\nw play\n",
-                      lambda path: parse_nbest_file(["u\t0\t0\t_play"], references=path)),
-    "corpus symbol": ("corpus.txt", "_play\n\n_play zzz\n", lambda path: read_corpus(path, VOCAB)),
+    "corpus symbol": ("corpus.txt", "_play\n\n_play zzz\n",
+                      lambda path: read_numbered_corpus(path, VOCAB)),
 }
 
 
