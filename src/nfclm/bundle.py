@@ -107,7 +107,7 @@ def _read_manifest(directory) -> dict:
         for name, value in manifest[key].items():
             # a plain name, so that every component lies in the bundle's directory
             if not (isinstance(value, str) and value == os.path.basename(value)
-                    and value not in (".", "..")):
+                    and value not in ("", ".", "..")):
                 raise BundleError(f"{path}: manifest {key!r} entry {name!r} must be "
                                   f"a file name, got {value!r}")
     for key in COMPONENT_KEYS:

@@ -59,8 +59,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
 from .seqmodel import ConditionalSymbolModel, DeciderModel, Rule
@@ -103,8 +102,7 @@ class ComponentError(ValueError):
         self.component = component
 
 
-@dataclass(frozen=True)
-class AlignmentHypothesis:
+class AlignmentHypothesis(NamedTuple):
     """One class alignment of the consumed history.
 
     ``decider_history`` is the collapsed history as far as the decider
@@ -173,7 +171,7 @@ class NfclmModel:
             if fst.label != label:
                 raise ComponentError(label, f"FST labeled {fst.label!r} registered under "
                                             f"{label!r}")
-            if symbols.issuperset(chain.from_iterable(fst.arcs)):
+            if symbols.issuperset(fst.symbols):
                 continue
             for out in fst.arcs:  # name the first arc outside the vocabulary
                 for sym in out:
@@ -191,10 +189,12 @@ class NfclmModel:
         _check_histories("decider", self.decider,
                          symbols | {BOS} | set(self.classes.nonbackground))
         # (class, arcs out of its start state; None for the background) in
-        # alphabet order: the routes of every hypothesis whose state exits
+        # alphabet order: the routes of every hypothesis whose state exits.
+        # Every entry reads its class's start state, so those arcs are
+        # copied into a dict once rather than read through a view each time.
         self._entry_routes = tuple(
             (c, None) if c == BACKGROUND
-            else (c, self.class_fsts[c].arcs[self.class_fsts[c].start])
+            else (c, dict(self.class_fsts[c].arcs[self.class_fsts[c].start].items()))
             for c in self.classes.labels)
         self._predicted = self.vocabulary.symbols + (EOS,)
         # per symbol (EOS included), the entry routes that can emit it: the
@@ -229,13 +229,20 @@ class NfclmModel:
             row[symbol] = hit
         return hit
 
-    def decider_dist(self, decider_history: Sequence[str]) -> dict[str, float]:
-        """Renormalized class distribution for a collapsed history."""
-        context = _context(decider_history, self._decider_context_size)
-        hit = self._decider_cache.get(context)
+    def decider_dist(self, decider_history: tuple[str, ...]) -> dict[str, float]:
+        """Renormalized class distribution for a collapsed history.
+
+        The cache is keyed by padded context; a hypothesis's stored
+        history that fills the context is its own key, so it is tried
+        before padding.
+        """
+        hit = self._decider_cache.get(decider_history)
         if hit is None:
-            hit = self.decider.distribution(context)
-            self._decider_cache[context] = hit
+            context = _context(decider_history, self._decider_context_size)
+            hit = self._decider_cache.get(context)
+            if hit is None:
+                hit = self.decider.distribution(context)
+                self._decider_cache[context] = hit
         return hit
 
 
@@ -320,13 +327,14 @@ def _position_sort_key(position: Position) -> tuple[str, int]:
 
 
 def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
-            entries: Sequence[tuple[str, Optional[dict]]]):
+            entries: Sequence[tuple[str, Optional[Mapping]]], stay: bool = True):
     """The mixture step: the routes out of each hypothesis, in a fixed order.
 
     Yields ``(hypothesis, route, arcs, log_weight)``.  A hypothesis inside
     a class span first yields its stay route (``route`` is EPSILON): the
     raw arcs at its class state, whose probabilities already carry the
-    stay mass, at the hypothesis weight.  If its state can exit, one route
+    stay mass, at the hypothesis weight; ``stay=False`` leaves these out
+    for a caller none of them can serve.  If its state can exit, one route
     per entry of ``entries`` follows, weighted hypothesis weight + log
     exit + log decider share: the background route has ``arcs`` None and
     takes the background model's symbol probability, an entry route the
@@ -335,21 +343,23 @@ def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
     of it that can emit one symbol, ``model._symbol_routes[symbol]``.
     Callers add the emitted symbol's log-probability to ``log_weight``.
     """
+    class_fsts, decider_dist, log = model.class_fsts, model.decider_dist, math.log
     for hyp in hypotheses:
-        if hyp.position is None:
-            log_exit = 0.0
+        dh, position, log_weight = hyp
+        if position is None:
+            base = log_weight
         else:
-            label, state = hyp.position
-            fst = model.class_fsts[label]
-            yield hyp, EPSILON, fst.arcs[state], hyp.log_weight
+            label, state = position
+            fst = class_fsts[label]
+            if stay:
+                yield hyp, EPSILON, fst.arcs[state], log_weight
             exit_p = fst.exit_prob(state)
             if exit_p == 0.0:
                 continue
-            log_exit = math.log(exit_p)
-        decider = model.decider_dist(hyp.decider_history)
-        base = hyp.log_weight + log_exit
+            base = log_weight + log(exit_p)
+        decider = decider_dist(dh)
         for c, arcs in entries:
-            yield hyp, c, arcs, base + math.log(decider[c])
+            yield hyp, c, arcs, base + log(decider[c])
 
 
 def _successor(hyp: AlignmentHypothesis, route: str, symbol: str,
@@ -374,7 +384,8 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     log-sum-exp before pruning to the size and log-width limits; the
     history is bounded as ``model.merge`` says.  Only the
     entry routes that can emit ``symbol`` are visited, and hypotheses are
-    built only for the successors that survive pruning.
+    built only for the successors that survive pruning; a lone finite
+    successor is kept without ranking.
     """
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
@@ -399,6 +410,16 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
             slot.append(lw)
     if not merged:
         raise DeadHistoryError(beam.history, symbol)
+    history = beam.history + (symbol,)
+    if len(merged) == 1:
+        # one finite successor survives any pruning; these are the bits
+        # the ranked path below gives it
+        ((dh, pos), weights), = merged.items()
+        weight = log_sum_exp(weights)
+        if -math.inf < weight < math.inf:
+            total = weight + 0.0  # log_sum_exp([weight])
+            return AlignmentBeam(history, [AlignmentHypothesis(dh, pos, weight)], total,
+                                 beam.size_limit, beam.delta), total - beam.log_norm
 
     # best first, ties by (decider history, position), which no two share;
     # each rank holds the negated weight
@@ -415,17 +436,16 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
 
     new_norm = (total if len(kept) == len(ranked)
                 else log_sum_exp([h.log_weight for h in hypotheses]))
-    return AlignmentBeam(beam.history + (symbol,), hypotheses, new_norm,
+    return AlignmentBeam(history, hypotheses, new_norm,
                          beam.size_limit, beam.delta), step_logprob
 
 
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     """log P(EOS | history) under the beam; -inf when no alignment can stop."""
     eos_lp = model.background_logprob(EOS, beam.history)
-    # EOS has the background route alone; stay routes (arcs set) cannot emit it
-    contributions = [lw + eos_lp for _, _, arcs, lw
-                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS])
-                     if arcs is None]
+    # EOS has the background route alone; stay routes cannot emit it
+    contributions = [lw + eos_lp for _, _, _, lw
+                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=False)]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfclm import ProbClassFst, build_from_entities, load_entities
-from nfclm.serialization import SerializationError
+from nfclm.classfst import MAGIC, VERSION
+from nfclm.serialization import ByteWriter, SerializationError
 
 SONG = [("_ro", "sie"), ("_ro", "salie")]
 ARTIST = [("_ro", "berta", "_flack"), ("_browne",)]
@@ -201,6 +203,119 @@ class TestSerialization:
                 fst.validate()  # anything that loads must still be sound
             except SerializationError:
                 pass
+
+
+def v1_file(label, states):
+    """A format-v1 class FST whose states are ``(exit, [(symbol, prob, dest), ...])``,
+    each arc written in the order given."""
+    w = ByteWriter()
+    w.raw(MAGIC)
+    w.u16(VERSION)
+    w.string(label)
+    w.u64(1)
+    w.f64(1.0)
+    w.u32(len(states))
+    for exit_p, arcs in states:
+        w.f64(exit_p)
+        w.u32(len(arcs))
+        for symbol, prob, dest in arcs:
+            w.string(symbol)
+            w.f64(prob)
+            w.u32(dest)
+    return w.getvalue()
+
+
+def random_entities(seed, count):
+    rng = random.Random(seed)
+    symbols = [f"s{i}" for i in range(60)]
+    return [tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+            for _ in range(count)]
+
+
+class TestColumns:
+    """Automata are flat columns read through ``arcs[state]`` views."""
+
+    # the dict form of the @song trie of SONG; state 1 lists its arcs out of
+    # symbol order
+    SONG_DICTS = [{"_ro": (1.0, 1)}, {"sie": (0.5, 2), "salie": (0.5, 3)}, {}, {}]
+
+    @staticmethod
+    def tracked_objects(data):
+        """GC-tracked objects that decoding ``data`` leaves alive.
+
+        The collector is off meanwhile: a collection would untrack
+        containers of atoms, but until one runs, each collection of the
+        young generation walks every container the decoder made.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            fst = ProbClassFst.deserialize(data)
+            count = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        del fst
+        return count
+
+    def test_tracked_objects_do_not_grow_with_states(self):
+        small = build_from_entities("@song", SONG)
+        large = build_from_entities("@big", random_entities(11, 2000))
+        assert large.num_states > 100 * small.num_states
+        assert self.tracked_objects(large.serialize()) == \
+            self.tracked_objects(small.serialize())
+
+    def test_view_behaves_as_its_dict(self):
+        fst = ProbClassFst("@song", self.SONG_DICTS, [0.0, 0.0, 1.0, 1.0])
+        assert fst.arcs == self.SONG_DICTS and self.SONG_DICTS == fst.arcs
+        assert len(fst.arcs) == 4
+        for state, want in enumerate(self.SONG_DICTS):
+            view = fst.arcs[state]
+            assert view == want and want == view
+            assert list(view) == sorted(want)
+            assert view.items() == sorted(want.items())
+            assert view.values() == [want[sym] for sym in sorted(want)]
+            assert len(view) == len(want)
+            for sym in ("_ro", "sie", "salie", "_by", "s"):
+                assert (sym in view) == (sym in want)
+                assert view.get(sym) == want.get(sym)
+                assert view.get(sym, "none") == want.get(sym, "none")
+                if sym in want:
+                    assert view[sym] == want[sym]
+                else:
+                    with pytest.raises(KeyError):
+                        view[sym]
+        assert [dict(view) for view in fst.arcs] == self.SONG_DICTS
+        assert fst.symbols == ("_ro", "salie", "sie")
+        with pytest.raises(IndexError):
+            fst.arcs[4]
+        assert fst.arcs != self.SONG_DICTS[:3]
+
+    def test_built_tries_roundtrip_byte_for_byte(self):
+        for seed, count in ((1, 1), (2, 50), (3, 2000)):
+            fst = build_from_entities("@x", random_entities(seed, count))
+            data = fst.serialize()
+            back = ProbClassFst.deserialize(data)
+            assert back.serialize() == data
+            assert back.arcs == fst.arcs and back.exits == fst.exits
+
+    def test_two_arcs_into_one_destination(self):
+        fst = ProbClassFst.deserialize(v1_file("@x", [
+            (0.0, [("a", 0.25, 1), ("b", 0.75, 1)]), (1.0, [])]))
+        assert fst.arcs[0] == {"a": (0.25, 1), "b": (0.75, 1)}
+        assert fst.step(0, "a") == fst.step(0, "b") == 1
+        assert (fst.arc_prob(0, "a"), fst.arc_prob(0, "b")) == (0.25, 0.75)
+        assert fst.walk(("b",)) == 1 and fst.exit_prob(1) == 1.0
+
+    def test_arcs_out_of_symbol_order(self):
+        fst = ProbClassFst.deserialize(v1_file("@x", [
+            (0.0, [("z", 0.5, 1), ("a", 0.25, 2), ("m", 0.25, 3)]),
+            (0.5, [("b", 0.5, 4)]), (1.0, []), (1.0, []), (1.0, [])]))
+        assert fst.arcs[0] == {"z": (0.5, 1), "a": (0.25, 2), "m": (0.25, 3)}
+        assert list(fst.arcs[0]) == ["a", "m", "z"]
+        assert [fst.step(0, sym) for sym in ("z", "a", "m", "b")] == [1, 2, 3, None]
+        assert [fst.arc_prob(0, sym) for sym in ("z", "a", "m", "b")] == [0.5, 0.25, 0.25, 0.0]
+        assert fst.walk(("z", "b")) == 4 and fst.walk(("a", "b")) is None
 
 
 class TestEntityFiles:

@@ -204,13 +204,13 @@ class TestSymbolRoutes:
         checked = dropped = 0
         for model, histories in cases:
             hyps = self.live_hypotheses(model, histories)
-            every = [(h, route, id(arcs), arcs, lw.hex())
+            every = [(h, route, arcs, lw.hex())
                      for h, route, arcs, lw in _routes(model, hyps, model._entry_routes)]
             for sym in model.vocabulary.symbols + (EOS,):
-                got = [(h, route, id(arcs), arcs, lw.hex()) for h, route, arcs, lw
+                got = [(h, route, arcs, lw.hex()) for h, route, arcs, lw
                        in _routes(model, hyps, model._symbol_routes[sym])]
                 want = [r for r in every
-                        if r[1] == EPSILON or r[3] is None or sym in r[3]]
+                        if r[1] == EPSILON or r[2] is None or sym in r[2]]
                 assert got == want, sym
                 checked += 1
                 dropped += len(every) - len(want)
@@ -232,7 +232,7 @@ class TestSymbolRoutes:
                 if label != BACKGROUND:
                     fst = toy_model.class_fsts[label]
                     assert fst.arc_prob(fst.start, sym) > 0.0
-                    assert arcs is fst.arcs[fst.start]
+                    assert arcs == fst.arcs[fst.start]
 
 
 class TestExtend:
@@ -821,6 +821,64 @@ class TestEos:
             exact = exact_next_dist(toy_model, prefix)
             beam_eos = eos_logprob(toy_model, advance(toy_model, prefix))
             assert beam_eos == pytest.approx(math.log(exact[EOS]), abs=1e-9)
+
+    def test_reads_exits_not_stay_arcs(self, toy_model_full, monkeypatch):
+        """An open span stops only through its exit: EOS reads the exit
+        probability of each hypothesis inside a span, never its arcs, and
+        its value has the bits of keeping the background routes of all
+        routes."""
+        model = toy_model_full
+        reads = Counter()
+
+        class CountingTable:
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, state):
+                reads["arcs"] += 1
+                return self.table[state]
+
+            def __len__(self):
+                return len(self.table)
+
+        def counting_exit(fst):
+            def exit_prob(state):
+                reads["exit"] += 1
+                return type(fst).exit_prob(fst, state)
+            return exit_prob
+
+        for fst in model.class_fsts.values():
+            monkeypatch.setattr(fst, "arcs", CountingTable(fst.arcs))
+            monkeypatch.setattr(fst, "exit_prob", counting_exit(fst))
+        inside = 0
+        for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
+            for k in range(len(history) + 1):
+                beam = advance(model, history[:k])
+                eos_lp = model.background_logprob(EOS, beam.history)
+                terms = [lw + eos_lp for _, _, arcs, lw
+                         in _routes(model, beam.hypotheses, model._symbol_routes[EOS])
+                         if arcs is None]
+                want = log_sum_exp(terms) - beam.log_norm if terms else -math.inf
+                spans = sum(h.position is not None for h in beam.hypotheses)
+                inside += spans
+                reads.clear()
+                assert eos_logprob(model, beam).hex() == want.hex()
+                assert reads == Counter(exit=spans) if spans else not reads
+        assert inside > 5
+
+
+class TestDeciderCache:
+    def test_stored_history_hits_its_padded_context(self, toy_model, toy_model_full):
+        for base in (toy_model, toy_model_full):
+            size = base.decider.context_size
+            for history in [(), ("_play",), ("_play", "@song"), ("_play", "@song", "_by"),
+                            ("@song", "_by", "@artist", "_by", "@song")]:
+                model = dataclasses.replace(base)  # empty caches
+                want = model.decider.distribution(engine._context(history, size))
+                assert model.decider_dist(history) == want
+                assert model.decider_dist(engine._context(history, size)) is \
+                    model.decider_dist(history)
+                assert [len(key) for key in model._decider_cache] == [size]
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------

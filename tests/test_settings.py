@@ -155,7 +155,7 @@ class TestManifestComponents:
         assert out == "" and err.startswith(f"nfclm: error: {prefix}")
 
     @pytest.mark.parametrize("section,key", [("files", "classes"), ("class_fsts", "@song")])
-    @pytest.mark.parametrize("where", ["absolute", "parent", "sub", "dot", "dotdot"])
+    @pytest.mark.parametrize("where", ["absolute", "parent", "sub", "dot", "dotdot", "empty"])
     def test_entry_outside_the_bundle_names_key(self, packed, capsys, section, key, where):
         """Only a plain file name is read, even where another names a loadable file."""
         manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
@@ -165,7 +165,7 @@ class TestManifestComponents:
             directory.mkdir()
             shutil.copy(packed / own, directory / own)
         value = {"absolute": str(other / own), "parent": f"../other/{own}",
-                 "sub": f"sub/{own}", "dot": ".", "dotdot": ".."}[where]
+                 "sub": f"sub/{own}", "dot": ".", "dotdot": "..", "empty": ""}[where]
         path = rewrite_manifest(packed, **{section: {**manifest[section], key: value}})
         (packed / own).unlink()
         message = f"{path}: manifest {section!r} entry {key!r} must be a file name, got {value!r}"
@@ -179,7 +179,7 @@ class TestManifestComponents:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"nfclm: error: {message}\n")
 
-    @pytest.mark.parametrize("name", ["sub", ""])
+    @pytest.mark.parametrize("name", ["sub"])
     def test_directory_is_a_missing_component(self, packed, name):
         (packed / "sub").mkdir()
         manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
@@ -333,7 +333,7 @@ def test_fuzzed_manifest_settings(fuzz_bundle, values):
 
 def plain_name(value) -> bool:
     """Whether a manifest entry names a file in the bundle's own directory."""
-    return (isinstance(value, str) and value not in (".", "..")
+    return (isinstance(value, str) and value not in ("", ".", "..")
             and not os.path.isabs(value)
             and not any(sep in value for sep in ("/", os.sep, os.altsep) if sep))
 
