@@ -48,6 +48,12 @@ fixed summation orders, which keeps repeated runs bit-identical.
 ``next_dist`` sums in the linear domain instead: each route's posterior
 weight times its probabilities, one product per symbol it can emit.
 
+The background and decider lookups are memoized per context key
+(``ConditionalSymbolModel.context_key``), for an n-gram the longest
+suffix of the padded context that has a count table.  Contexts that
+share a key share every value, so the caches hold at most one row per
+stored context plus one, however much a model scores.
+
 Model components never change after construction (internal lookup caches
 only memoize idempotent values), so one model can serve any number of
 concurrent scoring sessions; beams are cheap per-session values.
@@ -205,6 +211,8 @@ class NfclmModel:
             for sym in self._predicted}
         self._bg_context_size = self.background.context_size
         self._decider_context_size = self.decider.context_size
+        self._bg_key = self.background.context_key
+        self._decider_key = self.decider.context_key
         # trailing decider tokens a hypothesis keeps under ``merge``
         self._history_bound = (self._decider_context_size if self.merge == "context"
                                else sys.maxsize)
@@ -214,15 +222,20 @@ class NfclmModel:
     # -- component lookups ------------------------------------------------
 
     def background_logprob(self, symbol: str, history: Sequence[str]) -> float:
-        """Background log P(symbol | history), memoized per padded context.
+        """Background log P(symbol | history), memoized per context key.
 
-        The cache holds one ``{symbol: logprob}`` row per context, so a
-        hit costs two dict lookups and builds no key tuple.
+        The cache holds one ``{symbol: logprob}`` row per key of the padded
+        context (``background.context_key``), so a model with stored
+        contexts bounds its rows.  A padded context that is a key is its
+        own row, found by the first lookup; only a miss computes the key.
         """
         context = _context(history, self._bg_context_size)
         row = self._bg_cache.get(context)
         if row is None:
-            row = self._bg_cache.setdefault(context, {})
+            key = self._bg_key(context)
+            row = self._bg_cache.get(key)
+            if row is None:
+                row = self._bg_cache.setdefault(key, {})
         hit = row.get(symbol)
         if hit is None:
             hit = self.background.logprob(symbol, context)
@@ -232,17 +245,19 @@ class NfclmModel:
     def decider_dist(self, decider_history: tuple[str, ...]) -> dict[str, float]:
         """Renormalized class distribution for a collapsed history.
 
-        The cache is keyed by padded context; a hypothesis's stored
-        history that fills the context is its own key, so it is tried
-        before padding.
+        The cache is keyed like ``background_logprob``'s, by the key of the
+        padded context.  A stored history of exactly ``context_size``
+        tokens is its own padded context; a shorter one is padded first,
+        because it may equal the key of another context.
         """
-        hit = self._decider_cache.get(decider_history)
+        context = (decider_history if len(decider_history) == self._decider_context_size
+                   else _context(decider_history, self._decider_context_size))
+        hit = self._decider_cache.get(context)
         if hit is None:
-            context = _context(decider_history, self._decider_context_size)
-            hit = self._decider_cache.get(context)
+            key = self._decider_key(context)
+            hit = self._decider_cache.get(key)
             if hit is None:
-                hit = self.decider.distribution(context)
-                self._decider_cache[context] = hit
+                hit = self._decider_cache.setdefault(key, self.decider.distribution(context))
         return hit
 
 

@@ -63,6 +63,16 @@ class ConditionalSymbolModel(ABC):
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
         return math.log(self.distribution(history)[symbol])
 
+    def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
+        """A suffix of ``context`` that determines the model's output there.
+
+        Contexts with equal keys get bit-identical ``distribution`` and
+        ``logprob`` values, and a key is its own key, so a cache keyed by
+        it holds one row per distinct output.  The identity here: a model
+        without stored contexts gives every context its own row.
+        """
+        return context
+
 
 class BackoffNGram(ConditionalSymbolModel):
     """Interpolated absolute-discounting n-gram.
@@ -156,6 +166,22 @@ class BackoffNGram(ConditionalSymbolModel):
             raise KeyError(f"symbol {symbol!r} is not predictable")
         context = self._check_history(history)
         return math.log(self._walk({symbol: level0[symbol]}, context, 1)[symbol])
+
+    def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
+        """The longest suffix of ``context`` with a nonempty count table.
+
+        ``_walk`` reads only suffix tables and skips absent or empty ones,
+        so every level above this suffix adds nothing and every level up
+        to it reads a suffix of it, whether or not the tables are closed
+        under suffixes.  A key is thus ``()`` or a stored context.
+        """
+        counts = self.counts
+        n = len(context)
+        for length in range(min(n, self.order - 1), 0, -1):
+            suffix = context[n - length:]
+            if counts[length].get(suffix):
+                return suffix
+        return ()
 
     def serialize(self) -> bytes:
         symbols = sorted(set(self._predicted) | self._history_alphabet
@@ -377,6 +403,10 @@ class DeciderModel(ConditionalSymbolModel):
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         return _scale_by_prior(self.raw_distribution(history), self.prior, self.alpha)
+
+    def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
+        """The n-gram's key: the floor and the prior scaling read no context."""
+        return self.ngram.context_key(context)
 
     def serialize(self) -> bytes:
         w = ByteWriter()

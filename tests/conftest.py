@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, build_from_entities,
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
+from nfclm.engine import _context
 
 TOY_SYMBOLS = ["_play", "_ro", "sie", "_by", "_browne", "salie", "berta", "_flack"]
 
@@ -162,3 +164,21 @@ def random_instance(rng: random.Random, max_history: int = 8):
         histories.append(tuple(drawn[:max_history]))
     histories.append(())
     return model, histories
+
+
+def shared_key_lists(model):
+    """Token lists ``(a, b)`` for every symbol ``a`` and the first two ``b``.
+
+    Few of their padded contexts are stored in the model, so several
+    lists end in contexts that share one cache key, and threads that
+    score them at once fill one cache row together.  Checks that some key
+    of each cache serves at least three lists.
+    """
+    symbols = model.vocabulary.symbols
+    lists = [(a, b) for b in symbols[:2] for a in symbols]
+    for component in (model.background, model.decider):
+        # the all-background alignment's decider context is the token context
+        keys = Counter(component.context_key(_context(tokens, component.context_size))
+                       for tokens in lists)
+        assert max(keys.values()) >= 3
+    return lists

@@ -9,7 +9,7 @@ import pytest
 from nfclm import BACKGROUND, DynFstSession, sequence_logprob
 from nfclm.engine import advance, eos_logprob, exact_next_dist
 
-from conftest import random_instance
+from conftest import random_instance, shared_key_lists
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -404,7 +404,7 @@ class TestConcurrency:
     def test_threads_with_own_sessions_match_serial_walk(self):
         """4 threads, each with its own bounded session over one model whose
         caches start empty, give the arcs, final weights and stats of a
-        serial walk."""
+        serial walk, also where many contexts share one cache row."""
         def instance():
             model, histories = random_instance(random.Random(77))
             rng = random.Random(3)
@@ -413,7 +413,7 @@ class TestConcurrency:
             # prefixes, so arcs are memoized and evicted beams replayed
             walks = [h[:cut] + tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
                      for h in histories for cut in range(len(h) + 1)]
-            return model, walks
+            return model, walks + shared_key_lists(model)
 
         def run(model, walks):
             session = DynFstSession(model, capacity=2)

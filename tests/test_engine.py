@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import (BACKGROUND, EOS, EPSILON, AlignmentBeam,
-                   AlignmentHypothesis, ConditionalSymbolModel, DeadHistoryError,
-                   NfclmModel, advance, build_from_entities, class_prefix,
+from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
+                   AlignmentHypothesis, BackoffNGram, ConditionalSymbolModel,
+                   DeadHistoryError, DeciderModel, NfclmModel, advance,
+                   build_from_entities, class_prefix,
                    decider_history, eos_logprob, exact_alignment_histories,
                    exact_next_dist, exact_sequence_logprob, extend, last_class,
                    load_class_alphabet, load_vocabulary, next_dist, sample,
@@ -871,14 +872,158 @@ class TestDeciderCache:
     def test_stored_history_hits_its_padded_context(self, toy_model, toy_model_full):
         for base in (toy_model, toy_model_full):
             size = base.decider.context_size
-            for history in [(), ("_play",), ("_play", "@song"), ("_play", "@song", "_by"),
+            for history in [(), ("_play",), ("_ro",), ("_play", "@song"),
+                            ("_play", "@song", "_by"),
                             ("@song", "_by", "@artist", "_by", "@song")]:
                 model = dataclasses.replace(base)  # empty caches
-                want = model.decider.distribution(engine._context(history, size))
+                context = engine._context(history, size)
+                want = model.decider.distribution(context)
                 assert model.decider_dist(history) == want
-                assert model.decider_dist(engine._context(history, size)) is \
-                    model.decider_dist(history)
-                assert [len(key) for key in model._decider_cache] == [size]
+                assert model.decider_dist(context) is model.decider_dist(history)
+                assert list(model._decider_cache) == [model.decider.context_key(context)]
+
+
+def handmade_ngram(predicted, history_alphabet, tables):
+    """An order-3 n-gram holding exactly ``tables``, {context: {target: count}}."""
+    ngram = BackoffNGram(3, 0.5, predicted, history_alphabet)
+    for context, table in tables.items():
+        ngram.counts[len(context)][context] = Counter(table)
+    return ngram
+
+
+def handmade_model(vocab, classes, song, artist):
+    """A model whose n-grams are not closed under suffixes: each has a
+    level-2 table without its level-1 suffix and one empty count table."""
+    symbols = vocab.symbols
+    background = handmade_ngram(symbols + (EOS,), symbols + (BOS,), {
+        (): {"_play": 3, "_ro": 2, "sie": 1, "_by": 1, "_browne": 1, EOS: 2},
+        (BOS, BOS): {"_play": 2, "_ro": 1},
+        ("_play",): {"_ro": 2, "_by": 1},
+        ("_ro", "sie"): {"_by": 2, EOS: 1},  # ("sie",) has no table
+        ("_by",): {},
+        ("_by", "_browne"): {EOS: 3},  # ("_browne",) has no table
+    })
+    labels = classes.labels
+    decider = handmade_ngram(labels, symbols + labels + (BOS,), {
+        (): {"@bg": 5, "@song": 2, "@artist": 1},
+        ("_play",): {"@song": 2, "@bg": 1},
+        (BOS, "_play"): {"@song": 1, "@bg": 2},
+        ("@song", "_by"): {"@artist": 2},  # ("_by",) is empty
+        ("_by",): {},
+    })
+    prior = {"@bg": 0.7, "@song": 0.2, "@artist": 0.1}
+    return NfclmModel(vocabulary=vocab, classes=classes, background=background,
+                      class_fsts={"@song": song, "@artist": artist},
+                      decider=DeciderModel(decider, prior))
+
+
+def stored_contexts(ngram):
+    return sum(bool(table) for level in ngram.counts[1:] for table in level.values())
+
+
+def hexes(dist):
+    return {c: p.hex() for c, p in dist.items()}
+
+
+class TestContextKeyedCaches:
+    """The caches hold one row per context key: exact values, bounded rows."""
+
+    SENTENCES = [FIG1_SENTENCE, ("_ro", "sie", "_by", "_browne"), ("sie", "_by"),
+                 ("_play", "_ro", "salie", "_by", "_ro", "berta", "_flack"),
+                 ("_browne", "_ro", "sie"), ("_by", "_browne"), ("_ro", "_play", "_ro")]
+
+    def scored(self, base, sentences):
+        """Score ``sentences`` from empty caches, and next_dist after each;
+        returns the model with the padded contexts of its background
+        queries (with their symbols) and of its decider queries."""
+        model = dataclasses.replace(base)
+        bg_queries, decider_queries = set(), set()
+        background_logprob, decider_dist = model.background_logprob, model.decider_dist
+
+        def traced_background(symbol, history):
+            bg_queries.add((symbol, engine._context(history, model.background.context_size)))
+            return background_logprob(symbol, history)
+
+        def traced_decider(history):
+            decider_queries.add(engine._context(history, model.decider.context_size))
+            return decider_dist(history)
+
+        model.background_logprob, model.decider_dist = traced_background, traced_decider
+        sequence_logprobs(model, sentences)
+        for tokens in sentences:
+            try:
+                next_dist(model, advance(model, tokens))
+            except DeadHistoryError:
+                pass
+        return model, bg_queries, decider_queries
+
+    def assert_exact_and_bounded(self, model, bg_queries, decider_queries):
+        background, decider = model.background, model.decider
+        assert bg_queries and decider_queries
+        for symbol, context in bg_queries:
+            cached = model._bg_cache[background.context_key(context)][symbol]
+            assert cached.hex() == background.logprob(symbol, context).hex(), (symbol, context)
+        for context in decider_queries:
+            cached = model._decider_cache[decider.context_key(context)]
+            assert hexes(cached) == hexes(decider.distribution(context)), context
+        # every row is the key of a queried context, and keys are stored contexts
+        assert set(model._bg_cache) == {background.context_key(c) for _, c in bg_queries}
+        assert set(model._decider_cache) == set(map(decider.context_key, decider_queries))
+        for cache, ngram in ((model._bg_cache, background), (model._decider_cache, decider.ngram)):
+            for key in cache:
+                assert key == () or ngram.counts[len(key)].get(key), key
+            assert len(cache) <= stored_contexts(ngram) + 1
+
+    def test_toy_model(self, toy_model, toy_model_full):
+        for model in (toy_model, toy_model_full):
+            self.assert_exact_and_bounded(*self.scored(model, self.SENTENCES))
+
+    def test_random_instances(self):
+        rng = random.Random(2024)
+        for _ in range(12):
+            model, histories = random_instance(rng)
+            symbols = model.vocabulary.symbols
+            sentences = [h[:cut] + tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+                         for h in histories for cut in range(len(h) + 1)]
+            self.assert_exact_and_bounded(*self.scored(model, sentences))
+
+    def test_tables_not_closed_under_suffixes(self, toy_vocab, toy_classes, song_fst,
+                                              artist_fst):
+        base = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        key = base.background.context_key
+        assert key(("_ro", "sie")) == ("_ro", "sie")
+        assert key(("_play", "_by")) == ()  # skips the empty table
+        assert key(("sie", "_play")) == ("_play",)
+        assert base.decider.context_key(("@song", "_by")) == ("@song", "_by")
+        model, bg_queries, decider_queries = self.scored(base, self.SENTENCES)
+        self.assert_exact_and_bounded(model, bg_queries, decider_queries)
+        # rows shared by several contexts, and keys past an absent level
+        assert len(model._bg_cache) < len({c for _, c in bg_queries})
+        assert ("_ro", "sie") in model._bg_cache
+        assert ("@song", "_by") in model._decider_cache
+
+    def test_model_without_stored_contexts_keys_by_context(self, toy_vocab, toy_classes,
+                                                           song_fst, artist_fst):
+        base = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        base = dataclasses.replace(base, background=ReorderedBackground(base.background))
+        assert base.background.context_key(("_ro", "sie")) == ("_ro", "sie")
+        model, bg_queries, _ = self.scored(base, self.SENTENCES)
+        assert set(model._bg_cache) == {context for _, context in bg_queries}
+        for symbol, context in bg_queries:
+            assert (model._bg_cache[context][symbol].hex()
+                    == model.background.logprob(symbol, context).hex())
+
+    def test_short_history_does_not_hit_a_shorter_key(self, toy_vocab, toy_classes,
+                                                      song_fst, artist_fst):
+        """A raw one-token history is no padded context: ("_play",) must not
+        read the row of the stored context ("_play",)."""
+        model = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        decider = model.decider
+        padded = decider.distribution((BOS, "_play"))
+        assert hexes(padded) != hexes(decider.distribution(("_ro", "_play")))
+        model.decider_dist(("_ro", "_play"))
+        assert list(model._decider_cache) == [("_play",)]
+        assert hexes(model.decider_dist(("_play",))) == hexes(padded)
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------

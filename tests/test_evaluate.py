@@ -12,7 +12,8 @@ from nfclm import (EOS, FusionWeights, NBestEntry, bundle,
                    sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
 
-from conftest import make_toy_model, random_instance, uniform_background
+from conftest import (make_toy_model, random_instance, shared_key_lists,
+                      uniform_background)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -196,12 +197,14 @@ class TestRescore:
 
 class TestConcurrency:
     def test_threads_match_serial_scoring(self):
-        """4 threads scoring one model from empty caches give the serial bits."""
+        """4 threads scoring one model from empty caches give the serial bits,
+        also where many contexts share one cache row."""
         def jobs(rng):
             model, histories = random_instance(random.Random(77))
             symbols = model.vocabulary.symbols
             lists = [h[:cut] + tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
                      for h in histories for cut in range(len(h) + 1)]
+            lists += shared_key_lists(model)
             nbest = [NBestEntry("u", -rng.random(), -rng.random(), t) for t in lists]
             return model, lists, nbest
 
