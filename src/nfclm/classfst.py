@@ -9,6 +9,9 @@ emission model, not by the automaton.
 An automaton keeps its states and arcs in flat ``array`` columns, as
 OpenFst's ``ConstFst`` does, so it holds no object per state or arc;
 ``arcs[state]`` is a read-only mapping view over one state's arcs.
+Binary format v2 writes those columns as they are held, after a header
+and the sorted symbol table, and the decoder reads each one whole;
+``validate`` then checks them in one pass.
 
 Automata are immutable once built and safe to share across threads.
 """
@@ -16,21 +19,18 @@ Automata are immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import islice, repeat
-from operator import eq
+from operator import eq, le, lt
 from typing import Optional
 
-from .serialization import U32, ByteReader, ByteWriter, SerializationError, record
+from .serialization import ByteReader, ByteWriter, SerializationError
 from .vocab import Vocabulary, read_lines
 
 MAGIC = b"PCFST\x00"
-VERSION = 1
-# a state's (exit probability, arc count); an arc's (probability, destination)
-PROB_ID = record("dI")
+VERSION = 2
 # how far a state's exit plus arc probabilities may stray from 1
 MASS_TOLERANCE = 1e-9
 # typecode of the state offsets, arc symbol ids and destinations: a u32, as stored
@@ -133,56 +133,43 @@ class ProbClassFst:
 
     The constructor takes the dict form: ``arcs`` is one
     ``{symbol: (probability, destination)}`` per state.  It is stored as
-    columns: ``symbols``, the sorted table of arc symbols; per state an
-    offset into the arc columns and ``exits``; per arc, sorted by symbol
-    within its state, a symbol id into ``symbols``, a probability and a
-    destination.  ``validate`` checks the result; the constructor does not.
+    the columns that format v2 writes: ``symbols``, the sorted table of
+    arc symbols; per state an offset into the arc columns, closed by the
+    arc count, and ``exits``; per arc, sorted by symbol within its state,
+    a symbol id into ``symbols``, a probability and a destination.
+    ``validate`` checks the columns; the constructor does not.
     """
 
     start = 0
 
     def __init__(self, label: str, arcs: Sequence[Mapping[str, tuple[float, int]]],
                  exits: Iterable[float], entity_count: int = 0, total_weight: float = 0.0):
-        first_seen: dict[str, int] = {}
+        symbols = tuple(sorted({symbol for out in arcs for symbol in out}))
+        ids = {symbol: i for i, symbol in enumerate(symbols)}
         offsets = array(ID, [0])
         arc_ids, probs, dests = array(ID), array("d"), array(ID)
         for out in arcs:
-            for symbol, (prob, dest) in out.items():
-                arc_ids.append(first_seen.setdefault(symbol, len(first_seen)))
+            for symbol in sorted(out):
+                prob, dest = out[symbol]
+                arc_ids.append(ids[symbol])
                 probs.append(prob)
                 dests.append(dest)
             offsets.append(len(arc_ids))
-        self._adopt(label, list(first_seen), offsets, array("d", exits),
-                    arc_ids, probs, dests, entity_count, total_weight)
+        self._adopt(label, symbols, offsets, array("d", exits), arc_ids, probs, dests,
+                    entity_count, total_weight)
 
-    def _adopt(self, label: str, names: list[str], offsets: array, exits: array,
+    def _adopt(self, label: str, symbols: tuple[str, ...], offsets: array, exits: array,
                arc_ids: array, probs: array, dests: array,
                entity_count: int, total_weight: float) -> None:
-        """Store columns whose arc ids index ``names`` in any order.
-
-        The ids are renumbered into the sorted symbol table and each
-        state's arcs sorted by them, which is what ``ArcView`` bisects.
-        """
-        order = sorted(range(len(names)), key=names.__getitem__)
-        rank = [0] * len(order)
-        for new, old in enumerate(order):
-            rank[old] = new
-        arc_ids = array(ID, map(rank.__getitem__, arc_ids))
-        for lo, hi in zip(offsets, islice(offsets, 1, None)):
-            if hi - lo > 1:
-                by_symbol = sorted(range(lo, hi), key=arc_ids.__getitem__)
-                if by_symbol != list(range(lo, hi)):
-                    for column in (arc_ids, probs, dests):
-                        column[lo:hi] = array(column.typecode,
-                                              map(column.__getitem__, by_symbol))
+        """Hold the columns as given, unchecked."""
         self.label = label
         self.entity_count = entity_count
         self.total_weight = total_weight
-        self.symbols = tuple(names[old] for old in order)
+        self.symbols = symbols
         self.exits = exits
-        self._offsets, self._probs, self._dests = offsets, probs, dests
-        ids = {symbol: i for i, symbol in enumerate(self.symbols)}
-        self.arcs = ArcTable((ids, arc_ids, probs, dests, self.symbols), offsets)
+        self._offsets, self._arc_ids, self._probs, self._dests = offsets, arc_ids, probs, dests
+        ids = {symbol: i for i, symbol in enumerate(symbols)}
+        self.arcs = ArcTable((ids, arc_ids, probs, dests, symbols), offsets)
 
     @property
     def num_states(self) -> int:
@@ -219,85 +206,65 @@ class ProbClassFst:
         return current
 
     def validate(self) -> None:
-        """Raise ValueError on any violated structural invariant.
+        """Raise ValueError naming the first violated structural invariant.
 
-        A table that fails the fast check of ``_sound`` is checked again
-        one state and one arc at a time, which names its first fault.
+        The table shapes, the offsets and the symbol table are checked a
+        column at a time; then one pass over the states raises the first
+        fault of the first failing state.  Each arc is checked before its
+        probability joins the state's mass, so the mass adds only values
+        in (0, 1], at most one per symbol: a plain sum's rounding stays far
+        below ``MASS_TOLERANCE``.  Every test fails on NaN.
         """
-        if not self.exits or len(self._offsets) != len(self.exits) + 1:
-            raise ValueError(f"{self.label}: inconsistent state tables")
-        if self.exits[self.start] != 0.0:
-            raise ValueError(f"{self.label}: start state has nonzero exit probability")
-        if not self._sound():
-            self._name_fault()
-
-    def _sound(self) -> bool:
-        """Whether every state passes the checks of ``_name_fault``.
-
-        A state with one arc is checked by hand, one with more by fsum,
-        min and max over its run of the columns.  Each test fails on NaN:
-        a NaN arc probability makes the state's mass NaN.
-        """
-        num_states = len(self.exits)
-        probs, dests = self._probs, self._dests
-        fsum = math.fsum
+        label, symbols, exits, offsets = self.label, self.symbols, self.exits, self._offsets
+        arc_ids, probs, dests = self._arc_ids, self._probs, self._dests
+        num_states, num_symbols, num_arcs = len(exits), len(symbols), len(arc_ids)
+        if not num_states or len(offsets) != num_states + 1:
+            raise ValueError(f"{label}: inconsistent state tables")
+        if offsets[0] != 0 or offsets[-1] != num_arcs:
+            raise ValueError(f"{label}: offsets run from {offsets[0]} to {offsets[-1]}, "
+                             f"not from 0 to the arc count {num_arcs}")
+        if not all(map(le, offsets, islice(offsets, 1, None))):
+            state = next(s for s in range(num_states) if offsets[s] > offsets[s + 1])
+            raise ValueError(f"{label}: offsets descend at state {state}")
+        if not all(map(lt, symbols, islice(symbols, 1, None))):
+            i = next(i for i in range(1, num_symbols) if not symbols[i - 1] < symbols[i])
+            raise ValueError(f"{label}: symbol table is not sorted and unique at "
+                             f"{symbols[i]!r}")
+        if exits[self.start] != 0.0:
+            raise ValueError(f"{label}: start state has nonzero exit probability")
         lo = 0
-        for state, (hi, exit_p) in enumerate(zip(islice(self._offsets, 1, None), self.exits)):
-            if hi == lo:
-                if not (0.0 <= exit_p <= 1.0 and abs(exit_p - 1.0) <= MASS_TOLERANCE):
-                    return False
-            elif hi - lo == 1:
-                prob, dest = probs[lo], dests[lo]
-                # the fsum of one term is that term
-                if not (0.0 <= exit_p < 1.0 and abs(prob + exit_p - 1.0) <= MASS_TOLERANCE
-                        and 0.0 < prob <= 1.0 and state < dest < num_states):
-                    return False
-            else:
-                run, to = probs[lo:hi], dests[lo:hi]
-                try:
-                    total = fsum(run) + exit_p
-                except (ValueError, OverflowError):
-                    return False
-                if not (0.0 <= exit_p < 1.0 and abs(total - 1.0) <= MASS_TOLERANCE
-                        and min(run) > 0.0 and max(run) <= 1.0
-                        and min(to) > state and max(to) < num_states):
-                    return False
+        for state, (hi, exit_p) in enumerate(zip(islice(offsets, 1, None), exits)):
+            if not 0.0 <= exit_p <= 1.0:
+                raise ValueError(f"{label}: exit probability out of range at state {state}")
+            total = exit_p
+            if hi > lo:
+                if exit_p == 1.0:
+                    raise ValueError(f"{label}: arcs leave full-exit state {state}")
+                previous = -1
+                for i in range(lo, hi):
+                    sid, prob = arc_ids[i], probs[i]
+                    if sid >= num_symbols:
+                        raise ValueError(f"{label}: arc id {sid} at state {state} is "
+                                         f"outside the symbol table of {num_symbols}")
+                    if sid <= previous:
+                        raise ValueError(f"{label}: arc symbols repeated or out of order "
+                                         f"at state {state}")
+                    if not 0.0 < prob <= 1.0:
+                        raise ValueError(f"{label}: arc {state}-{symbols[sid]} probability "
+                                         f"{prob!r} out of range")
+                    if not state < dests[i] < num_states:
+                        # Topological ids make cycles and start loop-backs impossible.
+                        raise ValueError(f"{label}: arc {state}-{symbols[sid]} breaks "
+                                         "topological order")
+                    previous = sid
+                    total += prob
+            if abs(total - 1.0) > MASS_TOLERANCE:
+                raise ValueError(f"{label}: state {state} mass {total!r} is not stochastic")
             lo = hi
         # every destination lies in 1..num_states - 1: all are reached when
         # the start state and the destinations cover every state
-        return len(set(dests)) == num_states - 1
-
-    def _name_fault(self) -> None:
-        """Check a state and an arc at a time; raise on the first fault."""
-        reachable = {self.start}
-        for state, out in enumerate(self.arcs):
-            exit_p = self.exits[state]
-            if not 0.0 <= exit_p <= 1.0:
-                raise ValueError(f"{self.label}: exit probability out of range at state {state}")
-            if exit_p == 1.0 and out:
-                raise ValueError(f"{self.label}: arcs leave full-exit state {state}")
-            probs = [p for p, _ in out.values()]
-            try:
-                total = math.fsum(probs) + exit_p
-            except OverflowError:  # the exact sum overflows: so does the plain one
-                total = sum(probs) + exit_p
-            if abs(total - 1.0) > MASS_TOLERANCE:
-                raise ValueError(
-                    f"{self.label}: state {state} mass {total!r} is not stochastic"
-                )
-            for symbol, (prob, dest) in out.items():
-                if not 0.0 < prob <= 1.0:
-                    raise ValueError(
-                        f"{self.label}: arc {state}-{symbol} probability {prob!r} out of range"
-                    )
-                if dest <= state or dest >= len(self.arcs):
-                    # Topological ids make cycles and start loop-backs impossible.
-                    raise ValueError(
-                        f"{self.label}: arc {state}-{symbol} breaks topological order"
-                    )
-                reachable.add(dest)
-        if len(reachable) != len(self.arcs):
-            raise ValueError(f"{self.label}: unreachable states present")
+        if len(set(dests)) != num_states - 1:
+            raise ValueError(f"{label}: unreachable states present")
 
     def serialize(self) -> bytes:
         w = ByteWriter()
@@ -306,14 +273,12 @@ class ProbClassFst:
         w.string(self.label)
         w.u64(self.entity_count)
         w.f64(self.total_weight)
+        w.u32(len(self.symbols))
+        for symbol in self.symbols:
+            w.string(symbol)
         w.u32(len(self.exits))
-        for state, out in enumerate(self.arcs):
-            w.f64(self.exits[state])
-            w.u32(len(out))
-            for symbol, (prob, dest) in out.items():
-                w.string(symbol)
-                w.f64(prob)
-                w.u32(dest)
+        for column in (self._offsets, self.exits, self._arc_ids, self._probs, self._dests):
+            w.column(column)
         return w.getvalue()
 
     @classmethod
@@ -324,11 +289,18 @@ class ProbClassFst:
         label = r.string()
         entity_count = r.u64()
         total_weight = r.f64()
+        symbols = tuple(r.string() for _ in range(r.u32()))
         num_states = r.u32()
-        columns = _read_states(r, data, num_states)
+        offsets = r.column(ID, num_states + 1)
+        exits = r.column("d", num_states)
+        num_arcs = offsets[-1]
+        arc_ids = r.column(ID, num_arcs)
+        probs = r.column("d", num_arcs)
+        dests = r.column(ID, num_arcs)
         r.done()
         fst = cls.__new__(cls)
-        fst._adopt(label, *columns, entity_count, total_weight)
+        fst._adopt(label, symbols, offsets, exits, arc_ids, probs, dests,
+                   entity_count, total_weight)
         try:
             fst.validate()
         except ValueError as exc:
@@ -344,68 +316,6 @@ class ProbClassFst:
             if self.exits[state] > 0.0:
                 lines.append(f"{state} EXIT {self.exits[state]:.17g}")
         return "\n".join(lines) + "\n"
-
-
-def _read_states(r: ByteReader, data: bytes, num_states: int) -> tuple:
-    """Decode ``num_states`` states from ``r.offset`` straight into columns.
-
-    Returns ``(names, offsets, exits, arc ids, probabilities,
-    destinations)``, the arc ids numbering symbols in order of first
-    appearance.  Fields are unpacked without bounds checks; a state that
-    fails (cut short, bad UTF-8 or a repeated symbol) is read again a
-    field at a time, which raises the error and offset of its first fault.
-    """
-    names: list[str] = []
-    first_seen: dict[bytes, int] = {}
-    offsets, exits = array(ID, [0]), array("d")
-    arc_ids, probs, dests = array(ID), array("d"), array(ID)
-    unpack_record, unpack_length = PROB_ID.unpack_from, U32.unpack_from
-    record_size, length_size = PROB_ID.size, U32.size
-    add_id, add_prob, add_dest = arc_ids.append, probs.append, dests.append
-    pos = r.offset
-    for state in range(num_states):
-        start = pos
-        try:
-            exit_p, n_arcs = unpack_record(data, pos)
-            pos += record_size
-            for _ in range(n_arcs):
-                (length,) = unpack_length(data, pos)
-                end = pos + length_size + length
-                raw = data[pos + length_size:end]
-                sid = first_seen.get(raw)
-                if sid is None:
-                    names.append(raw.decode("utf-8"))
-                    sid = first_seen[raw] = len(first_seen)
-                prob, dest = unpack_record(data, end)
-                pos = end + record_size
-                add_id(sid)
-                add_prob(prob)
-                add_dest(dest)
-        except (struct.error, UnicodeDecodeError):
-            _reread_state(r, start, state)
-        if n_arcs > 1 and len(set(arc_ids[-n_arcs:])) < n_arcs:
-            _reread_state(r, start, state)
-        exits.append(exit_p)
-        offsets.append(len(arc_ids))
-    r.offset = pos
-    return names, offsets, exits, arc_ids, probs, dests
-
-
-def _reread_state(r: ByteReader, at: int, state: int) -> None:
-    """Read the state at ``at`` a field at a time; raise its first fault."""
-    r.offset = at
-    n_arcs = r.record(PROB_ID)[1]
-    seen = set()
-    for _ in range(n_arcs):
-        arc_at = r.offset
-        symbol = r.string()
-        r.record(PROB_ID)
-        if symbol in seen:
-            raise SerializationError(
-                f"duplicate arc symbol {symbol!r} at state {state}", arc_at)
-        seen.add(symbol)
-    raise AssertionError(f"state {state} at byte offset {at} failed to decode, "
-                         "but reads whole a field at a time")
 
 
 class _TrieNode:

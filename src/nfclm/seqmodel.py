@@ -12,17 +12,20 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
+from array import array
 from collections import Counter
+from itertools import islice, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .serialization import ByteReader, ByteWriter, SerializationError, record
+from .serialization import ByteReader, ByteWriter, SerializationError
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 NGRAM_MAGIC = b"NGBO\x00"
-NGRAM_VERSION = 1
+NGRAM_VERSION = 2
 DECIDER_MAGIC = b"NDCD\x00"
-DECIDER_VERSION = 1
-NGRAM_COUNT = record("IQ")  # an n-gram count: target symbol id, count
+DECIDER_VERSION = 2
+# typecodes of the symbol-id and count columns: a u32 and a u64, as stored
+ID, COUNT = "I", "Q"
 
 DECIDER_FLOOR = 1e-6
 
@@ -96,6 +99,9 @@ class BackoffNGram(ConditionalSymbolModel):
             raise ValueError(f"discount must be in (0,1), got {discount}")
         if not predicted:
             raise ValueError("n-gram needs a nonempty predicted alphabet")
+        # a repeat would hold one entry but count twice in the uniform floor
+        if len(set(predicted)) != len(predicted):
+            raise ValueError("n-gram predicted alphabet repeats a symbol")
         self.order = order
         self.discount = discount
         self._predicted = tuple(predicted)
@@ -184,10 +190,13 @@ class BackoffNGram(ConditionalSymbolModel):
         return ()
 
     def serialize(self) -> bytes:
+        """Format v2: the header and symbol table, then each level as four
+        columns: its contexts' symbol ids, each context's number of counts,
+        and the target ids and counts, contexts and targets sorted."""
         symbols = sorted(set(self._predicted) | self._history_alphabet
                          | {t for lvl in self.counts for ctx in lvl for t in ctx}
                          | {t for lvl in self.counts for c in lvl.values() for t in c})
-        index = {s: i for i, s in enumerate(symbols)}
+        index = {s: i for i, s in enumerate(symbols)}.__getitem__
         w = ByteWriter()
         w.raw(NGRAM_MAGIC)
         w.u16(NGRAM_VERSION)
@@ -196,22 +205,19 @@ class BackoffNGram(ConditionalSymbolModel):
         w.u32(len(symbols))
         for s in symbols:
             w.string(s)
-        w.u32(len(self._predicted))
-        for s in self._predicted:
-            w.u32(index[s])
-        w.u32(len(self._history_alphabet))
-        for s in sorted(self._history_alphabet):
-            w.u32(index[s])
+        for alphabet in (self._predicted, sorted(self._history_alphabet)):
+            w.u32(len(alphabet))
+            w.column(array(ID, map(index, alphabet)))
         for level in self.counts:
-            w.u32(len(level))
-            for context in sorted(level):
-                for sym in context:
-                    w.u32(index[sym])
-                table = level[context]
-                w.u32(len(table))
-                for sym in sorted(table):
-                    w.u32(index[sym])
-                    w.u64(table[sym])
+            contexts = sorted(level)
+            tables = [level[context] for context in contexts]
+            targets = [sorted(table) for table in tables]
+            w.u32(len(contexts))
+            w.column(array(ID, [index(s) for context in contexts for s in context]))
+            w.column(array(ID, map(len, tables)))
+            w.column(array(ID, [index(s) for names in targets for s in names]))
+            w.column(array(COUNT, [table[s] for table, names in zip(tables, targets)
+                                   for s in names]))
         return w.getvalue()
 
     @classmethod
@@ -219,44 +225,52 @@ class BackoffNGram(ConditionalSymbolModel):
         order = r.u16()
         discount = r.f64()
         symbols = [r.string() for _ in range(r.u32())]
-        predicted = [symbols[r.u32()] for _ in range(r.u32())]
-        history_alphabet = [symbols[r.u32()] for _ in range(r.u32())]
+
+        def names(count: int) -> tuple[list[str], int]:
+            """The symbols of the next column of ``count`` ids, and its offset."""
+            at = r.offset
+            ids = r.column(ID, count)
+            if ids and max(ids) >= len(symbols):
+                k = next(k for k, i in enumerate(ids) if i >= len(symbols))
+                raise SerializationError(
+                    f"symbol id {ids[k]} is outside the symbol table of {len(symbols)}",
+                    at + 4 * k)
+            return list(map(symbols.__getitem__, ids)), at
+
+        predicted, _ = names(r.u32())
+        history_alphabet, _ = names(r.u32())
         model = cls(order, discount, predicted, history_alphabet)
-        targets = frozenset(predicted)
-        read_record, lookup = r.record, symbols.__getitem__
-        for length in range(order):
+        allowed = frozenset(predicted)
+        for length, level in enumerate(model.counts):
             n_contexts = r.u32()
-            level = model.counts[length]
-            if not n_contexts:  # so a corrupt order of many empty levels builds no records
-                continue
-            # a context's symbol ids and its number of counts
-            context_record = record(f"{length + 1}I")
-            for _ in range(n_contexts):
-                at = r.offset
-                try:
-                    *ids, n_counts = read_record(context_record)
-                    context = tuple(map(lookup, ids))
-                except (SerializationError, IndexError):
-                    r.offset = at  # read it again a field at a time: names the first fault
-                    context = tuple(symbols[r.u32()] for _ in range(length))
-                    n_counts = r.u32()
-                table = Counter()
-                for _ in range(n_counts):
-                    at = r.offset
-                    try:
-                        sym_id, count = read_record(NGRAM_COUNT)
-                        sym = symbols[sym_id]
-                    except (SerializationError, IndexError):
-                        r.offset = at
-                        sym = symbols[r.u32()]
-                        count = r.u64()
-                    if sym not in targets:
-                        raise SerializationError(
-                            f"count target {sym!r} is outside the predicted alphabet", at)
-                    if not count:
-                        raise SerializationError(f"zero count for {sym!r}", at + 4)
-                    table[sym] = count
+            context_symbols, contexts_at = names(n_contexts * length)
+            sizes = r.column(ID, n_contexts)
+            targets, targets_at = names(sum(sizes))
+            counts_at = r.offset
+            counts = r.column(COUNT, len(targets))
+            if not allowed.issuperset(targets):
+                k = next(k for k, sym in enumerate(targets) if sym not in allowed)
+                raise SerializationError(
+                    f"count target {targets[k]!r} is outside the predicted alphabet",
+                    targets_at + 4 * k)
+            if 0 in counts:
+                k = counts.index(0)
+                raise SerializationError(f"zero count for {targets[k]!r}", counts_at + 8 * k)
+            contexts = (zip(*[iter(context_symbols)] * length) if length
+                        else repeat((), n_contexts))
+            pairs = zip(targets, counts)
+            start = 0
+            for i, (context, size) in enumerate(zip(contexts, sizes)):
+                if context in level:
+                    raise SerializationError(f"repeated context {context!r} at level {length}",
+                                             contexts_at + 4 * length * i)
+                table = Counter(dict(islice(pairs, size)))
+                if len(table) != size:
+                    k = start + _first_repeat(targets[start:start + size])
+                    raise SerializationError(f"repeated count target {targets[k]!r}",
+                                             targets_at + 4 * k)
                 level[context] = table
+                start += size
         return model
 
     @classmethod
@@ -266,10 +280,19 @@ class BackoffNGram(ConditionalSymbolModel):
         r.expect_version(NGRAM_VERSION, "n-gram model")
         try:
             model = cls._read_body(r)
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise SerializationError(f"corrupt n-gram payload: {exc}", r.offset) from exc
         r.done()
         return model
+
+
+def _first_repeat(items: Sequence) -> int:
+    """The index of the first item equal to an earlier one; there must be one."""
+    seen = set()
+    for k, item in enumerate(items):
+        if item in seen:
+            return k
+        seen.add(item)
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],

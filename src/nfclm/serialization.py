@@ -1,16 +1,20 @@
 """Binary encoding helpers shared by the model serializers.
 
-All integers are little-endian fixed width; probabilities are 64-bit
-floats; strings are UTF-8 with a u32 length prefix.  Decoders read a run
-of fixed fields as one ``record``; a record cut short by the end of the
-data is reported at its first field that runs past the end, as a
-field-at-a-time read would report it.
+Every binary is format v2: a header of single fields, then columns.
+Integers are little-endian fixed width; probabilities are 64-bit floats;
+strings are UTF-8 with a u32 length prefix.  A column is ``count``
+little-endian values of one ``array`` typecode, read by ``column`` into
+an ``array`` whole, after one bounds check made before it allocates.
 """
 
 from __future__ import annotations
 
-import re
 import struct
+import sys
+from array import array
+
+# whether arrays must be byte-swapped to and from the little-endian columns
+_SWAP = sys.byteorder == "big"
 
 
 class SerializationError(Exception):
@@ -46,89 +50,72 @@ class ByteWriter:
         self.u32(len(encoded))
         self._buf += encoded
 
+    def column(self, values: array) -> None:
+        """``values`` as a little-endian column; its length is not written."""
+        if _SWAP:
+            values = array(values.typecode, values)
+            values.byteswap()
+        self._buf += values.tobytes()
+
     def getvalue(self) -> bytes:
         return bytes(self._buf)
 
 
-def record(fields: str) -> struct.Struct:
-    """A fixed run of little-endian numeric fields, e.g. ``"dI"``."""
-    return struct.Struct("<" + fields)
-
-
-U16, U32, U64, F64 = (record(code) for code in "HIQd")
-
-
-def _field_sizes(fmt: struct.Struct) -> list[int]:
-    """The size of each field of a ``record`` format, in order."""
-    return [struct.calcsize("<" + code)
-            for count, code in re.findall(r"(\d*)(\D)", fmt.format[1:])
-            for _ in range(int(count or 1))]
+U16, U32, U64, F64 = (struct.Struct("<" + code) for code in "HIQd")
 
 
 class ByteReader:
-    """Sequential reader; ``string`` returns one shared str per distinct byte string."""
+    """Sequential reader; every read checks that its bytes are all there."""
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._size = len(data)
+        self._data = memoryview(data)
         self.offset = 0
-        self._strings: dict[bytes, str] = {}
 
-    def _short(self, at: int, sizes) -> SerializationError:
-        """The error of a read of fields of ``sizes`` at ``at`` that runs
-        past the end: it names the first field that does, as a
-        field-at-a-time read would."""
-        for size in sizes:
-            if at + size > self._size:
-                break
-            at += size
-        return SerializationError(f"unexpected end of data (wanted {size} bytes)", at)
-
-    def record(self, fmt: struct.Struct) -> tuple:
-        """Every field of ``fmt`` at the current offset, behind one bounds check."""
+    def _take(self, size: int) -> int:
+        """Advance past ``size`` bytes; returns where they start."""
         at = self.offset
-        end = at + fmt.size
-        if end > self._size:
-            raise self._short(at, _field_sizes(fmt))
-        self.offset = end
-        return fmt.unpack_from(self._data, at)
+        if at + size > len(self._data):
+            raise SerializationError(f"unexpected end of data (wanted {size} bytes)", at)
+        self.offset = at + size
+        return at
 
-    def _take(self, size: int) -> bytes:
-        at = self.offset
-        end = at + size
-        if end > self._size:
-            raise self._short(at, [size])
-        self.offset = end
-        return self._data[at:end]
+    def _field(self, fmt: struct.Struct):
+        return fmt.unpack_from(self._data, self._take(fmt.size))[0]
 
     def u16(self) -> int:
-        return self.record(U16)[0]
+        return self._field(U16)
 
     def u32(self) -> int:
-        return self.record(U32)[0]
+        return self._field(U32)
 
     def u64(self) -> int:
-        return self.record(U64)[0]
+        return self._field(U64)
 
     def f64(self) -> float:
-        return self.record(F64)[0]
+        return self._field(F64)
 
     def string(self) -> str:
         start = self.offset
-        raw = self._take(self.record(U32)[0])
-        text = self._strings.get(raw)
-        if text is None:
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise SerializationError("invalid UTF-8 in string", start) from None
-            self._strings[raw] = text
-        return text
+        size = self.u32()
+        at = self._take(size)
+        try:
+            return str(self._data[at:at + size], "utf-8")
+        except UnicodeDecodeError:
+            raise SerializationError("invalid UTF-8 in string", start) from None
+
+    def column(self, typecode: str, count: int) -> array:
+        """The next ``count`` values of ``typecode``, checked before allocating."""
+        values = array(typecode)
+        at = self._take(count * values.itemsize)
+        values.frombytes(self._data[at:self.offset])
+        if _SWAP:
+            values.byteswap()
+        return values
 
     def expect_magic(self, magic: bytes, what: str) -> None:
-        start = self.offset
-        if self._take(len(magic)) != magic:
-            raise SerializationError(f"bad magic bytes for {what}", start)
+        at = self._take(len(magic))
+        if self._data[at:self.offset] != magic:
+            raise SerializationError(f"bad magic bytes for {what}", at)
 
     def expect_version(self, version: int, what: str) -> None:
         start = self.offset

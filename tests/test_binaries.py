@@ -1,15 +1,19 @@
 """Component binaries: decode errors, round trips and shared symbol strings.
 
-Each corruption below names the error the decoder raises for it as
-``(message, offset)``.  The pairs were recorded from the decoder that
-read one field at a time, so they pin every message and byte offset of
-the record-at-a-time decoder to what it replaced.  A fuzz test then
-sends byte flips and truncations of every component of a packed bundle
-through ``bundle.load``.
+Each corruption below names the error the format-v2 decoder raises for
+it as ``(message, offset)``: a cut column is reported at its start, a
+bad entry of a column at that entry, and a fault that ``validate`` finds
+at the end of the data.  Hostile length fields must fail before the
+decoder allocates for them, and a binary of an older format version is
+refused by name.  A fuzz test then sends byte flips and truncations of
+every component of a packed bundle through ``bundle.load``.
 """
 
 import math
+import shutil
 import struct
+import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,19 +22,26 @@ from hypothesis import strategies as st
 from nfclm import (BackoffNGram, DeciderModel, NfclmModel, ProbClassFst, bundle,
                    build_from_entities, load_class_alphabet, load_vocabulary,
                    train_decider, train_ngram)
+from nfclm.classfst import MAGIC as FST_MAGIC
+from nfclm.cli import main
+from nfclm.seqmodel import DECIDER_MAGIC, NGRAM_MAGIC
 from nfclm.serialization import SerializationError
 
 from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS
 
 # start 0 --_ro--> 1; 1 --sia--> 2 and --sie--> 3; 2 and 3 exit.  Byte
-# layout: a 37-byte header (num_states at 33), then state 0 at 37 with
-# its arc at 49, state 1 at 68 with its arcs at 80 and 99, states 2 and
-# 3 at 118 and 130; 142 bytes in all.  Each state is exit f64 + arc
-# count u32; each arc is length u32 + bytes + prob f64 + dest u32.
+# layout: a 33-byte header, the symbol count at 33 and the symbols '_ro',
+# 'sia' and 'sie' at 37, 44 and 51 (each a u32 length and its bytes),
+# num_states at 58; then the columns: five u32 offsets, four f64 exits,
+# and per arc (three) a u32 symbol id, an f64 probability and a u32
+# destination; 162 bytes in all.
 FST = build_from_entities("@song", [("_ro", "sie"), ("_ro", "sia")])
 FST_DATA = FST.serialize()
+OFFSETS, EXITS, ARC_IDS, PROBS, DESTS = 62, 82, 114, 126, 150
+assert len(FST_DATA) == 162
 
-# order 2 over a, b: symbols '</s>' '<s>' 'a' 'b'; level 1 holds the
+# order 2 over a, b: symbols '</s>' '<s>' 'a' 'b'; level 0 holds the
+# context () with counts for '</s>', 'a' and 'b'; level 1 holds the
 # contexts ('<s>',), ('a',) and ('b',), one count each
 NGRAM = train_ngram([("a", "b")], ["a", "b"], order=2)
 NGRAM_DATA = NGRAM.serialize()
@@ -43,23 +54,41 @@ DECIDER_BODY = DECIDER_DATA.index(DECIDER.ngram.serialize())
 CLASS_X_NAME = 46  # the 'x' of '@x' is one byte on
 
 
-def ngram_offsets(data):
-    """Offsets of the count levels, of level 1's first context record and
-    of that context's first count."""
-    at = 17
+class Level(NamedTuple):
+    """Where one n-gram level's context count and its four columns start."""
+
+    count: int
+    contexts: int
+    sizes: int
+    targets: int
+    counts: int
+
+
+def ngram_levels(data, base=0):
+    """The ``Level`` of each level of the n-gram at ``base`` in ``data``."""
+    (order,) = struct.unpack_from("<H", data, base + 7)
+    at = base + 17
     (n,) = struct.unpack_from("<I", data, at)
     at += 4
     for _ in range(n):
         at += 4 + struct.unpack_from("<I", data, at)[0]
     for _ in range(2):  # predicted, then history alphabet ids
         at += 4 + 4 * struct.unpack_from("<I", data, at)[0]
-    (n_counts,) = struct.unpack_from("<I", data, at + 4)  # the one level-0 context
-    context = at + 8 + 12 * n_counts + 4
-    return at, context, context + 8
+    levels = []
+    for length in range(order):
+        (n_contexts,) = struct.unpack_from("<I", data, at)
+        contexts = at + 4
+        sizes = contexts + 4 * length * n_contexts
+        n_counts = sum(struct.unpack_from(f"<{n_contexts}I", data, sizes))
+        targets = sizes + 4 * n_contexts
+        levels.append(Level(at, contexts, sizes, targets, targets + 4 * n_counts))
+        at = targets + 12 * n_counts
+    return levels
 
 
-LEVELS, CONTEXT, COUNT = ngram_offsets(NGRAM_DATA)
-DECIDER_COUNT = DECIDER_BODY + ngram_offsets(DECIDER.ngram.serialize())[2]
+LEVEL0, LEVEL1 = ngram_levels(NGRAM_DATA)
+PREDICTED = 50  # the predicted alphabet's ids, after the symbols '</s>' '<s>' 'a' 'b'
+DECIDER_LEVEL0, DECIDER_LEVEL1 = ngram_levels(DECIDER_DATA, DECIDER_BODY)
 
 
 def put(data, at, fmt, value, cut=None):
@@ -77,96 +106,154 @@ def swap(data, old, new):
     return data.replace(old, new)
 
 
+def invariant(fault, data=FST_DATA):
+    return (f"invariant violation: @song: {fault}", len(data))
+
+
+ARC_TO_AN_EARLIER_STATE = ProbClassFst(
+    "@song", [{"_ro": (1.0, 1)}, {"sia": (0.5, 2), "sie": (0.5, 3)}, {"_ro": (1.0, 1)}, {}],
+    [0.0, 0.0, 0.0, 1.0]).serialize()
+
 FST_CASES = {
-    "num_states cut": (FST_DATA[:35], ("unexpected end of data (wanted 4 bytes)", 33)),
-    "state exit cut": (FST_DATA[:70], ("unexpected end of data (wanted 8 bytes)", 68)),
-    "state arc count cut": (FST_DATA[:78], ("unexpected end of data (wanted 4 bytes)", 76)),
-    "arc length cut": (FST_DATA[:82], ("unexpected end of data (wanted 4 bytes)", 80)),
-    "arc bytes cut": (FST_DATA[:85], ("unexpected end of data (wanted 3 bytes)", 84)),
-    "arc prob cut": (FST_DATA[:90], ("unexpected end of data (wanted 8 bytes)", 87)),
-    "arc dest cut": (FST_DATA[:97], ("unexpected end of data (wanted 4 bytes)", 95)),
+    "num_states cut": (FST_DATA[:60], ("unexpected end of data (wanted 4 bytes)", 58)),
+    "symbol count cut": (FST_DATA[:35], ("unexpected end of data (wanted 4 bytes)", 33)),
+    "state arc count cut": (FST_DATA[:OFFSETS + 6],
+                            ("unexpected end of data (wanted 20 bytes)", OFFSETS)),
+    "state exit cut": (FST_DATA[:EXITS + 10],
+                       ("unexpected end of data (wanted 32 bytes)", EXITS)),
+    "arc length cut": (FST_DATA[:46], ("unexpected end of data (wanted 4 bytes)", 44)),
+    "arc bytes cut": (FST_DATA[:49], ("unexpected end of data (wanted 3 bytes)", 48)),
+    "arc ids cut": (FST_DATA[:ARC_IDS + 5],
+                    ("unexpected end of data (wanted 12 bytes)", ARC_IDS)),
+    "arc prob cut": (FST_DATA[:PROBS + 20],
+                     ("unexpected end of data (wanted 24 bytes)", PROBS)),
+    "arc dest cut": (FST_DATA[:DESTS + 9],
+                     ("unexpected end of data (wanted 12 bytes)", DESTS)),
     "bad magic": (b"X" + FST_DATA[1:], ("bad magic bytes for class FST", 0)),
-    "bad version": (put(FST_DATA, 6, "<H", 2),
-                    ("unsupported class FST version 2 (expected 1)", 6)),
-    "bad UTF-8": (swap(FST_DATA, b"sia", b"\xffia"), ("invalid UTF-8 in string", 80)),
-    "duplicate arc symbol": (swap(FST_DATA, b"sia", b"sie"),
-                             ("duplicate arc symbol 'sie' at state 1", 99)),
-    "start exits": (put(FST_DATA, 37, "<d", 0.5),
-                    ("invariant violation: @song: start state has nonzero exit "
-                     "probability", 142)),
-    "exit out of range": (put(FST_DATA, 118, "<d", math.nan),
-                          ("invariant violation: @song: exit probability out of range "
-                           "at state 2", 142)),
-    "arcs leave a full exit": (put(FST_DATA, 68, "<d", 1.0),
-                               ("invariant violation: @song: arcs leave full-exit state 1",
-                                142)),
-    "mass": (put(FST_DATA, 130, "<d", 0.5),
-             ("invariant violation: @song: state 3 mass 0.5 is not stochastic", 142)),
-    "arc prob out of range": (put(put(FST_DATA, 87, "<d", 1.5), 106, "<d", -0.5),
-                              ("invariant violation: @song: arc 1-sia probability 1.5 out "
-                               "of range", 142)),
-    "NaN arc prob": (put(FST_DATA, 106, "<d", math.nan),
-                     ("invariant violation: @song: arc 1-sie probability nan out of "
-                      "range", 142)),
-    "opposite infinite arc probs": (put(put(FST_DATA, 87, "<d", math.inf), 106, "<d",
-                                        -math.inf),
-                                    ("invariant violation: -inf + inf in fsum", 142)),
-    "arc breaks topological order": (put(FST_DATA, 114, "<I", 1),
-                                     ("invariant violation: @song: arc 1-sie breaks "
-                                      "topological order", 142)),
-    "arc loops back": (put(FST_DATA, 64, "<I", 0),
-                       ("invariant violation: @song: arc 0-_ro breaks topological order", 142)),
-    "arc to an earlier state": (
-        ProbClassFst("@song", [{"_ro": (1.0, 1)}, {"sia": (0.5, 2), "sie": (0.5, 3)},
-                               {"_ro": (1.0, 1)}, {}], [0.0, 0.0, 0.0, 1.0]).serialize(),
-        ("invariant violation: @song: arc 2-_ro breaks topological order", 161)),
-    "unreachable state": (put(FST_DATA, 114, "<I", 2),
-                          ("invariant violation: @song: unreachable states present", 142)),
-    "trailing bytes": (FST_DATA + b"\x00", ("trailing bytes after payload", 142)),
+    "bad version": (put(FST_DATA, 6, "<H", 3),
+                    ("unsupported class FST version 3 (expected 2)", 6)),
+    "version 1": (put(FST_DATA, 6, "<H", 1),
+                  ("unsupported class FST version 1 (expected 2)", 6)),
+    "bad UTF-8": (swap(FST_DATA, b"sia", b"\xffia"), ("invalid UTF-8 in string", 44)),
+    "symbols out of order": (swap(FST_DATA, b"sia", b"sza"),
+                             invariant("symbol table is not sorted and unique at 'sie'")),
+    "symbol repeated": (swap(FST_DATA, b"sia", b"sie"),
+                        invariant("symbol table is not sorted and unique at 'sie'")),
+    "first offset not 0": (put(FST_DATA, OFFSETS, "<I", 1),
+                           invariant("offsets run from 1 to 3, not from 0 to the arc count 3")),
+    "offsets descend": (put(FST_DATA, OFFSETS + 8, "<I", 0),
+                        invariant("offsets descend at state 1")),
+    "last offset past the arc count": (put(FST_DATA, OFFSETS + 16, "<I", 4),
+                                       ("unexpected end of data (wanted 16 bytes)", 162)),
+    "last offset short of the arc count": (put(FST_DATA, OFFSETS + 16, "<I", 2),
+                                           ("trailing bytes after payload", 146)),
+    "arc id outside the symbol table": (put(FST_DATA, ARC_IDS + 8, "<I", 3),
+                                        invariant("arc id 3 at state 1 is outside the "
+                                                  "symbol table of 3")),
+    "duplicate arc symbol": (put(FST_DATA, ARC_IDS + 4, "<I", 2),
+                             invariant("arc symbols repeated or out of order at state 1")),
+    "arcs out of symbol order": (put(put(FST_DATA, ARC_IDS + 4, "<I", 2), ARC_IDS + 8, "<I", 1),
+                                 invariant("arc symbols repeated or out of order at state 1")),
+    "start exits": (put(FST_DATA, EXITS, "<d", 0.5),
+                    invariant("start state has nonzero exit probability")),
+    "exit out of range": (put(FST_DATA, EXITS + 16, "<d", math.nan),
+                          invariant("exit probability out of range at state 2")),
+    "arcs leave a full exit": (put(FST_DATA, EXITS + 8, "<d", 1.0),
+                               invariant("arcs leave full-exit state 1")),
+    "mass": (put(FST_DATA, EXITS + 24, "<d", 0.5),
+             invariant("state 3 mass 0.5 is not stochastic")),
+    "arc prob out of range": (put(put(FST_DATA, PROBS + 8, "<d", 1.5), PROBS + 16, "<d", -0.5),
+                              invariant("arc 1-sia probability 1.5 out of range")),
+    "NaN arc prob": (put(FST_DATA, PROBS + 16, "<d", math.nan),
+                     invariant("arc 1-sie probability nan out of range")),
+    "opposite infinite arc probs": (put(put(FST_DATA, PROBS + 8, "<d", math.inf), PROBS + 16,
+                                        "<d", -math.inf),
+                                    invariant("arc 1-sia probability inf out of range")),
+    "arc breaks topological order": (put(FST_DATA, DESTS + 8, "<I", 1),
+                                     invariant("arc 1-sie breaks topological order")),
+    "arc loops back": (put(FST_DATA, DESTS, "<I", 0),
+                       invariant("arc 0-_ro breaks topological order")),
+    "arc to an earlier state": (ARC_TO_AN_EARLIER_STATE,
+                                invariant("arc 2-_ro breaks topological order",
+                                          ARC_TO_AN_EARLIER_STATE)),
+    "unreachable state": (put(FST_DATA, DESTS + 8, "<I", 2),
+                          invariant("unreachable states present")),
+    "trailing bytes": (FST_DATA + b"\x00", ("trailing bytes after payload", 162)),
 }
 
 NGRAM_CASES = {
     "discount cut": (NGRAM_DATA[:12], ("unexpected end of data (wanted 8 bytes)", 9)),
     "symbol bytes cut": (NGRAM_DATA[:24], ("unexpected end of data (wanted 4 bytes)", 21)),
     "bad UTF-8": (swap(NGRAM_DATA, b"</s>", b"<\xff>>"), ("invalid UTF-8 in string", 21)),
-    "context id cut": (NGRAM_DATA[:CONTEXT + 2],
-                       ("unexpected end of data (wanted 4 bytes)", CONTEXT)),
-    "context count cut": (NGRAM_DATA[:CONTEXT + 6],
-                          ("unexpected end of data (wanted 4 bytes)", CONTEXT + 4)),
-    "count id cut": (NGRAM_DATA[:COUNT + 1],
-                     ("unexpected end of data (wanted 4 bytes)", COUNT)),
-    "count value cut": (NGRAM_DATA[:COUNT + 6],
-                        ("unexpected end of data (wanted 8 bytes)", COUNT + 4)),
-    "context id unknown": (put(NGRAM_DATA, CONTEXT, "<I", 99),
-                           ("corrupt n-gram payload: list index out of range",
-                            CONTEXT + 4)),
-    "context id unknown, count cut": (put(NGRAM_DATA, CONTEXT, "<I", 99, CONTEXT + 6),
-                                      ("corrupt n-gram payload: list index out of range",
-                                       CONTEXT + 4)),
-    "count id unknown": (put(NGRAM_DATA, COUNT, "<I", 99),
-                         ("corrupt n-gram payload: list index out of range", COUNT + 4)),
-    "count id unknown, value cut": (put(NGRAM_DATA, COUNT, "<I", 99, COUNT + 6),
-                                    ("corrupt n-gram payload: list index out of range",
-                                     COUNT + 4)),
-    "zero count": (put(NGRAM_DATA, COUNT + 4, "<Q", 0), ("zero count for 'a'", COUNT + 4)),
+    "version 1": (put(NGRAM_DATA, 5, "<H", 1),
+                  ("unsupported n-gram model version 1 (expected 2)", 5)),
+    "predicted id unknown": (put(NGRAM_DATA, PREDICTED, "<I", 4),
+                             ("symbol id 4 is outside the symbol table of 4", PREDICTED)),
+    # the predicted alphabet 'a' 'b' '</s>' 'a': without the check its
+    # distributions summed to less than 1
+    "predicted symbol repeated": (
+        NGRAM_DATA[:PREDICTED - 4] + struct.pack("<4I", 4, 2, 3, 0)
+        + struct.pack("<I", 2) + NGRAM_DATA[PREDICTED + 12:],
+        ("corrupt n-gram payload: n-gram predicted alphabet repeats a symbol",
+         LEVEL0.count + 4)),
+    "context id cut": (NGRAM_DATA[:LEVEL1.contexts + 2],
+                       ("unexpected end of data (wanted 12 bytes)", LEVEL1.contexts)),
+    "context count cut": (NGRAM_DATA[:LEVEL1.sizes + 6],
+                          ("unexpected end of data (wanted 12 bytes)", LEVEL1.sizes)),
+    "count id cut": (NGRAM_DATA[:LEVEL1.targets + 1],
+                     ("unexpected end of data (wanted 12 bytes)", LEVEL1.targets)),
+    "count value cut": (NGRAM_DATA[:LEVEL1.counts + 6],
+                        ("unexpected end of data (wanted 24 bytes)", LEVEL1.counts)),
+    "context id unknown": (put(NGRAM_DATA, LEVEL1.contexts + 4, "<I", 99),
+                           ("symbol id 99 is outside the symbol table of 4",
+                            LEVEL1.contexts + 4)),
+    # a bad entry of a column read whole is named before a cut in a later column
+    "context id unknown, count cut": (put(NGRAM_DATA, LEVEL1.contexts + 4, "<I", 99,
+                                          LEVEL1.sizes + 6),
+                                      ("symbol id 99 is outside the symbol table of 4",
+                                       LEVEL1.contexts + 4)),
+    "count id unknown": (put(NGRAM_DATA, LEVEL1.targets, "<I", 99),
+                         ("symbol id 99 is outside the symbol table of 4", LEVEL1.targets)),
+    "count id unknown, value cut": (put(NGRAM_DATA, LEVEL1.targets, "<I", 99,
+                                        LEVEL1.counts + 6),
+                                    ("symbol id 99 is outside the symbol table of 4",
+                                     LEVEL1.targets)),
+    "zero count": (put(NGRAM_DATA, LEVEL1.counts, "<Q", 0), ("zero count for 'a'",
+                                                             LEVEL1.counts)),
     "target outside the predicted alphabet": (
-        put(NGRAM_DATA, COUNT, "<I", 1),
-        ("count target '<s>' is outside the predicted alphabet", COUNT)),
+        put(NGRAM_DATA, LEVEL1.targets, "<I", 1),
+        ("count target '<s>' is outside the predicted alphabet", LEVEL1.targets)),
+    # the contexts ('<s>',), ('a',), ('a',): without the check the second
+    # table of ('a',) replaced the first
+    "repeated context": (put(NGRAM_DATA, LEVEL1.contexts + 8, "<I", 2),
+                         ("repeated context ('a',) at level 1", LEVEL1.contexts + 8)),
+    # level 0 counts '</s>' 1, 'a' 2, 'a' 7: without the check 'a' kept 7
+    "repeated count target": (
+        put(put(put(NGRAM_DATA, LEVEL0.targets + 8, "<I", 2), LEVEL0.counts + 8, "<Q", 2),
+            LEVEL0.counts + 16, "<Q", 7),
+        ("repeated count target 'a'", LEVEL0.targets + 8)),
     "order zero": (put(NGRAM_DATA, 7, "<H", 0),
-                   ("corrupt n-gram payload: order must be >= 1, got 0", LEVELS)),
+                   ("corrupt n-gram payload: order must be >= 1, got 0", LEVEL0.count)),
     "trailing bytes": (NGRAM_DATA + b"\x00", ("trailing bytes after payload",
                                               len(NGRAM_DATA))),
 }
 
 DECIDER_CASES = {
     "prior cut": (DECIDER_DATA[:37], ("unexpected end of data (wanted 8 bytes)", 34)),
+    "version 1": (put(DECIDER_DATA, 5, "<H", 1),
+                  ("unsupported decider model version 1 (expected 2)", 5)),
     "body length cut": (DECIDER_DATA[:DECIDER_BODY - 2],
                         ("unexpected end of data (wanted 8 bytes)", DECIDER_BODY - 8)),
     "body past the end": (DECIDER_DATA[:-1], ("truncated decider payload", DECIDER_BODY)),
     "bad UTF-8": (patch(DECIDER_DATA, CLASS_X_NAME + 1, b"\xff"),
                   ("invalid UTF-8 in string", 42)),
-    "zero count in the body": (put(DECIDER_DATA, DECIDER_COUNT + 4, "<Q", 0),
-                               ("zero count for '@bg'", DECIDER_COUNT + 4)),
+    "zero count in the body": (put(DECIDER_DATA, DECIDER_LEVEL0.counts, "<Q", 0),
+                               ("zero count for '@bg'", DECIDER_LEVEL0.counts)),
+    # level 1 holds ('<s>',) and ('a',): the second becomes the first
+    "repeated context in the body": (
+        put(DECIDER_DATA, DECIDER_LEVEL1.contexts + 4, "<I",
+            struct.unpack_from("<I", DECIDER_DATA, DECIDER_LEVEL1.contexts)[0]),
+        ("repeated context ('<s>',) at level 1", DECIDER_LEVEL1.contexts + 4)),
     "class renamed": (patch(DECIDER_DATA, CLASS_X_NAME + 1, b"y"),
                       ("corrupt decider payload: prior for class '@x' must be "
                        "finite and strictly positive, got None", DECIDER_BODY)),
@@ -189,16 +276,48 @@ def test_corruption_error_and_offset(deserialize, name, data, expected):
 
 
 def test_fsum_overflow_is_an_invariant_violation():
-    """Arc probabilities whose sum overflows fail the mass check."""
-    data = put(put(FST_DATA, 87, "<d", 1e308), 106, "<d", 1e308)
+    """Arc probabilities whose sum would overflow fail before the mass is summed."""
+    data = put(put(FST_DATA, PROBS + 8, "<d", 1e308), PROBS + 16, "<d", 1e308)
     with pytest.raises(SerializationError) as info:
         ProbClassFst.deserialize(data)
-    assert (info.value.message, info.value.offset) == (
-        "invariant violation: @song: state 1 mass inf is not stochastic", 142)
+    assert (info.value.message, info.value.offset) == invariant(
+        "arc 1-sia probability 1e+308 out of range")
+
+
+HOSTILE = 2 ** 32 - 1
+HOSTILE_LENGTHS = {
+    "num_states": (ProbClassFst, put(FST_DATA, 58, "<I", HOSTILE),
+                   (f"unexpected end of data (wanted {4 * (HOSTILE + 1)} bytes)", OFFSETS)),
+    "last offset": (ProbClassFst, put(FST_DATA, OFFSETS + 16, "<I", HOSTILE),
+                    (f"unexpected end of data (wanted {4 * HOSTILE} bytes)", ARC_IDS)),
+    "level context count": (BackoffNGram, put(NGRAM_DATA, LEVEL1.count, "<I", HOSTILE),
+                            (f"unexpected end of data (wanted {4 * HOSTILE} bytes)",
+                             LEVEL1.contexts)),
+    "context count length": (BackoffNGram, put(NGRAM_DATA, LEVEL1.sizes, "<I", HOSTILE),
+                             (f"unexpected end of data (wanted {4 * (HOSTILE + 2)} bytes)",
+                              LEVEL1.targets)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_LENGTHS))
+def test_hostile_length_fails_before_allocating(name):
+    """A length field at its largest is refused as a truncation, and the
+    failed load allocates nothing near the size that length names."""
+    kind, data, expected = HOSTILE_LENGTHS[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError) as info:
+            kind.deserialize(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.message, info.value.offset) == expected
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("kind,data", [(ProbClassFst, FST_DATA), (BackoffNGram, NGRAM_DATA),
-                                       (DeciderModel, DECIDER_DATA)])
+                                       (DeciderModel, DECIDER_DATA)],
+                         ids=["ProbClassFst", "BackoffNGram", "DeciderModel"])
 def test_roundtrip_is_byte_identical(kind, data):
     assert kind.deserialize(data).serialize() == data
 
@@ -260,3 +379,25 @@ def test_fuzzed_binary_loads_or_is_named(binaries, data):
         assert str(exc).startswith(f"{path}: "), str(exc)
     finally:
         path.write_bytes(original)
+
+
+@pytest.mark.parametrize("name,magic,what", [("@song.fst", FST_MAGIC, "class FST"),
+                                             ("background.bin", NGRAM_MAGIC, "n-gram model"),
+                                             ("decider.bin", DECIDER_MAGIC, "decider model")])
+def test_version_1_binary_is_refused_by_name(binaries, tmp_path, capsys, name, magic, what):
+    """A component of format version 1 fails ``bundle.load`` and ``nfclm ppl``,
+    naming its file and version.  The decoder reads nothing past the
+    version field, so only that field is set back to 1."""
+    directory = tmp_path / "b"
+    shutil.copytree(binaries[0], directory)
+    path = directory / name
+    path.write_bytes(put(path.read_bytes(), len(magic), "<H", 1))
+    expected = f"{path}: unsupported {what} version 1 (expected 2)"
+    with pytest.raises(SerializationError) as info:
+        bundle.load(directory)
+    assert str(info.value) == f"{expected} (byte offset {len(magic)})"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("_play _ro sie\n", encoding="utf-8")
+    assert main(["ppl", "--bundle", str(directory), "--corpus", str(corpus)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"nfclm: error: {expected}")

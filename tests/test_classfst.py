@@ -1,6 +1,8 @@
 import gc
 import math
 import random
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -205,23 +207,25 @@ class TestSerialization:
                 pass
 
 
-def v1_file(label, states):
-    """A format-v1 class FST whose states are ``(exit, [(symbol, prob, dest), ...])``,
-    each arc written in the order given."""
+def v2_file(label, symbols, states):
+    """A format-v2 class FST over the symbol table ``symbols`` whose states are
+    ``(exit, [(symbol, prob, dest), ...])``, each arc written in the order given."""
     w = ByteWriter()
     w.raw(MAGIC)
     w.u16(VERSION)
     w.string(label)
     w.u64(1)
     w.f64(1.0)
+    w.u32(len(symbols))
+    for symbol in symbols:
+        w.string(symbol)
     w.u32(len(states))
-    for exit_p, arcs in states:
-        w.f64(exit_p)
-        w.u32(len(arcs))
-        for symbol, prob, dest in arcs:
-            w.string(symbol)
-            w.f64(prob)
-            w.u32(dest)
+    w.column(array("I", accumulate((len(arcs) for _, arcs in states), initial=0)))
+    w.column(array("d", [exit_p for exit_p, _ in states]))
+    arcs = [arc for _, out in states for arc in out]
+    w.column(array("I", [symbols.index(symbol) for symbol, _, _ in arcs]))
+    w.column(array("d", [prob for _, prob, _ in arcs]))
+    w.column(array("I", [dest for _, _, dest in arcs]))
     return w.getvalue()
 
 
@@ -300,7 +304,7 @@ class TestColumns:
             assert back.arcs == fst.arcs and back.exits == fst.exits
 
     def test_two_arcs_into_one_destination(self):
-        fst = ProbClassFst.deserialize(v1_file("@x", [
+        fst = ProbClassFst.deserialize(v2_file("@x", ["a", "b"], [
             (0.0, [("a", 0.25, 1), ("b", 0.75, 1)]), (1.0, [])]))
         assert fst.arcs[0] == {"a": (0.25, 1), "b": (0.75, 1)}
         assert fst.step(0, "a") == fst.step(0, "b") == 1
@@ -308,14 +312,14 @@ class TestColumns:
         assert fst.walk(("b",)) == 1 and fst.exit_prob(1) == 1.0
 
     def test_arcs_out_of_symbol_order(self):
-        fst = ProbClassFst.deserialize(v1_file("@x", [
+        data = v2_file("@x", ["a", "b", "m", "z"], [
             (0.0, [("z", 0.5, 1), ("a", 0.25, 2), ("m", 0.25, 3)]),
-            (0.5, [("b", 0.5, 4)]), (1.0, []), (1.0, []), (1.0, [])]))
-        assert fst.arcs[0] == {"z": (0.5, 1), "a": (0.25, 2), "m": (0.25, 3)}
-        assert list(fst.arcs[0]) == ["a", "m", "z"]
-        assert [fst.step(0, sym) for sym in ("z", "a", "m", "b")] == [1, 2, 3, None]
-        assert [fst.arc_prob(0, sym) for sym in ("z", "a", "m", "b")] == [0.5, 0.25, 0.25, 0.0]
-        assert fst.walk(("z", "b")) == 4 and fst.walk(("a", "b")) is None
+            (0.5, [("b", 0.5, 4)]), (1.0, []), (1.0, []), (1.0, [])])
+        with pytest.raises(SerializationError) as info:
+            ProbClassFst.deserialize(data)
+        assert (info.value.message, info.value.offset) == (
+            "invariant violation: @x: arc symbols repeated or out of order at state 0",
+            len(data))
 
 
 class TestEntityFiles:
