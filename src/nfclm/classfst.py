@@ -191,6 +191,16 @@ class ProbClassFst:
         hit = self.arcs[state].get(symbol)
         return 0.0 if hit is None else hit[0]
 
+    def arc_columns(self, state: int) -> tuple[array, array]:
+        """The symbol ids and probabilities of ``state``'s arcs, in symbol order.
+
+        Slices of the id and probability columns, read without building an
+        ``ArcView``; id ``i`` names ``symbols[i]``.
+        """
+        self._check_state(state)
+        lo, hi = self._offsets[state], self._offsets[state + 1]
+        return self._arc_ids[lo:hi], self._probs[lo:hi]
+
     def exit_prob(self, state: int) -> float:
         self._check_state(state)
         return self.exits[state]

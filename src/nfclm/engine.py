@@ -45,8 +45,13 @@ do) is extended once.  ``sequence_logprob`` is its one-list case.
 
 Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
-``next_dist`` sums in the linear domain instead: each route's posterior
-weight times its probabilities, one product per symbol it can emit.
+``next_dist`` sums in the linear domain instead, as one list sweep in
+vocabulary order: one scaled copy of the background's
+``distribution_values``, then each class route's posterior weight times
+its probabilities, one product per symbol it can emit, in route order.
+It reads arcs as columns, not through ``ArcView``: entry routes from the
+start states' (position, probability) columns that each model builds
+once, stay routes from ``ProbClassFst.arc_columns``.
 
 The background and decider lookups are memoized per context key
 (``ConditionalSymbolModel.context_key``), for an n-gram the longest
@@ -65,7 +70,9 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from itertools import repeat
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
 from .seqmodel import ConditionalSymbolModel, DeciderModel, Rule
@@ -209,6 +216,21 @@ class NfclmModel:
             sym: tuple((c, arcs) for c, arcs in self._entry_routes
                        if arcs is None or sym in arcs)
             for sym in self._predicted}
+        # what next_dist reads as index columns over ``_predicted``: per
+        # class, the position of each automaton symbol id; the entry routes
+        # as (positions, probabilities) of the start state's arcs; and the
+        # background alphabet's positions, None when it runs in this order
+        position = {sym: i for i, sym in enumerate(self._predicted)}.__getitem__
+        self._arc_positions = {c: list(map(position, fst.symbols))
+                               for c, fst in self.class_fsts.items()}
+        self._entry_columns = tuple(
+            (c, arcs if arcs is None
+             else (list(map(position, arcs)), [p for p, _ in arcs.values()]))
+            for c, arcs in self._entry_routes)
+        bg_alphabet = tuple(self.background.alphabet)
+        self._bg_order = (None if bg_alphabet == self._predicted else
+                          list(map({s: i for i, s in enumerate(bg_alphabet)}.__getitem__,
+                                   self._predicted)))
         self._bg_context_size = self.background.context_size
         self._decider_context_size = self.decider.context_size
         self._bg_key = self.background.context_key
@@ -342,21 +364,24 @@ def _position_sort_key(position: Position) -> tuple[str, int]:
 
 
 def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
-            entries: Sequence[tuple[str, Optional[Mapping]]], stay: bool = True):
+            entries: Sequence[tuple[str, object]], stay: Optional[str] = "arcs"):
     """The mixture step: the routes out of each hypothesis, in a fixed order.
 
     Yields ``(hypothesis, route, arcs, log_weight)``.  A hypothesis inside
     a class span first yields its stay route (``route`` is EPSILON): the
     raw arcs at its class state, whose probabilities already carry the
-    stay mass, at the hypothesis weight; ``stay=False`` leaves these out
-    for a caller none of them can serve.  If its state can exit, one route
-    per entry of ``entries`` follows, weighted hypothesis weight + log
-    exit + log decider share: the background route has ``arcs`` None and
-    takes the background model's symbol probability, an entry route the
-    arcs out of its class automaton's start state.  ``entries`` is
-    ``model._entry_routes`` (every class, in alphabet order) or the part
-    of it that can emit one symbol, ``model._symbol_routes[symbol]``.
-    Callers add the emitted symbol's log-probability to ``log_weight``.
+    stay mass, at the hypothesis weight.  ``stay`` says how they are read:
+    ``"arcs"`` the state's ``ArcView``, ``"columns"`` its
+    ``ProbClassFst.arc_columns``, and None leaves stay routes out for a
+    caller none of them can serve.  If its state can exit, one route per
+    entry of ``entries`` follows, weighted hypothesis weight + log exit +
+    log decider share: the background route has ``arcs`` None and takes
+    the background model's symbol probability, an entry route the arcs out
+    of its class automaton's start state.  ``entries`` is
+    ``model._entry_routes`` (every class, in alphabet order), the part of
+    it that can emit one symbol, ``model._symbol_routes[symbol]``, or the
+    same routes as columns, ``model._entry_columns``.  Callers add the
+    emitted symbol's log-probability to ``log_weight``.
     """
     class_fsts, decider_dist, log = model.class_fsts, model.decider_dist, math.log
     for hyp in hypotheses:
@@ -366,8 +391,10 @@ def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
         else:
             label, state = position
             fst = class_fsts[label]
-            if stay:
+            if stay == "arcs":
                 yield hyp, EPSILON, fst.arcs[state], log_weight
+            elif stay:
+                yield hyp, EPSILON, fst.arc_columns(state), log_weight
             exit_p = fst.exit_prob(state)
             if exit_p == 0.0:
                 continue
@@ -460,7 +487,7 @@ def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     eos_lp = model.background_logprob(EOS, beam.history)
     # EOS has the background route alone; stay routes cannot emit it
     contributions = [lw + eos_lp for _, _, _, lw
-                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=False)]
+                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=None)]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm
@@ -477,30 +504,39 @@ def advance(model: NfclmModel, symbols: Sequence[str]) -> AlignmentBeam:
 def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     """Next-symbol distribution over the vocabulary plus EOS, in that order.
 
-    One linear-domain sweep over the routes: the background routes'
-    posterior weight times one background distribution, plus each class
-    route's posterior weight times its arcs.  Entry ``s`` equals ``exp``
-    of ``extend``'s step log-probability for ``s`` within 1e-12 relative
-    (0 where ``extend`` finds no alignment).
+    One linear-domain sweep over the routes, filling one list in
+    vocabulary order: the background routes' posterior weight times one
+    background ``distribution_values``, plus each class route's posterior
+    weight times its arcs, read as index and probability columns.  Entry
+    ``s`` equals ``exp`` of ``extend``'s step log-probability for ``s``
+    within 1e-12 relative (0 where ``extend`` finds no alignment).
     """
     background: list[float] = []
-    classes: list[tuple[dict, float]] = []
-    for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
+    classes: list[tuple] = []
+    positions = model._arc_positions
+    for hyp, route, arcs, lw in _routes(model, beam.hypotheses, model._entry_columns,
+                                        "columns"):
         if arcs is None:
             background.append(lw)
+        elif route == EPSILON:  # a stay route's arc ids map to positions here
+            ids, probs = arcs
+            classes.append((map(positions[hyp.position[0]].__getitem__, ids), probs, lw))
         else:
-            classes.append((arcs, lw))
+            classes.append((*arcs, lw))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        bg = model.background.distribution(_context(beam.history, model._bg_context_size))
-        dist = {sym: scale * bg[sym] for sym in model._predicted}
+        bg = model.background.distribution_values(
+            _context(beam.history, model._bg_context_size))
+        if model._bg_order is not None:
+            bg = map(bg.__getitem__, model._bg_order)
+        values = list(map(mul, repeat(scale), bg))
     else:
-        dist = dict.fromkeys(model._predicted, 0.0)
-    for arcs, lw in classes:
+        values = [0.0] * len(model._predicted)
+    for where, probs, lw in classes:
         weight = math.exp(lw - beam.log_norm)
-        for sym, (arc, _) in arcs.items():
-            dist[sym] += weight * arc
-    return dist
+        for i, p in zip(where, probs):
+            values[i] += weight * p
+    return dict(zip(model._predicted, values))
 
 
 # -- exact enumeration (the oracle path) ----------------------------------

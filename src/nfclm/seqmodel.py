@@ -1,10 +1,12 @@
 """Conditional symbol models: back-off n-gram reference implementations.
 
 The contract is deliberately small — a predicted alphabet plus
-``distribution``/``logprob`` over it — so a learned model can replace the
-count-based ones without touching the probability engine.  Histories are
-taken literally: callers decide about start-of-sentence padding (the
-engine pads with BOS up to ``context_size``).
+``distribution``/``logprob`` over it, and ``distribution_values`` for a
+caller that reads the whole distribution as a list — so a learned model
+can replace the count-based ones without touching the probability
+engine.  Histories are taken literally: callers decide about
+start-of-sentence padding (the engine pads with BOS up to
+``context_size``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from abc import ABC, abstractmethod
 from array import array
 from collections import Counter
 from itertools import islice, repeat
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .serialization import ByteReader, ByteWriter, SerializationError
@@ -61,7 +64,12 @@ class ConditionalSymbolModel(ABC):
 
     @abstractmethod
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        """Normalized, strictly positive distribution over the alphabet."""
+        """Normalized, strictly positive distribution over the alphabet,
+        keyed in alphabet order."""
+
+    def distribution_values(self, history: Sequence[str]) -> list[float]:
+        """``distribution``'s values as a fresh list in alphabet order."""
+        return list(self.distribution(history).values())
 
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
         return math.log(self.distribution(history)[symbol])
@@ -85,10 +93,12 @@ class BackoffNGram(ConditionalSymbolModel):
     alphabet, so every symbol keeps probability above a positive floor.
     History symbols outside ``history_alphabet`` are rejected.
 
-    That context-free level is one ``{symbol: p}`` table, built on first
-    use and dropped by ``observe``; change counts only through
+    That context-free level is one list in alphabet order, built on
+    first use and dropped by ``observe``; change counts only through
     ``observe`` so it never goes stale.  A query then walks only the
-    levels its context reaches.
+    levels its context reaches: ``distribution_values`` as one scaled
+    copy of the list per level plus a head term per seen symbol,
+    ``logprob`` for its one symbol.
     """
 
     def __init__(self, order: int, discount: float, predicted: Sequence[str],
@@ -105,12 +115,13 @@ class BackoffNGram(ConditionalSymbolModel):
         self.order = order
         self.discount = discount
         self._predicted = tuple(predicted)
+        self._index = {sym: i for i, sym in enumerate(self._predicted)}
         self._history_alphabet = frozenset(history_alphabet)
         # counts[k][context][target]; context length == k
         self.counts: list[dict[tuple[str, ...], Counter]] = [
             {} for _ in range(order)
         ]
-        self._level0: Optional[dict[str, float]] = None
+        self._level0_values: Optional[list[float]] = None
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -125,12 +136,17 @@ class BackoffNGram(ConditionalSymbolModel):
         return self._history_alphabet
 
     def observe(self, history: Sequence[str], target: str) -> None:
+        if target not in self._index:
+            raise ValueError(f"target {target!r} is outside the predicted alphabet")
         history = tuple(history)
+        for sym in history:
+            if sym not in self._history_alphabet:
+                raise ValueError(f"history symbol {sym!r} is outside the history alphabet")
         for length in range(min(len(history), self.order - 1) + 1):
             context = history[len(history) - length:]
             table = self.counts[length].setdefault(context, Counter())
             table[target] += 1
-        self._level0 = None
+        self._level0_values = None
 
     def _check_history(self, history: Sequence[str]) -> tuple[str, ...]:
         for sym in history:
@@ -154,24 +170,49 @@ class BackoffNGram(ConditionalSymbolModel):
                 dist[sym] = head + backoff * dist[sym]
         return dist
 
-    def _level0_table(self) -> dict[str, float]:
-        table = self._level0
-        if table is None:
-            uniform = 1.0 / len(self._predicted)
-            table = self._walk({sym: uniform for sym in self._predicted}, (), 0)
-            self._level0 = table  # published whole: sharing threads never see it half built
-        return table
+    def _sweep(self, values: list[float], context: tuple[str, ...],
+               first: int) -> list[float]:
+        """``_walk`` over every symbol, as lists in alphabet order.
+
+        Each level is one scaled copy of ``values``, then a head term for
+        each symbol its table has seen.  An unseen symbol's ``0.0 + b * p``
+        is ``b * p`` for every positive ``p``, and a seen symbol's sum is
+        the same two terms, so every entry has ``_walk``'s bits.  Returns
+        ``values`` itself when no level is reached.
+        """
+        discount, index = self.discount, self._index
+        for length in range(first, len(context) + 1):
+            table = self.counts[length].get(context[len(context) - length:])
+            if not table:
+                continue
+            total = sum(table.values())
+            values = list(map(mul, repeat(discount * len(table) / total), values))
+            for sym, seen in table.items():
+                i = index[sym]
+                values[i] = (seen - discount) / total + values[i]
+        return values
+
+    def _level0_table(self) -> list[float]:
+        values = self._level0_values
+        if values is None:
+            values = self._sweep([1.0 / len(self._predicted)] * len(self._predicted), (), 0)
+            self._level0_values = values  # published whole: sharing threads never see it half built
+        return values
+
+    def distribution_values(self, history: Sequence[str]) -> list[float]:
+        level0 = self._level0_table()
+        values = self._sweep(level0, self._check_history(history), 1)
+        return list(level0) if values is level0 else values
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        context = self._check_history(history)
-        return self._walk(dict(self._level0_table()), context, 1)
+        return dict(zip(self._predicted, self.distribution_values(history)))
 
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
-        level0 = self._level0_table()
-        if symbol not in level0:
+        i = self._index.get(symbol)
+        if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
         context = self._check_history(history)
-        return math.log(self._walk({symbol: level0[symbol]}, context, 1)[symbol])
+        return math.log(self._walk({symbol: self._level0_table()[i]}, context, 1)[symbol])
 
     def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
         """The longest suffix of ``context`` with a nonempty count table.
@@ -421,8 +462,9 @@ class DeciderModel(ConditionalSymbolModel):
 
     def raw_distribution(self, history: Sequence[str]) -> dict[str, float]:
         """Floored decider output before prior renormalization."""
-        dist = self.ngram.distribution(history)
-        return _normalized({c: max(p, self.floor) for c, p in dist.items()})
+        floor = self.floor
+        return _normalized({c: max(p, floor) for c, p
+                            in zip(self.classes, self.ngram.distribution_values(history))})
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         return _scale_by_prior(self.raw_distribution(history), self.prior, self.alpha)

@@ -108,6 +108,8 @@ class TestQueries:
             song.arc_prob(-1, "_ro")
         with pytest.raises(KeyError):
             song.exit_prob(99)
+        with pytest.raises(KeyError):
+            song.arc_columns(-1)
 
 
 entity_lists = st.lists(
@@ -280,6 +282,9 @@ class TestColumns:
             assert view.items() == sorted(want.items())
             assert view.values() == [want[sym] for sym in sorted(want)]
             assert len(view) == len(want)
+            ids, probs = fst.arc_columns(state)  # the same arcs, read as columns
+            assert [fst.symbols[i] for i in ids] == list(view)
+            assert list(probs) == [p for p, _ in view.values()]
             for sym in ("_ro", "sie", "salie", "_by", "s"):
                 assert (sym in view) == (sym in want)
                 assert view.get(sym) == want.get(sym)

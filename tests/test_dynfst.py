@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from nfclm import BACKGROUND, DynFstSession, sequence_logprob
-from nfclm.engine import advance, eos_logprob, exact_next_dist
+from nfclm.engine import advance, eos_logprob, exact_next_dist, next_dist
 
 from conftest import random_instance, shared_key_lists
 
@@ -403,8 +403,8 @@ class TestDeterminism:
 class TestConcurrency:
     def test_threads_with_own_sessions_match_serial_walk(self):
         """4 threads, each with its own bounded session over one model whose
-        caches start empty, give the arcs, final weights and stats of a
-        serial walk, also where many contexts share one cache row."""
+        caches start empty, give the arcs, fan-outs, final weights and stats
+        of a serial walk, also where many contexts share one cache row."""
         def instance():
             model, histories = random_instance(random.Random(77))
             rng = random.Random(3)
@@ -427,6 +427,9 @@ class TestConcurrency:
                         break
                     state = arc[0]
                     states.append(state)
+                # the fan-out a decoder asks for: it reads the level-0 list too
+                fan_out = next_dist(model, session.beam_of(state))
+                steps.append([p.hex() for p in fan_out.values()])
                 final = session.final_weight(state)
                 steps.append(None if final is None else final.hex())
             finals = [session.final_weight(s) for s in states]  # replays evicted beams
@@ -437,8 +440,8 @@ class TestConcurrency:
         model, walks = instance()
         model._bg_cache.clear()  # drawing the histories filled them
         model._decider_cache.clear()
-        model.background._level0 = None
-        model.decider.ngram._level0 = None
+        model.background._level0_values = None
+        model.decider.ngram._level0_values = None
         start = threading.Barrier(4, timeout=30)
 
         def worker(_):

@@ -16,7 +16,8 @@ from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    decider_history, eos_logprob, exact_alignment_histories,
                    exact_next_dist, exact_sequence_logprob, extend, last_class,
                    load_class_alphabet, load_vocabulary, next_dist, sample,
-                   sequence_logprob, sequence_logprobs, start_beam, train_decider)
+                   sequence_logprob, sequence_logprobs, start_beam, train_decider,
+                   train_ngram)
 from nfclm import engine
 from nfclm.engine import EXACT_HISTORY_LIMIT, MERGE_MODES, _routes, log_sum_exp
 
@@ -594,6 +595,53 @@ class ReorderedBackground(ConditionalSymbolModel):
         return self.inner.logprob(symbol, history)
 
 
+class DistributionOnlyBackground(ConditionalSymbolModel):
+    """A background model that implements only ``distribution``: its
+    ``distribution_values`` and ``logprob`` are the contract defaults."""
+
+    def __init__(self, inner: ConditionalSymbolModel):
+        self.inner = inner
+
+    @property
+    def alphabet(self):
+        return self.inner.alphabet
+
+    @property
+    def context_size(self):
+        return self.inner.context_size
+
+    def distribution(self, history):
+        return self.inner.distribution(history)
+
+
+def dict_next_dist(model, beam):
+    """Reference sweep: the dict form ``next_dist`` had before it filled a list.
+
+    Each entry is built in the same route order from the same products and
+    sums, so it must have ``next_dist``'s bits.
+    """
+    background: list[float] = []
+    classes: list[tuple[dict, float]] = []
+    for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
+        if arcs is None:
+            background.append(lw)
+        else:
+            classes.append((arcs, lw))
+    symbols = model.vocabulary.symbols + (EOS,)
+    if background:
+        scale = math.exp(log_sum_exp(background) - beam.log_norm)
+        bg = model.background.distribution(
+            engine._context(beam.history, model.background.context_size))
+        dist = {sym: scale * bg[sym] for sym in symbols}
+    else:
+        dist = dict.fromkeys(symbols, 0.0)
+    for arcs, lw in classes:
+        weight = math.exp(lw - beam.log_norm)
+        for sym, (arc, _) in arcs.items():
+            dist[sym] += weight * arc
+    return dist
+
+
 def log_domain_next_dist(model, beam):
     """Reference sweep: per-symbol log-domain terms, each summed by log-sum-exp."""
     terms: dict[str, list[float]] = {}
@@ -613,47 +661,132 @@ def log_domain_next_dist(model, beam):
             for sym in model.vocabulary.symbols + (EOS,)}
 
 
+NEXT_DIST_VARIANTS = ({}, {"beam_size": 2}, {"beam_delta": 0.5},
+                      {"beam_size": 10 ** 6, "beam_delta": math.inf}, {"merge": "full"})
+
+
+def next_dist_beams(toy):
+    """(model, beam) cases for ``next_dist`` under each of ``NEXT_DIST_VARIANTS``:
+    the toy model, random instances, and backgrounds whose alphabet runs in
+    another order or that implement only ``distribution``."""
+    histories = [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
+    histories.append(("_ro", "sie", "_ro", "berta"))
+    cases = [(toy, histories)]
+    rng = random.Random(1234)
+    for _ in range(10):
+        cases.append(random_instance(rng))
+    # keys follow the vocabulary, not the background's own order
+    model, histories = cases[1]
+    cases.append((dataclasses.replace(
+        model, background=ReorderedBackground(model.background)), histories))
+    model, histories = cases[2]
+    cases.append((dataclasses.replace(
+        model, background=DistributionOnlyBackground(model.background)), histories))
+    for base, histories in cases:
+        for kwargs in NEXT_DIST_VARIANTS:
+            model = dataclasses.replace(base, **kwargs)
+            for history in histories:
+                try:
+                    beam = advance(model, history)
+                except DeadHistoryError:
+                    continue  # a pruned beam can lose every alignment
+                yield model, beam
+
+
+class CountingNGram(BackoffNGram):
+    """A background n-gram that counts its whole-distribution and symbol reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = Counter()
+
+    def distribution_values(self, history):
+        self.calls["distribution_values"] += 1
+        return super().distribution_values(history)
+
+    def distribution(self, history):
+        self.calls["distribution"] += 1
+        return super().distribution(history)
+
+    def logprob(self, symbol, history):
+        self.calls["logprob"] += 1
+        return super().logprob(symbol, history)
+
+
 class TestNextDist:
     def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst):
         """Entry s is exp of extend's step log-probability; 0 where extend dies."""
-        variants = ({}, {"beam_size": 2}, {"beam_delta": 0.5},
-                    {"beam_size": 10 ** 6, "beam_delta": math.inf}, {"merge": "full"})
-        cases = []
         toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
-        histories = [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
-        histories.append(("_ro", "sie", "_ro", "berta"))
-        cases.append((toy, histories))
-        rng = random.Random(1234)
-        for _ in range(10):
-            cases.append(random_instance(rng))
-        # keys follow the vocabulary, not the background's own order
-        model, histories = cases[1]
-        cases.append((dataclasses.replace(
-            model, background=ReorderedBackground(model.background)), histories))
         checked = zeros = 0
-        for base, histories in cases:
-            for kwargs in variants:
-                model = dataclasses.replace(base, **kwargs)
-                for history in histories:
-                    try:
-                        beam = advance(model, history)
-                    except DeadHistoryError:
-                        continue  # a pruned beam can lose every alignment
-                    dist = next_dist(model, beam)
-                    assert list(dist) == list(model.vocabulary.symbols) + [EOS]
-                    for sym in model.vocabulary.symbols:
-                        try:
-                            _, lp = extend(model, beam, sym)
-                        except DeadHistoryError:
-                            assert dist[sym] == 0.0, (history, sym)
-                            zeros += 1
-                            continue
-                        assert dist[sym] == pytest.approx(math.exp(lp), rel=1e-12, abs=0)
-                    assert dist[EOS] == pytest.approx(
-                        math.exp(eos_logprob(model, beam)), rel=1e-12, abs=0)
-                    checked += 1
+        for model, beam in next_dist_beams(toy):
+            dist = next_dist(model, beam)
+            assert list(dist) == list(model.vocabulary.symbols) + [EOS]
+            for sym in model.vocabulary.symbols:
+                try:
+                    _, lp = extend(model, beam, sym)
+                except DeadHistoryError:
+                    assert dist[sym] == 0.0, (beam.history, sym)
+                    zeros += 1
+                    continue
+                assert dist[sym] == pytest.approx(math.exp(lp), rel=1e-12, abs=0)
+            assert dist[EOS] == pytest.approx(
+                math.exp(eos_logprob(model, beam)), rel=1e-12, abs=0)
+            checked += 1
         assert checked > 100 and zeros > 0
+
+    def test_bits_match_the_dict_sweep(self, toy_vocab, toy_classes, song_fst, artist_fst):
+        """Every entry has the ``float.hex`` of the dict sweep it replaced."""
+        toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        checked = Counter()
+        for model, beam in next_dist_beams(toy):
+            got = next_dist(model, beam)
+            want = dict_next_dist(model, beam)
+            assert list(got) == list(want)
+            assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], \
+                beam.history
+            checked[type(model.background).__name__] += 1
+            checked[model.merge] += 1
+            checked["inside"] += any(h.position is not None for h in beam.hypotheses)
+        assert checked["ReorderedBackground"] >= 15 and checked["DistributionOnlyBackground"] >= 15
+        assert checked["full"] >= 40 and checked["inside"] >= 100
+
+    def test_one_background_read_per_fan_out(self):
+        """On a 600-symbol model, a fan-out reads the background once, as a
+        list: no per-symbol ``logprob`` and no ``distribution`` dict."""
+        rng = random.Random(5)
+        symbols = [f"_w{i}" for i in range(600)]
+        vocab = load_vocabulary(symbols)
+        classes = load_class_alphabet(["@bg", "@a", "@b"])
+        corpus = [tuple(rng.choice(symbols[:40]) for _ in range(rng.randint(1, 8)))
+                  for _ in range(200)]
+        trained = train_ngram(corpus, vocab, order=3)
+        background = CountingNGram.deserialize(trained.serialize())
+        fsts = {label: build_from_entities(label, [
+            tuple(rng.choice(symbols[:40]) for _ in range(rng.randint(1, 3)))
+            for _ in range(30)]) for label in ("@a", "@b")}
+        tagged = [tuple(tok if rng.random() < 0.7 else rng.choice(("@a", "@b"))
+                        for tok in sentence) for sentence in corpus]
+        model = NfclmModel(vocab, classes, background, fsts,
+                           train_decider(tagged, vocab, classes, order=2))
+        fan_outs = inside = 0
+        for sentence in corpus[:30]:
+            beam = start_beam(model)
+            for sym in sentence:
+                exits = any(h.position is None or model.class_fsts[h.position[0]].exits[
+                    h.position[1]] > 0.0 for h in beam.hypotheses)
+                background.calls.clear()
+                dist = next_dist(model, beam)
+                assert background.calls == ({"distribution_values": 1} if exits else {})
+                assert [p.hex() for p in dist.values()] == [
+                    p.hex() for p in dict_next_dist(model, beam).values()]
+                fan_outs += 1
+                inside += any(h.position is not None for h in beam.hypotheses)
+                try:
+                    beam, _ = extend(model, beam, sym)
+                except DeadHistoryError:
+                    break
+        assert fan_outs > 50 and inside > 20
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -219,8 +219,8 @@ class TestConcurrency:
         model, lists, nbest = jobs(random.Random(3))
         model._bg_cache.clear()
         model._decider_cache.clear()
-        model.background._level0 = None  # threads race to build the level-0 tables too
-        model.decider.ngram._level0 = None
+        model.background._level0_values = None  # threads race to build the level-0 tables too
+        model.decider.ngram._level0_values = None
         start = threading.Barrier(4, timeout=30)
 
         def worker(_):

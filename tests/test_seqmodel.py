@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary,
                    renormalize_by_prior, train_decider, train_ngram)
 from nfclm.serialization import SerializationError
-from nfclm.seqmodel import (BackoffNGram, DeciderModel, class_prior_from_corpus,
-                            ngram_sequence_logprob)
+from nfclm.seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
+                            class_prior_from_corpus, ngram_sequence_logprob)
 
 from conftest import uniform_background
 
@@ -107,17 +107,104 @@ class TestTrainNgram:
         corpus = [("a", "b", "c"), ("b", "b"), ("c", "a")]
         model = train_ngram(corpus[:-1], list("abc"), order=3)
         histories = [(), (BOS, BOS), ("c",), ("b", "c")]
+        before = {}
         for history in histories:  # build the level-0 table before observing
             model.distribution(history)
             model.logprob("a", history)
+            before[history] = model.distribution_values(history)
         padded = (BOS, BOS) + corpus[-1] + (EOS,)
         for i in range(2, len(padded)):
             model.observe(padded[i - 2:i], padded[i])
         fresh = train_ngram(corpus, list("abc"), order=3)
         for history in histories:
             assert model.distribution(history) == fresh.distribution(history)
+            after = model.distribution_values(history)
+            assert after != before[history]  # the sweep reads the new counts
+            assert [p.hex() for p in after] == [
+                p.hex() for p in fresh.distribution_values(history)]
             for sym in fresh.alphabet:
                 assert model.logprob(sym, history).hex() == fresh.logprob(sym, history).hex()
+
+    def test_observe_rejects_symbols_outside_its_alphabets(self):
+        model = train_ngram([("a", "b")], ["a", "b"], order=2)
+        counts = [{ctx: Counter(table) for ctx, table in level.items()}
+                  for level in model.counts]
+        with pytest.raises(ValueError, match="target 'zz' is outside the predicted"):
+            model.observe(("a",), "zz")
+        with pytest.raises(ValueError, match="history symbol 'q' is outside the history"):
+            model.observe(("q",), "a")
+        with pytest.raises(ValueError, match=f"history symbol {EOS!r}"):
+            model.observe((EOS,), "a")  # predicted, but never a history symbol
+        assert model.counts == counts  # nothing was counted
+        assert math.fsum(model.distribution(("a",)).values()) == pytest.approx(1.0, abs=1e-12)
+        assert BackoffNGram.deserialize(model.serialize()).counts == counts
+
+
+def walk_reference(model, history):
+    """The per-symbol dict walk the list sweep replaced, from the counts alone."""
+    context = tuple(history)[len(history) - min(len(history), model.order - 1):]
+    dist = {sym: 1.0 / len(model.alphabet) for sym in model.alphabet}
+    for length in range(len(context) + 1):
+        table = model.counts[length].get(context[len(context) - length:])
+        if not table:
+            continue
+        total = sum(table.values())
+        backoff = model.discount * len(table) / total
+        for sym in dist:
+            seen = table.get(sym, 0)
+            head = (seen - model.discount) / total if seen else 0.0
+            dist[sym] = head + backoff * dist[sym]
+    return dist
+
+
+def random_ngram(rng: random.Random):
+    """A random n-gram with absent and empty count tables, and histories to
+    query it, some shorter than its context."""
+    predicted = [f"s{i}" for i in range(rng.randint(2, 6))]
+    history_alphabet = predicted[:rng.randint(0, len(predicted))] + [BOS, "h"]
+    order = rng.randint(1, 4)
+    model = BackoffNGram(order, rng.uniform(0.05, 0.95), predicted, history_alphabet)
+
+    def history(length):
+        return tuple(rng.choice(history_alphabet) for _ in range(length))
+
+    for _ in range(rng.randint(0, 30)):
+        model.observe(history(rng.randint(0, order)), rng.choice(predicted))
+    for _ in range(rng.randint(0, 3)):  # empty tables are read as absent
+        length = rng.randrange(order)
+        model.counts[length].setdefault(history(length), Counter())
+    return model, [history(rng.randint(0, order + 1)) for _ in range(8)]
+
+
+class TestDistributionValues:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_sweep_keeps_the_walk_bits(self, seed):
+        rng = random.Random(seed)
+        model, histories = random_ngram(rng)
+        for _ in range(2):  # the second round reads counts observed after a sweep
+            for history in histories:
+                want = walk_reference(model, history)
+                values = model.distribution_values(history)
+                assert [p.hex() for p in values] == [want[s].hex() for s in model.alphabet]
+                dist = model.distribution(history)
+                assert list(dist) == list(model.alphabet)
+                for sym, p in dist.items():
+                    assert model.logprob(sym, history).hex() == math.log(p).hex()
+                values[0] = -1.0  # a fresh list: the next call does not see this
+                values.append(2.0)
+                assert [p.hex() for p in model.distribution_values(history)] == [
+                    want[s].hex() for s in model.alphabet]
+            before = model.distribution_values(histories[0])
+            model.observe(histories[0], model.alphabet[0])
+            assert model.distribution_values(histories[0]) != before
+
+    def test_contract_default_reads_distribution(self):
+        model = train_ngram([("a", "b")], ["a", "b"], order=2)
+        history = ("a",)
+        values = ConditionalSymbolModel.distribution_values(model, history)
+        assert values == list(model.distribution(history).values())
+        assert values == model.distribution_values(history)
 
 
 class TestDistribution:
