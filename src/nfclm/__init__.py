@@ -18,10 +18,9 @@ from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
 from .evaluate import (FusionWeights, NBestEntry, PerplexityReport,
                        RescoredEntry, perplexity, rescore_nbest)
 from .seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
-                       renormalize_by_prior, train_decider, train_ngram)
+                       train_decider, train_ngram)
 from .vocab import (BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary,
-                    detokenize, load_class_alphabet, load_vocabulary,
-                    tokenize)
+                    load_class_alphabet, load_vocabulary)
 from . import bundle
 
 __version__ = "0.1.0"
@@ -33,10 +32,10 @@ __all__ = [
     "FusionWeights", "NBestEntry", "NfclmModel", "PerplexityReport",
     "ProbClassFst", "RescoredEntry", "Vocabulary", "advance",
     "build_from_entities", "bundle", "class_prefix", "decider_history",
-    "detokenize", "eos_logprob", "exact_alignment_histories", "exact_next_dist",
+    "eos_logprob", "exact_alignment_histories", "exact_next_dist",
     "exact_sequence_logprob", "expand", "expand_tagged", "extend",
     "last_class", "load_class_alphabet", "load_entities", "load_vocabulary",
-    "mix_corpora", "next_dist", "parse_grammar", "perplexity",
-    "renormalize_by_prior", "rescore_nbest", "sample", "sequence_logprob",
-    "sequence_logprobs", "start_beam", "tokenize", "train_decider", "train_ngram",
+    "mix_corpora", "next_dist", "parse_grammar", "perplexity", "rescore_nbest",
+    "sample", "sequence_logprob", "sequence_logprobs", "start_beam", "train_decider",
+    "train_ngram",
 ]

@@ -44,7 +44,7 @@ class ArcView(Mapping):
 
     It compares equal to the dict it stands for and iterates in symbol
     order; a lookup bisects the state's run of the symbol-id column.
-    ``columns`` is ``(symbol ids, arc symbol ids, probabilities,
+    A view holds ``(symbol ids, arc symbol ids, probabilities,
     destinations, symbols)``, shared by every view of one automaton.
     """
 
@@ -87,6 +87,12 @@ class ArcView(Mapping):
 
     def items(self) -> list[tuple[str, tuple[float, int]]]:
         return list(zip(self, self.values()))
+
+    def columns(self) -> tuple[array, array]:
+        """The arcs' symbol ids and probabilities, in symbol order: slices of
+        the id and probability columns, where id ``i`` names ``symbols[i]``."""
+        _, arc_ids, probs, _, _ = self._columns
+        return arc_ids[self._lo:self._hi], probs[self._lo:self._hi]
 
     def __repr__(self) -> str:
         return f"ArcView({dict(self.items())!r})"
@@ -190,16 +196,6 @@ class ProbClassFst:
         self._check_state(state)
         hit = self.arcs[state].get(symbol)
         return 0.0 if hit is None else hit[0]
-
-    def arc_columns(self, state: int) -> tuple[array, array]:
-        """The symbol ids and probabilities of ``state``'s arcs, in symbol order.
-
-        Slices of the id and probability columns, read without building an
-        ``ArcView``; id ``i`` names ``symbols[i]``.
-        """
-        self._check_state(state)
-        lo, hi = self._offsets[state], self._offsets[state + 1]
-        return self._arc_ids[lo:hi], self._probs[lo:hi]
 
     def exit_prob(self, state: int) -> float:
         self._check_state(state)

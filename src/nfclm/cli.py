@@ -148,6 +148,8 @@ def cmd_pack(args) -> int:
         label, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--fst expects label=path, got {spec!r}")
+        if label in class_fsts:
+            raise ValueError(f"--fst gives class {label!r} twice")
         class_fsts[label] = path
     model = bundle_mod.assemble(
         args.vocab, args.classes, args.bglm, args.decider, class_fsts,

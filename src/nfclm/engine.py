@@ -45,13 +45,10 @@ do) is extended once.  ``sequence_logprob`` is its one-list case.
 
 Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
-``next_dist`` sums in the linear domain instead, as one list sweep in
-vocabulary order: one scaled copy of the background's
-``distribution_values``, then each class route's posterior weight times
-its probabilities, one product per symbol it can emit, in route order.
-It reads arcs as columns, not through ``ArcView``: entry routes from the
-start states' (position, probability) columns that each model builds
-once, stay routes from ``ProbClassFst.arc_columns``.
+``next_dist`` sums in the linear domain instead, in route order: one list
+sweep over a scaled copy of the background's ``distribution_values`` and
+each class route's arc columns, entry routes' built once per model, a
+stay route's read by ``ArcView.columns()``.
 
 The background and decider lookups are memoized per context key
 (``ConditionalSymbolModel.context_key``), for an n-gram the longest
@@ -59,9 +56,11 @@ suffix of the padded context that has a count table.  Contexts that
 share a key share every value, so the caches hold at most one row per
 stored context plus one, however much a model scores.
 
-Model components never change after construction (internal lookup caches
-only memoize idempotent values), so one model can serve any number of
-concurrent scoring sessions; beams are cheap per-session values.
+Model components never change after construction, so one model can
+serve any number of concurrent scoring sessions; beams are cheap
+per-session values.  Counts are final once a model is built: its lookup
+caches keep what they memoized, so after a later ``BackoffNGram.observe``
+use ``dataclasses.replace(model)``, which builds a model with fresh caches.
 """
 
 from __future__ import annotations
@@ -364,16 +363,14 @@ def _position_sort_key(position: Position) -> tuple[str, int]:
 
 
 def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
-            entries: Sequence[tuple[str, object]], stay: Optional[str] = "arcs"):
+            entries: Sequence[tuple[str, object]], stay: bool = True):
     """The mixture step: the routes out of each hypothesis, in a fixed order.
 
     Yields ``(hypothesis, route, arcs, log_weight)``.  A hypothesis inside
     a class span first yields its stay route (``route`` is EPSILON): the
-    raw arcs at its class state, whose probabilities already carry the
-    stay mass, at the hypothesis weight.  ``stay`` says how they are read:
-    ``"arcs"`` the state's ``ArcView``, ``"columns"`` its
-    ``ProbClassFst.arc_columns``, and None leaves stay routes out for a
-    caller none of them can serve.  If its state can exit, one route per
+    ``ArcView`` of its class state, whose probabilities already carry the
+    stay mass, at the hypothesis weight; ``stay=False`` leaves stay routes
+    out for a symbol no arc can emit.  If its state can exit, one route per
     entry of ``entries`` follows, weighted hypothesis weight + log exit +
     log decider share: the background route has ``arcs`` None and takes
     the background model's symbol probability, an entry route the arcs out
@@ -391,10 +388,8 @@ def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
         else:
             label, state = position
             fst = class_fsts[label]
-            if stay == "arcs":
+            if stay:
                 yield hyp, EPSILON, fst.arcs[state], log_weight
-            elif stay:
-                yield hyp, EPSILON, fst.arc_columns(state), log_weight
             exit_p = fst.exit_prob(state)
             if exit_p == 0.0:
                 continue
@@ -487,7 +482,7 @@ def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     eos_lp = model.background_logprob(EOS, beam.history)
     # EOS has the background route alone; stay routes cannot emit it
     contributions = [lw + eos_lp for _, _, _, lw
-                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=None)]
+                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=False)]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm
@@ -514,12 +509,11 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     background: list[float] = []
     classes: list[tuple] = []
     positions = model._arc_positions
-    for hyp, route, arcs, lw in _routes(model, beam.hypotheses, model._entry_columns,
-                                        "columns"):
+    for hyp, route, arcs, lw in _routes(model, beam.hypotheses, model._entry_columns):
         if arcs is None:
             background.append(lw)
         elif route == EPSILON:  # a stay route's arc ids map to positions here
-            ids, probs = arcs
+            ids, probs = arcs.columns()
             classes.append((map(positions[hyp.position[0]].__getitem__, ids), probs, lw))
         else:
             classes.append((*arcs, lw))

@@ -136,6 +136,12 @@ class BackoffNGram(ConditionalSymbolModel):
         return self._history_alphabet
 
     def observe(self, history: Sequence[str], target: str) -> None:
+        """Count ``target`` after each suffix of ``history`` the model keeps.
+
+        Counts are final once an ``NfclmModel`` is built over this n-gram:
+        the model's caches keep what they memoized, so observe first, or
+        build a model with fresh caches by ``dataclasses.replace(model)``.
+        """
         if target not in self._index:
             raise ValueError(f"target {target!r} is outside the predicted alphabet")
         history = tuple(history)
@@ -363,18 +369,10 @@ def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
     return model
 
 
-def renormalize_by_prior(raw: Mapping[str, float], prior: Mapping[str, float],
-                         alpha: float) -> dict[str, float]:
-    """Scale a class distribution by inverse prior mass: P'(c) ∝ P(c)/prior(c)^alpha."""
-    DeciderModel.RULES["alpha"].check("alpha", alpha)
-    for c in raw:
-        DeciderModel.RULES["prior"].check(f"prior for class {c!r}", prior.get(c))
-    return _scale_by_prior(raw, prior, alpha)
-
-
 def _scale_by_prior(raw, prior, alpha) -> dict[str, float]:
-    """``renormalize_by_prior`` for settings a decider has already checked.
+    """Scale a class distribution by inverse prior mass: P'(c) ∝ P(c)/prior(c)^alpha.
 
+    The settings are a decider's, which ``DeciderModel.RULES`` checked.
     The direct form ``p / prior ** alpha`` serves whenever its weights and
     their total are finite and positive: with a normalized prior each
     weight is at least ``p``, so a finite total is the one test.  An
@@ -589,7 +587,6 @@ def ngram_sequence_logprob(model: ConditionalSymbolModel, symbols: Sequence[str]
 
 # re-export for callers that build toy models
 __all__ = [
-    "ConditionalSymbolModel", "BackoffNGram", "DeciderModel",
-    "train_ngram", "train_decider", "renormalize_by_prior",
+    "ConditionalSymbolModel", "BackoffNGram", "DeciderModel", "train_ngram", "train_decider",
     "class_prior_from_corpus", "ngram_sequence_logprob", "DECIDER_FLOOR",
 ]

@@ -1,9 +1,9 @@
-"""Symbol vocabulary, class alphabet, sub-word tokenization, and the text reader."""
+"""Symbol vocabulary, class alphabet, and the text reader."""
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 BOS = "<s>"
 EOS = "</s>"
@@ -42,7 +42,6 @@ class Vocabulary:
                                  f"(line {i} repeats line {seen[sym]})")
             seen[sym] = i
         self._members = seen
-        self._max_len = max(len(s) for s in self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -123,36 +122,3 @@ def load_class_alphabet(source) -> ClassAlphabet:
     """Load a class alphabet: one ``@``-prefixed label per line, ``@bg`` required."""
     name, lines = read_lines(source, "<classes>")
     return ClassAlphabet(lines, name)
-
-
-def tokenize(text: str, vocabulary: Vocabulary) -> list[str]:
-    """Segment raw text into vocabulary symbols by greedy longest match.
-
-    Each whitespace-separated word is prefixed with the boundary marker
-    before matching.  A word that cannot be fully segmented is an error;
-    unknown characters never map to a fallback symbol.
-    """
-    out: list[str] = []
-    for word in text.split():
-        if BOUNDARY in word:
-            raise ValueError(f"word {word!r} contains the reserved boundary marker {BOUNDARY!r}")
-        marked = BOUNDARY + word
-        pos = 0
-        while pos < len(marked):
-            limit = min(vocabulary._max_len, len(marked) - pos)
-            for length in range(limit, 0, -1):
-                piece = marked[pos : pos + length]
-                if piece in vocabulary:
-                    out.append(piece)
-                    pos += length
-                    break
-            else:
-                raise ValueError(
-                    f"cannot segment word {word!r}: no vocabulary symbol matches at offset {pos}"
-                )
-    return out
-
-
-def detokenize(symbols: Iterable[str]) -> str:
-    """Concatenate symbols, turning boundary markers back into spaces."""
-    return "".join(symbols).replace(BOUNDARY, " ").strip()

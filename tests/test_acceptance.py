@@ -16,11 +16,12 @@ from nfclm import (DynFstSession, NfclmModel,
                    build_from_entities, exact_alignment_histories,
                    exact_next_dist, extend, load_class_alphabet,
                    load_vocabulary, mix_corpora, next_dist, perplexity,
-                   renormalize_by_prior, rescore_nbest, sequence_logprob,
-                   start_beam, train_decider, train_ngram)
+                   rescore_nbest, sequence_logprob, start_beam, train_decider,
+                   train_ngram)
 from nfclm import DeadHistoryError, FusionWeights, NBestEntry, advance, bundle
 from nfclm.cfg import CfgGrammar, expand, expand_tagged
 from nfclm.engine import MERGE_MODES
+from nfclm.seqmodel import _scale_by_prior
 
 from conftest import assert_beam_matches_oracle, make_toy_model, random_instance
 
@@ -293,7 +294,7 @@ def test_criterion_07_compactness(tmp_path, toy_vocab, toy_classes, song_fst,
 def test_criterion_08_prior_renormalization():
     raw = {"@bg": 0.90, "@song": 0.06, "@artist": 0.04}
     prior = {"@bg": 0.90, "@song": 0.05, "@artist": 0.05}
-    out = renormalize_by_prior(raw, prior, alpha=1.0)
+    out = _scale_by_prior(raw, prior, alpha=1.0)
     # hand arithmetic: ratios 1.0, 1.2, 0.8 over a 3.0 total
     assert out["@bg"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert out["@song"] == pytest.approx(1.2 / 3.0, abs=1e-12)

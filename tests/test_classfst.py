@@ -108,8 +108,10 @@ class TestQueries:
             song.arc_prob(-1, "_ro")
         with pytest.raises(KeyError):
             song.exit_prob(99)
-        with pytest.raises(KeyError):
-            song.arc_columns(-1)
+        with pytest.raises(IndexError):
+            song.arcs[-1]
+        with pytest.raises(IndexError):
+            song.arcs[song.num_states]
 
 
 entity_lists = st.lists(
@@ -282,7 +284,7 @@ class TestColumns:
             assert view.items() == sorted(want.items())
             assert view.values() == [want[sym] for sym in sorted(want)]
             assert len(view) == len(want)
-            ids, probs = fst.arc_columns(state)  # the same arcs, read as columns
+            ids, probs = view.columns()  # the same arcs, read as columns
             assert [fst.symbols[i] for i in ids] == list(view)
             assert list(probs) == [p for p, _ in view.values()]
             for sym in ("_ro", "sie", "salie", "_by", "s"):

@@ -290,6 +290,20 @@ class TestFailures:
         assert code == 1
         assert "do not match class alphabet" in err
 
+    def test_pack_repeated_fst_label_rejected(self, workspace, capsys):
+        build_bundle(workspace, capsys)
+        code, out, err = run(["pack", "--vocab", workspace / "vocab.txt",
+                              "--classes", workspace / "classes.txt",
+                              "--bglm", workspace / "bg.bin",
+                              "--decider", workspace / "decider.bin",
+                              "--fst", f"@song={workspace / '@song.fst'}",
+                              "--fst", f"@artist={workspace / '@artist.fst'}",
+                              "--fst", f"@song={workspace / '@artist.fst'}",
+                              "--out-dir", workspace / "twice"], capsys)
+        assert code == 1 and out == ""
+        assert err == "nfclm: error: --fst gives class '@song' twice\n"
+        assert not (workspace / "twice").exists()
+
     @pytest.mark.parametrize("flags,name", [
         (["--beam-n", 0], "beam_size"), (["--beam-n", -2], "beam_size"),
         (["--beam-delta", -1], "beam_delta"), (["--beam-delta", "nan"], "beam_delta")])

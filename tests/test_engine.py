@@ -713,6 +713,21 @@ class CountingNGram(BackoffNGram):
         return super().logprob(symbol, history)
 
 
+class CountingTable:
+    """An automaton's arc table that counts each ``arcs[state]`` read in
+    ``reads[label, state]``."""
+
+    def __init__(self, table, reads, label):
+        self.table, self.reads, self.label = table, reads, label
+
+    def __getitem__(self, state):
+        self.reads[self.label, state] += 1
+        return self.table[state]
+
+    def __len__(self):
+        return len(self.table)
+
+
 class TestNextDist:
     def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst):
@@ -787,6 +802,27 @@ class TestNextDist:
                 except DeadHistoryError:
                     break
         assert fan_outs > 50 and inside > 20
+
+    def test_reads_each_stay_route_through_the_arc_table(self, toy_model_full, monkeypatch):
+        """A fan-out reads the arcs of each stay route once, as
+        ``fst.arcs[state]``, and no other arcs: entry routes read the
+        model's start-state columns."""
+        model = toy_model_full
+        reads = Counter()
+        for label, fst in model.class_fsts.items():
+            monkeypatch.setattr(fst, "arcs", CountingTable(fst.arcs, reads, label))
+        inside = 0
+        for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
+            for k in range(len(history) + 1):
+                beam = advance(model, history[:k])
+                want = dict_next_dist(model, beam)
+                stays = Counter(h.position for h in beam.hypotheses if h.position is not None)
+                inside += sum(stays.values())
+                reads.clear()
+                got = next_dist(model, beam)
+                assert reads == stays
+                assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()]
+        assert inside > 5
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -964,25 +1000,14 @@ class TestEos:
         model = toy_model_full
         reads = Counter()
 
-        class CountingTable:
-            def __init__(self, table):
-                self.table = table
-
-            def __getitem__(self, state):
-                reads["arcs"] += 1
-                return self.table[state]
-
-            def __len__(self):
-                return len(self.table)
-
         def counting_exit(fst):
             def exit_prob(state):
                 reads["exit"] += 1
                 return type(fst).exit_prob(fst, state)
             return exit_prob
 
-        for fst in model.class_fsts.values():
-            monkeypatch.setattr(fst, "arcs", CountingTable(fst.arcs))
+        for label, fst in model.class_fsts.items():
+            monkeypatch.setattr(fst, "arcs", CountingTable(fst.arcs, reads, label))
             monkeypatch.setattr(fst, "exit_prob", counting_exit(fst))
         inside = 0
         for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
@@ -1157,6 +1182,22 @@ class TestContextKeyedCaches:
         model.decider_dist(("_ro", "_play"))
         assert list(model._decider_cache) == [("_play",)]
         assert hexes(model.decider_dist(("_play",))) == hexes(padded)
+
+    def test_replace_after_observe_scores_like_a_fresh_build(self, toy_vocab, toy_classes,
+                                                             song_fst, artist_fst):
+        """Counts are final once a model is built, as its caches keep what
+        they memoized; ``dataclasses.replace`` builds one with fresh caches."""
+        sentences = [("_play", "_ro", "sie"), ("_play", "_by", "_browne")]
+        model = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        before = sequence_logprobs(model, sentences)
+        fresh = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        for ngram in (model.background, fresh.background):
+            for _ in range(2):
+                ngram.observe(("_play",), "_by")
+        want = sequence_logprobs(fresh, sentences)
+        assert want != before
+        got = sequence_logprobs(dataclasses.replace(model), sentences)
+        assert [lp.hex() for lp in got] == [lp.hex() for lp in want]
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------

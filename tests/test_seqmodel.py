@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary,
-                   renormalize_by_prior, train_decider, train_ngram)
+from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary, train_decider,
+                   train_ngram)
 from nfclm.serialization import SerializationError
 from nfclm.seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
-                            class_prior_from_corpus, ngram_sequence_logprob)
+                            _scale_by_prior, class_prior_from_corpus,
+                            ngram_sequence_logprob)
 
 from conftest import uniform_background
 
@@ -426,31 +427,33 @@ class TestDecider:
 
 class TestRenormalizeByPrior:
     RAW = {"@bg": 0.8, "@song": 0.1, "@artist": 0.1}
+    NGRAM = BackoffNGram(1, 0.5, tuple(RAW), ())
 
     def test_alpha_zero_is_identity(self):
-        out = renormalize_by_prior(self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)
+        out = _scale_by_prior(self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)
         for c, p in self.RAW.items():
             assert out[c] == pytest.approx(p)
 
     def test_uniform_prior_is_identity(self):
         prior = {c: 1 / 3 for c in self.RAW}
         for alpha in (0.0, 0.5, 1.0, 2.0):
-            out = renormalize_by_prior(self.RAW, prior, alpha)
+            out = _scale_by_prior(self.RAW, prior, alpha)
             for c, p in self.RAW.items():
                 assert out[c] == pytest.approx(p)
 
     def test_matching_prior_gives_uniform(self):
-        out = renormalize_by_prior(self.RAW, dict(self.RAW), 1.0)
+        out = _scale_by_prior(self.RAW, dict(self.RAW), 1.0)
         for p in out.values():
             assert p == pytest.approx(1 / 3)
 
+    # the scaling trusts its settings: a decider's RULES refuse bad ones
     def test_zero_prior_rejected(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            renormalize_by_prior(self.RAW, {"@bg": 0.5, "@song": 0.5, "@artist": 0.0}, 1.0)
+        with pytest.raises(ValueError, match="^prior for class '@artist' must be finite"):
+            DeciderModel(self.NGRAM, {"@bg": 0.5, "@song": 0.5, "@artist": 0.0}, 1.0)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            renormalize_by_prior(self.RAW, dict(self.RAW), -1.0)
+        with pytest.raises(ValueError, match="^alpha must be "):
+            DeciderModel(self.NGRAM, dict(self.RAW), -1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10.0),
@@ -458,15 +461,15 @@ class TestRenormalizeByPrior:
     def test_prior_scale_invariance(self, scale, alpha):
         prior = {"@bg": 0.6, "@song": 0.25, "@artist": 0.15}
         scaled = {c: p * scale for c, p in prior.items()}
-        a = renormalize_by_prior(self.RAW, prior, alpha)
-        b = renormalize_by_prior(self.RAW, scaled, alpha)
+        a = _scale_by_prior(self.RAW, prior, alpha)
+        b = _scale_by_prior(self.RAW, scaled, alpha)
         for c in self.RAW:
             assert a[c] == pytest.approx(b[c], rel=1e-12)
 
     def test_uniform_raw_argmax_is_smallest_prior(self):
         raw = {"@bg": 1 / 3, "@song": 1 / 3, "@artist": 1 / 3}
         prior = {"@bg": 0.7, "@song": 0.2, "@artist": 0.1}
-        out = renormalize_by_prior(raw, prior, 1.0)
+        out = _scale_by_prior(raw, prior, 1.0)
         assert max(out, key=out.get) == "@artist"
 
 

@@ -264,11 +264,11 @@ class TestExtremeDeciderSettings:
         self.scores(packed, capsys)
 
     def test_every_share_positive_and_normalized(self):
-        from nfclm.seqmodel import renormalize_by_prior
+        from nfclm.seqmodel import _scale_by_prior
         raw = {"@bg": 0.8, "@song": 0.15, "@artist": 0.05}
         prior = {"@bg": 0.6, "@song": 0.3, "@artist": 0.1}
         for alpha in (700.0, 1e300, 1.7e308):
-            out = renormalize_by_prior(raw, prior, alpha)
+            out = _scale_by_prior(raw, prior, alpha)
             assert all(p > 0 for p in out.values())
             assert math.fsum(out.values()) == pytest.approx(1.0, abs=1e-12)
             assert max(out, key=out.get) == "@artist"  # the smallest prior

@@ -1,9 +1,6 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from nfclm import (BOS, ClassAlphabet, detokenize, load_class_alphabet,
-                   load_vocabulary, tokenize)
+from nfclm import BOS, ClassAlphabet, load_class_alphabet, load_vocabulary
 
 
 class TestLoadVocabulary:
@@ -31,59 +28,15 @@ class TestLoadVocabulary:
         with pytest.raises(ValueError):
             load_vocabulary(["@song"])
 
+    def test_boundary_marker_mid_symbol_rejected(self):
+        assert load_vocabulary(["_a", "a"]).symbols == ("_a", "a")
+        with pytest.raises(ValueError, match=r"<vocabulary>:2: .*'a_b'.*mid-symbol"):
+            load_vocabulary(["_a", "a_b"])
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("_play\n_ro\nsie\n", encoding="utf-8")
         assert load_vocabulary(path).symbols == ("_play", "_ro", "sie")
-
-
-class TestTokenize:
-    def test_fig1_sentence(self):
-        v = load_vocabulary(["_play", "_ro", "sie", "_by", "_browne"])
-        assert tokenize("play rosie", v) == ["_play", "_ro", "sie"]
-
-    def test_empty(self):
-        v = load_vocabulary(["a"])
-        assert tokenize("", v) == []
-
-    def test_longest_match(self):
-        # greedy: _ro first, then the longer piece salie beats sa
-        v = load_vocabulary(["_ro", "salie", "sa", "lie"])
-        assert tokenize("rosalie", v) == ["_ro", "salie"]
-
-    def test_unsegmentable_names_word_and_offset(self):
-        v = load_vocabulary(["_play"])
-        with pytest.raises(ValueError, match=r"'played'.*offset 5"):
-            tokenize("played", v)
-
-    def test_never_emits_sentinels(self):
-        v = load_vocabulary(["_a", "b"])
-        assert BOS not in tokenize("ab abb", v)
-
-    def test_boundary_marker_in_input_rejected(self):
-        v = load_vocabulary(["_a"])
-        with pytest.raises(ValueError, match="boundary"):
-            tokenize("a_b", v)
-
-
-class TestDetokenize:
-    def test_fig1(self):
-        assert detokenize(["_play", "_ro", "sie"]) == "play rosie"
-
-    def test_empty(self):
-        assert detokenize([]) == ""
-
-    def test_inverse_of_tokenize_example(self):
-        assert detokenize(["_ro", "salie"]) == "rosalie"
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=4), min_size=1, max_size=6))
-def test_roundtrip_whitespace_normalized(words):
-    # cover every word: all single chars as continuations plus marked initials
-    v = load_vocabulary(["_a", "_b", "_c", "a", "b", "c"])
-    text = " ".join(words)
-    assert detokenize(tokenize(text, v)) == " ".join(text.split())
 
 
 class TestClassAlphabet:
