@@ -10,11 +10,9 @@ from .classfst import ProbClassFst, build_from_entities, load_entities
 from .cfg import CfgGrammar, expand, expand_tagged, mix_corpora, parse_grammar
 from .dynfst import DynFstSession
 from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
-                     DeadHistoryError, NfclmModel, advance, class_prefix,
-                     decider_history, eos_logprob, exact_alignment_histories,
-                     exact_next_dist, exact_sequence_logprob, extend, last_class,
-                     next_dist, sample, sequence_logprob, sequence_logprobs,
-                     start_beam)
+                     DeadHistoryError, NfclmModel, advance, eos_logprob,
+                     exact_sequence_logprob, extend, next_dist, sample,
+                     sequence_logprob, sequence_logprobs, start_beam)
 from .evaluate import (FusionWeights, NBestEntry, PerplexityReport,
                        RescoredEntry, perplexity, rescore_nbest)
 from .seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
@@ -31,10 +29,9 @@ __all__ = [
     "DeadHistoryError", "DeciderModel", "DynFstSession", "EOS", "EPSILON",
     "FusionWeights", "NBestEntry", "NfclmModel", "PerplexityReport",
     "ProbClassFst", "RescoredEntry", "Vocabulary", "advance",
-    "build_from_entities", "bundle", "class_prefix", "decider_history",
-    "eos_logprob", "exact_alignment_histories", "exact_next_dist",
-    "exact_sequence_logprob", "expand", "expand_tagged", "extend",
-    "last_class", "load_class_alphabet", "load_entities", "load_vocabulary",
+    "build_from_entities", "bundle", "eos_logprob", "exact_sequence_logprob",
+    "expand", "expand_tagged", "extend", "load_class_alphabet", "load_entities",
+    "load_vocabulary",
     "mix_corpora", "next_dist", "parse_grammar", "perplexity", "rescore_nbest",
     "sample", "sequence_logprob", "sequence_logprobs", "start_beam", "train_decider",
     "train_ngram",

@@ -115,7 +115,10 @@ class ArcTable(Sequence):
         if state < 0:
             raise IndexError(f"state id {state} is negative")
         offsets = self._offsets
-        return ArcView(self._columns, offsets[state], offsets[state + 1])
+        try:
+            return ArcView(self._columns, offsets[state], offsets[state + 1])
+        except IndexError:
+            raise IndexError(f"state id {state} is outside the {len(self)} states") from None
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -181,35 +184,10 @@ class ProbClassFst:
     def num_states(self) -> int:
         return len(self.exits)
 
-    def _check_state(self, state: int) -> None:
+    def exit_prob(self, state: int) -> float:
         if not 0 <= state < len(self.exits):
             raise KeyError(f"{self.label}: unknown state id {state}")
-
-    def step(self, state: int, symbol: str) -> Optional[int]:
-        """Destination of the unique arc for ``symbol``, or None if absent."""
-        self._check_state(state)
-        hit = self.arcs[state].get(symbol)
-        return None if hit is None else hit[1]
-
-    def arc_prob(self, state: int, symbol: str) -> float:
-        """Probability of the matching arc; 0 when there is none."""
-        self._check_state(state)
-        hit = self.arcs[state].get(symbol)
-        return 0.0 if hit is None else hit[0]
-
-    def exit_prob(self, state: int) -> float:
-        self._check_state(state)
         return self.exits[state]
-
-    def walk(self, symbols: Sequence[str]) -> Optional[int]:
-        """Follow ``symbols`` from the start state; None on a miss."""
-        current = self.start
-        for sym in symbols:
-            nxt = self.step(current, sym)
-            if nxt is None:
-                return None
-            current = nxt
-        return current
 
     def validate(self) -> None:
         """Raise ValueError naming the first violated structural invariant.

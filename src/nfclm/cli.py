@@ -17,8 +17,8 @@ from . import bundle as bundle_mod
 from . import cfg as cfg_mod
 from .classfst import build_from_entities, load_entities
 from .dynfst import DynFstSession
-from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, DeadHistoryError,
-                     advance, next_dist, sample, sequence_logprobs)
+from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
+                     DeadHistoryError, advance, next_dist, sample, sequence_logprobs)
 from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
                        perplexity, rescore_nbest)
 from .seqmodel import train_decider, train_ngram
@@ -62,9 +62,14 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def _load_bundle(args):
     """The bundle with the flag overrides; ``--exact`` switches pruning off."""
-    exact = getattr(args, "exact", False)
-    return bundle_mod.load(args.bundle, beam_size=10 ** 6 if exact else args.beam_n,
-                           beam_delta=math.inf if exact else args.beam_delta, alpha=args.alpha)
+    beam_size, beam_delta = args.beam_n, args.beam_delta
+    if getattr(args, "exact", False):
+        if beam_size is not None or beam_delta is not None:
+            raise ValueError("--exact keeps every alignment; it cannot be combined with "
+                             "--beam-n or --beam-delta")
+        beam_size, beam_delta = EXACT_BEAM_SIZE, math.inf
+    return bundle_mod.load(args.bundle, beam_size=beam_size, beam_delta=beam_delta,
+                           alpha=args.alpha)
 
 
 def _read_numbered(path, alphabet=None):

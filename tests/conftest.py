@@ -7,7 +7,7 @@ import pytest
 from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, build_from_entities,
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
-from nfclm.engine import _context
+from nfclm.engine import EXACT_BEAM_SIZE, _context
 
 TOY_SYMBOLS = ["_play", "_ro", "sie", "_by", "_browne", "salie", "berta", "_flack"]
 
@@ -66,7 +66,7 @@ def toy_model(toy_vocab, toy_classes, song_fst, artist_fst):
 def toy_model_exact_beam(toy_vocab, toy_classes, song_fst, artist_fst):
     """Beam settings wide enough to keep every alignment."""
     return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
-                          beam_size=10 ** 6, beam_delta=float("inf"))
+                          beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"))
 
 
 @pytest.fixture()
@@ -79,15 +79,15 @@ def toy_model_full(toy_vocab, toy_classes, song_fst, artist_fst):
 def toy_model_exact_beam_full(toy_vocab, toy_classes, song_fst, artist_fst):
     """Every alignment, each with its whole decider history (Fig. 1)."""
     return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
-                          beam_size=10 ** 6, beam_delta=float("inf"), merge="full")
+                          beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"), merge="full")
 
 
 def assert_beam_matches_oracle(model, history) -> bool:
     """Beam ``next_dist`` after ``history`` equals the exact oracle within
     1e-9 in log space; a history the oracle finds dead must die in the
     beam too.  Returns whether the history was live."""
-    from nfclm import (DeadHistoryError, advance, exact_next_dist,
-                       next_dist)
+    from nfclm import DeadHistoryError, advance, next_dist
+    from oracle import exact_next_dist
 
     try:
         exact = exact_next_dist(model, history)

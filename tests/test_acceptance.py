@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from nfclm import (DynFstSession, NfclmModel,
-                   build_from_entities, exact_alignment_histories,
-                   exact_next_dist, extend, load_class_alphabet,
+                   build_from_entities, extend, load_class_alphabet,
                    load_vocabulary, mix_corpora, next_dist, perplexity,
                    rescore_nbest, sequence_logprob, start_beam, train_decider,
                    train_ngram)
@@ -24,6 +23,7 @@ from nfclm.engine import MERGE_MODES
 from nfclm.seqmodel import _scale_by_prior
 
 from conftest import assert_beam_matches_oracle, make_toy_model, random_instance
+from oracle import exact_alignment_histories, exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 

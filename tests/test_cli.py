@@ -6,12 +6,14 @@ import sys
 import pytest
 
 import nfclm
-from nfclm import (advance, bundle as bundle_mod, exact_sequence_logprob,
-                   next_dist, perplexity, rescore_nbest, sequence_logprob)
+from nfclm import (advance, bundle as bundle_mod, next_dist, perplexity,
+                   rescore_nbest, sequence_logprob)
 from nfclm.cli import _fmt, main
+from nfclm.engine import EXACT_BEAM_SIZE
 from nfclm.evaluate import FusionWeights, parse_nbest_file
 
 from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS
+from oracle import exact_sequence_logprob
 
 # 14 tokens: past the exact oracle's 12-symbol limit
 LONG_SENTENCE = "_play _ro sie _by _browne _play _ro salie _by _ro berta _flack _by _browne"
@@ -193,7 +195,7 @@ class TestPipeline:
 
 def unpruned(bundle):
     """The bundle as ``--exact`` loads it: every alignment kept."""
-    return bundle_mod.load(bundle, beam_size=10 ** 6, beam_delta=math.inf)
+    return bundle_mod.load(bundle, beam_size=EXACT_BEAM_SIZE, beam_delta=math.inf)
 
 
 class TestExact:
@@ -262,6 +264,17 @@ class TestExact:
             assert field == _fmt(lp)
             assert lp == pytest.approx(exact_sequence_logprob(loaded, sentence.split()),
                                        rel=1e-12)
+
+    @pytest.mark.parametrize("override", [["--beam-n", 5], ["--beam-delta", 10.0]])
+    @pytest.mark.parametrize("command", [
+        ["score", "--corpus", "c.txt"], ["ppl", "--corpus", "c.txt"], ["next"],
+        ["rescore", "--nbest", "n.tsv"], ["dump-dynfst", "--sentence", "_play"]])
+    def test_beam_overrides_are_refused(self, tmp_path, capsys, command, override):
+        """``--exact`` would drop a beam override, so the pair is an error."""
+        code, out, err = run([*command, "--bundle", tmp_path / "none", "--exact", *override],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("nfclm: error: --exact") and override[0] in err
 
 
 class TestFailures:

@@ -7,9 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from nfclm import BACKGROUND, DynFstSession, sequence_logprob
-from nfclm.engine import advance, eos_logprob, exact_next_dist, next_dist
+from nfclm.engine import advance, eos_logprob, next_dist
 
 from conftest import random_instance, shared_key_lists
+from oracle import exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 

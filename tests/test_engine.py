@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    AlignmentHypothesis, BackoffNGram, ConditionalSymbolModel,
                    DeadHistoryError, DeciderModel, NfclmModel, advance,
-                   build_from_entities, class_prefix,
-                   decider_history, eos_logprob, exact_alignment_histories,
-                   exact_next_dist, exact_sequence_logprob, extend, last_class,
+                   build_from_entities, eos_logprob, extend,
                    load_class_alphabet, load_vocabulary, next_dist, sample,
                    sequence_logprob, sequence_logprobs, start_beam, train_decider,
                    train_ngram)
 from nfclm import engine
-from nfclm.engine import EXACT_HISTORY_LIMIT, MERGE_MODES, _routes, log_sum_exp
+from nfclm.engine import EXACT_BEAM_SIZE, MERGE_MODES, _routes, log_sum_exp
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, make_toy_model,
                       random_instance, uniform_background)
+from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
+                    exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
+                    last_class, walk)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -111,7 +112,7 @@ class TestClassComponentProb:
 
     def test_continuation_arc(self, toy_model):
         fst = toy_model.class_fsts["@song"]
-        inside = hyp(("_play", "@song"), ("@song", fst.walk(("_ro",))))
+        inside = hyp(("_play", "@song"), ("@song", walk(fst, ("_ro",))))
         (stay_arcs, _), = routes(toy_model, inside).values()
         assert stay_arcs["sie"][0] == 0.5
         beam = single_beam(toy_model, inside, ("_play", "_ro"))
@@ -141,7 +142,7 @@ class TestClassComponentProb:
         artist = build_from_entities("@artist", [("_browne",)])
         model = make_toy_model(toy_vocab, toy_classes, song, artist)
         fst = model.class_fsts["@song"]
-        inside = hyp(("@song",), ("@song", fst.walk(("_ro",))))
+        inside = hyp(("@song",), ("@song", walk(fst, ("_ro",))))
         stay_arcs, lw = routes(model, inside)[EPSILON]
         assert lw == 0.0
         assert route_masses(model, inside)[EPSILON] == pytest.approx(0.5)
@@ -162,12 +163,12 @@ class TestClassEmissionDist:
     def test_nonfinal_state_forces_continuation(self, toy_model):
         fst = toy_model.class_fsts["@song"]
         masses = route_masses(
-            toy_model, hyp(("_play", "@song"), ("@song", fst.walk(("_ro",)))))
+            toy_model, hyp(("_play", "@song"), ("@song", walk(fst, ("_ro",)))))
         assert masses == {EPSILON: 1.0}
 
     def test_final_state_releases_full_mass(self, toy_model):
         fst = toy_model.class_fsts["@song"]
-        leaf = fst.walk(("_ro", "sie"))
+        leaf = walk(fst, ("_ro", "sie"))
         masses = route_masses(toy_model, hyp(("_play", "@song"), ("@song", leaf)))
         assert masses[EPSILON] == 0.0
         decider = toy_model.decider_dist(("_play", "@song"))
@@ -233,7 +234,7 @@ class TestSymbolRoutes:
             for label, arcs in entries:
                 if label != BACKGROUND:
                     fst = toy_model.class_fsts[label]
-                    assert fst.arc_prob(fst.start, sym) > 0.0
+                    assert arc_prob(fst, fst.start, sym) > 0.0
                     assert arcs == fst.arcs[fst.start]
 
 
@@ -273,15 +274,16 @@ class TestExtend:
             fst = model.class_fsts["@artist"]
             only_artist = start_beam(model)
             only_artist.hypotheses = [
-                hyp(("@artist",), ("@artist", fst.walk(("_ro",))))]
+                hyp(("@artist",), ("@artist", walk(fst, ("_ro",))))]
             extend(model, only_artist, "_by")
 
     def test_unknown_symbol_rejected(self, toy_model):
         with pytest.raises(KeyError, match="outside the vocabulary"):
             extend(toy_model, start_beam(toy_model), "zzz")
-        for oracle in (exact_next_dist, exact_sequence_logprob):
+        for scorer in (exact_next_dist, exact_sequence_logprob,
+                       engine.exact_sequence_logprob):
             with pytest.raises(KeyError, match="outside the vocabulary"):
-                oracle(toy_model, ("_play", "zzz"))
+                scorer(toy_model, ("_play", "zzz"))
 
     def test_merging_collapses_equal_keys(self, toy_vocab, toy_classes):
         # entities (x) and (x,x): two alignments of x,x,x,x share
@@ -291,7 +293,7 @@ class TestExtend:
         song = build_from_entities("@song", [("sie",), ("sie", "sie")])
         artist = build_from_entities("@artist", [("_browne",)])
         model = make_toy_model(toy_vocab, toy_classes, song, artist,
-                               beam_size=10 ** 6, beam_delta=float("inf"))
+                               beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"))
         beam = advance(model, ("sie",) * 4)
         keys = [(h.decider_history, h.position) for h in beam.hypotheses]
         assert len(keys) == len(set(keys))
@@ -342,11 +344,11 @@ class TestFig1:
         d = model.decider_dist
         bg = 1 / 9  # uniform background over 8 symbols + EOS
         p1 = d(())[BACKGROUND] * bg
-        p2 = d(("_play",))["@song"] * song.arc_prob(song.start, "_ro")
-        p3 = song.arc_prob(song.walk(("_ro",)), "sie")
+        p2 = d(("_play",))["@song"] * arc_prob(song, song.start, "_ro")
+        p3 = arc_prob(song, walk(song, ("_ro",)), "sie")
         p4 = d(("_play", "@song"))[BACKGROUND] * bg
         p5 = d(("_play", "@song", "_by"))["@artist"] * \
-            artist.arc_prob(artist.start, "_browne")
+            arc_prob(artist, artist.start, "_browne")
         beam = advance(model, FIG1_SENTENCE)
         target = ("_play", "@song", "_by", "@artist")
         weight = [h.log_weight for h in beam.hypotheses
@@ -363,8 +365,8 @@ class TestExactNextDist:
         song = toy_model.class_fsts["@song"]
         artist = toy_model.class_fsts["@artist"]
         want_ro = (decider[BACKGROUND] * bg
-                   + decider["@song"] * song.arc_prob(song.start, "_ro")
-                   + decider["@artist"] * artist.arc_prob(artist.start, "_ro"))
+                   + decider["@song"] * arc_prob(song, song.start, "_ro")
+                   + decider["@artist"] * arc_prob(artist, artist.start, "_ro"))
         assert dist["_ro"] == pytest.approx(want_ro, abs=1e-12)
         assert dist[EOS] == pytest.approx(decider[BACKGROUND] * bg, abs=1e-12)
 
@@ -402,6 +404,18 @@ class TestSequenceLogprob:
         chained += math.log(exact_next_dist(toy_model, sentence)[EOS])
         assert exact_sequence_logprob(toy_model, sentence) == \
             pytest.approx(chained, abs=1e-9)
+
+    def test_library_exact_is_unpruned_at_any_length(self, toy_model):
+        """``engine.exact_sequence_logprob`` ignores the model's beam: on a
+        one-hypothesis beam it still equals the oracle, and it takes
+        sentences past the oracle's limit."""
+        narrow = dataclasses.replace(toy_model, beam_size=1, beam_delta=0.0)
+        for sentence in (FIG1_SENTENCE, ("_play", "_ro", "sie"), ("_browne", "_by", "_play")):
+            assert engine.exact_sequence_logprob(narrow, sentence) == pytest.approx(
+                exact_sequence_logprob(toy_model, sentence), rel=1e-12, abs=0)
+        long = FIG1_SENTENCE * 3
+        assert len(long) > EXACT_HISTORY_LIMIT
+        assert -math.inf < engine.exact_sequence_logprob(narrow, long) < 0.0
 
     def test_beam_equals_exact_on_toy(self, toy_model_exact_beam):
         for sentence in (FIG1_SENTENCE, ("_play",), ("_ro", "sie"),
@@ -662,7 +676,7 @@ def log_domain_next_dist(model, beam):
 
 
 NEXT_DIST_VARIANTS = ({}, {"beam_size": 2}, {"beam_delta": 0.5},
-                      {"beam_size": 10 ** 6, "beam_delta": math.inf}, {"merge": "full"})
+                      {"beam_size": EXACT_BEAM_SIZE, "beam_delta": math.inf}, {"merge": "full"})
 
 
 def next_dist_beams(toy):
