@@ -39,6 +39,13 @@ ID = "I"
 Entity = tuple[tuple[str, ...], float]
 
 
+def _unknown_state(state: int, num_states: int) -> IndexError:
+    """The error for a state id outside ``0..num_states - 1``."""
+    if state < 0:
+        return IndexError(f"state id {state} is negative")
+    return IndexError(f"state id {state} is outside the {num_states} states")
+
+
 class ArcView(Mapping):
     """Read-only ``{symbol: (probability, destination)}`` over one state's arcs.
 
@@ -112,13 +119,13 @@ class ArcTable(Sequence):
         self._offsets = offsets
 
     def __getitem__(self, state: int) -> ArcView:
-        if state < 0:
-            raise IndexError(f"state id {state} is negative")
-        offsets = self._offsets
-        try:
-            return ArcView(self._columns, offsets[state], offsets[state + 1])
-        except IndexError:
-            raise IndexError(f"state id {state} is outside the {len(self)} states") from None
+        if state >= 0:
+            offsets = self._offsets
+            try:
+                return ArcView(self._columns, offsets[state], offsets[state + 1])
+            except IndexError:
+                pass
+        raise _unknown_state(state, len(self))
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -140,37 +147,19 @@ class ProbClassFst:
     ``(probability, destination)``; ``exits[s]`` is the probability of
     leaving the class at state ``s``.
 
-    The constructor takes the dict form: ``arcs`` is one
-    ``{symbol: (probability, destination)}`` per state.  It is stored as
-    the columns that format v2 writes: ``symbols``, the sorted table of
-    arc symbols; per state an offset into the arc columns, closed by the
-    arc count, and ``exits``; per arc, sorted by symbol within its state,
-    a symbol id into ``symbols``, a probability and a destination.
-    ``validate`` checks the columns; the constructor does not.
+    The constructor takes the columns that format v2 writes, and holds
+    them as given: ``symbols``, the sorted table of arc symbols; per state
+    an offset into the arc columns, closed by the arc count, and
+    ``exits``; per arc, sorted by symbol within its state, a symbol id
+    into ``symbols``, a probability and a destination.  ``validate``
+    checks the columns; the constructor does not.
     """
 
     start = 0
 
-    def __init__(self, label: str, arcs: Sequence[Mapping[str, tuple[float, int]]],
-                 exits: Iterable[float], entity_count: int = 0, total_weight: float = 0.0):
-        symbols = tuple(sorted({symbol for out in arcs for symbol in out}))
-        ids = {symbol: i for i, symbol in enumerate(symbols)}
-        offsets = array(ID, [0])
-        arc_ids, probs, dests = array(ID), array("d"), array(ID)
-        for out in arcs:
-            for symbol in sorted(out):
-                prob, dest = out[symbol]
-                arc_ids.append(ids[symbol])
-                probs.append(prob)
-                dests.append(dest)
-            offsets.append(len(arc_ids))
-        self._adopt(label, symbols, offsets, array("d", exits), arc_ids, probs, dests,
-                    entity_count, total_weight)
-
-    def _adopt(self, label: str, symbols: tuple[str, ...], offsets: array, exits: array,
-               arc_ids: array, probs: array, dests: array,
-               entity_count: int, total_weight: float) -> None:
-        """Hold the columns as given, unchecked."""
+    def __init__(self, label: str, symbols: tuple[str, ...], offsets: array, exits: array,
+                 arc_ids: array, probs: array, dests: array,
+                 entity_count: int = 0, total_weight: float = 0.0):
         self.label = label
         self.entity_count = entity_count
         self.total_weight = total_weight
@@ -185,9 +174,12 @@ class ProbClassFst:
         return len(self.exits)
 
     def exit_prob(self, state: int) -> float:
-        if not 0 <= state < len(self.exits):
-            raise KeyError(f"{self.label}: unknown state id {state}")
-        return self.exits[state]
+        if state >= 0:
+            try:
+                return self.exits[state]
+            except IndexError:
+                pass
+        raise _unknown_state(state, len(self.exits))
 
     def validate(self) -> None:
         """Raise ValueError naming the first violated structural invariant.
@@ -282,9 +274,8 @@ class ProbClassFst:
         probs = r.column("d", num_arcs)
         dests = r.column(ID, num_arcs)
         r.done()
-        fst = cls.__new__(cls)
-        fst._adopt(label, symbols, offsets, exits, arc_ids, probs, dests,
-                   entity_count, total_weight)
+        fst = cls(label, symbols, offsets, exits, arc_ids, probs, dests,
+                  entity_count, total_weight)
         try:
             fst.validate()
         except ValueError as exc:
@@ -303,7 +294,7 @@ class ProbClassFst:
 
 
 class _TrieNode:
-    __slots__ = ("children", "weight", "end_weight")
+    __slots__ = ("children", "weight", "end_weight", "state")  # state: the preorder id
 
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
@@ -346,27 +337,26 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
 
     # Preorder ids over lexicographically sorted arcs: builds from permuted
     # entity lists serialize identically.
-    arcs: list[dict[str, tuple[float, int]]] = []
-    exits: list[float] = []
-
-    def assign(node: _TrieNode) -> int:
-        state = len(arcs)
-        arcs.append({})
+    nodes: list[_TrieNode] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.state = len(nodes)
+        nodes.append(node)
+        stack.extend(node.children[sym] for sym in sorted(node.children, reverse=True))
+    symbols = tuple(sorted({sym for node in nodes for sym in node.children}))
+    ids = {symbol: i for i, symbol in enumerate(symbols)}
+    offsets, exits = array(ID, [0]), array("d")
+    arc_ids, probs, dests = array(ID), array("d"), array(ID)
+    for node in nodes:
         exits.append(node.end_weight / node.weight)
-        for sym in sorted(node.children):
-            child = node.children[sym]
-            dest = assign(child)
-            arcs[state][sym] = (child.weight / node.weight, dest)
-        return state
-
-    assign(root)
-    fst = ProbClassFst(
-        label=label,
-        arcs=arcs,
-        exits=exits,
-        entity_count=len(normalized),
-        total_weight=root.weight,
-    )
+        for sym, child in sorted(node.children.items()):
+            arc_ids.append(ids[sym])
+            probs.append(child.weight / node.weight)
+            dests.append(child.state)
+        offsets.append(len(arc_ids))
+    fst = ProbClassFst(label, symbols, offsets, exits, arc_ids, probs, dests,
+                       entity_count=len(normalized), total_weight=root.weight)
     fst.validate()
     return fst
 

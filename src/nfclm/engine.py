@@ -184,13 +184,10 @@ class NfclmModel:
             if fst.label != label:
                 raise ComponentError(label, f"FST labeled {fst.label!r} registered under "
                                             f"{label!r}")
-            if symbols.issuperset(fst.symbols):
-                continue
-            for out in fst.arcs:  # name the first arc outside the vocabulary
-                for sym in out:
-                    if sym not in symbols:
-                        raise ComponentError(
-                            label, f"{label}: arc symbol {sym!r} is outside the vocabulary")
+            if not symbols.issuperset(fst.symbols):
+                sym = next(sym for sym in fst.symbols if sym not in symbols)
+                raise ComponentError(
+                    label, f"{label}: arc symbol {sym!r} is outside the vocabulary")
         if set(self.background.alphabet) != symbols | {EOS}:
             raise ComponentError("background",
                                  "background model must predict the vocabulary plus EOS")

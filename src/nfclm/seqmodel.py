@@ -161,38 +161,28 @@ class BackoffNGram(ConditionalSymbolModel):
         usable = min(len(history), self.order - 1)
         return tuple(history[len(history) - usable:])
 
-    def _walk(self, dist: dict[str, float], context: tuple[str, ...],
-              first: int) -> dict[str, float]:
-        """Interpolate levels ``first..len(context)`` into ``dist`` in place."""
+    def _levels(self, context: tuple[str, ...], first: int):
+        """Yield ``(table, total, back-off weight)`` for each level
+        ``first..len(context)`` whose suffix of ``context`` has counts."""
+        discount = self.discount
         for length in range(first, len(context) + 1):
             table = self.counts[length].get(context[len(context) - length:])
-            if not table:
-                continue
-            total = sum(table.values())
-            backoff = self.discount * len(table) / total
-            for sym in dist:
-                seen = table.get(sym, 0)
-                head = (seen - self.discount) / total if seen else 0.0
-                dist[sym] = head + backoff * dist[sym]
-        return dist
+            if table:
+                total = sum(table.values())
+                yield table, total, discount * len(table) / total
 
     def _sweep(self, values: list[float], context: tuple[str, ...],
                first: int) -> list[float]:
-        """``_walk`` over every symbol, as lists in alphabet order.
+        """Interpolate the levels into ``values``, a list in alphabet order.
 
         Each level is one scaled copy of ``values``, then a head term for
-        each symbol its table has seen.  An unseen symbol's ``0.0 + b * p``
-        is ``b * p`` for every positive ``p``, and a seen symbol's sum is
-        the same two terms, so every entry has ``_walk``'s bits.  Returns
+        each symbol its table has seen: per entry the sum ``logprob``
+        takes for its one symbol, so both read the same bits.  Returns
         ``values`` itself when no level is reached.
         """
         discount, index = self.discount, self._index
-        for length in range(first, len(context) + 1):
-            table = self.counts[length].get(context[len(context) - length:])
-            if not table:
-                continue
-            total = sum(table.values())
-            values = list(map(mul, repeat(discount * len(table) / total), values))
+        for table, total, backoff in self._levels(context, first):
+            values = list(map(mul, repeat(backoff), values))
             for sym, seen in table.items():
                 i = index[sym]
                 values[i] = (seen - discount) / total + values[i]
@@ -217,13 +207,16 @@ class BackoffNGram(ConditionalSymbolModel):
         i = self._index.get(symbol)
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
-        context = self._check_history(history)
-        return math.log(self._walk({symbol: self._level0_table()[i]}, context, 1)[symbol])
+        discount, p = self.discount, self._level0_table()[i]
+        for table, total, backoff in self._levels(self._check_history(history), 1):
+            seen = table.get(symbol)
+            p = (seen - discount) / total + backoff * p if seen else backoff * p
+        return math.log(p)
 
     def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
         """The longest suffix of ``context`` with a nonempty count table.
 
-        ``_walk`` reads only suffix tables and skips absent or empty ones,
+        ``_levels`` reads only suffix tables and skips absent or empty ones,
         so every level above this suffix adds nothing and every level up
         to it reads a suffix of it, whether or not the tables are closed
         under suffixes.  A key is thus ``()`` or a stored context.
@@ -409,11 +402,6 @@ def _normalized(weights: Mapping[str, float]) -> dict[str, float]:
     return {c: p / total for c, p in weights.items()}
 
 
-class _Prior(dict):
-    """A decider's normalized class prior: a decider built from it keeps
-    its bits, which normalizing it again could move."""
-
-
 class DeciderModel(ConditionalSymbolModel):
     """Class predictor over mixed histories of symbols and class tokens.
 
@@ -421,6 +409,10 @@ class DeciderModel(ConditionalSymbolModel):
     small probability floor so every class stays reachable, then
     renormalizes by the inverse class prior to keep mass from pooling on
     the background class.  ``RULES`` checks each setting and prior entry.
+
+    ``prior`` is the prior as given, restricted to the classes, and is
+    what ``serialize`` writes; the scaling reads one normalized copy made
+    here, so a decider loaded from its bytes scores with its bits.
     """
 
     # exact types, so that True is no number; NaN fails every comparison
@@ -438,11 +430,10 @@ class DeciderModel(ConditionalSymbolModel):
         self.RULES["floor"].check("floor", floor)
         self.ngram = ngram
         self.classes = ngram.alphabet
-        for c in self.classes:
-            self.RULES["prior"].check(f"prior for class {c!r}", prior.get(c))
-        if not (isinstance(prior, _Prior) and len(prior) == len(self.classes)):
-            prior = _Prior(_normalized({c: prior[c] for c in self.classes}))
-        self.prior = prior
+        self.prior = {c: prior.get(c) for c in self.classes}
+        for c, p in self.prior.items():
+            self.RULES["prior"].check(f"prior for class {c!r}", p)
+        self._normalized_prior = _normalized(self.prior)
         self.alpha = alpha
         self.floor = floor
 
@@ -465,7 +456,8 @@ class DeciderModel(ConditionalSymbolModel):
                             in zip(self.classes, self.ngram.distribution_values(history))})
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        return _scale_by_prior(self.raw_distribution(history), self.prior, self.alpha)
+        return _scale_by_prior(self.raw_distribution(history), self._normalized_prior,
+                               self.alpha)
 
     def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
         """The n-gram's key: the floor and the prior scaling read no context."""

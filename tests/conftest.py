@@ -1,10 +1,12 @@
 import math
 import random
+from array import array
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
-from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, build_from_entities,
+from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, ProbClassFst, build_from_entities,
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
 from nfclm.engine import EXACT_BEAM_SIZE, _context
@@ -33,6 +35,17 @@ def song_fst():
 @pytest.fixture(scope="session")
 def artist_fst():
     return build_from_entities("@artist", ARTIST_ENTITIES)
+
+
+def fst_from_dicts(label, arcs, exits):
+    """A ``ProbClassFst`` over one ``{symbol: (probability, destination)}``
+    per state and the states' exit probabilities, its columns unchecked."""
+    symbols = tuple(sorted({symbol for out in arcs for symbol in out}))
+    rows = [(symbols.index(symbol), *out[symbol]) for out in arcs for symbol in sorted(out)]
+    return ProbClassFst(label, symbols, array("I", accumulate(map(len, arcs), initial=0)),
+                        array("d", exits), array("I", [sid for sid, _, _ in rows]),
+                        array("d", [prob for _, prob, _ in rows]),
+                        array("I", [dest for _, _, dest in rows]))
 
 
 def uniform_background(alphabet):

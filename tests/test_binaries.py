@@ -27,7 +27,7 @@ from nfclm.cli import main
 from nfclm.seqmodel import DECIDER_MAGIC, NGRAM_MAGIC
 from nfclm.serialization import SerializationError
 
-from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS
+from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dicts
 
 # start 0 --_ro--> 1; 1 --sia--> 2 and --sie--> 3; 2 and 3 exit.  Byte
 # layout: a 33-byte header, the symbol count at 33 and the symbols '_ro',
@@ -110,7 +110,7 @@ def invariant(fault, data=FST_DATA):
     return (f"invariant violation: @song: {fault}", len(data))
 
 
-ARC_TO_AN_EARLIER_STATE = ProbClassFst(
+ARC_TO_AN_EARLIER_STATE = fst_from_dicts(
     "@song", [{"_ro": (1.0, 1)}, {"sia": (0.5, 2), "sie": (0.5, 3)}, {"_ro": (1.0, 1)}, {}],
     [0.0, 0.0, 0.0, 1.0]).serialize()
 

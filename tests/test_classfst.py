@@ -12,6 +12,7 @@ from nfclm import ProbClassFst, build_from_entities, load_entities
 from nfclm.classfst import MAGIC, VERSION
 from nfclm.serialization import ByteWriter, SerializationError
 
+from conftest import fst_from_dicts
 from oracle import arc_prob, step, walk
 
 SONG = [("_ro", "sie"), ("_ro", "salie")]
@@ -56,6 +57,12 @@ class TestBuildFromEntities:
         assert arc_prob(fst, fst.start, "a") == 1.0
         assert arc_prob(fst, walk(fst, ("a",)), "b") == 1.0
         assert fst.exit_prob(walk(fst, ("a", "b"))) == 1.0
+
+    def test_entity_longer_than_the_recursion_limit(self):
+        entity = tuple(f"s{i}" for i in range(1500))
+        fst = build_from_entities("@x", [entity])
+        assert fst.num_states == 1501
+        assert fst.exit_prob(walk(fst, entity)) == 1.0
 
     def test_prefix_entity_gets_fractional_exit(self):
         fst = build_from_entities("@x", [("a",), ("a", "b")])
@@ -104,14 +111,13 @@ class TestQueries:
 
     def test_unknown_state_errors(self):
         song = build_from_entities("@song", SONG)
-        with pytest.raises(KeyError, match="unknown state id 99"):
-            song.exit_prob(99)
-        with pytest.raises(IndexError, match="^state id -1 is negative$"):
-            song.arcs[-1]
-        for state in (song.num_states, song.num_states + 1, 99):
-            with pytest.raises(IndexError, match=f"^state id {state} is outside the "
-                                                 f"{song.num_states} states$"):
-                song.arcs[state]
+        for read in (song.exit_prob, song.arcs.__getitem__):
+            with pytest.raises(IndexError, match="^state id -1 is negative$"):
+                read(-1)
+            for state in (song.num_states, song.num_states + 1, 99):
+                with pytest.raises(IndexError, match=f"^state id {state} is outside the "
+                                                     f"{song.num_states} states$"):
+                    read(state)
 
 
 entity_lists = st.lists(
@@ -274,7 +280,7 @@ class TestColumns:
             self.tracked_objects(small.serialize())
 
     def test_view_behaves_as_its_dict(self):
-        fst = ProbClassFst("@song", self.SONG_DICTS, [0.0, 0.0, 1.0, 1.0])
+        fst = fst_from_dicts("@song", self.SONG_DICTS, [0.0, 0.0, 1.0, 1.0])
         assert fst.arcs == self.SONG_DICTS and self.SONG_DICTS == fst.arcs
         assert len(fst.arcs) == 4
         for state, want in enumerate(self.SONG_DICTS):

@@ -378,6 +378,22 @@ class TestBundle:
             bundle.load(tmp_path / "b")
         assert str(info.value) == f"{path}: FST labeled '@artist' registered under '@song'"
 
+    def test_fst_outside_vocabulary_names_its_file(self, toy_vocab, toy_classes, song_fst,
+                                                   artist_fst, tmp_path):
+        from nfclm import NfclmModel, build_from_entities, train_decider
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+        path = tmp_path / "b" / "@song.fst"
+        # the start state's arcs read '_ro' then 'zz'; the symbol table '_ro', 'aa', 'zz'
+        path.write_bytes(build_from_entities("@song", [("_ro", "aa"), ("zz",)]).serialize())
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.load(tmp_path / "b")
+        assert str(info.value) == f"{path}: @song: arc symbol 'aa' is outside the vocabulary"
+
     def test_version_mismatch(self, tmp_path):
         import json
         d = tmp_path / "b"

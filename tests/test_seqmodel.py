@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -423,6 +424,35 @@ class TestDecider:
         assert back.prior == model.prior
         assert back.alpha == model.alpha
         assert back.distribution(("_play",)) == model.distribution(("_play",))
+
+    TOKENS = ("a", "b", "c", "d", "@x", "@y", "@z")
+
+    @classmethod
+    def assert_reloads_exactly(cls, corpus):
+        """A trained decider loaded from its bytes re-packs to those bytes
+        and gives the prior and every order-3 distribution bit for bit."""
+        model = train_decider(corpus, load_vocabulary(cls.TOKENS[:4]),
+                              load_class_alphabet(("@bg",) + cls.TOKENS[4:]), order=3)
+        data = model.serialize()
+        back = DeciderModel.deserialize(data)
+        assert back.serialize() == data, corpus
+        assert list(map(float.hex, back.prior.values())) == \
+            list(map(float.hex, model.prior.values())), corpus
+        for history in itertools.product(cls.TOKENS + (BOS,), repeat=2):
+            assert list(map(float.hex, back.distribution(history).values())) == \
+                list(map(float.hex, model.distribution(history).values())), (corpus, history)
+
+    def test_reload_keeps_bits(self):
+        # normalizing this decider's stored prior again moves each entry by an ulp
+        self.assert_reloads_exactly(
+            [s.split() for s in "d d d a|@y d a b|b|b a c @x|a|@x|@x a|@x a a|@x d".split("|")])
+
+    def test_reload_keeps_bits_sweep(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            self.assert_reloads_exactly(
+                [[rng.choice(self.TOKENS) for _ in range(rng.randint(1, 4))]
+                 for _ in range(rng.randint(1, 10))])
 
 
 class TestRenormalizeByPrior:
