@@ -4,10 +4,11 @@ States are token histories carrying an alignment beam; arcs appear on
 demand with negative-log next-symbol probabilities as weights, so any
 FST-shaped consumer can drive the model without knowing about
 alignments.  The automaton is infinite, so each state is recorded only
-as the arc that created it (parent id, symbol); its final weight is
-computed on first request.  Beams live in a bounded LRU cache and are
-replayed from the nearest resident ancestor when needed again; replays
-are bit-exact because beam extension is deterministic.
+as the arc that created it (parent id, symbol), from which ``history_of``
+rebuilds its history (a beam keeps only its context and length); its
+final weight is computed on first request.  Beams live in a bounded LRU
+cache and are replayed from the nearest resident ancestor when needed
+again; replays are bit-exact because beam extension is deterministic.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ step, so they are merged by log-sum-exp.
 
 By default (``merge="context"``) the stored decider history is only the
 decider's context: its last ``decider.context_size`` tokens.  Merging on
-that is exact, not an approximation.  The background model conditions
-on the token history, which every hypothesis of a beam shares, and the
-decider reads only its padded context, so two hypotheses that agree on
-context and position get the same factor on every future step.  Merging
-them shrinks the beam on entity text to a few hypotheses, and a step
-copies at most ``context_size + 1`` tokens per hypothesis.
+that is exact, not an approximation.  The background model reads only
+the padded context that a beam keeps of its token history, and the
+decider only its padded context, so two hypotheses that agree on context
+and position get the same factor on every future step.  Merging them
+shrinks the beam on entity text to a few hypotheses, and a step copies
+at most ``context_size + 1`` tokens per hypothesis.
 ``merge="full"`` keeps each alignment's whole collapsed history, as in
 the paper's Fig. 1 boxes; both modes extend through ``_successor``.
 
@@ -94,14 +94,12 @@ Position = Optional[tuple[str, int]]
 
 
 class DeadHistoryError(Exception):
-    """Every alignment assigns the extension probability zero."""
+    """No alignment generates ``symbol`` after the first ``position`` tokens."""
 
-    def __init__(self, history: Sequence[str], symbol: str):
-        self.history = tuple(history)
+    def __init__(self, position: int, symbol: str):
+        self.position = position
         self.symbol = symbol
-        super().__init__(
-            f"no alignment can generate {symbol!r} after {' '.join(self.history) or '<start>'}"
-        )
+        super().__init__(f"no alignment can generate {symbol!r} at position {position}")
 
 
 class ComponentError(ValueError):
@@ -134,11 +132,13 @@ class AlignmentHypothesis(NamedTuple):
 class AlignmentBeam:
     """Bounded set of alignment hypotheses for one token history.
 
-    ``log_norm`` is the log of the kept hypotheses' total weight, which
-    turns their joint weights into posteriors.
+    Of that history it keeps ``context``, the background's padded
+    context, and ``length``.  ``log_norm``, the log of the kept
+    hypotheses' total weight, turns their joint weights into posteriors.
     """
 
-    history: tuple[str, ...]
+    context: tuple[str, ...]
+    length: int
     hypotheses: list[AlignmentHypothesis]
     log_norm: float = 0.0
     size_limit: int = DEFAULT_BEAM_SIZE
@@ -299,8 +299,8 @@ def _context(history: Sequence[str], size: int) -> tuple[str, ...]:
 
 def start_beam(model: NfclmModel) -> AlignmentBeam:
     root = AlignmentHypothesis(decider_history=(), position=None, log_weight=0.0)
-    return AlignmentBeam(history=(), hypotheses=[root], log_norm=0.0,
-                         size_limit=model.beam_size, delta=model.beam_delta)
+    return AlignmentBeam(context=(BOS,) * model._bg_context_size, length=0, hypotheses=[root],
+                         log_norm=0.0, size_limit=model.beam_size, delta=model.beam_delta)
 
 
 def log_sum_exp(values: Sequence[float]) -> float:
@@ -380,7 +380,7 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     """
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
-    bg_lp = model.background_logprob(symbol, beam.history)
+    bg_lp = model.background_logprob(symbol, beam.context)
     bound = model._history_bound
     merged: dict[tuple, list[float]] = {}
     for hyp, route, arcs, lw in _routes(model, beam.hypotheses,
@@ -400,8 +400,8 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
         else:
             slot.append(lw)
     if not merged:
-        raise DeadHistoryError(beam.history, symbol)
-    history = beam.history + (symbol,)
+        raise DeadHistoryError(beam.length, symbol)
+    context = _context(beam.context + (symbol,), model._bg_context_size)
     if len(merged) == 1:
         # one finite successor survives any pruning; these are the bits
         # the ranked path below gives it
@@ -409,8 +409,8 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
         weight = log_sum_exp(weights)
         if -math.inf < weight < math.inf:
             total = weight + 0.0  # log_sum_exp([weight])
-            return AlignmentBeam(history, [AlignmentHypothesis(dh, pos, weight)], total,
-                                 beam.size_limit, beam.delta), total - beam.log_norm
+            return AlignmentBeam(context, beam.length + 1, [AlignmentHypothesis(dh, pos, weight)],
+                                 total, beam.size_limit, beam.delta), total - beam.log_norm
 
     # best first, ties by (decider history, position), which no two share;
     # each rank holds the negated weight
@@ -427,13 +427,13 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
 
     new_norm = (total if len(kept) == len(ranked)
                 else log_sum_exp([h.log_weight for h in hypotheses]))
-    return AlignmentBeam(history, hypotheses, new_norm,
+    return AlignmentBeam(context, beam.length + 1, hypotheses, new_norm,
                          beam.size_limit, beam.delta), step_logprob
 
 
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     """log P(EOS | history) under the beam; -inf when no alignment can stop."""
-    eos_lp = model.background_logprob(EOS, beam.history)
+    eos_lp = model.background_logprob(EOS, beam.context)
     # EOS has the background route alone; stay routes cannot emit it
     contributions = [lw + eos_lp for _, _, _, lw
                      in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=False)]
@@ -473,8 +473,7 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
             classes.append((*arcs, lw))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        bg = model.background.distribution_values(
-            _context(beam.history, model._bg_context_size))
+        bg = model.background.distribution_values(beam.context)
         if model._bg_order is not None:
             bg = map(bg.__getitem__, model._bg_order)
         values = list(map(mul, repeat(scale), bg))
@@ -516,8 +515,8 @@ def sequence_logprobs(model: NfclmModel,
     alignment is marked dead and every list that starts with it scores
     -inf.  ``extend`` depends only on (model, beam, symbol) and totals are
     summed in token order, so each result has the bits of scoring that
-    list alone.  The stack holds at most one beam per token of the
-    longest list.
+    list alone.  The stack holds at most one beam, of O(context)
+    tokens, per token of the longest list.
     """
     lists = [tuple(tokens) for tokens in token_lists]
     results = [-math.inf] * len(lists)

@@ -195,7 +195,7 @@ def exact_next_dist(model: NfclmModel, history: Sequence[str]) -> dict[str, floa
     history = _oracle_input(model, history)
     alignments = _enumerate_alignments(model, history)
     if not alignments:
-        raise DeadHistoryError(history, "<next>")
+        raise DeadHistoryError(len(history), "<next>")
     marginal = math.fsum(w for _, w in alignments)
     labels = (EPSILON, BACKGROUND) + model.classes.nonbackground
     masses: dict[str, list[float]] = {sym: [] for sym in model.vocabulary.symbols}

@@ -401,6 +401,15 @@ class TestFailures:
         code, _, err = run(["score", "--bundle", bundle, "--corpus", "-"], capsys)
         assert (code, err) == (1, "nfclm: error: <stdin>:2: unknown symbol 'zzz'\n")
 
+    def test_dead_next_history_names_its_position(self, toy_model, tmp_path, capsys):
+        bundle_mod.pack(toy_model, tmp_path / "toy")
+        # a singleton beam keeps only the in-class reading of _ro, which
+        # _by cannot continue
+        code, out, err = run(["next", "--bundle", tmp_path / "toy", "--beam-n", 1,
+                              "--history", "_ro _by"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "nfclm: error: no alignment can generate '_by' at position 1\n"
+
     def test_key_error_printed_without_repr_quotes(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
         code, _, err = run(["next", "--bundle", bundle, "--history", "_play zzz"], capsys)

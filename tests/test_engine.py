@@ -52,7 +52,8 @@ def route_masses(model, h):
 
 def single_beam(model, h, history):
     """A beam holding only ``h``, normalized to it."""
-    return AlignmentBeam(history=tuple(history), hypotheses=[h], log_norm=h.log_weight,
+    return AlignmentBeam(context=engine._context(history, model.background.context_size),
+                         length=len(history), hypotheses=[h], log_norm=h.log_weight,
                          size_limit=model.beam_size, delta=model.beam_delta)
 
 
@@ -312,6 +313,43 @@ class TestExtend:
                    for h in beam.hypotheses)
 
 
+class TestBeamState:
+    """A beam keeps the background's padded context and its length, not
+    the token history."""
+
+    def test_context_and_length(self, toy_model):
+        rng = random.Random(11)
+        cases = [(toy_model, [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta")])]
+        cases += [random_instance(rng, max_history=12) for _ in range(10)]
+        sizes = Counter()
+        for base, histories in cases:
+            size = base.background.context_size
+            sizes[size] += 1
+            for model in (base, dataclasses.replace(base, beam_size=2, merge="full")):
+                for history in histories:
+                    beam = start_beam(model)
+                    for k, sym in enumerate(history, start=1):
+                        try:
+                            beam, _ = extend(model, beam, sym)
+                        except DeadHistoryError:
+                            break
+                        assert beam.context == engine._context(history[:k], size)
+                        assert beam.length == k
+        assert set(sizes) == {0, 1, 2}
+
+    @pytest.mark.parametrize("history", [("_ro", "_by"), ("_play", "_ro", "sie", "_ro", "_by")])
+    def test_dead_history_names_its_position(self, toy_vocab, toy_classes, song_fst,
+                                             artist_fst, history):
+        # a singleton beam keeps only the in-class reading of the last _ro,
+        # which _by cannot continue
+        model = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, beam_size=1)
+        with pytest.raises(DeadHistoryError) as exc:
+            advance(model, history)
+        position = len(history) - 1
+        assert (exc.value.position, exc.value.symbol) == (position, "_by")
+        assert str(exc.value) == f"no alignment can generate '_by' at position {position}"
+
+
 class TestFig1:
     BOXES = {
         1: {("_play",)},
@@ -524,10 +562,19 @@ class TestSequenceLogprobs:
         rng = random.Random(9)
         calls = Counter()
         real_extend = engine.extend
+        # id of each beam extend returned -> (beam, its prefix); holding the
+        # beam keeps its id from being reused
+        prefixes = {}
 
         def counted(model, beam, symbol):
-            calls[beam.history + (symbol,)] += 1
-            return real_extend(model, beam, symbol)
+            # a beam extend did not return is the start beam
+            _, prefix = prefixes.get(id(beam), (beam, ()))
+            assert len(prefix) == beam.length
+            prefix += (symbol,)
+            calls[prefix] += 1
+            new, lp = real_extend(model, beam, symbol)
+            prefixes[id(new)] = (new, prefix)
+            return new, lp
 
         for base, histories in self.cases(toy_vocab, toy_classes, song_fst, artist_fst):
             for kwargs in self.VARIANTS:
@@ -537,6 +584,7 @@ class TestSequenceLogprobs:
                 expected = {t[:k] for t in lists for k in range(1, len(t) + 1)
                             if alive(model, t[:k - 1])}
                 calls.clear()
+                prefixes.clear()
                 monkeypatch.setattr(engine, "extend", counted)
                 sequence_logprobs(model, lists)
                 monkeypatch.setattr(engine, "extend", real_extend)
@@ -644,8 +692,7 @@ def dict_next_dist(model, beam):
     symbols = model.vocabulary.symbols + (EOS,)
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        bg = model.background.distribution(
-            engine._context(beam.history, model.background.context_size))
+        bg = model.background.distribution(beam.context)
         dist = {sym: scale * bg[sym] for sym in symbols}
     else:
         dist = dict.fromkeys(symbols, 0.0)
@@ -668,8 +715,7 @@ def log_domain_next_dist(model, beam):
             terms.setdefault(sym, []).append(lw + math.log(arc))
     if background:
         share = log_sum_exp(background)
-        context = engine._context(beam.history, model.background.context_size)
-        for sym, p in model.background.distribution(context).items():
+        for sym, p in model.background.distribution(beam.context).items():
             terms.setdefault(sym, []).append(share + math.log(p))
     return {sym: math.exp(log_sum_exp(terms[sym]) - beam.log_norm) if sym in terms else 0.0
             for sym in model.vocabulary.symbols + (EOS,)}
@@ -755,7 +801,7 @@ class TestNextDist:
                 try:
                     _, lp = extend(model, beam, sym)
                 except DeadHistoryError:
-                    assert dist[sym] == 0.0, (beam.history, sym)
+                    assert dist[sym] == 0.0, (beam.context, sym)
                     zeros += 1
                     continue
                 assert dist[sym] == pytest.approx(math.exp(lp), rel=1e-12, abs=0)
@@ -773,7 +819,7 @@ class TestNextDist:
             want = dict_next_dist(model, beam)
             assert list(got) == list(want)
             assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], \
-                beam.history
+                beam.context
             checked[type(model.background).__name__] += 1
             checked[model.merge] += 1
             checked["inside"] += any(h.position is not None for h in beam.hypotheses)
@@ -1027,7 +1073,7 @@ class TestEos:
         for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
             for k in range(len(history) + 1):
                 beam = advance(model, history[:k])
-                eos_lp = model.background_logprob(EOS, beam.history)
+                eos_lp = model.background_logprob(EOS, history[:k])
                 terms = [lw + eos_lp for _, _, arcs, lw
                          in _routes(model, beam.hypotheses, model._symbol_routes[EOS])
                          if arcs is None]
