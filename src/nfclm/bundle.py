@@ -35,7 +35,8 @@ class BundleError(Exception):
 
 
 def pack(model: NfclmModel, directory) -> dict[str, int]:
-    """Write every component under ``directory``; returns the size report."""
+    """Write every component under ``directory``; returns each file's name
+    and the bytes written to it, the manifest's included."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     files: dict[str, str] = {
@@ -50,9 +51,12 @@ def pack(model: NfclmModel, directory) -> dict[str, int]:
             f"only n-gram background models can be packed, got {type(background).__name__}"
         )
 
+    sizes: dict[str, int] = {}
+
     def write(name: str, data: bytes) -> None:
         with open(os.path.join(directory, name), "wb") as fh:
             fh.write(data)
+        sizes[name] = len(data)
 
     write(files["vocabulary"], ("\n".join(model.vocabulary.symbols) + "\n").encode())
     write(files["classes"], ("\n".join(model.classes.labels) + "\n").encode())
@@ -71,17 +75,7 @@ def pack(model: NfclmModel, directory) -> dict[str, int]:
         "alpha": model.decider.alpha,
     }
     write(MANIFEST_NAME, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-    return size_report(directory)
-
-
-def size_report(directory) -> dict[str, int]:
-    """Per-component byte sizes, one entry per file in the manifest."""
-    directory = os.fspath(directory)
-    manifest = _read_manifest(directory)
-    report = {MANIFEST_NAME: os.path.getsize(os.path.join(directory, MANIFEST_NAME))}
-    for name in [*manifest["files"].values(), *manifest["class_fsts"].values()]:
-        report[name] = os.path.getsize(os.path.join(directory, name))
-    return report
+    return sizes
 
 
 def _read_manifest(directory) -> dict:

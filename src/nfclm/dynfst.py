@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .engine import (AlignmentBeam, DeadHistoryError, NfclmModel, eos_logprob,
@@ -30,12 +30,7 @@ class SessionStats:
     evictions: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "expansions": self.expansions,
-            "replays": self.replays,
-            "replayed_steps": self.replayed_steps,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 class DynFstSession:

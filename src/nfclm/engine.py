@@ -59,9 +59,7 @@ stored context plus one, however much a model scores.
 
 Model components never change after construction, so one model can
 serve any number of concurrent scoring sessions; beams are cheap
-per-session values.  Counts are final once a model is built: its lookup
-caches keep what they memoized, so after a later ``BackoffNGram.observe``
-use ``dataclasses.replace(model)``, which builds a model with fresh caches.
+per-session values.
 """
 
 from __future__ import annotations

@@ -88,21 +88,22 @@ class ConditionalSymbolModel(ABC):
 class BackoffNGram(ConditionalSymbolModel):
     """Interpolated absolute-discounting n-gram.
 
-    Counts live in per-level tables keyed by context tuples.  The unigram
-    level interpolates with the uniform distribution over the predicted
-    alphabet, so every symbol keeps probability above a positive floor.
-    History symbols outside ``history_alphabet`` are rejected.
+    ``counts`` holds one ``{context: {target: count}}`` table per level,
+    level k keyed by contexts of k symbols; the model holds the tables as
+    given and never changes them.  The unigram level interpolates with
+    the uniform distribution over the predicted alphabet, so every symbol
+    keeps probability above a positive floor.  History symbols outside
+    ``history_alphabet`` are rejected.
 
-    That context-free level is one list in alphabet order, built on
-    first use and dropped by ``observe``; change counts only through
-    ``observe`` so it never goes stale.  A query then walks only the
-    levels its context reaches: ``distribution_values`` as one scaled
-    copy of the list per level plus a head term per seen symbol,
-    ``logprob`` for its one symbol.
+    That context-free level is one list in alphabet order, built here.
+    A query then walks only the levels its context reaches:
+    ``distribution_values`` as one scaled copy of the list per level plus
+    a head term per seen symbol, ``logprob`` for its one symbol.
     """
 
     def __init__(self, order: int, discount: float, predicted: Sequence[str],
-                 history_alphabet: Sequence[str]):
+                 history_alphabet: Sequence[str],
+                 counts: Sequence[dict[tuple[str, ...], dict[str, int]]]):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if not 0.0 < discount < 1.0:
@@ -112,16 +113,16 @@ class BackoffNGram(ConditionalSymbolModel):
         # a repeat would hold one entry but count twice in the uniform floor
         if len(set(predicted)) != len(predicted):
             raise ValueError("n-gram predicted alphabet repeats a symbol")
+        if len(counts) != order:
+            raise ValueError(f"an order-{order} n-gram needs {order} count levels, "
+                             f"got {len(counts)}")
         self.order = order
         self.discount = discount
         self._predicted = tuple(predicted)
         self._index = {sym: i for i, sym in enumerate(self._predicted)}
         self._history_alphabet = frozenset(history_alphabet)
-        # counts[k][context][target]; context length == k
-        self.counts: list[dict[tuple[str, ...], Counter]] = [
-            {} for _ in range(order)
-        ]
-        self._level0_values: Optional[list[float]] = None
+        self.counts = counts
+        self._level0 = self._sweep([1.0 / len(self._predicted)] * len(self._predicted), (), 0)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -134,25 +135,6 @@ class BackoffNGram(ConditionalSymbolModel):
     @property
     def history_alphabet(self) -> frozenset[str]:
         return self._history_alphabet
-
-    def observe(self, history: Sequence[str], target: str) -> None:
-        """Count ``target`` after each suffix of ``history`` the model keeps.
-
-        Counts are final once an ``NfclmModel`` is built over this n-gram:
-        the model's caches keep what they memoized, so observe first, or
-        build a model with fresh caches by ``dataclasses.replace(model)``.
-        """
-        if target not in self._index:
-            raise ValueError(f"target {target!r} is outside the predicted alphabet")
-        history = tuple(history)
-        for sym in history:
-            if sym not in self._history_alphabet:
-                raise ValueError(f"history symbol {sym!r} is outside the history alphabet")
-        for length in range(min(len(history), self.order - 1) + 1):
-            context = history[len(history) - length:]
-            table = self.counts[length].setdefault(context, Counter())
-            table[target] += 1
-        self._level0_values = None
 
     def _check_history(self, history: Sequence[str]) -> tuple[str, ...]:
         for sym in history:
@@ -188,15 +170,8 @@ class BackoffNGram(ConditionalSymbolModel):
                 values[i] = (seen - discount) / total + values[i]
         return values
 
-    def _level0_table(self) -> list[float]:
-        values = self._level0_values
-        if values is None:
-            values = self._sweep([1.0 / len(self._predicted)] * len(self._predicted), (), 0)
-            self._level0_values = values  # published whole: sharing threads never see it half built
-        return values
-
     def distribution_values(self, history: Sequence[str]) -> list[float]:
-        level0 = self._level0_table()
+        level0 = self._level0
         values = self._sweep(level0, self._check_history(history), 1)
         return list(level0) if values is level0 else values
 
@@ -207,7 +182,7 @@ class BackoffNGram(ConditionalSymbolModel):
         i = self._index.get(symbol)
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
-        discount, p = self.discount, self._level0_table()[i]
+        discount, p = self.discount, self._level0[i]
         for table, total, backoff in self._levels(self._check_history(history), 1):
             seen = table.get(symbol)
             p = (seen - discount) / total + backoff * p if seen else backoff * p
@@ -261,7 +236,10 @@ class BackoffNGram(ConditionalSymbolModel):
         return w.getvalue()
 
     @classmethod
-    def _read_body(cls, r: ByteReader) -> "BackoffNGram":
+    def deserialize(cls, data: bytes) -> "BackoffNGram":
+        r = ByteReader(data)
+        r.expect_magic(NGRAM_MAGIC, "n-gram model")
+        r.expect_version(NGRAM_VERSION, "n-gram model")
         order = r.u16()
         discount = r.f64()
         symbols = [r.string() for _ in range(r.u32())]
@@ -279,9 +257,10 @@ class BackoffNGram(ConditionalSymbolModel):
 
         predicted, _ = names(r.u32())
         history_alphabet, _ = names(r.u32())
-        model = cls(order, discount, predicted, history_alphabet)
+        levels_at = r.offset
         allowed = frozenset(predicted)
-        for length, level in enumerate(model.counts):
+        levels = []
+        for length in range(order):
             n_contexts = r.u32()
             context_symbols, contexts_at = names(n_contexts * length)
             sizes = r.column(ID, n_contexts)
@@ -299,29 +278,25 @@ class BackoffNGram(ConditionalSymbolModel):
             contexts = (zip(*[iter(context_symbols)] * length) if length
                         else repeat((), n_contexts))
             pairs = zip(targets, counts)
+            level = {}
             start = 0
             for i, (context, size) in enumerate(zip(contexts, sizes)):
                 if context in level:
                     raise SerializationError(f"repeated context {context!r} at level {length}",
                                              contexts_at + 4 * length * i)
-                table = Counter(dict(islice(pairs, size)))
+                table = dict(islice(pairs, size))
                 if len(table) != size:
                     k = start + _first_repeat(targets[start:start + size])
                     raise SerializationError(f"repeated count target {targets[k]!r}",
                                              targets_at + 4 * k)
                 level[context] = table
                 start += size
-        return model
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "BackoffNGram":
-        r = ByteReader(data)
-        r.expect_magic(NGRAM_MAGIC, "n-gram model")
-        r.expect_version(NGRAM_VERSION, "n-gram model")
+            levels.append(level)
         try:
-            model = cls._read_body(r)
+            model = cls(order, discount, predicted, history_alphabet, levels)
         except ValueError as exc:
-            raise SerializationError(f"corrupt n-gram payload: {exc}", r.offset) from exc
+            # a setting the constructor refuses is named where the count levels start
+            raise SerializationError(f"corrupt n-gram payload: {exc}", levels_at) from exc
         r.done()
         return model
 
@@ -344,22 +319,37 @@ def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
     """
     if isinstance(alphabet, Vocabulary):
         alphabet = alphabet.symbols
-    predicted = tuple(alphabet) + (EOS,)
-    model = BackoffNGram(order, discount, predicted, tuple(alphabet) + (BOS,))
+    sentences = [tuple(s) for s in corpus]
+    if not sentences:
+        raise ValueError("empty training corpus")
     allowed = set(alphabet)
-    n_sentences = 0
-    for sentence in corpus:
-        sentence = tuple(sentence)
+    for sentence in sentences:
         for sym in sentence:
             if sym not in allowed:
                 raise ValueError(f"corpus symbol {sym!r} is outside the alphabet")
-        padded = (BOS,) * (order - 1) + sentence + (EOS,)
-        for i in range(order - 1, len(padded)):
-            model.observe(padded[max(0, i - order + 1):i], padded[i])
-        n_sentences += 1
-    if n_sentences == 0:
-        raise ValueError("empty training corpus")
-    return model
+    counts = _count_events(order, (s + (EOS,) for s in sentences), lambda sym: sym)
+    return BackoffNGram(order, discount, tuple(alphabet) + (EOS,), tuple(alphabet) + (BOS,),
+                        counts)
+
+
+def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
+                  label: Callable[[str], str]) -> list[dict]:
+    """An n-gram's count tables, one ``{context: {target: count}}`` per level.
+
+    Each sentence is padded with ``order - 1`` BOS; each of its symbols
+    counts ``label`` of itself after every suffix of the ``order - 1``
+    symbols before it.
+    """
+    counts = [{} for _ in range(order)]
+    pad = (BOS,) * (order - 1)
+    for sentence in sentences:
+        padded = pad + sentence
+        for i in range(len(pad), len(padded)):
+            target = label(padded[i])
+            for length in range(order):
+                table = counts[length].setdefault(padded[i - length:i], {})
+                table[target] = table.get(target, 0) + 1
+    return counts
 
 
 def _scale_by_prior(raw, prior, alpha) -> dict[str, float]:
@@ -552,17 +542,14 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
     sentences = [tuple(s) for s in corpus]
     if not sentences:
         raise ValueError("empty training corpus")
-    history_alphabet = tuple(vocabulary.symbols) + tuple(classes.labels) + (BOS,)
-    ngram = BackoffNGram(order, discount, tuple(classes.labels), history_alphabet)
     for sentence in sentences:
         for tok in sentence:
             if tok not in classes and tok not in vocabulary:
                 raise ValueError(f"unknown token {tok!r} in decider corpus")
-        padded = (BOS,) * (order - 1) + sentence
-        for i in range(order - 1, len(padded)):
-            target = padded[i]
-            label = target if target in classes else BACKGROUND
-            ngram.observe(padded[max(0, i - order + 1):i], label)
+    counts = _count_events(order, sentences,
+                           lambda tok: tok if tok in classes else BACKGROUND)
+    history_alphabet = tuple(vocabulary.symbols) + tuple(classes.labels) + (BOS,)
+    ngram = BackoffNGram(order, discount, tuple(classes.labels), history_alphabet, counts)
     prior = class_prior_from_corpus(sentences, classes)
     return DeciderModel(ngram, prior, alpha=alpha)
 

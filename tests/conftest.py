@@ -50,7 +50,7 @@ def fst_from_dicts(label, arcs, exits):
 
 def uniform_background(alphabet):
     """An untrained unigram: every symbol of ``alphabet`` gets 1/len, after any history."""
-    return BackoffNGram(1, 0.5, alphabet, alphabet + (BOS,))
+    return BackoffNGram(1, 0.5, alphabet, alphabet + (BOS,), [{}])
 
 
 def make_toy_model(vocab, classes, song, artist, **kwargs):

@@ -440,8 +440,6 @@ class TestConcurrency:
         model, walks = instance()
         model._bg_cache.clear()  # drawing the histories filled them
         model._decider_cache.clear()
-        model.background._level0_values = None
-        model.decider.ngram._level0_values = None
         start = threading.Barrier(4, timeout=30)
 
         def worker(_):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -99,47 +100,13 @@ class TestTrainNgram:
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
-            BackoffNGram(0, 0.5, ["a"], ["a"])
+            BackoffNGram(0, 0.5, ["a"], ["a"], [])
         with pytest.raises(ValueError):
-            BackoffNGram(2, 1.0, ["a"], ["a"])
+            BackoffNGram(2, 1.0, ["a"], ["a"], [{}, {}])
         with pytest.raises(ValueError, match="nonempty"):
-            BackoffNGram(2, 0.5, [], ["a"])
-
-    def test_observe_resets_level0(self):
-        corpus = [("a", "b", "c"), ("b", "b"), ("c", "a")]
-        model = train_ngram(corpus[:-1], list("abc"), order=3)
-        histories = [(), (BOS, BOS), ("c",), ("b", "c")]
-        before = {}
-        for history in histories:  # build the level-0 table before observing
-            model.distribution(history)
-            model.logprob("a", history)
-            before[history] = model.distribution_values(history)
-        padded = (BOS, BOS) + corpus[-1] + (EOS,)
-        for i in range(2, len(padded)):
-            model.observe(padded[i - 2:i], padded[i])
-        fresh = train_ngram(corpus, list("abc"), order=3)
-        for history in histories:
-            assert model.distribution(history) == fresh.distribution(history)
-            after = model.distribution_values(history)
-            assert after != before[history]  # the sweep reads the new counts
-            assert [p.hex() for p in after] == [
-                p.hex() for p in fresh.distribution_values(history)]
-            for sym in fresh.alphabet:
-                assert model.logprob(sym, history).hex() == fresh.logprob(sym, history).hex()
-
-    def test_observe_rejects_symbols_outside_its_alphabets(self):
-        model = train_ngram([("a", "b")], ["a", "b"], order=2)
-        counts = [{ctx: Counter(table) for ctx, table in level.items()}
-                  for level in model.counts]
-        with pytest.raises(ValueError, match="target 'zz' is outside the predicted"):
-            model.observe(("a",), "zz")
-        with pytest.raises(ValueError, match="history symbol 'q' is outside the history"):
-            model.observe(("q",), "a")
-        with pytest.raises(ValueError, match=f"history symbol {EOS!r}"):
-            model.observe((EOS,), "a")  # predicted, but never a history symbol
-        assert model.counts == counts  # nothing was counted
-        assert math.fsum(model.distribution(("a",)).values()) == pytest.approx(1.0, abs=1e-12)
-        assert BackoffNGram.deserialize(model.serialize()).counts == counts
+            BackoffNGram(2, 0.5, [], ["a"], [{}, {}])
+        with pytest.raises(ValueError, match="an order-2 n-gram needs 2 count levels, got 1"):
+            BackoffNGram(2, 0.5, ["a"], ["a"], [{}])
 
 
 def walk_reference(model, history):
@@ -160,21 +127,26 @@ def walk_reference(model, history):
 
 
 def random_ngram(rng: random.Random):
-    """A random n-gram with absent and empty count tables, and histories to
-    query it, some shorter than its context."""
+    """A random n-gram, its count tables neither closed under suffixes nor
+    all nonempty, and histories to query it, some shorter than its context."""
     predicted = [f"s{i}" for i in range(rng.randint(2, 6))]
     history_alphabet = predicted[:rng.randint(0, len(predicted))] + [BOS, "h"]
     order = rng.randint(1, 4)
-    model = BackoffNGram(order, rng.uniform(0.05, 0.95), predicted, history_alphabet)
+    discount = rng.uniform(0.05, 0.95)
 
     def history(length):
         return tuple(rng.choice(history_alphabet) for _ in range(length))
 
+    counts = [{} for _ in range(order)]
     for _ in range(rng.randint(0, 30)):
-        model.observe(history(rng.randint(0, order)), rng.choice(predicted))
+        context = history(rng.randrange(order))
+        table = counts[len(context)].setdefault(context, {})
+        target = rng.choice(predicted)
+        table[target] = table.get(target, 0) + rng.randint(1, 3)
     for _ in range(rng.randint(0, 3)):  # empty tables are read as absent
         length = rng.randrange(order)
-        model.counts[length].setdefault(history(length), Counter())
+        counts[length].setdefault(history(length), {})
+    model = BackoffNGram(order, discount, predicted, history_alphabet, counts)
     return model, [history(rng.randint(0, order + 1)) for _ in range(8)]
 
 
@@ -184,22 +156,18 @@ class TestDistributionValues:
     def test_sweep_keeps_the_walk_bits(self, seed):
         rng = random.Random(seed)
         model, histories = random_ngram(rng)
-        for _ in range(2):  # the second round reads counts observed after a sweep
-            for history in histories:
-                want = walk_reference(model, history)
-                values = model.distribution_values(history)
-                assert [p.hex() for p in values] == [want[s].hex() for s in model.alphabet]
-                dist = model.distribution(history)
-                assert list(dist) == list(model.alphabet)
-                for sym, p in dist.items():
-                    assert model.logprob(sym, history).hex() == math.log(p).hex()
-                values[0] = -1.0  # a fresh list: the next call does not see this
-                values.append(2.0)
-                assert [p.hex() for p in model.distribution_values(history)] == [
-                    want[s].hex() for s in model.alphabet]
-            before = model.distribution_values(histories[0])
-            model.observe(histories[0], model.alphabet[0])
-            assert model.distribution_values(histories[0]) != before
+        for history in histories:
+            want = walk_reference(model, history)
+            values = model.distribution_values(history)
+            assert [p.hex() for p in values] == [want[s].hex() for s in model.alphabet]
+            dist = model.distribution(history)
+            assert list(dist) == list(model.alphabet)
+            for sym, p in dist.items():
+                assert model.logprob(sym, history).hex() == math.log(p).hex()
+            values[0] = -1.0  # a fresh list: the next call does not see this
+            values.append(2.0)
+            assert [p.hex() for p in model.distribution_values(history)] == [
+                want[s].hex() for s in model.alphabet]
 
     def test_contract_default_reads_distribution(self):
         model = train_ngram([("a", "b")], ["a", "b"], order=2)
@@ -207,6 +175,31 @@ class TestDistributionValues:
         values = ConditionalSymbolModel.distribution_values(model, history)
         assert values == list(model.distribution(history).values())
         assert values == model.distribution_values(history)
+
+
+def component_state(model):
+    """A deep copy of ``vars(model)``, a nested component as its own state."""
+    return {name: component_state(value) if isinstance(value, ConditionalSymbolModel)
+            else copy.deepcopy(value) for name, value in vars(model).items()}
+
+
+def test_querying_changes_no_component():
+    """A built component is only read, so sessions on many threads can share it."""
+    vocab = load_vocabulary(["_play", "_ro", "sie", "_by", "_browne"])
+    classes = load_class_alphabet(["@bg", "@song", "@artist"])
+    background = train_ngram([("_play", "_ro", "sie"), ("_by", "_browne")], vocab, order=3)
+    decider = train_decider([("_play", "@song", "_by", "@artist"), ("_play", "_ro")],
+                            vocab, classes, order=3)
+    for model in (background, decider):
+        before = component_state(model)
+        for context in itertools.product(sorted(model.history_alphabet),
+                                         repeat=model.context_size):
+            model.distribution(context)
+            model.distribution_values(context)
+            model.context_key(context)
+            for sym in model.alphabet:
+                model.logprob(sym, context)
+        assert component_state(model) == before
 
 
 class TestDistribution:
@@ -457,7 +450,7 @@ class TestDecider:
 
 class TestRenormalizeByPrior:
     RAW = {"@bg": 0.8, "@song": 0.1, "@artist": 0.1}
-    NGRAM = BackoffNGram(1, 0.5, tuple(RAW), ())
+    NGRAM = BackoffNGram(1, 0.5, tuple(RAW), (), [{}])
 
     def test_alpha_zero_is_identity(self):
         out = _scale_by_prior(self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)
