@@ -8,7 +8,8 @@ emission model, not by the automaton.
 
 An automaton keeps its states and arcs in flat ``array`` columns, as
 OpenFst's ``ConstFst`` does, so it holds no object per state or arc;
-``arcs[state]`` is a read-only mapping view over one state's arcs.
+``arcs[state]`` is a read-only mapping view over one state's arcs, and
+the engine reads the columns themselves (see ``ProbClassFst``).
 Binary format v2 writes those columns as they are held, after a header
 and the sorted symbol table, and the decoder reads each one whole;
 ``validate`` then checks them in one pass.
@@ -95,12 +96,6 @@ class ArcView(Mapping):
     def items(self) -> list[tuple[str, tuple[float, int]]]:
         return list(zip(self, self.values()))
 
-    def columns(self) -> tuple[array, array]:
-        """The arcs' symbol ids and probabilities, in symbol order: slices of
-        the id and probability columns, where id ``i`` names ``symbols[i]``."""
-        _, arc_ids, probs, _, _ = self._columns
-        return arc_ids[self._lo:self._hi], probs[self._lo:self._hi]
-
     def __repr__(self) -> str:
         return f"ArcView({dict(self.items())!r})"
 
@@ -148,11 +143,19 @@ class ProbClassFst:
     leaving the class at state ``s``.
 
     The constructor takes the columns that format v2 writes, and holds
-    them as given: ``symbols``, the sorted table of arc symbols; per state
-    an offset into the arc columns, closed by the arc count, and
-    ``exits``; per arc, sorted by symbol within its state, a symbol id
-    into ``symbols``, a probability and a destination.  ``validate``
-    checks the columns; the constructor does not.
+    them as given, as read-only attributes:
+
+    - ``symbols``, the sorted table of arc symbols, and ``ids``, its
+      inverse ``{symbol: id}``;
+    - per state, ``offsets[s]``, where its arcs start in the arc columns
+      (``offsets`` is closed by the arc count, so state ``s`` owns the run
+      ``offsets[s]:offsets[s + 1]``), and ``exits[s]``;
+    - per arc, sorted by symbol id within its state's run, ``arc_ids``
+      (an id into ``symbols``), ``probs`` and ``dests``.
+
+    The engine reads arcs from these columns, as ``ArcView.get`` does: a
+    bisect for the symbol's id in the state's run.  ``validate`` checks
+    the columns; the constructor does not.
     """
 
     start = 0
@@ -164,10 +167,10 @@ class ProbClassFst:
         self.entity_count = entity_count
         self.total_weight = total_weight
         self.symbols = symbols
-        self.exits = exits
-        self._offsets, self._arc_ids, self._probs, self._dests = offsets, arc_ids, probs, dests
-        ids = {symbol: i for i, symbol in enumerate(symbols)}
-        self.arcs = ArcTable((ids, arc_ids, probs, dests, symbols), offsets)
+        self.ids = {symbol: i for i, symbol in enumerate(symbols)}
+        self.offsets, self.exits = offsets, exits
+        self.arc_ids, self.probs, self.dests = arc_ids, probs, dests
+        self.arcs = ArcTable((self.ids, arc_ids, probs, dests, symbols), offsets)
 
     @property
     def num_states(self) -> int:
@@ -191,8 +194,8 @@ class ProbClassFst:
         in (0, 1], at most one per symbol: a plain sum's rounding stays far
         below ``MASS_TOLERANCE``.  Every test fails on NaN.
         """
-        label, symbols, exits, offsets = self.label, self.symbols, self.exits, self._offsets
-        arc_ids, probs, dests = self._arc_ids, self._probs, self._dests
+        label, symbols, exits, offsets = self.label, self.symbols, self.exits, self.offsets
+        arc_ids, probs, dests = self.arc_ids, self.probs, self.dests
         num_states, num_symbols, num_arcs = len(exits), len(symbols), len(arc_ids)
         if not num_states or len(offsets) != num_states + 1:
             raise ValueError(f"{label}: inconsistent state tables")
@@ -253,7 +256,7 @@ class ProbClassFst:
         for symbol in self.symbols:
             w.string(symbol)
         w.u32(len(self.exits))
-        for column in (self._offsets, self.exits, self._arc_ids, self._probs, self._dests):
+        for column in (self.offsets, self.exits, self.arc_ids, self.probs, self.dests):
             w.column(column)
         return w.getvalue()
 

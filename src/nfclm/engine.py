@@ -26,18 +26,21 @@ at most ``context_size + 1`` tokens per hypothesis.
 ``merge="full"`` keeps each alignment's whole collapsed history, as in
 the paper's Fig. 1 boxes; both modes extend through ``_successor``.
 
-The beam writes the mixture step once, in ``_routes``: a hypothesis
-inside a class span may stay on its automaton's arcs, and a hypothesis
-whose state can exit splits the exit mass among the classes by the
-decider.  ``extend``, ``eos_logprob``, ``next_dist`` and ``sample`` all
-read those routes.  The routes are filtered by symbol: each model indexes
-once, per symbol, the background route and the classes whose start state
-has an arc for it, so ``extend`` visits only routes that can emit its
-symbol and ``eos_logprob`` only the background route; ``next_dist`` and
-``sample`` take every route.  ``exact_sequence_logprob`` is the same
-walk with pruning off; the tests compare it and the beam with an
-alignment enumerator written from the definitions, apart from the
-routes.
+The beam writes the mixture step once, in ``_mixture``, which yields
+once per hypothesis: a hypothesis inside a class span may stay on its
+automaton's arcs, and a hypothesis whose state can exit splits the exit
+mass among the classes by the decider.  ``extend``, ``eos_logprob``,
+``next_dist`` and ``sample`` each add the route into class ``c`` as the
+hypothesis's exit weight plus the decider row's log share of ``c``.
+Arcs are read from the automata's flat columns (``ProbClassFst``): a
+stay arc for a symbol is one bisect in the state's run of the id
+column.  Each model indexes once, per symbol, the start arcs of the
+classes that can emit it, as (log-probability, destination), so
+``extend`` visits only entry routes that can emit its symbol and
+``eos_logprob`` only the background route; ``next_dist`` and ``sample``
+take every route.  ``exact_sequence_logprob`` is the same walk with
+pruning off; the tests compare it and the beam with an alignment
+enumerator written from the definitions, apart from the kernel.
 
 Every sentence score comes from one walk, ``sequence_logprobs``: it
 scores a batch of token lists in sorted order over a stack of beams, so
@@ -49,7 +52,7 @@ fixed summation orders, which keeps repeated runs bit-identical.
 ``next_dist`` sums in the linear domain instead, in route order: one list
 sweep over a scaled copy of the background's ``distribution_values`` and
 each class route's arc columns, entry routes' built once per model, a
-stay route's read by ``ArcView.columns()``.
+stay route's sliced from its state's run.
 
 The background and decider lookups are memoized per context key
 (``ConditionalSymbolModel.context_key``), for an n-gram the longest
@@ -67,6 +70,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import mul
@@ -143,6 +147,17 @@ class AlignmentBeam:
     delta: float = DEFAULT_BEAM_DELTA
 
 
+class DeciderRow(dict):
+    """A decider distribution ``{class: share}`` that also holds ``logs``,
+    ``{class: log share}`` in class-alphabet order."""
+
+    __slots__ = ("logs",)
+
+    def __init__(self, distribution: dict[str, float], labels: Sequence[str]):
+        super().__init__(distribution)
+        self.logs = {c: math.log(self[c]) for c in labels}
+
+
 @dataclass
 class NfclmModel:
     """Background model + per-class FSTs mixed by the decider.
@@ -196,32 +211,27 @@ class NfclmModel:
         _check_histories("background", self.background, symbols | {BOS})
         _check_histories("decider", self.decider,
                          symbols | {BOS} | set(self.classes.nonbackground))
-        # (class, arcs out of its start state; None for the background) in
-        # alphabet order: the routes of every hypothesis whose state exits.
-        # Every entry reads its class's start state, so those arcs are
-        # copied into a dict once rather than read through a view each time.
-        self._entry_routes = tuple(
-            (c, None) if c == BACKGROUND
-            else (c, dict(self.class_fsts[c].arcs[self.class_fsts[c].start].items()))
-            for c in self.classes.labels)
         self._predicted = self.vocabulary.symbols + (EOS,)
-        # per symbol (EOS included), the entry routes that can emit it: the
-        # background route and each class whose start state has an arc for it
-        self._symbol_routes = {
-            sym: tuple((c, arcs) for c, arcs in self._entry_routes
-                       if arcs is None or sym in arcs)
-            for sym in self._predicted}
         # what next_dist reads as index columns over ``_predicted``: per
         # class, the position of each automaton symbol id; the entry routes
-        # as (positions, probabilities) of the start state's arcs; and the
-        # background alphabet's positions, None when it runs in this order
+        # as (class, positions, probabilities) of the start state's arcs; and
+        # the background alphabet's positions, None when it runs in this order
         position = {sym: i for i, sym in enumerate(self._predicted)}.__getitem__
         self._arc_positions = {c: list(map(position, fst.symbols))
                                for c, fst in self.class_fsts.items()}
-        self._entry_columns = tuple(
-            (c, arcs if arcs is None
-             else (list(map(position, arcs)), [p for p, _ in arcs.values()]))
-            for c, arcs in self._entry_routes)
+        # per symbol (EOS included), the entry routes that can emit it: each
+        # class whose start state has an arc for it, in alphabet order, as
+        # (class, log probability, destination) of that arc
+        entries: dict[str, list] = {sym: [] for sym in self._predicted}
+        entry_columns = []
+        for c in self.classes.nonbackground:
+            fst = self.class_fsts[c]
+            arcs = fst.arcs[fst.start]
+            for sym, (p, dest) in arcs.items():
+                entries[sym].append((c, math.log(p), dest))
+            entry_columns.append((c, list(map(position, arcs)), [p for p, _ in arcs.values()]))
+        self._entry_arcs = {sym: tuple(arcs) for sym, arcs in entries.items()}
+        self._entry_columns = tuple(entry_columns)
         bg_alphabet = tuple(self.background.alphabet)
         self._bg_order = (None if bg_alphabet == self._predicted else
                           list(map({s: i for i, s in enumerate(bg_alphabet)}.__getitem__,
@@ -234,7 +244,7 @@ class NfclmModel:
         self._history_bound = (self._decider_context_size if self.merge == "context"
                                else sys.maxsize)
         self._bg_cache: dict[tuple[str, ...], dict[str, float]] = {}
-        self._decider_cache: dict[tuple[str, ...], dict[str, float]] = {}
+        self._decider_cache: dict[tuple[str, ...], DeciderRow] = {}
 
     # -- component lookups ------------------------------------------------
 
@@ -245,8 +255,12 @@ class NfclmModel:
         context (``background.context_key``), so a model with stored
         contexts bounds its rows.  A padded context that is a key is its
         own row, found by the first lookup; only a miss computes the key.
+        A tuple of ``context_size`` symbols, such as a beam's context, is
+        its own padded context.
         """
-        context = _context(history, self._bg_context_size)
+        size = self._bg_context_size
+        context = (history if type(history) is tuple and len(history) == size
+                   else _context(history, size))
         row = self._bg_cache.get(context)
         if row is None:
             key = self._bg_key(context)
@@ -259,13 +273,14 @@ class NfclmModel:
             row[symbol] = hit
         return hit
 
-    def decider_dist(self, decider_history: tuple[str, ...]) -> dict[str, float]:
+    def decider_dist(self, decider_history: tuple[str, ...]) -> DeciderRow:
         """Renormalized class distribution for a collapsed history.
 
         The cache is keyed like ``background_logprob``'s, by the key of the
         padded context.  A stored history of exactly ``context_size``
         tokens is its own padded context; a shorter one is padded first,
-        because it may equal the key of another context.
+        because it may equal the key of another context.  Each row also
+        holds the log shares that the mixture step adds.
         """
         context = (decider_history if len(decider_history) == self._decider_context_size
                    else _context(decider_history, self._decider_context_size))
@@ -274,7 +289,8 @@ class NfclmModel:
             key = self._decider_key(context)
             hit = self._decider_cache.get(key)
             if hit is None:
-                hit = self._decider_cache.setdefault(key, self.decider.distribution(context))
+                hit = self._decider_cache.setdefault(
+                    key, DeciderRow(self.decider.distribution(context), self.classes.labels))
         return hit
 
 
@@ -310,45 +326,46 @@ def log_sum_exp(values: Sequence[float]) -> float:
     return best + math.log(math.fsum(math.exp(v - best) for v in values))
 
 
-def _position_sort_key(position: Position) -> tuple[str, int]:
-    return ("", -1) if position is None else position
+def _mixture(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
+             symbol: Optional[str] = None):
+    """The mixture step, once per hypothesis, in hypothesis order.
 
-
-def _routes(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
-            entries: Sequence[tuple[str, object]], stay: bool = True):
-    """The mixture step: the routes out of each hypothesis, in a fixed order.
-
-    Yields ``(hypothesis, route, arcs, log_weight)``.  A hypothesis inside
-    a class span first yields its stay route (``route`` is EPSILON): the
-    ``ArcView`` of its class state, whose probabilities already carry the
-    stay mass, at the hypothesis weight; ``stay=False`` leaves stay routes
-    out for a symbol no arc can emit.  If its state can exit, one route per
-    entry of ``entries`` follows, weighted hypothesis weight + log exit +
-    log decider share: the background route has ``arcs`` None and takes
-    the background model's symbol probability, an entry route the arcs out
-    of its class automaton's start state.  ``entries`` is
-    ``model._entry_routes`` (every class, in alphabet order), the part of
-    it that can emit one symbol, ``model._symbol_routes[symbol]``, or the
-    same routes as columns, ``model._entry_columns``.  Callers add the
-    emitted symbol's log-probability to ``log_weight``.
+    Yields ``(hypothesis, stay, base, row)``.  Inside a class span,
+    ``stay`` is, for a ``symbol``, the arc ``(probability, destination)``
+    that emits it from the hypothesis's state, or None; with no ``symbol``,
+    the state's run ``(lo, hi)`` of the automaton's arc columns.  A stay
+    weighs the hypothesis weight: arc probabilities already carry the stay
+    mass.  ``stay`` is None in the background.  ``base`` is the weight of
+    leaving the position, the hypothesis weight plus log exit probability,
+    and ``row`` the hypothesis's ``DeciderRow``; both are None when the
+    state cannot exit.  The route into class ``c`` weighs
+    ``base + row.logs[c]``, to which callers add the emitted symbol's
+    log-probability.
     """
     class_fsts, decider_dist, log = model.class_fsts, model.decider_dist, math.log
     for hyp in hypotheses:
         dh, position, log_weight = hyp
         if position is None:
-            base = log_weight
+            yield hyp, None, log_weight, decider_dist(dh)
+            continue
+        label, state = position
+        fst = class_fsts[label]
+        offsets = fst.offsets
+        if symbol is None:
+            stay = offsets[state], offsets[state + 1]
         else:
-            label, state = position
-            fst = class_fsts[label]
-            if stay:
-                yield hyp, EPSILON, fst.arcs[state], log_weight
-            exit_p = fst.exit_prob(state)
-            if exit_p == 0.0:
-                continue
-            base = log_weight + log(exit_p)
-        decider = decider_dist(dh)
-        for c, arcs in entries:
-            yield hyp, c, arcs, base + log(decider[c])
+            stay = None
+            sid = fst.ids.get(symbol)
+            if sid is not None:
+                arc_ids, hi = fst.arc_ids, offsets[state + 1]
+                i = bisect_left(arc_ids, sid, offsets[state], hi)
+                if i < hi and arc_ids[i] == sid:
+                    stay = fst.probs[i], fst.dests[i]
+        exit_p = fst.exits[state]
+        if exit_p == 0.0:
+            yield hyp, stay, None, None
+        else:
+            yield hyp, stay, log_weight + log(exit_p), decider_dist(dh)
 
 
 def _successor(hyp: AlignmentHypothesis, route: str, symbol: str,
@@ -379,24 +396,22 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     if symbol not in model.vocabulary:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
     bg_lp = model.background_logprob(symbol, beam.context)
+    entries = model._entry_arcs[symbol]
     bound = model._history_bound
+    log = math.log
     merged: dict[tuple, list[float]] = {}
-    for hyp, route, arcs, lw in _routes(model, beam.hypotheses,
-                                        model._symbol_routes[symbol]):
-        if arcs is None:
-            dest, lw = None, lw + bg_lp
-        else:
-            hit = arcs.get(symbol)
-            if hit is None:
-                continue
-            arc, dest = hit
-            lw += math.log(arc)
-        key = _successor(hyp, route, symbol, dest, bound)
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = [lw]
-        else:
-            slot.append(lw)
+    for hyp, stay, base, row in _mixture(model, beam.hypotheses, symbol):
+        if stay is not None:
+            prob, dest = stay
+            merged.setdefault(_successor(hyp, EPSILON, symbol, dest, bound), []).append(
+                hyp.log_weight + log(prob))
+        if base is not None:
+            logs = row.logs
+            merged.setdefault(_successor(hyp, BACKGROUND, symbol, None, bound), []).append(
+                base + logs[BACKGROUND] + bg_lp)
+            for c, log_p, dest in entries:
+                merged.setdefault(_successor(hyp, c, symbol, dest, bound), []).append(
+                    base + logs[c] + log_p)
     if not merged:
         raise DeadHistoryError(beam.length, symbol)
     context = _context(beam.context + (symbol,), model._bg_context_size)
@@ -410,9 +425,10 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
             return AlignmentBeam(context, beam.length + 1, [AlignmentHypothesis(dh, pos, weight)],
                                  total, beam.size_limit, beam.delta), total - beam.log_norm
 
-    # best first, ties by (decider history, position), which no two share;
-    # each rank holds the negated weight
-    ranked = sorted((-log_sum_exp(weights), len(dh), dh, _position_sort_key(pos), pos)
+    # best first, ties by (decider history, position), which no two share,
+    # with the background position, as (), first; each rank holds the
+    # negated weight
+    ranked = sorted((-log_sum_exp(weights), len(dh), dh, pos or (), pos)
                     for (dh, pos), weights in merged.items())
     # log_sum_exp is max plus an exactly rounded fsum: any term order gives its bits
     total = log_sum_exp([-rank[0] for rank in ranked])
@@ -432,9 +448,10 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     """log P(EOS | history) under the beam; -inf when no alignment can stop."""
     eos_lp = model.background_logprob(EOS, beam.context)
-    # EOS has the background route alone; stay routes cannot emit it
-    contributions = [lw + eos_lp for _, _, _, lw
-                     in _routes(model, beam.hypotheses, model._symbol_routes[EOS], stay=False)]
+    # EOS has the background route alone; no automaton arc emits it
+    contributions = [base + row.logs[BACKGROUND] + eos_lp
+                     for _, _, base, row in _mixture(model, beam.hypotheses, EOS)
+                     if base is not None]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm
@@ -460,15 +477,18 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     """
     background: list[float] = []
     classes: list[tuple] = []
-    positions = model._arc_positions
-    for hyp, route, arcs, lw in _routes(model, beam.hypotheses, model._entry_columns):
-        if arcs is None:
-            background.append(lw)
-        elif route == EPSILON:  # a stay route's arc ids map to positions here
-            ids, probs = arcs.columns()
-            classes.append((map(positions[hyp.position[0]].__getitem__, ids), probs, lw))
-        else:
-            classes.append((*arcs, lw))
+    class_fsts, positions = model.class_fsts, model._arc_positions
+    for hyp, stay, base, row in _mixture(model, beam.hypotheses):
+        if stay is not None:  # a stay route's arc ids map to positions here
+            label = hyp.position[0]
+            fst, (lo, hi) = class_fsts[label], stay
+            classes.append((map(positions[label].__getitem__, fst.arc_ids[lo:hi]),
+                            fst.probs[lo:hi], hyp.log_weight))
+        if base is not None:
+            logs = row.logs
+            background.append(base + logs[BACKGROUND])
+            for c, where, probs in model._entry_columns:
+                classes.append((where, probs, base + logs[c]))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
         bg = model.background.distribution_values(beam.context)
@@ -567,8 +587,15 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     hyp = AlignmentHypothesis(decider_history=(), position=None, log_weight=0.0)
     out: list[str] = []
     while len(out) < max_length:
-        routes = {route: (arcs, lw)
-                  for _, route, arcs, lw in _routes(model, [hyp], model._entry_routes)}
+        (_, stay, base, row), = _mixture(model, [hyp])
+        routes = {}  # route -> (arcs, log weight); the background's arcs are None
+        if stay is not None:
+            label, state = hyp.position
+            routes[EPSILON] = model.class_fsts[label].arcs[state], hyp.log_weight
+        if base is not None:
+            for c, log_share in row.logs.items():
+                fst = model.class_fsts.get(c)
+                routes[c] = (None if fst is None else fst.arcs[fst.start]), base + log_share
         # the stay route's mass is that of its arcs; the others carry it in lw
         route = draw({
             route: math.fsum(p for p, _ in arcs.values()) if route == EPSILON

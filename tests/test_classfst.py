@@ -290,9 +290,10 @@ class TestColumns:
             assert view.items() == sorted(want.items())
             assert view.values() == [want[sym] for sym in sorted(want)]
             assert len(view) == len(want)
-            ids, probs = view.columns()  # the same arcs, read as columns
-            assert [fst.symbols[i] for i in ids] == list(view)
-            assert list(probs) == [p for p, _ in view.values()]
+            run = range(fst.offsets[state], fst.offsets[state + 1])  # the same arcs, as columns
+            assert [fst.symbols[fst.arc_ids[i]] for i in run] == list(view)
+            assert [(fst.probs[i], fst.dests[i]) for i in run] == view.values()
+            assert [fst.ids[sym] for sym in view] == list(fst.arc_ids[run.start:run.stop])
             for sym in ("_ro", "sie", "salie", "_by", "s"):
                 assert (sym in view) == (sym in want)
                 assert view.get(sym) == want.get(sym)

@@ -17,7 +17,7 @@ from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    sequence_logprob, sequence_logprobs, start_beam, train_decider,
                    train_ngram)
 from nfclm import engine
-from nfclm.engine import EXACT_BEAM_SIZE, MERGE_MODES, _routes, log_sum_exp
+from nfclm.engine import EXACT_BEAM_SIZE, MERGE_MODES, _mixture, log_sum_exp
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, make_toy_model,
@@ -33,14 +33,40 @@ def hyp(decider_hist=(), position=None, weight=0.0):
     return AlignmentHypothesis(tuple(decider_hist), position, weight)
 
 
-def routes(model, h, entries=None):
+def routes(model, h):
     """The kernel's routes out of one hypothesis: route -> (arcs, log weight).
 
-    ``entries`` defaults to every class's entry route.
+    A stay route's arcs are its state's run of the automaton's columns, an
+    entry route's those of its class's start state, and the background
+    route's None: its symbol comes from the background model.
     """
-    if entries is None:
-        entries = model._entry_routes
-    return {route: (arcs, lw) for _, route, arcs, lw in _routes(model, [h], entries)}
+    (_, stay, base, row), = _mixture(model, [h])
+    out = {}
+    if stay is not None:
+        fst = model.class_fsts[h.position[0]]
+        out[EPSILON] = ({fst.symbols[fst.arc_ids[i]]: (fst.probs[i], fst.dests[i])
+                         for i in range(*stay)}, h.log_weight)
+    if base is not None:
+        for c, log_share in row.logs.items():
+            fst = model.class_fsts.get(c)
+            out[c] = (None if fst is None else dict(fst.arcs[fst.start])), base + log_share
+    return out
+
+
+def emitting_routes(model, h, symbol):
+    """The routes out of one hypothesis that can emit ``symbol``, as
+    ``extend`` reads them: route -> (destination, log weight).  The
+    background route's weight leaves out the background log-probability."""
+    (_, stay, base, row), = _mixture(model, [h], symbol)
+    out = {}
+    if stay is not None:
+        prob, dest = stay
+        out[EPSILON] = dest, h.log_weight + math.log(prob)
+    if base is not None:
+        out[BACKGROUND] = None, base + row.logs[BACKGROUND]
+        for c, log_p, dest in model._entry_arcs[symbol]:
+            out[c] = dest, base + row.logs[c] + log_p
+    return out
 
 
 def route_masses(model, h):
@@ -201,42 +227,86 @@ class TestSymbolRoutes:
         return out
 
     def test_filtered_routes_equal_emitting_routes(self, toy_model_exact_beam):
+        """The stay arc read for a symbol and the symbol's entry arcs give
+        the routes of the full fan-out whose arcs hold the symbol, with
+        their bits."""
         cases = [(toy_model_exact_beam,
                   [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")])]
         rng = random.Random(1234)
         cases += [random_instance(rng) for _ in range(6)]
         checked = dropped = 0
         for model, histories in cases:
-            hyps = self.live_hypotheses(model, histories)
-            every = [(h, route, arcs, lw.hex())
-                     for h, route, arcs, lw in _routes(model, hyps, model._entry_routes)]
-            for sym in model.vocabulary.symbols + (EOS,):
-                got = [(h, route, arcs, lw.hex()) for h, route, arcs, lw
-                       in _routes(model, hyps, model._symbol_routes[sym])]
-                want = [r for r in every
-                        if r[1] == EPSILON or r[2] is None or sym in r[2]]
-                assert got == want, sym
-                checked += 1
-                dropped += len(every) - len(want)
+            for h in self.live_hypotheses(model, histories):
+                every = routes(model, h)
+                for sym in model.vocabulary.symbols + (EOS,):
+                    want = {}
+                    for route, (arcs, lw) in every.items():
+                        if arcs is None:
+                            want[route] = None, lw.hex()
+                        elif sym in arcs:
+                            prob, dest = arcs[sym]
+                            want[route] = dest, (lw + math.log(prob)).hex()
+                    got = {route: (dest, lw.hex())
+                           for route, (dest, lw) in emitting_routes(model, h, sym).items()}
+                    assert got == want, (h, sym)
+                    checked += 1
+                    dropped += len(every) - len(want)
         assert checked > 50 and dropped > 0
 
     def test_class_without_start_arc_has_no_entry_route(self, toy_model):
         background = hyp(("_play",))
         # no class starts with _by, only @artist with _browne, both with _ro
-        assert list(routes(toy_model, background, toy_model._symbol_routes["_by"])) == \
-            [BACKGROUND]
-        assert list(routes(toy_model, background, toy_model._symbol_routes["_browne"])) == \
+        assert list(emitting_routes(toy_model, background, "_by")) == [BACKGROUND]
+        assert list(emitting_routes(toy_model, background, "_browne")) == \
             [BACKGROUND, "@artist"]
-        assert list(routes(toy_model, background, toy_model._symbol_routes["_ro"])) == \
+        assert list(emitting_routes(toy_model, background, "_ro")) == \
             list(toy_model.classes.labels)
-        assert list(routes(toy_model, background, toy_model._symbol_routes[EOS])) == \
-            [BACKGROUND]
-        for sym, entries in toy_model._symbol_routes.items():
-            for label, arcs in entries:
-                if label != BACKGROUND:
-                    fst = toy_model.class_fsts[label]
-                    assert arc_prob(fst, fst.start, sym) > 0.0
-                    assert arcs == fst.arcs[fst.start]
+        assert list(emitting_routes(toy_model, background, EOS)) == [BACKGROUND]
+        for sym, entries in toy_model._entry_arcs.items():
+            for label, _, _ in entries:
+                fst = toy_model.class_fsts[label]
+                assert arc_prob(fst, fst.start, sym) > 0.0
+
+
+class TestColumnReads:
+    """The kernel reads arcs from an automaton's columns; they match the
+    public arc view for every state and symbol."""
+
+    @staticmethod
+    def models(toy_model):
+        rng = random.Random(4321)
+        return [toy_model] + [random_instance(rng)[0] for _ in range(20)]
+
+    def test_stay_arc_matches_arc_view(self, toy_model):
+        outside = leaves = 0
+        for model in self.models(toy_model):
+            symbols = model.vocabulary.symbols + (EOS,)
+            for label, fst in model.class_fsts.items():
+                for state in range(fst.num_states):
+                    view = fst.arcs[state]
+                    leaves += not view
+                    for sym in symbols:
+                        (_, stay, _, _), = _mixture(model, [hyp((label,), (label, state))], sym)
+                        want = view.get(sym)
+                        if want is None:
+                            assert stay is None, (label, state, sym)
+                        else:
+                            assert (stay[0].hex(), stay[1]) == (want[0].hex(), want[1])
+                        outside += sym not in fst.ids
+        assert outside > 0 and leaves > 0
+
+    def test_entry_arcs_are_logs_of_start_arcs(self, toy_model):
+        for model in self.models(toy_model):
+            for sym in model.vocabulary.symbols + (EOS,):
+                want = []
+                for label in model.classes.nonbackground:
+                    fst = model.class_fsts[label]
+                    arc = fst.arcs[fst.start].get(sym)
+                    if arc is not None:
+                        want.append((label, math.log(arc[0]).hex(), arc[1]))
+                got = [(label, log_p.hex(), dest)
+                       for label, log_p, dest in model._entry_arcs[sym]]
+                assert got == want, sym
 
 
 class TestExtend:
@@ -684,7 +754,7 @@ def dict_next_dist(model, beam):
     """
     background: list[float] = []
     classes: list[tuple[dict, float]] = []
-    for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
+    for arcs, lw in (r for h in beam.hypotheses for r in routes(model, h).values()):
         if arcs is None:
             background.append(lw)
         else:
@@ -707,7 +777,7 @@ def log_domain_next_dist(model, beam):
     """Reference sweep: per-symbol log-domain terms, each summed by log-sum-exp."""
     terms: dict[str, list[float]] = {}
     background: list[float] = []
-    for _, _, arcs, lw in _routes(model, beam.hypotheses, model._entry_routes):
+    for arcs, lw in (r for h in beam.hypotheses for r in routes(model, h).values()):
         if arcs is None:
             background.append(lw)
             continue
@@ -773,19 +843,30 @@ class CountingNGram(BackoffNGram):
         return super().logprob(symbol, history)
 
 
-class CountingTable:
-    """An automaton's arc table that counts each ``arcs[state]`` read in
-    ``reads[label, state]``."""
+class CountingColumn:
+    """One column of an automaton that counts each read in
+    ``reads[label, name, index]``; a slice counts as its (start, stop)."""
 
-    def __init__(self, table, reads, label):
-        self.table, self.reads, self.label = table, reads, label
+    def __init__(self, column, reads, label, name):
+        self.column, self.reads, self.key = column, reads, (label, name)
 
-    def __getitem__(self, state):
-        self.reads[self.label, state] += 1
-        return self.table[state]
+    def __getitem__(self, index):
+        at = (index.start, index.stop) if isinstance(index, slice) else index
+        self.reads[(*self.key, at)] += 1
+        return self.column[index]
 
     def __len__(self):
-        return len(self.table)
+        return len(self.column)
+
+
+def count_column_reads(model, monkeypatch):
+    """Counter that fills with each read of the state and arc columns of
+    ``model``'s automata."""
+    reads = Counter()
+    for label, fst in model.class_fsts.items():
+        for name in ("offsets", "exits", "arc_ids", "probs", "dests"):
+            monkeypatch.setattr(fst, name, CountingColumn(getattr(fst, name), reads, label, name))
+    return reads
 
 
 class TestNextDist:
@@ -863,21 +944,28 @@ class TestNextDist:
                     break
         assert fan_outs > 50 and inside > 20
 
-    def test_reads_each_stay_route_through_the_arc_table(self, toy_model_full, monkeypatch):
-        """A fan-out reads the arcs of each stay route once, as
-        ``fst.arcs[state]``, and no other arcs: entry routes read the
-        model's start-state columns."""
+    def test_reads_each_stay_run_once(self, toy_model_full, monkeypatch):
+        """A fan-out reads the arcs of each stay route once, as its state's
+        two offsets and the id and probability slices of its run, and the
+        exit of each state inside a span; it reads no other arcs: entry
+        routes read the model's start-state columns."""
         model = toy_model_full
-        reads = Counter()
-        for label, fst in model.class_fsts.items():
-            monkeypatch.setattr(fst, "arcs", CountingTable(fst.arcs, reads, label))
+        offsets = {label: fst.offsets for label, fst in model.class_fsts.items()}
+        reads = count_column_reads(model, monkeypatch)
         inside = 0
         for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
             for k in range(len(history) + 1):
                 beam = advance(model, history[:k])
                 want = dict_next_dist(model, beam)
-                stays = Counter(h.position for h in beam.hypotheses if h.position is not None)
-                inside += sum(stays.values())
+                stays = Counter()
+                for h in beam.hypotheses:
+                    if h.position is not None:
+                        label, state = h.position
+                        run = offsets[label][state], offsets[label][state + 1]
+                        stays.update([(label, "exits", state), (label, "offsets", state),
+                                      (label, "offsets", state + 1), (label, "arc_ids", run),
+                                      (label, "probs", run)])
+                        inside += 1
                 reads.clear()
                 got = next_dist(model, beam)
                 assert reads == stays
@@ -1058,31 +1146,21 @@ class TestEos:
         its value has the bits of keeping the background routes of all
         routes."""
         model = toy_model_full
-        reads = Counter()
-
-        def counting_exit(fst):
-            def exit_prob(state):
-                reads["exit"] += 1
-                return type(fst).exit_prob(fst, state)
-            return exit_prob
-
-        for label, fst in model.class_fsts.items():
-            monkeypatch.setattr(fst, "arcs", CountingTable(fst.arcs, reads, label))
-            monkeypatch.setattr(fst, "exit_prob", counting_exit(fst))
+        reads = count_column_reads(model, monkeypatch)
         inside = 0
         for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
             for k in range(len(history) + 1):
                 beam = advance(model, history[:k])
                 eos_lp = model.background_logprob(EOS, history[:k])
-                terms = [lw + eos_lp for _, _, arcs, lw
-                         in _routes(model, beam.hypotheses, model._symbol_routes[EOS])
-                         if arcs is None]
+                terms = [lw + eos_lp for h in beam.hypotheses
+                         for route, (_, lw) in routes(model, h).items() if route == BACKGROUND]
                 want = log_sum_exp(terms) - beam.log_norm if terms else -math.inf
-                spans = sum(h.position is not None for h in beam.hypotheses)
-                inside += spans
+                spans = Counter((h.position[0], "exits", h.position[1])
+                                for h in beam.hypotheses if h.position is not None)
+                inside += sum(spans.values())
                 reads.clear()
                 assert eos_logprob(model, beam).hex() == want.hex()
-                assert reads == Counter(exit=spans) if spans else not reads
+                assert reads == spans
         assert inside > 5
 
 

@@ -19,7 +19,7 @@ from nfclm import bundle, engine, sequence_logprob
 
 ROOT = Path(__file__).resolve().parent.parent
 # the engine's beam code: the route kernel, the successor rule and every walk
-BEAM_NAMES = {"_routes", "_successor", "extend", "eos_logprob", "next_dist",
+BEAM_NAMES = {"_mixture", "_successor", "extend", "eos_logprob", "next_dist",
               "sequence_logprob", "sequence_logprobs"}
 # seed 207 draws a window the default beam scores -inf
 WINDOW_SEEDS = (3, 207)
