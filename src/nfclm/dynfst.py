@@ -171,10 +171,10 @@ class DynFstSession:
             if state_id not in self._finals:
                 self._finals[state_id] = self._final_of(beam)
             labels = " | ".join(
-                f"{','.join(h.decider_history) or '<start>'}"
-                f"{'' if h.position is None else f'[{h.position[0]}:{h.position[1]}]'}"
+                f"{','.join(dh) or '<start>'}"
+                f"{'' if position is None else f'[{position[0]}:{position[1]}]'}"
                 f" {h.log_weight:.6f}"
-                for h in beam.hypotheses
+                for h in beam.hypotheses for dh, position in [self.model.decode(h.key)]
             )
             history = self.history_of(state_id)
             lines.append(f"state {state_id}\t{' '.join(history) or '<start>'}\t{labels}")

@@ -21,10 +21,27 @@ that is exact, not an approximation.  The background model reads only
 the padded context that a beam keeps of its token history, and the
 decider only its padded context, so two hypotheses that agree on context
 and position get the same factor on every future step.  Merging them
-shrinks the beam on entity text to a few hypotheses, and a step copies
-at most ``context_size + 1`` tokens per hypothesis.
-``merge="full"`` keeps each alignment's whole collapsed history, as in
-the paper's Fig. 1 boxes; both modes extend through ``_successor``.
+shrinks the beam on entity text to a few hypotheses.  ``merge="full"``
+keeps each alignment's whole collapsed history, as in the paper's Fig. 1
+boxes; both modes share one key layout.
+
+A hypothesis holds its decider history and position as one integer key.
+Each model interns its vocabulary, BOS and class labels once, in string
+order, as ids from 1 of ``w`` bits each, and numbers the states of all
+class automata in one position space, in label order: a class's rank
+(from 1) above its state, and 0 for the background.  From the top, a key
+packs the history's length ``n``, its last ``max(n, D)`` tokens padded
+on the left with BOS (``D`` is the decider's context size), and the
+position.  Integer order is thus the tie order ``(len(dh), dh,
+position)``, with the background first, so ranking sorts keys; the low
+``D`` tokens of the history are the decider's padded context; and a
+successor's key is a shift and an OR.  Under ``merge="full"`` the
+history grows past ``D`` tokens, in unbounded ints.  A beam holds its
+background context the same way, as the packed ids of its last
+``context_size`` tokens.  Strings stay at the boundary:
+``NfclmModel.encode`` and ``decode`` turn (decider history, position)
+into a key and back, for ``DynFstSession.dump`` and for tests, and a
+new cache row unpacks its context key to call the component.
 
 The beam writes the mixture step once, in ``_mixture``, which yields
 once per hypothesis: a hypothesis inside a class span may stay on its
@@ -35,7 +52,7 @@ hypothesis's exit weight plus the decider row's log share of ``c``.
 Arcs are read from the automata's flat columns (``ProbClassFst``): a
 stay arc for a symbol is one bisect in the state's run of the id
 column.  Each model indexes once, per symbol, the start arcs of the
-classes that can emit it, as (log-probability, destination), so
+classes that can emit it, as (log-probability, successor key bits), so
 ``extend`` visits only entry routes that can emit its symbol and
 ``eos_logprob`` only the background route; ``next_dist`` and ``sample``
 take every route.  ``exact_sequence_logprob`` is the same walk with
@@ -54,11 +71,14 @@ sweep over a scaled copy of the background's ``distribution_values`` and
 each class route's arc columns, entry routes' built once per model, a
 stay route's sliced from its state's run.
 
-The background and decider lookups are memoized per context key
-(``ConditionalSymbolModel.context_key``), for an n-gram the longest
-suffix of the padded context that has a count table.  Contexts that
-share a key share every value, so the caches hold at most one row per
-stored context plus one, however much a model scores.
+The background and decider lookups are memoized per packed context key:
+for an n-gram, the longest suffix of the padded context that is one of
+its stored contexts (``ConditionalSymbolModel.stored_contexts``), else
+the empty context, 0.  A suffix is the context under a mask, checked
+against a set per length of the stored contexts, packed when the model
+is built.  Contexts that share a key share every value, so the caches
+hold at most one row per stored context plus one, however much a model
+scores.
 
 Model components never change after construction, so one model can
 serve any number of concurrent scoring sessions; beams are cheap
@@ -72,8 +92,9 @@ import random
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
-from operator import mul
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
@@ -115,19 +136,34 @@ class ComponentError(ValueError):
         self.component = component
 
 
+class PositionError(ValueError):
+    """A position ``(label, state)`` outside the model: an unknown class,
+    or a state its automaton does not have."""
+
+    def __init__(self, label: str, state: int, message: str):
+        super().__init__(message)
+        self.label = label
+        self.state = state
+
+
 class AlignmentHypothesis(NamedTuple):
     """One class alignment of the consumed history.
 
-    ``decider_history`` is the collapsed history as far as the decider
-    can see it: its last ``decider.context_size`` tokens under
-    ``merge="context"``, all of it under ``merge="full"``.  Alignments
-    that agree on it and on ``position`` score every continuation alike,
-    so the beam holds them as one hypothesis.
+    ``key`` packs the alignment's decider history and position (see the
+    module docstring; ``NfclmModel.decode`` reads it back).  The history
+    is as far as the decider can see it: its last
+    ``decider.context_size`` tokens under ``merge="context"``, all of it
+    under ``merge="full"``.  Alignments that agree on the key score every
+    continuation alike, so the beam holds them as one hypothesis.
     """
 
-    decider_history: tuple[str, ...]
-    position: Position
+    key: int
     log_weight: float
+
+
+# ``AlignmentHypothesis((key, log_weight))`` built in C, without the
+# named tuple's Python-level ``__new__``, for the hypotheses a step keeps
+_hypothesis = partial(tuple.__new__, AlignmentHypothesis)
 
 
 @dataclass
@@ -135,11 +171,12 @@ class AlignmentBeam:
     """Bounded set of alignment hypotheses for one token history.
 
     Of that history it keeps ``context``, the background's padded
-    context, and ``length``.  ``log_norm``, the log of the kept
-    hypotheses' total weight, turns their joint weights into posteriors.
+    context as packed ids, and ``length``.  ``log_norm``, the log of the
+    kept hypotheses' total weight, turns their joint weights into
+    posteriors.
     """
 
-    context: tuple[str, ...]
+    context: int
     length: int
     hypotheses: list[AlignmentHypothesis]
     log_norm: float = 0.0
@@ -147,15 +184,27 @@ class AlignmentBeam:
     delta: float = DEFAULT_BEAM_DELTA
 
 
+class BackgroundRow(dict):
+    """Background log-probabilities ``{symbol: logprob}`` cached at one
+    context key, with ``context``, the key's tokens, where the missing
+    ones are computed."""
+
+    __slots__ = ("context",)
+
+    def __init__(self, context: tuple[str, ...]):
+        super().__init__()
+        self.context = context
+
+
 class DeciderRow(dict):
     """A decider distribution ``{class: share}`` that also holds ``logs``,
-    ``{class: log share}`` in class-alphabet order."""
+    the log shares in class-alphabet order."""
 
     __slots__ = ("logs",)
 
     def __init__(self, distribution: dict[str, float], labels: Sequence[str]):
         super().__init__(distribution)
-        self.logs = {c: math.log(self[c]) for c in labels}
+        self.logs = tuple(math.log(self[c]) for c in labels)
 
 
 @dataclass
@@ -163,8 +212,9 @@ class NfclmModel:
     """Background model + per-class FSTs mixed by the decider.
 
     Fields must not change after construction, which derives lookup
-    tables and the ``merge`` bound from them; build a variant with
-    ``dataclasses.replace`` instead.  ``RULES`` checks each setting.
+    tables, the key layout and the ``merge`` bound from them; build a
+    variant with ``dataclasses.replace`` instead.  ``RULES`` checks each
+    setting.
     """
 
     # exact types, so that True is no beam size; NaN fails ``>= 0``
@@ -211,86 +261,207 @@ class NfclmModel:
         _check_histories("background", self.background, symbols | {BOS})
         _check_histories("decider", self.decider,
                          symbols | {BOS} | set(self.classes.nonbackground))
+        self._build_keys()
         self._predicted = self.vocabulary.symbols + (EOS,)
+        labels = self.classes.labels
+        label_index = {c: i for i, c in enumerate(labels)}
+        self._bg_class = label_index[BACKGROUND]
         # what next_dist reads as index columns over ``_predicted``: per
-        # class, the position of each automaton symbol id; the entry routes
-        # as (class, positions, probabilities) of the start state's arcs; and
-        # the background alphabet's positions, None when it runs in this order
+        # class rank, the position of each automaton symbol id; the entry
+        # routes as (class index, positions, probabilities) of the start
+        # state's arcs; and the background alphabet's positions, None when
+        # it runs in this order
         position = {sym: i for i, sym in enumerate(self._predicted)}.__getitem__
-        self._arc_positions = {c: list(map(position, fst.symbols))
-                               for c, fst in self.class_fsts.items()}
-        # per symbol (EOS included), the entry routes that can emit it: each
-        # class whose start state has an arc for it, in alphabet order, as
-        # (class, log probability, destination) of that arc
-        entries: dict[str, list] = {sym: [] for sym in self._predicted}
+        self._arc_positions = [None] + [list(map(position, fst.symbols))
+                                        for fst in self._fsts[1:]]
+        # per vocabulary symbol: its id, the successor key bits of the
+        # background route, per class rank the automaton's id of the symbol
+        # (None when it has none), and the entry routes that can emit it,
+        # each class whose start state has an arc for it, in alphabet order,
+        # as (class index, log probability, successor key bits)
+        entries: dict[str, tuple] = {}
         entry_columns = []
         for c in self.classes.nonbackground:
             fst = self.class_fsts[c]
             arcs = fst.arcs[fst.start]
+            bits = self._entry_bits[c]
             for sym, (p, dest) in arcs.items():
-                entries[sym].append((c, math.log(p), dest))
-            entry_columns.append((c, list(map(position, arcs)), [p for p, _ in arcs.values()]))
-        self._entry_arcs = {sym: tuple(arcs) for sym, arcs in entries.items()}
+                entries[sym] = entries.get(sym, ()) + ((label_index[c], math.log(p), bits | dest),)
+            entry_columns.append((label_index[c], list(map(position, arcs)),
+                                  [p for p, _ in arcs.values()]))
+        vocab = self.vocabulary.symbols
+        stays = zip(repeat(None), *(map(fst.ids.get, vocab) for fst in self._fsts[1:]))
+        self._emits = dict(zip(vocab, zip(
+            map(self._ids.__getitem__, vocab), map(self._token_bits.__getitem__, vocab),
+            stays, map(entries.get, vocab, repeat(())))))
         self._entry_columns = tuple(entry_columns)
         bg_alphabet = tuple(self.background.alphabet)
         self._bg_order = (None if bg_alphabet == self._predicted else
                           list(map({s: i for i, s in enumerate(bg_alphabet)}.__getitem__,
                                    self._predicted)))
+        self._bg_cache: dict[int, BackgroundRow] = {}
+        self._decider_cache: dict[int, DeciderRow] = {}
+
+    def _build_keys(self) -> None:
+        """Intern the tokens and derive the key layout (module docstring)."""
+        names = sorted(set(self.vocabulary.symbols) | {BOS} | set(self.classes.labels))
+        self._names = (None,) + tuple(names)  # by id; 0 is no token
+        self._ids = {name: i for i, name in enumerate(names, start=1)}
+        width = self._width = len(names).bit_length()
+        # positions: a class's rank in label order above its state
+        self._ranked = tuple(sorted(self.classes.nonbackground))
+        self._fsts = (None,) + tuple(self.class_fsts[c] for c in self._ranked)
+        self._no_stays = (None,) * len(self._fsts)
+        states = self._state_bits = max((fst.num_states for fst in self._fsts[1:]),
+                                        default=0).bit_length()
+        pos_bits = self._pos_bits = states + len(self._ranked).bit_length()
+        # the decider history above the position: its length above its last
+        # max(n, D) tokens; ``_grow[n]`` is the length field after one more
+        # token, in place above the position, while that field keeps D tokens
+        size = self._decider_context_size = self.decider.context_size
+        self._history_bound = size if self.merge == "context" else sys.maxsize
+        # what a token appended to a decider history ORs into a successor
+        # key: its id above the position, nothing when histories keep none
+        self._token_bits = {name: i << pos_bits if self._history_bound else 0
+                            for name, i in self._ids.items()}
+        self._entry_bits = {c: self._token_bits[c] | rank << states
+                            for rank, c in enumerate(self._ranked, start=1)}
+        self._decider_mask = (1 << width * size) - 1
+        self._grow = [min(n + 1, size) << width * size + pos_bits
+                      for n in range(size + (self.merge == "context"))]
+        self._root = self.encode((), None)
         self._bg_context_size = self.background.context_size
-        self._decider_context_size = self.decider.context_size
-        self._bg_key = self.background.context_key
-        self._decider_key = self.decider.context_key
-        # trailing decider tokens a hypothesis keeps under ``merge``
-        self._history_bound = (self._decider_context_size if self.merge == "context"
-                               else sys.maxsize)
-        self._bg_cache: dict[tuple[str, ...], dict[str, float]] = {}
-        self._decider_cache: dict[tuple[str, ...], DeciderRow] = {}
+        self._bg_mask = (1 << width * self._bg_context_size) - 1
+        self._start_context = self.context((), self._bg_context_size)
+        self._bg_levels = self._stored_levels(self.background, self._bg_context_size)
+        self._decider_levels = self._stored_levels(self.decider, size)
+
+    def _stored_levels(self, component: ConditionalSymbolModel, size: int):
+        """(mask, packed stored contexts) per context length, longest first;
+        None when the component has no stored contexts."""
+        stored = component.stored_contexts()
+        if stored is None:
+            return None
+        ids, width = self._ids, self._width
+        terms = {}  # shift -> {token: its id shifted}
+        levels = []
+        for length in range(min(size, len(stored)), 0, -1):
+            contexts = stored[length - 1]
+            # each context packed as the sum of its tokens' ids shifted into
+            # place, a column at a time; a token no history holds adds a
+            # negative term larger than any sum, so that context is dropped
+            unknown = -(1 << width * length)
+            packed = None
+            for i in range(length):
+                shift = width * (length - 1 - i)
+                if shift not in terms:
+                    terms[shift] = {token: n << shift for token, n in ids.items()}
+                column = map(terms[shift].get, map(itemgetter(i), contexts), repeat(unknown))
+                packed = column if packed is None else map(add, packed, column)
+            stored_set = frozenset(filter((0).__le__, packed))
+            if stored_set:
+                levels.append(((1 << width * length) - 1, stored_set))
+        return levels
+
+    # -- the boundary between tokens and packed ids --------------------------
+
+    def _tokens(self, packed: int, count: int) -> tuple[str, ...]:
+        """The ``count`` tokens packed in ``packed``, oldest first."""
+        names, width, mask = self._names, self._width, (1 << self._width) - 1
+        return tuple([names[packed >> width * i & mask] for i in range(count - 1, -1, -1)])
+
+    def _key_tokens(self, key: int) -> tuple[str, ...]:
+        """The tokens of a context key, which has no padding above its oldest
+        token: ids start at 1."""
+        return self._tokens(key, -(-key.bit_length() // self._width))
+
+    def context(self, tokens: Sequence[str], size: int) -> int:
+        """The last ``size`` of ``tokens``, padded on the left with BOS,
+        packed: a context ``background_logprob`` and ``decider_dist`` take."""
+        tokens = tuple(tokens)[max(0, len(tokens) - size):]
+        ids, width = self._ids, self._width
+        packed = 0
+        for token in (BOS,) * (size - len(tokens)) + tokens:
+            packed = packed << width | ids[token]
+        return packed
+
+    def encode(self, decider_history: Sequence[str], position: Position) -> int:
+        """The hypothesis key of a decider history and a position.
+
+        The history keeps its last tokens as ``merge`` says.  Raises
+        PositionError for an unknown class or a state outside its
+        automaton, and KeyError for a history token the model lacks.
+        """
+        history = tuple(decider_history)
+        history = history[max(0, len(history) - self._history_bound):]
+        if position is None:
+            bits = 0
+        else:
+            label, state = position
+            fst = self.class_fsts.get(label)
+            if fst is None:
+                raise PositionError(label, state, f"position {position!r}: unknown class "
+                                                  f"{label!r}")
+            if not 0 <= state < fst.num_states:
+                raise PositionError(label, state, f"position {position!r}: {label} has no "
+                                                  f"state {state} (it has {fst.num_states})")
+            bits = (self._ranked.index(label) + 1) << self._state_bits | state
+        for token in history:
+            if token not in self._ids:
+                raise KeyError(f"decider history token {token!r} is not in the model")
+        slots = max(len(history), self._decider_context_size)
+        packed = len(history) << self._width * slots | self.context(history, slots)
+        return packed << self._pos_bits | bits
+
+    def decode(self, key: int) -> tuple[tuple[str, ...], Position]:
+        """The (decider history, position) a hypothesis key packs."""
+        history = key >> self._pos_bits
+        n = _history_length(history, self._width, self._decider_context_size)
+        slots = max(n, self._decider_context_size)
+        tokens = self._tokens(history, slots)[slots - n:]
+        pos = key & (1 << self._pos_bits) - 1
+        if not pos:
+            return tokens, None
+        states = self._state_bits
+        return tokens, (self._ranked[(pos >> states) - 1], pos & (1 << states) - 1)
 
     # -- component lookups ------------------------------------------------
 
-    def background_logprob(self, symbol: str, history: Sequence[str]) -> float:
-        """Background log P(symbol | history), memoized per context key.
+    def background_logprob(self, symbol: str, context: int) -> float:
+        """Background log P(symbol | context), memoized per context key.
 
-        The cache holds one ``{symbol: logprob}`` row per key of the padded
-        context (``background.context_key``), so a model with stored
-        contexts bounds its rows.  A padded context that is a key is its
-        own row, found by the first lookup; only a miss computes the key.
-        A tuple of ``context_size`` symbols, such as a beam's context, is
-        its own padded context.
+        ``context`` is a packed padded context (``context``), as a beam
+        holds it.  The cache holds one ``BackgroundRow`` per key of the
+        context, so a model with stored contexts bounds its rows.  A
+        context that is a key is its own row, found by the first lookup;
+        only a miss computes the key.  A missing value is computed at the
+        key's own tokens, which give every context of the key its bits.
         """
-        size = self._bg_context_size
-        context = (history if type(history) is tuple and len(history) == size
-                   else _context(history, size))
         row = self._bg_cache.get(context)
         if row is None:
-            key = self._bg_key(context)
+            key = _stored_suffix(context, self._bg_levels)
             row = self._bg_cache.get(key)
             if row is None:
-                row = self._bg_cache.setdefault(key, {})
+                row = self._bg_cache.setdefault(key, BackgroundRow(self._key_tokens(key)))
         hit = row.get(symbol)
         if hit is None:
-            hit = self.background.logprob(symbol, context)
-            row[symbol] = hit
+            hit = row[symbol] = self.background.logprob(symbol, row.context)
         return hit
 
-    def decider_dist(self, decider_history: tuple[str, ...]) -> DeciderRow:
-        """Renormalized class distribution for a collapsed history.
+    def decider_dist(self, context: int) -> DeciderRow:
+        """Renormalized class distribution for a packed padded decider context.
 
-        The cache is keyed like ``background_logprob``'s, by the key of the
-        padded context.  A stored history of exactly ``context_size``
-        tokens is its own padded context; a shorter one is padded first,
-        because it may equal the key of another context.  Each row also
-        holds the log shares that the mixture step adds.
+        The cache is keyed like ``background_logprob``'s, by the key of
+        the context, and a row is computed at the key's own tokens.  Each
+        row also holds the log shares that the mixture step adds.
         """
-        context = (decider_history if len(decider_history) == self._decider_context_size
-                   else _context(decider_history, self._decider_context_size))
         hit = self._decider_cache.get(context)
         if hit is None:
-            key = self._decider_key(context)
+            key = _stored_suffix(context, self._decider_levels)
             hit = self._decider_cache.get(key)
             if hit is None:
-                hit = self._decider_cache.setdefault(
-                    key, DeciderRow(self.decider.distribution(context), self.classes.labels))
+                hit = self._decider_cache.setdefault(key, DeciderRow(
+                    self.decider.distribution(self._key_tokens(key)), self.classes.labels))
         return hit
 
 
@@ -304,16 +475,36 @@ def _check_histories(name: str, component: ConditionalSymbolModel, needed: set) 
         raise ComponentError(name, f"{name} history alphabet lacks {missing[0]!r}{more}")
 
 
-def _context(history: Sequence[str], size: int) -> tuple[str, ...]:
-    """The last ``size`` symbols of ``history``, padded with BOS on the left."""
-    history = tuple(history)
-    n = len(history)
-    return history[n - size:] if n >= size else (BOS,) * (size - n) + history
+def _stored_suffix(context: int, levels) -> int:
+    """The longest suffix of ``context`` among the stored contexts of
+    ``levels`` (``NfclmModel._stored_levels``), else 0; with no stored
+    contexts, ``context`` itself."""
+    if levels is None:
+        return context
+    for mask, stored in levels:
+        suffix = context & mask
+        if suffix in stored:
+            return suffix
+    return 0
+
+
+def _history_length(history: int, width: int, size: int) -> int:
+    """The length ``n`` of a packed decider history: its top field, above
+    ``max(n, size)`` tokens of ``width`` bits."""
+    top = history >> width * size
+    if top <= size:
+        return top
+    # past ``size`` tokens the field is n above n tokens: n is found from
+    # the bit length, which exceeds ``width * n`` by that of n
+    n = history.bit_length() // width
+    while history >> width * n != n:
+        n -= 1
+    return n
 
 
 def start_beam(model: NfclmModel) -> AlignmentBeam:
-    root = AlignmentHypothesis(decider_history=(), position=None, log_weight=0.0)
-    return AlignmentBeam(context=(BOS,) * model._bg_context_size, length=0, hypotheses=[root],
+    root = AlignmentHypothesis(model._root, 0.0)
+    return AlignmentBeam(context=model._start_context, length=0, hypotheses=[root],
                          log_norm=0.0, size_limit=model.beam_size, delta=model.beam_delta)
 
 
@@ -323,121 +514,124 @@ def log_sum_exp(values: Sequence[float]) -> float:
     best = max(values)
     if best == -math.inf:
         return -math.inf
-    return best + math.log(math.fsum(math.exp(v - best) for v in values))
+    return best + math.log(math.fsum(map(math.exp, map(sub, values, repeat(best)))))
 
 
 def _mixture(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
-             symbol: Optional[str] = None):
+             stays: Optional[tuple] = None):
     """The mixture step, once per hypothesis, in hypothesis order.
 
-    Yields ``(hypothesis, stay, base, row)``.  Inside a class span,
-    ``stay`` is, for a ``symbol``, the arc ``(probability, destination)``
-    that emits it from the hypothesis's state, or None; with no ``symbol``,
-    the state's run ``(lo, hi)`` of the automaton's arc columns.  A stay
+    Yields ``(hypothesis, stay, base, row, prefix)``.  Inside a class
+    span, ``stay`` is, for a symbol whose automaton ids ``stays`` gives
+    per class rank, ``(probability, successor key)`` of the arc that
+    emits it from the hypothesis's state, or None; with no ``stays``, the
+    state's run ``(rank, lo, hi)`` of the automaton's arc columns.  A stay
     weighs the hypothesis weight: arc probabilities already carry the stay
     mass.  ``stay`` is None in the background.  ``base`` is the weight of
     leaving the position, the hypothesis weight plus log exit probability,
-    and ``row`` the hypothesis's ``DeciderRow``; both are None when the
-    state cannot exit.  The route into class ``c`` weighs
-    ``base + row.logs[c]``, to which callers add the emitted symbol's
+    ``row`` the hypothesis's ``DeciderRow``, and ``prefix`` the key of its
+    decider history after one more token, to which a route ORs the
+    token's id above its position; all three are None when the state
+    cannot exit.  The route into class ``c`` weighs ``base +
+    row.logs[c]``, to which callers add the emitted symbol's
     log-probability.
     """
-    class_fsts, decider_dist, log = model.class_fsts, model.decider_dist, math.log
+    fsts, decider_dist, log = model._fsts, model.decider_dist, math.log
+    pos_bits, states, width = model._pos_bits, model._state_bits, model._width
+    pos_mask, state_mask = (1 << pos_bits) - 1, (1 << states) - 1
+    grow, size = model._grow, model._decider_context_size
+    grow_len = len(grow)
+    decider_mask = model._decider_mask
+    shifted_mask, length_shift = decider_mask << pos_bits, pos_bits + width * size
     for hyp in hypotheses:
-        dh, position, log_weight = hyp
-        if position is None:
-            yield hyp, None, log_weight, decider_dist(dh)
-            continue
-        label, state = position
-        fst = class_fsts[label]
-        offsets = fst.offsets
-        if symbol is None:
-            stay = offsets[state], offsets[state + 1]
+        key, log_weight = hyp
+        pos = key & pos_mask
+        if pos:
+            rank = pos >> states
+            state = pos & state_mask
+            fst = fsts[rank]
+            if stays is None:
+                offsets = fst.offsets
+                stay = rank, offsets[state], offsets[state + 1]
+            else:
+                stay = None
+                sid = stays[rank]
+                if sid is not None:
+                    offsets, arc_ids = fst.offsets, fst.arc_ids
+                    hi = offsets[state + 1]
+                    i = bisect_left(arc_ids, sid, offsets[state], hi)
+                    if i < hi and arc_ids[i] == sid:
+                        stay = fst.probs[i], key - state + fst.dests[i]
+            exit_p = fst.exits[state]
+            if exit_p == 0.0:
+                yield hyp, stay, None, None, None
+                continue
+            base = log_weight + log(exit_p)
         else:
             stay = None
-            sid = fst.ids.get(symbol)
-            if sid is not None:
-                arc_ids, hi = fst.arc_ids, offsets[state + 1]
-                i = bisect_left(arc_ids, sid, offsets[state], hi)
-                if i < hi and arc_ids[i] == sid:
-                    stay = fst.probs[i], fst.dests[i]
-        exit_p = fst.exits[state]
-        if exit_p == 0.0:
-            yield hyp, stay, None, None
-        else:
-            yield hyp, stay, log_weight + log(exit_p), decider_dist(dh)
-
-
-def _successor(hyp: AlignmentHypothesis, route: str, symbol: str,
-               dest: Optional[int], bound: int) -> tuple[tuple[str, ...], Position]:
-    """(decider history, position) after ``route`` emits ``symbol`` into ``dest``.
-
-    The history keeps its last ``bound`` tokens (``model._history_bound``).
-    """
-    if route == EPSILON:
-        return hyp.decider_history, (hyp.position[0], dest)
-    if route == BACKGROUND:
-        dh, position = hyp.decider_history + (symbol,), None
-    else:
-        dh, position = hyp.decider_history + (route,), (route, dest)
-    return (dh[len(dh) - bound:] if len(dh) > bound else dh), position
+            base = log_weight
+        top = key >> length_shift
+        if top < grow_len:
+            prefix = grow[top] | (key - pos) << width & shifted_mask
+        else:  # a whole history past the decider's context (merge="full")
+            history = key >> pos_bits
+            n = _history_length(history, width, size)
+            prefix = (history << width) + (1 << width * (n + 1)) << pos_bits
+        yield hyp, stay, base, decider_dist(key >> pos_bits & decider_mask), prefix
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
     """Advance the beam by one symbol; returns (new beam, log P(symbol | history)).
 
-    Successors sharing (decider history, position) are merged by
+    Successors sharing a key, (decider history, position), are merged by
     log-sum-exp before pruning to the size and log-width limits; the
-    history is bounded as ``model.merge`` says.  Only the
-    entry routes that can emit ``symbol`` are visited, and hypotheses are
-    built only for the successors that survive pruning; a lone finite
-    successor is kept without ranking.
+    history is bounded as ``model.merge`` says.  Only the entry routes
+    that can emit ``symbol`` are visited, and hypotheses are built only
+    for the successors that survive pruning; a lone finite successor is
+    kept without ranking.
     """
-    if symbol not in model.vocabulary:
+    emits = model._emits.get(symbol)
+    if emits is None:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
+    sid, spoken, stays, entries = emits
     bg_lp = model.background_logprob(symbol, beam.context)
-    entries = model._entry_arcs[symbol]
-    bound = model._history_bound
+    bg = model._bg_class
     log = math.log
-    merged: dict[tuple, list[float]] = {}
-    for hyp, stay, base, row in _mixture(model, beam.hypotheses, symbol):
+    merged: dict[int, list[float]] = {}
+    for hyp, stay, base, row, prefix in _mixture(model, beam.hypotheses, stays):
         if stay is not None:
-            prob, dest = stay
-            merged.setdefault(_successor(hyp, EPSILON, symbol, dest, bound), []).append(
-                hyp.log_weight + log(prob))
+            prob, key = stay
+            merged.setdefault(key, []).append(hyp.log_weight + log(prob))
         if base is not None:
             logs = row.logs
-            merged.setdefault(_successor(hyp, BACKGROUND, symbol, None, bound), []).append(
-                base + logs[BACKGROUND] + bg_lp)
-            for c, log_p, dest in entries:
-                merged.setdefault(_successor(hyp, c, symbol, dest, bound), []).append(
-                    base + logs[c] + log_p)
+            merged.setdefault(prefix | spoken, []).append(base + logs[bg] + bg_lp)
+            for c, log_p, bits in entries:
+                merged.setdefault(prefix | bits, []).append(base + logs[c] + log_p)
     if not merged:
         raise DeadHistoryError(beam.length, symbol)
-    context = _context(beam.context + (symbol,), model._bg_context_size)
+    context = (beam.context << model._width | sid) & model._bg_mask
     if len(merged) == 1:
         # one finite successor survives any pruning; these are the bits
         # the ranked path below gives it
-        ((dh, pos), weights), = merged.items()
+        (key, weights), = merged.items()
         weight = log_sum_exp(weights)
         if -math.inf < weight < math.inf:
             total = weight + 0.0  # log_sum_exp([weight])
-            return AlignmentBeam(context, beam.length + 1, [AlignmentHypothesis(dh, pos, weight)],
+            return AlignmentBeam(context, beam.length + 1, [_hypothesis((key, weight))],
                                  total, beam.size_limit, beam.delta), total - beam.log_norm
 
-    # best first, ties by (decider history, position), which no two share,
-    # with the background position, as (), first; each rank holds the
-    # negated weight
-    ranked = sorted((-log_sum_exp(weights), len(dh), dh, pos or (), pos)
-                    for (dh, pos), weights in merged.items())
+    # best first, ties by key, which no two share; each rank holds the
+    # negated weight, a lone weight's as log_sum_exp gives it
+    ranked = sorted([(-(weights[0] + 0.0) if len(weights) == 1 else -log_sum_exp(weights), key)
+                     for key, weights in merged.items()])
     # log_sum_exp is max plus an exactly rounded fsum: any term order gives its bits
-    total = log_sum_exp([-rank[0] for rank in ranked])
+    total = log_sum_exp([-neg for neg, _ in ranked])
     step_logprob = total - beam.log_norm
 
     kept = ranked[: beam.size_limit]
     best = -kept[0][0]
     kept = [rank for rank in kept if best + rank[0] <= beam.delta]
-    hypotheses = [AlignmentHypothesis(dh, pos, -neg) for neg, _, dh, _, pos in kept]
+    hypotheses = [_hypothesis((key, -neg)) for neg, key in kept]
 
     new_norm = (total if len(kept) == len(ranked)
                 else log_sum_exp([h.log_weight for h in hypotheses]))
@@ -448,9 +642,10 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     """log P(EOS | history) under the beam; -inf when no alignment can stop."""
     eos_lp = model.background_logprob(EOS, beam.context)
+    bg = model._bg_class
     # EOS has the background route alone; no automaton arc emits it
-    contributions = [base + row.logs[BACKGROUND] + eos_lp
-                     for _, _, base, row in _mixture(model, beam.hypotheses, EOS)
+    contributions = [base + row.logs[bg] + eos_lp
+                     for _, _, base, row, _ in _mixture(model, beam.hypotheses, model._no_stays)
                      if base is not None]
     if not contributions:
         return -math.inf
@@ -477,21 +672,22 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     """
     background: list[float] = []
     classes: list[tuple] = []
-    class_fsts, positions = model.class_fsts, model._arc_positions
-    for hyp, stay, base, row in _mixture(model, beam.hypotheses):
+    fsts, positions, bg_class = model._fsts, model._arc_positions, model._bg_class
+    for hyp, stay, base, row, _ in _mixture(model, beam.hypotheses):
         if stay is not None:  # a stay route's arc ids map to positions here
-            label = hyp.position[0]
-            fst, (lo, hi) = class_fsts[label], stay
-            classes.append((map(positions[label].__getitem__, fst.arc_ids[lo:hi]),
+            rank, lo, hi = stay
+            fst = fsts[rank]
+            classes.append((map(positions[rank].__getitem__, fst.arc_ids[lo:hi]),
                             fst.probs[lo:hi], hyp.log_weight))
         if base is not None:
             logs = row.logs
-            background.append(base + logs[BACKGROUND])
+            background.append(base + logs[bg_class])
             for c, where, probs in model._entry_columns:
                 classes.append((where, probs, base + logs[c]))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        bg = model.background.distribution_values(beam.context)
+        bg = model.background.distribution_values(
+            model._tokens(beam.context, model._bg_context_size))
         if model._bg_order is not None:
             bg = map(bg.__getitem__, model._bg_order)
         values = list(map(mul, repeat(scale), bg))
@@ -584,35 +780,40 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
                 return key
         return last  # guard against rounding at the top end
 
-    hyp = AlignmentHypothesis(decider_history=(), position=None, log_weight=0.0)
+    labels, fsts = model.classes.labels, model.class_fsts
+    key, context = model._root, model._start_context
     out: list[str] = []
     while len(out) < max_length:
-        (_, stay, base, row), = _mixture(model, [hyp])
-        routes = {}  # route -> (arcs, log weight); the background's arcs are None
+        (_, stay, base, row, prefix), = _mixture(model, [AlignmentHypothesis(key, 0.0)])
+        # route -> (arcs, log weight, successor key bits); the background's
+        # arcs are None
+        routes = {}
         if stay is not None:
-            label, state = hyp.position
-            routes[EPSILON] = model.class_fsts[label].arcs[state], hyp.log_weight
+            rank, _, _ = stay
+            state = key & (1 << model._state_bits) - 1
+            routes[EPSILON] = model._fsts[rank].arcs[state], 0.0, key - state
         if base is not None:
-            for c, log_share in row.logs.items():
-                fst = model.class_fsts.get(c)
-                routes[c] = (None if fst is None else fst.arcs[fst.start]), base + log_share
+            for c, log_share in zip(labels, row.logs):
+                fst = fsts.get(c)
+                routes[c] = ((None, base + log_share, prefix) if fst is None else
+                             (fst.arcs[fst.start], base + log_share,
+                              prefix | model._entry_bits[c]))
         # the stay route's mass is that of its arcs; the others carry it in lw
         route = draw({
             route: math.fsum(p for p, _ in arcs.values()) if route == EPSILON
             else math.exp(lw)
-            for route, (arcs, lw) in routes.items()
+            for route, (arcs, lw, _) in routes.items()
         })
-        arcs = routes[route][0]
+        arcs, _, bits = routes[route]
         if arcs is None:
             symbol = draw(model.background.distribution(
-                _context(out, model._bg_context_size)))
+                model._tokens(context, model._bg_context_size)))
             if symbol == EOS:
                 break
-            dest = None
+            key = bits | model._emits[symbol][1]
         else:
             symbol = draw({sym: p for sym, (p, _) in arcs.items()})
-            dest = arcs[symbol][1]
-        dh, position = _successor(hyp, route, symbol, dest, model._history_bound)
-        hyp = AlignmentHypothesis(dh, position, 0.0)
+            key = bits | arcs[symbol][1]
+        context = (context << model._width | model._ids[symbol]) & model._bg_mask
         out.append(symbol)
     return out

@@ -16,7 +16,7 @@ import sys
 from abc import ABC, abstractmethod
 from array import array
 from collections import Counter
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -74,15 +74,17 @@ class ConditionalSymbolModel(ABC):
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
         return math.log(self.distribution(history)[symbol])
 
-    def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
-        """A suffix of ``context`` that determines the model's output there.
+    def stored_contexts(self) -> Optional[Sequence[Sequence[tuple[str, ...]]]]:
+        """The contexts whose suffixes decide the model's output, by length.
 
-        Contexts with equal keys get bit-identical ``distribution`` and
-        ``logprob`` values, and a key is its own key, so a cache keyed by
-        it holds one row per distinct output.  The identity here: a model
-        without stored contexts gives every context its own row.
+        Entry ``k - 1`` holds contexts of ``k`` symbols.  At any context
+        the model's ``distribution`` and ``logprob`` have the bits they
+        have at its longest suffix listed here, or at ``()`` when none is,
+        so a cache keyed by that suffix holds one row per distinct output
+        and can fill it at the suffix itself.  None here: a model without
+        stored contexts gives every context its own row.
         """
-        return context
+        return None
 
 
 class BackoffNGram(ConditionalSymbolModel):
@@ -188,21 +190,15 @@ class BackoffNGram(ConditionalSymbolModel):
             p = (seen - discount) / total + backoff * p if seen else backoff * p
         return math.log(p)
 
-    def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
-        """The longest suffix of ``context`` with a nonempty count table.
+    def stored_contexts(self) -> list[list[tuple[str, ...]]]:
+        """The contexts of each length with a nonempty count table.
 
-        ``_levels`` reads only suffix tables and skips absent or empty ones,
-        so every level above this suffix adds nothing and every level up
-        to it reads a suffix of it, whether or not the tables are closed
-        under suffixes.  A key is thus ``()`` or a stored context.
+        ``_levels`` reads only suffix tables and skips absent or empty
+        ones, so at any context every level above its longest such suffix
+        adds nothing and every level up to it reads a suffix of it,
+        whether or not the tables are closed under suffixes.
         """
-        counts = self.counts
-        n = len(context)
-        for length in range(min(n, self.order - 1), 0, -1):
-            suffix = context[n - length:]
-            if counts[length].get(suffix):
-                return suffix
-        return ()
+        return [list(compress(level, level.values())) for level in self.counts[1:]]
 
     def serialize(self) -> bytes:
         """Format v2: the header and symbol table, then each level as four
@@ -449,9 +445,9 @@ class DeciderModel(ConditionalSymbolModel):
         return _scale_by_prior(self.raw_distribution(history), self._normalized_prior,
                                self.alpha)
 
-    def context_key(self, context: tuple[str, ...]) -> tuple[str, ...]:
-        """The n-gram's key: the floor and the prior scaling read no context."""
-        return self.ngram.context_key(context)
+    def stored_contexts(self) -> list[list[tuple[str, ...]]]:
+        """The n-gram's: the floor and the prior scaling read no context."""
+        return self.ngram.stored_contexts()
 
     def serialize(self) -> bytes:
         w = ByteWriter()

@@ -9,7 +9,7 @@ import pytest
 from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, ProbClassFst, build_from_entities,
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
-from nfclm.engine import EXACT_BEAM_SIZE, _context
+from nfclm.engine import EXACT_BEAM_SIZE, _stored_suffix
 
 TOY_SYMBOLS = ["_play", "_ro", "sie", "_by", "_browne", "salie", "berta", "_flack"]
 
@@ -93,6 +93,21 @@ def toy_model_exact_beam_full(toy_vocab, toy_classes, song_fst, artist_fst):
     """Every alignment, each with its whole decider history (Fig. 1)."""
     return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
                           beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"), merge="full")
+
+
+def histories(model, beam):
+    """The decoded decider history of each hypothesis of ``beam``."""
+    return [model.decode(h.key)[0] for h in beam.hypotheses]
+
+
+def positions(model, beam):
+    """The decoded position of each hypothesis of ``beam``."""
+    return [model.decode(h.key)[1] for h in beam.hypotheses]
+
+
+def decider_row(model, decider_history):
+    """``model.decider_dist`` after a collapsed history of tokens."""
+    return model.decider_dist(model.context(decider_history, model.decider.context_size))
 
 
 def assert_beam_matches_oracle(model, history) -> bool:
@@ -189,9 +204,9 @@ def shared_key_lists(model):
     """
     symbols = model.vocabulary.symbols
     lists = [(a, b) for b in symbols[:2] for a in symbols]
-    for component in (model.background, model.decider):
+    for levels, size in ((model._bg_levels, model.background.context_size),
+                         (model._decider_levels, model.decider.context_size)):
         # the all-background alignment's decider context is the token context
-        keys = Counter(component.context_key(_context(tokens, component.context_size))
-                       for tokens in lists)
+        keys = Counter(_stored_suffix(model.context(tokens, size), levels) for tokens in lists)
         assert max(keys.values()) >= 3
     return lists

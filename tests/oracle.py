@@ -4,9 +4,9 @@ Every nonzero-probability class alignment of a history is enumerated
 depth-first, and each step's probability is computed from the alignment
 definitions alone: the decider's share of the exit mass, the class
 automaton's arc, the background model's symbol probability.  It reads
-the model's components and lookups but none of the engine's route
-kernel, successor rule or beam, so comparing it with the beam compares
-two independent computations.  Its cost grows with the number of
+the model's components, on contexts it pads itself, but none of the
+engine's caches, keys, route kernel or beam, so comparing it with the
+beam compares two independent computations.  Its cost grows with the number of
 alignments, so it takes at most ``EXACT_HISTORY_LIMIT`` symbols.
 
 ``step``, ``arc_prob`` and ``walk`` read a class automaton through
@@ -16,9 +16,26 @@ alignments, so it takes at most ``EXACT_HISTORY_LIMIT`` symbols.
 import math
 from typing import Optional, Sequence
 
-from nfclm import BACKGROUND, EOS, EPSILON, DeadHistoryError, NfclmModel, ProbClassFst
+from nfclm import BACKGROUND, BOS, EOS, EPSILON, DeadHistoryError, NfclmModel, ProbClassFst
 
 EXACT_HISTORY_LIMIT = 12
+
+
+def padded(history: Sequence[str], size: int) -> tuple[str, ...]:
+    """The last ``size`` symbols of ``history``, padded with BOS on the left."""
+    history = tuple(history)[max(0, len(history) - size):]
+    return (BOS,) * (size - len(history)) + history
+
+
+def decider_share(model: NfclmModel, dh: Sequence[str], label: str) -> float:
+    """The decider's share of ``label`` after the collapsed history ``dh``."""
+    return model.decider.distribution(padded(dh, model.decider.context_size))[label]
+
+
+def background_prob(model: NfclmModel, symbol: str, history: Sequence[str]) -> float:
+    """The background probability of ``symbol`` after ``history``."""
+    return math.exp(model.background.logprob(
+        symbol, padded(history, model.background.context_size)))
 
 
 def step(fst: ProbClassFst, state: int, symbol: str) -> Optional[int]:
@@ -105,8 +122,8 @@ def _stop_mass(model: NfclmModel, history: tuple[str, ...],
     if not exit_p:
         return 0.0
     dh = decider_history(history, alignment)
-    return (weight * exit_p * model.decider_dist(dh)[BACKGROUND]
-            * math.exp(model.background_logprob(EOS, history)))
+    return (weight * exit_p * decider_share(model, dh, BACKGROUND)
+            * background_prob(model, EOS, history))
 
 
 def _alignment_step(model: NfclmModel, history: tuple[str, ...],
@@ -122,7 +139,7 @@ def _alignment_step(model: NfclmModel, history: tuple[str, ...],
         if exit_p == 0.0:
             return 0.0
         dh = decider_history(history, alignment)
-        emission = exit_p * model.decider_dist(dh)[candidate]
+        emission = exit_p * decider_share(model, dh, candidate)
     if emission == 0.0:
         return 0.0
 
@@ -130,7 +147,7 @@ def _alignment_step(model: NfclmModel, history: tuple[str, ...],
     if effective == EPSILON:
         return 0.0
     if effective == BACKGROUND:
-        component = math.exp(model.background_logprob(symbol, history))
+        component = background_prob(model, symbol, history)
     else:
         fst = model.class_fsts[effective]
         if candidate == EPSILON:

@@ -453,3 +453,27 @@ def test_module_runs_the_command_line(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert (ran.returncode, ran.stdout) == (1, "")
     assert ran.stderr.startswith("nfclm: error: missing manifest at "), ran.stderr
+
+
+def test_output_is_independent_of_the_hash_seed(workspace, capsys):
+    """``score``, ``next`` and ``dump-dynfst``, each also with ``--exact``,
+    print the same bytes under two string-hash seeds."""
+    bundle = build_bundle(workspace, capsys)
+    corpus = workspace / "corpus.txt"
+    corpus.write_text(f"{LONG_SENTENCE}\n_play _ro sie\n_by _browne\n", encoding="utf-8")
+    commands = [["score", "--bundle", bundle, "--corpus", corpus],
+                ["next", "--bundle", bundle, "--history", "_play _ro"],
+                ["dump-dynfst", "--bundle", bundle, "--sentence", "_play _ro sie _by _browne"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nfclm.__file__)))
+    printed = {}
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        for command in commands:
+            for flags in ([], ["--exact"]):
+                ran = subprocess.run([sys.executable, "-m", "nfclm", *map(str, command + flags)],
+                                     env=env, capture_output=True, timeout=120)
+                assert ran.returncode == 0 and ran.stdout, ran.stderr
+                printed.setdefault((command[0], *flags), []).append(ran.stdout)
+    assert len(printed) == 6
+    for name, (first, second) in printed.items():
+        assert first == second, name

@@ -9,7 +9,7 @@ import pytest
 from nfclm import BACKGROUND, DynFstSession, sequence_logprob
 from nfclm.engine import advance, eos_logprob, next_dist
 
-from conftest import random_instance, shared_key_lists
+from conftest import decider_row, histories, positions, random_instance, shared_key_lists
 from oracle import exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
@@ -21,7 +21,7 @@ class TestStartState:
         beam = session.beam_of(session.start_state())
         assert len(beam.hypotheses) == 1
         root = beam.hypotheses[0]
-        assert root.decider_history == () and root.position is None
+        assert session.model.decode(root.key) == ((), None)
         assert root.log_weight == 0.0
 
     def test_idempotent(self, toy_model):
@@ -39,7 +39,7 @@ class TestStartState:
 class TestTransition:
     def test_first_arc_weight_is_neg_log_p1(self, toy_model):
         session = DynFstSession(toy_model)
-        decider = toy_model.decider_dist(())
+        decider = decider_row(toy_model, ())
         p1 = decider[BACKGROUND] * (1 / 9)
         arc = session.transition(session.start_state(), "_play")
         assert arc is not None
@@ -50,7 +50,7 @@ class TestTransition:
         state = session.start_state()
         for sym in ("_play", "_ro"):
             state, _ = session.transition(state, sym)
-        got = {h.decider_history for h in session.beam_of(state).hypotheses}
+        got = set(histories(toy_model_full, session.beam_of(state)))
         assert got == {("_play", "_ro"), ("_play", "@song"), ("_play", "@artist")}
 
     def test_repeated_calls_identical(self, toy_model):
@@ -75,7 +75,7 @@ class TestTransition:
         session = DynFstSession(model)
         state, _ = session.transition(session.start_state(), "_ro")
         beam = session.beam_of(state)
-        assert beam.hypotheses[0].position is not None
+        assert positions(model, beam)[0] is not None
         assert session.transition(state, "_by") is None
         # the answer is remembered
         assert session.transition(state, "_by") is None
@@ -119,7 +119,7 @@ class TestFinalWeight:
         artist = build_from_entities("@artist", [("_browne",)])
         model = make_toy_model(toy_vocab, toy_classes, song, artist)
         beam = advance(model, ("berta",))
-        mid = [h for h in beam.hypotheses if h.position is not None]
+        mid = [h for h in beam.hypotheses if model.decode(h.key)[1] is not None]
         assert mid  # the class path exists
         beam.hypotheses = mid
         assert eos_logprob(model, beam) == -math.inf
@@ -254,7 +254,7 @@ class TestLazyFinals:
         model = make_toy_model(toy_vocab, toy_classes, song, artist, beam_size=1)
         session = DynFstSession(model)
         state, _ = session.transition(session.start_state(), "berta")
-        assert session.beam_of(state).hypotheses[0].position is not None
+        assert positions(model, session.beam_of(state))[0] is not None
         assert session.final_weight(state) is None
         assert "final 1" not in session.dump()
 
@@ -364,7 +364,7 @@ class TestFig1Boxes:
         state = session.start_state()
         for sym, want in zip(FIG1_SENTENCE, self.BOXES):
             state, _ = session.transition(state, sym)
-            got = {h.decider_history for h in session.beam_of(state).hypotheses}
+            got = set(histories(session.model, session.beam_of(state)))
             assert got == want
 
 

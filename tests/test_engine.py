@@ -17,20 +17,41 @@ from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    sequence_logprob, sequence_logprobs, start_beam, train_decider,
                    train_ngram)
 from nfclm import engine
-from nfclm.engine import EXACT_BEAM_SIZE, MERGE_MODES, _mixture, log_sum_exp
+from nfclm.engine import (EXACT_BEAM_SIZE, MERGE_MODES, PositionError, _mixture,
+                          _stored_suffix, log_sum_exp)
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
-                      assert_beam_matches_oracle, make_toy_model,
-                      random_instance, uniform_background)
+                      assert_beam_matches_oracle, decider_row, histories, make_toy_model,
+                      positions, random_instance, uniform_background)
 from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
-                    last_class, walk)
+                    last_class, padded, walk)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
 
-def hyp(decider_hist=(), position=None, weight=0.0):
-    return AlignmentHypothesis(tuple(decider_hist), position, weight)
+def hyp(model, decider_hist=(), position=None, weight=0.0):
+    return AlignmentHypothesis(model.encode(decider_hist, position), weight)
+
+
+def stays_of(model, symbol):
+    """What ``extend`` passes the kernel for ``symbol``: per class rank, the
+    automaton's id of it; EOS has none."""
+    emits = model._emits.get(symbol)
+    return model._no_stays if emits is None else emits[2]
+
+
+def entries_of(model, symbol):
+    """The entry routes ``extend`` visits for ``symbol``, as (label, log
+    probability, destination state)."""
+    emits = model._emits.get(symbol)
+    pos_mask = (1 << model._pos_bits) - 1
+    out = []
+    for c, log_p, bits in (() if emits is None else emits[3]):
+        label, dest = model.decode(bits & pos_mask)[1]
+        assert label == model.classes.labels[c]
+        out.append((label, log_p, dest))
+    return out
 
 
 def routes(model, h):
@@ -40,14 +61,15 @@ def routes(model, h):
     entry route's those of its class's start state, and the background
     route's None: its symbol comes from the background model.
     """
-    (_, stay, base, row), = _mixture(model, [h])
+    (_, stay, base, row, _), = _mixture(model, [h])
     out = {}
     if stay is not None:
-        fst = model.class_fsts[h.position[0]]
+        rank, lo, hi = stay
+        fst = model._fsts[rank]
         out[EPSILON] = ({fst.symbols[fst.arc_ids[i]]: (fst.probs[i], fst.dests[i])
-                         for i in range(*stay)}, h.log_weight)
+                         for i in range(lo, hi)}, h.log_weight)
     if base is not None:
-        for c, log_share in row.logs.items():
+        for c, log_share in zip(model.classes.labels, row.logs):
             fst = model.class_fsts.get(c)
             out[c] = (None if fst is None else dict(fst.arcs[fst.start])), base + log_share
     return out
@@ -57,15 +79,16 @@ def emitting_routes(model, h, symbol):
     """The routes out of one hypothesis that can emit ``symbol``, as
     ``extend`` reads them: route -> (destination, log weight).  The
     background route's weight leaves out the background log-probability."""
-    (_, stay, base, row), = _mixture(model, [h], symbol)
+    (_, stay, base, row, _), = _mixture(model, [h], stays_of(model, symbol))
+    labels = model.classes.labels
     out = {}
     if stay is not None:
-        prob, dest = stay
-        out[EPSILON] = dest, h.log_weight + math.log(prob)
+        prob, key = stay
+        out[EPSILON] = model.decode(key)[1][1], h.log_weight + math.log(prob)
     if base is not None:
-        out[BACKGROUND] = None, base + row.logs[BACKGROUND]
-        for c, log_p, dest in model._entry_arcs[symbol]:
-            out[c] = dest, base + row.logs[c] + log_p
+        out[BACKGROUND] = None, base + row.logs[labels.index(BACKGROUND)]
+        for c, log_p, dest in entries_of(model, symbol):
+            out[c] = dest, base + row.logs[labels.index(c)] + log_p
     return out
 
 
@@ -78,9 +101,14 @@ def route_masses(model, h):
 
 def single_beam(model, h, history):
     """A beam holding only ``h``, normalized to it."""
-    return AlignmentBeam(context=engine._context(history, model.background.context_size),
+    return AlignmentBeam(context=model.context(history, model.background.context_size),
                          length=len(history), hypotheses=[h], log_norm=h.log_weight,
                          size_limit=model.beam_size, delta=model.beam_delta)
+
+
+def bg_tokens(model, beam):
+    """The background context a beam holds, as tokens."""
+    return model._tokens(beam.context, model.background.context_size)
 
 
 class TestLastClass:
@@ -139,26 +167,26 @@ class TestClassComponentProb:
 
     def test_continuation_arc(self, toy_model):
         fst = toy_model.class_fsts["@song"]
-        inside = hyp(("_play", "@song"), ("@song", walk(fst, ("_ro",))))
+        inside = hyp(toy_model, ("_play", "@song"), ("@song", walk(fst, ("_ro",))))
         (stay_arcs, _), = routes(toy_model, inside).values()
         assert stay_arcs["sie"][0] == 0.5
         beam = single_beam(toy_model, inside, ("_play", "_ro"))
         assert next_dist(toy_model, beam)["sie"] == 0.5
 
     def test_fresh_entry_uses_start_arc(self, toy_model):
-        background = hyp(("_play",), None)
+        background = hyp(toy_model, ("_play",), None)
         arcs, _ = routes(toy_model, background)["@song"]
         assert arcs["_ro"][0] == 1.0
 
     def test_no_open_span_is_zero(self, toy_model):
-        assert EPSILON not in routes(toy_model, hyp())
+        assert EPSILON not in routes(toy_model, hyp(toy_model))
 
     def test_background_uses_symbol_model(self, toy_model):
-        arcs, _ = routes(toy_model, hyp(("_play",)))[BACKGROUND]
+        arcs, _ = routes(toy_model, hyp(toy_model, ("_play",)))[BACKGROUND]
         assert arcs is None  # the symbol comes from the background model
-        beam = single_beam(toy_model, hyp(("_play",)), ("_play",))
+        beam = single_beam(toy_model, hyp(toy_model, ("_play",)), ("_play",))
         # no class starts with _by: only the background can emit it
-        want = toy_model.decider_dist(("_play",))[BACKGROUND] / 9  # uniform over 8 + EOS
+        want = decider_row(toy_model, ("_play",))[BACKGROUND] / 9  # uniform over 8 + EOS
         assert next_dist(toy_model, beam)["_by"] == pytest.approx(want, rel=1e-12)
 
     def test_continuation_normalizes_by_stay_mass(self, toy_vocab, toy_classes):
@@ -169,7 +197,7 @@ class TestClassComponentProb:
         artist = build_from_entities("@artist", [("_browne",)])
         model = make_toy_model(toy_vocab, toy_classes, song, artist)
         fst = model.class_fsts["@song"]
-        inside = hyp(("@song",), ("@song", walk(fst, ("_ro",))))
+        inside = hyp(model, ("@song",), ("@song", walk(fst, ("_ro",))))
         stay_arcs, lw = routes(model, inside)[EPSILON]
         assert lw == 0.0
         assert route_masses(model, inside)[EPSILON] == pytest.approx(0.5)
@@ -181,29 +209,29 @@ class TestClassEmissionDist:
     """How the kernel splits a hypothesis's mass among its routes."""
 
     def test_background_position(self, toy_model):
-        masses = route_masses(toy_model, hyp(("_play",), None))
+        masses = route_masses(toy_model, hyp(toy_model, ("_play",), None))
         assert list(masses) == list(toy_model.classes.labels)  # no stay route
-        decider = toy_model.decider_dist(("_play",))
+        decider = decider_row(toy_model, ("_play",))
         for c in toy_model.classes.labels:
             assert masses[c] == pytest.approx(decider[c], rel=1e-12)
 
     def test_nonfinal_state_forces_continuation(self, toy_model):
         fst = toy_model.class_fsts["@song"]
         masses = route_masses(
-            toy_model, hyp(("_play", "@song"), ("@song", walk(fst, ("_ro",)))))
+            toy_model, hyp(toy_model, ("_play", "@song"), ("@song", walk(fst, ("_ro",)))))
         assert masses == {EPSILON: 1.0}
 
     def test_final_state_releases_full_mass(self, toy_model):
         fst = toy_model.class_fsts["@song"]
         leaf = walk(fst, ("_ro", "sie"))
-        masses = route_masses(toy_model, hyp(("_play", "@song"), ("@song", leaf)))
+        masses = route_masses(toy_model, hyp(toy_model, ("_play", "@song"), ("@song", leaf)))
         assert masses[EPSILON] == 0.0
-        decider = toy_model.decider_dist(("_play", "@song"))
+        decider = decider_row(toy_model, ("_play", "@song"))
         for c in toy_model.classes.labels:
             assert masses[c] == pytest.approx(decider[c])
 
     def test_sums_to_one_when_classes_reachable(self, toy_model):
-        for h in (hyp(), hyp(("_play",), None)):
+        for h in (hyp(toy_model), hyp(toy_model, ("_play",), None)):
             assert math.fsum(route_masses(toy_model, h).values()) == \
                 pytest.approx(1.0, abs=1e-9)
 
@@ -254,7 +282,7 @@ class TestSymbolRoutes:
         assert checked > 50 and dropped > 0
 
     def test_class_without_start_arc_has_no_entry_route(self, toy_model):
-        background = hyp(("_play",))
+        background = hyp(toy_model, ("_play",))
         # no class starts with _by, only @artist with _browne, both with _ro
         assert list(emitting_routes(toy_model, background, "_by")) == [BACKGROUND]
         assert list(emitting_routes(toy_model, background, "_browne")) == \
@@ -262,8 +290,8 @@ class TestSymbolRoutes:
         assert list(emitting_routes(toy_model, background, "_ro")) == \
             list(toy_model.classes.labels)
         assert list(emitting_routes(toy_model, background, EOS)) == [BACKGROUND]
-        for sym, entries in toy_model._entry_arcs.items():
-            for label, _, _ in entries:
+        for sym in toy_model._emits:
+            for label, _, _ in entries_of(toy_model, sym):
                 fst = toy_model.class_fsts[label]
                 assert arc_prob(fst, fst.start, sym) > 0.0
 
@@ -286,12 +314,16 @@ class TestColumnReads:
                     view = fst.arcs[state]
                     leaves += not view
                     for sym in symbols:
-                        (_, stay, _, _), = _mixture(model, [hyp((label,), (label, state))], sym)
+                        h = hyp(model, (label,), (label, state))
+                        (_, stay, _, _, _), = _mixture(model, [h], stays_of(model, sym))
                         want = view.get(sym)
                         if want is None:
                             assert stay is None, (label, state, sym)
                         else:
-                            assert (stay[0].hex(), stay[1]) == (want[0].hex(), want[1])
+                            prob, key = stay
+                            assert model.decode(key) == model.decode(
+                                hyp(model, (label,), (label, want[1])).key)
+                            assert prob.hex() == want[0].hex()
                         outside += sym not in fst.ids
         assert outside > 0 and leaves > 0
 
@@ -305,26 +337,26 @@ class TestColumnReads:
                     if arc is not None:
                         want.append((label, math.log(arc[0]).hex(), arc[1]))
                 got = [(label, log_p.hex(), dest)
-                       for label, log_p, dest in model._entry_arcs[sym]]
+                       for label, log_p, dest in entries_of(model, sym)]
                 assert got == want, sym
 
 
 class TestExtend:
     def test_first_step_matches_fig1_factor(self, toy_model):
         beam, lp = extend(toy_model, start_beam(toy_model), "_play")
-        decider = toy_model.decider_dist(())
+        decider = decider_row(toy_model, ())
         want = decider[BACKGROUND] * (1 / 9)
         assert lp == pytest.approx(math.log(want), abs=1e-12)
-        assert [h.decider_history for h in beam.hypotheses] == [("_play",)]
+        assert histories(toy_model, beam) == [("_play",)]
 
     def test_second_step_opens_three_alignments(self, toy_model_full):
         beam = advance(toy_model_full, ("_play", "_ro"))
-        assert sorted([h.decider_history for h in beam.hypotheses]) == [
+        assert sorted(histories(toy_model_full, beam)) == [
             ("_play", "@artist"), ("_play", "@song"), ("_play", "_ro")]
 
     def test_third_step_kills_artist(self, toy_model_full):
         beam = advance(toy_model_full, ("_play", "_ro", "sie"))
-        assert sorted([h.decider_history for h in beam.hypotheses]) == [
+        assert sorted(histories(toy_model_full, beam)) == [
             ("_play", "@song"), ("_play", "_ro", "sie")]
 
     def test_dead_symbol_raises(self, toy_vocab, toy_classes, song_fst, artist_fst):
@@ -345,7 +377,7 @@ class TestExtend:
             fst = model.class_fsts["@artist"]
             only_artist = start_beam(model)
             only_artist.hypotheses = [
-                hyp(("@artist",), ("@artist", walk(fst, ("_ro",))))]
+                hyp(model, ("@artist",), ("@artist", walk(fst, ("_ro",))))]
             extend(model, only_artist, "_by")
 
     def test_unknown_symbol_rejected(self, toy_model):
@@ -366,7 +398,7 @@ class TestExtend:
         model = make_toy_model(toy_vocab, toy_classes, song, artist,
                                beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"))
         beam = advance(model, ("sie",) * 4)
-        keys = [(h.decider_history, h.position) for h in beam.hypotheses]
+        keys = [model.decode(h.key) for h in beam.hypotheses]
         assert len(keys) == len(set(keys))
         # merged beam still matches the exact, merge-free enumeration
         exact = exact_next_dist(model, ("sie",) * 4)
@@ -403,7 +435,8 @@ class TestBeamState:
                             beam, _ = extend(model, beam, sym)
                         except DeadHistoryError:
                             break
-                        assert beam.context == engine._context(history[:k], size)
+                        assert beam.context == model.context(history[:k], size)
+                        assert bg_tokens(model, beam) == padded(history[:k], size)
                         assert beam.length == k
         assert set(sizes) == {0, 1, 2}
 
@@ -442,14 +475,16 @@ class TestFig1:
         beam = start_beam(model)
         for k, sym in enumerate(FIG1_SENTENCE, start=1):
             beam, _ = extend(model, beam, sym)
-            assert set([h.decider_history for h in beam.hypotheses]) == self.BOXES[k]
+            assert set(histories(model, beam)) == self.BOXES[k]
 
     def test_best_alignment_factorizes(self, toy_model_exact_beam_full):
         """The green-path weight is the product of its step factors."""
         model = toy_model_exact_beam_full
         song = model.class_fsts["@song"]
         artist = model.class_fsts["@artist"]
-        d = model.decider_dist
+        def d(dh):
+            return decider_row(model, dh)
+
         bg = 1 / 9  # uniform background over 8 symbols + EOS
         p1 = d(())[BACKGROUND] * bg
         p2 = d(("_play",))["@song"] * arc_prob(song, song.start, "_ro")
@@ -460,7 +495,7 @@ class TestFig1:
         beam = advance(model, FIG1_SENTENCE)
         target = ("_play", "@song", "_by", "@artist")
         weight = [h.log_weight for h in beam.hypotheses
-                  if h.decider_history == target]
+                  if model.decode(h.key)[0] == target]
         assert len(weight) == 1
         assert weight[0] == pytest.approx(math.log(p1 * p2 * p3 * p4 * p5), abs=1e-12)
 
@@ -468,7 +503,7 @@ class TestFig1:
 class TestExactNextDist:
     def test_empty_history_formula(self, toy_model):
         dist = exact_next_dist(toy_model, ())
-        decider = toy_model.decider_dist(())
+        decider = decider_row(toy_model, ())
         bg = 1 / 9
         song = toy_model.class_fsts["@song"]
         artist = toy_model.class_fsts["@artist"]
@@ -762,7 +797,7 @@ def dict_next_dist(model, beam):
     symbols = model.vocabulary.symbols + (EOS,)
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        bg = model.background.distribution(beam.context)
+        bg = model.background.distribution(bg_tokens(model, beam))
         dist = {sym: scale * bg[sym] for sym in symbols}
     else:
         dist = dict.fromkeys(symbols, 0.0)
@@ -785,7 +820,7 @@ def log_domain_next_dist(model, beam):
             terms.setdefault(sym, []).append(lw + math.log(arc))
     if background:
         share = log_sum_exp(background)
-        for sym, p in model.background.distribution(beam.context).items():
+        for sym, p in model.background.distribution(bg_tokens(model, beam)).items():
             terms.setdefault(sym, []).append(share + math.log(p))
     return {sym: math.exp(log_sum_exp(terms[sym]) - beam.log_norm) if sym in terms else 0.0
             for sym in model.vocabulary.symbols + (EOS,)}
@@ -882,7 +917,7 @@ class TestNextDist:
                 try:
                     _, lp = extend(model, beam, sym)
                 except DeadHistoryError:
-                    assert dist[sym] == 0.0, (beam.context, sym)
+                    assert dist[sym] == 0.0, (bg_tokens(model, beam), sym)
                     zeros += 1
                     continue
                 assert dist[sym] == pytest.approx(math.exp(lp), rel=1e-12, abs=0)
@@ -900,10 +935,10 @@ class TestNextDist:
             want = dict_next_dist(model, beam)
             assert list(got) == list(want)
             assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], \
-                beam.context
+                bg_tokens(model, beam)
             checked[type(model.background).__name__] += 1
             checked[model.merge] += 1
-            checked["inside"] += any(h.position is not None for h in beam.hypotheses)
+            checked["inside"] += any(pos is not None for pos in positions(model, beam))
         assert checked["ReorderedBackground"] >= 15 and checked["DistributionOnlyBackground"] >= 15
         assert checked["full"] >= 40 and checked["inside"] >= 100
 
@@ -929,15 +964,15 @@ class TestNextDist:
         for sentence in corpus[:30]:
             beam = start_beam(model)
             for sym in sentence:
-                exits = any(h.position is None or model.class_fsts[h.position[0]].exits[
-                    h.position[1]] > 0.0 for h in beam.hypotheses)
+                exits = any(pos is None or model.class_fsts[pos[0]].exits[pos[1]] > 0.0
+                            for pos in positions(model, beam))
                 background.calls.clear()
                 dist = next_dist(model, beam)
                 assert background.calls == ({"distribution_values": 1} if exits else {})
                 assert [p.hex() for p in dist.values()] == [
                     p.hex() for p in dict_next_dist(model, beam).values()]
                 fan_outs += 1
-                inside += any(h.position is not None for h in beam.hypotheses)
+                inside += any(pos is not None for pos in positions(model, beam))
                 try:
                     beam, _ = extend(model, beam, sym)
                 except DeadHistoryError:
@@ -958,9 +993,9 @@ class TestNextDist:
                 beam = advance(model, history[:k])
                 want = dict_next_dist(model, beam)
                 stays = Counter()
-                for h in beam.hypotheses:
-                    if h.position is not None:
-                        label, state = h.position
+                for position in positions(model, beam):
+                    if position is not None:
+                        label, state = position
                         run = offsets[label][state], offsets[label][state + 1]
                         stays.update([(label, "exits", state), (label, "offsets", state),
                                       (label, "offsets", state + 1), (label, "arc_ids", run),
@@ -1051,7 +1086,7 @@ class TestMergeModes:
     def test_context_keeps_decider_context(self, toy_model):
         size = toy_model.decider.context_size
         beam = advance(toy_model, FIG1_SENTENCE)
-        assert all(len(h.decider_history) <= size for h in beam.hypotheses)
+        assert all(len(dh) <= size for dh in histories(toy_model, beam))
 
     def test_context_equals_full_past_oracle_limit(self):
         """Unpruned, context merging gives full merging's values to 1e-12.
@@ -1128,8 +1163,8 @@ class TestSample:
 class TestEos:
     def test_midclass_cannot_stop(self, toy_model):
         beam = advance(toy_model, ("_play", "_ro"))
-        only_mid = [h for h in beam.hypotheses if h.position is not None
-                    and toy_model.class_fsts[h.position[0]].exit_prob(h.position[1]) == 0]
+        only_mid = [h for h, pos in zip(beam.hypotheses, positions(toy_model, beam))
+                    if pos is not None and toy_model.class_fsts[pos[0]].exit_prob(pos[1]) == 0]
         beam.hypotheses = only_mid
         assert eos_logprob(toy_model, beam) == -math.inf
 
@@ -1151,12 +1186,13 @@ class TestEos:
         for history in (FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")):
             for k in range(len(history) + 1):
                 beam = advance(model, history[:k])
-                eos_lp = model.background_logprob(EOS, history[:k])
+                eos_lp = model.background_logprob(
+                    EOS, model.context(history[:k], model.background.context_size))
                 terms = [lw + eos_lp for h in beam.hypotheses
                          for route, (_, lw) in routes(model, h).items() if route == BACKGROUND]
                 want = log_sum_exp(terms) - beam.log_norm if terms else -math.inf
-                spans = Counter((h.position[0], "exits", h.position[1])
-                                for h in beam.hypotheses if h.position is not None)
+                spans = Counter((pos[0], "exits", pos[1])
+                                for pos in positions(model, beam) if pos is not None)
                 inside += sum(spans.values())
                 reads.clear()
                 assert eos_logprob(model, beam).hex() == want.hex()
@@ -1166,17 +1202,21 @@ class TestEos:
 
 class TestDeciderCache:
     def test_stored_history_hits_its_padded_context(self, toy_model, toy_model_full):
+        """A hypothesis reads the decider at its history's padded context:
+        the row has the decider's bits there and is the one row of the
+        context's key."""
         for base in (toy_model, toy_model_full):
             size = base.decider.context_size
             for history in [(), ("_play",), ("_ro",), ("_play", "@song"),
                             ("_play", "@song", "_by"),
                             ("@song", "_by", "@artist", "_by", "@song")]:
                 model = dataclasses.replace(base)  # empty caches
-                context = engine._context(history, size)
-                want = model.decider.distribution(context)
-                assert model.decider_dist(history) == want
-                assert model.decider_dist(context) is model.decider_dist(history)
-                assert list(model._decider_cache) == [model.decider.context_key(context)]
+                (_, _, _, row, _), = _mixture(model, [hyp(model, history)])
+                assert hexes(row) == hexes(model.decider.distribution(padded(history, size)))
+                context = model.context(history, size)
+                assert model.decider_dist(context) is row
+                assert [model._key_tokens(key) for key in model._decider_cache] == [
+                    reference_key(model.decider.ngram, padded(history, size))]
 
 
 def handmade_ngram(predicted, history_alphabet, tables):
@@ -1217,6 +1257,15 @@ def stored_contexts(ngram):
     return sum(bool(table) for level in ngram.counts[1:] for table in level.values())
 
 
+def reference_key(ngram, tokens):
+    """The longest suffix of ``tokens`` with a nonempty count table, else ():
+    the context whose row an n-gram's output at ``tokens`` shares."""
+    for length in range(min(len(tokens), ngram.order - 1), 0, -1):
+        if ngram.counts[length].get(tokens[len(tokens) - length:]):
+            return tokens[len(tokens) - length:]
+    return ()
+
+
 def hexes(dist):
     return {c: p.hex() for c, p in dist.items()}
 
@@ -1230,19 +1279,19 @@ class TestContextKeyedCaches:
 
     def scored(self, base, sentences):
         """Score ``sentences`` from empty caches, and next_dist after each;
-        returns the model with the padded contexts of its background
+        returns the model with the packed contexts of its background
         queries (with their symbols) and of its decider queries."""
         model = dataclasses.replace(base)
         bg_queries, decider_queries = set(), set()
         background_logprob, decider_dist = model.background_logprob, model.decider_dist
 
-        def traced_background(symbol, history):
-            bg_queries.add((symbol, engine._context(history, model.background.context_size)))
-            return background_logprob(symbol, history)
+        def traced_background(symbol, context):
+            bg_queries.add((symbol, context))
+            return background_logprob(symbol, context)
 
-        def traced_decider(history):
-            decider_queries.add(engine._context(history, model.decider.context_size))
-            return decider_dist(history)
+        def traced_decider(context):
+            decider_queries.add(context)
+            return decider_dist(context)
 
         model.background_logprob, model.decider_dist = traced_background, traced_decider
         sequence_logprobs(model, sentences)
@@ -1254,20 +1303,26 @@ class TestContextKeyedCaches:
         return model, bg_queries, decider_queries
 
     def assert_exact_and_bounded(self, model, bg_queries, decider_queries):
+        """Each queried value has the component's bits at the queried
+        context; the rows are exactly the reference keys of the queried
+        contexts, each a stored context or (); their number is bounded."""
         background, decider = model.background, model.decider
+        bg_size, decider_size = background.context_size, decider.context_size
         assert bg_queries and decider_queries
         for symbol, context in bg_queries:
-            cached = model._bg_cache[background.context_key(context)][symbol]
-            assert cached.hex() == background.logprob(symbol, context).hex(), (symbol, context)
+            cached = model._bg_cache[_stored_suffix(context, model._bg_levels)][symbol]
+            tokens = model._tokens(context, bg_size)
+            assert cached.hex() == background.logprob(symbol, tokens).hex(), (symbol, tokens)
         for context in decider_queries:
-            cached = model._decider_cache[decider.context_key(context)]
-            assert hexes(cached) == hexes(decider.distribution(context)), context
-        # every row is the key of a queried context, and keys are stored contexts
-        assert set(model._bg_cache) == {background.context_key(c) for _, c in bg_queries}
-        assert set(model._decider_cache) == set(map(decider.context_key, decider_queries))
-        for cache, ngram in ((model._bg_cache, background), (model._decider_cache, decider.ngram)):
-            for key in cache:
-                assert key == () or ngram.counts[len(key)].get(key), key
+            cached = model._decider_cache[_stored_suffix(context, model._decider_levels)]
+            tokens = model._tokens(context, decider_size)
+            assert hexes(cached) == hexes(decider.distribution(tokens)), tokens
+        for cache, ngram, size, queried in (
+                (model._bg_cache, background, bg_size, {c for _, c in bg_queries}),
+                (model._decider_cache, decider.ngram, decider_size, decider_queries)):
+            keys = [model._key_tokens(key) for key in cache]
+            assert len(keys) == len(set(keys))
+            assert set(keys) == {reference_key(ngram, model._tokens(c, size)) for c in queried}
             assert len(cache) <= stored_contexts(ngram) + 1
 
     def test_toy_model(self, toy_model, toy_model_full):
@@ -1286,40 +1341,43 @@ class TestContextKeyedCaches:
     def test_tables_not_closed_under_suffixes(self, toy_vocab, toy_classes, song_fst,
                                               artist_fst):
         base = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
-        key = base.background.context_key
-        assert key(("_ro", "sie")) == ("_ro", "sie")
-        assert key(("_play", "_by")) == ()  # skips the empty table
-        assert key(("sie", "_play")) == ("_play",)
-        assert base.decider.context_key(("@song", "_by")) == ("@song", "_by")
+
+        def key(levels, tokens):
+            return base._key_tokens(_stored_suffix(base.context(tokens, 2), levels))
+
+        assert key(base._bg_levels, ("_ro", "sie")) == ("_ro", "sie")
+        assert key(base._bg_levels, ("_play", "_by")) == ()  # skips the empty table
+        assert key(base._bg_levels, ("sie", "_play")) == ("_play",)
+        assert key(base._decider_levels, ("@song", "_by")) == ("@song", "_by")
         model, bg_queries, decider_queries = self.scored(base, self.SENTENCES)
         self.assert_exact_and_bounded(model, bg_queries, decider_queries)
         # rows shared by several contexts, and keys past an absent level
         assert len(model._bg_cache) < len({c for _, c in bg_queries})
-        assert ("_ro", "sie") in model._bg_cache
-        assert ("@song", "_by") in model._decider_cache
+        assert base.context(("_ro", "sie"), 2) in model._bg_cache
+        assert base.context(("@song", "_by"), 2) in model._decider_cache
 
     def test_model_without_stored_contexts_keys_by_context(self, toy_vocab, toy_classes,
                                                            song_fst, artist_fst):
         base = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
         base = dataclasses.replace(base, background=ReorderedBackground(base.background))
-        assert base.background.context_key(("_ro", "sie")) == ("_ro", "sie")
+        assert base.background.stored_contexts() is None and base._bg_levels is None
         model, bg_queries, _ = self.scored(base, self.SENTENCES)
         assert set(model._bg_cache) == {context for _, context in bg_queries}
         for symbol, context in bg_queries:
             assert (model._bg_cache[context][symbol].hex()
-                    == model.background.logprob(symbol, context).hex())
+                    == model.background.logprob(symbol, model._tokens(context, 2)).hex())
 
     def test_short_history_does_not_hit_a_shorter_key(self, toy_vocab, toy_classes,
                                                       song_fst, artist_fst):
-        """A raw one-token history is no padded context: ("_play",) must not
-        read the row of the stored context ("_play",)."""
+        """A one-token history is padded: ("_play",) must read the row of
+        (BOS, "_play"), not that of the stored context ("_play",)."""
         model = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
         decider = model.decider
-        padded = decider.distribution((BOS, "_play"))
-        assert hexes(padded) != hexes(decider.distribution(("_ro", "_play")))
-        model.decider_dist(("_ro", "_play"))
-        assert list(model._decider_cache) == [("_play",)]
-        assert hexes(model.decider_dist(("_play",))) == hexes(padded)
+        padded_dist = decider.distribution((BOS, "_play"))
+        assert hexes(padded_dist) != hexes(decider.distribution(("_ro", "_play")))
+        model.decider_dist(model.context(("_ro", "_play"), 2))
+        assert [model._key_tokens(key) for key in model._decider_cache] == [("_play",)]
+        assert hexes(model.decider_dist(model.context(("_play",), 2))) == hexes(padded_dist)
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------
@@ -1369,9 +1427,9 @@ def bits_transcript(model, history):
             steps.append("dead")
             break
         steps.append([lp.hex(), beam.log_norm.hex(), eos_logprob(model, beam).hex(),
-                      [[" ".join(h.decider_history),
-                        "-" if h.position is None else f"{h.position[0]}:{h.position[1]}",
-                        h.log_weight.hex()] for h in beam.hypotheses]])
+                      [[" ".join(dh), "-" if pos is None else f"{pos[0]}:{pos[1]}",
+                        h.log_weight.hex()]
+                       for h in beam.hypotheses for dh, pos in [model.decode(h.key)]]])
     return steps
 
 
@@ -1417,3 +1475,189 @@ class TestRecordedContextBits:
         assert list(got) == list(recorded)
         for key, steps in recorded.items():
             assert got[key] == steps, key
+
+
+# -- the key layout ----------------------------------------------------------
+
+
+def tie_order(model, key):
+    """The order ranking gives a hypothesis: its history's length, its
+    history, then its position, the background first."""
+    dh, position = model.decode(key)
+    return len(dh), dh, position or ()
+
+
+def walked_keys(model, histories):
+    """The key of every hypothesis of the beams along each history."""
+    keys = set()
+    for history in histories:
+        beam = start_beam(model)
+        keys.update(h.key for h in beam.hypotheses)
+        for sym in history:
+            try:
+                beam, _ = extend(model, beam, sym)
+            except DeadHistoryError:
+                break
+            keys.update(h.key for h in beam.hypotheses)
+    return keys
+
+
+class TestKeyLayout:
+    """A hypothesis key holds its (decider history, position): decoding an
+    encoded key gives them back, and key order is the tie order."""
+
+    def assert_layout(self, model, keys):
+        for key in keys:
+            dh, position = model.decode(key)
+            assert model.encode(dh, position) == key, (dh, position)
+            assert model.decode(model.encode(dh, position)) == (dh, position)
+        assert sorted(keys) == sorted(keys, key=lambda key: tie_order(model, key))
+
+    def test_every_walked_hypothesis(self, toy_model):
+        cases = [(model, histories) for _, model, histories in bits_cases()]
+        # a decider that reads no context: histories are empty, so positions
+        # alone order the keys, in classes listed out of label order
+        blind = train_decider([("_play", "@song", "_by", "@artist")], toy_model.vocabulary,
+                              toy_model.classes, order=1)
+        cases.append((dataclasses.replace(toy_model, decider=blind),
+                      [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")]))
+        rng = random.Random(31)
+        cases += [random_instance(rng) for _ in range(20)]
+        checked = Counter()
+        for base, histories in cases:
+            for merge in MERGE_MODES:
+                model = dataclasses.replace(base, merge=merge)
+                keys = walked_keys(model, histories)
+                self.assert_layout(model, keys)
+                checked[merge] += len(keys)
+                checked["inside"] += sum(model.decode(key)[1] is not None for key in keys)
+        assert min(checked.values()) > 200
+
+    def test_histories_are_the_alignments(self):
+        """Unpruned, the decoded histories after a prefix are those of its
+        alignments, whole under ``merge="full"``, their decider context
+        under ``merge="context"``."""
+        rng = random.Random(32)
+        for _ in range(10):
+            base, walks = random_instance(rng)
+            for merge in MERGE_MODES:
+                model = dataclasses.replace(base, merge=merge)
+                size = model.decider.context_size
+                for history in walks:
+                    beam = start_beam(model)
+                    for k, sym in enumerate(history, start=1):
+                        beam, _ = extend(model, beam, sym)
+                        whole = exact_alignment_histories(model, history[:k])
+                        want = whole if merge == "full" else {
+                            dh[max(0, len(dh) - size):] for dh in whole}
+                        assert set(histories(model, beam)) == want, (history[:k], merge)
+
+    def test_long_full_history_passes_64_bits(self, toy_model_full):
+        history = FIG1_SENTENCE * 40
+        keys = walked_keys(toy_model_full, [history])
+        self.assert_layout(toy_model_full, keys)
+        longest = max(keys, key=lambda key: len(toy_model_full.decode(key)[0]))
+        assert len(toy_model_full.decode(longest)[0]) > 100
+        assert max(key.bit_length() for key in keys) > 64
+
+    def test_position_outside_its_automaton_is_refused(self, toy_model):
+        song = toy_model.class_fsts["@song"]
+        for label, state in (("@movie", 0), ("@song", -1), ("@song", song.num_states),
+                             (BACKGROUND, 0)):
+            with pytest.raises(PositionError, match=f"{label}.*{state}") as exc:
+                toy_model.encode(("_play",), (label, state))
+            assert (exc.value.label, exc.value.state) == (label, state)
+        last = song.num_states - 1
+        assert toy_model.decode(toy_model.encode(("_play",), ("@song", last))) == (
+            ("_play",), ("@song", last))
+        with pytest.raises(KeyError, match="zzz"):
+            toy_model.encode(("zzz",), None)
+
+
+# -- the hooks the benchmark's tracer uses ----------------------------------
+
+
+class ForwardingModel(ConditionalSymbolModel):
+    """Forwards to a wrapped component and counts ``logprob`` and
+    ``distribution`` calls, as the benchmark's traced components do."""
+
+    def __init__(self, inner, calls, prefix):
+        self._inner, self._calls, self._prefix = inner, calls, prefix
+
+    @property
+    def alphabet(self):
+        return self._inner.alphabet
+
+    @property
+    def context_size(self):
+        return self._inner.context_size
+
+    def distribution(self, history):
+        self._calls[f"{self._prefix}.distribution"] += 1
+        return self._inner.distribution(history)
+
+    def logprob(self, symbol, history):
+        self._calls[f"{self._prefix}.logprob"] += 1
+        return self._inner.logprob(symbol, history)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def counted(counts, name, fn):
+    def counting(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counting
+
+
+def exiting(model, beam):
+    """How many hypotheses of ``beam`` can leave their position."""
+    return sum(pos is None or model.class_fsts[pos[0]].exits[pos[1]] > 0.0
+               for pos in positions(model, beam))
+
+
+class TestTracerHooks:
+    """A model whose components are swapped for forwarding wrappers after
+    construction, with counting wrappers on its two lookups, scores with
+    the same bits; every cache lookup is one counted call, and every
+    component call fills one cache entry."""
+
+    def test_traced_model(self, toy_model, toy_model_full):
+        cases = [(toy_model, [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")]),
+                 (toy_model_full, [FIG1_SENTENCE, ("_browne", "_ro", "salie")])]
+        rng = random.Random(33)
+        cases += [random_instance(rng) for _ in range(8)]
+        for base, sentences in cases:
+            plain, traced = dataclasses.replace(base), dataclasses.replace(base)
+            calls, lookups = Counter(), Counter()
+            traced.background = ForwardingModel(traced.background, calls, "bg")
+            traced.decider = ForwardingModel(traced.decider, calls, "decider")
+            traced.background_logprob = counted(lookups, "bg", traced.background_logprob)
+            traced.decider_dist = counted(lookups, "decider", traced.decider_dist)
+            want = Counter()
+            for sentence in sentences:
+                assert (sequence_logprob(traced, sentence).hex()
+                        == sequence_logprob(plain, sentence).hex())
+                beam = start_beam(plain)
+                for sym in sentence:
+                    want["bg"] += 1
+                    want["decider"] += exiting(plain, beam)
+                    try:
+                        beam, _ = extend(plain, beam, sym)
+                    except DeadHistoryError:
+                        break
+                else:
+                    want["bg"] += 1  # EOS
+                    want["decider"] += exiting(plain, beam)
+                    got = next_dist(traced, advance(traced, sentence))
+                    want["decider"] += exiting(plain, beam)
+                    assert [p.hex() for p in got.values()] == [
+                        p.hex() for p in next_dist(plain, beam).values()]
+                    want["bg"] += len(sentence)  # the advance above
+                    want["decider"] += sum(exiting(plain, advance(plain, sentence[:k]))
+                                           for k in range(len(sentence)))
+            assert lookups == want
+            assert lookups["decider"] > 0
+            assert calls["bg.logprob"] == sum(map(len, traced._bg_cache.values()))
+            assert calls["decider.distribution"] == len(traced._decider_cache)

@@ -196,7 +196,7 @@ def test_querying_changes_no_component():
                                          repeat=model.context_size):
             model.distribution(context)
             model.distribution_values(context)
-            model.context_key(context)
+            list(model.stored_contexts())
             for sym in model.alphabet:
                 model.logprob(sym, context)
         assert component_state(model) == before
