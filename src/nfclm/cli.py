@@ -62,7 +62,7 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def _load_bundle(args):
     """The bundle with the flag overrides; ``--exact`` switches pruning off."""
-    beam_size, beam_delta = args.beam_n, args.beam_delta
+    beam_size, beam_delta = getattr(args, "beam_n", None), getattr(args, "beam_delta", None)
     if getattr(args, "exact", False):
         if beam_size is not None or beam_delta is not None:
             raise ValueError("--exact keeps every alignment; it cannot be combined with "
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("-n", type=int, default=1)
     p.add_argument("--max-len", type=int, default=30)
-    _add_options(p, *_MODEL_OPTIONS, "--seed")
+    _add_options(p, "--alpha", "--seed")  # sampling builds no beam
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("dump-dynfst", help="expand a sentence and dump the sub-graph")

@@ -26,19 +26,20 @@ keeps each alignment's whole collapsed history, as in the paper's Fig. 1
 boxes; both modes share one key layout.
 
 A hypothesis holds its decider history and position as one integer key.
-Each model interns its vocabulary, BOS and class labels once, in string
-order, as ids from 1 of ``w`` bits each, and numbers the states of all
-class automata in one position space, in label order: a class's rank
-(from 1) above its state, and 0 for the background.  From the top, a key
-packs the history's length ``n``, its last ``max(n, D)`` tokens padded
-on the left with BOS (``D`` is the decider's context size), and the
-position.  Integer order is thus the tie order ``(len(dh), dh,
-position)``, with the background first, so ranking sorts keys; the low
-``D`` tokens of the history are the decider's padded context; and a
-successor's key is a shift and an OR.  Under ``merge="full"`` the
-history grows past ``D`` tokens, in unbounded ints.  A beam holds its
-background context the same way, as the packed ids of its last
-``context_size`` tokens.  Strings stay at the boundary:
+Each model interns BOS as id 1, and its vocabulary and class labels in
+string order as ids from 2, of ``w`` bits each; it numbers the states of
+all class automata in one position space, in label order: a class's rank
+(from 1) above its state, 0 for the background.  A key packs the
+history's last ``max(n, D)`` tokens (``n`` its length, ``D`` the
+decider's context size), padded on the left with BOS, above the
+position.  No history holds BOS, so where two histories first differ
+the shorter holds a pad or has fewer slots: integer order is the tie
+order ``(len(dh), dh, position)``, the background first, and ranking
+sorts keys.  The low ``D`` tokens are the decider's padded context, and
+a successor's key is a shift, a mask and an OR; under ``merge="full"``
+the mask drops only a BOS pad, so histories grow, in unbounded ints.  A
+beam holds its background context the same way, as the packed ids of
+its last ``context_size`` tokens.  Strings stay at the boundary:
 ``NfclmModel.encode`` and ``decode`` turn (decider history, position)
 into a key and back, for ``DynFstSession.dump`` and for tests, and a
 new cache row unpacks its context key to call the component.
@@ -196,17 +197,6 @@ class BackgroundRow(dict):
         self.context = context
 
 
-class DeciderRow(dict):
-    """A decider distribution ``{class: share}`` that also holds ``logs``,
-    the log shares in class-alphabet order."""
-
-    __slots__ = ("logs",)
-
-    def __init__(self, distribution: dict[str, float], labels: Sequence[str]):
-        super().__init__(distribution)
-        self.logs = tuple(math.log(self[c]) for c in labels)
-
-
 @dataclass
 class NfclmModel:
     """Background model + per-class FSTs mixed by the decider.
@@ -300,14 +290,15 @@ class NfclmModel:
                           list(map({s: i for i, s in enumerate(bg_alphabet)}.__getitem__,
                                    self._predicted)))
         self._bg_cache: dict[int, BackgroundRow] = {}
-        self._decider_cache: dict[int, DeciderRow] = {}
+        self._decider_cache: dict[int, tuple[float, ...]] = {}
 
     def _build_keys(self) -> None:
         """Intern the tokens and derive the key layout (module docstring)."""
-        names = sorted(set(self.vocabulary.symbols) | {BOS} | set(self.classes.labels))
-        self._names = (None,) + tuple(names)  # by id; 0 is no token
-        self._ids = {name: i for i, name in enumerate(names, start=1)}
-        width = self._width = len(names).bit_length()
+        # by id: 0 is no token, and BOS, only ever a pad, sorts first
+        names = self._names = (None, BOS) + tuple(
+            sorted(set(self.vocabulary.symbols) | set(self.classes.labels)))
+        self._ids = {name: i for i, name in enumerate(names) if i}
+        width = self._width = len(self._ids).bit_length()
         # positions: a class's rank in label order above its state
         self._ranked = tuple(sorted(self.classes.nonbackground))
         self._fsts = (None,) + tuple(self.class_fsts[c] for c in self._ranked)
@@ -315,9 +306,7 @@ class NfclmModel:
         states = self._state_bits = max((fst.num_states for fst in self._fsts[1:]),
                                         default=0).bit_length()
         pos_bits = self._pos_bits = states + len(self._ranked).bit_length()
-        # the decider history above the position: its length above its last
-        # max(n, D) tokens; ``_grow[n]`` is the length field after one more
-        # token, in place above the position, while that field keeps D tokens
+        # the decider history above the position: its last max(n, D) tokens
         size = self._decider_context_size = self.decider.context_size
         self._history_bound = size if self.merge == "context" else sys.maxsize
         # what a token appended to a decider history ORs into a successor
@@ -327,8 +316,6 @@ class NfclmModel:
         self._entry_bits = {c: self._token_bits[c] | rank << states
                             for rank, c in enumerate(self._ranked, start=1)}
         self._decider_mask = (1 << width * size) - 1
-        self._grow = [min(n + 1, size) << width * size + pos_bits
-                      for n in range(size + (self.merge == "context"))]
         self._root = self.encode((), None)
         self._bg_context_size = self.background.context_size
         self._bg_mask = (1 << width * self._bg_context_size) - 1
@@ -390,7 +377,8 @@ class NfclmModel:
 
         The history keeps its last tokens as ``merge`` says.  Raises
         PositionError for an unknown class or a state outside its
-        automaton, and KeyError for a history token the model lacks.
+        automaton, and KeyError for a history token the model lacks or
+        BOS, which is only a pad.
         """
         history = tuple(decider_history)
         history = history[max(0, len(history) - self._history_bound):]
@@ -407,18 +395,15 @@ class NfclmModel:
                                                   f"state {state} (it has {fst.num_states})")
             bits = (self._ranked.index(label) + 1) << self._state_bits | state
         for token in history:
-            if token not in self._ids:
+            if token == BOS or token not in self._ids:
                 raise KeyError(f"decider history token {token!r} is not in the model")
-        slots = max(len(history), self._decider_context_size)
-        packed = len(history) << self._width * slots | self.context(history, slots)
+        packed = self.context(history, max(len(history), self._decider_context_size))
         return packed << self._pos_bits | bits
 
     def decode(self, key: int) -> tuple[tuple[str, ...], Position]:
         """The (decider history, position) a hypothesis key packs."""
-        history = key >> self._pos_bits
-        n = _history_length(history, self._width, self._decider_context_size)
-        slots = max(n, self._decider_context_size)
-        tokens = self._tokens(history, slots)[slots - n:]
+        tokens = self._key_tokens(key >> self._pos_bits)
+        tokens = tokens[tokens.count(BOS):]  # a history holds no BOS but its pads
         pos = key & (1 << self._pos_bits) - 1
         if not pos:
             return tokens, None
@@ -448,20 +433,19 @@ class NfclmModel:
             hit = row[symbol] = self.background.logprob(symbol, row.context)
         return hit
 
-    def decider_dist(self, context: int) -> DeciderRow:
-        """Renormalized class distribution for a packed padded decider context.
-
-        The cache is keyed like ``background_logprob``'s, by the key of
-        the context, and a row is computed at the key's own tokens.  Each
-        row also holds the log shares that the mixture step adds.
-        """
+    def decider_dist(self, context: int) -> tuple[float, ...]:
+        """The row the mixture step adds for a packed padded decider context:
+        the decider's log shares, in class-alphabet order, memoized per
+        context key like ``background_logprob`` and computed at the key's
+        own tokens."""
         hit = self._decider_cache.get(context)
         if hit is None:
             key = _stored_suffix(context, self._decider_levels)
             hit = self._decider_cache.get(key)
             if hit is None:
-                hit = self._decider_cache.setdefault(key, DeciderRow(
-                    self.decider.distribution(self._key_tokens(key)), self.classes.labels))
+                dist = self.decider.distribution(self._key_tokens(key))
+                hit = self._decider_cache.setdefault(
+                    key, tuple([math.log(dist[c]) for c in self.classes.labels]))
         return hit
 
 
@@ -486,20 +470,6 @@ def _stored_suffix(context: int, levels) -> int:
         if suffix in stored:
             return suffix
     return 0
-
-
-def _history_length(history: int, width: int, size: int) -> int:
-    """The length ``n`` of a packed decider history: its top field, above
-    ``max(n, size)`` tokens of ``width`` bits."""
-    top = history >> width * size
-    if top <= size:
-        return top
-    # past ``size`` tokens the field is n above n tokens: n is found from
-    # the bit length, which exceeds ``width * n`` by that of n
-    n = history.bit_length() // width
-    while history >> width * n != n:
-        n -= 1
-    return n
 
 
 def start_beam(model: NfclmModel) -> AlignmentBeam:
@@ -529,20 +499,21 @@ def _mixture(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
     weighs the hypothesis weight: arc probabilities already carry the stay
     mass.  ``stay`` is None in the background.  ``base`` is the weight of
     leaving the position, the hypothesis weight plus log exit probability,
-    ``row`` the hypothesis's ``DeciderRow``, and ``prefix`` the key of its
-    decider history after one more token, to which a route ORs the
-    token's id above its position; all three are None when the state
-    cannot exit.  The route into class ``c`` weighs ``base +
-    row.logs[c]``, to which callers add the emitted symbol's
+    ``row`` the hypothesis's decider log shares (``decider_dist``), and
+    ``prefix`` the key of its decider history after one more token, to
+    which a route ORs the token's id above its position; all three are
+    None when the state cannot exit.  The route into class ``c`` weighs
+    ``base + row[c]``, to which callers add the emitted symbol's
     log-probability.
     """
     fsts, decider_dist, log = model._fsts, model.decider_dist, math.log
     pos_bits, states, width = model._pos_bits, model._state_bits, model._width
     pos_mask, state_mask = (1 << pos_bits) - 1, (1 << states) - 1
-    grow, size = model._grow, model._decider_context_size
-    grow_len = len(grow)
-    decider_mask = model._decider_mask
-    shifted_mask, length_shift = decider_mask << pos_bits, pos_bits + width * size
+    decider_mask, shifted_mask = model._decider_mask, model._decider_mask << pos_bits
+    # the history's oldest slot of the decider's context: the mask drops it,
+    # but under merge="full" only a BOS pad
+    full = model.merge == "full"
+    top_shift = pos_bits + width * max(model._decider_context_size - 1, 0)
     for hyp in hypotheses:
         key, log_weight = hyp
         pos = key & pos_mask
@@ -570,14 +541,10 @@ def _mixture(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
         else:
             stay = None
             base = log_weight
-        top = key >> length_shift
-        if top < grow_len:
-            prefix = grow[top] | (key - pos) << width & shifted_mask
-        else:  # a whole history past the decider's context (merge="full")
-            history = key >> pos_bits
-            n = _history_length(history, width, size)
-            prefix = (history << width) + (1 << width * (n + 1)) << pos_bits
-        yield hyp, stay, base, decider_dist(key >> pos_bits & decider_mask), prefix
+        history = key - pos
+        prefix = (history << width if full and history >> top_shift != 1
+                  else history << width & shifted_mask)
+        yield hyp, stay, base, decider_dist(history >> pos_bits & decider_mask), prefix
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
@@ -603,10 +570,9 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
             prob, key = stay
             merged.setdefault(key, []).append(hyp.log_weight + log(prob))
         if base is not None:
-            logs = row.logs
-            merged.setdefault(prefix | spoken, []).append(base + logs[bg] + bg_lp)
+            merged.setdefault(prefix | spoken, []).append(base + row[bg] + bg_lp)
             for c, log_p, bits in entries:
-                merged.setdefault(prefix | bits, []).append(base + logs[c] + log_p)
+                merged.setdefault(prefix | bits, []).append(base + row[c] + log_p)
     if not merged:
         raise DeadHistoryError(beam.length, symbol)
     context = (beam.context << model._width | sid) & model._bg_mask
@@ -644,7 +610,7 @@ def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     eos_lp = model.background_logprob(EOS, beam.context)
     bg = model._bg_class
     # EOS has the background route alone; no automaton arc emits it
-    contributions = [base + row.logs[bg] + eos_lp
+    contributions = [base + row[bg] + eos_lp
                      for _, _, base, row, _ in _mixture(model, beam.hypotheses, model._no_stays)
                      if base is not None]
     if not contributions:
@@ -680,10 +646,9 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
             classes.append((map(positions[rank].__getitem__, fst.arc_ids[lo:hi]),
                             fst.probs[lo:hi], hyp.log_weight))
         if base is not None:
-            logs = row.logs
-            background.append(base + logs[bg_class])
+            background.append(base + row[bg_class])
             for c, where, probs in model._entry_columns:
-                classes.append((where, probs, base + logs[c]))
+                classes.append((where, probs, base + row[c]))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
         bg = model.background.distribution_values(
@@ -711,12 +676,13 @@ def sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
 def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
     """Sentence log-probability, EOS included, with pruning off.
 
-    ``sequence_logprob`` on ``model`` with ``EXACT_BEAM_SIZE`` and an
-    infinite ``beam_delta``: the forward algorithm over merged alignments,
-    exact at any length.
+    The walk of ``sequence_logprob`` from a start beam with
+    ``EXACT_BEAM_SIZE`` and an infinite band: the forward algorithm over
+    merged alignments, exact at any length, on ``model`` itself and its
+    caches.
     """
-    return sequence_logprob(replace(model, beam_size=EXACT_BEAM_SIZE, beam_delta=math.inf),
-                            symbols)
+    start = replace(start_beam(model), size_limit=EXACT_BEAM_SIZE, delta=math.inf)
+    return _walk(model, start, [symbols])[0]
 
 
 def sequence_logprobs(model: NfclmModel,
@@ -732,9 +698,15 @@ def sequence_logprobs(model: NfclmModel,
     list alone.  The stack holds at most one beam, of O(context)
     tokens, per token of the longest list.
     """
+    return _walk(model, start_beam(model), token_lists)
+
+
+def _walk(model: NfclmModel, start: AlignmentBeam,
+          token_lists: Sequence[Sequence[str]]) -> list[float]:
+    """``sequence_logprobs`` from ``start``, whose size limit and band every beam keeps."""
     lists = [tuple(tokens) for tokens in token_lists]
     results = [-math.inf] * len(lists)
-    stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start_beam(model), 0.0)]
+    stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start, 0.0)]
     previous: tuple[str, ...] = ()
     for i in sorted(range(len(lists)), key=lists.__getitem__):
         tokens = lists[i]
@@ -793,7 +765,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
             state = key & (1 << model._state_bits) - 1
             routes[EPSILON] = model._fsts[rank].arcs[state], 0.0, key - state
         if base is not None:
-            for c, log_share in zip(labels, row.logs):
+            for c, log_share in zip(labels, row):
                 fst = fsts.get(c)
                 routes[c] = ((None, base + log_share, prefix) if fst is None else
                              (fst.arcs[fst.start], base + log_share,

@@ -106,8 +106,11 @@ def positions(model, beam):
 
 
 def decider_row(model, decider_history):
-    """``model.decider_dist`` after a collapsed history of tokens."""
-    return model.decider_dist(model.context(decider_history, model.decider.context_size))
+    """The decider's distribution after a collapsed history of tokens, at
+    the padded context the kernel reads."""
+    from oracle import padded
+
+    return model.decider.distribution(padded(decider_history, model.decider.context_size))
 
 
 def assert_beam_matches_oracle(model, history) -> bool:

@@ -417,6 +417,8 @@ class TestFailures:
 
     @pytest.mark.parametrize("args", [
         ["sample", "--bundle", "bundle", "--exact"],
+        ["sample", "--bundle", "bundle", "--beam-n", 1],
+        ["sample", "--bundle", "bundle", "--beam-delta", 0],
         ["build-fst", "--class-label", "@x", "--entities", "x.txt", "--out", "x.fst",
          "--beam-n", 3],
         ["rescore", "--bundle", "b", "--nbest", "n", "--references", "r"],

@@ -69,7 +69,7 @@ def routes(model, h):
         out[EPSILON] = ({fst.symbols[fst.arc_ids[i]]: (fst.probs[i], fst.dests[i])
                          for i in range(lo, hi)}, h.log_weight)
     if base is not None:
-        for c, log_share in zip(model.classes.labels, row.logs):
+        for c, log_share in zip(model.classes.labels, row):
             fst = model.class_fsts.get(c)
             out[c] = (None if fst is None else dict(fst.arcs[fst.start])), base + log_share
     return out
@@ -86,9 +86,9 @@ def emitting_routes(model, h, symbol):
         prob, key = stay
         out[EPSILON] = model.decode(key)[1][1], h.log_weight + math.log(prob)
     if base is not None:
-        out[BACKGROUND] = None, base + row.logs[labels.index(BACKGROUND)]
+        out[BACKGROUND] = None, base + row[labels.index(BACKGROUND)]
         for c, log_p, dest in entries_of(model, symbol):
-            out[c] = dest, base + row.logs[labels.index(c)] + log_p
+            out[c] = dest, base + row[labels.index(c)] + log_p
     return out
 
 
@@ -559,6 +559,29 @@ class TestSequenceLogprob:
         long = FIG1_SENTENCE * 3
         assert len(long) > EXACT_HISTORY_LIMIT
         assert -math.inf < engine.exact_sequence_logprob(narrow, long) < 0.0
+
+    def test_library_exact_walks_the_model_it_is_given(self, monkeypatch):
+        """``engine.exact_sequence_logprob`` builds no model: it walks the
+        narrow model itself from an unpruned start beam, with the bits of
+        scoring an unpruned copy of it."""
+        rng = random.Random(34)
+        cases = []
+        for _ in range(10):
+            model, walks = random_instance(rng)
+            cases.append((dataclasses.replace(model, beam_size=1, beam_delta=0.0),
+                          dataclasses.replace(model, beam_size=EXACT_BEAM_SIZE,
+                                              beam_delta=math.inf), walks))
+        built = []
+        post_init = NfclmModel.__post_init__
+        monkeypatch.setattr(NfclmModel, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        scored = 0
+        for narrow, unpruned, walks in cases:
+            for sentence in walks:
+                want = sequence_logprob(unpruned, sentence)
+                assert engine.exact_sequence_logprob(narrow, sentence).hex() == want.hex()
+                scored += want > -math.inf
+        assert built == [] and scored > 20
 
     def test_beam_equals_exact_on_toy(self, toy_model_exact_beam):
         for sentence in (FIG1_SENTENCE, ("_play",), ("_ro", "sie"),
@@ -1203,8 +1226,8 @@ class TestEos:
 class TestDeciderCache:
     def test_stored_history_hits_its_padded_context(self, toy_model, toy_model_full):
         """A hypothesis reads the decider at its history's padded context:
-        the row has the decider's bits there and is the one row of the
-        context's key."""
+        the row holds the log shares of the decider's distribution there
+        and is the one row of the context's key."""
         for base in (toy_model, toy_model_full):
             size = base.decider.context_size
             for history in [(), ("_play",), ("_ro",), ("_play", "@song"),
@@ -1212,7 +1235,8 @@ class TestDeciderCache:
                             ("@song", "_by", "@artist", "_by", "@song")]:
                 model = dataclasses.replace(base)  # empty caches
                 (_, _, _, row, _), = _mixture(model, [hyp(model, history)])
-                assert hexes(row) == hexes(model.decider.distribution(padded(history, size)))
+                assert hexes(row) == hexes(log_shares(
+                    model, model.decider.distribution(padded(history, size))))
                 context = model.context(history, size)
                 assert model.decider_dist(context) is row
                 assert [model._key_tokens(key) for key in model._decider_cache] == [
@@ -1266,8 +1290,14 @@ def reference_key(ngram, tokens):
     return ()
 
 
-def hexes(dist):
-    return {c: p.hex() for c, p in dist.items()}
+def hexes(values):
+    return [value.hex() for value in values]
+
+
+def log_shares(model, dist):
+    """A decider distribution as the kernel's row: its log shares, in
+    class-alphabet order."""
+    return [math.log(dist[c]) for c in model.classes.labels]
 
 
 class TestContextKeyedCaches:
@@ -1316,7 +1346,7 @@ class TestContextKeyedCaches:
         for context in decider_queries:
             cached = model._decider_cache[_stored_suffix(context, model._decider_levels)]
             tokens = model._tokens(context, decider_size)
-            assert hexes(cached) == hexes(decider.distribution(tokens)), tokens
+            assert hexes(cached) == hexes(log_shares(model, decider.distribution(tokens))), tokens
         for cache, ngram, size, queried in (
                 (model._bg_cache, background, bg_size, {c for _, c in bg_queries}),
                 (model._decider_cache, decider.ngram, decider_size, decider_queries)):
@@ -1373,11 +1403,11 @@ class TestContextKeyedCaches:
         (BOS, "_play"), not that of the stored context ("_play",)."""
         model = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
         decider = model.decider
-        padded_dist = decider.distribution((BOS, "_play"))
-        assert hexes(padded_dist) != hexes(decider.distribution(("_ro", "_play")))
+        padded_row = hexes(log_shares(model, decider.distribution((BOS, "_play"))))
+        assert padded_row != hexes(log_shares(model, decider.distribution(("_ro", "_play"))))
         model.decider_dist(model.context(("_ro", "_play"), 2))
         assert [model._key_tokens(key) for key in model._decider_cache] == [("_play",)]
-        assert hexes(model.decider_dist(model.context(("_play",), 2))) == hexes(padded_dist)
+        assert hexes(model.decider_dist(model.context(("_play",), 2))) == padded_row
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------
@@ -1572,6 +1602,37 @@ class TestKeyLayout:
             ("_play",), ("@song", last))
         with pytest.raises(KeyError, match="zzz"):
             toy_model.encode(("zzz",), None)
+
+    def test_bos_in_a_history_is_refused(self, toy_model, toy_model_full):
+        """BOS is only a pad, which ``decode`` drops, so a history that
+        holds it is refused as an unknown token is."""
+        for model in (toy_model, toy_model_full):
+            cases = [((BOS,), None), (("_play", BOS), ("@song", 0))]
+            if model.merge == "full":  # older tokens than the decider's context stay
+                cases.append(((BOS, "_play"), None))
+            for history, position in cases:
+                with pytest.raises(KeyError, match=f"token {BOS!r} is not in the model"):
+                    model.encode(history, position)
+
+    def test_history_field_is_the_padded_history(self):
+        """Above its position a key is its decider history packed by
+        ``NfclmModel.context``, BOS-padded to ``D`` slots under
+        ``merge="context"`` and to ``max(len(dh), D)`` under ``merge="full"``,
+        so the decider lookup reads the key's low ``D`` slots as they are."""
+        cases = [(model, histories) for _, model, histories in bits_cases()]
+        rng = random.Random(35)
+        cases += [random_instance(rng) for _ in range(20)]
+        checked = Counter()
+        for base, histories in cases:
+            for merge in MERGE_MODES:
+                model = dataclasses.replace(base, merge=merge)
+                size = model.decider.context_size
+                for key in walked_keys(model, histories):
+                    dh, _ = model.decode(key)
+                    slots = size if merge == "context" else max(len(dh), size)
+                    assert key >> model._pos_bits == model.context(dh, slots), (merge, dh)
+                    checked[merge, len(dh) > 0] += 1
+        assert len(checked) == 4 and min(checked.values()) > 20
 
 
 # -- the hooks the benchmark's tracer uses ----------------------------------
