@@ -8,8 +8,9 @@ emission model, not by the automaton.
 
 An automaton keeps its states and arcs in flat ``array`` columns, as
 OpenFst's ``ConstFst`` does, so it holds no object per state or arc;
-``arcs[state]`` is a read-only mapping view over one state's arcs, and
-the engine reads the columns themselves (see ``ProbClassFst``).
+``arcs[state]`` builds a plain dict of one state's arcs from its run of
+those columns, and the engine reads the columns themselves (see
+``ProbClassFst``).
 Binary format v2 writes those columns as they are held, after a header
 and the sorted symbol table, and the decoder reads each one whole;
 ``validate`` then checks them in one pass.
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
-from itertools import islice, repeat
+from collections.abc import Iterable, Sequence
+from itertools import islice
 from operator import eq, le, lt
 from typing import Optional
 
@@ -47,87 +47,31 @@ def _unknown_state(state: int, num_states: int) -> IndexError:
     return IndexError(f"state id {state} is outside the {num_states} states")
 
 
-class ArcView(Mapping):
-    """Read-only ``{symbol: (probability, destination)}`` over one state's arcs.
-
-    It compares equal to the dict it stands for and iterates in symbol
-    order; a lookup bisects the state's run of the symbol-id column.
-    A view holds ``(symbol ids, arc symbol ids, probabilities,
-    destinations, symbols)``, shared by every view of one automaton.
-    """
-
-    __slots__ = ("_columns", "_lo", "_hi")
-
-    def __init__(self, columns: tuple, lo: int, hi: int):
-        self._columns = columns
-        self._lo = lo
-        self._hi = hi
-
-    def get(self, symbol, default=None):
-        ids, arc_ids, probs, dests, _ = self._columns
-        sid = ids.get(symbol)
-        if sid is not None:
-            hi = self._hi
-            i = bisect_left(arc_ids, sid, self._lo, hi)
-            if i < hi and arc_ids[i] == sid:
-                return probs[i], dests[i]
-        return default
-
-    def __getitem__(self, symbol):
-        hit = self.get(symbol)
-        if hit is None:
-            raise KeyError(symbol)
-        return hit
-
-    def __contains__(self, symbol) -> bool:
-        return self.get(symbol) is not None
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __iter__(self):
-        _, arc_ids, _, _, symbols = self._columns
-        return map(symbols.__getitem__, arc_ids[self._lo:self._hi])
-
-    def values(self) -> list[tuple[float, int]]:
-        _, _, probs, dests, _ = self._columns
-        return list(zip(probs[self._lo:self._hi], dests[self._lo:self._hi]))
-
-    def items(self) -> list[tuple[str, tuple[float, int]]]:
-        return list(zip(self, self.values()))
-
-    def __repr__(self) -> str:
-        return f"ArcView({dict(self.items())!r})"
-
-
 class ArcTable(Sequence):
-    """``ProbClassFst.arcs``: the ``ArcView`` of each state, made on access.
+    """``ProbClassFst.arcs``: per state, a new ``{symbol: (probability,
+    destination)}`` dict of its arcs, in symbol order.
 
     State ``s`` owns the arcs ``offsets[s]:offsets[s + 1]``.  The table
-    compares equal to a list of the dicts it stands for.
+    compares equal to a list of those dicts.
     """
 
     __slots__ = ("_columns", "_offsets")
 
     def __init__(self, columns: tuple, offsets: array):
-        self._columns = columns
+        self._columns = columns  # (symbols, arc_ids, probs, dests)
         self._offsets = offsets
 
-    def __getitem__(self, state: int) -> ArcView:
-        if state >= 0:
-            offsets = self._offsets
-            try:
-                return ArcView(self._columns, offsets[state], offsets[state + 1])
-            except IndexError:
-                pass
-        raise _unknown_state(state, len(self))
+    def __getitem__(self, state: int) -> dict[str, tuple[float, int]]:
+        offsets = self._offsets
+        if not 0 <= state < len(offsets) - 1:
+            raise _unknown_state(state, len(offsets) - 1)
+        symbols, arc_ids, probs, dests = self._columns
+        lo, hi = offsets[state], offsets[state + 1]
+        return dict(zip(map(symbols.__getitem__, arc_ids[lo:hi]),
+                        zip(probs[lo:hi], dests[lo:hi])))
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
-
-    def __iter__(self):
-        offsets = self._offsets
-        return map(ArcView, repeat(self._columns), offsets, islice(offsets, 1, None))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -153,9 +97,9 @@ class ProbClassFst:
     - per arc, sorted by symbol id within its state's run, ``arc_ids``
       (an id into ``symbols``), ``probs`` and ``dests``.
 
-    The engine reads arcs from these columns, as ``ArcView.get`` does: a
-    bisect for the symbol's id in the state's run.  ``validate`` checks
-    the columns; the constructor does not.
+    The engine reads arcs from these columns: a bisect for the symbol's
+    id in the state's run.  ``validate`` checks the columns; the
+    constructor does not.
     """
 
     start = 0
@@ -170,19 +114,16 @@ class ProbClassFst:
         self.ids = {symbol: i for i, symbol in enumerate(symbols)}
         self.offsets, self.exits = offsets, exits
         self.arc_ids, self.probs, self.dests = arc_ids, probs, dests
-        self.arcs = ArcTable((self.ids, arc_ids, probs, dests, symbols), offsets)
+        self.arcs = ArcTable((symbols, arc_ids, probs, dests), offsets)
 
     @property
     def num_states(self) -> int:
         return len(self.exits)
 
     def exit_prob(self, state: int) -> float:
-        if state >= 0:
-            try:
-                return self.exits[state]
-            except IndexError:
-                pass
-        raise _unknown_state(state, len(self.exits))
+        if not 0 <= state < len(self.exits):
+            raise _unknown_state(state, len(self.exits))
+        return self.exits[state]
 
     def validate(self) -> None:
         """Raise ValueError naming the first violated structural invariant.

@@ -109,7 +109,7 @@ def cmd_train_bglm(args) -> int:
 def cmd_train_decider(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
     classes = load_class_alphabet(args.classes)
-    corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.labels})
+    corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.nonbackground})
     model = train_decider(corpus, vocabulary, classes, order=args.order, discount=args.discount,
                           alpha=1.0 if args.alpha is None else args.alpha)
     with open(args.out, "wb") as fh:

@@ -757,33 +757,31 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     out: list[str] = []
     while len(out) < max_length:
         (_, stay, base, row, prefix), = _mixture(model, [AlignmentHypothesis(key, 0.0)])
-        # route -> (arcs, log weight, successor key bits); the background's
-        # arcs are None
-        routes = {}
+        # per route, its mass and (automaton, state, successor key bits),
+        # None for the background; a stay's mass is the sum of its state's
+        # run of probabilities, so only the drawn route's arcs are read
+        masses, routes = {}, {}
         if stay is not None:
-            rank, _, _ = stay
-            state = key & (1 << model._state_bits) - 1
-            routes[EPSILON] = model._fsts[rank].arcs[state], 0.0, key - state
+            rank, lo, hi = stay
+            fst, state = model._fsts[rank], key & (1 << model._state_bits) - 1
+            masses[EPSILON] = math.fsum(fst.probs[lo:hi])
+            routes[EPSILON] = fst, state, key - state
         if base is not None:
             for c, log_share in zip(labels, row):
                 fst = fsts.get(c)
-                routes[c] = ((None, base + log_share, prefix) if fst is None else
-                             (fst.arcs[fst.start], base + log_share,
-                              prefix | model._entry_bits[c]))
-        # the stay route's mass is that of its arcs; the others carry it in lw
-        route = draw({
-            route: math.fsum(p for p, _ in arcs.values()) if route == EPSILON
-            else math.exp(lw)
-            for route, (arcs, lw, _) in routes.items()
-        })
-        arcs, _, bits = routes[route]
-        if arcs is None:
+                masses[c] = math.exp(base + log_share)
+                routes[c] = None if fst is None else (fst, fst.start,
+                                                      prefix | model._entry_bits[c])
+        route = routes[draw(masses)]
+        if route is None:
             symbol = draw(model.background.distribution(
                 model._tokens(context, model._bg_context_size)))
             if symbol == EOS:
                 break
-            key = bits | model._emits[symbol][1]
+            key = prefix | model._emits[symbol][1]
         else:
+            fst, state, bits = route
+            arcs = fst.arcs[state]
             symbol = draw({sym: p for sym, (p, _) in arcs.items()})
             key = bits | arcs[symbol][1]
         context = (context << model._width | model._ids[symbol]) & model._bg_mask

@@ -529,7 +529,7 @@ def class_prior_from_corpus(corpus: Iterable[Sequence[str]],
 def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
                   classes: ClassAlphabet, order: int = 3, discount: float = 0.75,
                   alpha: float = 1.0) -> DeciderModel:
-    """Train the class predictor on a tagged corpus over symbols and class tokens.
+    """Train the class predictor on a tagged corpus over symbols and entity class tokens.
 
     Every token position contributes one training pair: the mixed history
     predicts the class of the next token, with ordinary symbols counting
@@ -540,7 +540,7 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
         raise ValueError("empty training corpus")
     for sentence in sentences:
         for tok in sentence:
-            if tok not in classes and tok not in vocabulary:
+            if tok not in vocabulary and tok not in classes.nonbackground:
                 raise ValueError(f"unknown token {tok!r} in decider corpus")
     counts = _count_events(order, sentences,
                            lambda tok: tok if tok in classes else BACKGROUND)

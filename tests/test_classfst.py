@@ -247,7 +247,7 @@ def random_entities(seed, count):
 
 
 class TestColumns:
-    """Automata are flat columns read through ``arcs[state]`` views."""
+    """Automata are flat columns; ``arcs[state]`` builds a dict from one state's run."""
 
     # the dict form of the @song trie of SONG; state 1 lists its arcs out of
     # symbol order
@@ -279,31 +279,31 @@ class TestColumns:
         assert self.tracked_objects(large.serialize()) == \
             self.tracked_objects(small.serialize())
 
-    def test_view_behaves_as_its_dict(self):
+    def test_state_arcs_are_its_dict(self):
         fst = fst_from_dicts("@song", self.SONG_DICTS, [0.0, 0.0, 1.0, 1.0])
         assert fst.arcs == self.SONG_DICTS and self.SONG_DICTS == fst.arcs
         assert len(fst.arcs) == 4
         for state, want in enumerate(self.SONG_DICTS):
-            view = fst.arcs[state]
-            assert view == want and want == view
-            assert list(view) == sorted(want)
-            assert view.items() == sorted(want.items())
-            assert view.values() == [want[sym] for sym in sorted(want)]
-            assert len(view) == len(want)
+            arcs = fst.arcs[state]
+            assert type(arcs) is dict and arcs is not fst.arcs[state]
+            assert arcs == want and want == arcs
+            assert list(arcs) == sorted(want)
+            assert list(arcs.items()) == sorted(want.items())
+            assert list(arcs.values()) == [want[sym] for sym in sorted(want)]
             run = range(fst.offsets[state], fst.offsets[state + 1])  # the same arcs, as columns
-            assert [fst.symbols[fst.arc_ids[i]] for i in run] == list(view)
-            assert [(fst.probs[i], fst.dests[i]) for i in run] == view.values()
-            assert [fst.ids[sym] for sym in view] == list(fst.arc_ids[run.start:run.stop])
+            assert [fst.symbols[fst.arc_ids[i]] for i in run] == list(arcs)
+            assert [(fst.probs[i], fst.dests[i]) for i in run] == list(arcs.values())
+            assert [fst.ids[sym] for sym in arcs] == list(fst.arc_ids[run.start:run.stop])
             for sym in ("_ro", "sie", "salie", "_by", "s"):
-                assert (sym in view) == (sym in want)
-                assert view.get(sym) == want.get(sym)
-                assert view.get(sym, "none") == want.get(sym, "none")
+                assert (sym in arcs) == (sym in want)
+                assert arcs.get(sym) == want.get(sym)
+                assert arcs.get(sym, "none") == want.get(sym, "none")
                 if sym in want:
-                    assert view[sym] == want[sym]
+                    assert arcs[sym] == want[sym]
                 else:
                     with pytest.raises(KeyError):
-                        view[sym]
-        assert [dict(view) for view in fst.arcs] == self.SONG_DICTS
+                        arcs[sym]
+        assert list(fst.arcs) == self.SONG_DICTS
         assert fst.symbols == ("_ro", "salie", "sie")
         with pytest.raises(IndexError):
             fst.arcs[4]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -298,7 +299,7 @@ class TestSymbolRoutes:
 
 class TestColumnReads:
     """The kernel reads arcs from an automaton's columns; they match the
-    public arc view for every state and symbol."""
+    public per-state arc dict for every state and symbol."""
 
     @staticmethod
     def models(toy_model):
@@ -311,12 +312,12 @@ class TestColumnReads:
             symbols = model.vocabulary.symbols + (EOS,)
             for label, fst in model.class_fsts.items():
                 for state in range(fst.num_states):
-                    view = fst.arcs[state]
-                    leaves += not view
+                    arcs = fst.arcs[state]
+                    leaves += not arcs
                     for sym in symbols:
                         h = hyp(model, (label,), (label, state))
                         (_, stay, _, _, _), = _mixture(model, [h], stays_of(model, sym))
-                        want = view.get(sym)
+                        want = arcs.get(sym)
                         if want is None:
                             assert stay is None, (label, state, sym)
                         else:
@@ -927,6 +928,21 @@ def count_column_reads(model, monkeypatch):
     return reads
 
 
+class CountingArcs:
+    """An automaton's ``arcs`` that appends each state read to ``reads`` as
+    ``(label, state)``."""
+
+    def __init__(self, arcs, reads, label):
+        self.arcs, self.reads, self.label = arcs, reads, label
+
+    def __getitem__(self, state):
+        self.reads.append((self.label, state))
+        return self.arcs[state]
+
+    def __len__(self):
+        return len(self.arcs)
+
+
 class TestNextDist:
     def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst):
@@ -1165,6 +1181,50 @@ class TestSample:
         assert [len(sample(toy_model, max_length=30, seed=s)) for s in range(40)] == [
             24, 30, 30, 30, 30, 9, 30, 30, 0, 30, 5, 30, 7, 30, 30, 19, 30, 8, 30, 30,
             30, 15, 1, 30, 1, 0, 30, 6, 7, 19, 25, 7, 1, 30, 20, 30, 0, 30, 30, 30]
+
+    def test_reads_only_the_drawn_route(self, toy_model, monkeypatch):
+        """A step reads the arcs of the one state its drawn route leaves
+        from, its stay state or a class's start, and none when it draws the
+        background."""
+        reads, steps = [], []  # steps: (position, reads before the step)
+        for label, fst in toy_model.class_fsts.items():
+            monkeypatch.setattr(fst, "arcs", CountingArcs(fst.arcs, reads, label))
+        mixture = engine._mixture
+
+        def step(model, hypotheses, stays=None):
+            steps.append((model.decode(hypotheses[0].key)[1], len(reads)))
+            return mixture(model, hypotheses, stays)
+
+        monkeypatch.setattr(engine, "_mixture", step)
+        drawn_routes, max_length = set(), 30
+        for seed in range(40):
+            del reads[:], steps[:]
+            out = sample(toy_model, max_length=max_length, seed=seed)
+            assert len(steps) == len(out) + (len(out) < max_length)
+            # where each step moves: the next step's position, and the
+            # background on the EOS a sample stops at; unknown after the
+            # last step of a sample cut at max_length
+            moves = [pos for pos, _ in steps[1:]] + [None] * (len(out) < max_length)
+            bounds = [at for _, at in steps] + [len(reads)]
+            for k, (pos, _) in enumerate(steps):
+                got = reads[bounds[k]:bounds[k + 1]]
+                if k == len(moves):
+                    assert len(got) <= 1
+                    continue
+                if moves[k] is None:
+                    assert got == []
+                    drawn_routes.add(("background", pos is None))
+                    continue
+                label, state = moves[k]
+                fst = toy_model.class_fsts[label]
+                # the one state with an arc into ``state``: a trie's parent
+                source = bisect_right(fst.offsets, list(fst.dests).index(state)) - 1
+                assert got == [(label, source)]
+                assert source == fst.start or pos == (label, source)
+                drawn_routes.add(("stay" if source != fst.start else "entry", pos is None))
+        # (route drawn, from a background position)
+        assert drawn_routes == {("background", True), ("background", False),
+                                ("entry", True), ("entry", False), ("stay", False)}
 
     def test_only_vocabulary_symbols(self, toy_model):
         for seed in range(30):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
+from nfclm.cli import main
 from nfclm.serialization import SerializationError
 from nfclm.seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
                             _scale_by_prior, class_prior_from_corpus,
@@ -402,6 +403,24 @@ class TestDecider:
     def test_unknown_token_rejected(self):
         with pytest.raises(ValueError, match="'bogus'"):
             train_decider([("bogus",)], self.VOCAB, self.CLASSES, order=2)
+
+    def test_background_label_rejected(self, tmp_path, capsys):
+        """``@bg`` labels positions, it is not a corpus token: neither the
+        library nor ``nfclm train-decider`` counts it in the prior."""
+        with pytest.raises(ValueError, match="'@bg'"):
+            train_decider([("_play", "@bg", "_stop")], self.VOCAB, self.CLASSES, order=2)
+        files = {"vocab.txt": self.VOCAB.symbols, "classes.txt": self.CLASSES.labels,
+                 "corpus.txt": ("_play @song", "_play @bg _stop")}
+        for name, lines in files.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["train-decider", "--corpus", str(tmp_path / "corpus.txt"),
+                     "--vocab", str(tmp_path / "vocab.txt"),
+                     "--classes", str(tmp_path / "classes.txt"),
+                     "--out", str(tmp_path / "decider.bin")])
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err == f"nfclm: error: {tmp_path / 'corpus.txt'}:2: unknown symbol '@bg'\n"
+        assert not (tmp_path / "decider.bin").exists()
 
     def test_prior_counting_oracle(self):
         # untagged lines are ignored; symbol positions count as background
