@@ -68,9 +68,10 @@ do) is extended once.  ``sequence_logprob`` is its one-list case.
 Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
 ``next_dist`` sums in the linear domain instead, in route order: one list
-sweep over a scaled copy of the background's ``distribution_values`` and
-each class route's arc columns, entry routes' built once per model, a
-stay route's sliced from its state's run.
+sweep over a scaled copy of the background's ``distribution_values``,
+read once per context key into its cache row, and each class route's arc
+columns, entry routes' built once per model, a stay route's sliced from
+its state's run.
 
 The background and decider lookups are memoized per packed context key:
 for an n-gram, the longest suffix of the padded context that is one of
@@ -79,7 +80,8 @@ the empty context, 0.  A suffix is the context under a mask, checked
 against a set per length of the stored contexts, packed when the model
 is built.  Contexts that share a key share every value, so the caches
 hold at most one row per stored context plus one, however much a model
-scores.
+scores.  A background row holds the log-probabilities asked at it and,
+once fanned out at, its V + 1 ``distribution_values`` as 8-byte floats.
 
 Model components never change after construction, so one model can
 serve any number of concurrent scoring sessions; beams are cheap
@@ -91,11 +93,12 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
@@ -188,13 +191,15 @@ class AlignmentBeam:
 class BackgroundRow(dict):
     """Background log-probabilities ``{symbol: logprob}`` cached at one
     context key, with ``context``, the key's tokens, where the missing
-    ones are computed."""
+    ones are computed, and ``dist_values``, its ``distribution_values``
+    there in ``next_dist``'s order (None until the key's first fan-out)."""
 
-    __slots__ = ("context",)
+    __slots__ = ("context", "dist_values")
 
     def __init__(self, context: tuple[str, ...]):
         super().__init__()
         self.context = context
+        self.dist_values = None
 
 
 @dataclass
@@ -290,6 +295,8 @@ class NfclmModel:
                           list(map({s: i for i, s in enumerate(bg_alphabet)}.__getitem__,
                                    self._predicted)))
         self._bg_cache: dict[int, BackgroundRow] = {}
+        # the table every fan-out copies, already sized and keyed in order
+        self._fan_out = dict.fromkeys(self._predicted, 0.0)
         self._decider_cache: dict[int, tuple[float, ...]] = {}
 
     def _build_keys(self) -> None:
@@ -417,8 +424,8 @@ class NfclmModel:
 
         ``context`` is a packed padded context (``context``), as a beam
         holds it.  The cache holds one ``BackgroundRow`` per key of the
-        context, so a model with stored contexts bounds its rows.  A
-        context that is a key is its own row, found by the first lookup;
+        context, which ``next_dist`` also fills, so a model with stored
+        contexts bounds its rows.  A context that is a key is its own row;
         only a miss computes the key.  A missing value is computed at the
         key's own tokens, which give every context of the key its bits.
         """
@@ -630,11 +637,13 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     """Next-symbol distribution over the vocabulary plus EOS, in that order.
 
     One linear-domain sweep over the routes, filling one list in
-    vocabulary order: the background routes' posterior weight times one
-    background ``distribution_values``, plus each class route's posterior
-    weight times its arcs, read as index and probability columns.  Entry
-    ``s`` equals ``exp`` of ``extend``'s step log-probability for ``s``
-    within 1e-12 relative (0 where ``extend`` finds no alignment).
+    vocabulary order: the background routes' posterior weight times the
+    background's ``distribution_values`` at the context's key, read on the
+    key's first fan-out into its ``_bg_cache`` row, plus each class route's
+    posterior weight times its arcs, read as index and probability
+    columns.  Entry ``s`` equals ``exp`` of ``extend``'s step
+    log-probability for ``s`` within 1e-12 relative (0 where ``extend``
+    finds no alignment).
     """
     background: list[float] = []
     classes: list[tuple] = []
@@ -651,18 +660,28 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
                 classes.append((where, probs, base + row[c]))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        bg = model.background.distribution_values(
-            model._tokens(beam.context, model._bg_context_size))
-        if model._bg_order is not None:
-            bg = map(bg.__getitem__, model._bg_order)
-        values = list(map(mul, repeat(scale), bg))
+        # the row ``background_logprob`` reads, found as it finds it; the
+        # lookup stays inline there, on the scoring path
+        key = _stored_suffix(beam.context, model._bg_levels)
+        row = model._bg_cache.get(key)
+        if row is None:
+            row = model._bg_cache.setdefault(key, BackgroundRow(model._key_tokens(key)))
+        bg = row.dist_values
+        if bg is None:
+            bg = model.background.distribution_values(row.context)
+            if model._bg_order is not None:
+                bg = map(bg.__getitem__, model._bg_order)
+            bg = row.dist_values = array("d", bg)
+        values = [scale * p for p in bg]
     else:
         values = [0.0] * len(model._predicted)
     for where, probs, lw in classes:
         weight = math.exp(lw - beam.log_norm)
         for i, p in zip(where, probs):
             values[i] += weight * p
-    return dict(zip(model._predicted, values))
+    dist = model._fan_out.copy()
+    dist.update(zip(model._predicted, values))
+    return dist
 
 
 def sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .engine import NfclmModel, sequence_logprobs
 from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob
@@ -63,17 +63,18 @@ class PerplexityReport:
     dead_sentences: list[int] = field(default_factory=list)
 
 
-def perplexity(model, corpus: Sequence[Sequence[str]],
+def perplexity(model, corpus: Iterable[Sequence[str]],
                skip_dead: bool = False) -> PerplexityReport:
     """Corpus perplexity: exp(-logprob / symbols), EOS counted per sentence.
 
     ``model`` is a full model, whose corpus is scored in one
-    ``sequence_logprobs`` walk, or a plain symbol model.  Log-probs are
-    summed in corpus order.  A sentence no alignment can generate makes
-    the whole corpus unscorable (``DeadSentenceError``) unless
-    ``skip_dead`` excludes it from both the mass and the symbol count;
-    the positions of excluded sentences in ``corpus`` are reported.
+    ``sequence_logprobs`` walk, or a plain symbol model; ``corpus`` is read
+    once.  Log-probs are summed in corpus order.  A sentence no alignment
+    can generate makes the whole corpus unscorable (``DeadSentenceError``)
+    unless ``skip_dead`` excludes it from both the mass and the symbol
+    count; the positions of excluded sentences in ``corpus`` are reported.
     """
+    corpus = list(corpus)
     if isinstance(model, NfclmModel):
         scores = sequence_logprobs(model, corpus)
     elif isinstance(model, ConditionalSymbolModel):

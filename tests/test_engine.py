@@ -18,8 +18,8 @@ from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    sequence_logprob, sequence_logprobs, start_beam, train_decider,
                    train_ngram)
 from nfclm import engine
-from nfclm.engine import (EXACT_BEAM_SIZE, MERGE_MODES, PositionError, _mixture,
-                          _stored_suffix, log_sum_exp)
+from nfclm.engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
+                          MERGE_MODES, PositionError, _mixture, _stored_suffix, log_sum_exp)
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, decider_row, histories, make_toy_model,
@@ -982,8 +982,10 @@ class TestNextDist:
         assert checked["full"] >= 40 and checked["inside"] >= 100
 
     def test_one_background_read_per_fan_out(self):
-        """On a 600-symbol model, a fan-out reads the background once, as a
-        list: no per-symbol ``logprob`` and no ``distribution`` dict."""
+        """On a 600-symbol model, the first fan-out at a context key reads
+        the background once, as a list, and a fan-out at a key already
+        fanned out reads nothing: no fan-out calls the per-symbol
+        ``logprob`` or builds a ``distribution`` dict."""
         rng = random.Random(5)
         symbols = [f"_w{i}" for i in range(600)]
         vocab = load_vocabulary(symbols)
@@ -1000,14 +1002,18 @@ class TestNextDist:
         model = NfclmModel(vocab, classes, background, fsts,
                            train_decider(tagged, vocab, classes, order=2))
         fan_outs = inside = 0
+        fanned = Counter()  # fan-outs per key that read the background
         for sentence in corpus[:30]:
             beam = start_beam(model)
             for sym in sentence:
                 exits = any(pos is None or model.class_fsts[pos[0]].exits[pos[1]] > 0.0
                             for pos in positions(model, beam))
+                key = reference_key(background, bg_tokens(model, beam))
+                first = exits and not fanned[key]
                 background.calls.clear()
                 dist = next_dist(model, beam)
-                assert background.calls == ({"distribution_values": 1} if exits else {})
+                assert background.calls == ({"distribution_values": 1} if first else {})
+                fanned[key] += exits
                 assert [p.hex() for p in dist.values()] == [
                     p.hex() for p in dict_next_dist(model, beam).values()]
                 fan_outs += 1
@@ -1017,6 +1023,8 @@ class TestNextDist:
                 except DeadHistoryError:
                     break
         assert fan_outs > 50 and inside > 20
+        # first fan-outs at many keys, and fan-outs at repeated keys
+        assert len(fanned) > 50 and sum(fanned.values()) > len(fanned) + 20
 
     def test_reads_each_stay_run_once(self, toy_model_full, monkeypatch):
         """A fan-out reads the arcs of each stay route once, as its state's
@@ -1370,7 +1378,8 @@ class TestContextKeyedCaches:
     def scored(self, base, sentences):
         """Score ``sentences`` from empty caches, and next_dist after each;
         returns the model with the packed contexts of its background
-        queries (with their symbols) and of its decider queries."""
+        queries (with their symbols) and of its decider queries, and the
+        beams it fanned out at."""
         model = dataclasses.replace(base)
         bg_queries, decider_queries = set(), set()
         background_logprob, decider_dist = model.background_logprob, model.decider_dist
@@ -1385,20 +1394,53 @@ class TestContextKeyedCaches:
 
         model.background_logprob, model.decider_dist = traced_background, traced_decider
         sequence_logprobs(model, sentences)
+        fan_outs = []
         for tokens in sentences:
             try:
-                next_dist(model, advance(model, tokens))
+                beam = advance(model, tokens)
             except DeadHistoryError:
-                pass
-        return model, bg_queries, decider_queries
+                continue
+            next_dist(model, beam)
+            fan_outs.append(beam)
+        return model, bg_queries, decider_queries, fan_outs
 
-    def assert_exact_and_bounded(self, model, bg_queries, decider_queries):
+    def assert_fan_out_rows(self, model, fan_outs):
+        """Each row a fan-out filled holds the bits of the background's
+        ``distribution_values`` at the row's key and at every fanned-out
+        context of that key, in vocabulary order; ``next_dist`` on the warm
+        model has the bits of a cold copy."""
+        background, size = model.background, model.background.context_size
+        symbols = model.vocabulary.symbols + (EOS,)
+
+        def ordered(tokens):
+            values = dict(zip(background.alphabet, background.distribution_values(tokens)))
+            return hexes(map(values.__getitem__, symbols))
+
+        filled = {key: row for key, row in model._bg_cache.items()
+                  if row.dist_values is not None}
+        assert filled
+        for key, row in filled.items():
+            assert hexes(row.dist_values) == ordered(model._key_tokens(key))
+        assert set(filled) <= {_stored_suffix(beam.context, model._bg_levels)
+                               for beam in fan_outs}
+        for beam in fan_outs:
+            row = filled.get(_stored_suffix(beam.context, model._bg_levels))
+            if row is not None:
+                assert hexes(row.dist_values) == ordered(model._tokens(beam.context, size))
+            cold = dataclasses.replace(model)
+            assert hexes(next_dist(model, beam).values()) == \
+                hexes(next_dist(cold, beam).values()), bg_tokens(model, beam)
+
+    def assert_exact_and_bounded(self, model, bg_queries, decider_queries, fan_outs):
         """Each queried value has the component's bits at the queried
         context; the rows are exactly the reference keys of the queried
-        contexts, each a stored context or (); their number is bounded."""
+        and fanned-out contexts, each a stored context or (); their number
+        is bounded.  Fan-outs filled their rows as ``assert_fan_out_rows``
+        checks."""
         background, decider = model.background, model.decider
         bg_size, decider_size = background.context_size, decider.context_size
         assert bg_queries and decider_queries
+        self.assert_fan_out_rows(model, fan_outs)
         for symbol, context in bg_queries:
             cached = model._bg_cache[_stored_suffix(context, model._bg_levels)][symbol]
             tokens = model._tokens(context, bg_size)
@@ -1407,8 +1449,9 @@ class TestContextKeyedCaches:
             cached = model._decider_cache[_stored_suffix(context, model._decider_levels)]
             tokens = model._tokens(context, decider_size)
             assert hexes(cached) == hexes(log_shares(model, decider.distribution(tokens))), tokens
+        bg_contexts = {c for _, c in bg_queries} | {beam.context for beam in fan_outs}
         for cache, ngram, size, queried in (
-                (model._bg_cache, background, bg_size, {c for _, c in bg_queries}),
+                (model._bg_cache, background, bg_size, bg_contexts),
                 (model._decider_cache, decider.ngram, decider_size, decider_queries)):
             keys = [model._key_tokens(key) for key in cache]
             assert len(keys) == len(set(keys))
@@ -1439,8 +1482,8 @@ class TestContextKeyedCaches:
         assert key(base._bg_levels, ("_play", "_by")) == ()  # skips the empty table
         assert key(base._bg_levels, ("sie", "_play")) == ("_play",)
         assert key(base._decider_levels, ("@song", "_by")) == ("@song", "_by")
-        model, bg_queries, decider_queries = self.scored(base, self.SENTENCES)
-        self.assert_exact_and_bounded(model, bg_queries, decider_queries)
+        model, bg_queries, decider_queries, fan_outs = self.scored(base, self.SENTENCES)
+        self.assert_exact_and_bounded(model, bg_queries, decider_queries, fan_outs)
         # rows shared by several contexts, and keys past an absent level
         assert len(model._bg_cache) < len({c for _, c in bg_queries})
         assert base.context(("_ro", "sie"), 2) in model._bg_cache
@@ -1451,11 +1494,14 @@ class TestContextKeyedCaches:
         base = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
         base = dataclasses.replace(base, background=ReorderedBackground(base.background))
         assert base.background.stored_contexts() is None and base._bg_levels is None
-        model, bg_queries, _ = self.scored(base, self.SENTENCES)
-        assert set(model._bg_cache) == {context for _, context in bg_queries}
+        assert base._bg_order is not None
+        model, bg_queries, _, fan_outs = self.scored(base, self.SENTENCES)
+        assert set(model._bg_cache) == ({context for _, context in bg_queries}
+                                        | {beam.context for beam in fan_outs})
         for symbol, context in bg_queries:
             assert (model._bg_cache[context][symbol].hex()
                     == model.background.logprob(symbol, model._tokens(context, 2)).hex())
+        self.assert_fan_out_rows(model, fan_outs)
 
     def test_short_history_does_not_hit_a_shorter_key(self, toy_vocab, toy_classes,
                                                       song_fst, artist_fst):
@@ -1474,6 +1520,7 @@ class TestContextKeyedCaches:
 
 BITS_FILE = Path(__file__).parent / "data" / "extend_bits.json"
 CONTEXT_BITS_FILE = Path(__file__).parent / "data" / "extend_bits_context.json"
+NEXT_DIST_BITS_FILE = Path(__file__).parent / "data" / "next_dist_bits.json"
 BITS_SETTINGS = [(n, delta) for n in (2, 3) for delta in (0.5, 1.0)]
 
 
@@ -1565,6 +1612,48 @@ class TestRecordedContextBits:
         assert list(got) == list(recorded)
         for key, steps in recorded.items():
             assert got[key] == steps, key
+
+
+def record_next_dist_bits():
+    """The ``float.hex`` of every ``next_dist`` entry before and after each
+    step of every bits case, under each of ``BITS_SETTINGS`` and the
+    default beam; ``"dead"`` where the history dies.
+
+    One model serves all histories of a setting, so later fan-outs meet
+    context keys that earlier ones filled.  ``next_dist_bits.json`` holds
+    this, one setting per line, as computed by the engine that read the
+    background's ``distribution_values`` afresh on every fan-out.
+    """
+    out = {}
+    for name, base, histories in bits_cases():
+        for n, delta in BITS_SETTINGS + [(DEFAULT_BEAM_SIZE, DEFAULT_BEAM_DELTA)]:
+            model = dataclasses.replace(base, beam_size=n, beam_delta=delta)
+            walks = []
+            for history in histories:
+                beam = start_beam(model)
+                fan_outs = [hexes(next_dist(model, beam).values())]
+                for sym in history:
+                    try:
+                        beam, _ = extend(model, beam, sym)
+                    except DeadHistoryError:
+                        fan_outs.append("dead")
+                        break
+                    fan_outs.append(hexes(next_dist(model, beam).values()))
+                walks.append(fan_outs)
+            out[f"{name} N={n} delta={delta}"] = walks
+    return out
+
+
+class TestRecordedNextDistBits:
+    """``next_dist`` reproduces recorded ``float.hex`` values, from cold and
+    from warm caches."""
+
+    def test_fan_outs(self):
+        recorded = json.loads(NEXT_DIST_BITS_FILE.read_text(encoding="utf-8"))
+        got = record_next_dist_bits()
+        assert list(got) == list(recorded)
+        for key, walks in recorded.items():
+            assert got[key] == walks, key
 
 
 # -- the key layout ----------------------------------------------------------

@@ -60,6 +60,13 @@ class TestPerplexity:
         assert report.total_logprob.hex() == total.hex()
         assert report.symbol_count == sum(len(s) + 1 for s in corpus)
 
+    def test_one_shot_corpus(self, toy_model):
+        """A generator is read once and scores as the list it yields, on the
+        full model and on a plain n-gram."""
+        corpus = [FIG1_SENTENCE, ("_play",), ("_ro", "sie")]
+        for model in (toy_model, toy_model.background):
+            assert perplexity(model, (s for s in corpus)) == perplexity(model, corpus)
+
     def test_empty_corpus_rejected(self, toy_model):
         with pytest.raises(ValueError):
             perplexity(toy_model, [])
