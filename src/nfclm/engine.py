@@ -44,12 +44,12 @@ its last ``context_size`` tokens.  Strings stay at the boundary:
 into a key and back, for ``DynFstSession.dump`` and for tests, and a
 new cache row unpacks its context key to call the component.
 
-The beam writes the mixture step once, in ``_mixture``, which yields
-once per hypothesis: a hypothesis inside a class span may stay on its
+The beam writes the mixture step once, in ``_mixture``, a plain call
+per hypothesis: a hypothesis inside a class span may stay on its
 automaton's arcs, and a hypothesis whose state can exit splits the exit
 mass among the classes by the decider.  ``extend``, ``eos_logprob``,
-``next_dist`` and ``sample`` each add the route into class ``c`` as the
-hypothesis's exit weight plus the decider row's log share of ``c``.
+``next_dist`` and ``sample`` call it per hypothesis; the route into
+class ``c`` weighs the exit weight plus the row's log share of ``c``.
 Arcs are read from the automata's flat columns (``ProbClassFst``): a
 stay arc for a symbol is one bisect in the state's run of the id
 column.  Each model indexes once, per symbol, the start arcs of the
@@ -323,6 +323,11 @@ class NfclmModel:
         self._entry_bits = {c: self._token_bits[c] | rank << states
                             for rank, c in enumerate(self._ranked, start=1)}
         self._decider_mask = (1 << width * size) - 1
+        # what ``_mixture`` reads, last the decider context's oldest slot above
+        # the position: the mask drops it, but under merge="full" only a BOS pad
+        self._layout = ((1 << pos_bits) - 1, states, (1 << states) - 1, pos_bits, width,
+                        self._decider_mask << pos_bits, self.merge == "full",
+                        pos_bits + width * max(size - 1, 0))
         self._root = self.encode((), None)
         self._bg_context_size = self.background.context_size
         self._bg_mask = (1 << width * self._bg_context_size) - 1
@@ -494,64 +499,53 @@ def log_sum_exp(values: Sequence[float]) -> float:
     return best + math.log(math.fsum(map(math.exp, map(sub, values, repeat(best)))))
 
 
-def _mixture(model: NfclmModel, hypotheses: Sequence[AlignmentHypothesis],
-             stays: Optional[tuple] = None):
-    """The mixture step, once per hypothesis, in hypothesis order.
+def _mixture(model: NfclmModel, key: int, log_weight: float,
+             stays: Optional[tuple] = None) -> tuple:
+    """``(stay, base, row, prefix)``: the mixture step out of one hypothesis.
 
-    Yields ``(hypothesis, stay, base, row, prefix)``.  Inside a class
-    span, ``stay`` is, for a symbol whose automaton ids ``stays`` gives
-    per class rank, ``(probability, successor key)`` of the arc that
-    emits it from the hypothesis's state, or None; with no ``stays``, the
-    state's run ``(rank, lo, hi)`` of the automaton's arc columns.  A stay
-    weighs the hypothesis weight: arc probabilities already carry the stay
-    mass.  ``stay`` is None in the background.  ``base`` is the weight of
-    leaving the position, the hypothesis weight plus log exit probability,
-    ``row`` the hypothesis's decider log shares (``decider_dist``), and
-    ``prefix`` the key of its decider history after one more token, to
-    which a route ORs the token's id above its position; all three are
-    None when the state cannot exit.  The route into class ``c`` weighs
-    ``base + row[c]``, to which callers add the emitted symbol's
-    log-probability.
+    Inside a class span, ``stay`` is, for a symbol whose automaton ids
+    ``stays`` gives per class rank, ``(probability, successor key)`` of
+    the arc that emits it from the hypothesis's state, or None; with no
+    ``stays``, the state's run ``(rank, lo, hi)`` of the automaton's arc
+    columns.  A stay weighs ``log_weight``: arc probabilities already
+    carry the stay mass.  ``stay`` is None in the background.  ``base`` is
+    the weight of leaving the position, ``log_weight`` plus log exit
+    probability, ``row`` the hypothesis's decider log shares
+    (``decider_dist``), and ``prefix`` the key of its decider history
+    after one more token, to which a route ORs the token's id above its
+    position; all three are None when the state cannot exit.  The route
+    into class ``c`` weighs ``base + row[c]``, to which callers add the
+    emitted symbol's log-probability.
     """
-    fsts, decider_dist, log = model._fsts, model.decider_dist, math.log
-    pos_bits, states, width = model._pos_bits, model._state_bits, model._width
-    pos_mask, state_mask = (1 << pos_bits) - 1, (1 << states) - 1
-    decider_mask, shifted_mask = model._decider_mask, model._decider_mask << pos_bits
-    # the history's oldest slot of the decider's context: the mask drops it,
-    # but under merge="full" only a BOS pad
-    full = model.merge == "full"
-    top_shift = pos_bits + width * max(model._decider_context_size - 1, 0)
-    for hyp in hypotheses:
-        key, log_weight = hyp
-        pos = key & pos_mask
-        if pos:
-            rank = pos >> states
-            state = pos & state_mask
-            fst = fsts[rank]
-            if stays is None:
-                offsets = fst.offsets
-                stay = rank, offsets[state], offsets[state + 1]
-            else:
-                stay = None
-                sid = stays[rank]
-                if sid is not None:
-                    offsets, arc_ids = fst.offsets, fst.arc_ids
-                    hi = offsets[state + 1]
-                    i = bisect_left(arc_ids, sid, offsets[state], hi)
-                    if i < hi and arc_ids[i] == sid:
-                        stay = fst.probs[i], key - state + fst.dests[i]
-            exit_p = fst.exits[state]
-            if exit_p == 0.0:
-                yield hyp, stay, None, None, None
-                continue
-            base = log_weight + log(exit_p)
+    pos_mask, states, state_mask, pos_bits, width, shifted_mask, full, top_shift = model._layout
+    pos = key & pos_mask
+    if pos:
+        rank = pos >> states
+        state = pos & state_mask
+        fst = model._fsts[rank]
+        if stays is None:
+            offsets = fst.offsets
+            stay = rank, offsets[state], offsets[state + 1]
         else:
             stay = None
-            base = log_weight
-        history = key - pos
-        prefix = (history << width if full and history >> top_shift != 1
-                  else history << width & shifted_mask)
-        yield hyp, stay, base, decider_dist(history >> pos_bits & decider_mask), prefix
+            sid = stays[rank]
+            if sid is not None:
+                offsets, arc_ids = fst.offsets, fst.arc_ids
+                hi = offsets[state + 1]
+                i = bisect_left(arc_ids, sid, offsets[state], hi)
+                if i < hi and arc_ids[i] == sid:
+                    stay = fst.probs[i], key - state + fst.dests[i]
+        exit_p = fst.exits[state]
+        if exit_p == 0.0:
+            return stay, None, None, None
+        base = log_weight + math.log(exit_p)
+    else:
+        stay = None
+        base = log_weight
+    history = key - pos
+    prefix = (history << width if full and history >> top_shift != 1
+              else history << width & shifted_mask)
+    return stay, base, model.decider_dist((history & shifted_mask) >> pos_bits), prefix
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
@@ -561,31 +555,38 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     log-sum-exp before pruning to the size and log-width limits; the
     history is bounded as ``model.merge`` says.  Only the entry routes
     that can emit ``symbol`` are visited, and hypotheses are built only
-    for the successors that survive pruning; a lone finite successor is
-    kept without ranking.
+    for the successors that survive pruning.  A lone finite successor is
+    kept without ranking, and without merging when it is the one route.
     """
     emits = model._emits.get(symbol)
     if emits is None:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
     sid, spoken, stays, entries = emits
     bg_lp = model.background_logprob(symbol, beam.context)
-    bg = model._bg_class
-    log = math.log
+    bg, context = model._bg_class, (beam.context << model._width | sid) & model._bg_mask
+    hypotheses, step = beam.hypotheses, None
+    if len(hypotheses) == 1 and not entries:
+        stay, base, row, prefix = step = _mixture(model, *hypotheses[0], stays)
+        # no stay arc: one route, with log_sum_exp's bits for its weight and the total
+        if stay is None and base is not None and -math.inf < (
+                weight := base + row[bg] + bg_lp + 0.0) < math.inf:
+            lone = [_hypothesis((prefix | spoken, weight))]
+            return AlignmentBeam(context, beam.length + 1, lone, weight + 0.0, beam.size_limit,
+                                 beam.delta), weight + 0.0 - beam.log_norm
     merged: dict[int, list[float]] = {}
-    for hyp, stay, base, row, prefix in _mixture(model, beam.hypotheses, stays):
+    for key, log_weight in hypotheses:  # a lone hypothesis's step, if read above, is reused
+        stay, base, row, prefix = step or _mixture(model, key, log_weight, stays)
         if stay is not None:
             prob, key = stay
-            merged.setdefault(key, []).append(hyp.log_weight + log(prob))
+            merged.setdefault(key, []).append(log_weight + math.log(prob))
         if base is not None:
             merged.setdefault(prefix | spoken, []).append(base + row[bg] + bg_lp)
             for c, log_p, bits in entries:
                 merged.setdefault(prefix | bits, []).append(base + row[c] + log_p)
     if not merged:
         raise DeadHistoryError(beam.length, symbol)
-    context = (beam.context << model._width | sid) & model._bg_mask
     if len(merged) == 1:
-        # one finite successor survives any pruning; these are the bits
-        # the ranked path below gives it
+        # one finite successor survives any pruning, with the ranked path's bits
         (key, weights), = merged.items()
         weight = log_sum_exp(weights)
         if -math.inf < weight < math.inf:
@@ -599,7 +600,6 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
                      for key, weights in merged.items()])
     # log_sum_exp is max plus an exactly rounded fsum: any term order gives its bits
     total = log_sum_exp([-neg for neg, _ in ranked])
-    step_logprob = total - beam.log_norm
 
     kept = ranked[: beam.size_limit]
     best = -kept[0][0]
@@ -609,7 +609,7 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     new_norm = (total if len(kept) == len(ranked)
                 else log_sum_exp([h.log_weight for h in hypotheses]))
     return AlignmentBeam(context, beam.length + 1, hypotheses, new_norm,
-                         beam.size_limit, beam.delta), step_logprob
+                         beam.size_limit, beam.delta), total - beam.log_norm
 
 
 def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
@@ -617,9 +617,8 @@ def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
     eos_lp = model.background_logprob(EOS, beam.context)
     bg = model._bg_class
     # EOS has the background route alone; no automaton arc emits it
-    contributions = [base + row[bg] + eos_lp
-                     for _, _, base, row, _ in _mixture(model, beam.hypotheses, model._no_stays)
-                     if base is not None]
+    steps = [_mixture(model, key, lw, model._no_stays) for key, lw in beam.hypotheses]
+    contributions = [base + row[bg] + eos_lp for _, base, row, _ in steps if base is not None]
     if not contributions:
         return -math.inf
     return log_sum_exp(contributions) - beam.log_norm
@@ -648,12 +647,13 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     background: list[float] = []
     classes: list[tuple] = []
     fsts, positions, bg_class = model._fsts, model._arc_positions, model._bg_class
-    for hyp, stay, base, row, _ in _mixture(model, beam.hypotheses):
+    for key, log_weight in beam.hypotheses:
+        stay, base, row, _ = _mixture(model, key, log_weight)
         if stay is not None:  # a stay route's arc ids map to positions here
             rank, lo, hi = stay
             fst = fsts[rank]
             classes.append((map(positions[rank].__getitem__, fst.arc_ids[lo:hi]),
-                            fst.probs[lo:hi], hyp.log_weight))
+                            fst.probs[lo:hi], log_weight))
         if base is not None:
             background.append(base + row[bg_class])
             for c, where, probs in model._entry_columns:
@@ -775,7 +775,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     key, context = model._root, model._start_context
     out: list[str] = []
     while len(out) < max_length:
-        (_, stay, base, row, prefix), = _mixture(model, [AlignmentHypothesis(key, 0.0)])
+        stay, base, row, prefix = _mixture(model, key, 0.0)
         # per route, its mass and (automaton, state, successor key bits),
         # None for the background; a stay's mass is the sum of its state's
         # run of probabilities, so only the drawn route's arcs are read

@@ -119,7 +119,7 @@ def rescore_nbest(model: NfclmModel, entries: Sequence[NBestEntry],
     if not entries:
         raise ValueError("empty n-best list")
     scorable = [rank for rank, entry in enumerate(entries)
-                if all(tok in model.vocabulary for tok in entry.tokens)]
+                if all(map(model._emits.__contains__, entry.tokens))]  # keyed by the vocabulary
     scores = sequence_logprobs(model, [entries[rank].tokens for rank in scorable])
     lm_of = dict(zip(scorable, scores))
     rescored = []

@@ -22,8 +22,8 @@ from nfclm.engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE
                           MERGE_MODES, PositionError, _mixture, _stored_suffix, log_sum_exp)
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
-                      assert_beam_matches_oracle, decider_row, histories, make_toy_model,
-                      positions, random_instance, uniform_background)
+                      assert_beam_matches_oracle, decider_row, fst_from_dicts, histories,
+                      make_toy_model, positions, random_instance, uniform_background)
 from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
@@ -62,7 +62,7 @@ def routes(model, h):
     entry route's those of its class's start state, and the background
     route's None: its symbol comes from the background model.
     """
-    (_, stay, base, row, _), = _mixture(model, [h])
+    stay, base, row, _ = _mixture(model, *h)
     out = {}
     if stay is not None:
         rank, lo, hi = stay
@@ -80,7 +80,7 @@ def emitting_routes(model, h, symbol):
     """The routes out of one hypothesis that can emit ``symbol``, as
     ``extend`` reads them: route -> (destination, log weight).  The
     background route's weight leaves out the background log-probability."""
-    (_, stay, base, row, _), = _mixture(model, [h], stays_of(model, symbol))
+    stay, base, row, _ = _mixture(model, *h, stays_of(model, symbol))
     labels = model.classes.labels
     out = {}
     if stay is not None:
@@ -316,7 +316,7 @@ class TestColumnReads:
                     leaves += not arcs
                     for sym in symbols:
                         h = hyp(model, (label,), (label, state))
-                        (_, stay, _, _, _), = _mixture(model, [h], stays_of(model, sym))
+                        stay, _, _, _ = _mixture(model, *h, stays_of(model, sym))
                         want = arcs.get(sym)
                         if want is None:
                             assert stay is None, (label, state, sym)
@@ -414,6 +414,48 @@ class TestExtend:
         best = beam.hypotheses[0].log_weight
         assert all(best - h.log_weight <= toy_model.beam_delta
                    for h in beam.hypotheses)
+
+
+class TestTwoArcsIntoOneState:
+    """An automaton with two arcs into one state: from state 1, the stay
+    arc for ``sie`` and a re-entry of the class by its start arc for
+    ``sie`` both reach state 2, with the same decider context, so even a
+    lone hypothesis's step merges two routes into one key."""
+
+    @staticmethod
+    def model(toy_vocab, toy_classes, artist_fst, **kwargs):
+        song = fst_from_dicts("@song", [{"_ro": (.5, 1), "sie": (.5, 2)}, {"sie": (.5, 2)}, {}],
+                              [0.0, .5, 1.0])
+        song.validate()
+        return make_toy_model(toy_vocab, toy_classes, song, artist_fst, **kwargs)
+
+    def test_lone_hypothesis_merges_stay_and_reentry(self, toy_vocab, toy_classes,
+                                                     artist_fst):
+        model = self.model(toy_vocab, toy_classes, artist_fst)
+        h = hyp(model, ("@song",), ("@song", 1), -1.25)
+        beam, lp = extend(model, single_beam(model, h, ("_play", "_ro")), "sie")
+        assert sorted(map(model.decode, (x.key for x in beam.hypotheses))) == [
+            (("@song",), ("@song", 2)), (("sie",), None)]
+        song, = [x for x in beam.hypotheses if model.decode(x.key)[1] is not None]
+        # the stay arc, and the exit, the decider's share of @song and the start arc
+        shares = decider_row(model, ("@song",))
+        mass = .5 + .5 * shares["@song"] * .5
+        assert song.log_weight == pytest.approx(h.log_weight + math.log(mass), abs=1e-12)
+        # the uniform background gives sie 1/9
+        assert lp == pytest.approx(math.log(mass + .5 * shares[BACKGROUND] / 9), abs=1e-12)
+
+    @pytest.mark.parametrize("merge", MERGE_MODES)
+    def test_sentence_scores_match_oracle(self, toy_vocab, toy_classes, artist_fst, merge):
+        model = self.model(toy_vocab, toy_classes, artist_fst, merge=merge)
+        sentences = [("_ro", "sie"), ("_play", "_ro", "sie", "sie"),
+                     ("_ro", "sie", "_by", "_browne"), ("sie", "_ro", "sie", "_ro", "sie"),
+                     ("_play", "_ro", "_ro", "sie", "sie", "_by", "_ro", "berta", "_flack")]
+        for sentence in sentences:
+            want = exact_sequence_logprob(model, sentence)
+            assert -math.inf < want < 0.0
+            for got in (sequence_logprob(model, sentence),
+                        engine.exact_sequence_logprob(model, sentence)):
+                assert got == pytest.approx(want, abs=1e-9), sentence
 
 
 class TestBeamState:
@@ -1199,9 +1241,9 @@ class TestSample:
             monkeypatch.setattr(fst, "arcs", CountingArcs(fst.arcs, reads, label))
         mixture = engine._mixture
 
-        def step(model, hypotheses, stays=None):
-            steps.append((model.decode(hypotheses[0].key)[1], len(reads)))
-            return mixture(model, hypotheses, stays)
+        def step(model, key, log_weight, stays=None):
+            steps.append((model.decode(key)[1], len(reads)))
+            return mixture(model, key, log_weight, stays)
 
         monkeypatch.setattr(engine, "_mixture", step)
         drawn_routes, max_length = set(), 30
@@ -1302,7 +1344,7 @@ class TestDeciderCache:
                             ("_play", "@song", "_by"),
                             ("@song", "_by", "@artist", "_by", "@song")]:
                 model = dataclasses.replace(base)  # empty caches
-                (_, _, _, row, _), = _mixture(model, [hyp(model, history)])
+                _, _, row, _ = _mixture(model, *hyp(model, history))
                 assert hexes(row) == hexes(log_shares(
                     model, model.decider.distribution(padded(history, size))))
                 context = model.context(history, size)

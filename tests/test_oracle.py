@@ -18,14 +18,16 @@ import oracle
 from nfclm import bundle, engine, sequence_logprob
 
 ROOT = Path(__file__).resolve().parent.parent
-# the engine's beam code: the route kernel, the successor rule and every walk
-BEAM_NAMES = {"_mixture", "_successor", "extend", "eos_logprob", "next_dist",
-              "sequence_logprob", "sequence_logprobs"}
+# the engine's beam code: the route kernel, the merge and every walk over them
+BEAM_NAMES = {"_mixture", "log_sum_exp", "start_beam", "extend", "eos_logprob", "advance",
+              "next_dist", "sample", "sequence_logprob", "sequence_logprobs", "_walk"}
 # seed 207 draws a window the default beam scores -inf
 WINDOW_SEEDS = (3, 207)
 
 
 def test_oracle_reads_no_beam_code():
+    # a stale name would leave its code unchecked
+    assert all(callable(getattr(engine, name, None)) for name in BEAM_NAMES)
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     names, attributes, imported = set(), set(), set()
     for node in ast.walk(tree):
