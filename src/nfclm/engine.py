@@ -98,7 +98,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
@@ -341,21 +341,20 @@ class NfclmModel:
         stored = component.stored_contexts()
         if stored is None:
             return None
+        symbols, stored = stored
         ids, width = self._ids, self._width
-        terms = {}  # shift -> {token: its id shifted}
         levels = []
         for length in range(min(size, len(stored)), 0, -1):
-            contexts = stored[length - 1]
             # each context packed as the sum of its tokens' ids shifted into
-            # place, a column at a time; a token no history holds adds a
-            # negative term larger than any sum, so that context is dropped
+            # place, a column at a time through a table from the component's
+            # ids; a token no history holds adds a negative term larger than
+            # any sum, so that context is dropped
             unknown = -(1 << width * length)
             packed = None
-            for i in range(length):
+            for i, column in enumerate(stored[length - 1]):
                 shift = width * (length - 1 - i)
-                if shift not in terms:
-                    terms[shift] = {token: n << shift for token, n in ids.items()}
-                column = map(terms[shift].get, map(itemgetter(i), contexts), repeat(unknown))
+                term = [ids[s] << shift if s in ids else unknown for s in symbols]
+                column = map(term.__getitem__, column)
                 packed = column if packed is None else map(add, packed, column)
             stored_set = frozenset(filter((0).__le__, packed))
             if stored_set:

@@ -15,9 +15,10 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from itertools import compress, islice, repeat
-from operator import mul
+from itertools import accumulate, chain, compress, count, filterfalse, groupby, islice, repeat
+from operator import add, and_, ge, lshift, mul, rshift, sub, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .serialization import ByteReader, ByteWriter, SerializationError
@@ -27,8 +28,9 @@ NGRAM_MAGIC = b"NGBO\x00"
 NGRAM_VERSION = 2
 DECIDER_MAGIC = b"NDCD\x00"
 DECIDER_VERSION = 2
-# typecodes of the symbol-id and count columns: a u32 and a u64, as stored
-ID, COUNT = "I", "Q"
+# typecodes of the symbol-id and count columns, a u32 and a u64 as stored;
+# a packed context is held as a u64, a total or back-off weight as an f64
+ID, COUNT, KEY, WEIGHT = "I", "Q", "Q", "d"
 
 DECIDER_FLOOR = 1e-6
 
@@ -74,12 +76,14 @@ class ConditionalSymbolModel(ABC):
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
         return math.log(self.distribution(history)[symbol])
 
-    def stored_contexts(self) -> Optional[Sequence[Sequence[tuple[str, ...]]]]:
+    def stored_contexts(self) -> Optional[tuple[Sequence[str], Sequence[Sequence[Iterable]]]]:
         """The contexts whose suffixes decide the model's output, by length.
 
-        Entry ``k - 1`` holds contexts of ``k`` symbols.  At any context
-        the model's ``distribution`` and ``logprob`` have the bits they
-        have at its longest suffix listed here, or at ``()`` when none is,
+        A symbol table, and at entry ``k - 1`` the contexts of ``k``
+        symbols as ``k`` columns of ids into it, each read once: column
+        ``i`` holds each context's ``i``-th symbol, oldest first.  At any
+        context the model's ``distribution`` and ``logprob`` have the bits
+        they have at its longest suffix listed here, or at ``()`` when none is,
         so a cache keyed by that suffix holds one row per distinct output
         and can fill it at the suffix itself.  None here: a model without
         stored contexts gives every context its own row.
@@ -87,25 +91,46 @@ class ConditionalSymbolModel(ABC):
         return None
 
 
+class NGramLevel(NamedTuple):
+    """One level of an n-gram: the columns format v2 stores, contexts packed.
+
+    Context ``j`` is ``contexts[j]``, the symbol ids of its ``k`` symbols
+    packed into one int, each in ``width`` bits (the bit length of the
+    symbol count), the oldest highest, so the ints order as the symbols
+    do; the contexts ascend.
+    Its targets and their counts are ``targets[offsets[j]:offsets[j + 1]]``
+    and the same run of ``counts``, the targets ascending.  A context whose
+    run is empty is read as absent.
+    """
+
+    contexts: Sequence[int]
+    offsets: array
+    targets: array
+    counts: array
+
+
 class BackoffNGram(ConditionalSymbolModel):
     """Interpolated absolute-discounting n-gram.
 
-    ``counts`` holds one ``{context: {target: count}}`` table per level,
-    level k keyed by contexts of k symbols; the model holds the tables as
-    given and never changes them.  The unigram level interpolates with
-    the uniform distribution over the predicted alphabet, so every symbol
+    ``levels`` holds one ``NGramLevel`` per context length, ids indexing
+    ``symbols``, which ascends; the model holds the columns as given and
+    never changes them.  Each context's total count and back-off weight
+    are computed here, once.  The unigram level interpolates with the
+    uniform distribution over the predicted alphabet, so every symbol
     keeps probability above a positive floor.  History symbols outside
     ``history_alphabet`` are rejected.
 
     That context-free level is one list in alphabet order, built here.
-    A query then walks only the levels its context reaches:
+    A query then walks only the levels its context reaches, bisecting
+    the context among the level's contexts of its oldest symbol:
     ``distribution_values`` as one scaled copy of the list per level plus
-    a head term per seen symbol, ``logprob`` for its one symbol.
+    a head term per target in the context's run, ``logprob`` for its one
+    symbol, bisected in the run.
     """
 
-    def __init__(self, order: int, discount: float, predicted: Sequence[str],
-                 history_alphabet: Sequence[str],
-                 counts: Sequence[dict[tuple[str, ...], dict[str, int]]]):
+    def __init__(self, order: int, discount: float, symbols: Sequence[str],
+                 predicted: Sequence[str], history_alphabet: Sequence[str],
+                 levels: Sequence[NGramLevel]):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if not 0.0 < discount < 1.0:
@@ -115,16 +140,32 @@ class BackoffNGram(ConditionalSymbolModel):
         # a repeat would hold one entry but count twice in the uniform floor
         if len(set(predicted)) != len(predicted):
             raise ValueError("n-gram predicted alphabet repeats a symbol")
-        if len(counts) != order:
+        if len(levels) != order:
             raise ValueError(f"an order-{order} n-gram needs {order} count levels, "
-                             f"got {len(counts)}")
+                             f"got {len(levels)}")
         self.order = order
         self.discount = discount
+        self.symbols = tuple(symbols)
+        self.width = len(self.symbols).bit_length()
+        self._ids = {sym: i for i, sym in enumerate(self.symbols)}
         self._predicted = tuple(predicted)
         self._index = {sym: i for i, sym in enumerate(self._predicted)}
+        self._target_ids = tuple(map(self._ids.__getitem__, self._predicted))
+        # a target id's index in the predicted alphabet
+        self._slots = [None] * len(self.symbols)
+        for i, target in enumerate(self._target_ids):
+            self._slots[target] = i
         self._history_alphabet = frozenset(history_alphabet)
-        self.counts = counts
-        self._level0 = self._sweep([1.0 / len(self._predicted)] * len(self._predicted), (), 0)
+        self.levels = tuple(NGramLevel(*level) for level in levels)
+        # each level as a lookup reads it, the contexts first, then where
+        # each oldest symbol's contexts start, then the runs and weights
+        tables = [(contexts, self._firsts(contexts, length), offsets, targets, counts,
+                   *_weights(offsets, counts, discount))
+                  for length, (contexts, offsets, targets, counts) in enumerate(self.levels)]
+        self._walk = tuple(tables[1:])
+        self._level0 = [1.0 / len(self._predicted)] * len(self._predicted)
+        if self.levels[0].contexts:  # at most the one context (), which packs as 0
+            self._level0 = self._fold(self._level0, tables[0], 0)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -145,36 +186,47 @@ class BackoffNGram(ConditionalSymbolModel):
         usable = min(len(history), self.order - 1)
         return tuple(history[len(history) - usable:])
 
-    def _levels(self, context: tuple[str, ...], first: int):
-        """Yield ``(table, total, back-off weight)`` for each level
-        ``first..len(context)`` whose suffix of ``context`` has counts."""
-        discount = self.discount
-        for length in range(first, len(context) + 1):
-            table = self.counts[length].get(context[len(context) - length:])
-            if table:
-                total = sum(table.values())
-                yield table, total, discount * len(table) / total
+    def _firsts(self, contexts: Sequence[int], length: int) -> Optional[array]:
+        """Where in ``contexts``, of ``length`` symbols, the contexts whose
+        oldest symbol has each id start, and one past the last id: the
+        contexts of id ``s`` are ``contexts[firsts[s]:firsts[s + 1]]``."""
+        if not length:
+            return None
+        shift = self.width * (length - 1)
+        return array(ID, map(bisect_left, repeat(contexts),
+                             map(lshift, range(len(self.symbols) + 1), repeat(shift))))
 
-    def _sweep(self, values: list[float], context: tuple[str, ...],
-               first: int) -> list[float]:
-        """Interpolate the levels into ``values``, a list in alphabet order.
+    def _fold(self, values: list[float], table: tuple, j: int) -> list[float]:
+        """Interpolate the run of context ``j`` of ``table`` into ``values``.
 
-        Each level is one scaled copy of ``values``, then a head term for
-        each symbol its table has seen: per entry the sum ``logprob``
-        takes for its one symbol, so both read the same bits.  Returns
-        ``values`` itself when no level is reached.
+        One scaled copy of ``values``, then a head term for each target of
+        the run: per entry the sum ``logprob`` takes for its one symbol, so
+        both read the same bits.
         """
-        discount, index = self.discount, self._index
-        for table, total, backoff in self._levels(context, first):
-            values = list(map(mul, repeat(backoff), values))
-            for sym, seen in table.items():
-                i = index[sym]
-                values[i] = (seen - discount) / total + values[i]
+        _, _, offsets, targets, counts, totals, backoffs = table
+        start, end = offsets[j], offsets[j + 1]
+        if start == end:
+            return values
+        values = list(map(mul, repeat(backoffs[j]), values))
+        discount, total, slots = self.discount, totals[j], self._slots
+        for k in range(start, end):
+            i = slots[targets[k]]
+            values[i] = (counts[k] - discount) / total + values[i]
         return values
 
     def distribution_values(self, history: Sequence[str]) -> list[float]:
-        level0 = self._level0
-        values = self._sweep(level0, self._check_history(history), 1)
+        ids, width = self._ids, self.width
+        values = level0 = self._level0
+        key = shift = 0
+        for sym, table in zip(reversed(self._check_history(history)), self._walk):
+            oldest = ids[sym]
+            key |= oldest << shift
+            shift += width
+            contexts, firsts = table[0], table[1]
+            stop = firsts[oldest + 1]
+            j = bisect_left(contexts, key, firsts[oldest], stop)
+            if j < stop and contexts[j] == key:
+                values = self._fold(values, table, j)
         return list(level0) if values is level0 else values
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
@@ -184,51 +236,79 @@ class BackoffNGram(ConditionalSymbolModel):
         i = self._index.get(symbol)
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
-        discount, p = self.discount, self._level0[i]
-        for table, total, backoff in self._levels(self._check_history(history), 1):
-            seen = table.get(symbol)
-            p = (seen - discount) / total + backoff * p if seen else backoff * p
+        ids, width, discount = self._ids, self.width, self.discount
+        target, p = self._target_ids[i], self._level0[i]
+        key = shift = 0
+        # the levels inline, shortest context first: each the context's
+        # suffix packed, bisected among the level's contexts of its oldest
+        # symbol, then the target in its run
+        for sym, (contexts, firsts, offsets, targets, counts, totals, backoffs) in zip(
+                reversed(self._check_history(history)), self._walk):
+            oldest = ids[sym]
+            key |= oldest << shift
+            shift += width
+            stop = firsts[oldest + 1]
+            j = bisect_left(contexts, key, firsts[oldest], stop)
+            if j == stop or contexts[j] != key:
+                continue
+            start, end = offsets[j], offsets[j + 1]
+            if start == end:
+                continue
+            k = bisect_left(targets, target, start, end)
+            if k < end and targets[k] == target:
+                p = (counts[k] - discount) / totals[j] + backoffs[j] * p
+            else:
+                p = backoffs[j] * p
         return math.log(p)
 
-    def stored_contexts(self) -> list[list[tuple[str, ...]]]:
-        """The contexts of each length with a nonempty count table.
+    def _columns(self, keys: Sequence[int], length: int) -> list[Iterable[int]]:
+        """The symbol ids of packed contexts of ``length`` symbols, one
+        iterable per position, oldest first."""
+        width, mask = self.width, (1 << self.width) - 1
+        columns = []
+        for i in range(length):
+            shift = width * (length - 1 - i)
+            column = map(rshift, keys, repeat(shift)) if shift else keys
+            columns.append(map(and_, column, repeat(mask)) if i else column)
+        return columns
 
-        ``_levels`` reads only suffix tables and skips absent or empty
-        ones, so at any context every level above its longest such suffix
+    def stored_contexts(self) -> tuple[tuple[str, ...], list[list[Iterable[int]]]]:
+        """The contexts of each length whose runs are not empty, as id columns.
+
+        A lookup reads only suffixes and skips absent contexts and empty
+        runs, so at any context every level above its longest such suffix
         adds nothing and every level up to it reads a suffix of it,
-        whether or not the tables are closed under suffixes.
+        whether or not the levels are closed under suffixes.
         """
-        return [list(compress(level, level.values())) for level in self.counts[1:]]
+        stored = []
+        for length, (contexts, _, _, _, _, totals, _) in enumerate(self._walk, start=1):
+            # a run is empty exactly when its total is zero, as counts are positive
+            stored.append(self._columns(list(compress(contexts, totals)), length))
+        return self.symbols, stored
 
     def serialize(self) -> bytes:
         """Format v2: the header and symbol table, then each level as four
         columns: its contexts' symbol ids, each context's number of counts,
         and the target ids and counts, contexts and targets sorted."""
-        symbols = sorted(set(self._predicted) | self._history_alphabet
-                         | {t for lvl in self.counts for ctx in lvl for t in ctx}
-                         | {t for lvl in self.counts for c in lvl.values() for t in c})
-        index = {s: i for i, s in enumerate(symbols)}.__getitem__
+        ids = self._ids.__getitem__
         w = ByteWriter()
         w.raw(NGRAM_MAGIC)
         w.u16(NGRAM_VERSION)
         w.u16(self.order)
         w.f64(self.discount)
-        w.u32(len(symbols))
-        for s in symbols:
+        w.u32(len(self.symbols))
+        for s in self.symbols:
             w.string(s)
         for alphabet in (self._predicted, sorted(self._history_alphabet)):
             w.u32(len(alphabet))
-            w.column(array(ID, map(index, alphabet)))
-        for level in self.counts:
-            contexts = sorted(level)
-            tables = [level[context] for context in contexts]
-            targets = [sorted(table) for table in tables]
-            w.u32(len(contexts))
-            w.column(array(ID, [index(s) for context in contexts for s in context]))
-            w.column(array(ID, map(len, tables)))
-            w.column(array(ID, [index(s) for names in targets for s in names]))
-            w.column(array(COUNT, [table[s] for table, names in zip(tables, targets)
-                                   for s in names]))
+            w.column(array(ID, map(ids, alphabet)))
+        for length, level in enumerate(self.levels):
+            w.u32(len(level.contexts))
+            w.column(array(ID, chain.from_iterable(zip(*self._columns(level.contexts,
+                                                                      length)))))
+            w.column(array(ID, map(sub, level.offsets[1:], level.offsets)))
+            w.column(level.targets)
+            w.column(level.counts)
         return w.getvalue()
 
     @classmethod
@@ -238,58 +318,54 @@ class BackoffNGram(ConditionalSymbolModel):
         r.expect_version(NGRAM_VERSION, "n-gram model")
         order = r.u16()
         discount = r.f64()
-        symbols = [r.string() for _ in range(r.u32())]
-
-        def names(count: int) -> tuple[list[str], int]:
-            """The symbols of the next column of ``count`` ids, and its offset."""
-            at = r.offset
-            ids = r.column(ID, count)
-            if ids and max(ids) >= len(symbols):
-                k = next(k for k, i in enumerate(ids) if i >= len(symbols))
+        symbols = []
+        for _ in range(r.u32()):
+            at, sym = r.offset, r.string()
+            # ids then order as symbols do, as serialize sorts contexts and targets
+            if symbols and sym <= symbols[-1]:
                 raise SerializationError(
-                    f"symbol id {ids[k]} is outside the symbol table of {len(symbols)}",
-                    at + 4 * k)
-            return list(map(symbols.__getitem__, ids)), at
+                    f"symbol table is not sorted and unique at {sym!r}", at)
+            symbols.append(sym)
 
-        predicted, _ = names(r.u32())
-        history_alphabet, _ = names(r.u32())
+        def ids(count: int) -> tuple[array, int]:
+            """The next column of ``count`` symbol ids, and its offset."""
+            at = r.offset
+            column = r.column(ID, count)
+            if column and max(column) >= len(symbols):
+                k = next(k for k, i in enumerate(column) if i >= len(symbols))
+                raise SerializationError(
+                    f"symbol id {column[k]} is outside the symbol table of {len(symbols)}",
+                    at + 4 * k)
+            return column, at
+
+        predicted, _ = ids(r.u32())
+        history_alphabet, _ = ids(r.u32())
         levels_at = r.offset
         allowed = frozenset(predicted)
         levels = []
         for length in range(order):
             n_contexts = r.u32()
-            context_symbols, contexts_at = names(n_contexts * length)
+            flat, contexts_at = ids(n_contexts * length)
             sizes = r.column(ID, n_contexts)
-            targets, targets_at = names(sum(sizes))
+            targets, targets_at = ids(sum(sizes))
             counts_at = r.offset
             counts = r.column(COUNT, len(targets))
             if not allowed.issuperset(targets):
-                k = next(k for k, sym in enumerate(targets) if sym not in allowed)
+                k = next(k for k, t in enumerate(targets) if t not in allowed)
                 raise SerializationError(
-                    f"count target {targets[k]!r} is outside the predicted alphabet",
+                    f"count target {symbols[targets[k]]!r} is outside the predicted alphabet",
                     targets_at + 4 * k)
             if 0 in counts:
                 k = counts.index(0)
-                raise SerializationError(f"zero count for {targets[k]!r}", counts_at + 8 * k)
-            contexts = (zip(*[iter(context_symbols)] * length) if length
-                        else repeat((), n_contexts))
-            pairs = zip(targets, counts)
-            level = {}
-            start = 0
-            for i, (context, size) in enumerate(zip(contexts, sizes)):
-                if context in level:
-                    raise SerializationError(f"repeated context {context!r} at level {length}",
-                                             contexts_at + 4 * length * i)
-                table = dict(islice(pairs, size))
-                if len(table) != size:
-                    k = start + _first_repeat(targets[start:start + size])
-                    raise SerializationError(f"repeated count target {targets[k]!r}",
-                                             targets_at + 4 * k)
-                level[context] = table
-                start += size
+                raise SerializationError(f"zero count for {symbols[targets[k]]!r}",
+                                         counts_at + 8 * k)
+            level = NGramLevel(_packed(flat, n_contexts, length, len(symbols)),
+                               array(ID, accumulate(sizes, initial=0)), targets, counts)
+            _check_order(level, flat, length, symbols, contexts_at, targets_at)
             levels.append(level)
         try:
-            model = cls(order, discount, predicted, history_alphabet, levels)
+            model = cls(order, discount, symbols, [symbols[i] for i in predicted],
+                        [symbols[i] for i in history_alphabet], levels)
         except ValueError as exc:
             # a setting the constructor refuses is named where the count levels start
             raise SerializationError(f"corrupt n-gram payload: {exc}", levels_at) from exc
@@ -297,13 +373,52 @@ class BackoffNGram(ConditionalSymbolModel):
         return model
 
 
-def _first_repeat(items: Sequence) -> int:
-    """The index of the first item equal to an earlier one; there must be one."""
-    seen = set()
-    for k, item in enumerate(items):
-        if item in seen:
-            return k
-        seen.add(item)
+def _packed(flat: Sequence[int], count: int, length: int, n_symbols: int) -> Sequence[int]:
+    """``count`` contexts of ``length`` symbol ids, one after another in
+    ``flat``, each packed as ``NGramLevel`` holds it for a table of
+    ``n_symbols``: a u64 column, or a list when a context needs more bits."""
+    width = n_symbols.bit_length()
+    keys = flat[0::length] if length else repeat(0, count)
+    for i in range(1, length):
+        keys = map(add, map(lshift, keys, repeat(width)), flat[i::length])
+    return array(KEY, keys) if width * length <= 64 else list(keys)
+
+
+def _weights(offsets: array, counts: array, discount: float) -> tuple[array, array]:
+    """Each context's total count and back-off weight ``discount * size /
+    total``, with the bits a walk that sums its run per query gets: a total
+    is the exact integer sum, held as the float that dividing by it
+    converts it to.  An empty run, which no lookup reads, gets a zero total
+    and weight."""
+    # exact integer sums, past 2**64 too
+    prefix = list(accumulate(counts, initial=0))
+    ends = list(map(prefix.__getitem__, offsets))
+    totals = array(WEIGHT, map(sub, islice(ends, 1, None), ends))
+    sizes = map(sub, islice(offsets, 1, None), offsets)
+    # an empty run's weight is 0 / 1; every other total is at least 1
+    divisors = map(max, totals, repeat(1.0)) if 0.0 in totals else totals
+    return totals, array(WEIGHT, map(truediv, map(mul, repeat(discount), sizes), divisors))
+
+
+def _check_order(level: NGramLevel, flat: array, length: int, symbols: Sequence[str],
+                 contexts_at: int, targets_at: int) -> None:
+    """Refuse a decoded level whose contexts, or whose targets within a run,
+    do not strictly ascend, naming the first entry out of order; a repeat
+    keeps its own message."""
+    contexts, offsets, targets = level.contexts, level.offsets, level.targets
+    i = next(compress(count(1), map(ge, contexts, islice(contexts, 1, None))), None)
+    if i is not None:
+        context = tuple(symbols[s] for s in flat[length * i:length * (i + 1)])
+        what = "repeated context" if contexts[i] == contexts[i - 1] else "out-of-order context"
+        raise SerializationError(f"{what} {context!r} at level {length}",
+                                 contexts_at + 4 * length * i)
+    # a target not above the one before it, unless it starts its context's run
+    k = next(filterfalse(set(offsets).__contains__,
+                         compress(count(1), map(ge, targets, islice(targets, 1, None)))), None)
+    if k is not None:
+        what = "repeated" if targets[k] == targets[k - 1] else "out-of-order"
+        raise SerializationError(f"{what} count target {symbols[targets[k]]!r}",
+                                 targets_at + 4 * k)
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
@@ -323,29 +438,40 @@ def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
         for sym in sentence:
             if sym not in allowed:
                 raise ValueError(f"corpus symbol {sym!r} is outside the alphabet")
-    counts = _count_events(order, (s + (EOS,) for s in sentences), lambda sym: sym)
-    return BackoffNGram(order, discount, tuple(alphabet) + (EOS,), tuple(alphabet) + (BOS,),
-                        counts)
+    predicted, history_alphabet = tuple(alphabet) + (EOS,), tuple(alphabet) + (BOS,)
+    symbols = sorted(set(predicted) | set(history_alphabet))
+    levels = _count_events(order, (s + (EOS,) for s in sentences), lambda sym: sym, symbols)
+    return BackoffNGram(order, discount, symbols, predicted, history_alphabet, levels)
 
 
 def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
-                  label: Callable[[str], str]) -> list[dict]:
-    """An n-gram's count tables, one ``{context: {target: count}}`` per level.
+                  label: Callable[[str], str], symbols: Sequence[str]) -> list[NGramLevel]:
+    """An n-gram's count levels over the sorted symbol table ``symbols``.
 
     Each sentence is padded with ``order - 1`` BOS; each of its symbols
     counts ``label`` of itself after every suffix of the ``order - 1``
     symbols before it.
     """
-    counts = [{} for _ in range(order)]
-    pad = (BOS,) * (order - 1)
+    ids = {sym: i for i, sym in enumerate(symbols)}
+    events = [Counter() for _ in range(order)]
+    pad = [ids[BOS]] * (order - 1)
     for sentence in sentences:
-        padded = pad + sentence
-        for i in range(len(pad), len(padded)):
-            target = label(padded[i])
-            for length in range(order):
-                table = counts[length].setdefault(padded[i - length:i], {})
-                table[target] = table.get(target, 0) + 1
-    return counts
+        padded = pad + [ids[sym] for sym in sentence]
+        for i, sym in enumerate(sentence, start=len(pad)):
+            target = ids[label(sym)]
+            for length, counter in enumerate(events):
+                counter[tuple(padded[i - length:i]), target] += 1
+    levels = []
+    for length, counter in enumerate(events):
+        entries = sorted(counter.items())  # id order is symbol order
+        contexts = [(context, len(list(run)))
+                    for context, run in groupby(context for (context, _), _ in entries)]
+        flat = list(chain.from_iterable(context for context, _ in contexts))
+        levels.append(NGramLevel(_packed(flat, len(contexts), length, len(symbols)),
+                                 array(ID, accumulate((n for _, n in contexts), initial=0)),
+                                 array(ID, [target for (_, target), _ in entries]),
+                                 array(COUNT, [n for _, n in entries])))
+    return levels
 
 
 def _scale_by_prior(raw, prior, alpha) -> dict[str, float]:
@@ -445,7 +571,7 @@ class DeciderModel(ConditionalSymbolModel):
         return _scale_by_prior(self.raw_distribution(history), self._normalized_prior,
                                self.alpha)
 
-    def stored_contexts(self) -> list[list[tuple[str, ...]]]:
+    def stored_contexts(self) -> tuple[tuple[str, ...], list[list[Iterable[int]]]]:
         """The n-gram's: the floor and the prior scaling read no context."""
         return self.ngram.stored_contexts()
 
@@ -542,10 +668,12 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
         for tok in sentence:
             if tok not in vocabulary and tok not in classes.nonbackground:
                 raise ValueError(f"unknown token {tok!r} in decider corpus")
-    counts = _count_events(order, sentences,
-                           lambda tok: tok if tok in classes else BACKGROUND)
-    history_alphabet = tuple(vocabulary.symbols) + tuple(classes.labels) + (BOS,)
-    ngram = BackoffNGram(order, discount, tuple(classes.labels), history_alphabet, counts)
+    predicted = tuple(classes.labels)
+    history_alphabet = tuple(vocabulary.symbols) + predicted + (BOS,)
+    symbols = sorted(set(predicted) | set(history_alphabet))
+    levels = _count_events(order, sentences, lambda tok: tok if tok in classes else BACKGROUND,
+                           symbols)
+    ngram = BackoffNGram(order, discount, symbols, predicted, history_alphabet, levels)
     prior = class_prior_from_corpus(sentences, classes)
     return DeciderModel(ngram, prior, alpha=alpha)
 
@@ -562,6 +690,6 @@ def ngram_sequence_logprob(model: ConditionalSymbolModel, symbols: Sequence[str]
 
 # re-export for callers that build toy models
 __all__ = [
-    "ConditionalSymbolModel", "BackoffNGram", "DeciderModel", "train_ngram", "train_decider",
-    "class_prior_from_corpus", "ngram_sequence_logprob", "DECIDER_FLOOR",
+    "ConditionalSymbolModel", "BackoffNGram", "NGramLevel", "DeciderModel", "train_ngram",
+    "train_decider", "class_prior_from_corpus", "ngram_sequence_logprob", "DECIDER_FLOOR",
 ]

@@ -1,8 +1,10 @@
 import math
 import random
+import struct
 from array import array
 from collections import Counter
 from itertools import accumulate
+from typing import NamedTuple
 
 import pytest
 
@@ -10,6 +12,7 @@ from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, ProbClassFst, build_from_
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
 from nfclm.engine import EXACT_BEAM_SIZE, _stored_suffix
+from nfclm.seqmodel import NGramLevel
 
 TOY_SYMBOLS = ["_play", "_ro", "sie", "_by", "_browne", "salie", "berta", "_flack"]
 
@@ -48,9 +51,83 @@ def fst_from_dicts(label, arcs, exits):
                         array("I", [dest for _, _, dest in rows]))
 
 
+def ngram_from_tables(order, discount, predicted, history_alphabet, tables):
+    """A ``BackoffNGram`` holding ``tables``, one ``{context: {target: count}}``
+    per context length, as its sorted columns."""
+    symbols = sorted(set(predicted) | set(history_alphabet)
+                     | {s for table in tables for context, run in table.items()
+                        for s in (*context, *run)})
+    ids = {s: i for i, s in enumerate(symbols)}
+    width = len(symbols).bit_length()
+    levels = []
+    for table in tables:
+        contexts = sorted(table)
+        entries = [(ids[t], table[c][t]) for c in contexts for t in sorted(table[c])]
+        levels.append(NGramLevel(
+            array("Q", [sum(ids[s] << width * (len(c) - 1 - i) for i, s in enumerate(c))
+                        for c in contexts]),
+            array("I", accumulate((len(table[c]) for c in contexts), initial=0)),
+            array("I", [t for t, _ in entries]), array("Q", [n for _, n in entries])))
+    return BackoffNGram(order, discount, symbols, predicted, history_alphabet, levels)
+
+
+def count_tables(ngram):
+    """An n-gram's levels read back from its public columns: one
+    ``{context: {target: count}}`` per context length, an empty run an
+    empty table."""
+    symbols, width = ngram.symbols, ngram.width
+    tables = []
+    for length, (contexts, offsets, targets, counts) in enumerate(ngram.levels):
+        tables.append({
+            tuple(symbols[key >> width * (length - 1 - i) & (1 << width) - 1]
+                  for i in range(length)):
+            {symbols[targets[k]]: counts[k] for k in range(offsets[j], offsets[j + 1])}
+            for j, key in enumerate(contexts)})
+    return tables
+
+
+class Level(NamedTuple):
+    """Where one n-gram level's context count and its four columns start."""
+
+    count: int
+    contexts: int
+    sizes: int
+    targets: int
+    counts: int
+
+
+def ngram_levels(data, base=0):
+    """The ``Level`` of each level of the n-gram payload at ``base`` in ``data``."""
+    (order,) = struct.unpack_from("<H", data, base + 7)
+    at = base + 17
+    (n,) = struct.unpack_from("<I", data, at)
+    at += 4
+    for _ in range(n):
+        at += 4 + struct.unpack_from("<I", data, at)[0]
+    for _ in range(2):  # predicted, then history alphabet ids
+        at += 4 + 4 * struct.unpack_from("<I", data, at)[0]
+    levels = []
+    for length in range(order):
+        (n_contexts,) = struct.unpack_from("<I", data, at)
+        contexts = at + 4
+        sizes = contexts + 4 * length * n_contexts
+        n_counts = sum(struct.unpack_from(f"<{n_contexts}I", data, sizes))
+        targets = sizes + 4 * n_contexts
+        levels.append(Level(at, contexts, sizes, targets, targets + 4 * n_counts))
+        at = targets + 12 * n_counts
+    return levels
+
+
+def put(data, at, fmt, value, cut=None):
+    """``data`` with ``value`` packed by ``fmt`` at ``at``, cut at ``cut``."""
+    data = bytearray(data)
+    struct.pack_into(fmt, data, at, value)
+    return bytes(data[:cut])
+
+
 def uniform_background(alphabet):
     """An untrained unigram: every symbol of ``alphabet`` gets 1/len, after any history."""
-    return BackoffNGram(1, 0.5, alphabet, alphabet + (BOS,), [{}])
+    return ngram_from_tables(1, 0.5, alphabet, alphabet + (BOS,), [{}])
 
 
 def make_toy_model(vocab, classes, song, artist, **kwargs):

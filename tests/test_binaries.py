@@ -13,7 +13,6 @@ import math
 import shutil
 import struct
 import tracemalloc
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,8 @@ from nfclm.cli import main
 from nfclm.seqmodel import DECIDER_MAGIC, NGRAM_MAGIC
 from nfclm.serialization import SerializationError
 
-from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dicts
+from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dicts,
+                      ngram_levels, put)
 
 # start 0 --_ro--> 1; 1 --sia--> 2 and --sie--> 3; 2 and 3 exit.  Byte
 # layout: a 33-byte header, the symbol count at 33 and the symbols '_ro',
@@ -54,47 +54,9 @@ DECIDER_BODY = DECIDER_DATA.index(DECIDER.ngram.serialize())
 CLASS_X_NAME = 46  # the 'x' of '@x' is one byte on
 
 
-class Level(NamedTuple):
-    """Where one n-gram level's context count and its four columns start."""
-
-    count: int
-    contexts: int
-    sizes: int
-    targets: int
-    counts: int
-
-
-def ngram_levels(data, base=0):
-    """The ``Level`` of each level of the n-gram at ``base`` in ``data``."""
-    (order,) = struct.unpack_from("<H", data, base + 7)
-    at = base + 17
-    (n,) = struct.unpack_from("<I", data, at)
-    at += 4
-    for _ in range(n):
-        at += 4 + struct.unpack_from("<I", data, at)[0]
-    for _ in range(2):  # predicted, then history alphabet ids
-        at += 4 + 4 * struct.unpack_from("<I", data, at)[0]
-    levels = []
-    for length in range(order):
-        (n_contexts,) = struct.unpack_from("<I", data, at)
-        contexts = at + 4
-        sizes = contexts + 4 * length * n_contexts
-        n_counts = sum(struct.unpack_from(f"<{n_contexts}I", data, sizes))
-        targets = sizes + 4 * n_contexts
-        levels.append(Level(at, contexts, sizes, targets, targets + 4 * n_counts))
-        at = targets + 12 * n_counts
-    return levels
-
-
 LEVEL0, LEVEL1 = ngram_levels(NGRAM_DATA)
 PREDICTED = 50  # the predicted alphabet's ids, after the symbols '</s>' '<s>' 'a' 'b'
 DECIDER_LEVEL0, DECIDER_LEVEL1 = ngram_levels(DECIDER_DATA, DECIDER_BODY)
-
-
-def put(data, at, fmt, value, cut=None):
-    data = bytearray(data)
-    struct.pack_into(fmt, data, at, value)
-    return bytes(data[:cut])
 
 
 def patch(data, at, new):
@@ -232,6 +194,21 @@ NGRAM_CASES = {
         put(put(put(NGRAM_DATA, LEVEL0.targets + 8, "<I", 2), LEVEL0.counts + 8, "<Q", 2),
             LEVEL0.counts + 16, "<Q", 7),
         ("repeated count target 'a'", LEVEL0.targets + 8)),
+    # the contexts ('<s>',), ('b',), ('a',): a lookup bisects them, so
+    # they must ascend as serialize writes them
+    "out-of-order context": (
+        put(put(NGRAM_DATA, LEVEL1.contexts + 4, "<I", 3), LEVEL1.contexts + 8, "<I", 2),
+        ("out-of-order context ('a',) at level 1", LEVEL1.contexts + 8)),
+    # level 0 counts '</s>', 'b', 'a': a lookup bisects a context's targets too
+    "out-of-order count target": (
+        put(put(NGRAM_DATA, LEVEL0.targets + 4, "<I", 3), LEVEL0.targets + 8, "<I", 2),
+        ("out-of-order count target 'a'", LEVEL0.targets + 8)),
+    # the symbols '</s>' '<s>' 'c' 'b', then '</s>' '<s>' 'b' 'b': ids must
+    # order as their symbols do; 'b' is at byte 41
+    "symbols out of order": (patch(NGRAM_DATA, 40, b"c"),
+                             ("symbol table is not sorted and unique at 'b'", 41)),
+    "symbol repeated": (patch(NGRAM_DATA, 40, b"b"),
+                        ("symbol table is not sorted and unique at 'b'", 41)),
     "order zero": (put(NGRAM_DATA, 7, "<H", 0),
                    ("corrupt n-gram payload: order must be >= 1, got 0", LEVEL0.count)),
     "trailing bytes": (NGRAM_DATA + b"\x00", ("trailing bytes after payload",
@@ -282,6 +259,27 @@ def test_fsum_overflow_is_an_invariant_violation():
         ProbClassFst.deserialize(data)
     assert (info.value.message, info.value.offset) == invariant(
         "arc 1-sia probability 1e+308 out of range")
+
+
+def test_counts_summing_past_u64_load_and_score():
+    """A context whose counts sum past 2**64 loads and scores with the bits
+    of exact integer totals; its bytes round trip."""
+    data = NGRAM_DATA
+    for k, n in enumerate((2 ** 64 - 1, 2 ** 64 - 2, 5)):  # level 0: '</s>', 'a', 'b'
+        data = put(data, LEVEL0.counts + 8 * k, "<Q", n)
+    model = BackoffNGram.deserialize(data)
+    assert model.serialize() == data
+    # recorded from the dict tables, whose totals were Python ints
+    recorded = {
+        (): (("0x1.0000000000000p-1", "0x1.4000000000000p-63", "0x1.0000000000000p-1"),
+             ("-0x1.62e42fefa39efp-1", "-0x1.5b8f9fb36b66dp+5", "-0x1.62e42fefa39efp-1")),
+        ("<s>",): (("0x1.4000000000000p-1", "0x1.e000000000000p-64", "0x1.8000000000000p-2"),
+                   ("-0x1.e148a1a2726cep-2", "-0x1.5ddccbf592024p+5",
+                    "-0x1.f62f40794a7b8p-1")),
+    }
+    for history, (values, logprobs) in recorded.items():
+        assert tuple(v.hex() for v in model.distribution_values(history)) == values
+        assert tuple(model.logprob(s, history).hex() for s in model.alphabet) == logprobs
 
 
 HOSTILE = 2 ** 32 - 1

@@ -22,8 +22,9 @@ from nfclm.engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE
                           MERGE_MODES, PositionError, _mixture, _stored_suffix, log_sum_exp)
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
-                      assert_beam_matches_oracle, decider_row, fst_from_dicts, histories,
-                      make_toy_model, positions, random_instance, uniform_background)
+                      assert_beam_matches_oracle, count_tables, decider_row, fst_from_dicts,
+                      histories, make_toy_model, ngram_from_tables, positions,
+                      random_instance, uniform_background)
 from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
@@ -1358,7 +1359,7 @@ def handmade_ngram(predicted, history_alphabet, tables):
     counts = [{} for _ in range(3)]
     for context, table in tables.items():
         counts[len(context)][context] = table
-    return BackoffNGram(3, 0.5, predicted, history_alphabet, counts)
+    return ngram_from_tables(3, 0.5, predicted, history_alphabet, counts)
 
 
 def handmade_model(vocab, classes, song, artist):
@@ -1388,14 +1389,15 @@ def handmade_model(vocab, classes, song, artist):
 
 
 def stored_contexts(ngram):
-    return sum(bool(table) for level in ngram.counts[1:] for table in level.values())
+    return sum(bool(table) for level in count_tables(ngram)[1:] for table in level.values())
 
 
 def reference_key(ngram, tokens):
     """The longest suffix of ``tokens`` with a nonempty count table, else ():
     the context whose row an n-gram's output at ``tokens`` shares."""
+    tables = count_tables(ngram)
     for length in range(min(len(tokens), ngram.order - 1), 0, -1):
-        if ngram.counts[length].get(tokens[len(tokens) - length:]):
+        if tables[length].get(tokens[len(tokens) - length:]):
             return tokens[len(tokens) - length:]
     return ()
 

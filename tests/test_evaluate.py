@@ -13,7 +13,7 @@ from nfclm import (EOS, FusionWeights, NBestEntry, bundle,
                    sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
 
-from conftest import (make_toy_model, random_instance, shared_key_lists,
+from conftest import (count_tables, make_toy_model, random_instance, shared_key_lists,
                       uniform_background)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
@@ -326,7 +326,7 @@ class TestBundle:
             bundle.load(tmp_path / "b")
         assert str(info.value).startswith(f"{path}: unexpected end of data")
         # the cut column, the last level's u64 counts, is named at its start
-        n_counts = sum(map(len, background.counts[-1].values()))
+        n_counts = sum(map(len, count_tables(background)[-1].values()))
         assert info.value.offset == len(whole) - 8 * n_counts
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("_play _ro sie\n", encoding="utf-8")
@@ -350,9 +350,9 @@ class TestBundle:
         bundle.pack(model, tmp_path / "b")
 
         def without(ngram):
-            # the same counts over a history alphabet that has lost one symbol
-            return BackoffNGram(ngram.order, ngram.discount, ngram.alphabet,
-                                ngram.history_alphabet - {lost}, ngram.counts)
+            # the same columns over a history alphabet that has lost one symbol
+            return BackoffNGram(ngram.order, ngram.discount, ngram.symbols, ngram.alphabet,
+                                ngram.history_alphabet - {lost}, ngram.levels)
 
         if component == "background":
             data = without(background).serialize()

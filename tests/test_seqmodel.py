@@ -12,11 +12,12 @@ from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary, train_decider
                    train_ngram)
 from nfclm.cli import main
 from nfclm.serialization import SerializationError
-from nfclm.seqmodel import (BackoffNGram, ConditionalSymbolModel, DeciderModel,
+from nfclm.seqmodel import (NGRAM_MAGIC, BackoffNGram, ConditionalSymbolModel, DeciderModel,
                             _scale_by_prior, class_prior_from_corpus,
                             ngram_sequence_logprob)
 
-from conftest import uniform_background
+from conftest import count_tables, ngram_from_tables, ngram_levels, put, uniform_background
+from model_memory import corpora, entries, held_bytes
 
 
 def reference_prob(corpus, order, discount, alphabet, symbol, history):
@@ -101,21 +102,22 @@ class TestTrainNgram:
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
-            BackoffNGram(0, 0.5, ["a"], ["a"], [])
+            ngram_from_tables(0, 0.5, ["a"], ["a"], [])
         with pytest.raises(ValueError):
-            BackoffNGram(2, 1.0, ["a"], ["a"], [{}, {}])
+            ngram_from_tables(2, 1.0, ["a"], ["a"], [{}, {}])
         with pytest.raises(ValueError, match="nonempty"):
-            BackoffNGram(2, 0.5, [], ["a"], [{}, {}])
+            ngram_from_tables(2, 0.5, [], ["a"], [{}, {}])
         with pytest.raises(ValueError, match="an order-2 n-gram needs 2 count levels, got 1"):
-            BackoffNGram(2, 0.5, ["a"], ["a"], [{}])
+            ngram_from_tables(2, 0.5, ["a"], ["a"], [{}])
 
 
 def walk_reference(model, history):
     """The per-symbol dict walk the list sweep replaced, from the counts alone."""
     context = tuple(history)[len(history) - min(len(history), model.order - 1):]
     dist = {sym: 1.0 / len(model.alphabet) for sym in model.alphabet}
+    tables = count_tables(model)
     for length in range(len(context) + 1):
-        table = model.counts[length].get(context[len(context) - length:])
+        table = tables[length].get(context[len(context) - length:])
         if not table:
             continue
         total = sum(table.values())
@@ -147,7 +149,7 @@ def random_ngram(rng: random.Random):
     for _ in range(rng.randint(0, 3)):  # empty tables are read as absent
         length = rng.randrange(order)
         counts[length].setdefault(history(length), {})
-    model = BackoffNGram(order, discount, predicted, history_alphabet, counts)
+    model = ngram_from_tables(order, discount, predicted, history_alphabet, counts)
     return model, [history(rng.randint(0, order + 1)) for _ in range(8)]
 
 
@@ -169,6 +171,24 @@ class TestDistributionValues:
             values.append(2.0)
             assert [p.hex() for p in model.distribution_values(history)] == [
                 want[s].hex() for s in model.alphabet]
+
+    def test_contexts_wider_than_64_bits(self):
+        """An order-8 n-gram over 600 symbols packs a 7-symbol context into
+        70 bits, past a u64: its levels still load and score by the walk."""
+        rng = random.Random(8)
+        alphabet = [f"w{i}" for i in range(600)]
+        corpus = [tuple(rng.choice(alphabet[:20]) for _ in range(10)) for _ in range(30)]
+        model = train_ngram(corpus, alphabet, order=8)
+        data = model.serialize()
+        back = BackoffNGram.deserialize(data)
+        assert back.serialize() == data
+        for sentence in corpus[:5]:
+            for cut in range(len(sentence) + 1):
+                history = (BOS,) * 7 + sentence[:cut]
+                want = walk_reference(back, history)
+                assert [p.hex() for p in back.distribution_values(history)] == [
+                    want[s].hex() for s in back.alphabet]
+                assert back.logprob(EOS, history).hex() == math.log(want[EOS]).hex()
 
     def test_contract_default_reads_distribution(self):
         model = train_ngram([("a", "b")], ["a", "b"], order=2)
@@ -234,56 +254,111 @@ class TestSerialization:
         corpus = [tuple(rng.choice(alphabet) for _ in range(4)) for _ in range(6)]
         model = train_ngram(corpus, alphabet, order=3, discount=0.6)
         back = BackoffNGram.deserialize(model.serialize())
-        assert back.counts == model.counts
+        assert count_tables(back) == count_tables(model)
         assert back.serialize() == model.serialize()
         history = ("a", "b")
         assert back.distribution(history) == model.distribution(history)
 
-    def test_zero_count_rejected(self):
-        ngram = train_ngram([("a", "b")], ["a", "b"], order=2)
+    @staticmethod
+    def corrupt_payloads():
+        """A trained n-gram's and decider's bytes, each with one count set to
+        zero: the n-gram's of 'b' after ('a',), the decider's of '@x' at
+        level 0.  Returns the n-gram's bytes, the decider's, and the offset
+        of the decider's zero."""
+        ngram = train_ngram([("a", "b")], ["a", "b"], order=2).serialize()
+        level1 = ngram_levels(ngram)[1]  # contexts ('<s>',) ('a',) ('b',), one count each
+        assert ngram[level1.targets + 4] == sorted({"a", "b", BOS, EOS}).index("b")
+        ngram = put(ngram, level1.counts + 8, "<Q", 0)
         decider = train_decider([("a", "@x")], load_vocabulary(["a", "b"]),
-                                load_class_alphabet(["@bg", "@x"]), order=2)
-        ngram.counts[1][("a",)]["b"] = 0
-        decider.ngram.counts[0][()]["@x"] = 0
-        for model in (ngram, decider):
-            data = model.serialize()
+                                load_class_alphabet(["@bg", "@x"]), order=2).serialize()
+        level0 = ngram_levels(decider, decider.index(NGRAM_MAGIC))[0]  # '@bg', then '@x'
+        zero_at = level0.counts + 8
+        return ngram, put(decider, zero_at, "<Q", 0), zero_at
+
+    def test_zero_count_rejected(self):
+        ngram, decider, _ = self.corrupt_payloads()
+        for kind, data in ((BackoffNGram, ngram), (DeciderModel, decider)):
             with pytest.raises(SerializationError, match="zero count") as info:
-                type(model).deserialize(data)
+                kind.deserialize(data)
             assert "byte offset" in str(info.value)
         # the offset points at the zero u64 in the n-gram payload
-        data = ngram.serialize()
         with pytest.raises(SerializationError) as info:
-            BackoffNGram.deserialize(data)
-        assert data[info.value.offset:info.value.offset + 8] == bytes(8)
+            BackoffNGram.deserialize(ngram)
+        assert ngram[info.value.offset:info.value.offset + 8] == bytes(8)
 
     def test_decider_error_offset_points_into_decider_payload(self):
-        decider = train_decider([("a", "@x")], load_vocabulary(["a", "b"]),
-                                load_class_alphabet(["@bg", "@x"]), order=2)
-        decider.ngram.counts[0][()]["@x"] = 0
-        data = decider.serialize()
-        inner = decider.ngram.serialize()
-        start = data.index(inner)
+        _, data, zero_at = self.corrupt_payloads()
+        start = data.index(NGRAM_MAGIC)
         with pytest.raises(SerializationError) as info:
             DeciderModel.deserialize(data)
         # the zero u64 of the embedded n-gram, counted from the decider's first byte
-        assert info.value.offset == 175 and start == 64
+        assert info.value.offset == zero_at == 175 and start == 64
         assert data[info.value.offset:info.value.offset + 8] == bytes(8)
         assert str(info.value).endswith("(byte offset 175)")
         # an embedded n-gram cut short is reported at its end, in decider bytes
+        inner = data[start:]
         cut = data[:start - 8] + (20).to_bytes(8, "little") + inner[:20]
         with pytest.raises(SerializationError, match="unexpected end") as info:
             DeciderModel.deserialize(cut)
         assert start < info.value.offset <= start + 20
 
     def test_target_outside_predicted_alphabet_rejected(self):
-        model = train_ngram([("a", "b")], ["a", "b"], order=2)
-        model.counts[1][("a",)][BOS] = 1  # BOS is a history symbol, never predicted
-        data = model.serialize()
+        data = train_ngram([("a", "b")], ["a", "b"], order=2).serialize()
+        symbols = sorted({"a", "b", BOS, EOS})
+        # the target of ('a',)'s one count becomes BOS, a history symbol, never predicted
+        data = put(data, ngram_levels(data)[1].targets + 4, "<I", symbols.index(BOS))
         with pytest.raises(SerializationError, match="outside the predicted") as info:
             BackoffNGram.deserialize(data)
-        symbols = sorted({"a", "b", BOS, EOS})
         at = info.value.offset
         assert int.from_bytes(data[at:at + 4], "little") == symbols.index(BOS)
+
+
+    def test_empty_runs_read_as_absent(self):
+        """A payload may give a context no counts; such a context is read as
+        absent, with the bits the dict tables gave it, and is not stored."""
+        tables = [{(): {"a": 2, "b": 1, EOS: 1}},
+                  {("a",): {}, ("b",): {"a": 1, EOS: 2}},
+                  {("a", "a"): {}, (BOS, "a"): {"b": 2}, ("b", "a"): {"a": 1}}]
+        data = ngram_from_tables(3, 0.6, ("a", "b", EOS), ("a", "b", BOS), tables).serialize()
+        assert put(data, ngram_levels(data)[1].sizes, "<I", 0) == data  # ('a',) holds none
+        model = BackoffNGram.deserialize(data)
+        assert model.serialize() == data
+        assert count_tables(model) == tables
+        symbols, stored = model.stored_contexts()
+        assert [[[symbols[i] for i in column] for column in level] for level in stored] == [
+            [["b"]], [[BOS, "b"], ["a", "a"]]]
+        unigram = ("0x1.fffffffffffffp-2", "0x1.fffffffffffffp-3", "0x1.fffffffffffffp-3")
+        recorded = {  # values, then log-probabilities, in the order a, b, EOS
+            (): (unigram, ("-0x1.62e42fefa39f0p-1", "-0x1.62e42fefa39f0p+0",
+                           "-0x1.62e42fefa39f0p+0")),
+            ("b",): (("0x1.5555555555554p-2", "0x1.9999999999998p-4", "0x1.2222222222222p-1"),
+                     ("-0x1.193ea7aad030cp+0", "-0x1.26bb1bbb55516p+1",
+                      "-0x1.22cecdc455c84p-1")),
+            (BOS, "a"): (("0x1.3333333333332p-3", "0x1.8ccccccccccccp-1",
+                          "0x1.3333333333332p-4"),
+                         ("-0x1.e5a9a7c3ac419p+0", "-0x1.05027950a359bp-2",
+                          "-0x1.4b8ddfddbf088p+1")),
+            ("b", "a"): (("0x1.6666666666666p-1", "0x1.3333333333332p-3",
+                          "0x1.3333333333332p-3"),
+                         ("-0x1.6d3c324e13f50p-2", "-0x1.e5a9a7c3ac419p+0",
+                          "-0x1.e5a9a7c3ac419p+0")),
+        }
+        # ('a',) and ('a', 'a') hold empty runs: they read as the unigram and
+        # ('a', 'b') as ('b',)
+        for alias, history in (("a",), ()), (("a", "a"), ()), (("a", "b"), ("b",)):
+            recorded[alias] = recorded[history]
+        for history, (values, logprobs) in recorded.items():
+            assert tuple(v.hex() for v in model.distribution_values(history)) == values
+            assert tuple(model.logprob(s, history).hex() for s in model.alphabet) == logprobs
+
+    def test_held_size_is_bounded_by_the_payload(self):
+        """A loaded n-gram holds its columns, not a dict per context: with
+        20k stored counts or more, it keeps at most twice its payload."""
+        vocabulary, sentences, _ = corpora()
+        ngram = train_ngram(sentences, vocabulary, order=3)
+        data = ngram.serialize()
+        assert entries(ngram) >= 20_000
+        assert held_bytes(BackoffNGram, data) <= 2 * len(data)
 
 
 class TestRecordedBits:
@@ -469,7 +544,7 @@ class TestDecider:
 
 class TestRenormalizeByPrior:
     RAW = {"@bg": 0.8, "@song": 0.1, "@artist": 0.1}
-    NGRAM = BackoffNGram(1, 0.5, tuple(RAW), (), [{}])
+    NGRAM = ngram_from_tables(1, 0.5, tuple(RAW), (), [{}])
 
     def test_alpha_zero_is_identity(self):
         out = _scale_by_prior(self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)
