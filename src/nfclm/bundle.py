@@ -34,11 +34,18 @@ class BundleError(Exception):
     pass
 
 
+def _is_file_name(value) -> bool:
+    """Whether ``value`` is a plain file name, so that the component it names
+    lies in the bundle's own directory."""
+    return (isinstance(value, str) and value == os.path.basename(value)
+            and value not in ("", ".", ".."))
+
+
 def pack(model: NfclmModel, directory) -> dict[str, int]:
     """Write every component under ``directory``; returns each file's name
-    and the bytes written to it, the manifest's included."""
+    and the bytes written to it, the manifest's included.  A model that
+    cannot be packed raises BundleError before anything is written."""
     directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
     files: dict[str, str] = {
         "vocabulary": "vocab.txt",
         "classes": "classes.txt",
@@ -50,7 +57,13 @@ def pack(model: NfclmModel, directory) -> dict[str, int]:
         raise BundleError(
             f"only n-gram background models can be packed, got {type(background).__name__}"
         )
+    fst_files = {label: f"{label}.fst" for label in sorted(model.class_fsts)}
+    for label, name in fst_files.items():
+        if not _is_file_name(name):
+            raise BundleError(f"class label {label!r} cannot be packed: its FST file "
+                              f"{name!r} is not a file name")
 
+    os.makedirs(directory, exist_ok=True)
     sizes: dict[str, int] = {}
 
     def write(name: str, data: bytes) -> None:
@@ -62,7 +75,6 @@ def pack(model: NfclmModel, directory) -> dict[str, int]:
     write(files["classes"], ("\n".join(model.classes.labels) + "\n").encode())
     write(files["background"], background.serialize())
     write(files["decider"], model.decider.serialize())
-    fst_files = {label: f"{label}.fst" for label in sorted(model.class_fsts)}
     for label, name in fst_files.items():
         write(name, model.class_fsts[label].serialize())
     manifest = {
@@ -99,9 +111,7 @@ def _read_manifest(directory) -> dict:
             raise BundleError(f"{path}: manifest {key!r} must be an object, "
                               f"got {manifest.get(key)!r}")
         for name, value in manifest[key].items():
-            # a plain name, so that every component lies in the bundle's directory
-            if not (isinstance(value, str) and value == os.path.basename(value)
-                    and value not in ("", ".", "..")):
+            if not _is_file_name(value):
                 raise BundleError(f"{path}: manifest {key!r} entry {name!r} must be "
                                   f"a file name, got {value!r}")
     for key in COMPONENT_KEYS:

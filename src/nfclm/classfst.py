@@ -1,10 +1,15 @@
-"""Per-class probabilistic FSTs built as relative-frequency tries.
+"""Per-class probabilistic FSTs: minimal automata of relative-frequency tries.
 
-Each class automaton is a deterministic acyclic trie over the class's
-entities.  Arc weights are probabilities (outgoing arcs plus the state's
-exit probability sum to 1), the start state never exits, and there are no
-arcs back to the start: re-entry into a class is decided by the class
-emission model, not by the automaton.
+Each class automaton is deterministic and acyclic over the class's
+entities.  ``build_from_entities`` builds the trie of their relative
+frequencies and merges its equivalent states (acyclic minimization, as in
+Revuz 1992 and Daciuk et al. 2000), so a suffix that many entities share
+is stored once and every probability keeps the trie's bits.  Arc weights
+are probabilities (outgoing arcs plus the state's exit probability sum to
+1), the start state never exits, and there are no arcs back to the start:
+re-entry into a class is decided by the class emission model, not by the
+automaton.  States are numbered in topological order; any such automaton
+loads, a trie as well as a minimal one.
 
 An automaton keeps its states and arcs in flat ``array`` columns, as
 OpenFst's ``ConstFst`` does, so it holds no object per state or arc;
@@ -238,7 +243,8 @@ class ProbClassFst:
 
 
 class _TrieNode:
-    __slots__ = ("children", "weight", "end_weight", "state")  # state: the preorder id
+    # state: the node's class of equivalent nodes, numbered as first met bottom up
+    __slots__ = ("children", "weight", "end_weight", "state")
 
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
@@ -247,12 +253,14 @@ class _TrieNode:
 
 
 def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
-    """Build the class automaton from tokenized entities.
+    """Build the minimal class automaton from tokenized entities.
 
     ``entities`` yields symbol sequences or ``(symbols, count)`` pairs;
     counts default to 1 and duplicates accumulate.  Arc and exit
-    probabilities are relative frequencies, so every state is stochastic
-    by construction.
+    probabilities are the relative frequencies of the entities' trie, so
+    every state is stochastic by construction; trie nodes with the same
+    exit probability and the same arcs (symbol, probability, equivalent
+    child), probabilities compared as exact floats, share one state.
     """
     normalized: list[Entity] = []
     for item in entities:
@@ -279,25 +287,40 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
             node.weight += count
         node.end_weight += count
 
-    # Preorder ids over lexicographically sorted arcs: builds from permuted
-    # entity lists serialize identically.
-    nodes: list[_TrieNode] = []
-    stack = [root]
+    # A postorder walk over arcs in symbol order puts each node in the class
+    # of the equivalent nodes met before it (Revuz 1992).  Equivalent nodes
+    # have equivalent children, so the classes are first met in the postorder
+    # of the same walk over the merged automaton: reversed, that numbers the
+    # states in reverse postorder from the start, an order both topological
+    # and canonical, so builds from permuted entity lists serialize identically.
+    classes: dict[tuple, int] = {}
+    firsts: list[_TrieNode] = []  # per class, its first node
+    stack = [(root, False)]
     while stack:
-        node = stack.pop()
-        node.state = len(nodes)
-        nodes.append(node)
-        stack.extend(node.children[sym] for sym in sorted(node.children, reverse=True))
-    symbols = tuple(sorted({sym for node in nodes for sym in node.children}))
+        node, done = stack.pop()
+        if not done:
+            stack.append((node, True))
+            stack.extend((node.children[sym], False)
+                         for sym in sorted(node.children, reverse=True))
+            continue
+        node.state = classes.setdefault(
+            (node.end_weight / node.weight,
+             *((sym, child.weight / node.weight, child.state)
+               for sym, child in sorted(node.children.items()))),
+            len(firsts))
+        if node.state == len(firsts):
+            firsts.append(node)
+    last = len(firsts) - 1
+    symbols = tuple(sorted({sym for node in firsts for sym in node.children}))
     ids = {symbol: i for i, symbol in enumerate(symbols)}
     offsets, exits = array(ID, [0]), array("d")
     arc_ids, probs, dests = array(ID), array("d"), array(ID)
-    for node in nodes:
+    for node in reversed(firsts):
         exits.append(node.end_weight / node.weight)
         for sym, child in sorted(node.children.items()):
             arc_ids.append(ids[sym])
             probs.append(child.weight / node.weight)
-            dests.append(child.state)
+            dests.append(last - child.state)
         offsets.append(len(arc_ids))
     fst = ProbClassFst(label, symbols, offsets, exits, arc_ids, probs, dests,
                        entity_count=len(normalized), total_weight=root.weight)

@@ -51,6 +51,25 @@ def fst_from_dicts(label, arcs, exits):
                         array("I", [dest for _, _, dest in rows]))
 
 
+def trie_fst(label, entities):
+    """The relative-frequency trie of ``entities``, ``(symbols, count)``
+    pairs, in the form bundles were packed in before equivalent states
+    were merged: a state per prefix, numbered in preorder over arcs in
+    symbol order, each probability the quotient a build divides."""
+    weights, ends = Counter(), Counter()  # per prefix, summed in entity order
+    for symbols, count in entities:
+        for k in range(len(symbols) + 1):
+            weights[symbols[:k]] += float(count)
+        ends[symbols] += float(count)
+    prefixes = sorted(weights)  # tuple order is preorder
+    ids = {prefix: i for i, prefix in enumerate(prefixes)}
+    arcs = [{} for _ in prefixes]
+    for prefix in prefixes[1:]:
+        arcs[ids[prefix[:-1]]][prefix[-1]] = (weights[prefix] / weights[prefix[:-1]],
+                                              ids[prefix])
+    return fst_from_dicts(label, arcs, [ends[prefix] / weights[prefix] for prefix in prefixes])
+
+
 def ngram_from_tables(order, discount, predicted, history_alphabet, tables):
     """A ``BackoffNGram`` holding ``tables``, one ``{context: {target: count}}``
     per context length, as its sorted columns."""

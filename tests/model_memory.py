@@ -1,9 +1,11 @@
-"""Memory held by a loaded n-gram and decider, against their payload sizes.
+"""Memory held by a loaded n-gram, decider and class automaton, against
+their payload sizes.
 
 Trains a mid-size background n-gram and decider on a deterministic
-synthetic corpus, loads each from its bytes under ``tracemalloc`` and
-prints, as Markdown, the bytes each holds once loaded next to the bytes
-of its payload:
+synthetic corpus and builds a class automaton from spans of it, loads
+each from its bytes under ``tracemalloc`` and prints, as Markdown, what
+each stores and the bytes it holds once loaded next to the bytes of its
+payload:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -16,8 +18,8 @@ import gc
 import random
 import tracemalloc
 
-from nfclm import (BackoffNGram, DeciderModel, load_class_alphabet, load_vocabulary,
-                   train_decider, train_ngram)
+from nfclm import (BackoffNGram, DeciderModel, ProbClassFst, build_from_entities,
+                   load_class_alphabet, load_vocabulary, train_decider, train_ngram)
 
 SEED = 29
 WORDS = 600
@@ -46,6 +48,18 @@ def mid_size_models(seed: int = SEED) -> tuple[BackoffNGram, DeciderModel]:
     return background, decider
 
 
+def mid_size_automaton(seed: int = SEED) -> ProbClassFst:
+    """The class automaton of one span of one to four words from each
+    sentence of ``corpora(seed)``."""
+    rng = random.Random(seed)
+    spans = []
+    for sentence in corpora(seed)[1]:
+        length = rng.randint(1, 4)
+        start = rng.randrange(len(sentence) - length + 1)
+        spans.append(sentence[start:start + length])
+    return build_from_entities(CLASSES[1], spans)
+
+
 def entries(ngram: BackoffNGram) -> int:
     """How many (context, target) counts the n-gram stores."""
     return sum(len(level.targets) for level in ngram.levels)
@@ -67,14 +81,16 @@ def held_bytes(kind, data: bytes) -> int:
 
 def main() -> None:
     background, decider = mid_size_models()
-    print("| component | stored entries | payload bytes | held bytes | held / payload |")
+    fst = mid_size_automaton()
+    print("| component | stored | payload bytes | held bytes | held / payload |")
     print("|---|---|---|---|---|")
-    for name, model, ngram in (("background n-gram", background, background),
-                               ("decider", decider, decider.ngram)):
+    for name, model, stored in (
+            ("background n-gram", background, f"{entries(background):,} entries"),
+            ("decider", decider, f"{entries(decider.ngram):,} entries"),
+            ("class automaton", fst, f"{fst.num_states:,} states, {len(fst.arc_ids):,} arcs")):
         data = model.serialize()
         held = held_bytes(type(model), data)
-        print(f"| {name} | {entries(ngram):,} | {len(data):,} | {held:,} "
-              f"| {held / len(data):.2f} |")
+        print(f"| {name} | {stored} | {len(data):,} | {held:,} | {held / len(data):.2f} |")
 
 
 if __name__ == "__main__":

@@ -34,8 +34,10 @@ from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dict
 # 'sia' and 'sie' at 37, 44 and 51 (each a u32 length and its bytes),
 # num_states at 58; then the columns: five u32 offsets, four f64 exits,
 # and per arc (three) a u32 symbol id, an f64 probability and a u32
-# destination; 162 bytes in all.
-FST = build_from_entities("@song", [("_ro", "sie"), ("_ro", "sia")])
+# destination; 162 bytes in all.  The trie form, which a build would merge
+# into three states, keeps a state per arc to corrupt.
+FST = fst_from_dicts("@song", [{"_ro": (1.0, 1)}, {"sia": (0.5, 2), "sie": (0.5, 3)}, {}, {}],
+                     [0.0, 0.0, 1.0, 1.0])
 FST_DATA = FST.serialize()
 OFFSETS, EXITS, ARC_IDS, PROBS, DESTS = 62, 82, 114, 126, 150
 assert len(FST_DATA) == 162

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import ProbClassFst, build_from_entities, load_entities
+from nfclm import (ProbClassFst, build_from_entities, exact_sequence_logprob, load_class_alphabet,
+                   load_entities, load_vocabulary, sample, sequence_logprob)
 from nfclm.classfst import MAGIC, VERSION
 from nfclm.serialization import ByteWriter, SerializationError
 
-from conftest import fst_from_dicts
+from conftest import TOY_SYMBOLS, fst_from_dicts, make_toy_model, trie_fst
 from oracle import arc_prob, step, walk
 
 SONG = [("_ro", "sie"), ("_ro", "salie")]
@@ -34,6 +35,7 @@ def entity_probability(fst, symbols):
 class TestBuildFromEntities:
     def test_song_trie(self):
         fst = build_from_entities("@song", SONG)
+        assert fst.num_states == 3  # both leaves are one state
         s1 = step(fst, fst.start, "_ro")
         assert arc_prob(fst, fst.start, "_ro") == 1.0
         assert arc_prob(fst, s1, "sie") == 0.5
@@ -159,6 +161,60 @@ class TestInvariants:
         shuffled = list(entities)
         rng.shuffle(shuffled)
         assert build_from_entities("@x", shuffled).serialize() == fst.serialize()
+
+
+def suffix_sharing_entities(seed):
+    """Entities whose heads share a few tails, some heads alone (prefixes
+    of other entities), with counts."""
+    rng = random.Random(seed)
+    heads = [f"h{i}" for i in range(6)]
+    tails = [tuple(f"t{rng.randrange(5)}" for _ in range(rng.randint(1, 3))) for _ in range(4)]
+    entities = []
+    for _ in range(rng.randint(5, 150)):
+        head = tuple(rng.choice(heads) for _ in range(rng.randint(1, 3)))
+        tail = rng.choice(tails) if rng.random() < 0.8 else ()
+        entities.append((head + tail, rng.choice((1, 1, 1, 2, 3, 0.5))))
+    return entities
+
+
+class TestMinimal:
+    """A build is the minimal automaton of its entities' trie, with the trie's bits."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_minimal_topological_and_equal_weights(self, seed):
+        entities = suffix_sharing_entities(seed)
+        fst = build_from_entities("@x", entities)
+        trie = trie_fst("@x", entities)
+        assert fst.num_states < trie.num_states
+        runs = set()
+        for state in range(fst.num_states):
+            run = range(fst.offsets[state], fst.offsets[state + 1])
+            runs.add((fst.exits[state].hex(),
+                      tuple((fst.arc_ids[i], fst.probs[i].hex(), fst.dests[i]) for i in run)))
+            assert all(fst.dests[i] > state for i in run)
+        assert len(runs) == fst.num_states
+        for symbols, _ in entities:
+            assert entity_probability(fst, symbols).hex() == \
+                entity_probability(trie, symbols).hex()
+
+    def test_trie_form_loads_and_scores_with_the_same_bits(self):
+        """A bundle packed as a trie, as before states were merged, loads and
+        scores every toy sentence with the minimal automaton's bits."""
+        vocab, classes = load_vocabulary(TOY_SYMBOLS), load_class_alphabet(["@bg", "@song",
+                                                                            "@artist"])
+        tries = {label: ProbClassFst.deserialize(trie_fst(label, [(e, 1) for e in entities])
+                                                 .serialize())
+                 for label, entities in (("@song", SONG), ("@artist", ARTIST))}
+        assert [tries[label].num_states for label in ("@song", "@artist")] == [4, 5]
+        trie_model = make_toy_model(vocab, classes, tries["@song"], tries["@artist"])
+        model = make_toy_model(vocab, classes, build_from_entities("@song", SONG),
+                               build_from_entities("@artist", ARTIST))
+        sentences = {tuple(sample(model, max_length=12, seed=seed)) for seed in range(60)}
+        sentences |= {("_play", "_ro", "sie", "_by", "_browne"), *SONG, *ARTIST}
+        for sentence in sorted(sentences):
+            for score in (sequence_logprob, exact_sequence_logprob):
+                assert score(trie_model, sentence).hex() == score(model, sentence).hex(), \
+                    (score.__name__, sentence)
 
 
 class TestSerialization:

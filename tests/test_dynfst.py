@@ -314,9 +314,9 @@ class TestRecordedWalk:
     DUMP = (
         "state 0\t<start>\t<start> 0.000000\n"
         "state 1\t_play\t_play -2.469158\n"
-        "state 2\t_play _ro\t@song[@song:1] -2.864041 | @artist[@artist:2] -5.115333"
+        "state 2\t_play _ro\t@song[@song:1] -2.864041 | @artist[@artist:1] -5.115333"
         " | _ro -6.357046\n"
-        "state 3\t_play _ro sie\t@song[@song:3] -3.557188 | sie -9.652883\n"
+        "state 3\t_play _ro sie\t@song[@song:2] -3.557188 | sie -9.652883\n"
         "state 4\t_play _ro sie _by\t_by -6.563655\n"
         "arc 0\t_play\t2.469158\t1\n"
         "arc 1\t_ro\t0.267658\t2\n"

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import random
-from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -1268,10 +1267,13 @@ class TestSample:
                     continue
                 label, state = moves[k]
                 fst = toy_model.class_fsts[label]
-                # the one state with an arc into ``state``: a trie's parent
-                source = bisect_right(fst.offsets, list(fst.dests).index(state)) - 1
-                assert got == [(label, source)]
-                assert source == fst.start or pos == (label, source)
+                # the drawn route leaves the stay state that the key holds, or
+                # the class's start, by an arc on the drawn symbol into ``state``
+                stay = pos[1] if pos is not None and pos[0] == label else None
+                assert len(got) == 1 and got[0][0] == label, got
+                source = got[0][1]
+                assert source in (stay, fst.start)
+                assert fst.arcs.arcs[source][out[k]][1] == state
                 drawn_routes.add(("stay" if source != fst.start else "entry", pos is None))
         # (route drawn, from a background position)
         assert drawn_routes == {("background", True), ("background", False),

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from nfclm import (EOS, FusionWeights, NBestEntry, bundle,
+from nfclm import (EOS, FusionWeights, NBestEntry, bundle, load_class_alphabet,
                    load_vocabulary, perplexity, rescore_nbest,
                    sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
@@ -457,6 +457,29 @@ class TestBundle:
         corpus.write_text("_play _ro sie\n", encoding="utf-8")
         assert main(["score", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1
         assert capsys.readouterr().err.startswith(f"nfclm: error: {path}: manifest {key!r}")
+
+    @pytest.mark.parametrize("made", [False, True], ids=["no directory", "directory made"])
+    def test_label_that_is_no_file_name_is_refused_before_writing(self, toy_vocab, tmp_path,
+                                                                  made):
+        """A class label whose FST file would lie outside the bundle's
+        directory is refused by name before anything is written, also where
+        that file's directory exists and writing it would succeed."""
+        from nfclm import NfclmModel, build_from_entities, train_decider
+        classes = load_class_alphabet(["@bg", "@x/y"])
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=classes,
+            background=train_ngram([FIG1_SENTENCE], toy_vocab, order=2),
+            class_fsts={"@x/y": build_from_entities("@x/y", [("_ro", "sie")])},
+            decider=train_decider([("_play", "@x/y")], toy_vocab, classes, order=2))
+        directory = tmp_path / "b"
+        if made:
+            (directory / "@x").mkdir(parents=True)
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.pack(model, directory)
+        assert str(info.value) == ("class label '@x/y' cannot be packed: its FST file "
+                                   "'@x/y.fst' is not a file name")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == \
+            (["b", "b/@x"] if made else [])
 
     def test_repack_touches_only_edited_class(self, toy_vocab, toy_classes,
                                               song_fst, artist_fst, tmp_path):
