@@ -286,6 +286,9 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
             node = node.children.setdefault(sym, _TrieNode())
             node.weight += count
         node.end_weight += count
+    # every node's weight is a partial sum of the root's, so all are finite with it
+    if root.weight == math.inf:
+        raise ValueError(f"{label}: entity count total {root.weight!r} is not finite")
 
     # A postorder walk over arcs in symbol order puts each node in the class
     # of the equivalent nodes met before it (Revuz 1992).  Equivalent nodes

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, filterfalse, groupby, islice, repeat
 from operator import add, and_, ge, lshift, mul, rshift, sub, truediv
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .serialization import ByteReader, ByteWriter, SerializationError
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
@@ -121,8 +121,8 @@ class BackoffNGram(ConditionalSymbolModel):
     ``history_alphabet`` are rejected.
 
     That context-free level is one list in alphabet order, built here.
-    A query then walks only the levels its context reaches, bisecting
-    the context among the level's contexts of its oldest symbol:
+    A query then walks only the levels its context reaches, finding each
+    suffix by one bisect over its level's contexts:
     ``distribution_values`` as one scaled copy of the list per level plus
     a head term per target in the context's run, ``logprob`` for its one
     symbol, bisected in the run.
@@ -149,22 +149,19 @@ class BackoffNGram(ConditionalSymbolModel):
         self.width = len(self.symbols).bit_length()
         self._ids = {sym: i for i, sym in enumerate(self.symbols)}
         self._predicted = tuple(predicted)
-        self._index = {sym: i for i, sym in enumerate(self._predicted)}
-        self._target_ids = tuple(map(self._ids.__getitem__, self._predicted))
-        # a target id's index in the predicted alphabet
+        # a symbol id's index in the predicted alphabet, None for a symbol not predicted
         self._slots = [None] * len(self.symbols)
-        for i, target in enumerate(self._target_ids):
-            self._slots[target] = i
+        for i, sym in enumerate(self._predicted):
+            self._slots[self._ids[sym]] = i
         self._history_alphabet = frozenset(history_alphabet)
         self.levels = tuple(NGramLevel(*level) for level in levels)
-        # each level as a lookup reads it, the contexts first, then where
-        # each oldest symbol's contexts start, then the runs and weights
-        tables = [(contexts, self._firsts(contexts, length), offsets, targets, counts,
-                   *_weights(offsets, counts, discount))
-                  for length, (contexts, offsets, targets, counts) in enumerate(self.levels)]
+        # each level as a lookup reads it: the contexts, runs and weights
+        tables = [(*level, *_weights(level.offsets, level.counts, discount))
+                  for level in self.levels]
         self._walk = tuple(tables[1:])
         self._level0 = [1.0 / len(self._predicted)] * len(self._predicted)
-        if self.levels[0].contexts:  # at most the one context (), which packs as 0
+        totals = tables[0][4]  # of at most the context (); as in the walk, empty is absent
+        if totals and totals[0]:
             self._level0 = self._fold(self._level0, tables[0], 0)
 
     @property
@@ -186,15 +183,23 @@ class BackoffNGram(ConditionalSymbolModel):
         usable = min(len(history), self.order - 1)
         return tuple(history[len(history) - usable:])
 
-    def _firsts(self, contexts: Sequence[int], length: int) -> Optional[array]:
-        """Where in ``contexts``, of ``length`` symbols, the contexts whose
-        oldest symbol has each id start, and one past the last id: the
-        contexts of id ``s`` are ``contexts[firsts[s]:firsts[s + 1]]``."""
-        if not length:
-            return None
-        shift = self.width * (length - 1)
-        return array(ID, map(bisect_left, repeat(contexts),
-                             map(lshift, range(len(self.symbols) + 1), repeat(shift))))
+    def _stored(self, history: Sequence[str]) -> Iterator[tuple[tuple, int]]:
+        """The stored contexts among the suffixes ``history`` reaches,
+        shortest first, each as its level's table and its index there.
+
+        Each suffix is packed and bisected among its level's contexts; one
+        that is absent or whose run is empty (total zero, as counts are
+        positive) is skipped, as ``stored_contexts`` leaves it out.
+        """
+        ids, width = self._ids, self.width
+        key = shift = 0
+        for sym, table in zip(reversed(self._check_history(history)), self._walk):
+            key |= ids[sym] << shift
+            shift += width
+            contexts, totals = table[0], table[4]
+            j = bisect_left(contexts, key)
+            if j < len(contexts) and contexts[j] == key and totals[j]:
+                yield table, j
 
     def _fold(self, values: list[float], table: tuple, j: int) -> list[float]:
         """Interpolate the run of context ``j`` of ``table`` into ``values``.
@@ -203,57 +208,31 @@ class BackoffNGram(ConditionalSymbolModel):
         the run: per entry the sum ``logprob`` takes for its one symbol, so
         both read the same bits.
         """
-        _, _, offsets, targets, counts, totals, backoffs = table
-        start, end = offsets[j], offsets[j + 1]
-        if start == end:
-            return values
+        _, offsets, targets, counts, totals, backoffs = table
         values = list(map(mul, repeat(backoffs[j]), values))
         discount, total, slots = self.discount, totals[j], self._slots
-        for k in range(start, end):
+        for k in range(offsets[j], offsets[j + 1]):
             i = slots[targets[k]]
             values[i] = (counts[k] - discount) / total + values[i]
         return values
 
     def distribution_values(self, history: Sequence[str]) -> list[float]:
-        ids, width = self._ids, self.width
         values = level0 = self._level0
-        key = shift = 0
-        for sym, table in zip(reversed(self._check_history(history)), self._walk):
-            oldest = ids[sym]
-            key |= oldest << shift
-            shift += width
-            contexts, firsts = table[0], table[1]
-            stop = firsts[oldest + 1]
-            j = bisect_left(contexts, key, firsts[oldest], stop)
-            if j < stop and contexts[j] == key:
-                values = self._fold(values, table, j)
+        for table, j in self._stored(history):
+            values = self._fold(values, table, j)
         return list(level0) if values is level0 else values
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         return dict(zip(self._predicted, self.distribution_values(history)))
 
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
-        i = self._index.get(symbol)
+        target = self._ids.get(symbol)
+        i = None if target is None else self._slots[target]
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
-        ids, width, discount = self._ids, self.width, self.discount
-        target, p = self._target_ids[i], self._level0[i]
-        key = shift = 0
-        # the levels inline, shortest context first: each the context's
-        # suffix packed, bisected among the level's contexts of its oldest
-        # symbol, then the target in its run
-        for sym, (contexts, firsts, offsets, targets, counts, totals, backoffs) in zip(
-                reversed(self._check_history(history)), self._walk):
-            oldest = ids[sym]
-            key |= oldest << shift
-            shift += width
-            stop = firsts[oldest + 1]
-            j = bisect_left(contexts, key, firsts[oldest], stop)
-            if j == stop or contexts[j] != key:
-                continue
+        p, discount = self._level0[i], self.discount
+        for (_, offsets, targets, counts, totals, backoffs), j in self._stored(history):
             start, end = offsets[j], offsets[j + 1]
-            if start == end:
-                continue
             k = bisect_left(targets, target, start, end)
             if k < end and targets[k] == target:
                 p = (counts[k] - discount) / totals[j] + backoffs[j] * p
@@ -276,13 +255,12 @@ class BackoffNGram(ConditionalSymbolModel):
         """The contexts of each length whose runs are not empty, as id columns.
 
         A lookup reads only suffixes and skips absent contexts and empty
-        runs, so at any context every level above its longest such suffix
-        adds nothing and every level up to it reads a suffix of it,
-        whether or not the levels are closed under suffixes.
+        runs (``_stored``), so at any context every level above its longest
+        such suffix adds nothing and every level up to it reads a suffix of
+        it, whether or not the levels are closed under suffixes.
         """
         stored = []
-        for length, (contexts, _, _, _, _, totals, _) in enumerate(self._walk, start=1):
-            # a run is empty exactly when its total is zero, as counts are positive
+        for length, (contexts, _, _, _, totals, _) in enumerate(self._walk, start=1):
             stored.append(self._columns(list(compress(contexts, totals)), length))
         return self.symbols, stored
 

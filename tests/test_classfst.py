@@ -94,6 +94,14 @@ class TestBuildFromEntities:
             with pytest.raises(ValueError, match="non-positive"):
                 build_from_entities("@x", [(("a",), count)])
 
+    def test_count_total_past_float_range_rejected(self):
+        """Finite counts whose total overflows are refused by that total,
+        not by a zero arc probability found later."""
+        with pytest.raises(ValueError, match=r"^@x: entity count total inf is not finite$"):
+            build_from_entities("@x", [(("a",), 1e308), (("b",), 1e308)])
+        fst = build_from_entities("@x", [(("a",), 8e307), (("b",), 8e307)])
+        assert arc_prob(fst, fst.start, "a") == arc_prob(fst, fst.start, "b") == 0.5
+
 
 class TestQueries:
     def test_step(self):

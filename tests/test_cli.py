@@ -292,6 +292,15 @@ class TestFailures:
         assert code == 1
         assert "non-positive" in err
 
+    def test_entity_count_total_past_float_range(self, workspace, capsys):
+        (workspace / "big.txt").write_text("a\t1e308\nb\t1e308\n", encoding="utf-8")
+        code, out, err = run(["build-fst", "--class-label", "@x",
+                              "--entities", workspace / "big.txt",
+                              "--out", workspace / "x.fst"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "nfclm: error: @x: entity count total inf is not finite\n"
+        assert not (workspace / "x.fst").exists()
+
     def test_pack_class_without_fst_rejected(self, workspace, capsys):
         build_bundle(workspace, capsys)
         code, _, err = run(["pack", "--vocab", workspace / "vocab.txt",

@@ -171,6 +171,23 @@ class TestDistributionValues:
             values.append(2.0)
             assert [p.hex() for p in model.distribution_values(history)] == [
                 want[s].hex() for s in model.alphabet]
+        # over levels with empty runs and levels not closed under suffixes,
+        # the level walk reads a suffix as stored, at its own index in its
+        # level, if and only if stored_contexts lists it
+        symbols, stored = model.stored_contexts()
+        listed = {tuple(symbols[i] for i in context)
+                  for level in stored for context in zip(*level)}
+        tables = count_tables(model)
+        lengths = {id(table): length for length, table in enumerate(model._walk, start=1)}
+        for size in range(1, model.context_size + 1):
+            for context in itertools.product(sorted(model.history_alphabet), repeat=size):
+                read = []
+                for table, j in model._stored(context):
+                    suffix = context[size - lengths[id(table)]:]
+                    assert list(tables[len(suffix)])[j] == suffix
+                    read.append(suffix)
+                assert read == [context[size - n:] for n in range(1, size + 1)
+                                if context[size - n:] in listed]
 
     def test_contexts_wider_than_64_bits(self):
         """An order-8 n-gram over 600 symbols packs a 7-symbol context into
@@ -241,6 +258,20 @@ class TestDistribution:
         model = train_ngram([("a",)], ["a"], order=2)
         with pytest.raises(KeyError, match="'q'"):
             model.distribution(("q",))
+
+    def test_unpredictable_symbol_rejected(self):
+        """``logprob`` finds its target among the predicted symbols alone: a
+        symbol of the symbol table that only histories hold, such as BOS,
+        is refused as an unknown string is."""
+        vocab = load_vocabulary(["a", "b"])
+        classes = load_class_alphabet(["@bg", "@x"])
+        background = train_ngram([("a", "b")], vocab, order=2)
+        decider = train_decider([("a", "@x", "b")], vocab, classes, order=2)
+        for ngram, history_only in (background, (BOS,)), (decider.ngram, (BOS, "a")):
+            assert set(history_only) <= set(ngram.symbols) - set(ngram.alphabet)
+            for symbol in (*history_only, "zz"):
+                with pytest.raises(KeyError, match=f"^\"symbol '{symbol}' is not predictable\"$"):
+                    ngram.logprob(symbol, ())
 
     def test_strict_positivity(self):
         model = train_ngram([("a",)], ["a", "b", "c"], order=2)
