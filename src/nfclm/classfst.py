@@ -29,7 +29,7 @@ import math
 from array import array
 from collections.abc import Iterable, Sequence
 from itertools import islice
-from operator import eq, le, lt
+from operator import le, lt
 from typing import Optional
 
 from .serialization import ByteReader, ByteWriter, SerializationError
@@ -56,8 +56,7 @@ class ArcTable(Sequence):
     """``ProbClassFst.arcs``: per state, a new ``{symbol: (probability,
     destination)}`` dict of its arcs, in symbol order.
 
-    State ``s`` owns the arcs ``offsets[s]:offsets[s + 1]``.  The table
-    compares equal to a list of those dicts.
+    State ``s`` owns the arcs ``offsets[s]:offsets[s + 1]``.
     """
 
     __slots__ = ("_columns", "_offsets")
@@ -77,11 +76,6 @@ class ArcTable(Sequence):
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class ProbClassFst:
@@ -298,14 +292,21 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
     # and canonical, so builds from permuted entity lists serialize identically.
     classes: dict[tuple, int] = {}
     firsts: list[_TrieNode] = []  # per class, its first node
-    stack = [(root, False)]
+    stack = [(root, (), root.weight, False)]
     while stack:
-        node, done = stack.pop()
+        node, prefix, whole, done = stack.pop()
         if not done:
-            stack.append((node, True))
-            stack.extend((node.children[sym], False)
+            stack.append((node, prefix, whole, True))
+            stack.extend((node.children[sym], prefix + (sym,), node.weight, False)
                          for sym in sorted(node.children, reverse=True))
             continue
+        # a positive count whose share of its node's weight rounds to 0.0
+        # would read as an impossible arc or exit: refuse it by name
+        for what, count, whole in (("entity prefix", node.weight, whole),
+                                   ("entity", node.end_weight, node.weight)):
+            if count and not count / whole:
+                raise ValueError(f"{label}: {what} {' '.join(prefix)!r} count {count!r} "
+                                 f"rounds to probability 0.0 against {whole!r}")
         node.state = classes.setdefault(
             (node.end_weight / node.weight,
              *((sym, child.weight / node.weight, child.state)

@@ -40,9 +40,9 @@ a successor's key is a shift, a mask and an OR; under ``merge="full"``
 the mask drops only a BOS pad, so histories grow, in unbounded ints.  A
 beam holds its background context the same way, as the packed ids of
 its last ``context_size`` tokens.  Strings stay at the boundary:
-``NfclmModel.encode`` and ``decode`` turn (decider history, position)
-into a key and back, for ``DynFstSession.dump`` and for tests, and a
-new cache row unpacks its context key to call the component.
+``NfclmModel.decode`` turns a key back into (decider history, position)
+for ``DynFstSession.dump``, and a new cache row unpacks its context key
+to call the component.
 
 The beam writes the mixture step once, in ``_mixture``, a plain call
 per hypothesis: a hypothesis inside a class span may stay on its
@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -138,16 +137,6 @@ class ComponentError(ValueError):
     def __init__(self, component: str, message: str):
         super().__init__(message)
         self.component = component
-
-
-class PositionError(ValueError):
-    """A position ``(label, state)`` outside the model: an unknown class,
-    or a state its automaton does not have."""
-
-    def __init__(self, label: str, state: int, message: str):
-        super().__init__(message)
-        self.label = label
-        self.state = state
 
 
 class AlignmentHypothesis(NamedTuple):
@@ -314,11 +303,10 @@ class NfclmModel:
                                         default=0).bit_length()
         pos_bits = self._pos_bits = states + len(self._ranked).bit_length()
         # the decider history above the position: its last max(n, D) tokens
-        size = self._decider_context_size = self.decider.context_size
-        self._history_bound = size if self.merge == "context" else sys.maxsize
+        size = self.decider.context_size
         # what a token appended to a decider history ORs into a successor
         # key: its id above the position, nothing when histories keep none
-        self._token_bits = {name: i << pos_bits if self._history_bound else 0
+        self._token_bits = {name: i << pos_bits if self.merge == "full" or size else 0
                             for name, i in self._ids.items()}
         self._entry_bits = {c: self._token_bits[c] | rank << states
                             for rank, c in enumerate(self._ranked, start=1)}
@@ -328,7 +316,7 @@ class NfclmModel:
         self._layout = ((1 << pos_bits) - 1, states, (1 << states) - 1, pos_bits, width,
                         self._decider_mask << pos_bits, self.merge == "full",
                         pos_bits + width * max(size - 1, 0))
-        self._root = self.encode((), None)
+        self._root = self.context((), size) << pos_bits
         self._bg_context_size = self.background.context_size
         self._bg_mask = (1 << width * self._bg_context_size) - 1
         self._start_context = self.context((), self._bg_context_size)
@@ -382,34 +370,6 @@ class NfclmModel:
         for token in (BOS,) * (size - len(tokens)) + tokens:
             packed = packed << width | ids[token]
         return packed
-
-    def encode(self, decider_history: Sequence[str], position: Position) -> int:
-        """The hypothesis key of a decider history and a position.
-
-        The history keeps its last tokens as ``merge`` says.  Raises
-        PositionError for an unknown class or a state outside its
-        automaton, and KeyError for a history token the model lacks or
-        BOS, which is only a pad.
-        """
-        history = tuple(decider_history)
-        history = history[max(0, len(history) - self._history_bound):]
-        if position is None:
-            bits = 0
-        else:
-            label, state = position
-            fst = self.class_fsts.get(label)
-            if fst is None:
-                raise PositionError(label, state, f"position {position!r}: unknown class "
-                                                  f"{label!r}")
-            if not 0 <= state < fst.num_states:
-                raise PositionError(label, state, f"position {position!r}: {label} has no "
-                                                  f"state {state} (it has {fst.num_states})")
-            bits = (self._ranked.index(label) + 1) << self._state_bits | state
-        for token in history:
-            if token == BOS or token not in self._ids:
-                raise KeyError(f"decider history token {token!r} is not in the model")
-        packed = self.context(history, max(len(history), self._decider_context_size))
-        return packed << self._pos_bits | bits
 
     def decode(self, key: int) -> tuple[tuple[str, ...], Position]:
         """The (decider history, position) a hypothesis key packs."""

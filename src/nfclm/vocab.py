@@ -49,9 +49,6 @@ class Vocabulary:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._members
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vocabulary) and self.symbols == other.symbols
-
 
 class ClassAlphabet:
     """Ordered class labels, given as the lines of a class-alphabet file.
@@ -90,9 +87,6 @@ class ClassAlphabet:
 
     def __iter__(self):
         return iter(self.labels)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClassAlphabet) and self.labels == other.labels
 
 
 def read_lines(source, default_name: str) -> tuple[str, list[str]]:

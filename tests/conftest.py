@@ -191,6 +191,30 @@ def toy_model_exact_beam_full(toy_vocab, toy_classes, song_fst, artist_fst):
                           beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"), merge="full")
 
 
+def hypothesis_key(model, decider_history=(), position=None):
+    """The key of a hypothesis, packed as the engine module docstring lays
+    it out and apart from the engine: BOS is id 1, the vocabulary and class
+    labels ids from 2 in string order, each ``w`` bits wide; the decider
+    history as ``merge`` keeps it, BOS-padded on the left to the decider's
+    context size ``D``, above the position, which is 0 in the background
+    and else the class's rank (from 1) among the sorted class labels above
+    its state."""
+    names = (BOS,) + tuple(sorted(set(model.vocabulary.symbols) | set(model.classes.labels)))
+    ids = {name: i for i, name in enumerate(names, start=1)}
+    width = len(names).bit_length()
+    ranked = sorted(model.classes.nonbackground)
+    state_bits = max((model.class_fsts[c].num_states for c in ranked), default=0).bit_length()
+    size = model.decider.context_size
+    history = tuple(decider_history)
+    if model.merge == "context":
+        history = history[max(0, len(history) - size):]
+    packed = 0
+    for token in (BOS,) * (size - len(history)) + history:
+        packed = packed << width | ids[token]
+    bits = 0 if position is None else (ranked.index(position[0]) + 1) << state_bits | position[1]
+    return packed << state_bits + len(ranked).bit_length() | bits
+
+
 def histories(model, beam):
     """The decoded decider history of each hypothesis of ``beam``."""
     return [model.decode(h.key)[0] for h in beam.hypotheses]

@@ -329,7 +329,7 @@ def test_decoded_fst_shares_one_string_per_symbol():
     symbols = [sym for out in back.arcs for sym in out]
     assert len(symbols) > len(set(symbols)) == 3
     assert len({id(sym) for sym in symbols}) == 3
-    assert back.arcs == fst.arcs and back.exits == fst.exits
+    assert list(back.arcs) == list(fst.arcs) and back.exits == fst.exits
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,17 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import nfclm
-from nfclm import (advance, bundle as bundle_mod, next_dist, perplexity,
+from nfclm import (BOS, EOS, advance, bundle as bundle_mod, next_dist, perplexity,
                    rescore_nbest, sequence_logprob)
-from nfclm.cli import _fmt, main
+from nfclm.cli import _fmt, build_parser, main
 from nfclm.engine import EXACT_BEAM_SIZE
 from nfclm.evaluate import FusionWeights, parse_nbest_file
 
@@ -192,6 +195,70 @@ class TestPipeline:
                       "_play,@song,_by,@artist", "_play,_ro,sie,_by,_browne"):
             assert label in out
 
+    def test_build_fst_text_dump(self, workspace, capsys):
+        """``--text-dump`` writes each arc as ``state symbol probability
+        destination`` and each exiting state as ``state EXIT probability``."""
+        for label, states, dump in (
+                ("@song", 3, ["0 _ro 1 1", "1 salie 0.5 2", "1 sie 0.5 2", "2 EXIT 1"]),
+                ("@artist", 4, ["0 _browne 0.5 3", "0 _ro 0.5 1", "1 berta 1 2",
+                                "2 _flack 1 3", "3 EXIT 1"])):
+            code, out, err = run(["build-fst", "--class-label", label,
+                                  "--entities", workspace / "entities" / f"{label}.txt",
+                                  "--out", workspace / f"{label}.fst",
+                                  "--text-dump", workspace / f"{label}.dump"], capsys)
+            assert (code, out, err) == (0, f"{label}\tstates\t{states}\tentities\t2\n", "")
+            assert (workspace / f"{label}.dump").read_text(encoding="utf-8") == \
+                "\n".join(dump) + "\n"
+
+    def test_ppl_background_only(self, workspace, capsys):
+        """``--background-only`` reports the background n-gram's chain rule,
+        EOS counted per sentence, not the full model's."""
+        bundle = build_bundle(workspace, capsys)
+        corpus = workspace / "test.txt"
+        corpus.write_text("_play _ro sie\n_by _browne\n", encoding="utf-8")
+        code, out, err = run(["ppl", "--bundle", bundle, "--corpus", corpus,
+                              "--background-only"], capsys)
+        assert (code, err) == (0, "")
+        assert out == ("perplexity\t4.64761867921\nlogprob\t-10.754484835\n"
+                       "symbols\t7\nsentences\t2\ndead\t0\n")
+        background = bundle_mod.load(bundle).background
+        size = background.context_size
+        total = 0.0
+        for sentence in (("_play", "_ro", "sie"), ("_by", "_browne")):
+            seq = (BOS,) * size + sentence + (EOS,)
+            for i in range(size, len(seq)):
+                total += background.logprob(seq[i], seq[i - size:i])
+        assert _fmt(total) == "-10.754484835"
+        _, full, _ = run(["ppl", "--bundle", bundle, "--corpus", corpus], capsys)
+        assert full.splitlines()[0] != out.splitlines()[0]
+
+    def test_expand_cfg_fills_the_tagged_patterns(self, workspace, capsys):
+        """Untagged, each sentence is the tagged one under the same seed with
+        each class token replaced by one of its class's entities."""
+        entities = {"@song": SONG_ENTITIES, "@artist": ARTIST_ENTITIES}
+
+        def fills(pattern, sentence):
+            if not pattern:
+                return not sentence
+            return any(sentence[:len(entity)] == entity
+                       and fills(pattern[1:], sentence[len(entity):])
+                       for entity in entities.get(pattern[0], [(pattern[0],)]))
+
+        args = ["expand-cfg", "--patterns", workspace / "patterns.txt",
+                "--entity-dir", workspace / "entities", "--vocab", workspace / "vocab.txt",
+                "--classes", workspace / "classes.txt", "-n", 8, "--seed", 7]
+        code, plain, err = run(args, capsys)
+        assert (code, err) == (0, "")
+        assert plain.splitlines()[:5] == [
+            "_play _ro sie", "_play _ro sie", "_play _ro sie _by _browne",
+            "_play _ro sie _by _ro berta _flack", "_play _ro salie _by _browne"]
+        code, tagged, err = run(args + ["--tagged"], capsys)
+        assert (code, err) == (0, "")
+        pairs = list(zip(tagged.splitlines(), plain.splitlines(), strict=True))
+        assert len(pairs) == 8
+        for pattern, sentence in pairs:
+            assert fills(tuple(pattern.split()), tuple(sentence.split())), (pattern, sentence)
+
 
 def unpruned(bundle):
     """The bundle as ``--exact`` loads it: every alignment kept."""
@@ -299,6 +366,16 @@ class TestFailures:
                               "--out", workspace / "x.fst"], capsys)
         assert (code, out) == (1, "")
         assert err == "nfclm: error: @x: entity count total inf is not finite\n"
+        assert not (workspace / "x.fst").exists()
+
+    def test_entity_count_vanishing_against_its_prefix(self, workspace, capsys):
+        (workspace / "tiny.txt").write_text("a\t1e308\nb\t5e-324\n", encoding="utf-8")
+        code, out, err = run(["build-fst", "--class-label", "@x",
+                              "--entities", workspace / "tiny.txt",
+                              "--out", workspace / "x.fst"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("nfclm: error: @x: entity prefix 'b' count 5e-324 rounds to "
+                       "probability 0.0 against 1e+308\n")
         assert not (workspace / "x.fst").exists()
 
     def test_pack_class_without_fst_rejected(self, workspace, capsys):
@@ -488,3 +565,34 @@ def test_output_is_independent_of_the_hash_seed(workspace, capsys):
     assert len(printed) == 6
     for name, (first, second) in printed.items():
         assert first == second, name
+
+
+def readme_commands():
+    """The arguments of every ``nfclm`` command in README's ``sh`` blocks,
+    backslash continuations joined, split as the shell splits them."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["nfclm"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    """Every command README shows parses, and together they use every
+    subcommand, so a flag or subcommand the command line drops is not left
+    documented."""
+    parser = build_parser()
+    used = set()
+    for args in readme_commands():
+        try:
+            used.add(parser.parse_args(args).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: nfclm {shlex.join(args)}\n"
+                        f"{capsys.readouterr().err}")
+    subcommands = next(action.choices for action in parser._actions
+                       if action.dest == "command")
+    assert used == set(subcommands)

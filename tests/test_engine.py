@@ -18,11 +18,11 @@ from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    train_ngram)
 from nfclm import engine
 from nfclm.engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
-                          MERGE_MODES, PositionError, _mixture, _stored_suffix, log_sum_exp)
+                          MERGE_MODES, _mixture, _stored_suffix, log_sum_exp)
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, count_tables, decider_row, fst_from_dicts,
-                      histories, make_toy_model, ngram_from_tables, positions,
+                      histories, hypothesis_key, make_toy_model, ngram_from_tables, positions,
                       random_instance, uniform_background)
 from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
@@ -32,7 +32,7 @@ FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
 
 def hyp(model, decider_hist=(), position=None, weight=0.0):
-    return AlignmentHypothesis(model.encode(decider_hist, position), weight)
+    return AlignmentHypothesis(hypothesis_key(model, decider_hist, position), weight)
 
 
 def stays_of(model, symbol):
@@ -1728,14 +1728,14 @@ def walked_keys(model, histories):
 
 
 class TestKeyLayout:
-    """A hypothesis key holds its (decider history, position): decoding an
-    encoded key gives them back, and key order is the tie order."""
+    """A hypothesis key holds its (decider history, position): packing what
+    a key decodes to by the documented layout gives the key back, and key
+    order is the tie order."""
 
     def assert_layout(self, model, keys):
         for key in keys:
             dh, position = model.decode(key)
-            assert model.encode(dh, position) == key, (dh, position)
-            assert model.decode(model.encode(dh, position)) == (dh, position)
+            assert hypothesis_key(model, dh, position) == key, (dh, position)
         assert sorted(keys) == sorted(keys, key=lambda key: tie_order(model, key))
 
     def test_every_walked_hypothesis(self, toy_model):
@@ -1784,30 +1784,6 @@ class TestKeyLayout:
         longest = max(keys, key=lambda key: len(toy_model_full.decode(key)[0]))
         assert len(toy_model_full.decode(longest)[0]) > 100
         assert max(key.bit_length() for key in keys) > 64
-
-    def test_position_outside_its_automaton_is_refused(self, toy_model):
-        song = toy_model.class_fsts["@song"]
-        for label, state in (("@movie", 0), ("@song", -1), ("@song", song.num_states),
-                             (BACKGROUND, 0)):
-            with pytest.raises(PositionError, match=f"{label}.*{state}") as exc:
-                toy_model.encode(("_play",), (label, state))
-            assert (exc.value.label, exc.value.state) == (label, state)
-        last = song.num_states - 1
-        assert toy_model.decode(toy_model.encode(("_play",), ("@song", last))) == (
-            ("_play",), ("@song", last))
-        with pytest.raises(KeyError, match="zzz"):
-            toy_model.encode(("zzz",), None)
-
-    def test_bos_in_a_history_is_refused(self, toy_model, toy_model_full):
-        """BOS is only a pad, which ``decode`` drops, so a history that
-        holds it is refused as an unknown token is."""
-        for model in (toy_model, toy_model_full):
-            cases = [((BOS,), None), (("_play", BOS), ("@song", 0))]
-            if model.merge == "full":  # older tokens than the decider's context stay
-                cases.append(((BOS, "_play"), None))
-            for history, position in cases:
-                with pytest.raises(KeyError, match=f"token {BOS!r} is not in the model"):
-                    model.encode(history, position)
 
     def test_history_field_is_the_padded_history(self):
         """Above its position a key is its decider history packed by
