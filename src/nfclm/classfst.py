@@ -15,10 +15,10 @@ An automaton keeps its states and arcs in flat ``array`` columns, as
 OpenFst's ``ConstFst`` does, so it holds no object per state or arc;
 ``arcs[state]`` builds a plain dict of one state's arcs from its run of
 those columns, and the engine reads the columns themselves (see
-``ProbClassFst``).
-Binary format v2 writes those columns as they are held, after a header
-and the sorted symbol table, and the decoder reads each one whole;
-``validate`` then checks them in one pass.
+``ProbClassFst``).  Its integer columns are held at the narrowest width
+their values need, as binary format v3 stores them after a header and
+the sorted symbol table; the decoder reads each one whole, a v2 file's
+at its fixed width, and ``validate`` then checks them in one pass.
 
 Automata are immutable once built and safe to share across threads.
 """
@@ -32,14 +32,13 @@ from itertools import islice
 from operator import le, lt
 from typing import Optional
 
-from .serialization import ByteReader, ByteWriter, SerializationError
+from .serialization import VERSION, ByteReader, ByteWriter, SerializationError, narrowed
 from .vocab import Vocabulary, read_lines
 
 MAGIC = b"PCFST\x00"
-VERSION = 2
 # how far a state's exit plus arc probabilities may stray from 1
 MASS_TOLERANCE = 1e-9
-# typecode of the state offsets, arc symbol ids and destinations: a u32, as stored
+# typecode format v2 stores the state offsets, arc symbol ids and destinations as
 ID = "I"
 
 Entity = tuple[tuple[str, ...], float]
@@ -85,8 +84,8 @@ class ProbClassFst:
     ``(probability, destination)``; ``exits[s]`` is the probability of
     leaving the class at state ``s``.
 
-    The constructor takes the columns that format v2 writes, and holds
-    them as given, as read-only attributes:
+    The constructor takes the columns that the binary format stores, and
+    holds them as given, as read-only attributes:
 
     - ``symbols``, the sorted table of arc symbols, and ``ids``, its
       inverse ``{symbol: id}``;
@@ -95,6 +94,9 @@ class ProbClassFst:
       ``offsets[s]:offsets[s + 1]``), and ``exits[s]``;
     - per arc, sorted by symbol id within its state's run, ``arc_ids``
       (an id into ``symbols``), ``probs`` and ``dests``.
+
+    ``offsets``, ``arc_ids`` and ``dests`` are unsigned integer arrays of
+    any width; a built or v3-loaded automaton holds each at the narrowest.
 
     The engine reads arcs from these columns: a bisect for the symbol's
     id in the state's run.  ``validate`` checks the columns; the
@@ -152,6 +154,7 @@ class ProbClassFst:
         if exits[self.start] != 0.0:
             raise ValueError(f"{label}: start state has nonzero exit probability")
         lo = 0
+        arcs = zip(arc_ids, probs, dests)  # each state takes its run in turn
         for state, (hi, exit_p) in enumerate(zip(islice(offsets, 1, None), exits)):
             if not 0.0 <= exit_p <= 1.0:
                 raise ValueError(f"{label}: exit probability out of range at state {state}")
@@ -160,8 +163,7 @@ class ProbClassFst:
                 if exit_p == 1.0:
                     raise ValueError(f"{label}: arcs leave full-exit state {state}")
                 previous = -1
-                for i in range(lo, hi):
-                    sid, prob = arc_ids[i], probs[i]
+                for sid, prob, dest in islice(arcs, hi - lo):
                     if sid >= num_symbols:
                         raise ValueError(f"{label}: arc id {sid} at state {state} is "
                                          f"outside the symbol table of {num_symbols}")
@@ -171,7 +173,7 @@ class ProbClassFst:
                     if not 0.0 < prob <= 1.0:
                         raise ValueError(f"{label}: arc {state}-{symbols[sid]} probability "
                                          f"{prob!r} out of range")
-                    if not state < dests[i] < num_states:
+                    if not state < dest < num_states:
                         # Topological ids make cycles and start loop-backs impossible.
                         raise ValueError(f"{label}: arc {state}-{symbols[sid]} breaks "
                                          "topological order")
@@ -185,10 +187,11 @@ class ProbClassFst:
         if len(set(dests)) != num_states - 1:
             raise ValueError(f"{label}: unreachable states present")
 
-    def serialize(self) -> bytes:
-        w = ByteWriter()
+    def serialize(self, version: int = VERSION) -> bytes:
+        """The binary of format ``version``; v3 unless told otherwise."""
+        w = ByteWriter(version)
         w.raw(MAGIC)
-        w.u16(VERSION)
+        w.u16(version)
         w.string(self.label)
         w.u64(self.entity_count)
         w.f64(self.total_weight)
@@ -196,15 +199,16 @@ class ProbClassFst:
         for symbol in self.symbols:
             w.string(symbol)
         w.u32(len(self.exits))
-        for column in (self.offsets, self.exits, self.arc_ids, self.probs, self.dests):
-            w.column(column)
+        for column, typecode in ((self.offsets, ID), (self.exits, "d"), (self.arc_ids, ID),
+                                 (self.probs, "d"), (self.dests, ID)):
+            w.column(column, typecode)
         return w.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ProbClassFst":
         r = ByteReader(data)
         r.expect_magic(MAGIC, "class FST")
-        r.expect_version(VERSION, "class FST")
+        r.expect_version("class FST")
         label = r.string()
         entity_count = r.u64()
         total_weight = r.f64()
@@ -317,8 +321,8 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
     last = len(firsts) - 1
     symbols = tuple(sorted({sym for node in firsts for sym in node.children}))
     ids = {symbol: i for i, symbol in enumerate(symbols)}
-    offsets, exits = array(ID, [0]), array("d")
-    arc_ids, probs, dests = array(ID), array("d"), array(ID)
+    offsets, exits = [0], array("d")
+    arc_ids, probs, dests = [], array("d"), []
     for node in reversed(firsts):
         exits.append(node.end_weight / node.weight)
         for sym, child in sorted(node.children.items()):
@@ -326,8 +330,8 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
             probs.append(child.weight / node.weight)
             dests.append(last - child.state)
         offsets.append(len(arc_ids))
-    fst = ProbClassFst(label, symbols, offsets, exits, arc_ids, probs, dests,
-                       entity_count=len(normalized), total_weight=root.weight)
+    fst = ProbClassFst(label, symbols, narrowed(offsets), exits, narrowed(arc_ids), probs,
+                       narrowed(dests), entity_count=len(normalized), total_weight=root.weight)
     fst.validate()
     return fst
 

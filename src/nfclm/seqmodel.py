@@ -21,16 +21,15 @@ from itertools import accumulate, chain, compress, count, filterfalse, groupby, 
 from operator import add, and_, ge, lshift, mul, rshift, sub, truediv
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .serialization import ByteReader, ByteWriter, SerializationError
+from .serialization import (VERSION, ByteReader, ByteWriter, SerializationError, narrowed,
+                            narrowest)
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 NGRAM_MAGIC = b"NGBO\x00"
-NGRAM_VERSION = 2
 DECIDER_MAGIC = b"NDCD\x00"
-DECIDER_VERSION = 2
-# typecodes of the symbol-id and count columns, a u32 and a u64 as stored;
-# a packed context is held as a u64, a total or back-off weight as an f64
-ID, COUNT, KEY, WEIGHT = "I", "Q", "Q", "d"
+# typecodes format v2 stores the symbol-id and count columns as, a u32 and
+# a u64; a back-off weight is held as an f64
+ID, COUNT, WEIGHT = "I", "Q", "d"
 
 DECIDER_FLOOR = 1e-6
 
@@ -92,7 +91,8 @@ class ConditionalSymbolModel(ABC):
 
 
 class NGramLevel(NamedTuple):
-    """One level of an n-gram: the columns format v2 stores, contexts packed.
+    """One level of an n-gram: the columns the binary format stores,
+    contexts packed.
 
     Context ``j`` is ``contexts[j]``, the symbol ids of its ``k`` symbols
     packed into one int, each in ``width`` bits (the bit length of the
@@ -100,7 +100,9 @@ class NGramLevel(NamedTuple):
     do; the contexts ascend.
     Its targets and their counts are ``targets[offsets[j]:offsets[j + 1]]``
     and the same run of ``counts``, the targets ascending.  A context whose
-    run is empty is read as absent.
+    run is empty is read as absent.  The columns are unsigned integer
+    arrays of any width; training and a v3 load hold each at the
+    narrowest, the contexts at the narrowest that holds ``k * width`` bits.
     """
 
     contexts: Sequence[int]
@@ -264,14 +266,15 @@ class BackoffNGram(ConditionalSymbolModel):
             stored.append(self._columns(list(compress(contexts, totals)), length))
         return self.symbols, stored
 
-    def serialize(self) -> bytes:
-        """Format v2: the header and symbol table, then each level as four
-        columns: its contexts' symbol ids, each context's number of counts,
-        and the target ids and counts, contexts and targets sorted."""
+    def serialize(self, version: int = VERSION) -> bytes:
+        """The binary of format ``version``, v3 unless told otherwise: the
+        header and symbol table, then each level as four columns: its
+        contexts' symbol ids, each context's number of counts, and the
+        target ids and counts, contexts and targets sorted."""
         ids = self._ids.__getitem__
-        w = ByteWriter()
+        w = ByteWriter(version)
         w.raw(NGRAM_MAGIC)
-        w.u16(NGRAM_VERSION)
+        w.u16(version)
         w.u16(self.order)
         w.f64(self.discount)
         w.u32(len(self.symbols))
@@ -279,21 +282,21 @@ class BackoffNGram(ConditionalSymbolModel):
             w.string(s)
         for alphabet in (self._predicted, sorted(self._history_alphabet)):
             w.u32(len(alphabet))
-            w.column(array(ID, map(ids, alphabet)))
+            w.column(array(ID, map(ids, alphabet)), ID)
         for length, level in enumerate(self.levels):
             w.u32(len(level.contexts))
             w.column(array(ID, chain.from_iterable(zip(*self._columns(level.contexts,
-                                                                      length)))))
-            w.column(array(ID, map(sub, level.offsets[1:], level.offsets)))
-            w.column(level.targets)
-            w.column(level.counts)
+                                                                      length)))), ID)
+            w.column(array(ID, map(sub, level.offsets[1:], level.offsets)), ID)
+            w.column(level.targets, ID)
+            w.column(level.counts, COUNT)
         return w.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "BackoffNGram":
         r = ByteReader(data)
         r.expect_magic(NGRAM_MAGIC, "n-gram model")
-        r.expect_version(NGRAM_VERSION, "n-gram model")
+        r.expect_version("n-gram model")
         order = r.u16()
         discount = r.f64()
         symbols = []
@@ -306,14 +309,14 @@ class BackoffNGram(ConditionalSymbolModel):
             symbols.append(sym)
 
         def ids(count: int) -> tuple[array, int]:
-            """The next column of ``count`` symbol ids, and its offset."""
-            at = r.offset
+            """The next column of ``count`` symbol ids, and where its values start."""
             column = r.column(ID, count)
+            at = r.offset - column.itemsize * count
             if column and max(column) >= len(symbols):
                 k = next(k for k, i in enumerate(column) if i >= len(symbols))
                 raise SerializationError(
                     f"symbol id {column[k]} is outside the symbol table of {len(symbols)}",
-                    at + 4 * k)
+                    at + column.itemsize * k)
             return column, at
 
         predicted, _ = ids(r.u32())
@@ -326,19 +329,20 @@ class BackoffNGram(ConditionalSymbolModel):
             flat, contexts_at = ids(n_contexts * length)
             sizes = r.column(ID, n_contexts)
             targets, targets_at = ids(sum(sizes))
-            counts_at = r.offset
             counts = r.column(COUNT, len(targets))
+            counts_at = r.offset - counts.itemsize * len(counts)
             if not allowed.issuperset(targets):
                 k = next(k for k, t in enumerate(targets) if t not in allowed)
                 raise SerializationError(
                     f"count target {symbols[targets[k]]!r} is outside the predicted alphabet",
-                    targets_at + 4 * k)
+                    targets_at + targets.itemsize * k)
             if 0 in counts:
                 k = counts.index(0)
                 raise SerializationError(f"zero count for {symbols[targets[k]]!r}",
-                                         counts_at + 8 * k)
+                                         counts_at + counts.itemsize * k)
             level = NGramLevel(_packed(flat, n_contexts, length, len(symbols)),
-                               array(ID, accumulate(sizes, initial=0)), targets, counts)
+                               array(narrowest(len(targets)), accumulate(sizes, initial=0)),
+                               targets, counts)
             _check_order(level, flat, length, symbols, contexts_at, targets_at)
             levels.append(level)
         try:
@@ -354,27 +358,34 @@ class BackoffNGram(ConditionalSymbolModel):
 def _packed(flat: Sequence[int], count: int, length: int, n_symbols: int) -> Sequence[int]:
     """``count`` contexts of ``length`` symbol ids, one after another in
     ``flat``, each packed as ``NGramLevel`` holds it for a table of
-    ``n_symbols``: a u64 column, or a list when a context needs more bits."""
+    ``n_symbols``: a column of the narrowest unsigned typecode that holds
+    every packed context of ``length`` ids, or a list when a context needs
+    more than 64 bits."""
     width = n_symbols.bit_length()
     keys = flat[0::length] if length else repeat(0, count)
     for i in range(1, length):
         keys = map(add, map(lshift, keys, repeat(width)), flat[i::length])
-    return array(KEY, keys) if width * length <= 64 else list(keys)
+    bits = width * length
+    return array(narrowest((1 << bits) - 1), keys) if bits <= 64 else list(keys)
 
 
 def _weights(offsets: array, counts: array, discount: float) -> tuple[array, array]:
     """Each context's total count and back-off weight ``discount * size /
     total``, with the bits a walk that sums its run per query gets: a total
-    is the exact integer sum, held as the float that dividing by it
-    converts it to.  An empty run, which no lookup reads, gets a zero total
-    and weight."""
+    is the exact integer sum, held in the narrowest unsigned array that
+    holds them all, or past 2**64 as the floats that dividing by them
+    converts them to; a float divided by an int converts it to the same
+    float.  An empty run, which no lookup reads, gets a zero total and
+    weight."""
     # exact integer sums, past 2**64 too
     prefix = list(accumulate(counts, initial=0))
     ends = list(map(prefix.__getitem__, offsets))
-    totals = array(WEIGHT, map(sub, islice(ends, 1, None), ends))
+    totals = list(map(sub, islice(ends, 1, None), ends))
+    top = max(totals, default=0)
+    totals = array(WEIGHT if top >> 64 else narrowest(top), totals)
     sizes = map(sub, islice(offsets, 1, None), offsets)
     # an empty run's weight is 0 / 1; every other total is at least 1
-    divisors = map(max, totals, repeat(1.0)) if 0.0 in totals else totals
+    divisors = map(max, totals, repeat(1)) if 0 in totals else totals
     return totals, array(WEIGHT, map(truediv, map(mul, repeat(discount), sizes), divisors))
 
 
@@ -389,14 +400,14 @@ def _check_order(level: NGramLevel, flat: array, length: int, symbols: Sequence[
         context = tuple(symbols[s] for s in flat[length * i:length * (i + 1)])
         what = "repeated context" if contexts[i] == contexts[i - 1] else "out-of-order context"
         raise SerializationError(f"{what} {context!r} at level {length}",
-                                 contexts_at + 4 * length * i)
+                                 contexts_at + flat.itemsize * length * i)
     # a target not above the one before it, unless it starts its context's run
     k = next(filterfalse(set(offsets).__contains__,
                          compress(count(1), map(ge, targets, islice(targets, 1, None)))), None)
     if k is not None:
         what = "repeated" if targets[k] == targets[k - 1] else "out-of-order"
         raise SerializationError(f"{what} count target {symbols[targets[k]]!r}",
-                                 targets_at + 4 * k)
+                                 targets_at + targets.itemsize * k)
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
@@ -446,9 +457,10 @@ def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
                     for context, run in groupby(context for (context, _), _ in entries)]
         flat = list(chain.from_iterable(context for context, _ in contexts))
         levels.append(NGramLevel(_packed(flat, len(contexts), length, len(symbols)),
-                                 array(ID, accumulate((n for _, n in contexts), initial=0)),
-                                 array(ID, [target for (_, target), _ in entries]),
-                                 array(COUNT, [n for _, n in entries])))
+                                 array(narrowest(len(entries)),
+                                       accumulate((n for _, n in contexts), initial=0)),
+                                 narrowed([target for (_, target), _ in entries]),
+                                 narrowed([n for _, n in entries])))
     return levels
 
 
@@ -553,17 +565,19 @@ class DeciderModel(ConditionalSymbolModel):
         """The n-gram's: the floor and the prior scaling read no context."""
         return self.ngram.stored_contexts()
 
-    def serialize(self) -> bytes:
-        w = ByteWriter()
+    def serialize(self, version: int = VERSION) -> bytes:
+        """The binary of format ``version``, v3 unless told otherwise; the
+        n-gram inside is of the same version."""
+        w = ByteWriter(version)
         w.raw(DECIDER_MAGIC)
-        w.u16(DECIDER_VERSION)
+        w.u16(version)
         w.f64(self.alpha)
         w.f64(self.floor)
         w.u32(len(self.classes))
         for c in self.classes:
             w.string(c)
             w.f64(self.prior[c])
-        body = self.ngram.serialize()
+        body = self.ngram.serialize(version)
         w.u64(len(body))
         w.raw(body)
         return w.getvalue()
@@ -572,7 +586,7 @@ class DeciderModel(ConditionalSymbolModel):
     def deserialize(cls, data: bytes) -> "DeciderModel":
         r = ByteReader(data)
         r.expect_magic(DECIDER_MAGIC, "decider model")
-        r.expect_version(DECIDER_VERSION, "decider model")
+        r.expect_version("decider model")
 
         def setting(key: str, name: str) -> float:
             at, value, rule = r.offset, r.f64(), cls.RULES[key]

@@ -1,10 +1,16 @@
 """Binary encoding helpers shared by the model serializers.
 
-Every binary is format v2: a header of single fields, then columns.
-Integers are little-endian fixed width; probabilities are 64-bit floats;
-strings are UTF-8 with a u32 length prefix.  A column is ``count``
-little-endian values of one ``array`` typecode, read by ``column`` into
-an ``array`` whole, after one bounds check made before it allocates.
+Every binary is written in format v3: a header of single fields, then
+columns.  Header integers are little-endian fixed width; probabilities
+are 64-bit floats; strings are UTF-8 with a u32 length prefix.  A column
+is ``count`` little-endian values of one ``array`` typecode, read by
+``column`` into an ``array`` whole, after one bounds check made before
+it allocates.  A float column is 64-bit.  An integer column is unsigned:
+in v3 one byte gives its width, 1, 2, 4 or 8 bytes, the narrowest that
+holds its largest value (1 when it is empty), and the reader holds it at
+that width; format v2, which still loads, stored each at the fixed
+width its serializer names.  The version only chooses where a width
+comes from, so both formats share one decoder.
 """
 
 from __future__ import annotations
@@ -12,9 +18,26 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from collections.abc import Sequence
 
 # whether arrays must be byte-swapped to and from the little-endian columns
 _SWAP = sys.byteorder == "big"
+# the oldest format version the readers decode, and the one the writers write
+OLDEST_VERSION, VERSION = 2, 3
+# the typecode of each width an integer column may be stored at
+WIDTHS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def narrowest(top: int) -> str:
+    """The typecode of the narrowest unsigned array that holds ``top``;
+    ``'Q'`` past 64 bits too, which no array holds."""
+    return next((code for width, code in WIDTHS.items() if top < 1 << 8 * width), "Q")
+
+
+def narrowed(values: Sequence[int]) -> array:
+    """``values`` as an array of the narrowest unsigned typecode that holds
+    them all; ``'B'`` when there are none."""
+    return array(narrowest(max(values, default=0)), values)
 
 
 class SerializationError(Exception):
@@ -27,7 +50,10 @@ class SerializationError(Exception):
 
 
 class ByteWriter:
-    def __init__(self):
+    """Sequential writer of format ``version``, v3 unless told otherwise."""
+
+    def __init__(self, version: int = VERSION):
+        self.version = version
         self._buf = bytearray()
 
     def u16(self, value: int) -> None:
@@ -50,10 +76,19 @@ class ByteWriter:
         self.u32(len(encoded))
         self._buf += encoded
 
-    def column(self, values: array) -> None:
-        """``values`` as a little-endian column; its length is not written."""
+    def column(self, values: array, typecode: str) -> None:
+        """``values`` as a little-endian column; its length is not written.
+
+        ``typecode`` is ``'d'`` for floats, else the integer typecode that
+        format v2 stores the column as; from v3 an integer column is
+        written at its narrowest width, after the byte that gives it.
+        """
+        if typecode != "d" and self.version > 2:
+            typecode = narrowest(max(values, default=0))
+            self._buf.append(array(typecode).itemsize)
+        if values.typecode != typecode or _SWAP:
+            values = array(typecode, values)
         if _SWAP:
-            values = array(values.typecode, values)
             values.byteswap()
         self._buf += values.tobytes()
 
@@ -70,6 +105,7 @@ class ByteReader:
     def __init__(self, data: bytes):
         self._data = memoryview(data)
         self.offset = 0
+        self.version = VERSION  # set by ``expect_version``
 
     def _take(self, size: int) -> int:
         """Advance past ``size`` bytes; returns where they start."""
@@ -104,7 +140,18 @@ class ByteReader:
             raise SerializationError("invalid UTF-8 in string", start) from None
 
     def column(self, typecode: str, count: int) -> array:
-        """The next ``count`` values of ``typecode``, checked before allocating."""
+        """The next ``count`` values, checked before allocating.
+
+        ``typecode`` is ``'d'`` for floats, else the integer typecode that
+        format v2 stores the column as; from v3 the byte before an integer
+        column gives its width, and the array has that width.  Where the
+        values start is ``offset`` less their bytes, ``len * itemsize``.
+        """
+        if typecode != "d" and self.version > 2:
+            at = self._take(1)
+            typecode = WIDTHS.get(self._data[at])
+            if typecode is None:
+                raise SerializationError(f"bad column width {self._data[at]}", at)
         values = array(typecode)
         at = self._take(count * values.itemsize)
         values.frombytes(self._data[at:self.offset])
@@ -117,13 +164,16 @@ class ByteReader:
         if self._data[at:self.offset] != magic:
             raise SerializationError(f"bad magic bytes for {what}", at)
 
-    def expect_version(self, version: int, what: str) -> None:
+    def expect_version(self, what: str) -> None:
+        """Read a version field; formats ``OLDEST_VERSION`` to ``VERSION`` load."""
         start = self.offset
         found = self.u16()
-        if found != version:
+        if not OLDEST_VERSION <= found <= VERSION:
+            expected = " or ".join(map(str, range(OLDEST_VERSION, VERSION + 1)))
             raise SerializationError(
-                f"unsupported {what} version {found} (expected {version})", start
+                f"unsupported {what} version {found} (expected {expected})", start
             )
+        self.version = found
 
     def done(self) -> None:
         if self.offset != len(self._data):

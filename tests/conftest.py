@@ -106,7 +106,8 @@ def count_tables(ngram):
 
 
 class Level(NamedTuple):
-    """Where one n-gram level's context count and its four columns start."""
+    """Where one n-gram level's context count and the values of its four
+    columns start."""
 
     count: int
     contexts: int
@@ -116,24 +117,36 @@ class Level(NamedTuple):
 
 
 def ngram_levels(data, base=0):
-    """The ``Level`` of each level of the n-gram payload at ``base`` in ``data``."""
-    (order,) = struct.unpack_from("<H", data, base + 7)
-    at = base + 17
-    (n,) = struct.unpack_from("<I", data, at)
-    at += 4
-    for _ in range(n):
-        at += 4 + struct.unpack_from("<I", data, at)[0]
+    """The ``Level`` of each level of the n-gram payload at ``base`` in
+    ``data``, of format v2 (integer columns of u32 ids and u64 counts) or
+    v3 (each integer column after a byte that gives its width)."""
+    version, order = struct.unpack_from("<HH", data, base + 5)
+
+    def u32(at):
+        return struct.unpack_from("<I", data, at)[0]
+
+    def column(at, count, v2_width):
+        """Where a column of ``count`` values starts, its width and its end."""
+        width = v2_width if version == 2 else data[at]
+        start = at + (version > 2)
+        return start, width, start + width * count
+
+    at = base + 21
+    for _ in range(u32(at - 4)):
+        at += 4 + u32(at)
     for _ in range(2):  # predicted, then history alphabet ids
-        at += 4 + 4 * struct.unpack_from("<I", data, at)[0]
+        at = column(at + 4, u32(at), 4)[2]
     levels = []
     for length in range(order):
-        (n_contexts,) = struct.unpack_from("<I", data, at)
-        contexts = at + 4
-        sizes = contexts + 4 * length * n_contexts
-        n_counts = sum(struct.unpack_from(f"<{n_contexts}I", data, sizes))
-        targets = sizes + 4 * n_contexts
-        levels.append(Level(at, contexts, sizes, targets, targets + 4 * n_counts))
-        at = targets + 12 * n_counts
+        n_contexts = u32(at)
+        contexts, _, end = column(at + 4, length * n_contexts, 4)
+        sizes, width, end = column(end, n_contexts, 4)
+        n_counts = sum(int.from_bytes(data[k:k + width], "little")
+                       for k in range(sizes, end, width))
+        targets, _, end = column(end, n_counts, 4)
+        counts, _, end = column(end, n_counts, 8)
+        levels.append(Level(at, contexts, sizes, targets, counts))
+        at = end
     return levels
 
 

@@ -5,7 +5,8 @@ Trains a mid-size background n-gram and decider on a deterministic
 synthetic corpus and builds a class automaton from spans of it, loads
 each from its bytes under ``tracemalloc`` and prints, as Markdown, what
 each stores and the bytes it holds once loaded next to the bytes of its
-payload:
+payload, then each integer column of the loaded models with its array
+typecode and the bytes that array holds:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 import tracemalloc
 
 from nfclm import (BackoffNGram, DeciderModel, ProbClassFst, build_from_entities,
@@ -65,6 +67,17 @@ def entries(ngram: BackoffNGram) -> int:
     return sum(len(level.targets) for level in ngram.levels)
 
 
+def integer_columns(model) -> list:
+    """``(name, column)`` for each integer column ``model`` holds; a
+    decider's are its n-gram's."""
+    if isinstance(model, ProbClassFst):
+        return [(name, getattr(model, name)) for name in ("offsets", "arc_ids", "dests")]
+    if isinstance(model, DeciderModel):
+        model = model.ngram
+    return [(f"level {length} {name}", column) for length, level in enumerate(model.levels)
+            for name, column in level._asdict().items()]
+
+
 def held_bytes(kind, data: bytes) -> int:
     """Bytes that ``kind.deserialize(data)`` allocates and keeps, by tracemalloc."""
     gc.collect()
@@ -82,15 +95,24 @@ def held_bytes(kind, data: bytes) -> int:
 def main() -> None:
     background, decider = mid_size_models()
     fst = mid_size_automaton()
+    components = (
+        ("background n-gram", background, f"{entries(background):,} entries"),
+        ("decider", decider, f"{entries(decider.ngram):,} entries"),
+        ("class automaton", fst, f"{fst.num_states:,} states, {len(fst.arc_ids):,} arcs"))
     print("| component | stored | payload bytes | held bytes | held / payload |")
     print("|---|---|---|---|---|")
-    for name, model, stored in (
-            ("background n-gram", background, f"{entries(background):,} entries"),
-            ("decider", decider, f"{entries(decider.ngram):,} entries"),
-            ("class automaton", fst, f"{fst.num_states:,} states, {len(fst.arc_ids):,} arcs")):
+    for name, model, stored in components:
         data = model.serialize()
         held = held_bytes(type(model), data)
         print(f"| {name} | {stored} | {len(data):,} | {held:,} | {held / len(data):.2f} |")
+    print()
+    print("| component | column | typecode | values | held bytes |")
+    print("|---|---|---|---|---|")
+    for name, model, _ in components:
+        loaded = type(model).deserialize(model.serialize())
+        for column_name, column in integer_columns(loaded):
+            print(f"| {name} | {column_name} | {column.typecode} | {len(column):,} "
+                  f"| {sys.getsizeof(column):,} |")
 
 
 if __name__ == "__main__":

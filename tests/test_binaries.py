@@ -1,12 +1,15 @@
 """Component binaries: decode errors, round trips and shared symbol strings.
 
-Each corruption below names the error the format-v2 decoder raises for
-it as ``(message, offset)``: a cut column is reported at its start, a
-bad entry of a column at that entry, and a fault that ``validate`` finds
-at the end of the data.  Hostile length fields must fail before the
-decoder allocates for them, and a binary of an older format version is
-refused by name.  A fuzz test then sends byte flips and truncations of
-every component of a packed bundle through ``bundle.load``.
+Each corruption below names the error the decoder raises for it as
+``(message, offset)``: a cut column is reported at its start, a bad
+column width at its byte, a bad entry of a column at that entry, and a
+fault that ``validate`` finds at the end of the data.  The first cases
+corrupt format v2 binaries, which still load; the ``V3_`` cases corrupt
+the format v3 that every binary is written in.  Hostile length fields
+must fail before the decoder allocates for them, and a binary of format
+version 1 is refused by name.  A fuzz test then sends byte flips and
+truncations of every component of a packed bundle through
+``bundle.load``.
 """
 
 import math
@@ -23,6 +26,7 @@ from nfclm import (BackoffNGram, DeciderModel, NfclmModel, ProbClassFst, bundle,
                    train_decider, train_ngram)
 from nfclm.classfst import MAGIC as FST_MAGIC
 from nfclm.cli import main
+from nfclm.engine import sequence_logprob
 from nfclm.seqmodel import DECIDER_MAGIC, NGRAM_MAGIC
 from nfclm.serialization import SerializationError
 
@@ -34,11 +38,11 @@ from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dict
 # 'sia' and 'sie' at 37, 44 and 51 (each a u32 length and its bytes),
 # num_states at 58; then the columns: five u32 offsets, four f64 exits,
 # and per arc (three) a u32 symbol id, an f64 probability and a u32
-# destination; 162 bytes in all.  The trie form, which a build would merge
+# destination; 162 bytes in all, in format v2.  The trie form, which a build would merge
 # into three states, keeps a state per arc to corrupt.
 FST = fst_from_dicts("@song", [{"_ro": (1.0, 1)}, {"sia": (0.5, 2), "sie": (0.5, 3)}, {}, {}],
                      [0.0, 0.0, 1.0, 1.0])
-FST_DATA = FST.serialize()
+FST_DATA = FST.serialize(2)
 OFFSETS, EXITS, ARC_IDS, PROBS, DESTS = 62, 82, 114, 126, 150
 assert len(FST_DATA) == 162
 
@@ -46,13 +50,13 @@ assert len(FST_DATA) == 162
 # context () with counts for '</s>', 'a' and 'b'; level 1 holds the
 # contexts ('<s>',), ('a',) and ('b',), one count each
 NGRAM = train_ngram([("a", "b")], ["a", "b"], order=2)
-NGRAM_DATA = NGRAM.serialize()
+NGRAM_DATA = NGRAM.serialize(2)
 
 DECIDER = train_decider([("a", "@x"), ("b",)], load_vocabulary(["a", "b"]),
                         load_class_alphabet(["@bg", "@x"]), order=2)
-DECIDER_DATA = DECIDER.serialize()
+DECIDER_DATA = DECIDER.serialize(2)
 # alpha, floor, then the class count at 23, class '@bg' at 27 and '@x' at 42
-DECIDER_BODY = DECIDER_DATA.index(DECIDER.ngram.serialize())
+DECIDER_BODY = DECIDER_DATA.index(DECIDER.ngram.serialize(2))
 CLASS_X_NAME = 46  # the 'x' of '@x' is one byte on
 
 
@@ -94,10 +98,10 @@ FST_CASES = {
     "arc dest cut": (FST_DATA[:DESTS + 9],
                      ("unexpected end of data (wanted 12 bytes)", DESTS)),
     "bad magic": (b"X" + FST_DATA[1:], ("bad magic bytes for class FST", 0)),
-    "bad version": (put(FST_DATA, 6, "<H", 3),
-                    ("unsupported class FST version 3 (expected 2)", 6)),
+    "bad version": (put(FST_DATA, 6, "<H", 4),
+                    ("unsupported class FST version 4 (expected 2 or 3)", 6)),
     "version 1": (put(FST_DATA, 6, "<H", 1),
-                  ("unsupported class FST version 1 (expected 2)", 6)),
+                  ("unsupported class FST version 1 (expected 2 or 3)", 6)),
     "bad UTF-8": (swap(FST_DATA, b"sia", b"\xffia"), ("invalid UTF-8 in string", 44)),
     "symbols out of order": (swap(FST_DATA, b"sia", b"sza"),
                              invariant("symbol table is not sorted and unique at 'sie'")),
@@ -150,7 +154,7 @@ NGRAM_CASES = {
     "symbol bytes cut": (NGRAM_DATA[:24], ("unexpected end of data (wanted 4 bytes)", 21)),
     "bad UTF-8": (swap(NGRAM_DATA, b"</s>", b"<\xff>>"), ("invalid UTF-8 in string", 21)),
     "version 1": (put(NGRAM_DATA, 5, "<H", 1),
-                  ("unsupported n-gram model version 1 (expected 2)", 5)),
+                  ("unsupported n-gram model version 1 (expected 2 or 3)", 5)),
     "predicted id unknown": (put(NGRAM_DATA, PREDICTED, "<I", 4),
                              ("symbol id 4 is outside the symbol table of 4", PREDICTED)),
     # the predicted alphabet 'a' 'b' '</s>' 'a': without the check its
@@ -220,7 +224,7 @@ NGRAM_CASES = {
 DECIDER_CASES = {
     "prior cut": (DECIDER_DATA[:37], ("unexpected end of data (wanted 8 bytes)", 34)),
     "version 1": (put(DECIDER_DATA, 5, "<H", 1),
-                  ("unsupported decider model version 1 (expected 2)", 5)),
+                  ("unsupported decider model version 1 (expected 2 or 3)", 5)),
     "body length cut": (DECIDER_DATA[:DECIDER_BODY - 2],
                         ("unexpected end of data (wanted 8 bytes)", DECIDER_BODY - 8)),
     "body past the end": (DECIDER_DATA[:-1], ("truncated decider payload", DECIDER_BODY)),
@@ -240,10 +244,108 @@ DECIDER_CASES = {
                                                 len(DECIDER_DATA))),
 }
 
+# The same models in format v3, where every integer column of these small
+# models is one byte wide.  The automaton: num_states at 58, then the offsets'
+# width byte at 62 and their values at 63, the exits at 68, the arc ids'
+# width at 100 and values at 101, the probabilities at 104, and the
+# destinations' width at 128 and values at 129; 132 bytes in all.
+V3_FST_DATA = FST.serialize()
+V3_OFFSETS, V3_ARC_IDS, V3_DESTS = 63, 101, 129
+assert len(V3_FST_DATA) == 132
+assert [V3_FST_DATA[at - 1] for at in (V3_OFFSETS, V3_ARC_IDS, V3_DESTS)] == [1, 1, 1]
+
+V3_NGRAM_DATA = NGRAM.serialize()
+V3_LEVEL0, V3_LEVEL1 = ngram_levels(V3_NGRAM_DATA)
+V3_PREDICTED = 51
+# an order-1 n-gram over 300 words, whose 301 target ids are two bytes wide
+WIDE = train_ngram([tuple(f"w{i:03}" for i in range(300))], [f"w{i:03}" for i in range(300)],
+                   order=1)
+WIDE_DATA = WIDE.serialize()
+(WIDE_LEVEL0,) = ngram_levels(WIDE_DATA)
+assert WIDE_DATA[WIDE_LEVEL0.targets - 1] == 2
+
+V3_DECIDER_DATA = DECIDER.serialize()
+V3_DECIDER_BODY = V3_DECIDER_DATA.index(DECIDER.ngram.serialize())
+V3_DECIDER_LEVEL0, _ = ngram_levels(V3_DECIDER_DATA, V3_DECIDER_BODY)
+
+V3_CASES = {
+    ProbClassFst: {
+        "offsets width cut": (V3_FST_DATA[:V3_OFFSETS - 1],
+                              ("unexpected end of data (wanted 1 bytes)", V3_OFFSETS - 1)),
+        "offsets cut": (V3_FST_DATA[:V3_OFFSETS + 2],
+                        ("unexpected end of data (wanted 5 bytes)", V3_OFFSETS)),
+        "offsets width 3": (put(V3_FST_DATA, V3_OFFSETS - 1, "<B", 3),
+                            ("bad column width 3", V3_OFFSETS - 1)),
+        "arc ids width 0": (put(V3_FST_DATA, V3_ARC_IDS - 1, "<B", 0),
+                            ("bad column width 0", V3_ARC_IDS - 1)),
+        "arc ids cut": (V3_FST_DATA[:V3_ARC_IDS + 1],
+                        ("unexpected end of data (wanted 3 bytes)", V3_ARC_IDS)),
+        "dests widened past the end": (put(V3_FST_DATA, V3_DESTS - 1, "<B", 8),
+                                       ("unexpected end of data (wanted 24 bytes)", V3_DESTS)),
+        "dests cut": (V3_FST_DATA[:V3_DESTS + 2],
+                      ("unexpected end of data (wanted 3 bytes)", V3_DESTS)),
+        "arc id outside the symbol table": (
+            put(V3_FST_DATA, V3_ARC_IDS + 2, "<B", 3),
+            invariant("arc id 3 at state 1 is outside the symbol table of 3", V3_FST_DATA)),
+        "version 4": (put(V3_FST_DATA, 6, "<H", 4),
+                      ("unsupported class FST version 4 (expected 2 or 3)", 6)),
+    },
+    BackoffNGram: {
+        "predicted id unknown": (put(V3_NGRAM_DATA, V3_PREDICTED, "<B", 4),
+                                 ("symbol id 4 is outside the symbol table of 4",
+                                  V3_PREDICTED)),
+        "context id cut": (V3_NGRAM_DATA[:V3_LEVEL1.contexts + 1],
+                           ("unexpected end of data (wanted 3 bytes)", V3_LEVEL1.contexts)),
+        "context id unknown": (put(V3_NGRAM_DATA, V3_LEVEL1.contexts + 1, "<B", 99),
+                               ("symbol id 99 is outside the symbol table of 4",
+                                V3_LEVEL1.contexts + 1)),
+        "repeated context": (put(V3_NGRAM_DATA, V3_LEVEL1.contexts + 2, "<B", 2),
+                             ("repeated context ('a',) at level 1", V3_LEVEL1.contexts + 2)),
+        "count id unknown": (put(V3_NGRAM_DATA, V3_LEVEL1.targets, "<B", 99),
+                             ("symbol id 99 is outside the symbol table of 4",
+                              V3_LEVEL1.targets)),
+        "target outside the predicted alphabet": (
+            put(V3_NGRAM_DATA, V3_LEVEL1.targets, "<B", 1),
+            ("count target '<s>' is outside the predicted alphabet", V3_LEVEL1.targets)),
+        "out-of-order count target": (
+            put(put(V3_NGRAM_DATA, V3_LEVEL0.targets + 1, "<B", 3), V3_LEVEL0.targets + 2,
+                "<B", 2),
+            ("out-of-order count target 'a'", V3_LEVEL0.targets + 2)),
+        "zero count": (put(V3_NGRAM_DATA, V3_LEVEL1.counts, "<B", 0),
+                       ("zero count for 'a'", V3_LEVEL1.counts)),
+        "counts width cut": (V3_NGRAM_DATA[:V3_LEVEL1.counts - 1],
+                             ("unexpected end of data (wanted 1 bytes)",
+                              V3_LEVEL1.counts - 1)),
+        "counts width 5": (put(V3_NGRAM_DATA, V3_LEVEL1.counts - 1, "<B", 5),
+                           ("bad column width 5", V3_LEVEL1.counts - 1)),
+        "counts widened past the end": (put(V3_NGRAM_DATA, V3_LEVEL1.counts - 1, "<B", 2),
+                                        ("unexpected end of data (wanted 6 bytes)",
+                                         V3_LEVEL1.counts)),
+        # entry k of a two-byte column is named at 2 * k
+        "wide count id unknown": (put(WIDE_DATA, WIDE_LEVEL0.targets + 2 * 7, "<H", 999),
+                                  ("symbol id 999 is outside the symbol table of 302",
+                                   WIDE_LEVEL0.targets + 2 * 7)),
+        "wide repeated count target": (
+            put(WIDE_DATA, WIDE_LEVEL0.targets + 2 * 7, "<H",
+                struct.unpack_from("<H", WIDE_DATA, WIDE_LEVEL0.targets + 2 * 6)[0]),
+            ("repeated count target 'w005'", WIDE_LEVEL0.targets + 2 * 7)),
+    },
+    DeciderModel: {
+        "zero count in the body": (put(V3_DECIDER_DATA, V3_DECIDER_LEVEL0.counts, "<B", 0),
+                                   ("zero count for '@bg'", V3_DECIDER_LEVEL0.counts)),
+        "body past the end": (V3_DECIDER_DATA[:-1],
+                              ("truncated decider payload", V3_DECIDER_BODY)),
+        "version 4": (put(V3_DECIDER_DATA, 5, "<H", 4),
+                      ("unsupported decider model version 4 (expected 2 or 3)", 5)),
+    },
+}
+
 CASES = [(kind.deserialize, name, data, expected)
          for kind, cases in ((ProbClassFst, FST_CASES), (BackoffNGram, NGRAM_CASES),
                              (DeciderModel, DECIDER_CASES))
          for name, (data, expected) in cases.items()]
+CASES += [(kind.deserialize, f"V3 {name}", data, expected)
+          for kind, cases in V3_CASES.items() for name, (data, expected) in cases.items()]
 
 
 @pytest.mark.parametrize("deserialize,name,data,expected", CASES,
@@ -270,7 +372,8 @@ def test_counts_summing_past_u64_load_and_score():
     for k, n in enumerate((2 ** 64 - 1, 2 ** 64 - 2, 5)):  # level 0: '</s>', 'a', 'b'
         data = put(data, LEVEL0.counts + 8 * k, "<Q", n)
     model = BackoffNGram.deserialize(data)
-    assert model.serialize() == data
+    assert model.serialize(2) == data
+    assert BackoffNGram.deserialize(model.serialize()).serialize() == model.serialize()
     # recorded from the dict tables, whose totals were Python ints
     recorded = {
         (): (("0x1.0000000000000p-1", "0x1.4000000000000p-63", "0x1.0000000000000p-1"),
@@ -296,6 +399,11 @@ HOSTILE_LENGTHS = {
     "context count length": (BackoffNGram, put(NGRAM_DATA, LEVEL1.sizes, "<I", HOSTILE),
                              (f"unexpected end of data (wanted {4 * (HOSTILE + 2)} bytes)",
                               LEVEL1.targets)),
+    "v3 num_states": (ProbClassFst, put(V3_FST_DATA, 58, "<I", HOSTILE),
+                      (f"unexpected end of data (wanted {HOSTILE + 1} bytes)", V3_OFFSETS)),
+    "v3 level context count": (BackoffNGram, put(V3_NGRAM_DATA, V3_LEVEL1.count, "<I", HOSTILE),
+                               (f"unexpected end of data (wanted {HOSTILE} bytes)",
+                                V3_LEVEL1.contexts)),
 }
 
 
@@ -319,7 +427,11 @@ def test_hostile_length_fails_before_allocating(name):
                                        (DeciderModel, DECIDER_DATA)],
                          ids=["ProbClassFst", "BackoffNGram", "DeciderModel"])
 def test_roundtrip_is_byte_identical(kind, data):
-    assert kind.deserialize(data).serialize() == data
+    """A v2 binary writes back as itself in v2, and its v3 form as itself."""
+    back = kind.deserialize(data)
+    assert back.serialize(2) == data
+    v3 = back.serialize()
+    assert kind.deserialize(v3).serialize() == v3
 
 
 def test_decoded_fst_shares_one_string_per_symbol():
@@ -381,6 +493,27 @@ def test_fuzzed_binary_loads_or_is_named(binaries, data):
         path.write_bytes(original)
 
 
+def test_v2_bundle_loads_and_scores_as_v3(binaries, tmp_path):
+    """A bundle whose binaries are format v2 loads and scores with the bits
+    of the same bundle in v3, and packs again as the v3 bundle."""
+    directory, originals = binaries
+    v2 = tmp_path / "v2"
+    shutil.copytree(directory, v2)
+    kinds = {"background.bin": BackoffNGram, "decider.bin": DeciderModel}
+    for name, data in originals.items():
+        v2_data = kinds.get(name, ProbClassFst).deserialize(data).serialize(2)
+        assert v2_data != data
+        (v2 / name).write_bytes(v2_data)
+    sentences = [("_play", "_ro", "sie"), ("_play", "_ro", "berta", "_flack", "_by", "_browne"),
+                 ("_ro", "salie", "_by", "_ro", "sie")]
+    old, new = bundle.load(v2), bundle.load(directory)
+    for sentence in sentences:
+        assert sequence_logprob(old, sentence).hex() == sequence_logprob(new, sentence).hex()
+    bundle.pack(old, tmp_path / "again")
+    for name, data in originals.items():
+        assert (tmp_path / "again" / name).read_bytes() == data
+
+
 @pytest.mark.parametrize("name,magic,what", [("@song.fst", FST_MAGIC, "class FST"),
                                              ("background.bin", NGRAM_MAGIC, "n-gram model"),
                                              ("decider.bin", DECIDER_MAGIC, "decider model")])
@@ -392,7 +525,7 @@ def test_version_1_binary_is_refused_by_name(binaries, tmp_path, capsys, name, m
     shutil.copytree(binaries[0], directory)
     path = directory / name
     path.write_bytes(put(path.read_bytes(), len(magic), "<H", 1))
-    expected = f"{path}: unsupported {what} version 1 (expected 2)"
+    expected = f"{path}: unsupported {what} version 1 (expected 2 or 3)"
     with pytest.raises(SerializationError) as info:
         bundle.load(directory)
     assert str(info.value) == f"{expected} (byte offset {len(magic)})"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nfclm import (ProbClassFst, build_from_entities, exact_sequence_logprob, load_class_alphabet,
                    load_entities, load_vocabulary, sample, sequence_logprob)
-from nfclm.classfst import MAGIC, VERSION
+from nfclm.classfst import MAGIC
 from nfclm.serialization import ByteWriter, SerializationError
 
 from conftest import TOY_SYMBOLS, fst_from_dicts, make_toy_model, trie_fst
@@ -309,9 +309,9 @@ class TestSerialization:
 def v2_file(label, symbols, states):
     """A format-v2 class FST over the symbol table ``symbols`` whose states are
     ``(exit, [(symbol, prob, dest), ...])``, each arc written in the order given."""
-    w = ByteWriter()
+    w = ByteWriter(2)
     w.raw(MAGIC)
-    w.u16(VERSION)
+    w.u16(2)
     w.string(label)
     w.u64(1)
     w.f64(1.0)
@@ -319,12 +319,12 @@ def v2_file(label, symbols, states):
     for symbol in symbols:
         w.string(symbol)
     w.u32(len(states))
-    w.column(array("I", accumulate((len(arcs) for _, arcs in states), initial=0)))
-    w.column(array("d", [exit_p for exit_p, _ in states]))
+    w.column(array("I", accumulate((len(arcs) for _, arcs in states), initial=0)), "I")
+    w.column(array("d", [exit_p for exit_p, _ in states]), "d")
     arcs = [arc for _, out in states for arc in out]
-    w.column(array("I", [symbols.index(symbol) for symbol, _, _ in arcs]))
-    w.column(array("d", [prob for _, prob, _ in arcs]))
-    w.column(array("I", [dest for _, _, dest in arcs]))
+    w.column(array("I", [symbols.index(symbol) for symbol, _, _ in arcs]), "I")
+    w.column(array("d", [prob for _, prob, _ in arcs]), "d")
+    w.column(array("I", [dest for _, _, dest in arcs]), "I")
     return w.getvalue()
 
 
@@ -421,6 +421,22 @@ class TestColumns:
         assert (info.value.message, info.value.offset) == (
             "invariant violation: @x: arc symbols repeated or out of order at state 0",
             len(data))
+
+    def test_first_failing_state_is_named(self):
+        """``validate`` raises the first fault of the first failing state: an
+        arc out of symbol order at state 3 before an exit out of range at
+        state 5, which a check that read the exits first would meet first."""
+        def states(arcs_3):
+            return [(0.0, [("a", 1.0, 1)]), (0.0, [("b", 1.0, 2)]), (0.0, [("c", 1.0, 3)]),
+                    (0.0, arcs_3), (1.0, []), (1.5, [])]
+
+        for arcs_3, fault in (([("b", 0.5, 4), ("a", 0.5, 5)],
+                               "arc symbols repeated or out of order at state 3"),
+                              ([("a", 0.5, 5), ("b", 0.5, 4)],
+                               "exit probability out of range at state 5")):
+            with pytest.raises(SerializationError) as info:
+                ProbClassFst.deserialize(v2_file("@x", ["a", "b", "c"], states(arcs_3)))
+            assert info.value.message == f"invariant violation: @x: {fault}"
 
 
 class TestEntityFiles:

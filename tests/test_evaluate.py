@@ -325,9 +325,10 @@ class TestBundle:
         with pytest.raises(SerializationError) as info:
             bundle.load(tmp_path / "b")
         assert str(info.value).startswith(f"{path}: unexpected end of data")
-        # the cut column, the last level's u64 counts, is named at its start
+        # the cut column, the last level's counts, each as wide as the model
+        # holds it, is named at the start of its values
         n_counts = sum(map(len, count_tables(background)[-1].values()))
-        assert info.value.offset == len(whole) - 8 * n_counts
+        assert info.value.offset == len(whole) - background.levels[-1].counts.itemsize * n_counts
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("_play _ro sie\n", encoding="utf-8")
         assert main(["ppl", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 1

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from nfclm import (BOS, EOS, load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
 from nfclm.cli import main
-from nfclm.serialization import SerializationError
+from nfclm.serialization import SerializationError, narrowest
 from nfclm.seqmodel import (NGRAM_MAGIC, BackoffNGram, ConditionalSymbolModel, DeciderModel,
                             _scale_by_prior, class_prior_from_corpus,
                             ngram_sequence_logprob)
 
 from conftest import count_tables, ngram_from_tables, ngram_levels, put, uniform_background
-from model_memory import corpora, entries, held_bytes
+from model_memory import (corpora, entries, held_bytes, integer_columns, mid_size_automaton,
+                          mid_size_models)
 
 
 def reference_prob(corpus, order, discount, alphabet, symbol, history):
@@ -292,16 +293,16 @@ class TestSerialization:
 
     @staticmethod
     def corrupt_payloads():
-        """A trained n-gram's and decider's bytes, each with one count set to
-        zero: the n-gram's of 'b' after ('a',), the decider's of '@x' at
-        level 0.  Returns the n-gram's bytes, the decider's, and the offset
-        of the decider's zero."""
-        ngram = train_ngram([("a", "b")], ["a", "b"], order=2).serialize()
+        """A trained n-gram's and decider's format v2 bytes, each with one
+        count set to zero: the n-gram's of 'b' after ('a',), the decider's of
+        '@x' at level 0.  Returns the n-gram's bytes, the decider's, and the
+        offset of the decider's zero."""
+        ngram = train_ngram([("a", "b")], ["a", "b"], order=2).serialize(2)
         level1 = ngram_levels(ngram)[1]  # contexts ('<s>',) ('a',) ('b',), one count each
         assert ngram[level1.targets + 4] == sorted({"a", "b", BOS, EOS}).index("b")
         ngram = put(ngram, level1.counts + 8, "<Q", 0)
         decider = train_decider([("a", "@x")], load_vocabulary(["a", "b"]),
-                                load_class_alphabet(["@bg", "@x"]), order=2).serialize()
+                                load_class_alphabet(["@bg", "@x"]), order=2).serialize(2)
         level0 = ngram_levels(decider, decider.index(NGRAM_MAGIC))[0]  # '@bg', then '@x'
         zero_at = level0.counts + 8
         return ngram, put(decider, zero_at, "<Q", 0), zero_at
@@ -334,7 +335,7 @@ class TestSerialization:
         assert start < info.value.offset <= start + 20
 
     def test_target_outside_predicted_alphabet_rejected(self):
-        data = train_ngram([("a", "b")], ["a", "b"], order=2).serialize()
+        data = train_ngram([("a", "b")], ["a", "b"], order=2).serialize(2)
         symbols = sorted({"a", "b", BOS, EOS})
         # the target of ('a',)'s one count becomes BOS, a history symbol, never predicted
         data = put(data, ngram_levels(data)[1].targets + 4, "<I", symbols.index(BOS))
@@ -351,7 +352,7 @@ class TestSerialization:
                   {("a",): {}, ("b",): {"a": 1, EOS: 2}},
                   {("a", "a"): {}, (BOS, "a"): {"b": 2}, ("b", "a"): {"a": 1}}]
         data = ngram_from_tables(3, 0.6, ("a", "b", EOS), ("a", "b", BOS), tables).serialize()
-        assert put(data, ngram_levels(data)[1].sizes, "<I", 0) == data  # ('a',) holds none
+        assert put(data, ngram_levels(data)[1].sizes, "<B", 0) == data  # ('a',) holds none
         model = BackoffNGram.deserialize(data)
         assert model.serialize() == data
         assert count_tables(model) == tables
@@ -384,12 +385,24 @@ class TestSerialization:
 
     def test_held_size_is_bounded_by_the_payload(self):
         """A loaded n-gram holds its columns, not a dict per context: with
-        20k stored counts or more, it keeps at most twice its payload."""
+        20k stored counts or more, it keeps no more than its payload at the
+        fixed column widths of format v2, half of the bound that held when
+        the columns were held at those widths."""
         vocabulary, sentences, _ = corpora()
         ngram = train_ngram(sentences, vocabulary, order=3)
-        data = ngram.serialize()
         assert entries(ngram) >= 20_000
-        assert held_bytes(BackoffNGram, data) <= 2 * len(data)
+        assert held_bytes(BackoffNGram, ngram.serialize()) <= len(ngram.serialize(2))
+
+    def test_loaded_integer_columns_are_narrowest(self):
+        """Every integer column of a loaded n-gram, decider and class
+        automaton has the narrowest unsigned typecode that holds its values."""
+        background, decider = mid_size_models()
+        typecodes = set()
+        for model in (background, decider, mid_size_automaton()):
+            for name, column in integer_columns(type(model).deserialize(model.serialize())):
+                assert column.typecode == narrowest(max(column, default=0)), name
+                typecodes.add(column.typecode)
+        assert typecodes == {"B", "H", "I"}
 
 
 class TestRecordedBits:
