@@ -187,11 +187,10 @@ class ProbClassFst:
         if len(set(dests)) != num_states - 1:
             raise ValueError(f"{label}: unreachable states present")
 
-    def serialize(self, version: int = VERSION) -> bytes:
-        """The binary of format ``version``; v3 unless told otherwise."""
-        w = ByteWriter(version)
+    def serialize(self) -> bytes:
+        w = ByteWriter()
         w.raw(MAGIC)
-        w.u16(version)
+        w.u16(VERSION)
         w.string(self.label)
         w.u64(self.entity_count)
         w.f64(self.total_weight)
@@ -199,9 +198,8 @@ class ProbClassFst:
         for symbol in self.symbols:
             w.string(symbol)
         w.u32(len(self.exits))
-        for column, typecode in ((self.offsets, ID), (self.exits, "d"), (self.arc_ids, ID),
-                                 (self.probs, "d"), (self.dests, ID)):
-            w.column(column, typecode)
+        for column in (self.offsets, self.exits, self.arc_ids, self.probs, self.dests):
+            w.column(column)
         return w.getvalue()
 
     @classmethod

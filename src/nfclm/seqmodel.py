@@ -266,15 +266,14 @@ class BackoffNGram(ConditionalSymbolModel):
             stored.append(self._columns(list(compress(contexts, totals)), length))
         return self.symbols, stored
 
-    def serialize(self, version: int = VERSION) -> bytes:
-        """The binary of format ``version``, v3 unless told otherwise: the
-        header and symbol table, then each level as four columns: its
+    def serialize(self) -> bytes:
+        """The header and symbol table, then each level as four columns: its
         contexts' symbol ids, each context's number of counts, and the
         target ids and counts, contexts and targets sorted."""
         ids = self._ids.__getitem__
-        w = ByteWriter(version)
+        w = ByteWriter()
         w.raw(NGRAM_MAGIC)
-        w.u16(version)
+        w.u16(VERSION)
         w.u16(self.order)
         w.f64(self.discount)
         w.u32(len(self.symbols))
@@ -282,14 +281,14 @@ class BackoffNGram(ConditionalSymbolModel):
             w.string(s)
         for alphabet in (self._predicted, sorted(self._history_alphabet)):
             w.u32(len(alphabet))
-            w.column(array(ID, map(ids, alphabet)), ID)
+            w.column(array(ID, map(ids, alphabet)))
         for length, level in enumerate(self.levels):
             w.u32(len(level.contexts))
             w.column(array(ID, chain.from_iterable(zip(*self._columns(level.contexts,
-                                                                      length)))), ID)
-            w.column(array(ID, map(sub, level.offsets[1:], level.offsets)), ID)
-            w.column(level.targets, ID)
-            w.column(level.counts, COUNT)
+                                                                      length)))))
+            w.column(array(ID, map(sub, level.offsets[1:], level.offsets)))
+            w.column(level.targets)
+            w.column(level.counts)
         return w.getvalue()
 
     @classmethod
@@ -565,19 +564,17 @@ class DeciderModel(ConditionalSymbolModel):
         """The n-gram's: the floor and the prior scaling read no context."""
         return self.ngram.stored_contexts()
 
-    def serialize(self, version: int = VERSION) -> bytes:
-        """The binary of format ``version``, v3 unless told otherwise; the
-        n-gram inside is of the same version."""
-        w = ByteWriter(version)
+    def serialize(self) -> bytes:
+        w = ByteWriter()
         w.raw(DECIDER_MAGIC)
-        w.u16(version)
+        w.u16(VERSION)
         w.f64(self.alpha)
         w.f64(self.floor)
         w.u32(len(self.classes))
         for c in self.classes:
             w.string(c)
             w.f64(self.prior[c])
-        body = self.ngram.serialize(version)
+        body = self.ngram.serialize()
         w.u64(len(body))
         w.raw(body)
         return w.getvalue()

@@ -8,9 +8,9 @@ is ``count`` little-endian values of one ``array`` typecode, read by
 it allocates.  A float column is 64-bit.  An integer column is unsigned:
 in v3 one byte gives its width, 1, 2, 4 or 8 bytes, the narrowest that
 holds its largest value (1 when it is empty), and the reader holds it at
-that width; format v2, which still loads, stored each at the fixed
-width its serializer names.  The version only chooses where a width
-comes from, so both formats share one decoder.
+that width.  Format v2 is only read: it stored each integer column at
+the fixed width its reader names.  The version only chooses where a
+width comes from, so both formats share one decoder.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ class SerializationError(Exception):
 
 
 class ByteWriter:
-    """Sequential writer of format ``version``, v3 unless told otherwise."""
+    """Sequential writer of format ``VERSION``."""
 
-    def __init__(self, version: int = VERSION):
-        self.version = version
+    def __init__(self):
         self._buf = bytearray()
 
     def u16(self, value: int) -> None:
@@ -76,14 +75,14 @@ class ByteWriter:
         self.u32(len(encoded))
         self._buf += encoded
 
-    def column(self, values: array, typecode: str) -> None:
+    def column(self, values: array) -> None:
         """``values`` as a little-endian column; its length is not written.
 
-        ``typecode`` is ``'d'`` for floats, else the integer typecode that
-        format v2 stores the column as; from v3 an integer column is
-        written at its narrowest width, after the byte that gives it.
+        A float array is written as it is; an integer array at its
+        narrowest width, after the byte that gives it.
         """
-        if typecode != "d" and self.version > 2:
+        typecode = values.typecode
+        if typecode != "d":
             typecode = narrowest(max(values, default=0))
             self._buf.append(array(typecode).itemsize)
         if values.typecode != typecode or _SWAP:
@@ -143,7 +142,7 @@ class ByteReader:
         """The next ``count`` values, checked before allocating.
 
         ``typecode`` is ``'d'`` for floats, else the integer typecode that
-        format v2 stores the column as; from v3 the byte before an integer
+        format v2 stored the column as; from v3 the byte before an integer
         column gives its width, and the array has that width.  Where the
         values start is ``offset`` less their bytes, ``len * itemsize``.
         """

@@ -4,6 +4,7 @@ import struct
 from array import array
 from collections import Counter
 from itertools import accumulate
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -18,6 +19,10 @@ TOY_SYMBOLS = ["_play", "_ro", "sie", "_by", "_browne", "salie", "berta", "_flac
 
 SONG_ENTITIES = [("_ro", "sie"), ("_ro", "salie")]
 ARTIST_ENTITIES = [("_ro", "berta", "_flack"), ("_browne",)]
+
+# binaries written by the format v2 serializer, kept as bytes because the
+# serializer now writes v3 only; see data/v2/README.md
+V2_DATA = Path(__file__).parent / "data" / "v2"
 
 
 @pytest.fixture(scope="session")

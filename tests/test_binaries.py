@@ -30,8 +30,8 @@ from nfclm.engine import sequence_logprob
 from nfclm.seqmodel import DECIDER_MAGIC, NGRAM_MAGIC
 from nfclm.serialization import SerializationError
 
-from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dicts,
-                      ngram_levels, put)
+from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, V2_DATA, count_tables,
+                      fst_from_dicts, ngram_levels, put)
 
 # start 0 --_ro--> 1; 1 --sia--> 2 and --sie--> 3; 2 and 3 exit.  Byte
 # layout: a 33-byte header, the symbol count at 33 and the symbols '_ro',
@@ -39,10 +39,11 @@ from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, fst_from_dict
 # num_states at 58; then the columns: five u32 offsets, four f64 exits,
 # and per arc (three) a u32 symbol id, an f64 probability and a u32
 # destination; 162 bytes in all, in format v2.  The trie form, which a build would merge
-# into three states, keeps a state per arc to corrupt.
+# into three states, keeps a state per arc to corrupt.  FST_DATA, NGRAM_DATA and
+# DECIDER_DATA are FST, NGRAM and DECIDER as the format v2 serializer wrote them.
 FST = fst_from_dicts("@song", [{"_ro": (1.0, 1)}, {"sia": (0.5, 2), "sie": (0.5, 3)}, {}, {}],
                      [0.0, 0.0, 1.0, 1.0])
-FST_DATA = FST.serialize(2)
+FST_DATA = (V2_DATA / "song.fst").read_bytes()
 OFFSETS, EXITS, ARC_IDS, PROBS, DESTS = 62, 82, 114, 126, 150
 assert len(FST_DATA) == 162
 
@@ -50,13 +51,13 @@ assert len(FST_DATA) == 162
 # context () with counts for '</s>', 'a' and 'b'; level 1 holds the
 # contexts ('<s>',), ('a',) and ('b',), one count each
 NGRAM = train_ngram([("a", "b")], ["a", "b"], order=2)
-NGRAM_DATA = NGRAM.serialize(2)
+NGRAM_DATA = (V2_DATA / "ngram.bin").read_bytes()
 
 DECIDER = train_decider([("a", "@x"), ("b",)], load_vocabulary(["a", "b"]),
                         load_class_alphabet(["@bg", "@x"]), order=2)
-DECIDER_DATA = DECIDER.serialize(2)
+DECIDER_DATA = (V2_DATA / "decider.bin").read_bytes()
 # alpha, floor, then the class count at 23, class '@bg' at 27 and '@x' at 42
-DECIDER_BODY = DECIDER_DATA.index(DECIDER.ngram.serialize(2))
+DECIDER_BODY = DECIDER_DATA.index(NGRAM_MAGIC)
 CLASS_X_NAME = 46  # the 'x' of '@x' is one byte on
 
 
@@ -367,13 +368,16 @@ def test_fsum_overflow_is_an_invariant_violation():
 
 def test_counts_summing_past_u64_load_and_score():
     """A context whose counts sum past 2**64 loads and scores with the bits
-    of exact integer totals; its bytes round trip."""
+    of exact integer totals; its counts carry over to v3, whose bytes round
+    trip."""
     data = NGRAM_DATA
     for k, n in enumerate((2 ** 64 - 1, 2 ** 64 - 2, 5)):  # level 0: '</s>', 'a', 'b'
         data = put(data, LEVEL0.counts + 8 * k, "<Q", n)
     model = BackoffNGram.deserialize(data)
-    assert model.serialize(2) == data
-    assert BackoffNGram.deserialize(model.serialize()).serialize() == model.serialize()
+    assert count_tables(model)[0] == {(): {"</s>": 2 ** 64 - 1, "a": 2 ** 64 - 2, "b": 5}}
+    v3 = model.serialize()
+    back = BackoffNGram.deserialize(v3)
+    assert back.serialize() == v3 and count_tables(back) == count_tables(model)
     # recorded from the dict tables, whose totals were Python ints
     recorded = {
         (): (("0x1.0000000000000p-1", "0x1.4000000000000p-63", "0x1.0000000000000p-1"),
@@ -423,14 +427,15 @@ def test_hostile_length_fails_before_allocating(name):
     assert peak < 4 << 20, peak
 
 
-@pytest.mark.parametrize("kind,data", [(ProbClassFst, FST_DATA), (BackoffNGram, NGRAM_DATA),
-                                       (DeciderModel, DECIDER_DATA)],
+@pytest.mark.parametrize("data,model", [(FST_DATA, FST), (NGRAM_DATA, NGRAM),
+                                        (DECIDER_DATA, DECIDER)],
                          ids=["ProbClassFst", "BackoffNGram", "DeciderModel"])
-def test_roundtrip_is_byte_identical(kind, data):
-    """A v2 binary writes back as itself in v2, and its v3 form as itself."""
-    back = kind.deserialize(data)
-    assert back.serialize(2) == data
-    v3 = back.serialize()
+def test_roundtrip_is_byte_identical(data, model):
+    """A v2 binary loads as the model it was written from, whose v3 form
+    writes back as itself."""
+    kind = type(model)
+    v3 = kind.deserialize(data).serialize()
+    assert v3 == model.serialize() != data
     assert kind.deserialize(v3).serialize() == v3
 
 
@@ -494,16 +499,12 @@ def test_fuzzed_binary_loads_or_is_named(binaries, data):
 
 
 def test_v2_bundle_loads_and_scores_as_v3(binaries, tmp_path):
-    """A bundle whose binaries are format v2 loads and scores with the bits
-    of the same bundle in v3, and packs again as the v3 bundle."""
+    """The same bundle packed in format v2 loads and scores with the bits
+    of the v3 bundle, and packs again as the v3 bundle."""
     directory, originals = binaries
-    v2 = tmp_path / "v2"
-    shutil.copytree(directory, v2)
-    kinds = {"background.bin": BackoffNGram, "decider.bin": DeciderModel}
+    v2 = V2_DATA / "bundle"
     for name, data in originals.items():
-        v2_data = kinds.get(name, ProbClassFst).deserialize(data).serialize(2)
-        assert v2_data != data
-        (v2 / name).write_bytes(v2_data)
+        assert (v2 / name).read_bytes() != data
     sentences = [("_play", "_ro", "sie"), ("_play", "_ro", "berta", "_flack", "_by", "_browne"),
                  ("_ro", "salie", "_by", "_ro", "sie")]
     old, new = bundle.load(v2), bundle.load(directory)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nfclm import (ProbClassFst, build_from_entities, exact_sequence_logprob, load_class_alphabet,
                    load_entities, load_vocabulary, sample, sequence_logprob)
-from nfclm.classfst import MAGIC
+from nfclm.classfst import MAGIC, VERSION
 from nfclm.serialization import ByteWriter, SerializationError
 
 from conftest import TOY_SYMBOLS, fst_from_dicts, make_toy_model, trie_fst
@@ -306,12 +306,12 @@ class TestSerialization:
                 pass
 
 
-def v2_file(label, symbols, states):
-    """A format-v2 class FST over the symbol table ``symbols`` whose states are
+def fst_file(label, symbols, states):
+    """A class FST binary over the symbol table ``symbols`` whose states are
     ``(exit, [(symbol, prob, dest), ...])``, each arc written in the order given."""
-    w = ByteWriter(2)
+    w = ByteWriter()
     w.raw(MAGIC)
-    w.u16(2)
+    w.u16(VERSION)
     w.string(label)
     w.u64(1)
     w.f64(1.0)
@@ -319,12 +319,12 @@ def v2_file(label, symbols, states):
     for symbol in symbols:
         w.string(symbol)
     w.u32(len(states))
-    w.column(array("I", accumulate((len(arcs) for _, arcs in states), initial=0)), "I")
-    w.column(array("d", [exit_p for exit_p, _ in states]), "d")
+    w.column(array("I", accumulate((len(arcs) for _, arcs in states), initial=0)))
+    w.column(array("d", [exit_p for exit_p, _ in states]))
     arcs = [arc for _, out in states for arc in out]
-    w.column(array("I", [symbols.index(symbol) for symbol, _, _ in arcs]), "I")
-    w.column(array("d", [prob for _, prob, _ in arcs]), "d")
-    w.column(array("I", [dest for _, _, dest in arcs]), "I")
+    w.column(array("I", [symbols.index(symbol) for symbol, _, _ in arcs]))
+    w.column(array("d", [prob for _, prob, _ in arcs]))
+    w.column(array("I", [dest for _, _, dest in arcs]))
     return w.getvalue()
 
 
@@ -405,7 +405,7 @@ class TestColumns:
             assert list(back.arcs) == list(fst.arcs) and back.exits == fst.exits
 
     def test_two_arcs_into_one_destination(self):
-        fst = ProbClassFst.deserialize(v2_file("@x", ["a", "b"], [
+        fst = ProbClassFst.deserialize(fst_file("@x", ["a", "b"], [
             (0.0, [("a", 0.25, 1), ("b", 0.75, 1)]), (1.0, [])]))
         assert fst.arcs[0] == {"a": (0.25, 1), "b": (0.75, 1)}
         assert step(fst, 0, "a") == step(fst, 0, "b") == 1
@@ -413,7 +413,7 @@ class TestColumns:
         assert walk(fst, ("b",)) == 1 and fst.exit_prob(1) == 1.0
 
     def test_arcs_out_of_symbol_order(self):
-        data = v2_file("@x", ["a", "b", "m", "z"], [
+        data = fst_file("@x", ["a", "b", "m", "z"], [
             (0.0, [("z", 0.5, 1), ("a", 0.25, 2), ("m", 0.25, 3)]),
             (0.5, [("b", 0.5, 4)]), (1.0, []), (1.0, []), (1.0, [])])
         with pytest.raises(SerializationError) as info:
@@ -435,7 +435,7 @@ class TestColumns:
                               ([("a", 0.5, 5), ("b", 0.5, 4)],
                                "exit probability out of range at state 5")):
             with pytest.raises(SerializationError) as info:
-                ProbClassFst.deserialize(v2_file("@x", ["a", "b", "c"], states(arcs_3)))
+                ProbClassFst.deserialize(fst_file("@x", ["a", "b", "c"], states(arcs_3)))
             assert info.value.message == f"invariant violation: @x: {fault}"
 
 

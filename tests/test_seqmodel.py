@@ -16,7 +16,8 @@ from nfclm.seqmodel import (NGRAM_MAGIC, BackoffNGram, ConditionalSymbolModel, D
                             _scale_by_prior, class_prior_from_corpus,
                             ngram_sequence_logprob)
 
-from conftest import count_tables, ngram_from_tables, ngram_levels, put, uniform_background
+from conftest import (V2_DATA, count_tables, ngram_from_tables, ngram_levels, put,
+                      uniform_background)
 from model_memory import (corpora, entries, held_bytes, integer_columns, mid_size_automaton,
                           mid_size_models)
 
@@ -293,16 +294,15 @@ class TestSerialization:
 
     @staticmethod
     def corrupt_payloads():
-        """A trained n-gram's and decider's format v2 bytes, each with one
-        count set to zero: the n-gram's of 'b' after ('a',), the decider's of
-        '@x' at level 0.  Returns the n-gram's bytes, the decider's, and the
-        offset of the decider's zero."""
-        ngram = train_ngram([("a", "b")], ["a", "b"], order=2).serialize(2)
+        """A trained n-gram's and decider's format v2 bytes (data/v2), each
+        with one count set to zero: the n-gram's of 'b' after ('a',), the
+        decider's of '@x' at level 0.  Returns the n-gram's bytes, the
+        decider's, and the offset of the decider's zero."""
+        ngram = (V2_DATA / "ngram.bin").read_bytes()
         level1 = ngram_levels(ngram)[1]  # contexts ('<s>',) ('a',) ('b',), one count each
         assert ngram[level1.targets + 4] == sorted({"a", "b", BOS, EOS}).index("b")
         ngram = put(ngram, level1.counts + 8, "<Q", 0)
-        decider = train_decider([("a", "@x")], load_vocabulary(["a", "b"]),
-                                load_class_alphabet(["@bg", "@x"]), order=2).serialize(2)
+        decider = (V2_DATA / "decider.bin").read_bytes()
         level0 = ngram_levels(decider, decider.index(NGRAM_MAGIC))[0]  # '@bg', then '@x'
         zero_at = level0.counts + 8
         return ngram, put(decider, zero_at, "<Q", 0), zero_at
@@ -335,7 +335,7 @@ class TestSerialization:
         assert start < info.value.offset <= start + 20
 
     def test_target_outside_predicted_alphabet_rejected(self):
-        data = train_ngram([("a", "b")], ["a", "b"], order=2).serialize(2)
+        data = (V2_DATA / "ngram.bin").read_bytes()  # train_ngram([("a", "b")], ...)
         symbols = sorted({"a", "b", BOS, EOS})
         # the target of ('a',)'s one count becomes BOS, a history symbol, never predicted
         data = put(data, ngram_levels(data)[1].targets + 4, "<I", symbols.index(BOS))
@@ -385,13 +385,13 @@ class TestSerialization:
 
     def test_held_size_is_bounded_by_the_payload(self):
         """A loaded n-gram holds its columns, not a dict per context: with
-        20k stored counts or more, it keeps no more than its payload at the
-        fixed column widths of format v2, half of the bound that held when
-        the columns were held at those widths."""
+        20k stored counts or more, it keeps no more than the 445,834 bytes of
+        its format v2 payload, half of the bound that held when the columns
+        were held at v2's fixed widths."""
         vocabulary, sentences, _ = corpora()
         ngram = train_ngram(sentences, vocabulary, order=3)
         assert entries(ngram) >= 20_000
-        assert held_bytes(BackoffNGram, ngram.serialize()) <= len(ngram.serialize(2))
+        assert held_bytes(BackoffNGram, ngram.serialize()) <= 445_834
 
     def test_loaded_integer_columns_are_narrowest(self):
         """Every integer column of a loaded n-gram, decider and class
