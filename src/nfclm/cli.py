@@ -21,7 +21,7 @@ from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
                      DeadHistoryError, advance, next_dist, sample, sequence_logprobs)
 from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
                        perplexity, rescore_nbest)
-from .seqmodel import train_decider, train_ngram
+from .seqmodel import train_decider, train_ngram, widened
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
 
@@ -231,13 +231,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dump_dynfst(args) -> int:
-    model = _load_bundle(args)
+    model, sentence = _load_bundle(args), args.sentence.split()
     if args.exact:
         # every alignment, each with its whole decider history (Fig. 1)
-        model = dataclasses.replace(model, merge="full")
+        model = dataclasses.replace(model, decider=widened(model.decider, len(sentence)))
     session = DynFstSession(model)
     state = session.start_state()
-    for symbol in args.sentence.split():
+    for symbol in sentence:
         arc = session.transition(state, symbol)
         if arc is None:
             print(f"dead\t{symbol}", file=sys.stderr)

@@ -15,31 +15,28 @@ accumulated joint log-weight of alignment and symbols.  Hypotheses that
 agree on (decider history, position) are exchangeable for every future
 step, so they are merged by log-sum-exp.
 
-By default (``merge="context"``) the stored decider history is only the
-decider's context: its last ``decider.context_size`` tokens.  Merging on
-that is exact, not an approximation.  The background model reads only
-the padded context that a beam keeps of its token history, and the
-decider only its padded context, so two hypotheses that agree on context
-and position get the same factor on every future step.  Merging them
-shrinks the beam on entity text to a few hypotheses.  ``merge="full"``
-keeps each alignment's whole collapsed history, as in the paper's Fig. 1
-boxes; both modes share one key layout.
+The stored decider history is only the decider's context: its last
+``decider.context_size`` tokens.  Merging on that is exact, not an
+approximation.  The background model reads only the padded context that
+a beam keeps of its token history, and the decider only its padded
+context, so two hypotheses that agree on context and position get the
+same factor on every future step.  Merging them shrinks the beam on
+entity text to a few hypotheses.  Fig. 1's whole histories come from a
+decider widened to read the whole sentence (``seqmodel.widened``).
 
 A hypothesis holds its decider history and position as one integer key.
 Each model interns BOS as id 1, and its vocabulary and class labels in
 string order as ids from 2, of ``w`` bits each; it numbers the states of
 all class automata in one position space, in label order: a class's rank
 (from 1) above its state, 0 for the background.  A key packs the
-history's last ``max(n, D)`` tokens (``n`` its length, ``D`` the
-decider's context size), padded on the left with BOS, above the
-position.  No history holds BOS, so where two histories first differ
-the shorter holds a pad or has fewer slots: integer order is the tie
-order ``(len(dh), dh, position)``, the background first, and ranking
-sorts keys.  The low ``D`` tokens are the decider's padded context, and
-a successor's key is a shift, a mask and an OR; under ``merge="full"``
-the mask drops only a BOS pad, so histories grow, in unbounded ints.  A
-beam holds its background context the same way, as the packed ids of
-its last ``context_size`` tokens.  Strings stay at the boundary:
+history's last ``D`` tokens (``D`` the decider's context size), padded
+on the left with BOS, above the position.  No history holds BOS, so
+where two histories first differ the shorter holds a pad: integer order
+is the tie order ``(len(dh), dh, position)``, the background first, and
+ranking sorts keys.  Those ``D`` tokens are the decider's padded
+context, and a successor's key is a shift, a mask and an OR.  A beam
+holds its background context the same way, as the packed ids of its
+last ``context_size`` tokens.  Strings stay at the boundary:
 ``NfclmModel.decode`` turns a key back into (decider history, position)
 for ``DynFstSession.dump``, and a new cache row unpacks its context key
 to call the component.
@@ -96,8 +93,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
-from operator import add, sub
+from itertools import repeat, takewhile
+from operator import add, eq, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
@@ -110,10 +107,6 @@ DEFAULT_BEAM_SIZE = 100
 DEFAULT_BEAM_DELTA = 30.0
 # a beam size no beam reaches: with an infinite delta, pruning is off
 EXACT_BEAM_SIZE = 10 ** 6
-
-# what a hypothesis keeps of its decider history: the decider's context,
-# or the whole collapsed history
-MERGE_MODES = ("context", "full")
 
 # background position: the hypothesis is not inside any class span
 Position = Optional[tuple[str, int]]
@@ -145,9 +138,9 @@ class AlignmentHypothesis(NamedTuple):
     ``key`` packs the alignment's decider history and position (see the
     module docstring; ``NfclmModel.decode`` reads it back).  The history
     is as far as the decider can see it: its last
-    ``decider.context_size`` tokens under ``merge="context"``, all of it
-    under ``merge="full"``.  Alignments that agree on the key score every
-    continuation alike, so the beam holds them as one hypothesis.
+    ``decider.context_size`` tokens.  Alignments that agree on the key
+    score every continuation alike, so the beam holds them as one
+    hypothesis.
     """
 
     key: int
@@ -196,7 +189,7 @@ class NfclmModel:
     """Background model + per-class FSTs mixed by the decider.
 
     Fields must not change after construction, which derives lookup
-    tables, the key layout and the ``merge`` bound from them; build a
+    tables and the key layout from them; build a
     variant with ``dataclasses.replace`` instead.  ``RULES`` checks each
     setting.
     """
@@ -205,7 +198,6 @@ class NfclmModel:
     RULES = {
         "beam_size": Rule("an int >= 1", lambda v: type(v) is int and v >= 1),
         "beam_delta": Rule("a number >= 0", lambda v: type(v) in (int, float) and v >= 0),
-        "merge": Rule(f"one of {MERGE_MODES}", lambda v: v in MERGE_MODES),
     }
 
     vocabulary: Vocabulary
@@ -215,7 +207,6 @@ class NfclmModel:
     decider: DeciderModel
     beam_size: int = DEFAULT_BEAM_SIZE
     beam_delta: float = DEFAULT_BEAM_DELTA
-    merge: str = "context"
 
     def __post_init__(self):
         for name, rule in self.RULES.items():
@@ -302,20 +293,17 @@ class NfclmModel:
         states = self._state_bits = max((fst.num_states for fst in self._fsts[1:]),
                                         default=0).bit_length()
         pos_bits = self._pos_bits = states + len(self._ranked).bit_length()
-        # the decider history above the position: its last max(n, D) tokens
+        # the decider history above the position: its last D tokens
         size = self.decider.context_size
         # what a token appended to a decider history ORs into a successor
         # key: its id above the position, nothing when histories keep none
-        self._token_bits = {name: i << pos_bits if self.merge == "full" or size else 0
+        self._token_bits = {name: i << pos_bits if size else 0
                             for name, i in self._ids.items()}
         self._entry_bits = {c: self._token_bits[c] | rank << states
                             for rank, c in enumerate(self._ranked, start=1)}
-        self._decider_mask = (1 << width * size) - 1
-        # what ``_mixture`` reads, last the decider context's oldest slot above
-        # the position: the mask drops it, but under merge="full" only a BOS pad
+        # what ``_mixture`` reads
         self._layout = ((1 << pos_bits) - 1, states, (1 << states) - 1, pos_bits, width,
-                        self._decider_mask << pos_bits, self.merge == "full",
-                        pos_bits + width * max(size - 1, 0))
+                        ((1 << width * size) - 1) << pos_bits)
         self._root = self.context((), size) << pos_bits
         self._bg_context_size = self.background.context_size
         self._bg_mask = (1 << width * self._bg_context_size) - 1
@@ -476,7 +464,7 @@ def _mixture(model: NfclmModel, key: int, log_weight: float,
     into class ``c`` weighs ``base + row[c]``, to which callers add the
     emitted symbol's log-probability.
     """
-    pos_mask, states, state_mask, pos_bits, width, shifted_mask, full, top_shift = model._layout
+    pos_mask, states, state_mask, pos_bits, width, shifted_mask = model._layout
     pos = key & pos_mask
     if pos:
         rank = pos >> states
@@ -502,20 +490,18 @@ def _mixture(model: NfclmModel, key: int, log_weight: float,
         stay = None
         base = log_weight
     history = key - pos
-    prefix = (history << width if full and history >> top_shift != 1
-              else history << width & shifted_mask)
-    return stay, base, model.decider_dist((history & shifted_mask) >> pos_bits), prefix
+    return stay, base, model.decider_dist(history >> pos_bits), history << width & shifted_mask
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
     """Advance the beam by one symbol; returns (new beam, log P(symbol | history)).
 
     Successors sharing a key, (decider history, position), are merged by
-    log-sum-exp before pruning to the size and log-width limits; the
-    history is bounded as ``model.merge`` says.  Only the entry routes
-    that can emit ``symbol`` are visited, and hypotheses are built only
-    for the successors that survive pruning.  A lone finite successor is
-    kept without ranking, and without merging when it is the one route.
+    log-sum-exp before pruning to the size and log-width limits.  Only
+    the entry routes that can emit ``symbol`` are visited, and hypotheses
+    are built only for the successors that survive pruning.  A lone
+    finite successor is kept without ranking, and without merging when it
+    is the one route.
     """
     emits = model._emits.get(symbol)
     if emits is None:
@@ -673,8 +659,8 @@ def sequence_logprobs(model: NfclmModel,
     alignment is marked dead and every list that starts with it scores
     -inf.  ``extend`` depends only on (model, beam, symbol) and totals are
     summed in token order, so each result has the bits of scoring that
-    list alone.  The stack holds at most one beam, of O(context)
-    tokens, per token of the longest list.
+    list alone.  The stack keeps a beam, of O(context) tokens, per token
+    that a list shares with the next, so a lone list holds one at a time.
     """
     return _walk(model, start_beam(model), token_lists)
 
@@ -684,30 +670,27 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
     """``sequence_logprobs`` from ``start``, whose size limit and band every beam keeps."""
     lists = [tuple(tokens) for tokens in token_lists]
     results = [-math.inf] * len(lists)
+    order = sorted(range(len(lists)), key=lists.__getitem__)
+    # entry d: (beam, running total) after the list's first d tokens, None
+    # once they are dead, kept while the next list shares them
     stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start, 0.0)]
-    previous: tuple[str, ...] = ()
-    for i in sorted(range(len(lists)), key=lists.__getitem__):
-        tokens = lists[i]
-        # the stack holds prefixes of ``previous``; keep those shared with ``tokens``
-        depth = 0
-        limit = min(len(stack) - 1, len(tokens))
-        while depth < limit and tokens[depth] == previous[depth]:
-            depth += 1
-        del stack[depth + 1:]
-        previous = tokens
-        for sym in tokens[depth:]:
-            top = stack[-1]
+    for i, following in zip(order, [lists[j] for j in order[1:]] + [()]):
+        tokens, top = lists[i], stack[-1]
+        shared = sum(takewhile(bool, map(eq, tokens, following)))
+        for depth in range(len(stack), len(tokens) + 1):
             if top is None:
                 break
             try:
-                beam, lp = extend(model, top[0], sym)
+                beam, lp = extend(model, top[0], tokens[depth - 1])
             except DeadHistoryError:
-                stack.append(None)
+                top = None
             else:
-                stack.append((beam, top[1] + lp))
-        top = stack[-1]
+                top = beam, top[1] + lp
+            if depth <= shared:
+                stack.append(top)
         if top is not None:
             results[i] = top[1] + eos_logprob(model, top[0])
+        del stack[shared + 1:]
     return results
 
 

@@ -254,17 +254,18 @@ class BackoffNGram(ConditionalSymbolModel):
         return columns
 
     def stored_contexts(self) -> tuple[tuple[str, ...], list[list[Iterable[int]]]]:
-        """The contexts of each length whose runs are not empty, as id columns.
+        """The contexts whose runs are not empty, as id columns per length up to the longest.
 
         A lookup reads only suffixes and skips absent contexts and empty
         runs (``_stored``), so at any context every level above its longest
         such suffix adds nothing and every level up to it reads a suffix of
         it, whether or not the levels are closed under suffixes.
         """
-        stored = []
-        for length, (contexts, _, _, _, totals, _) in enumerate(self._walk, start=1):
-            stored.append(self._columns(list(compress(contexts, totals)), length))
-        return self.symbols, stored
+        stored = [list(compress(contexts, totals)) for contexts, _, _, _, totals, _ in self._walk]
+        while stored and not stored[-1]:
+            stored.pop()
+        return self.symbols, [self._columns(keys, length)
+                              for length, keys in enumerate(stored, start=1)]
 
     def serialize(self) -> bytes:
         """The header and symbol table, then each level as four columns: its
@@ -616,6 +617,21 @@ class DeciderModel(ConditionalSymbolModel):
         if list(model.classes) != order:
             raise SerializationError("decider class order mismatch", start)
         return model
+
+
+def widened(decider: DeciderModel, length: int) -> DeciderModel:
+    """``decider`` reading up to ``length`` tokens (itself if it does): its
+    n-gram again, with empty count levels above its order that no lookup
+    finds, so every probability keeps its bits while a beam keeps decider
+    histories of up to ``length`` tokens whole, as Fig. 1 draws them."""
+    ngram = decider.ngram
+    if length <= ngram.context_size:
+        return decider
+    empty = NGramLevel(array("B"), array("B", [0]), array("B"), array("B"))
+    ngram = BackoffNGram(length + 1, ngram.discount, ngram.symbols, ngram.alphabet,
+                         ngram.history_alphabet,
+                         ngram.levels + (empty,) * (length - ngram.context_size))
+    return DeciderModel(ngram, decider.prior, decider.alpha, decider.floor)
 
 
 def class_prior_from_corpus(corpus: Iterable[Sequence[str]],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -13,7 +14,7 @@ from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, ProbClassFst, build_from_
                    load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
 from nfclm.engine import EXACT_BEAM_SIZE, _stored_suffix
-from nfclm.seqmodel import NGramLevel
+from nfclm.seqmodel import NGramLevel, widened
 
 TOY_SYMBOLS = ["_play", "_ro", "sie", "_by", "_browne", "salie", "berta", "_flack"]
 
@@ -23,6 +24,9 @@ ARTIST_ENTITIES = [("_ro", "berta", "_flack"), ("_browne",)]
 # binaries written by the format v2 serializer, kept as bytes because the
 # serializer now writes v3 only; see data/v2/README.md
 V2_DATA = Path(__file__).parent / "data" / "v2"
+
+# longer than any toy sentence that the tests walk with whole decider histories
+FULL_LENGTH = 16
 
 
 @pytest.fixture(scope="session")
@@ -196,36 +200,52 @@ def toy_model_exact_beam(toy_vocab, toy_classes, song_fst, artist_fst):
                           beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"))
 
 
+def context(model, histories):
+    """``model`` as it is: its beams keep each alignment's decider context."""
+    return model
+
+
+def full(model, histories):
+    """``model`` with its decider widened to read the longest of
+    ``histories`` whole (``seqmodel.widened``), so that along them its
+    beams keep each alignment's whole decider history, as Fig. 1 draws
+    them."""
+    return dataclasses.replace(
+        model, decider=widened(model.decider, max(map(len, histories), default=0)))
+
+
+# what a beam keeps of each alignment's decider history: its context, or all of it
+READINGS = (context, full)
+
+
 @pytest.fixture()
-def toy_model_full(toy_vocab, toy_classes, song_fst, artist_fst):
+def toy_model_full(toy_model):
     """The toy model keeping whole decider histories, as Fig. 1 draws them."""
-    return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, merge="full")
+    return dataclasses.replace(toy_model, decider=widened(toy_model.decider, FULL_LENGTH))
 
 
 @pytest.fixture()
-def toy_model_exact_beam_full(toy_vocab, toy_classes, song_fst, artist_fst):
+def toy_model_exact_beam_full(toy_model_exact_beam):
     """Every alignment, each with its whole decider history (Fig. 1)."""
-    return make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst,
-                          beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"), merge="full")
+    model = toy_model_exact_beam
+    return dataclasses.replace(model, decider=widened(model.decider, FULL_LENGTH))
 
 
 def hypothesis_key(model, decider_history=(), position=None):
     """The key of a hypothesis, packed as the engine module docstring lays
     it out and apart from the engine: BOS is id 1, the vocabulary and class
     labels ids from 2 in string order, each ``w`` bits wide; the decider
-    history as ``merge`` keeps it, BOS-padded on the left to the decider's
-    context size ``D``, above the position, which is 0 in the background
-    and else the class's rank (from 1) among the sorted class labels above
-    its state."""
+    history's last ``D`` tokens (``D`` the decider's context size),
+    BOS-padded on the left to ``D``, above the position, which is 0 in the
+    background and else the class's rank (from 1) among the sorted class
+    labels above its state."""
     names = (BOS,) + tuple(sorted(set(model.vocabulary.symbols) | set(model.classes.labels)))
     ids = {name: i for i, name in enumerate(names, start=1)}
     width = len(names).bit_length()
     ranked = sorted(model.classes.nonbackground)
     state_bits = max((model.class_fsts[c].num_states for c in ranked), default=0).bit_length()
     size = model.decider.context_size
-    history = tuple(decider_history)
-    if model.merge == "context":
-        history = history[max(0, len(history) - size):]
+    history = tuple(decider_history)[max(0, len(decider_history) - size):]
     packed = 0
     for token in (BOS,) * (size - len(history)) + history:
         packed = packed << width | ids[token]

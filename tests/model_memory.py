@@ -6,7 +6,8 @@ synthetic corpus and builds a class automaton from spans of it, loads
 each from its bytes under ``tracemalloc`` and prints, as Markdown, what
 each stores and the bytes it holds once loaded next to the bytes of its
 payload, then each integer column of the loaded models with its array
-typecode and the bytes that array holds:
+typecode and the bytes that array holds, then the peak that scoring one
+long line traces at two lengths:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -19,14 +20,18 @@ import gc
 import random
 import sys
 import tracemalloc
+from itertools import chain, cycle, islice
 
-from nfclm import (BackoffNGram, DeciderModel, ProbClassFst, build_from_entities,
-                   load_class_alphabet, load_vocabulary, train_decider, train_ngram)
+from nfclm import (BackoffNGram, DeciderModel, NfclmModel, ProbClassFst, build_from_entities,
+                   load_class_alphabet, load_vocabulary, sequence_logprob, train_decider,
+                   train_ngram)
 
 SEED = 29
 WORDS = 600
 SENTENCES = 2000
 CLASSES = ("@bg", "@a", "@b")
+# tokens of the long lines that ``line_peaks`` scores
+LINE_LENGTHS = (5_000, 20_000)
 
 
 def corpora(seed: int = SEED):
@@ -50,16 +55,16 @@ def mid_size_models(seed: int = SEED) -> tuple[BackoffNGram, DeciderModel]:
     return background, decider
 
 
-def mid_size_automaton(seed: int = SEED) -> ProbClassFst:
-    """The class automaton of one span of one to four words from each
-    sentence of ``corpora(seed)``."""
+def mid_size_automaton(seed: int = SEED, label: str = CLASSES[1]) -> ProbClassFst:
+    """The automaton of class ``label`` of one span of one to four words
+    from each sentence of ``corpora(seed)``."""
     rng = random.Random(seed)
     spans = []
     for sentence in corpora(seed)[1]:
         length = rng.randint(1, 4)
         start = rng.randrange(len(sentence) - length + 1)
         spans.append(sentence[start:start + length])
-    return build_from_entities(CLASSES[1], spans)
+    return build_from_entities(label, spans)
 
 
 def entries(ngram: BackoffNGram) -> int:
@@ -92,6 +97,30 @@ def held_bytes(kind, data: bytes) -> int:
     return held
 
 
+def line_peaks(lengths=LINE_LENGTHS) -> list[tuple[int, int]]:
+    """(tokens, peak traced bytes) of ``sequence_logprob`` on one line of
+    each length, the sentences of ``corpora()`` run together, on a model
+    of the mid-size components whose caches a first pass over the line
+    filled: what the walk itself holds, one beam and its tuple copy of the
+    line, 8 bytes a token (ROADMAP item 14's one-line budget)."""
+    vocabulary, sentences, _ = corpora()
+    background, decider = mid_size_models()
+    fsts = {label: mid_size_automaton(SEED + i, label) for i, label in enumerate(CLASSES[1:])}
+    model = NfclmModel(vocabulary, load_class_alphabet(CLASSES), background, fsts, decider)
+    peaks = []
+    for length in lengths:
+        line = list(islice(cycle(chain.from_iterable(sentences)), length))
+        sequence_logprob(model, line)
+        tracemalloc.start()
+        try:
+            sequence_logprob(model, line)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((length, peak))
+    return peaks
+
+
 def main() -> None:
     background, decider = mid_size_models()
     fst = mid_size_automaton()
@@ -113,6 +142,11 @@ def main() -> None:
         for column_name, column in integer_columns(loaded):
             print(f"| {name} | {column_name} | {column.typecode} | {len(column):,} "
                   f"| {sys.getsizeof(column):,} |")
+    print()
+    print("| `sequence_logprob` on one line, warm caches | tokens | peak traced bytes |")
+    print("|---|---|---|")
+    for length, peak in line_peaks():
+        print(f"| mid-size components, two classes | {length:,} | {peak:,} |")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -20,6 +21,9 @@ from oracle import exact_sequence_logprob
 
 # 14 tokens: past the exact oracle's 12-symbol limit
 LONG_SENTENCE = "_play _ro sie _by _browne _play _ro salie _by _ro berta _flack _by _browne"
+# ``dump-dynfst --exact`` of the toy bundle, per sentence, as printed at
+# 35d21d4, by the engine's mode that kept whole decider histories
+DUMP_EXACT_FILE = Path(__file__).parent / "data" / "dump_exact.json"
 
 
 @pytest.fixture()
@@ -315,6 +319,17 @@ class TestExact:
         dist = next_dist(model, advance(model, LONG_SENTENCE.split()))
         assert dict(line.split("\t") for line in out.splitlines()) == \
             {sym: _fmt(p) for sym, p in dist.items()}
+
+    def test_dump_dynfst_prints_the_recorded_bytes(self, workspace, capsys):
+        """Every alignment of each sentence, each with its whole decider
+        history: the bytes recorded in ``dump_exact.json``."""
+        bundle = build_bundle(workspace, capsys)
+        recorded = json.loads(DUMP_EXACT_FILE.read_text(encoding="utf-8"))
+        assert list(recorded) == ["_play _ro sie _by _browne", LONG_SENTENCE]
+        for sentence, dump in recorded.items():
+            printed = run(["dump-dynfst", "--bundle", bundle, "--sentence", sentence,
+                           "--exact"], capsys)
+            assert printed == (0, dump, "")
 
     def test_score_equals_oracle_within_its_limit(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)

@@ -18,12 +18,13 @@ from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
                    train_ngram)
 from nfclm import engine
 from nfclm.engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
-                          MERGE_MODES, _mixture, _stored_suffix, log_sum_exp)
+                          _mixture, _stored_suffix, log_sum_exp)
+from nfclm.seqmodel import widened
 
-from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS,
-                      assert_beam_matches_oracle, count_tables, decider_row, fst_from_dicts,
-                      histories, hypothesis_key, make_toy_model, ngram_from_tables, positions,
-                      random_instance, uniform_background)
+from conftest import (ARTIST_ENTITIES, READINGS, SONG_ENTITIES, TOY_SYMBOLS,
+                      assert_beam_matches_oracle, context, count_tables, decider_row,
+                      fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
+                      ngram_from_tables, positions, random_instance, uniform_background)
 from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
@@ -444,12 +445,12 @@ class TestTwoArcsIntoOneState:
         # the uniform background gives sie 1/9
         assert lp == pytest.approx(math.log(mass + .5 * shares[BACKGROUND] / 9), abs=1e-12)
 
-    @pytest.mark.parametrize("merge", MERGE_MODES)
-    def test_sentence_scores_match_oracle(self, toy_vocab, toy_classes, artist_fst, merge):
-        model = self.model(toy_vocab, toy_classes, artist_fst, merge=merge)
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_sentence_scores_match_oracle(self, toy_vocab, toy_classes, artist_fst, reading):
         sentences = [("_ro", "sie"), ("_play", "_ro", "sie", "sie"),
                      ("_ro", "sie", "_by", "_browne"), ("sie", "_ro", "sie", "_ro", "sie"),
                      ("_play", "_ro", "_ro", "sie", "sie", "_by", "_ro", "berta", "_flack")]
+        model = reading(self.model(toy_vocab, toy_classes, artist_fst), sentences)
         for sentence in sentences:
             want = exact_sequence_logprob(model, sentence)
             assert -math.inf < want < 0.0
@@ -470,7 +471,7 @@ class TestBeamState:
         for base, histories in cases:
             size = base.background.context_size
             sizes[size] += 1
-            for model in (base, dataclasses.replace(base, beam_size=2, merge="full")):
+            for model in (base, dataclasses.replace(full(base, histories), beam_size=2)):
                 for history in histories:
                     beam = start_beam(model)
                     for k, sym in enumerate(history, start=1):
@@ -893,12 +894,13 @@ def log_domain_next_dist(model, beam):
 
 
 NEXT_DIST_VARIANTS = ({}, {"beam_size": 2}, {"beam_delta": 0.5},
-                      {"beam_size": EXACT_BEAM_SIZE, "beam_delta": math.inf}, {"merge": "full"})
+                      {"beam_size": EXACT_BEAM_SIZE, "beam_delta": math.inf}, full)
 
 
 def next_dist_beams(toy):
-    """(model, beam) cases for ``next_dist`` under each of ``NEXT_DIST_VARIANTS``:
-    the toy model, random instances, and backgrounds whose alphabet runs in
+    """(model, beam) cases for ``next_dist`` under each of ``NEXT_DIST_VARIANTS``,
+    beam settings or, last, whole decider histories (``full``): the toy
+    model, random instances, and backgrounds whose alphabet runs in
     another order or that implement only ``distribution``."""
     histories = [FIG1_SENTENCE[:k] for k in range(len(FIG1_SENTENCE) + 1)]
     histories.append(("_ro", "sie", "_ro", "berta"))
@@ -914,8 +916,9 @@ def next_dist_beams(toy):
     cases.append((dataclasses.replace(
         model, background=DistributionOnlyBackground(model.background)), histories))
     for base, histories in cases:
-        for kwargs in NEXT_DIST_VARIANTS:
-            model = dataclasses.replace(base, **kwargs)
+        for variant in NEXT_DIST_VARIANTS:
+            model = (full(base, histories) if variant is full
+                     else dataclasses.replace(base, **variant))
             for history in histories:
                 try:
                     beam = advance(model, history)
@@ -1018,10 +1021,11 @@ class TestNextDist:
             assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], \
                 bg_tokens(model, beam)
             checked[type(model.background).__name__] += 1
-            checked[model.merge] += 1
+            # no decider trained here reads more than 2 tokens; a widened one does
+            checked["whole"] += model.decider.context_size > 2
             checked["inside"] += any(pos is not None for pos in positions(model, beam))
         assert checked["ReorderedBackground"] >= 15 and checked["DistributionOnlyBackground"] >= 15
-        assert checked["full"] >= 40 and checked["inside"] >= 100
+        assert checked["whole"] >= 40 and checked["inside"] >= 100
 
     def test_one_background_read_per_fan_out(self):
         """On a 600-symbol model, the first fan-out at a context key reads
@@ -1139,12 +1143,13 @@ class TestOracleEquivalence:
                         assert abs(math.log(beamed[sym]) - math.log(p)) <= 1e-9, \
                             (history, sym)
 
-    @pytest.mark.parametrize("merge", MERGE_MODES)
-    def test_each_merge_mode_equals_exact(self, merge):
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_each_merge_mode_equals_exact(self, reading):
+        """Merging on the decider's context, or on whole histories."""
         rng = random.Random(4321)
         for _ in range(25):
             model, histories = random_instance(rng)
-            model = dataclasses.replace(model, merge=merge)
+            model = reading(model, histories)
             for history in histories:
                 assert_beam_matches_oracle(model, history)
 
@@ -1168,9 +1173,7 @@ class TestBeamSettings:
 
 
 class TestMergeModes:
-    def test_unknown_merge_rejected(self, toy_vocab, toy_classes, song_fst, artist_fst):
-        with pytest.raises(ValueError, match="merge"):
-            make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst, merge="prefix")
+    """Merging on the decider's context against merging on whole histories."""
 
     def test_context_keeps_decider_context(self, toy_model):
         size = toy_model.decider.context_size
@@ -1178,10 +1181,11 @@ class TestMergeModes:
         assert all(len(dh) <= size for dh in histories(toy_model, beam))
 
     def test_context_equals_full_past_oracle_limit(self):
-        """Unpruned, context merging gives full merging's values to 1e-12.
+        """Unpruned, context merging gives the values of merging on whole
+        histories to 1e-12.
 
         The histories run past ``EXACT_HISTORY_LIMIT``, where the oracle
-        cannot check either mode.  A history whose full-mode beam fills
+        cannot check either.  A history whose whole-history beam fills
         N at some step is pruned there, so it is no reference and is
         left out; the count of compared histories is asserted.
         """
@@ -1189,28 +1193,75 @@ class TestMergeModes:
         compared = 0
         for _ in range(24):
             model, histories = random_instance(rng, max_history=30)
-            full = dataclasses.replace(model, merge="full")
+            whole = full(model, histories)
             for history in histories:
                 if len(history) <= EXACT_HISTORY_LIMIT:
                     continue
-                beam_full = start_beam(full)
+                beam_full = start_beam(whole)
                 for sym in history:
-                    beam_full, _ = extend(full, beam_full, sym)
-                    if len(beam_full.hypotheses) == full.beam_size:
+                    beam_full, _ = extend(whole, beam_full, sym)
+                    if len(beam_full.hypotheses) == whole.beam_size:
                         break
                 else:
                     compared += 1
                     beam_context = advance(model, history)
                     assert sequence_logprob(model, history) == pytest.approx(
-                        sequence_logprob(full, history), rel=1e-12, abs=0)
+                        sequence_logprob(whole, history), rel=1e-12, abs=0)
                     assert eos_logprob(model, beam_context) == pytest.approx(
-                        eos_logprob(full, beam_full), rel=1e-12, abs=0)
-                    want = next_dist(full, beam_full)
+                        eos_logprob(whole, beam_full), rel=1e-12, abs=0)
+                    want = next_dist(whole, beam_full)
                     got = next_dist(model, beam_context)
                     for sym, p in want.items():
                         assert got[sym] == pytest.approx(p, rel=1e-12, abs=0), \
                             (history, sym)
         assert compared >= 20
+
+
+class TestWidenedDecider:
+    """A decider widened to read more tokens (``seqmodel.widened``) has the
+    bits of the decider it widens: empty count levels change no lookup."""
+
+    def test_same_bits(self, toy_model):
+        rng = random.Random(36)
+        cases = [(toy_model, [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack")])]
+        cases += [random_instance(rng) for _ in range(8)]
+        checked = Counter()
+        for model, sentences in cases:
+            decider = model.decider
+            size, alphabet = decider.context_size, sorted(decider.history_alphabet)
+            for length in (size + 1, size + 6):
+                wide = widened(decider, length)
+                assert wide.context_size == length
+                for _ in range(20):
+                    history = tuple(rng.choice(alphabet)
+                                    for _ in range(rng.randint(size + 1, length + 2)))
+                    for a, b in ((decider, wide), (decider.ngram, wide.ngram)):
+                        assert hexes(b.distribution_values(history)) == \
+                            hexes(a.distribution_values(history)), history
+                        assert [b.logprob(c, history).hex() for c in a.alphabet] == \
+                            [a.logprob(c, history).hex() for c in a.alphabet], history
+                    checked[size] += 1
+                assert stored_lists(wide) == stored_lists(decider)
+                # the engine's decider cache rows after the same unpruned walks,
+                # which read the contexts of every alignment
+                plain = dataclasses.replace(model, beam_size=EXACT_BEAM_SIZE,
+                                            beam_delta=math.inf)
+                wider = dataclasses.replace(plain, decider=wide)
+                sequence_logprobs(plain, sentences), sequence_logprobs(wider, sentences)
+                assert {key: hexes(row) for key, row in wider._decider_cache.items()} == \
+                    {key: hexes(row) for key, row in plain._decider_cache.items()}
+        assert set(checked) == {0, 1, 2}
+
+    def test_no_wider_is_the_decider(self, toy_model):
+        decider = toy_model.decider
+        for length in range(-1, decider.context_size + 1):
+            assert widened(decider, length) is decider
+
+
+def stored_lists(model):
+    """``model.stored_contexts()`` with each id column read into a list."""
+    symbols, stored = model.stored_contexts()
+    return symbols, [[list(column) for column in level] for level in stored]
 
 
 class TestSample:
@@ -1616,19 +1667,20 @@ def bits_transcript(model, history):
     return steps
 
 
-def record_bits(merge="full"):
+def record_bits(reading=full):
     """Transcripts of every bits case under every beam setting.
 
-    ``extend_bits.json`` holds this for ``merge="full"``, one case per
-    line, as computed by the engine that split exit mass over every class
-    for every symbol; ``extend_bits_context.json`` holds it for
-    ``merge="context"``, as computed by the first engine that merged on
-    the decider's context.
+    ``extend_bits.json`` holds this for whole decider histories
+    (``full``), one case per line, as computed by the engine that split
+    exit mass over every class for every symbol, in the mode that kept
+    each alignment's whole history; ``extend_bits_context.json`` holds it
+    for the decider's context (``context``), as computed by the first
+    engine that merged on the decider's context.
     """
     out = {}
     for name, base, histories in bits_cases():
         for n, delta in BITS_SETTINGS:
-            model = dataclasses.replace(base, beam_size=n, beam_delta=delta, merge=merge)
+            model = dataclasses.replace(reading(base, histories), beam_size=n, beam_delta=delta)
             out[f"{name} N={n} delta={delta}"] = \
                 [bits_transcript(model, h) for h in histories]
     return out
@@ -1654,7 +1706,7 @@ class TestRecordedContextBits:
 
     def test_transcripts(self):
         recorded = json.loads(CONTEXT_BITS_FILE.read_text(encoding="utf-8"))
-        got = record_bits(merge="context")
+        got = record_bits(context)
         assert list(got) == list(recorded)
         for key, steps in recorded.items():
             assert got[key] == steps, key
@@ -1750,59 +1802,60 @@ class TestKeyLayout:
         cases += [random_instance(rng) for _ in range(20)]
         checked = Counter()
         for base, histories in cases:
-            for merge in MERGE_MODES:
-                model = dataclasses.replace(base, merge=merge)
+            for reading in READINGS:
+                model = reading(base, histories)
                 keys = walked_keys(model, histories)
                 self.assert_layout(model, keys)
-                checked[merge] += len(keys)
+                checked[reading] += len(keys)
                 checked["inside"] += sum(model.decode(key)[1] is not None for key in keys)
         assert min(checked.values()) > 200
 
     def test_histories_are_the_alignments(self):
         """Unpruned, the decoded histories after a prefix are those of its
-        alignments, whole under ``merge="full"``, their decider context
-        under ``merge="context"``."""
+        alignments, cut to the decider's context: whole when the decider
+        reads the whole walk (``full``)."""
         rng = random.Random(32)
         for _ in range(10):
             base, walks = random_instance(rng)
-            for merge in MERGE_MODES:
-                model = dataclasses.replace(base, merge=merge)
+            for reading in READINGS:
+                model = reading(base, walks)
                 size = model.decider.context_size
                 for history in walks:
                     beam = start_beam(model)
                     for k, sym in enumerate(history, start=1):
                         beam, _ = extend(model, beam, sym)
                         whole = exact_alignment_histories(model, history[:k])
-                        want = whole if merge == "full" else {
-                            dh[max(0, len(dh) - size):] for dh in whole}
-                        assert set(histories(model, beam)) == want, (history[:k], merge)
+                        if reading is full:
+                            assert all(len(dh) <= size for dh in whole)
+                        want = {dh[max(0, len(dh) - size):] for dh in whole}
+                        assert set(histories(model, beam)) == want, (history[:k], reading)
 
-    def test_long_full_history_passes_64_bits(self, toy_model_full):
+    def test_long_full_history_passes_64_bits(self, toy_model):
         history = FIG1_SENTENCE * 40
-        keys = walked_keys(toy_model_full, [history])
-        self.assert_layout(toy_model_full, keys)
-        longest = max(keys, key=lambda key: len(toy_model_full.decode(key)[0]))
-        assert len(toy_model_full.decode(longest)[0]) > 100
+        model = full(toy_model, [history])
+        keys = walked_keys(model, [history])
+        self.assert_layout(model, keys)
+        longest = max(keys, key=lambda key: len(model.decode(key)[0]))
+        assert len(model.decode(longest)[0]) > 100
         assert max(key.bit_length() for key in keys) > 64
 
     def test_history_field_is_the_padded_history(self):
         """Above its position a key is its decider history packed by
-        ``NfclmModel.context``, BOS-padded to ``D`` slots under
-        ``merge="context"`` and to ``max(len(dh), D)`` under ``merge="full"``,
-        so the decider lookup reads the key's low ``D`` slots as they are."""
+        ``NfclmModel.context``, BOS-padded to ``D`` slots, as the decider
+        lookup reads it; a decider that reads the whole walk (``full``)
+        has ``D`` at least as long as any history."""
         cases = [(model, histories) for _, model, histories in bits_cases()]
         rng = random.Random(35)
         cases += [random_instance(rng) for _ in range(20)]
         checked = Counter()
         for base, histories in cases:
-            for merge in MERGE_MODES:
-                model = dataclasses.replace(base, merge=merge)
+            for reading in READINGS:
+                model = reading(base, histories)
                 size = model.decider.context_size
                 for key in walked_keys(model, histories):
                     dh, _ = model.decode(key)
-                    slots = size if merge == "context" else max(len(dh), size)
-                    assert key >> model._pos_bits == model.context(dh, slots), (merge, dh)
-                    checked[merge, len(dh) > 0] += 1
+                    assert key >> model._pos_bits == model.context(dh, size), (reading, dh)
+                    checked[reading, len(dh) > 0] += 1
         assert len(checked) == 4 and min(checked.values()) > 20
 
 

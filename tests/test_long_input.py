@@ -1,10 +1,13 @@
 """Memory on long inputs: a beam's state does not grow with the sentence.
 
-Scoring keeps one beam per token for prefix sharing, and a DynFst
-session keeps every beam it has not evicted, so a beam that held its
-whole token history would make both quadratic in the input length.
+Scoring keeps a beam only for each token that a list shares with the
+next list of its batch, and one past them, so one long line holds one
+beam at a time.  A DynFst session keeps every beam it has not evicted,
+so a beam that held its whole token history would make it quadratic in
+the input length.
 """
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -16,9 +19,9 @@ from conftest import TOY_SYMBOLS
 LONG_INPUT = 20_000
 
 
-def long_tokens():
+def long_tokens(length=LONG_INPUT):
     rng = random.Random(0)
-    return [rng.choice(TOY_SYMBOLS) for _ in range(LONG_INPUT)]
+    return [rng.choice(TOY_SYMBOLS) for _ in range(length)]
 
 
 def peak_mb(run):
@@ -47,6 +50,12 @@ def test_scoring_memory_is_bounded(toy_model):
     score, peak = peak_mb(lambda: sequence_logprob(toy_model, tokens))
     assert math.isfinite(score)
     assert peak < 20, f"sequence_logprob peaked at {peak:.1f} MB"
+    # a line 4x as long, from empty caches: past the walk's tuple copy of
+    # the line, 8 bytes a token, nothing grows with its length
+    model, line = dataclasses.replace(toy_model), long_tokens(4 * LONG_INPUT)
+    longer, longer_peak = peak_mb(lambda: sequence_logprob(model, line))
+    assert math.isfinite(longer)
+    assert longer_peak <= peak + 0.5, f"{peak:.2f} MiB, then {longer_peak:.2f} MiB at 4x"
     # the session's links, arcs and finals still grow with the input
     cost, peak = peak_mb(lambda: walk(toy_model, tokens))
     assert peak < 32, f"DynFstSession walk peaked at {peak:.1f} MB"

@@ -1,6 +1,6 @@
 """Model settings: one rule each, whatever the entry point.
 
-``NfclmModel.RULES`` checks ``beam_size``, ``beam_delta`` and ``merge``;
+``NfclmModel.RULES`` checks ``beam_size`` and ``beam_delta``;
 ``DeciderModel.RULES`` checks ``alpha``, each prior entry and ``floor``.
 A library call, a manifest, a command-line flag and a decider binary
 all reach those rules, and a bad value is named by where it came from.
