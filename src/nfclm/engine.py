@@ -39,7 +39,7 @@ holds its background context the same way, as the packed ids of its
 last ``context_size`` tokens.  Strings stay at the boundary:
 ``NfclmModel.decode`` turns a key back into (decider history, position)
 for ``DynFstSession.dump``, and a new cache row unpacks its context key
-to call the component.
+to call the component, the model's own symbol objects throughout.
 
 The beam writes the mixture step once, in ``_mixture``, a plain call
 per hypothesis: a hypothesis inside a class span may stay on its
@@ -77,8 +77,14 @@ the empty context, 0.  A suffix is the context under a mask, checked
 against a set per length of the stored contexts, packed when the model
 is built.  Contexts that share a key share every value, so the caches
 hold at most one row per stored context plus one, however much a model
-scores.  A background row holds the log-probabilities asked at it and,
-once fanned out at, its V + 1 ``distribution_values`` as 8-byte floats.
+scores.  A background row holds the log-probabilities asked at it,
+keyed by the model's own symbol objects so that it keeps no caller's
+string, and, once fanned out at, its V + 1 ``distribution_values`` as
+8-byte floats.  It resolves its key's tokens once, when it is made, into
+the background's state there (``ConditionalSymbolModel.resolve``), so a
+miss is one ``logprob_at`` read of that state: for an n-gram, a bisect
+for the symbol in each stored context's run, with no context walk.  A
+decider row is the log of the decider's ``distribution_values``.
 
 Model components never change after construction, so one model can
 serve any number of concurrent scoring sessions; beams are cheap
@@ -172,15 +178,16 @@ class AlignmentBeam:
 
 class BackgroundRow(dict):
     """Background log-probabilities ``{symbol: logprob}`` cached at one
-    context key, with ``context``, the key's tokens, where the missing
-    ones are computed, and ``dist_values``, its ``distribution_values``
-    there in ``next_dist``'s order (None until the key's first fan-out)."""
+    context key, keyed by the model's own symbol objects, with ``state``,
+    the background's ``resolve`` of the key's tokens, where the missing
+    ones are read, and ``dist_values``, its ``distribution_values`` there
+    in ``next_dist``'s order (None until the key's first fan-out)."""
 
-    __slots__ = ("context", "dist_values")
+    __slots__ = ("state", "dist_values")
 
-    def __init__(self, context: tuple[str, ...]):
+    def __init__(self, state):
         super().__init__()
-        self.context = context
+        self.state = state
         self.dist_values = None
 
 
@@ -270,10 +277,8 @@ class NfclmModel:
             map(self._ids.__getitem__, vocab), map(self._token_bits.__getitem__, vocab),
             stays, map(entries.get, vocab, repeat(())))))
         self._entry_columns = tuple(entry_columns)
-        bg_alphabet = tuple(self.background.alphabet)
-        self._bg_order = (None if bg_alphabet == self._predicted else
-                          list(map({s: i for i, s in enumerate(bg_alphabet)}.__getitem__,
-                                   self._predicted)))
+        self._bg_order = _reorder(self.background.alphabet, self._predicted)
+        self._decider_order = _reorder(self.decider.alphabet, labels)
         self._bg_cache: dict[int, BackgroundRow] = {}
         # the table every fan-out copies, already sized and keyed in order
         self._fan_out = dict.fromkeys(self._predicted, 0.0)
@@ -378,19 +383,27 @@ class NfclmModel:
         holds it.  The cache holds one ``BackgroundRow`` per key of the
         context, which ``next_dist`` also fills, so a model with stored
         contexts bounds its rows.  A context that is a key is its own row;
-        only a miss computes the key.  A missing value is computed at the
-        key's own tokens, which give every context of the key its bits.
+        only a miss computes the key.  A missing value is read at the
+        row's state, resolved once at the key's own tokens, which give
+        every context of the key its bits.  The row keeps ``symbol`` as
+        its entry's key, so a caller passes the model's own symbol object.
         """
         row = self._bg_cache.get(context)
         if row is None:
-            key = _stored_suffix(context, self._bg_levels)
-            row = self._bg_cache.get(key)
-            if row is None:
-                row = self._bg_cache.setdefault(key, BackgroundRow(self._key_tokens(key)))
+            row = self._background_row(_stored_suffix(context, self._bg_levels))
         hit = row.get(symbol)
         if hit is None:
-            hit = row[symbol] = self.background.logprob(symbol, row.context)
+            hit = row[symbol] = self.background.logprob_at(symbol, row.state)
         return hit
+
+    def _background_row(self, key: int) -> BackgroundRow:
+        """The cache row of a context key, made on first use with the
+        background's state at the key's tokens."""
+        row = self._bg_cache.get(key)
+        if row is None:
+            row = self._bg_cache.setdefault(
+                key, BackgroundRow(self.background.resolve(self._key_tokens(key))))
+        return row
 
     def decider_dist(self, context: int) -> tuple[float, ...]:
         """The row the mixture step adds for a packed padded decider context:
@@ -402,9 +415,10 @@ class NfclmModel:
             key = _stored_suffix(context, self._decider_levels)
             hit = self._decider_cache.get(key)
             if hit is None:
-                dist = self.decider.distribution(self._key_tokens(key))
-                hit = self._decider_cache.setdefault(
-                    key, tuple([math.log(dist[c]) for c in self.classes.labels]))
+                values = self.decider.distribution_values(self._key_tokens(key))
+                if self._decider_order is not None:
+                    values = map(values.__getitem__, self._decider_order)
+                hit = self._decider_cache.setdefault(key, tuple(map(math.log, values)))
         return hit
 
 
@@ -416,6 +430,15 @@ def _check_histories(name: str, component: ConditionalSymbolModel, needed: set) 
     if missing:
         more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
         raise ComponentError(name, f"{name} history alphabet lacks {missing[0]!r}{more}")
+
+
+def _reorder(alphabet: Sequence[str], order: Sequence[str]) -> Optional[list[int]]:
+    """The index in ``alphabet`` of each symbol of ``order``, None when the
+    two run in one order."""
+    alphabet = tuple(alphabet)
+    if alphabet == tuple(order):
+        return None
+    return list(map({s: i for i, s in enumerate(alphabet)}.__getitem__, order))
 
 
 def _stored_suffix(context: int, levels) -> int:
@@ -507,7 +530,7 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     if emits is None:
         raise KeyError(f"symbol {symbol!r} is outside the vocabulary")
     sid, spoken, stays, entries = emits
-    bg_lp = model.background_logprob(symbol, beam.context)
+    bg_lp = model.background_logprob(model._names[sid], beam.context)
     bg, context = model._bg_class, (beam.context << model._width | sid) & model._bg_mask
     hypotheses, step = beam.hypotheses, None
     if len(hypotheses) == 1 and not entries:
@@ -605,15 +628,12 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
                 classes.append((where, probs, base + row[c]))
     if background:
         scale = math.exp(log_sum_exp(background) - beam.log_norm)
-        # the row ``background_logprob`` reads, found as it finds it; the
-        # lookup stays inline there, on the scoring path
+        # the row ``background_logprob`` reads, found as it finds it
         key = _stored_suffix(beam.context, model._bg_levels)
-        row = model._bg_cache.get(key)
-        if row is None:
-            row = model._bg_cache.setdefault(key, BackgroundRow(model._key_tokens(key)))
+        row = model._background_row(key)
         bg = row.dist_values
         if bg is None:
-            bg = model.background.distribution_values(row.context)
+            bg = model.background.distribution_values(model._key_tokens(key))
             if model._bg_order is not None:
                 bg = map(bg.__getitem__, model._bg_order)
             bg = row.dist_values = array("d", bg)
@@ -668,7 +688,9 @@ def sequence_logprobs(model: NfclmModel,
 def _walk(model: NfclmModel, start: AlignmentBeam,
           token_lists: Sequence[Sequence[str]]) -> list[float]:
     """``sequence_logprobs`` from ``start``, whose size limit and band every beam keeps."""
-    lists = [tuple(tokens) for tokens in token_lists]
+    # a lone list is walked as given: with nothing to sort, it is not copied
+    lone = len(token_lists) == 1 and isinstance(token_lists[0], (list, tuple))
+    lists = [token_lists[0]] if lone else [tuple(tokens) for tokens in token_lists]
     results = [-math.inf] * len(lists)
     order = sorted(range(len(lists)), key=lists.__getitem__)
     # entry d: (beam, running total) after the list's first d tokens, None

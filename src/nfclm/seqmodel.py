@@ -1,11 +1,14 @@
 """Conditional symbol models: back-off n-gram reference implementations.
 
 The contract is deliberately small — a predicted alphabet plus
-``distribution``/``logprob`` over it, and ``distribution_values`` for a
-caller that reads the whole distribution as a list — so a learned model
-can replace the count-based ones without touching the probability
-engine.  Histories are taken literally: callers decide about
-start-of-sentence padding (the engine pads with BOS up to
+``distribution``/``logprob`` over it, ``distribution_values`` for a
+caller that reads the whole distribution as a list, and the resolve-once
+pair ``resolve``/``logprob_at`` for a caller that asks many symbols at
+one history: a state made once from the history, then one read per
+symbol — so a learned model can replace the count-based ones without
+touching the probability engine.  Each of these has a default that reads
+``distribution`` or ``logprob``.  Histories are taken literally: callers
+decide about start-of-sentence padding (the engine pads with BOS up to
 ``context_size``).
 """
 
@@ -75,6 +78,16 @@ class ConditionalSymbolModel(ABC):
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
         return math.log(self.distribution(history)[symbol])
 
+    def resolve(self, history: Sequence[str]) -> object:
+        """A state that ``logprob_at`` reads as ``history``; by default, the
+        history itself."""
+        return tuple(history)
+
+    def logprob_at(self, symbol: str, state) -> float:
+        """``logprob(symbol, history)`` at the state ``resolve(history)``
+        made: by default, that very call."""
+        return self.logprob(symbol, state)
+
     def stored_contexts(self) -> Optional[tuple[Sequence[str], Sequence[Sequence[Iterable]]]]:
         """The contexts whose suffixes decide the model's output, by length.
 
@@ -126,8 +139,9 @@ class BackoffNGram(ConditionalSymbolModel):
     A query then walks only the levels its context reaches, finding each
     suffix by one bisect over its level's contexts:
     ``distribution_values`` as one scaled copy of the list per level plus
-    a head term per target in the context's run, ``logprob`` for its one
-    symbol, bisected in the run.
+    a head term per target in the context's run.  ``resolve`` keeps what
+    that walk finds, and ``logprob_at`` reads one symbol there, bisected
+    in each run; ``logprob`` is the two at once.
     """
 
     def __init__(self, order: int, discount: float, symbols: Sequence[str],
@@ -227,13 +241,20 @@ class BackoffNGram(ConditionalSymbolModel):
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         return dict(zip(self._predicted, self.distribution_values(history)))
 
-    def logprob(self, symbol: str, history: Sequence[str]) -> float:
+    def resolve(self, history: Sequence[str]) -> tuple[tuple[tuple, int], ...]:
+        """The stored contexts ``history`` reaches (``_stored``), shortest
+        first, each as its level's table and its index there: all that
+        ``logprob_at`` needs of the walk.  A state holds no string and no
+        copy of a column."""
+        return tuple(self._stored(history))
+
+    def logprob_at(self, symbol: str, state: tuple[tuple[tuple, int], ...]) -> float:
         target = self._ids.get(symbol)
         i = None if target is None else self._slots[target]
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
         p, discount = self._level0[i], self.discount
-        for (_, offsets, targets, counts, totals, backoffs), j in self._stored(history):
+        for (_, offsets, targets, counts, totals, backoffs), j in state:
             start, end = offsets[j], offsets[j + 1]
             k = bisect_left(targets, target, start, end)
             if k < end and targets[k] == target:
@@ -241,6 +262,9 @@ class BackoffNGram(ConditionalSymbolModel):
             else:
                 p = backoffs[j] * p
         return math.log(p)
+
+    def logprob(self, symbol: str, history: Sequence[str]) -> float:
+        return self.logprob_at(symbol, self.resolve(history))
 
     def _columns(self, keys: Sequence[int], length: int) -> list[Iterable[int]]:
         """The symbol ids of packed contexts of ``length`` symbols, one
@@ -464,27 +488,27 @@ def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
     return levels
 
 
-def _scale_by_prior(raw, prior, alpha) -> dict[str, float]:
+def _scale_by_prior(raw: Sequence[float], prior: Sequence[float], alpha) -> list[float]:
     """Scale a class distribution by inverse prior mass: P'(c) ∝ P(c)/prior(c)^alpha.
 
-    The settings are a decider's, which ``DeciderModel.RULES`` checked.
-    The direct form ``p / prior ** alpha`` serves whenever its weights and
-    their total are finite and positive: with a normalized prior each
-    weight is at least ``p``, so a finite total is the one test.  An
-    extreme alpha or prior entry that under- or overflows it is scaled in
-    log space instead.
+    ``raw`` and ``prior`` are lists in one class order.  The settings are
+    a decider's, which ``DeciderModel.RULES`` checked.  The direct form
+    ``p / prior ** alpha`` serves whenever its weights and their total are
+    finite and positive: with a normalized prior each weight is at least
+    ``p``, so a finite total is the one test.  An extreme alpha or prior
+    entry that under- or overflows it is scaled in log space instead.
     """
     try:
-        weights = {c: p / prior[c] ** alpha for c, p in raw.items()}
-        total = math.fsum(weights.values())
+        weights = [p / q ** alpha for p, q in zip(raw, prior)]
+        total = math.fsum(weights)
     except (ZeroDivisionError, OverflowError):
         total = math.inf
     if total < math.inf:
-        return {c: w / total for c, w in weights.items()}
+        return [w / total for w in weights]
     return _scale_in_log_space(raw, prior, alpha)
 
 
-def _scale_in_log_space(raw, prior, alpha) -> dict[str, float]:
+def _scale_in_log_space(raw: Sequence[float], prior: Sequence[float], alpha) -> list[float]:
     """``_scale_by_prior`` for settings whose direct form under- or overflows.
 
     Each class's log weight is taken relative to the smallest prior, so it
@@ -492,16 +516,16 @@ def _scale_in_log_space(raw, prior, alpha) -> dict[str, float]:
     for a float is raised to the smallest normal one, which keeps every
     class reachable, as the decider's floor does.
     """
-    smallest = min(math.log(prior[c]) for c in raw)
-    logs = {c: math.log(p) - alpha * (math.log(prior[c]) - smallest) for c, p in raw.items()}
-    top = max(logs.values())
-    shares = _normalized({c: math.exp(lw - top) for c, lw in logs.items()})
-    return {c: max(share, sys.float_info.min) for c, share in shares.items()}
+    smallest = min(map(math.log, prior))
+    logs = [math.log(p) - alpha * (math.log(q) - smallest) for p, q in zip(raw, prior)]
+    top = max(logs)
+    shares = _normalized([math.exp(lw - top) for lw in logs])
+    return [max(share, sys.float_info.min) for share in shares]
 
 
-def _normalized(weights: Mapping[str, float]) -> dict[str, float]:
-    total = math.fsum(weights.values())
-    return {c: p / total for c, p in weights.items()}
+def _normalized(weights: Sequence[float]) -> list[float]:
+    total = math.fsum(weights)
+    return [p / total for p in weights]
 
 
 class DeciderModel(ConditionalSymbolModel):
@@ -514,7 +538,8 @@ class DeciderModel(ConditionalSymbolModel):
 
     ``prior`` is the prior as given, restricted to the classes, and is
     what ``serialize`` writes; the scaling reads one normalized copy made
-    here, so a decider loaded from its bytes scores with its bits.
+    here, so a decider loaded from its bytes scores with its bits.  A
+    distribution is computed as a list in class order, with no dict.
     """
 
     # exact types, so that True is no number; NaN fails every comparison
@@ -535,7 +560,7 @@ class DeciderModel(ConditionalSymbolModel):
         self.prior = {c: prior.get(c) for c in self.classes}
         for c, p in self.prior.items():
             self.RULES["prior"].check(f"prior for class {c!r}", p)
-        self._normalized_prior = _normalized(self.prior)
+        self._normalized_prior = _normalized(list(self.prior.values()))
         self.alpha = alpha
         self.floor = floor
 
@@ -551,15 +576,19 @@ class DeciderModel(ConditionalSymbolModel):
     def history_alphabet(self) -> frozenset[str]:
         return self.ngram.history_alphabet
 
+    def _floored(self, history: Sequence[str]) -> list[float]:
+        floor = self.floor
+        return _normalized([max(p, floor) for p in self.ngram.distribution_values(history)])
+
     def raw_distribution(self, history: Sequence[str]) -> dict[str, float]:
         """Floored decider output before prior renormalization."""
-        floor = self.floor
-        return _normalized({c: max(p, floor) for c, p
-                            in zip(self.classes, self.ngram.distribution_values(history))})
+        return dict(zip(self.classes, self._floored(history)))
+
+    def distribution_values(self, history: Sequence[str]) -> list[float]:
+        return _scale_by_prior(self._floored(history), self._normalized_prior, self.alpha)
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        return _scale_by_prior(self.raw_distribution(history), self._normalized_prior,
-                               self.alpha)
+        return dict(zip(self.classes, self.distribution_values(history)))
 
     def stored_contexts(self) -> tuple[tuple[str, ...], list[list[Iterable[int]]]]:
         """The n-gram's: the floor and the prior scaling read no context."""
@@ -654,7 +683,8 @@ def class_prior_from_corpus(corpus: Iterable[Sequence[str]],
     if total == 0:
         # Degenerate (no tagged lines): fall back to uniform.
         return {c: 1.0 / len(classes) for c in classes}
-    return _normalized({c: max(counts[c] / total, DECIDER_FLOOR) for c in classes})
+    return dict(zip(classes, _normalized([max(counts[c] / total, DECIDER_FLOOR)
+                                          for c in classes])))
 
 
 def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,

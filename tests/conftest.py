@@ -166,6 +166,12 @@ def put(data, at, fmt, value, cut=None):
     return bytes(data[:cut])
 
 
+def keyed(scale, raw, prior, alpha):
+    """``scale``, a prior scaling of lists in one class order, applied to a
+    raw distribution and a prior keyed by class."""
+    return dict(zip(raw, scale(list(raw.values()), [prior[c] for c in raw], alpha)))
+
+
 def uniform_background(alphabet):
     """An untrained unigram: every symbol of ``alphabet`` gets 1/len, after any history."""
     return ngram_from_tables(1, 0.5, alphabet, alphabet + (BOS,), [{}])

@@ -7,7 +7,9 @@ each from its bytes under ``tracemalloc`` and prints, as Markdown, what
 each stores and the bytes it holds once loaded next to the bytes of its
 payload, then each integer column of the loaded models with its array
 typecode and the bytes that array holds, then the peak that scoring one
-long line traces at two lengths:
+long line traces at two lengths, then the rows, entries and traced bytes
+of the background and decider caches once a fixed set of sentences made
+of new strings is scored:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -32,6 +34,8 @@ SENTENCES = 2000
 CLASSES = ("@bg", "@a", "@b")
 # tokens of the long lines that ``line_peaks`` scores
 LINE_LENGTHS = (5_000, 20_000)
+# sentences of ``corpora()`` that ``cache_report`` scores
+CACHE_SENTENCES = 1000
 
 
 def corpora(seed: int = SEED):
@@ -97,16 +101,22 @@ def held_bytes(kind, data: bytes) -> int:
     return held
 
 
+def mid_size_model() -> NfclmModel:
+    """The mid-size n-gram and decider with one mid-size automaton per class."""
+    background, decider = mid_size_models()
+    fsts = {label: mid_size_automaton(SEED + i, label) for i, label in enumerate(CLASSES[1:])}
+    return NfclmModel(corpora()[0], load_class_alphabet(CLASSES), background, fsts, decider)
+
+
 def line_peaks(lengths=LINE_LENGTHS) -> list[tuple[int, int]]:
     """(tokens, peak traced bytes) of ``sequence_logprob`` on one line of
     each length, the sentences of ``corpora()`` run together, on a model
     of the mid-size components whose caches a first pass over the line
-    filled: what the walk itself holds, one beam and its tuple copy of the
-    line, 8 bytes a token (ROADMAP item 14's one-line budget)."""
-    vocabulary, sentences, _ = corpora()
-    background, decider = mid_size_models()
-    fsts = {label: mid_size_automaton(SEED + i, label) for i, label in enumerate(CLASSES[1:])}
-    model = NfclmModel(vocabulary, load_class_alphabet(CLASSES), background, fsts, decider)
+    filled: what the walk itself holds, one beam at a time, as the walk
+    reads a lone list without copying it (ROADMAP item 14's one-line
+    budget)."""
+    sentences = corpora()[1]
+    model = mid_size_model()
     peaks = []
     for length in lengths:
         line = list(islice(cycle(chain.from_iterable(sentences)), length))
@@ -119,6 +129,35 @@ def line_peaks(lengths=LINE_LENGTHS) -> list[tuple[int, int]]:
             tracemalloc.stop()
         peaks.append((length, peak))
     return peaks
+
+
+def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int]]:
+    """(cache, rows, entries, traced bytes) of the background and the
+    decider cache of the mid-size model after it scores the first
+    ``count`` sentences of ``corpora()``, each made of new strings as
+    read text is.  A cache's bytes are those that dropping it frees, so a
+    row that kept a caller's string counts it."""
+    model = mid_size_model()
+    sentences = corpora()[1][:count]
+    caches = (("background", model._bg_cache), ("decider", model._decider_cache))
+    report = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for sentence in sentences:
+            sequence_logprob(model, ["".join(list(word)) for word in sentence])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        for name, cache in caches:
+            rows, entries = len(cache), sum(map(len, cache.values()))
+            cache.clear()
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+            report.append((name, rows, entries, held - left))
+            held = left
+    finally:
+        tracemalloc.stop()
+    return report
 
 
 def main() -> None:
@@ -147,6 +186,12 @@ def main() -> None:
     print("|---|---|---|")
     for length, peak in line_peaks():
         print(f"| mid-size components, two classes | {length:,} | {peak:,} |")
+    print()
+    print(f"| cache, after {CACHE_SENTENCES:,} sentences of new strings | rows | entries "
+          "| traced bytes |")
+    print("|---|---|---|---|")
+    for name, rows, values, held in cache_report():
+        print(f"| {name} | {rows:,} | {values:,} | {held:,} |")
 
 
 if __name__ == "__main__":

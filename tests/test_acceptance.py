@@ -20,7 +20,8 @@ from nfclm import DeadHistoryError, FusionWeights, NBestEntry, advance, bundle
 from nfclm.cfg import CfgGrammar, expand, expand_tagged
 from nfclm.seqmodel import _scale_by_prior
 
-from conftest import READINGS, assert_beam_matches_oracle, make_toy_model, random_instance
+from conftest import (READINGS, assert_beam_matches_oracle, keyed, make_toy_model,
+                      random_instance)
 from oracle import exact_alignment_histories, exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
@@ -293,7 +294,7 @@ def test_criterion_07_compactness(tmp_path, toy_vocab, toy_classes, song_fst,
 def test_criterion_08_prior_renormalization():
     raw = {"@bg": 0.90, "@song": 0.06, "@artist": 0.04}
     prior = {"@bg": 0.90, "@song": 0.05, "@artist": 0.05}
-    out = _scale_by_prior(raw, prior, alpha=1.0)
+    out = keyed(_scale_by_prior, raw, prior, 1.0)
     # hand arithmetic: ratios 1.0, 1.2, 0.8 over a 3.0 total
     assert out["@bg"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert out["@song"] == pytest.approx(1.2 / 3.0, abs=1e-12)

@@ -946,6 +946,10 @@ class CountingNGram(BackoffNGram):
         self.calls["logprob"] += 1
         return super().logprob(symbol, history)
 
+    def logprob_at(self, symbol, state):
+        self.calls["logprob_at"] += 1
+        return super().logprob_at(symbol, state)
+
 
 class CountingColumn:
     """One column of an automaton that counts each read in
@@ -1407,6 +1411,28 @@ class TestDeciderCache:
                     reference_key(model.decider.ngram, padded(history, size))]
 
 
+    def test_decider_in_another_class_order(self, toy_model):
+        """A decider that predicts the classes in another order than the
+        class alphabet scores with the bits of one in alphabet order: a
+        row holds each class's log share at the class's place."""
+        rng = random.Random(36)
+        cases = [(toy_model, [FIG1_SENTENCE, ("_ro", "sie", "_by", "_browne")])]
+        cases += [random_instance(rng) for _ in range(3)]
+        for base, sentences in cases:
+            decider, labels = base.decider, base.classes.labels
+            ngram = decider.ngram
+            reordered = ngram_from_tables(ngram.order, ngram.discount, tuple(reversed(labels)),
+                                          tuple(ngram.history_alphabet), count_tables(ngram))
+            model = dataclasses.replace(
+                base, decider=DeciderModel(reordered, decider.prior, decider.alpha))
+            assert model._decider_order is not None
+            for sentence in sentences:
+                assert (sequence_logprob(model, sentence).hex()
+                        == sequence_logprob(base, sentence).hex())
+            assert {key: hexes(row) for key, row in model._decider_cache.items()} == {
+                key: hexes(row) for key, row in base._decider_cache.items()}
+
+
 def handmade_ngram(predicted, history_alphabet, tables):
     """An order-3 n-gram holding exactly ``tables``, {context: {target: count}}."""
     counts = [{} for _ in range(3)]
@@ -1611,6 +1637,22 @@ class TestContextKeyedCaches:
         model.decider_dist(model.context(("_ro", "_play"), 2))
         assert [model._key_tokens(key) for key in model._decider_cache] == [("_play",)]
         assert hexes(model.decider_dist(model.context(("_play",), 2))) == padded_row
+
+    def test_rows_keep_no_caller_strings(self, toy_model):
+        """Rows are keyed by the model's own symbol objects: scoring text
+        made of new strings leaves none of them in the background cache."""
+        cases = [(toy_model, self.SENTENCES), random_instance(random.Random(35))]
+        for base, sentences in cases:
+            model = dataclasses.replace(base)  # empty caches
+            fresh = [["".join(list(tok)) for tok in sentence] for sentence in sentences]
+            assert any(tok is not own for new, old in zip(fresh, sentences)
+                       for tok, own in zip(new, old))
+            sequence_logprobs(model, fresh)
+            for sentence in fresh:
+                sequence_logprob(model, sentence)
+            own = {id(sym) for sym in model.vocabulary.symbols + (EOS,)}
+            keys = [sym for row in model._bg_cache.values() for sym in row]
+            assert keys and all(id(sym) in own for sym in keys)
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------

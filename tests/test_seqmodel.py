@@ -16,7 +16,7 @@ from nfclm.seqmodel import (NGRAM_MAGIC, BackoffNGram, ConditionalSymbolModel, D
                             _scale_by_prior, class_prior_from_corpus,
                             ngram_sequence_logprob)
 
-from conftest import (V2_DATA, count_tables, ngram_from_tables, ngram_levels, put,
+from conftest import (V2_DATA, count_tables, keyed, ngram_from_tables, ngram_levels, put,
                       uniform_background)
 from model_memory import (corpora, entries, held_bytes, integer_columns, mid_size_automaton,
                           mid_size_models)
@@ -167,8 +167,10 @@ class TestDistributionValues:
             assert [p.hex() for p in values] == [want[s].hex() for s in model.alphabet]
             dist = model.distribution(history)
             assert list(dist) == list(model.alphabet)
+            state = model.resolve(history)
             for sym, p in dist.items():
                 assert model.logprob(sym, history).hex() == math.log(p).hex()
+                assert model.logprob_at(sym, state).hex() == math.log(p).hex()
             values[0] = -1.0  # a fresh list: the next call does not see this
             values.append(2.0)
             assert [p.hex() for p in model.distribution_values(history)] == [
@@ -215,6 +217,12 @@ class TestDistributionValues:
         values = ConditionalSymbolModel.distribution_values(model, history)
         assert values == list(model.distribution(history).values())
         assert values == model.distribution_values(history)
+        # the resolve-once default keeps the history and reads logprob there
+        state = ConditionalSymbolModel.resolve(model, ["a"])
+        assert state == history
+        for sym, p in model.distribution(history).items():
+            assert ConditionalSymbolModel.logprob_at(model, sym, state).hex() == \
+                model.logprob(sym, history).hex() == math.log(p).hex()
 
 
 def component_state(model):
@@ -591,19 +599,19 @@ class TestRenormalizeByPrior:
     NGRAM = ngram_from_tables(1, 0.5, tuple(RAW), (), [{}])
 
     def test_alpha_zero_is_identity(self):
-        out = _scale_by_prior(self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)
+        out = keyed(_scale_by_prior, self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)
         for c, p in self.RAW.items():
             assert out[c] == pytest.approx(p)
 
     def test_uniform_prior_is_identity(self):
         prior = {c: 1 / 3 for c in self.RAW}
         for alpha in (0.0, 0.5, 1.0, 2.0):
-            out = _scale_by_prior(self.RAW, prior, alpha)
+            out = keyed(_scale_by_prior, self.RAW, prior, alpha)
             for c, p in self.RAW.items():
                 assert out[c] == pytest.approx(p)
 
     def test_matching_prior_gives_uniform(self):
-        out = _scale_by_prior(self.RAW, dict(self.RAW), 1.0)
+        out = keyed(_scale_by_prior, self.RAW, dict(self.RAW), 1.0)
         for p in out.values():
             assert p == pytest.approx(1 / 3)
 
@@ -622,15 +630,15 @@ class TestRenormalizeByPrior:
     def test_prior_scale_invariance(self, scale, alpha):
         prior = {"@bg": 0.6, "@song": 0.25, "@artist": 0.15}
         scaled = {c: p * scale for c, p in prior.items()}
-        a = _scale_by_prior(self.RAW, prior, alpha)
-        b = _scale_by_prior(self.RAW, scaled, alpha)
+        a = keyed(_scale_by_prior, self.RAW, prior, alpha)
+        b = keyed(_scale_by_prior, self.RAW, scaled, alpha)
         for c in self.RAW:
             assert a[c] == pytest.approx(b[c], rel=1e-12)
 
     def test_uniform_raw_argmax_is_smallest_prior(self):
         raw = {"@bg": 1 / 3, "@song": 1 / 3, "@artist": 1 / 3}
         prior = {"@bg": 0.7, "@song": 0.2, "@artist": 0.1}
-        out = _scale_by_prior(raw, prior, 1.0)
+        out = keyed(_scale_by_prior, raw, prior, 1.0)
         assert max(out, key=out.get) == "@artist"
 
 

@@ -13,17 +13,18 @@ import math
 import os
 import shutil
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import (DeciderModel, NfclmModel, bundle, sequence_logprobs,
-                   train_decider, train_ngram)
+from nfclm import (DeciderModel, NfclmModel, bundle, load_class_alphabet, load_vocabulary,
+                   sequence_logprobs, train_decider, train_ngram)
 from nfclm.cli import main
 from nfclm.serialization import SerializationError
 
-from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS
+from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, keyed
 
 SENTENCES = [("_play", "_ro", "sie"), ("_play", "_ro", "sie", "_by", "_browne"),
              ("_ro", "berta", "_flack"), ("_by",)]
@@ -278,7 +279,7 @@ class TestExtremeDeciderSettings:
         raw = {"@bg": 0.8, "@song": 0.15, "@artist": 0.05}
         prior = {"@bg": 0.6, "@song": 0.3, "@artist": 0.1}
         for alpha in (700.0, 1e300, 1.7e308):
-            out = _scale_by_prior(raw, prior, alpha)
+            out = keyed(_scale_by_prior, raw, prior, alpha)
             assert all(p > 0 for p in out.values())
             assert math.fsum(out.values()) == pytest.approx(1.0, abs=1e-12)
             assert max(out, key=out.get) == "@artist"  # the smallest prior
@@ -288,10 +289,55 @@ class TestExtremeDeciderSettings:
         raw = {"@bg": 0.8, "@song": 0.15, "@artist": 0.05}
         prior = {"@bg": 0.6, "@song": 0.3, "@artist": 0.1}
         for alpha in (0.0, 0.5, 1.0, 3.0, 50.0):
-            direct = _scale_by_prior(raw, prior, alpha)
-            logs = _scale_in_log_space(raw, prior, alpha)
+            direct = keyed(_scale_by_prior, raw, prior, alpha)
+            logs = keyed(_scale_in_log_space, raw, prior, alpha)
             for c in raw:
                 assert logs[c] == pytest.approx(direct[c], rel=1e-12)
+
+    @staticmethod
+    def dict_reference(decider, history):
+        """(distribution, scaling used): the dict-form floor, normalization
+        and prior scaling that the decider's list form replaced."""
+        def normalized(weights):
+            total = math.fsum(weights.values())
+            return {c: p / total for c, p in weights.items()}
+
+        raw = normalized({c: max(p, decider.floor) for c, p in
+                          zip(decider.classes, decider.ngram.distribution_values(history))})
+        prior, alpha = normalized(decider.prior), decider.alpha
+        try:
+            weights = {c: p / prior[c] ** alpha for c, p in raw.items()}
+            total = math.fsum(weights.values())
+        except (ZeroDivisionError, OverflowError):
+            total = math.inf
+        if total < math.inf:
+            return {c: w / total for c, w in weights.items()}, "direct"
+        smallest = min(math.log(prior[c]) for c in raw)
+        logs = {c: math.log(p) - alpha * (math.log(prior[c]) - smallest)
+                for c, p in raw.items()}
+        top = max(logs.values())
+        shares = normalized({c: math.exp(lw - top) for c, lw in logs.items()})
+        return {c: max(share, sys.float_info.min) for c, share in shares.items()}, "log"
+
+    def test_list_form_keeps_the_dict_bits(self):
+        """At ordinary and extreme settings, in both scalings, the decider's
+        list form has the bits of the dict form it replaced."""
+        tagged = [("_play", "@song", "_by", "@artist"), ("_play", "_ro", "sie"),
+                  ("@artist", "_by", "_browne"), ("_ro", "@song")]
+        trained = train_decider(tagged, load_vocabulary(TOY_SYMBOLS),
+                                load_class_alphabet(["@bg", "@song", "@artist"]), order=3)
+        scalings = set()
+        for prior in (trained.prior, {**trained.prior, "@artist": 5e-324}):
+            for alpha in (0.0, 0.5, 1.0, 3.0, 50.0, 700.0, 1e300, 1.7e308):
+                decider = DeciderModel(trained.ngram, prior, alpha)
+                for history in itertools.product(sorted(decider.history_alphabet),
+                                                 repeat=decider.context_size):
+                    want, scaling = self.dict_reference(decider, history)
+                    scalings.add(scaling)
+                    values = decider.distribution_values(history)
+                    assert [p.hex() for p in values] == [want[c].hex() for c in decider.classes]
+                    assert decider.distribution(history) == dict(zip(decider.classes, values))
+        assert scalings == {"direct", "log"}
 
 
 # arbitrary JSON values, including those that json writes as NaN and Infinity
