@@ -229,12 +229,13 @@ class ProbClassFst:
 
     def text_dump(self) -> str:
         """Human-readable rendering: one arc or EXIT line per row."""
-        lines = []
-        for state, out in enumerate(self.arcs):
-            for symbol, (prob, dest) in out.items():
-                lines.append(f"{state} {symbol} {prob:.17g} {dest}")
-            if self.exits[state] > 0.0:
-                lines.append(f"{state} EXIT {self.exits[state]:.17g}")
+        lines, offsets = [], self.offsets
+        arcs = zip(self.arc_ids, self.probs, self.dests)  # each state takes its run in turn
+        for state, exit_p in enumerate(self.exits):
+            for sid, prob, dest in islice(arcs, offsets[state + 1] - offsets[state]):
+                lines.append(f"{state} {self.symbols[sid]} {prob:.17g} {dest}")
+            if exit_p > 0.0:
+                lines.append(f"{state} EXIT {exit_p:.17g}")
         return "\n".join(lines) + "\n"
 
 
@@ -251,19 +252,15 @@ class _TrieNode:
 def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
     """Build the minimal class automaton from tokenized entities.
 
-    ``entities`` yields symbol sequences or ``(symbols, count)`` pairs;
-    counts default to 1 and duplicates accumulate.  Arc and exit
+    ``entities`` yields ``(symbols, count)`` pairs, as ``load_entities``
+    returns them; duplicates accumulate.  Arc and exit
     probabilities are the relative frequencies of the entities' trie, so
     every state is stochastic by construction; trie nodes with the same
     exit probability and the same arcs (symbol, probability, equivalent
     child), probabilities compared as exact floats, share one state.
     """
     normalized: list[Entity] = []
-    for item in entities:
-        if isinstance(item, tuple) and len(item) == 2 and not isinstance(item[0], str):
-            symbols, count = item
-        else:
-            symbols, count = item, 1.0
+    for symbols, count in entities:
         symbols = tuple(symbols)
         count = float(count)
         if not symbols:

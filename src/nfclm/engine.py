@@ -265,12 +265,12 @@ class NfclmModel:
         entry_columns = []
         for c in self.classes.nonbackground:
             fst = self.class_fsts[c]
-            arcs = fst.arcs[fst.start]
-            bits = self._entry_bits[c]
-            for sym, (p, dest) in arcs.items():
+            lo, hi = fst.offsets[fst.start], fst.offsets[fst.start + 1]
+            arc_symbols = list(map(fst.symbols.__getitem__, fst.arc_ids[lo:hi]))
+            probs, bits = list(fst.probs[lo:hi]), self._entry_bits[c]
+            for sym, p, dest in zip(arc_symbols, probs, fst.dests[lo:hi]):
                 entries[sym] = entries.get(sym, ()) + ((label_index[c], math.log(p), bits | dest),)
-            entry_columns.append((label_index[c], list(map(position, arcs)),
-                                  [p for p, _ in arcs.values()]))
+            entry_columns.append((label_index[c], list(map(position, arc_symbols)), probs))
         vocab = self.vocabulary.symbols
         stays = zip(repeat(None), *(map(fst.ids.get, vocab) for fst in self._fsts[1:]))
         self._emits = dict(zip(vocab, zip(
@@ -764,9 +764,10 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
             key = prefix | model._emits[symbol][1]
         else:
             fst, state, bits = route
-            arcs = fst.arcs[state]
-            symbol = draw({sym: p for sym, (p, _) in arcs.items()})
-            key = bits | arcs[symbol][1]
+            lo, hi = fst.offsets[state], fst.offsets[state + 1]
+            arc_symbols = list(map(fst.symbols.__getitem__, fst.arc_ids[lo:hi]))
+            symbol = draw(dict(zip(arc_symbols, fst.probs[lo:hi])))
+            key = bits | fst.dests[lo + arc_symbols.index(symbol)]
         context = (context << model._width | model._ids[symbol]) & model._bg_mask
         out.append(symbol)
     return out

@@ -580,10 +580,6 @@ class DeciderModel(ConditionalSymbolModel):
         floor = self.floor
         return _normalized([max(p, floor) for p in self.ngram.distribution_values(history)])
 
-    def raw_distribution(self, history: Sequence[str]) -> dict[str, float]:
-        """Floored decider output before prior renormalization."""
-        return dict(zip(self.classes, self._floored(history)))
-
     def distribution_values(self, history: Sequence[str]) -> list[float]:
         return _scale_by_prior(self._floored(history), self._normalized_prior, self.alpha)
 

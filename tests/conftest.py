@@ -41,12 +41,27 @@ def toy_classes():
 
 @pytest.fixture(scope="session")
 def song_fst():
-    return build_from_entities("@song", SONG_ENTITIES)
+    return build_from_entities("@song", entity_pairs(SONG_ENTITIES))
 
 
 @pytest.fixture(scope="session")
 def artist_fst():
-    return build_from_entities("@artist", ARTIST_ENTITIES)
+    return build_from_entities("@artist", entity_pairs(ARTIST_ENTITIES))
+
+
+def entity_pairs(entities):
+    """``entities``, symbol tuples, as the ``(symbols, 1)`` pairs that
+    ``build_from_entities`` takes."""
+    return [(symbols, 1) for symbols in entities]
+
+
+def state_arcs(fst, state):
+    """The arcs of ``fst``'s state ``state`` as ``{symbol: (probability,
+    destination)}`` in symbol order, read from the state's run of the
+    public columns."""
+    lo, hi = fst.offsets[state], fst.offsets[state + 1]
+    return {fst.symbols[sid]: (prob, dest)
+            for sid, prob, dest in zip(fst.arc_ids[lo:hi], fst.probs[lo:hi], fst.dests[lo:hi])}
 
 
 def fst_from_dicts(label, arcs, exits):

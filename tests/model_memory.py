@@ -67,7 +67,7 @@ def mid_size_automaton(seed: int = SEED, label: str = CLASSES[1]) -> ProbClassFs
     for sentence in corpora(seed)[1]:
         length = rng.randint(1, 4)
         start = rng.randrange(len(sentence) - length + 1)
-        spans.append(sentence[start:start + length])
+        spans.append((sentence[start:start + length], 1))
     return build_from_entities(label, spans)
 
 

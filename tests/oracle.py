@@ -9,13 +9,14 @@ engine's caches, keys, route kernel or beam, so comparing it with the
 beam compares two independent computations.  Its cost grows with the number of
 alignments, so it takes at most ``EXACT_HISTORY_LIMIT`` symbols.
 
-``step``, ``arc_prob`` and ``walk`` read a class automaton through
-``fst.arcs``.
+``step``, ``arc_prob`` and ``walk`` read a class automaton's public
+columns through ``conftest.state_arcs``.
 """
 
 import math
 from typing import Optional, Sequence
 
+from conftest import state_arcs
 from nfclm import BACKGROUND, BOS, EOS, EPSILON, DeadHistoryError, NfclmModel, ProbClassFst
 
 EXACT_HISTORY_LIMIT = 12
@@ -40,13 +41,13 @@ def background_prob(model: NfclmModel, symbol: str, history: Sequence[str]) -> f
 
 def step(fst: ProbClassFst, state: int, symbol: str) -> Optional[int]:
     """Destination of the unique arc for ``symbol``, or None if absent."""
-    hit = fst.arcs[state].get(symbol)
+    hit = state_arcs(fst, state).get(symbol)
     return None if hit is None else hit[1]
 
 
 def arc_prob(fst: ProbClassFst, state: int, symbol: str) -> float:
     """Probability of the matching arc; 0 when there is none."""
-    hit = fst.arcs[state].get(symbol)
+    hit = state_arcs(fst, state).get(symbol)
     return 0.0 if hit is None else hit[0]
 
 

@@ -20,8 +20,8 @@ from nfclm import DeadHistoryError, FusionWeights, NBestEntry, advance, bundle
 from nfclm.cfg import CfgGrammar, expand, expand_tagged
 from nfclm.seqmodel import _scale_by_prior
 
-from conftest import (READINGS, assert_beam_matches_oracle, keyed, make_toy_model,
-                      random_instance)
+from conftest import (READINGS, assert_beam_matches_oracle, entity_pairs, keyed,
+                      make_toy_model, random_instance, state_arcs)
 from oracle import exact_alignment_histories, exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
@@ -114,7 +114,7 @@ def test_criterion_04_normalization_suite():
         model, histories = random_instance(rng)
         for label, fst in model.class_fsts.items():
             for state in range(fst.num_states):
-                mass = math.fsum(p for p, _ in fst.arcs[state].values()) \
+                mass = math.fsum(p for p, _ in state_arcs(fst, state).values()) \
                     + fst.exits[state]
                 assert abs(mass - 1.0) <= 1e-9, (label, state)
         for history in histories:
@@ -258,7 +258,7 @@ def test_criterion_07_compactness(tmp_path, toy_vocab, toy_classes, song_fst,
             tuple(rng.choice(symbols) for _ in range(4))
             for _ in range(n_entities)
         ]
-        fst = build_from_entities("@probe", entities)
+        fst = build_from_entities("@probe", entity_pairs(entities))
         totals.append(sum(len(e) for e in entities))
         sizes.append(len(fst.serialize()))
     x = np.asarray(totals, dtype=float)
@@ -280,7 +280,7 @@ def test_criterion_07_compactness(tmp_path, toy_vocab, toy_classes, song_fst,
                           decider=decider)
 
     bundle.pack(assemble(song_fst), tmp_path / "a")
-    edited = build_from_entities("@song", [("_ro", "sie"), ("salie",)])
+    edited = build_from_entities("@song", entity_pairs([("_ro", "sie"), ("salie",)]))
     bundle.pack(assemble(edited), tmp_path / "b")
     changed = [
         p.name for p in sorted((tmp_path / "a").iterdir())

@@ -31,7 +31,7 @@ from nfclm.seqmodel import DECIDER_MAGIC, NGRAM_MAGIC
 from nfclm.serialization import SerializationError
 
 from conftest import (ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, V2_DATA, count_tables,
-                      fst_from_dicts, ngram_levels, put)
+                      entity_pairs, fst_from_dicts, ngram_levels, put)
 
 # start 0 --_ro--> 1; 1 --sia--> 2 and --sie--> 3; 2 and 3 exit.  Byte
 # layout: a 33-byte header, the symbol count at 33 and the symbols '_ro',
@@ -440,8 +440,8 @@ def test_roundtrip_is_byte_identical(data, model):
 
 
 def test_decoded_fst_shares_one_string_per_symbol():
-    fst = build_from_entities("@x", [("_ro", "sie"), ("sie", "_ro"), ("_by", "_ro", "sie"),
-                                     ("_by", "sie")])
+    fst = build_from_entities("@x", entity_pairs([("_ro", "sie"), ("sie", "_ro"),
+                                                  ("_by", "_ro", "sie"), ("_by", "sie")]))
     back = ProbClassFst.deserialize(fst.serialize())
     symbols = [sym for out in back.arcs for sym in out]
     assert len(symbols) > len(set(symbols)) == 3
@@ -458,10 +458,10 @@ def binaries(tmp_path_factory):
                              vocab, order=2)
     decider = train_decider([("_play", "@song", "_by", "@artist"), ("_play", "@song")],
                             vocab, classes, order=2)
+    fsts = {label: build_from_entities(label, entity_pairs(entities))
+            for label, entities in (("@song", SONG_ENTITIES), ("@artist", ARTIST_ENTITIES))}
     model = NfclmModel(vocabulary=vocab, classes=classes, background=background,
-                       class_fsts={"@song": build_from_entities("@song", SONG_ENTITIES),
-                                   "@artist": build_from_entities("@artist", ARTIST_ENTITIES)},
-                       decider=decider)
+                       class_fsts=fsts, decider=decider)
     directory = tmp_path_factory.mktemp("binaries") / "b"
     bundle.pack(model, directory)
     names = ("background.bin", "decider.bin", "@song.fst", "@artist.fst")

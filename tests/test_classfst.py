@@ -14,11 +14,12 @@ from nfclm import (ProbClassFst, build_from_entities, exact_sequence_logprob, lo
 from nfclm.classfst import MAGIC, VERSION
 from nfclm.serialization import ByteWriter, SerializationError
 
-from conftest import TOY_SYMBOLS, fst_from_dicts, make_toy_model, trie_fst
+from conftest import (TOY_SYMBOLS, entity_pairs, fst_from_dicts, make_toy_model, state_arcs,
+                      trie_fst)
 from oracle import arc_prob, step, walk
 
-SONG = [("_ro", "sie"), ("_ro", "salie")]
-ARTIST = [("_ro", "berta", "_flack"), ("_browne",)]
+SONG = [(("_ro", "sie"), 1), (("_ro", "salie"), 1)]
+ARTIST = [(("_ro", "berta", "_flack"), 1), (("_browne",), 1)]
 
 
 def entity_probability(fst, symbols):
@@ -56,19 +57,19 @@ class TestBuildFromEntities:
         assert arc_prob(fst, walk(fst, ("_ro",)), "berta") == 1.0
 
     def test_single_entity_all_ones(self):
-        fst = build_from_entities("@x", [("a", "b")])
+        fst = build_from_entities("@x", [(("a", "b"), 1)])
         assert arc_prob(fst, fst.start, "a") == 1.0
         assert arc_prob(fst, walk(fst, ("a",)), "b") == 1.0
         assert fst.exit_prob(walk(fst, ("a", "b"))) == 1.0
 
     def test_entity_longer_than_the_recursion_limit(self):
         entity = tuple(f"s{i}" for i in range(1500))
-        fst = build_from_entities("@x", [entity])
+        fst = build_from_entities("@x", [(entity, 1)])
         assert fst.num_states == 1501
         assert fst.exit_prob(walk(fst, entity)) == 1.0
 
     def test_prefix_entity_gets_fractional_exit(self):
-        fst = build_from_entities("@x", [("a",), ("a", "b")])
+        fst = build_from_entities("@x", [(("a",), 1), (("a", "b"), 1)])
         s = walk(fst, ("a",))
         assert fst.exit_prob(s) == 0.5
         assert arc_prob(fst, s, "b") == 0.5
@@ -79,7 +80,7 @@ class TestBuildFromEntities:
         assert arc_prob(fst, fst.start, "b") == 0.25
 
     def test_duplicates_sum(self):
-        fst = build_from_entities("@x", [("a",), ("a",), ("b",)])
+        fst = build_from_entities("@x", [(("a",), 1), (("a",), 1), (("b",), 1)])
         assert arc_prob(fst, fst.start, "a") == pytest.approx(2 / 3)
 
     def test_empty_list_rejected(self):
@@ -88,7 +89,7 @@ class TestBuildFromEntities:
 
     def test_empty_entity_rejected(self):
         with pytest.raises(ValueError, match="empty entity"):
-            build_from_entities("@x", [()])
+            build_from_entities("@x", [((), 1)])
 
     def test_nonpositive_count_rejected(self):
         for count in (0, float("nan"), float("inf"), float("-inf")):
@@ -172,7 +173,7 @@ class TestInvariants:
     def test_stochasticity(self, entities):
         fst = build_from_entities("@x", entities)
         for state in range(fst.num_states):
-            total = math.fsum(p for p, _ in fst.arcs[state].values()) + fst.exits[state]
+            total = math.fsum(p for p, _ in state_arcs(fst, state).values()) + fst.exits[state]
             assert total == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -235,7 +236,7 @@ class TestMinimal:
         scores every toy sentence with the minimal automaton's bits."""
         vocab, classes = load_vocabulary(TOY_SYMBOLS), load_class_alphabet(["@bg", "@song",
                                                                             "@artist"])
-        tries = {label: ProbClassFst.deserialize(trie_fst(label, [(e, 1) for e in entities])
+        tries = {label: ProbClassFst.deserialize(trie_fst(label, entities)
                                                  .serialize())
                  for label, entities in (("@song", SONG), ("@artist", ARTIST))}
         assert [tries[label].num_states for label in ("@song", "@artist")] == [4, 5]
@@ -243,7 +244,7 @@ class TestMinimal:
         model = make_toy_model(vocab, classes, build_from_entities("@song", SONG),
                                build_from_entities("@artist", ARTIST))
         sentences = {tuple(sample(model, max_length=12, seed=seed)) for seed in range(60)}
-        sentences |= {("_play", "_ro", "sie", "_by", "_browne"), *SONG, *ARTIST}
+        sentences |= {("_play", "_ro", "sie", "_by", "_browne"), *(e for e, _ in SONG + ARTIST)}
         for sentence in sorted(sentences):
             for score in (sequence_logprob, exact_sequence_logprob):
                 assert score(trie_model, sentence).hex() == score(model, sentence).hex(), \
@@ -281,9 +282,10 @@ class TestSerialization:
         fst = build_from_entities("@big", entities)
         back = ProbClassFst.deserialize(fst.serialize())
         for state in range(fst.num_states):
-            for sym, (p, dest) in fst.arcs[state].items():
-                assert back.arcs[state][sym][0] == p  # bit-exact
-                assert back.arcs[state][sym][1] == dest
+            back_arcs = state_arcs(back, state)
+            for sym, (p, dest) in state_arcs(fst, state).items():
+                assert back_arcs[sym][0] == p  # bit-exact
+                assert back_arcs[sym][1] == dest
             assert back.exits[state] == fst.exits[state]
 
     def test_text_dump_lines(self):
@@ -363,7 +365,7 @@ class TestColumns:
 
     def test_tracked_objects_do_not_grow_with_states(self):
         small = build_from_entities("@song", SONG)
-        large = build_from_entities("@big", random_entities(11, 2000))
+        large = build_from_entities("@big", entity_pairs(random_entities(11, 2000)))
         assert large.num_states > 100 * small.num_states
         assert self.tracked_objects(large.serialize()) == \
             self.tracked_objects(small.serialize())
@@ -398,7 +400,7 @@ class TestColumns:
 
     def test_built_tries_roundtrip_byte_for_byte(self):
         for seed, count in ((1, 1), (2, 50), (3, 2000)):
-            fst = build_from_entities("@x", random_entities(seed, count))
+            fst = build_from_entities("@x", entity_pairs(random_entities(seed, count)))
             data = fst.serialize()
             back = ProbClassFst.deserialize(data)
             assert back.serialize() == data

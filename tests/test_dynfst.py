@@ -9,7 +9,8 @@ import pytest
 from nfclm import BACKGROUND, DynFstSession, sequence_logprob
 from nfclm.engine import advance, eos_logprob, next_dist
 
-from conftest import decider_row, histories, positions, random_instance, shared_key_lists
+from conftest import (decider_row, entity_pairs, histories, positions, random_instance,
+                      shared_key_lists)
 from oracle import exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
@@ -115,8 +116,8 @@ class TestFinalWeight:
         # where every hypothesis is mid-class
         from conftest import make_toy_model
         from nfclm import build_from_entities
-        song = build_from_entities("@song", [("berta", "salie")])
-        artist = build_from_entities("@artist", [("_browne",)])
+        song = build_from_entities("@song", entity_pairs([("berta", "salie")]))
+        artist = build_from_entities("@artist", entity_pairs([("_browne",)]))
         model = make_toy_model(toy_vocab, toy_classes, song, artist)
         beam = advance(model, ("berta",))
         mid = [h for h in beam.hypotheses if model.decode(h.key)[1] is not None]
@@ -248,8 +249,8 @@ class TestLazyFinals:
     def test_none_when_no_alignment_can_stop(self, toy_vocab, toy_classes):
         from conftest import make_toy_model
         from nfclm import build_from_entities
-        song = build_from_entities("@song", [("berta", "salie")])
-        artist = build_from_entities("@artist", [("_browne",)])
+        song = build_from_entities("@song", entity_pairs([("berta", "salie")]))
+        artist = build_from_entities("@artist", entity_pairs([("_browne",)]))
         # a singleton beam keeps only the in-class reading of berta
         model = make_toy_model(toy_vocab, toy_classes, song, artist, beam_size=1)
         session = DynFstSession(model)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -23,8 +24,9 @@ from nfclm.seqmodel import widened
 
 from conftest import (ARTIST_ENTITIES, READINGS, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, context, count_tables, decider_row,
-                      fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
-                      ngram_from_tables, positions, random_instance, uniform_background)
+                      entity_pairs, fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
+                      ngram_from_tables, positions, random_instance, state_arcs,
+                      uniform_background)
 from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
@@ -73,7 +75,7 @@ def routes(model, h):
     if base is not None:
         for c, log_share in zip(model.classes.labels, row):
             fst = model.class_fsts.get(c)
-            out[c] = (None if fst is None else dict(fst.arcs[fst.start])), base + log_share
+            out[c] = (None if fst is None else state_arcs(fst, fst.start)), base + log_share
     return out
 
 
@@ -195,8 +197,8 @@ class TestClassComponentProb:
         # exit 0.5 at the fork: staying renormalizes the single arc to 1
         from conftest import make_toy_model
         from nfclm import build_from_entities
-        song = build_from_entities("@song", [("_ro",), ("_ro", "sie")])
-        artist = build_from_entities("@artist", [("_browne",)])
+        song = build_from_entities("@song", entity_pairs([("_ro",), ("_ro", "sie")]))
+        artist = build_from_entities("@artist", entity_pairs([("_browne",)]))
         model = make_toy_model(toy_vocab, toy_classes, song, artist)
         fst = model.class_fsts["@song"]
         inside = hyp(model, ("@song",), ("@song", walk(fst, ("_ro",))))
@@ -313,7 +315,7 @@ class TestColumnReads:
             symbols = model.vocabulary.symbols + (EOS,)
             for label, fst in model.class_fsts.items():
                 for state in range(fst.num_states):
-                    arcs = fst.arcs[state]
+                    arcs = state_arcs(fst, state)
                     leaves += not arcs
                     for sym in symbols:
                         h = hyp(model, (label,), (label, state))
@@ -335,7 +337,7 @@ class TestColumnReads:
                 want = []
                 for label in model.classes.nonbackground:
                     fst = model.class_fsts[label]
-                    arc = fst.arcs[fst.start].get(sym)
+                    arc = state_arcs(fst, fst.start).get(sym)
                     if arc is not None:
                         want.append((label, math.log(arc[0]).hex(), arc[1]))
                 got = [(label, log_p.hex(), dest)
@@ -395,8 +397,8 @@ class TestExtend:
         # (decider history, position) and must merge
         from conftest import make_toy_model
         from nfclm import build_from_entities
-        song = build_from_entities("@song", [("sie",), ("sie", "sie")])
-        artist = build_from_entities("@artist", [("_browne",)])
+        song = build_from_entities("@song", entity_pairs([("sie",), ("sie", "sie")]))
+        artist = build_from_entities("@artist", entity_pairs([("_browne",)]))
         model = make_toy_model(toy_vocab, toy_classes, song, artist,
                                beam_size=EXACT_BEAM_SIZE, beam_delta=float("inf"))
         beam = advance(model, ("sie",) * 4)
@@ -977,21 +979,6 @@ def count_column_reads(model, monkeypatch):
     return reads
 
 
-class CountingArcs:
-    """An automaton's ``arcs`` that appends each state read to ``reads`` as
-    ``(label, state)``."""
-
-    def __init__(self, arcs, reads, label):
-        self.arcs, self.reads, self.label = arcs, reads, label
-
-    def __getitem__(self, state):
-        self.reads.append((self.label, state))
-        return self.arcs[state]
-
-    def __len__(self):
-        return len(self.arcs)
-
-
 class TestNextDist:
     def test_matches_per_symbol_extend(self, toy_vocab, toy_classes, song_fst,
                                        artist_fst):
@@ -1044,9 +1031,9 @@ class TestNextDist:
                   for _ in range(200)]
         trained = train_ngram(corpus, vocab, order=3)
         background = CountingNGram.deserialize(trained.serialize())
-        fsts = {label: build_from_entities(label, [
+        fsts = {label: build_from_entities(label, entity_pairs([
             tuple(rng.choice(symbols[:40]) for _ in range(rng.randint(1, 3)))
-            for _ in range(30)]) for label in ("@a", "@b")}
+            for _ in range(30)])) for label in ("@a", "@b")}
         tagged = [tuple(tok if rng.random() < 0.7 else rng.choice(("@a", "@b"))
                         for tok in sentence) for sentence in corpus]
         model = NfclmModel(vocab, classes, background, fsts,
@@ -1288,47 +1275,58 @@ class TestSample:
             30, 15, 1, 30, 1, 0, 30, 6, 7, 19, 25, 7, 1, 30, 20, 30, 0, 30, 30, 30]
 
     def test_reads_only_the_drawn_route(self, toy_model, monkeypatch):
-        """A step reads the arcs of the one state its drawn route leaves
-        from, its stay state or a class's start, and none when it draws the
-        background."""
-        reads, steps = [], []  # steps: (position, reads before the step)
-        for label, fst in toy_model.class_fsts.items():
-            monkeypatch.setattr(fst, "arcs", CountingArcs(fst.arcs, reads, label))
+        """After its mixture kernel, a step reads its stay run's
+        probabilities for the stay's mass, then the columns of the one state
+        its drawn route leaves from, its stay state or a class's start, and
+        nothing more when it draws the background."""
+        columns = {label: copy.copy(fst) for label, fst in toy_model.class_fsts.items()}
+        reads = count_column_reads(toy_model, monkeypatch)
+        steps = []  # per step: (position, stay run, column reads after its kernel)
         mixture = engine._mixture
 
         def step(model, key, log_weight, stays=None):
-            steps.append((model.decode(key)[1], len(reads)))
-            return mixture(model, key, log_weight, stays)
+            if steps:
+                steps[-1][2].update(reads)
+            routes = mixture(model, key, log_weight, stays)
+            reads.clear()
+            steps.append((model.decode(key)[1], routes[0], Counter()))
+            return routes
 
         monkeypatch.setattr(engine, "_mixture", step)
         drawn_routes, max_length = set(), 30
         for seed in range(40):
-            del reads[:], steps[:]
+            del steps[:]
             out = sample(toy_model, max_length=max_length, seed=seed)
+            steps[-1][2].update(reads)
             assert len(steps) == len(out) + (len(out) < max_length)
             # where each step moves: the next step's position, and the
             # background on the EOS a sample stops at; unknown after the
             # last step of a sample cut at max_length
-            moves = [pos for pos, _ in steps[1:]] + [None] * (len(out) < max_length)
-            bounds = [at for _, at in steps] + [len(reads)]
-            for k, (pos, _) in enumerate(steps):
-                got = reads[bounds[k]:bounds[k + 1]]
-                if k == len(moves):
-                    assert len(got) <= 1
-                    continue
-                if moves[k] is None:
-                    assert got == []
+            moves = [pos for pos, _, _ in steps[1:]] + [None] * (len(out) < max_length)
+            for k, (pos, stay, got) in enumerate(steps):
+                if stay is not None:
+                    mass = (pos[0], "probs", stay[1:])
+                    assert got[mass] > 0, got
+                    got[mass] -= 1
+                got = +got
+                if not got:
+                    assert k == len(moves) or moves[k] is None, (seed, k)
                     drawn_routes.add(("background", pos is None))
                     continue
-                label, state = moves[k]
-                fst = toy_model.class_fsts[label]
+                label, source = min((label, at) for label, name, at in got if name == "offsets")
+                fst = columns[label]
+                lo, hi = fst.offsets[source], fst.offsets[source + 1]
+                arcs = state_arcs(fst, source)
+                assert got == Counter([
+                    (label, "offsets", source), (label, "offsets", source + 1),
+                    (label, "arc_ids", (lo, hi)), (label, "probs", (lo, hi)),
+                    (label, "dests", lo + list(arcs).index(out[k]))]), got
                 # the drawn route leaves the stay state that the key holds, or
-                # the class's start, by an arc on the drawn symbol into ``state``
-                stay = pos[1] if pos is not None and pos[0] == label else None
-                assert len(got) == 1 and got[0][0] == label, got
-                source = got[0][1]
-                assert source in (stay, fst.start)
-                assert fst.arcs.arcs[source][out[k]][1] == state
+                # the class's start, by an arc on the drawn symbol
+                stay_state = pos[1] if pos is not None and pos[0] == label else None
+                assert source in (stay_state, fst.start)
+                if k < len(moves):
+                    assert moves[k] == (label, arcs[out[k]][1])
                 drawn_routes.add(("stay" if source != fst.start else "entry", pos is None))
         # (route drawn, from a background position)
         assert drawn_routes == {("background", True), ("background", False),
@@ -1668,13 +1666,14 @@ def bits_cases():
     exactly, and three random instances."""
     vocab = load_vocabulary(TOY_SYMBOLS)
     classes = load_class_alphabet(["@bg", "@song", "@artist"])
-    toy = make_toy_model(vocab, classes, build_from_entities("@song", SONG_ENTITIES),
-                         build_from_entities("@artist", ARTIST_ENTITIES))
+    toy = make_toy_model(vocab, classes,
+                         build_from_entities("@song", entity_pairs(SONG_ENTITIES)),
+                         build_from_entities("@artist", entity_pairs(ARTIST_ENTITIES)))
     yield "toy", toy, [FIG1_SENTENCE, ("_ro", "sie", "_ro", "berta", "_flack"),
                        ("_browne", "_ro", "salie")]
     # equal automata and equal decider shares give successors of equal weight,
     # so the tie order decides the beam order and which one the N cut keeps
-    twins = [("_ro", "sie"), ("_ro",)]
+    twins = entity_pairs([("_ro", "sie"), ("_ro",)])
     decider = train_decider([("_play", "@song"), ("_play", "@artist"),
                              ("@song", "_by", "@artist"), ("@artist", "_by", "@song")],
                             vocab, classes, order=2)

@@ -13,8 +13,8 @@ from nfclm import (EOS, FusionWeights, NBestEntry, bundle, load_class_alphabet,
                    sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
 
-from conftest import (count_tables, make_toy_model, random_instance, shared_key_lists,
-                      uniform_background)
+from conftest import (count_tables, entity_pairs, make_toy_model, random_instance,
+                      shared_key_lists, uniform_background)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -397,7 +397,8 @@ class TestBundle:
         bundle.pack(model, tmp_path / "b")
         path = tmp_path / "b" / "@song.fst"
         # the start state's arcs read '_ro' then 'zz'; the symbol table '_ro', 'aa', 'zz'
-        path.write_bytes(build_from_entities("@song", [("_ro", "aa"), ("zz",)]).serialize())
+        fst = build_from_entities("@song", entity_pairs([("_ro", "aa"), ("zz",)]))
+        path.write_bytes(fst.serialize())
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(tmp_path / "b")
         assert str(info.value) == f"{path}: @song: arc symbol 'aa' is outside the vocabulary"
@@ -470,7 +471,7 @@ class TestBundle:
         model = NfclmModel(
             vocabulary=toy_vocab, classes=classes,
             background=train_ngram([FIG1_SENTENCE], toy_vocab, order=2),
-            class_fsts={"@x/y": build_from_entities("@x/y", [("_ro", "sie")])},
+            class_fsts={"@x/y": build_from_entities("@x/y", [(("_ro", "sie"), 1)])},
             decider=train_decider([("_play", "@x/y")], toy_vocab, classes, order=2))
         directory = tmp_path / "b"
         if made:
@@ -494,7 +495,7 @@ class TestBundle:
                 class_fsts={"@song": song, "@artist": artist_fst}, decider=decider)
 
         bundle.pack(build(song_fst), tmp_path / "a")
-        edited = build_from_entities("@song", [("_ro", "sie"), ("salie",)])
+        edited = build_from_entities("@song", entity_pairs([("_ro", "sie"), ("salie",)]))
         bundle.pack(build(edited), tmp_path / "b")
         changed = []
         for name in sorted(p.name for p in (tmp_path / "a").iterdir()):

@@ -24,7 +24,7 @@ from nfclm import (DeciderModel, NfclmModel, bundle, load_class_alphabet, load_v
 from nfclm.cli import main
 from nfclm.serialization import SerializationError
 
-from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, keyed
+from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, entity_pairs, keyed
 
 SENTENCES = [("_play", "_ro", "sie"), ("_play", "_ro", "sie", "_by", "_browne"),
              ("_ro", "berta", "_flack"), ("_by",)]
@@ -356,8 +356,9 @@ def fuzz_bundle(tmp_path_factory):
     from nfclm import build_from_entities, load_class_alphabet, load_vocabulary
     vocab = load_vocabulary(TOY_SYMBOLS)
     classes = load_class_alphabet(["@bg", "@song", "@artist"])
-    model = toy_model(vocab, classes, build_from_entities("@song", SONG_ENTITIES),
-                      build_from_entities("@artist", ARTIST_ENTITIES))
+    model = toy_model(vocab, classes,
+                      build_from_entities("@song", entity_pairs(SONG_ENTITIES)),
+                      build_from_entities("@artist", entity_pairs(ARTIST_ENTITIES)))
     directory = tmp_path_factory.mktemp("fuzz") / "b"
     bundle.pack(model, directory)
     return directory, (directory / "manifest.json").read_text(encoding="utf-8")
