@@ -9,8 +9,8 @@ a perplexity evaluator, and an n-best rescorer.
 from .classfst import ProbClassFst, build_from_entities, load_entities
 from .cfg import CfgGrammar, expand, expand_tagged, mix_corpora, parse_grammar
 from .dynfst import DynFstSession
-from .engine import (EPSILON, AlignmentBeam, AlignmentHypothesis,
-                     DeadHistoryError, NfclmModel, advance, eos_logprob,
+from .engine import (AlignmentBeam, AlignmentHypothesis, DeadHistoryError,
+                     NfclmModel, advance, eos_logprob,
                      exact_sequence_logprob, extend, next_dist, sample,
                      sequence_logprob, sequence_logprobs, start_beam)
 from .evaluate import (FusionWeights, NBestEntry, PerplexityReport,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentBeam", "AlignmentHypothesis", "BACKGROUND", "BOS",
     "BackoffNGram", "CfgGrammar", "ClassAlphabet", "ConditionalSymbolModel",
-    "DeadHistoryError", "DeciderModel", "DynFstSession", "EOS", "EPSILON",
+    "DeadHistoryError", "DeciderModel", "DynFstSession", "EOS",
     "FusionWeights", "NBestEntry", "NfclmModel", "PerplexityReport",
     "ProbClassFst", "RescoredEntry", "Vocabulary", "advance",
     "build_from_entities", "bundle", "eos_logprob", "exact_sequence_logprob",

@@ -261,6 +261,9 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
     """
     normalized: list[Entity] = []
     for symbols, count in entities:
+        if isinstance(symbols, str):
+            raise ValueError(f"{label}: entity {symbols!r} is one string, not a sequence "
+                             "of symbols")
         symbols = tuple(symbols)
         count = float(count)
         if not symbols:

@@ -1,8 +1,7 @@
 """Command-line pipeline: build, train, pack, and evaluate models.
 
 All machine-readable output is line-oriented UTF-8 with tab-separated
-fields and is deterministic given the flags and the seed; the seed falls
-back to the NFCLM_SEED environment variable, then to 0.
+fields and is deterministic given the flags and ``--seed`` (default 0).
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 from . import bundle as bundle_mod
@@ -30,20 +28,8 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NFCLM_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"NFCLM_SEED must be an integer, got {env!r}") from None
-
-
 _OPTIONS = {
-    "--seed": dict(type=int, default=None, help="random seed (default: $NFCLM_SEED or 0)"),
+    "--seed": dict(type=int, default=0, help="random seed (default: 0)"),
     "--beam-n": dict(type=int, default=None, help="beam size override"),
     "--beam-delta": dict(type=float, default=None, help="beam log-prob band override"),
     "--alpha": dict(type=float, default=None,
@@ -123,9 +109,8 @@ def cmd_expand_cfg(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
     classes = load_class_alphabet(args.classes)
     grammar = cfg_mod.parse_grammar(args.patterns, args.entity_dir, vocabulary, classes)
-    seed = _resolve_seed(args)
     expandfn = cfg_mod.expand_tagged if args.tagged else cfg_mod.expand
-    sentences = expandfn(grammar, args.n, seed)
+    sentences = expandfn(grammar, args.n, args.seed)
     _write_sentences(sentences, args.out)
     return 0
 
@@ -141,8 +126,7 @@ def _write_sentences(sentences, out) -> None:
 def cmd_mix(args) -> int:
     background = _read_sentences(args.background)
     tagged = _read_sentences(args.cfg)
-    mixed = cfg_mod.mix_corpora(background, tagged, args.fraction,
-                                _resolve_seed(args), size=args.size)
+    mixed = cfg_mod.mix_corpora(background, tagged, args.fraction, args.seed, size=args.size)
     _write_sentences(mixed, args.out)
     return 0
 
@@ -224,9 +208,8 @@ def cmd_rescore(args) -> int:
 
 def cmd_sample(args) -> int:
     model = _load_bundle(args)
-    seed = _resolve_seed(args)
     for i in range(args.n):
-        print(" ".join(sample(model, args.max_len, seed + i)))
+        print(" ".join(sample(model, args.max_len, args.seed + i)))
     return 0
 
 

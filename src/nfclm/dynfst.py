@@ -51,22 +51,16 @@ class DynFstSession:
         self.stats = SessionStats()
         # per state id: the (parent id, symbol) arc that created it; None
         # for the start state, id 0
-        self._links: list[Optional[tuple[int, str]]] = []
+        self._links: list[Optional[tuple[int, str]]] = [None]
         # state id -> -log P(EOS | history), None when it cannot stop; filled
         # on first request
         self._finals: dict[int, Optional[float]] = {}
         self._arcs: dict[tuple[int, str], Optional[tuple[int, float]]] = {}
         self._start_beam = start_beam(model)
         self._resident: OrderedDict[int, AlignmentBeam] = OrderedDict()
-        self._start_id = self._create(None)
         self.stats.expansions += 1
 
     # -- state bookkeeping -------------------------------------------------
-
-    def _create(self, link: Optional[tuple[int, str]]) -> int:
-        state_id = len(self._links)
-        self._links.append(link)
-        return state_id
 
     def _install(self, state_id: int, beam: AlignmentBeam) -> None:
         self._resident[state_id] = beam
@@ -86,7 +80,7 @@ class DynFstSession:
 
     def _resolve(self, state_id: int) -> AlignmentBeam:
         self._check(state_id)
-        if state_id == self._start_id:
+        if state_id == 0:
             return self._start_beam
         beam = self._resident.get(state_id)
         if beam is not None:
@@ -95,7 +89,7 @@ class DynFstSession:
         # Replay from the nearest resident ancestor.
         ancestor, symbol = self._links[state_id]
         symbols = [symbol]
-        while ancestor != self._start_id and ancestor not in self._resident:
+        while ancestor != 0 and ancestor not in self._resident:
             ancestor, symbol = self._links[ancestor]
             symbols.append(symbol)
         beam = self._resident.get(ancestor, self._start_beam)
@@ -109,7 +103,7 @@ class DynFstSession:
     # -- FST surface ---------------------------------------------------------
 
     def start_state(self) -> int:
-        return self._start_id
+        return 0
 
     def history_of(self, state_id: int) -> tuple[str, ...]:
         self._check(state_id)
@@ -134,7 +128,8 @@ class DynFstSession:
         except DeadHistoryError:
             self._arcs[key] = None
             return None
-        dest = self._create(key)
+        dest = len(self._links)
+        self._links.append(key)
         self._install(dest, beam)
         arc = (dest, -step)
         self._arcs[key] = arc

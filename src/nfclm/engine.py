@@ -107,8 +107,6 @@ from .classfst import ProbClassFst
 from .seqmodel import ConditionalSymbolModel, DeciderModel, Rule
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
-EPSILON = "<eps>"
-
 DEFAULT_BEAM_SIZE = 100
 DEFAULT_BEAM_DELTA = 30.0
 # a beam size no beam reaches: with an infinite delta, pruning is off
@@ -310,10 +308,10 @@ class NfclmModel:
         self._layout = ((1 << pos_bits) - 1, states, (1 << states) - 1, pos_bits, width,
                         ((1 << width * size) - 1) << pos_bits)
         self._root = self.context((), size) << pos_bits
-        self._bg_context_size = self.background.context_size
-        self._bg_mask = (1 << width * self._bg_context_size) - 1
-        self._start_context = self.context((), self._bg_context_size)
-        self._bg_levels = self._stored_levels(self.background, self._bg_context_size)
+        bg_size = self.background.context_size
+        self._bg_mask = (1 << width * bg_size) - 1
+        self._start_context = self.context((), bg_size)
+        self._bg_levels = self._stored_levels(self.background, bg_size)
         self._decider_levels = self._stored_levels(self.decider, size)
 
     def _stored_levels(self, component: ConditionalSymbolModel, size: int):
@@ -344,15 +342,12 @@ class NfclmModel:
 
     # -- the boundary between tokens and packed ids --------------------------
 
-    def _tokens(self, packed: int, count: int) -> tuple[str, ...]:
-        """The ``count`` tokens packed in ``packed``, oldest first."""
-        names, width, mask = self._names, self._width, (1 << self._width) - 1
-        return tuple([names[packed >> width * i & mask] for i in range(count - 1, -1, -1)])
-
     def _key_tokens(self, key: int) -> tuple[str, ...]:
-        """The tokens of a context key, which has no padding above its oldest
-        token: ids start at 1."""
-        return self._tokens(key, -(-key.bit_length() // self._width))
+        """The tokens of a context key, oldest first; a key has no padding
+        above its oldest token: ids start at 1."""
+        names, width, mask = self._names, self._width, (1 << self._width) - 1
+        return tuple([names[key >> width * i & mask]
+                      for i in range(-(-key.bit_length() // width) - 1, -1, -1)])
 
     def context(self, tokens: Sequence[str], size: int) -> int:
         """The last ``size`` of ``tokens``, padded on the left with BOS,
@@ -717,25 +712,31 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
 
 
 def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
-    """Ancestral sample: draw a class route, then a symbol, until EOS."""
+    """Ancestral sample: draw a class route, then a symbol, until EOS.
+
+    Each draw picks an index into a list the scorer reads: the route
+    masses, the background's ``distribution_values`` at the sample's
+    context (read uncached: sampling adds no ``_bg_cache`` row), or the
+    drawn state's run of the ``probs`` column, whose index gives the arc.
+    """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     rng = random.Random(seed)
 
-    def draw(dist: dict[str, float]) -> str:
-        u = rng.random() * math.fsum(dist.values())
+    def draw(weights: Sequence[float]) -> int:
+        u = rng.random() * math.fsum(weights)
         running = 0.0
         last = None
-        for key, p in dist.items():
+        for i, p in enumerate(weights):
             if p <= 0.0:
                 continue
             running += p
-            last = key
+            last = i
             if u <= running:
-                return key
+                return i
         return last  # guard against rounding at the top end
 
-    labels, fsts = model.classes.labels, model.class_fsts
+    labels, fsts, alphabet = model.classes.labels, model.class_fsts, model.background.alphabet
     key, context = model._root, model._start_context
     out: list[str] = []
     while len(out) < max_length:
@@ -743,31 +744,31 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
         # per route, its mass and (automaton, state, successor key bits),
         # None for the background; a stay's mass is the sum of its state's
         # run of probabilities, so only the drawn route's arcs are read
-        masses, routes = {}, {}
+        masses, routes = [], []
         if stay is not None:
             rank, lo, hi = stay
             fst, state = model._fsts[rank], key & (1 << model._state_bits) - 1
-            masses[EPSILON] = math.fsum(fst.probs[lo:hi])
-            routes[EPSILON] = fst, state, key - state
+            masses.append(math.fsum(fst.probs[lo:hi]))
+            routes.append((fst, state, key - state))
         if base is not None:
             for c, log_share in zip(labels, row):
                 fst = fsts.get(c)
-                masses[c] = math.exp(base + log_share)
-                routes[c] = None if fst is None else (fst, fst.start,
-                                                      prefix | model._entry_bits[c])
+                masses.append(math.exp(base + log_share))
+                routes.append(None if fst is None else (fst, fst.start,
+                                                        prefix | model._entry_bits[c]))
         route = routes[draw(masses)]
         if route is None:
-            symbol = draw(model.background.distribution(
-                model._tokens(context, model._bg_context_size)))
+            symbol = alphabet[draw(model.background.distribution_values(
+                model._key_tokens(context)))]
             if symbol == EOS:
                 break
             key = prefix | model._emits[symbol][1]
         else:
             fst, state, bits = route
-            lo, hi = fst.offsets[state], fst.offsets[state + 1]
-            arc_symbols = list(map(fst.symbols.__getitem__, fst.arc_ids[lo:hi]))
-            symbol = draw(dict(zip(arc_symbols, fst.probs[lo:hi])))
-            key = bits | fst.dests[lo + arc_symbols.index(symbol)]
+            lo = fst.offsets[state]
+            i = lo + draw(fst.probs[lo:fst.offsets[state + 1]])
+            symbol = fst.symbols[fst.arc_ids[i]]
+            key = bits | fst.dests[i]
         context = (context << model._width | model._ids[symbol]) & model._bg_mask
         out.append(symbol)
     return out

@@ -55,9 +55,9 @@ class ClassAlphabet:
 
     Surrounding whitespace is dropped and blank lines are skipped; the
     background label @bg is required.  Errors start with ``name:line:``,
-    counting lines from 1.  The continuation marker used in alignments
-    is not a member; it only appears in alignment sequences (see
-    :mod:`nfclm.engine`).
+    counting lines from 1.  Labels begin with ``@``, so none is the
+    continuation marker of the tests' alignment notation
+    (``tests/oracle.py``).
     """
 
     def __init__(self, labels: Sequence[str], name: str = "<classes>"):

@@ -17,9 +17,13 @@ import math
 from typing import Optional, Sequence
 
 from conftest import state_arcs
-from nfclm import BACKGROUND, BOS, EOS, EPSILON, DeadHistoryError, NfclmModel, ProbClassFst
+from nfclm import BACKGROUND, BOS, EOS, DeadHistoryError, NfclmModel, ProbClassFst
 
 EXACT_HISTORY_LIMIT = 12
+
+# the continuation marker of alignment notation: the symbol stays on the
+# open class span's automaton
+EPSILON = "<eps>"
 
 
 def padded(history: Sequence[str], size: int) -> tuple[str, ...]:

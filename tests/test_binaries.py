@@ -268,6 +268,10 @@ assert WIDE_DATA[WIDE_LEVEL0.targets - 1] == 2
 V3_DECIDER_DATA = DECIDER.serialize()
 V3_DECIDER_BODY = V3_DECIDER_DATA.index(DECIDER.ngram.serialize())
 V3_DECIDER_LEVEL0, _ = ngram_levels(V3_DECIDER_DATA, V3_DECIDER_BODY)
+# the header's class entries, each a name and its prior: '@bg' at 27,
+# '@x' at 42, up to the body length
+V3_CLASS_BG, V3_CLASS_X = (V3_DECIDER_DATA[27:42], V3_DECIDER_DATA[42:V3_DECIDER_BODY - 8])
+assert V3_CLASS_BG[4:7] == b"@bg" and V3_CLASS_X[4:6] == b"@x"
 
 V3_CASES = {
     ProbClassFst: {
@@ -338,6 +342,9 @@ V3_CASES = {
                               ("truncated decider payload", V3_DECIDER_BODY)),
         "version 4": (put(V3_DECIDER_DATA, 5, "<H", 4),
                       ("unsupported decider model version 4 (expected 2 or 3)", 5)),
+        "classes in another order than the body's": (
+            patch(V3_DECIDER_DATA, 27, V3_CLASS_X + V3_CLASS_BG),
+            ("decider class order mismatch", V3_DECIDER_BODY)),
     },
 }
 

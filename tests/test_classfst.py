@@ -91,6 +91,12 @@ class TestBuildFromEntities:
         with pytest.raises(ValueError, match="empty entity"):
             build_from_entities("@x", [((), 1)])
 
+    def test_string_entity_rejected(self):
+        """Symbols given as one string are refused, not split into characters."""
+        with pytest.raises(ValueError,
+                           match=r"^@x: entity 'ab' is one string, not a sequence of symbols$"):
+            build_from_entities("@x", [("ab", 3)])
+
     def test_nonpositive_count_rejected(self):
         for count in (0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-positive"):
@@ -397,6 +403,18 @@ class TestColumns:
         assert fst.symbols == ("_ro", "salie", "sie")
         with pytest.raises(IndexError):
             fst.arcs[4]
+
+    def test_offsets_of_another_length_rejected(self):
+        """``validate`` refuses an offsets column that is not one longer than
+        the exits, and an automaton with no state."""
+        fst = fst_from_dicts("@song", self.SONG_DICTS, [0.0, 0.0, 1.0, 1.0])
+        for offsets, exits in ((fst.offsets[:-1], fst.exits),
+                               (fst.offsets + array("I", [3]), fst.exits),
+                               (array("I", [0]), array("d"))):
+            bad = ProbClassFst("@song", fst.symbols, offsets, exits, fst.arc_ids, fst.probs,
+                               fst.dests)
+            with pytest.raises(ValueError, match=r"^@song: inconsistent state tables$"):
+                bad.validate()
 
     def test_built_tries_roundtrip_byte_for_byte(self):
         for seed, count in ((1, 1), (2, 50), (3, 2000)):

@@ -173,19 +173,14 @@ class TestPipeline:
         _, b, _ = run(["sample", "--bundle", bundle, "-n", 3, "--seed", 11], capsys)
         assert a == b
 
-    def test_seed_env_fallback(self, workspace, capsys, monkeypatch):
+    def test_default_seed_is_zero(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
-        monkeypatch.setenv("NFCLM_SEED", "42")
-        _, a, _ = run(["sample", "--bundle", bundle, "-n", 2], capsys)
-        _, b, _ = run(["sample", "--bundle", bundle, "-n", 2, "--seed", 42], capsys)
-        assert a == b
-
-    def test_malformed_seed_env_names_the_variable(self, workspace, capsys, monkeypatch):
-        monkeypatch.setenv("NFCLM_SEED", "abc")
-        code, out, err = run(["mix", "--background", workspace / "background.txt",
-                              "--cfg", workspace / "background.txt", "--fraction", 0.5], capsys)
-        assert (code, out, err) == (
-            1, "", "nfclm: error: NFCLM_SEED must be an integer, got 'abc'\n")
+        mix = ["mix", "--background", workspace / "background.txt",
+               "--cfg", workspace / "tagged.txt", "--fraction", 0.5]
+        for args in (["sample", "--bundle", bundle, "-n", 3], mix):
+            unseeded, seeded = run(args, capsys), run(args + ["--seed", 0], capsys)
+            assert unseeded[0] == 0, unseeded[2]
+            assert unseeded == seeded
 
     def test_dump_dynfst_shows_fig1_labels(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
@@ -418,6 +413,17 @@ class TestFailures:
         assert err == "nfclm: error: --fst gives class '@song' twice\n"
         assert not (workspace / "twice").exists()
 
+    def test_pack_fst_without_path_rejected(self, workspace, capsys):
+        build_bundle(workspace, capsys)
+        code, out, err = run(["pack", "--vocab", workspace / "vocab.txt",
+                              "--classes", workspace / "classes.txt",
+                              "--bglm", workspace / "bg.bin",
+                              "--decider", workspace / "decider.bin",
+                              "--fst", "@song", "--out-dir", workspace / "none"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "nfclm: error: --fst expects label=path, got '@song'\n"
+        assert not (workspace / "none").exists()
+
     @pytest.mark.parametrize("flags,name", [
         (["--beam-n", 0], "beam_size"), (["--beam-n", -2], "beam_size"),
         (["--beam-delta", -1], "beam_delta"), (["--beam-delta", "nan"], "beam_delta")])
@@ -510,6 +516,12 @@ class TestFailures:
                               "--history", "_ro _by"], capsys)
         assert (code, out) == (1, "")
         assert err == "nfclm: error: no alignment can generate '_by' at position 1\n"
+
+    def test_dead_dump_dynfst_sentence_names_its_symbol(self, toy_model, tmp_path, capsys):
+        bundle_mod.pack(toy_model, tmp_path / "toy")
+        code, out, err = run(["dump-dynfst", "--bundle", tmp_path / "toy", "--beam-n", 1,
+                              "--sentence", "_ro _by"], capsys)
+        assert (code, out, err) == (1, "", "dead\t_by\n")
 
     def test_key_error_printed_without_repr_quotes(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)

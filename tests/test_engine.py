@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import (BACKGROUND, BOS, EOS, EPSILON, AlignmentBeam,
+from nfclm import (BACKGROUND, BOS, EOS, AlignmentBeam,
                    AlignmentHypothesis, BackoffNGram, ConditionalSymbolModel,
                    DeadHistoryError, DeciderModel, NfclmModel, advance,
                    build_from_entities, eos_logprob, extend,
@@ -27,7 +27,7 @@ from conftest import (ARTIST_ENTITIES, READINGS, SONG_ENTITIES, TOY_SYMBOLS,
                       entity_pairs, fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
                       ngram_from_tables, positions, random_instance, state_arcs,
                       uniform_background)
-from oracle import (EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
+from oracle import (EPSILON, EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
 
@@ -110,9 +110,16 @@ def single_beam(model, h, history):
                          size_limit=model.beam_size, delta=model.beam_delta)
 
 
+def context_tokens(model, context, size):
+    """The ``size`` tokens of a packed padded context, oldest first."""
+    tokens = model._key_tokens(context)
+    assert len(tokens) == size, (tokens, size)
+    return tokens
+
+
 def bg_tokens(model, beam):
     """The background context a beam holds, as tokens."""
-    return model._tokens(beam.context, model.background.context_size)
+    return context_tokens(model, beam.context, model.background.context_size)
 
 
 class TestLastClass:
@@ -800,6 +807,9 @@ class TestLogSumExp:
             assert math.copysign(1.0, log_sum_exp([v])) == math.copysign(1.0, general([v]))
         assert math.isnan(log_sum_exp([math.nan]))
 
+    def test_every_value_minus_infinity(self):
+        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
+
 
 class TestNormalization:
     def test_beam_next_dist_sums_to_one(self, toy_model):
@@ -1260,6 +1270,7 @@ class TestSample:
         a = sample(toy_model, max_length=20, seed=99)
         b = sample(toy_model, max_length=20, seed=99)
         assert a == b
+        assert not toy_model._bg_cache  # the background is read uncached
 
     def test_recorded_fixed_seed_sample(self, toy_model):
         # frozen from the reference run: random_instance draws the oracle's
@@ -1276,9 +1287,10 @@ class TestSample:
 
     def test_reads_only_the_drawn_route(self, toy_model, monkeypatch):
         """After its mixture kernel, a step reads its stay run's
-        probabilities for the stay's mass, then the columns of the one state
-        its drawn route leaves from, its stay state or a class's start, and
-        nothing more when it draws the background."""
+        probabilities for the stay's mass, then, of the one state its drawn
+        route leaves from, its stay state or a class's start, the two
+        offsets, the probability run and the drawn arc's id and destination,
+        and nothing more when it draws the background."""
         columns = {label: copy.copy(fst) for label, fst in toy_model.class_fsts.items()}
         reads = count_column_reads(toy_model, monkeypatch)
         steps = []  # per step: (position, stay run, column reads after its kernel)
@@ -1317,10 +1329,11 @@ class TestSample:
                 fst = columns[label]
                 lo, hi = fst.offsets[source], fst.offsets[source + 1]
                 arcs = state_arcs(fst, source)
+                arc = lo + list(arcs).index(out[k])
                 assert got == Counter([
                     (label, "offsets", source), (label, "offsets", source + 1),
-                    (label, "arc_ids", (lo, hi)), (label, "probs", (lo, hi)),
-                    (label, "dests", lo + list(arcs).index(out[k]))]), got
+                    (label, "probs", (lo, hi)), (label, "arc_ids", arc),
+                    (label, "dests", arc)]), got
                 # the drawn route leaves the stay state that the key holds, or
                 # the class's start, by an arc on the drawn symbol
                 stay_state = pos[1] if pos is not None and pos[0] == label else None
@@ -1331,6 +1344,10 @@ class TestSample:
         # (route drawn, from a background position)
         assert drawn_routes == {("background", True), ("background", False),
                                 ("entry", True), ("entry", False), ("stay", False)}
+
+    def test_max_length_below_one_rejected(self, toy_model):
+        with pytest.raises(ValueError, match=r"^max_length must be >= 1$"):
+            sample(toy_model, max_length=0, seed=0)
 
     def test_only_vocabulary_symbols(self, toy_model):
         for seed in range(30):
@@ -1547,7 +1564,8 @@ class TestContextKeyedCaches:
         for beam in fan_outs:
             row = filled.get(_stored_suffix(beam.context, model._bg_levels))
             if row is not None:
-                assert hexes(row.dist_values) == ordered(model._tokens(beam.context, size))
+                assert hexes(row.dist_values) == \
+                    ordered(context_tokens(model, beam.context, size))
             cold = dataclasses.replace(model)
             assert hexes(next_dist(model, beam).values()) == \
                 hexes(next_dist(cold, beam).values()), bg_tokens(model, beam)
@@ -1564,11 +1582,11 @@ class TestContextKeyedCaches:
         self.assert_fan_out_rows(model, fan_outs)
         for symbol, context in bg_queries:
             cached = model._bg_cache[_stored_suffix(context, model._bg_levels)][symbol]
-            tokens = model._tokens(context, bg_size)
+            tokens = context_tokens(model, context, bg_size)
             assert cached.hex() == background.logprob(symbol, tokens).hex(), (symbol, tokens)
         for context in decider_queries:
             cached = model._decider_cache[_stored_suffix(context, model._decider_levels)]
-            tokens = model._tokens(context, decider_size)
+            tokens = context_tokens(model, context, decider_size)
             assert hexes(cached) == hexes(log_shares(model, decider.distribution(tokens))), tokens
         bg_contexts = {c for _, c in bg_queries} | {beam.context for beam in fan_outs}
         for cache, ngram, size, queried in (
@@ -1576,7 +1594,8 @@ class TestContextKeyedCaches:
                 (model._decider_cache, decider.ngram, decider_size, decider_queries)):
             keys = [model._key_tokens(key) for key in cache]
             assert len(keys) == len(set(keys))
-            assert set(keys) == {reference_key(ngram, model._tokens(c, size)) for c in queried}
+            assert set(keys) == {reference_key(ngram, context_tokens(model, c, size))
+                                 for c in queried}
             assert len(cache) <= stored_contexts(ngram) + 1
 
     def test_toy_model(self, toy_model, toy_model_full):
@@ -1621,7 +1640,7 @@ class TestContextKeyedCaches:
                                         | {beam.context for beam in fan_outs})
         for symbol, context in bg_queries:
             assert (model._bg_cache[context][symbol].hex()
-                    == model.background.logprob(symbol, model._tokens(context, 2)).hex())
+                    == model.background.logprob(symbol, context_tokens(model, context, 2)).hex())
         self.assert_fan_out_rows(model, fan_outs)
 
     def test_short_history_does_not_hit_a_shorter_key(self, toy_vocab, toy_classes,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -70,6 +71,10 @@ class TestPerplexity:
     def test_empty_corpus_rejected(self, toy_model):
         with pytest.raises(ValueError):
             perplexity(toy_model, [])
+
+    def test_other_scorer_rejected(self):
+        with pytest.raises(TypeError, match=r"^cannot score with object$"):
+            perplexity(object(), [("a",)])
 
 
 class TestRescore:
@@ -402,6 +407,55 @@ class TestBundle:
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(tmp_path / "b")
         assert str(info.value) == f"{path}: @song: arc symbol 'aa' is outside the vocabulary"
+
+    def test_decider_of_other_classes_names_its_file(self, toy_vocab, toy_classes, song_fst,
+                                                     artist_fst, tmp_path):
+        from nfclm import NfclmModel, train_decider
+        from nfclm.engine import ComponentError
+        background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, background=background,
+            class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=decider)
+        bundle.pack(model, tmp_path / "b")
+        other = train_decider([("_play", "@song")], toy_vocab,
+                              load_class_alphabet(["@bg", "@song"]), order=2)
+        message = "decider classes do not match the class alphabet"
+        with pytest.raises(ComponentError, match=f"^{message}$") as info:
+            NfclmModel(vocabulary=toy_vocab, classes=toy_classes, background=background,
+                       class_fsts={"@song": song_fst, "@artist": artist_fst}, decider=other)
+        assert info.value.component == "decider"
+        path = tmp_path / "b" / "decider.bin"
+        path.write_bytes(other.serialize())
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.load(tmp_path / "b")
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_pack_refuses_a_background_that_is_no_ngram(self, toy_model, tmp_path):
+        from nfclm import ConditionalSymbolModel
+
+        class Forwarding(ConditionalSymbolModel):
+            alphabet = toy_model.background.alphabet
+            distribution = toy_model.background.distribution
+
+        model = dataclasses.replace(toy_model, background=Forwarding())
+        with pytest.raises(bundle.BundleError, match=r"^only n-gram background models can be "
+                                                     r"packed, got Forwarding$"):
+            bundle.pack(model, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
+    def test_manifest_unreadable_or_of_another_format(self, tmp_path):
+        d = tmp_path / "b"
+        d.mkdir()
+        path = d / "manifest.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(bundle.BundleError, match=r"^unreadable manifest: Expecting "):
+            bundle.load(d)
+        for manifest in ('{"format": "other-bundle", "version": 1}', '[]'):
+            path.write_text(manifest, encoding="utf-8")
+            with pytest.raises(bundle.BundleError) as info:
+                bundle.load(d)
+            assert str(info.value) == f"not a model bundle: {path}"
 
     def test_version_mismatch(self, tmp_path):
         import json

@@ -507,6 +507,10 @@ class TestDecider:
             ("_ro", "sie"),
         ]
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty training corpus$"):
+            train_decider([], self.VOCAB, self.CLASSES, order=2)
+
     def test_song_dominates_after_play(self):
         model = train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=2, alpha=0.0)
         dist = model.distribution(("_play",))
