@@ -5,9 +5,8 @@ class alphabet as text, background/decider/class FSTs as versioned
 binaries), which the manifest names by a plain file name in the same
 directory.  Class FSTs are separate files on purpose: editing one
 class's entities and repacking rewrites only that component.  The
-manifest's three model settings are checked by their classes' rules
-(``alpha`` null keeps the decider's); older manifests may also hold
-``"renormalize": true``, which every beam does, and no other value.
+manifest's ``version`` is the integer 1, and its three model settings
+are checked by their classes' rules (``alpha`` null keeps the decider's).
 """
 
 from __future__ import annotations
@@ -101,11 +100,10 @@ def _read_manifest(directory) -> dict:
             raise BundleError(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
         raise BundleError(f"not a model bundle: {path}")
-    if manifest.get("version") != BUNDLE_VERSION:
-        raise BundleError(
-            f"unsupported bundle version {manifest.get('version')!r} "
-            f"(expected {BUNDLE_VERSION})"
-        )
+    version = manifest.get("version")
+    if type(version) is not int or version != BUNDLE_VERSION:  # exact, so True is no 1
+        raise BundleError(f"{path}: unsupported bundle version {version!r} "
+                          f"(expected {BUNDLE_VERSION})")
     for key in ("files", "class_fsts"):
         if not isinstance(manifest.get(key), dict):
             raise BundleError(f"{path}: manifest {key!r} must be an object, "
@@ -122,9 +120,6 @@ def _read_manifest(directory) -> dict:
         if not (rule.holds(value) or key == "alpha" and value is None):
             raise BundleError(f"{path}: manifest {key!r} must be {rule.text}"
                               f"{' or null' if key == 'alpha' else ''}, got {value!r}")
-    if manifest.get("renormalize", True) is not True:
-        raise BundleError(f"{path}: manifest 'renormalize' must be true, "
-                          f"got {manifest['renormalize']!r}")
     return manifest
 
 

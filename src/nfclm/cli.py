@@ -19,7 +19,8 @@ from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
                      DeadHistoryError, advance, next_dist, sample, sequence_logprobs)
 from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
                        perplexity, rescore_nbest)
-from .seqmodel import train_decider, train_ngram, widened
+from .seqmodel import (DEFAULT_ALPHA, DEFAULT_DISCOUNT, DEFAULT_ORDER, train_decider,
+                       train_ngram, widened)
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
 
@@ -28,7 +29,13 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+# every option that two or more subcommands take alike; the optional --out of
+# expand-cfg and mix, which defaults to stdout, is declared with each
 _OPTIONS = {
+    **{name: dict(required=True)
+       for name in ("--bundle", "--corpus", "--vocab", "--classes", "--out")},
+    "--order": dict(type=int, default=DEFAULT_ORDER),
+    "--discount": dict(type=float, default=DEFAULT_DISCOUNT),
     "--seed": dict(type=int, default=0, help="random seed (default: 0)"),
     "--beam-n": dict(type=int, default=None, help="beam size override"),
     "--beam-delta": dict(type=float, default=None, help="beam log-prob band override"),
@@ -97,7 +104,7 @@ def cmd_train_decider(args) -> int:
     classes = load_class_alphabet(args.classes)
     corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.nonbackground})
     model = train_decider(corpus, vocabulary, classes, order=args.order, discount=args.discount,
-                          alpha=1.0 if args.alpha is None else args.alpha)
+                          alpha=DEFAULT_ALPHA if args.alpha is None else args.alpha)
     with open(args.out, "wb") as fh:
         fh.write(model.serialize())
     prior = "\t".join(f"{c}\t{_fmt(model.prior[c])}" for c in model.classes)
@@ -207,6 +214,8 @@ def cmd_rescore(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"-n must be >= 1, got {args.n}")
     model = _load_bundle(args)
     for i in range(args.n):
         print(" ".join(sample(model, args.max_len, args.seed + i)))
@@ -240,33 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-fst", help="build a class FST from an entity list")
     p.add_argument("--class-label", required=True)
     p.add_argument("--entities", required=True)
-    p.add_argument("--out", required=True)
+    _add_options(p, "--out")
     p.add_argument("--text-dump", default=None)
     p.set_defaults(func=cmd_build_fst)
 
     p = sub.add_parser("train-bglm", help="train the background n-gram")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--discount", type=float, default=0.75)
-    p.add_argument("--out", required=True)
+    _add_options(p, "--corpus", "--vocab", "--order", "--discount", "--out")
     p.set_defaults(func=cmd_train_bglm)
 
     p = sub.add_parser("train-decider", help="train the class decider")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--classes", required=True)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--discount", type=float, default=0.75)
-    p.add_argument("--out", required=True)
-    _add_options(p, "--alpha")
+    _add_options(p, "--corpus", "--vocab", "--classes", "--order", "--discount", "--out",
+                 "--alpha")
     p.set_defaults(func=cmd_train_decider)
 
     p = sub.add_parser("expand-cfg", help="expand grammar patterns into sentences")
     p.add_argument("--patterns", required=True)
     p.add_argument("--entity-dir", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--classes", required=True)
+    _add_options(p, "--vocab", "--classes")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--tagged", action="store_true",
                    help="keep class tokens instead of expanding entities")
@@ -284,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("pack", help="assemble a model bundle directory")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--classes", required=True)
+    _add_options(p, "--vocab", "--classes")
     p.add_argument("--bglm", required=True)
     p.add_argument("--decider", required=True)
     p.add_argument("--fst", action="append", metavar="LABEL=PATH")
@@ -294,14 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("score", help="log-probability per sentence")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--corpus", required=True)
-    _add_options(p, *_MODEL_OPTIONS, "--exact")
+    _add_options(p, "--bundle", "--corpus", *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("ppl", help="corpus perplexity")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--corpus", required=True)
+    _add_options(p, "--bundle", "--corpus")
     p.add_argument("--background-only", action="store_true")
     p.add_argument("--skip-dead", action="store_true",
                    help="exclude zero-probability sentences instead of failing")
@@ -309,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ppl)
 
     p = sub.add_parser("next", help="next-symbol distribution after a history")
-    p.add_argument("--bundle", required=True)
+    _add_options(p, "--bundle")
     p.add_argument("--history", default="")
     _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_next)
 
     p = sub.add_parser("rescore", help="shallow-fusion n-best rescoring")
-    p.add_argument("--bundle", required=True)
+    _add_options(p, "--bundle")
     p.add_argument("--nbest", required=True)
     p.add_argument("--lm-weight", type=float, default=0.0)
     p.add_argument("--ilm-weight", type=float, default=0.0)
@@ -323,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rescore)
 
     p = sub.add_parser("sample", help="draw sentences from the model")
-    p.add_argument("--bundle", required=True)
+    _add_options(p, "--bundle")
     p.add_argument("-n", type=int, default=1)
     p.add_argument("--max-len", type=int, default=30)
     _add_options(p, "--alpha", "--seed")  # sampling builds no beam
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("dump-dynfst", help="expand a sentence and dump the sub-graph")
-    p.add_argument("--bundle", required=True)
+    _add_options(p, "--bundle")
     p.add_argument("--sentence", required=True)
     _add_options(p, *_MODEL_OPTIONS, "--exact")
     p.set_defaults(func=cmd_dump_dynfst)

@@ -163,15 +163,16 @@ class AlignmentBeam:
     Of that history it keeps ``context``, the background's padded
     context as packed ids, and ``length``.  ``log_norm``, the log of the
     kept hypotheses' total weight, turns their joint weights into
-    posteriors.
+    posteriors.  Its limits ``size_limit`` and ``delta`` are the model's:
+    ``start_beam`` sets them, and ``extend`` passes them on.
     """
 
     context: int
     length: int
     hypotheses: list[AlignmentHypothesis]
-    log_norm: float = 0.0
-    size_limit: int = DEFAULT_BEAM_SIZE
-    delta: float = DEFAULT_BEAM_DELTA
+    log_norm: float
+    size_limit: int
+    delta: float
 
 
 class BackgroundRow(dict):

@@ -35,6 +35,7 @@ DECIDER_MAGIC = b"NDCD\x00"
 ID, COUNT, WEIGHT = "I", "Q", "d"
 
 DECIDER_FLOOR = 1e-6
+DEFAULT_ORDER, DEFAULT_DISCOUNT, DEFAULT_ALPHA = 3, 0.75, 1.0  # the training defaults
 
 
 class Rule(NamedTuple):
@@ -129,11 +130,11 @@ class BackoffNGram(ConditionalSymbolModel):
 
     ``levels`` holds one ``NGramLevel`` per context length, ids indexing
     ``symbols``, which ascends; the model holds the columns as given and
-    never changes them.  Each context's total count and back-off weight
-    are computed here, once.  The unigram level interpolates with the
-    uniform distribution over the predicted alphabet, so every symbol
-    keeps probability above a positive floor.  History symbols outside
-    ``history_alphabet`` are rejected.
+    never changes them; its ``order`` is their count, at least one.  Each
+    context's total count and back-off weight are computed here, once.
+    The unigram level interpolates with the uniform distribution over the
+    predicted alphabet, so every symbol keeps probability above a positive
+    floor.  History symbols outside ``history_alphabet`` are rejected.
 
     That context-free level is one list in alphabet order, built here.
     A query then walks only the levels its context reaches, finding each
@@ -144,11 +145,10 @@ class BackoffNGram(ConditionalSymbolModel):
     in each run; ``logprob`` is the two at once.
     """
 
-    def __init__(self, order: int, discount: float, symbols: Sequence[str],
-                 predicted: Sequence[str], history_alphabet: Sequence[str],
-                 levels: Sequence[NGramLevel]):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+    def __init__(self, discount: float, symbols: Sequence[str], predicted: Sequence[str],
+                 history_alphabet: Sequence[str], levels: Sequence[NGramLevel]):
+        if not levels:
+            raise ValueError("an n-gram needs at least one count level")
         if not 0.0 < discount < 1.0:
             raise ValueError(f"discount must be in (0,1), got {discount}")
         if not predicted:
@@ -156,10 +156,7 @@ class BackoffNGram(ConditionalSymbolModel):
         # a repeat would hold one entry but count twice in the uniform floor
         if len(set(predicted)) != len(predicted):
             raise ValueError("n-gram predicted alphabet repeats a symbol")
-        if len(levels) != order:
-            raise ValueError(f"an order-{order} n-gram needs {order} count levels, "
-                             f"got {len(levels)}")
-        self.order = order
+        self.order = len(levels)
         self.discount = discount
         self.symbols = tuple(symbols)
         self.width = len(self.symbols).bit_length()
@@ -370,7 +367,7 @@ class BackoffNGram(ConditionalSymbolModel):
             _check_order(level, flat, length, symbols, contexts_at, targets_at)
             levels.append(level)
         try:
-            model = cls(order, discount, symbols, [symbols[i] for i in predicted],
+            model = cls(discount, symbols, [symbols[i] for i in predicted],
                         [symbols[i] for i in history_alphabet], levels)
         except ValueError as exc:
             # a setting the constructor refuses is named where the count levels start
@@ -435,7 +432,7 @@ def _check_order(level: NGramLevel, flat: array, length: int, symbols: Sequence[
 
 
 def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
-                order: int = 3, discount: float = 0.75) -> BackoffNGram:
+                order: int = DEFAULT_ORDER, discount: float = DEFAULT_DISCOUNT) -> BackoffNGram:
     """Count a background n-gram over sentences of vocabulary symbols.
 
     Each sentence is padded with BOS and terminated with EOS; the model
@@ -454,7 +451,7 @@ def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
     predicted, history_alphabet = tuple(alphabet) + (EOS,), tuple(alphabet) + (BOS,)
     symbols = sorted(set(predicted) | set(history_alphabet))
     levels = _count_events(order, (s + (EOS,) for s in sentences), lambda sym: sym, symbols)
-    return BackoffNGram(order, discount, symbols, predicted, history_alphabet, levels)
+    return BackoffNGram(discount, symbols, predicted, history_alphabet, levels)
 
 
 def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
@@ -465,6 +462,8 @@ def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
     counts ``label`` of itself after every suffix of the ``order - 1``
     symbols before it.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     ids = {sym: i for i, sym in enumerate(symbols)}
     events = [Counter() for _ in range(order)]
     pad = [ids[BOS]] * (order - 1)
@@ -532,8 +531,8 @@ class DeciderModel(ConditionalSymbolModel):
     """Class predictor over mixed histories of symbols and class tokens.
 
     Wraps a back-off n-gram whose targets are class labels, applies a
-    small probability floor so every class stays reachable, then
-    renormalizes by the inverse class prior to keep mass from pooling on
+    small probability floor so every class stays reachable, then scales
+    by the inverse class prior and normalizes, to keep mass from pooling on
     the background class.  ``RULES`` checks each setting and prior entry.
 
     ``prior`` is the prior as given, restricted to the classes, and is
@@ -552,7 +551,7 @@ class DeciderModel(ConditionalSymbolModel):
     }
 
     def __init__(self, ngram: BackoffNGram, prior: Mapping[str, float],
-                 alpha: float = 1.0, floor: float = DECIDER_FLOOR):
+                 alpha: float = DEFAULT_ALPHA, floor: float = DECIDER_FLOOR):
         self.RULES["alpha"].check("alpha", alpha)
         self.RULES["floor"].check("floor", floor)
         self.ngram = ngram
@@ -653,8 +652,7 @@ def widened(decider: DeciderModel, length: int) -> DeciderModel:
     if length <= ngram.context_size:
         return decider
     empty = NGramLevel(array("B"), array("B", [0]), array("B"), array("B"))
-    ngram = BackoffNGram(length + 1, ngram.discount, ngram.symbols, ngram.alphabet,
-                         ngram.history_alphabet,
+    ngram = BackoffNGram(ngram.discount, ngram.symbols, ngram.alphabet, ngram.history_alphabet,
                          ngram.levels + (empty,) * (length - ngram.context_size))
     return DeciderModel(ngram, decider.prior, decider.alpha, decider.floor)
 
@@ -684,8 +682,9 @@ def class_prior_from_corpus(corpus: Iterable[Sequence[str]],
 
 
 def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
-                  classes: ClassAlphabet, order: int = 3, discount: float = 0.75,
-                  alpha: float = 1.0) -> DeciderModel:
+                  classes: ClassAlphabet, order: int = DEFAULT_ORDER,
+                  discount: float = DEFAULT_DISCOUNT,
+                  alpha: float = DEFAULT_ALPHA) -> DeciderModel:
     """Train the class predictor on a tagged corpus over symbols and entity class tokens.
 
     Every token position contributes one training pair: the mixed history
@@ -704,7 +703,7 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
     symbols = sorted(set(predicted) | set(history_alphabet))
     levels = _count_events(order, sentences, lambda tok: tok if tok in classes else BACKGROUND,
                            symbols)
-    ngram = BackoffNGram(order, discount, symbols, predicted, history_alphabet, levels)
+    ngram = BackoffNGram(discount, symbols, predicted, history_alphabet, levels)
     prior = class_prior_from_corpus(sentences, classes)
     return DeciderModel(ngram, prior, alpha=alpha)
 

@@ -98,12 +98,17 @@ def read_lines(source, default_name: str) -> tuple[str, list[str]]:
     (counted from 1) with ``f"{name}:{i}: "`` and any other error with
     ``f"{name}: "``.  A file's lines end only at LF, CRLF or CR, as
     editors count them; ``str.splitlines`` would also end them at form
-    feeds and other separators.
+    feeds and other separators.  One leading byte-order mark (U+FEFF) is
+    dropped from the first line, of a file or of lines already read.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            return os.fspath(source), [line.rstrip("\n") for line in fh]
-    return default_name, list(source)
+            name, lines = os.fspath(source), [line.rstrip("\n") for line in fh]
+    else:
+        name, lines = default_name, list(source)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return name, lines
 
 
 def load_vocabulary(source) -> Vocabulary:

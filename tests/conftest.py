@@ -64,6 +64,11 @@ def state_arcs(fst, state):
             for sid, prob, dest in zip(fst.arc_ids[lo:hi], fst.probs[lo:hi], fst.dests[lo:hi])}
 
 
+def fst_columns(fst):
+    """The columns ``fst`` holds, which a round trip gives back equal."""
+    return fst.symbols, fst.offsets, fst.exits, fst.arc_ids, fst.probs, fst.dests
+
+
 def fst_from_dicts(label, arcs, exits):
     """A ``ProbClassFst`` over one ``{symbol: (probability, destination)}``
     per state and the states' exit probabilities, its columns unchecked."""
@@ -94,7 +99,7 @@ def trie_fst(label, entities):
     return fst_from_dicts(label, arcs, [ends[prefix] / weights[prefix] for prefix in prefixes])
 
 
-def ngram_from_tables(order, discount, predicted, history_alphabet, tables):
+def ngram_from_tables(discount, predicted, history_alphabet, tables):
     """A ``BackoffNGram`` holding ``tables``, one ``{context: {target: count}}``
     per context length, as its sorted columns."""
     symbols = sorted(set(predicted) | set(history_alphabet)
@@ -111,7 +116,7 @@ def ngram_from_tables(order, discount, predicted, history_alphabet, tables):
                         for c in contexts]),
             array("I", accumulate((len(table[c]) for c in contexts), initial=0)),
             array("I", [t for t, _ in entries]), array("Q", [n for _, n in entries])))
-    return BackoffNGram(order, discount, symbols, predicted, history_alphabet, levels)
+    return BackoffNGram(discount, symbols, predicted, history_alphabet, levels)
 
 
 def count_tables(ngram):
@@ -189,7 +194,7 @@ def keyed(scale, raw, prior, alpha):
 
 def uniform_background(alphabet):
     """An untrained unigram: every symbol of ``alphabet`` gets 1/len, after any history."""
-    return ngram_from_tables(1, 0.5, alphabet, alphabet + (BOS,), [{}])
+    return ngram_from_tables(0.5, alphabet, alphabet + (BOS,), [{}])
 
 
 def make_toy_model(vocab, classes, song, artist, **kwargs):

@@ -117,7 +117,7 @@ def _alignment_exit(model: NfclmModel, history: tuple[str, ...],
         return 1.0
     fst = model.class_fsts[open_label]
     state = walk(fst, class_prefix(history, alignment, open_label))
-    return None if state is None else fst.exit_prob(state)
+    return None if state is None else fst.exits[state]
 
 
 def _stop_mass(model: NfclmModel, history: tuple[str, ...],
@@ -160,7 +160,7 @@ def _alignment_step(model: NfclmModel, history: tuple[str, ...],
             if state is None:
                 return 0.0
             arc = arc_prob(fst, state, symbol)
-            component = arc / (1.0 - fst.exit_prob(state)) if arc else 0.0
+            component = arc / (1.0 - fst.exits[state]) if arc else 0.0
         else:
             component = arc_prob(fst, fst.start, symbol)
     return emission * component

@@ -14,8 +14,8 @@ from nfclm import (ProbClassFst, build_from_entities, exact_sequence_logprob, lo
 from nfclm.classfst import MAGIC, VERSION
 from nfclm.serialization import ByteWriter, SerializationError
 
-from conftest import (TOY_SYMBOLS, entity_pairs, fst_from_dicts, make_toy_model, state_arcs,
-                      trie_fst)
+from conftest import (TOY_SYMBOLS, entity_pairs, fst_columns, fst_from_dicts, make_toy_model,
+                      state_arcs, trie_fst)
 from oracle import arc_prob, step, walk
 
 SONG = [(("_ro", "sie"), 1), (("_ro", "salie"), 1)]
@@ -31,7 +31,7 @@ def entity_probability(fst, symbols):
         state = step(fst, state, sym)
         if state is None:
             return 0.0
-    return p * fst.exit_prob(state)
+    return p * fst.exits[state]
 
 
 class TestBuildFromEntities:
@@ -42,17 +42,17 @@ class TestBuildFromEntities:
         assert arc_prob(fst, fst.start, "_ro") == 1.0
         assert arc_prob(fst, s1, "sie") == 0.5
         assert arc_prob(fst, s1, "salie") == 0.5
-        assert fst.exit_prob(s1) == 0.0
+        assert fst.exits[s1] == 0.0
         for leaf_sym in ("sie", "salie"):
-            assert fst.exit_prob(step(fst, s1, leaf_sym)) == 1.0
+            assert fst.exits[step(fst, s1, leaf_sym)] == 1.0
 
     def test_artist_trie(self):
         fst = build_from_entities("@artist", ARTIST)
         assert arc_prob(fst, fst.start, "_ro") == 0.5
         assert arc_prob(fst, fst.start, "_browne") == 0.5
         state = walk(fst, ("_ro", "berta", "_flack"))
-        assert fst.exit_prob(state) == 1.0
-        assert fst.exit_prob(walk(fst, ("_browne",))) == 1.0
+        assert fst.exits[state] == 1.0
+        assert fst.exits[walk(fst, ("_browne",))] == 1.0
         # chain probabilities are forced to 1 after the branch point
         assert arc_prob(fst, walk(fst, ("_ro",)), "berta") == 1.0
 
@@ -60,18 +60,18 @@ class TestBuildFromEntities:
         fst = build_from_entities("@x", [(("a", "b"), 1)])
         assert arc_prob(fst, fst.start, "a") == 1.0
         assert arc_prob(fst, walk(fst, ("a",)), "b") == 1.0
-        assert fst.exit_prob(walk(fst, ("a", "b"))) == 1.0
+        assert fst.exits[walk(fst, ("a", "b"))] == 1.0
 
     def test_entity_longer_than_the_recursion_limit(self):
         entity = tuple(f"s{i}" for i in range(1500))
         fst = build_from_entities("@x", [(entity, 1)])
         assert fst.num_states == 1501
-        assert fst.exit_prob(walk(fst, entity)) == 1.0
+        assert fst.exits[walk(fst, entity)] == 1.0
 
     def test_prefix_entity_gets_fractional_exit(self):
         fst = build_from_entities("@x", [(("a",), 1), (("a", "b"), 1)])
         s = walk(fst, ("a",))
-        assert fst.exit_prob(s) == 0.5
+        assert fst.exits[s] == 0.5
         assert arc_prob(fst, s, "b") == 0.5
 
     def test_counts_weight_arcs(self):
@@ -129,9 +129,9 @@ class TestBuildFromEntities:
         probability stays positive."""
         fst = build_from_entities("@x", [(("a",), 1e-20), (("a", "b"), 1.0)])
         a = walk(fst, ("a",))
-        assert (fst.exit_prob(a), arc_prob(fst, a, "b")) == (1e-20, 1.0)
+        assert (fst.exits[a], arc_prob(fst, a, "b")) == (1e-20, 1.0)
         fst = build_from_entities("@x", [(("a",), 1.0), (("a",), 5e-324)])
-        assert fst.exit_prob(walk(fst, ("a",))) == 1.0
+        assert fst.exits[walk(fst, ("a",))] == 1.0
         assert fst.entity_count == 2
 
 
@@ -149,7 +149,7 @@ class TestQueries:
 
     def test_nonfinal_exit_is_zero(self):
         song = build_from_entities("@song", SONG)
-        assert song.exit_prob(walk(song, ("_ro",))) == 0.0
+        assert song.exits[walk(song, ("_ro",))] == 0.0
 
     def test_unknown_state_errors(self):
         song = build_from_entities("@song", SONG)
@@ -261,8 +261,7 @@ class TestSerialization:
     def test_roundtrip(self):
         fst = build_from_entities("@song", SONG)
         back = ProbClassFst.deserialize(fst.serialize())
-        assert list(back.arcs) == list(fst.arcs)
-        assert back.exits == fst.exits
+        assert fst_columns(back) == fst_columns(fst)
         assert back.label == fst.label
         assert back.entity_count == fst.entity_count
 
@@ -422,15 +421,15 @@ class TestColumns:
             data = fst.serialize()
             back = ProbClassFst.deserialize(data)
             assert back.serialize() == data
-            assert list(back.arcs) == list(fst.arcs) and back.exits == fst.exits
+            assert fst_columns(back) == fst_columns(fst)
 
     def test_two_arcs_into_one_destination(self):
         fst = ProbClassFst.deserialize(fst_file("@x", ["a", "b"], [
             (0.0, [("a", 0.25, 1), ("b", 0.75, 1)]), (1.0, [])]))
-        assert fst.arcs[0] == {"a": (0.25, 1), "b": (0.75, 1)}
+        assert state_arcs(fst, 0) == {"a": (0.25, 1), "b": (0.75, 1)}
         assert step(fst, 0, "a") == step(fst, 0, "b") == 1
         assert (arc_prob(fst, 0, "a"), arc_prob(fst, 0, "b")) == (0.25, 0.75)
-        assert walk(fst, ("b",)) == 1 and fst.exit_prob(1) == 1.0
+        assert walk(fst, ("b",)) == 1 and fst.exits[1] == 1.0
 
     def test_arcs_out_of_symbol_order(self):
         data = fst_file("@x", ["a", "b", "m", "z"], [

@@ -523,6 +523,12 @@ class TestFailures:
                               "--sentence", "_ro _by"], capsys)
         assert (code, out, err) == (1, "", "dead\t_by\n")
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_count_below_one_refused(self, toy_model, tmp_path, capsys, n):
+        bundle_mod.pack(toy_model, tmp_path / "toy")
+        code, out, err = run(["sample", "--bundle", tmp_path / "toy", "-n", n], capsys)
+        assert (code, out, err) == (1, "", f"nfclm: error: -n must be >= 1, got {n}\n")
+
     def test_key_error_printed_without_repr_quotes(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
         code, _, err = run(["next", "--bundle", bundle, "--history", "_play zzz"], capsys)
@@ -554,6 +560,43 @@ class TestFailures:
             (workspace / name).unlink()
         second = build_bundle(workspace, capsys)
         assert {p.name: p.read_bytes() for p in second.iterdir()} == snapshot
+
+
+@pytest.mark.parametrize("command,source", [
+    ("train-bglm", "vocab.txt"), ("train-decider", "classes.txt"),
+    ("build-fst", "entities/@song.txt"), ("expand-cfg", "patterns.txt"),
+    ("score", "test.txt"), ("rescore", "nbest.tsv")])
+def test_leading_byte_order_mark_is_not_read(workspace, capsys, command, source):
+    """A text input that starts with a byte-order mark gives the output,
+    printed and written, of the same input without it."""
+    ws, out = workspace, workspace / "out"
+    bundle = build_bundle(ws, capsys)
+    (ws / "test.txt").write_text("_play _ro sie\n_by _browne\n", encoding="utf-8")
+    (ws / "nbest.tsv").write_text("u1\t-2.0\t-1.0\t_by _by\n"
+                                  "u1\t-2.5\t-1.0\t_play _ro sie\n", encoding="utf-8")
+    args = {
+        "train-bglm": ["--corpus", ws / "background.txt", "--vocab", ws / "vocab.txt",
+                       "--order", 2, "--out", out],
+        "train-decider": ["--corpus", ws / "mixed.txt", "--vocab", ws / "vocab.txt",
+                          "--classes", ws / "classes.txt", "--order", 2, "--out", out],
+        "build-fst": ["--class-label", "@song", "--entities", ws / "entities" / "@song.txt",
+                      "--out", out],
+        "expand-cfg": ["--patterns", ws / "patterns.txt", "--entity-dir", ws / "entities",
+                       "--vocab", ws / "vocab.txt", "--classes", ws / "classes.txt",
+                       "-n", 20, "--out", out],
+        "score": ["--bundle", bundle, "--corpus", ws / "test.txt"],
+        "rescore": ["--bundle", bundle, "--nbest", ws / "nbest.tsv"],
+    }[command]
+
+    def outputs():
+        code, printed, err = run([command, *args], capsys)
+        assert code == 0, err
+        return printed, out.read_bytes() if out.exists() else None
+
+    plain = outputs()
+    path = ws / source
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert outputs() == plain
 
 
 def test_module_runs_the_command_line(tmp_path):

@@ -1370,7 +1370,7 @@ class TestEos:
     def test_midclass_cannot_stop(self, toy_model):
         beam = advance(toy_model, ("_play", "_ro"))
         only_mid = [h for h, pos in zip(beam.hypotheses, positions(toy_model, beam))
-                    if pos is not None and toy_model.class_fsts[pos[0]].exit_prob(pos[1]) == 0]
+                    if pos is not None and toy_model.class_fsts[pos[0]].exits[pos[1]] == 0]
         beam.hypotheses = only_mid
         assert eos_logprob(toy_model, beam) == -math.inf
 
@@ -1436,7 +1436,7 @@ class TestDeciderCache:
         for base, sentences in cases:
             decider, labels = base.decider, base.classes.labels
             ngram = decider.ngram
-            reordered = ngram_from_tables(ngram.order, ngram.discount, tuple(reversed(labels)),
+            reordered = ngram_from_tables(ngram.discount, tuple(reversed(labels)),
                                           tuple(ngram.history_alphabet), count_tables(ngram))
             model = dataclasses.replace(
                 base, decider=DeciderModel(reordered, decider.prior, decider.alpha))
@@ -1453,7 +1453,7 @@ def handmade_ngram(predicted, history_alphabet, tables):
     counts = [{} for _ in range(3)]
     for context, table in tables.items():
         counts[len(context)][context] = table
-    return ngram_from_tables(3, 0.5, predicted, history_alphabet, counts)
+    return ngram_from_tables(0.5, predicted, history_alphabet, counts)
 
 
 def handmade_model(vocab, classes, song, artist):

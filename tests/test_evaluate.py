@@ -357,7 +357,7 @@ class TestBundle:
 
         def without(ngram):
             # the same columns over a history alphabet that has lost one symbol
-            return BackoffNGram(ngram.order, ngram.discount, ngram.symbols, ngram.alphabet,
+            return BackoffNGram(ngram.discount, ngram.symbols, ngram.alphabet,
                                 ngram.history_alphabet - {lost}, ngram.levels)
 
         if component == "background":

@@ -103,14 +103,14 @@ class TestTrainNgram:
             train_ngram([], ["a"], order=1)
 
     def test_bad_hyperparameters(self):
+        with pytest.raises(ValueError, match=r"^an n-gram needs at least one count level$"):
+            ngram_from_tables(0.5, ["a"], ["a"], [])
+        with pytest.raises(ValueError, match=r"^order must be >= 1, got 0$"):
+            train_ngram([("a",)], ["a"], order=0)
         with pytest.raises(ValueError):
-            ngram_from_tables(0, 0.5, ["a"], ["a"], [])
-        with pytest.raises(ValueError):
-            ngram_from_tables(2, 1.0, ["a"], ["a"], [{}, {}])
+            ngram_from_tables(1.0, ["a"], ["a"], [{}, {}])
         with pytest.raises(ValueError, match="nonempty"):
-            ngram_from_tables(2, 0.5, [], ["a"], [{}, {}])
-        with pytest.raises(ValueError, match="an order-2 n-gram needs 2 count levels, got 1"):
-            ngram_from_tables(2, 0.5, ["a"], ["a"], [{}])
+            ngram_from_tables(0.5, [], ["a"], [{}, {}])
 
 
 def walk_reference(model, history):
@@ -151,7 +151,7 @@ def random_ngram(rng: random.Random):
     for _ in range(rng.randint(0, 3)):  # empty tables are read as absent
         length = rng.randrange(order)
         counts[length].setdefault(history(length), {})
-    model = ngram_from_tables(order, discount, predicted, history_alphabet, counts)
+    model = ngram_from_tables(discount, predicted, history_alphabet, counts)
     return model, [history(rng.randint(0, order + 1)) for _ in range(8)]
 
 
@@ -359,7 +359,7 @@ class TestSerialization:
         tables = [{(): {"a": 2, "b": 1, EOS: 1}},
                   {("a",): {}, ("b",): {"a": 1, EOS: 2}},
                   {("a", "a"): {}, (BOS, "a"): {"b": 2}, ("b", "a"): {"a": 1}}]
-        data = ngram_from_tables(3, 0.6, ("a", "b", EOS), ("a", "b", BOS), tables).serialize()
+        data = ngram_from_tables(0.6, ("a", "b", EOS), ("a", "b", BOS), tables).serialize()
         assert put(data, ngram_levels(data)[1].sizes, "<B", 0) == data  # ('a',) holds none
         model = BackoffNGram.deserialize(data)
         assert model.serialize() == data
@@ -511,6 +511,10 @@ class TestDecider:
         with pytest.raises(ValueError, match=r"^empty training corpus$"):
             train_decider([], self.VOCAB, self.CLASSES, order=2)
 
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^order must be >= 1, got 0$"):
+            train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=0)
+
     def test_song_dominates_after_play(self):
         model = train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=2, alpha=0.0)
         dist = model.distribution(("_play",))
@@ -602,7 +606,7 @@ class TestDecider:
 
 class TestRenormalizeByPrior:
     RAW = {"@bg": 0.8, "@song": 0.1, "@artist": 0.1}
-    NGRAM = ngram_from_tables(1, 0.5, tuple(RAW), (), [{}])
+    NGRAM = ngram_from_tables(0.5, tuple(RAW), (), [{}])
 
     def test_alpha_zero_is_identity(self):
         out = keyed(_scale_by_prior, self.RAW, {"@bg": 0.5, "@song": 0.3, "@artist": 0.2}, 0.0)

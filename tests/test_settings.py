@@ -119,12 +119,12 @@ class TestManifestSettings:
         rewrite_manifest(packed, renormalize=True)
         assert hex_scores(bundle.load(packed)) == scores
 
-    @pytest.mark.parametrize("value", [False, None, 1, "true", "yes"])
-    def test_other_renormalize_refused(self, packed, value):
-        path = rewrite_manifest(packed, renormalize=value)
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_version_other_than_the_integer_one_refused(self, packed, value):
+        path = rewrite_manifest(packed, version=value)
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(packed)
-        assert str(info.value).startswith(f"{path}: manifest 'renormalize' must be true")
+        assert str(info.value) == f"{path}: unsupported bundle version {value!r} (expected 1)"
 
     def test_alpha_override_equals_stored_alpha(self, toy_vocab, toy_classes, song_fst,
                                                 artist_fst, tmp_path):

@@ -67,6 +67,14 @@ class TestReadLines:
     def test_lines_take_the_default_name(self):
         assert read_lines(iter(["a", "b"]), "<vocabulary>") == ("<vocabulary>", ["a", "b"])
 
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("\ufeff\ufeffa\n\ufeffb\n", encoding="utf-8")
+        lines = ["\ufeffa", "\ufeffb"]
+        assert read_lines(path, "<vocabulary>") == (str(path), lines)
+        assert read_lines(iter(["\ufeff" + lines[0], lines[1]]), "<stdin>") == ("<stdin>", lines)
+        assert read_lines(iter(["\ufeff"]), "<stdin>") == ("<stdin>", [""])
+
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
 @settings(max_examples=100, deadline=None)
