@@ -5,8 +5,9 @@ class alphabet as text, background/decider/class FSTs as versioned
 binaries), which the manifest names by a plain file name in the same
 directory.  Class FSTs are separate files on purpose: editing one
 class's entities and repacking rewrites only that component.  The
-manifest's ``version`` is the integer 1, and its three model settings
-are checked by their classes' rules (``alpha`` null keeps the decider's).
+manifest's ``version`` is the integer 1, and its three model settings,
+the model's only ones, are checked by their classes' rules (``alpha``
+null keeps the decider's).  An error in a file names that file.
 """
 
 from __future__ import annotations
@@ -93,11 +94,11 @@ def _read_manifest(directory) -> dict:
     path = os.path.join(os.fspath(directory), MANIFEST_NAME)
     if not os.path.exists(path):
         raise BundleError(f"missing manifest at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:  # a leading byte-order mark is dropped, as from every text input
+        with open(path, "r", encoding="utf-8-sig") as fh:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"unreadable manifest: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise BundleError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT:
         raise BundleError(f"not a model bundle: {path}")
     version = manifest.get("version")
@@ -131,10 +132,10 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
     ``fst_paths`` maps each class label to its FST file.  ``alpha`` None
     keeps the decider's stored exponent; another value rebuilds the
     decider over its n-gram and prior.  Raises BundleError for a missing
-    file or a model that fails its invariants, its message starting with
-    the path of the component at fault where there is one, and
-    SerializationError, its message starting with the file's path, for a
-    corrupt binary.
+    file or components that do not fit together, its message naming the
+    file at fault (the class alphabet's when the class FSTs do not match
+    it); SerializationError, its message starting with the file's path,
+    for a corrupt binary; and ValueError, by its rule, for a bad setting.
     """
     def component(path):
         if not os.path.isfile(path):  # a directory is no component file either
@@ -155,19 +156,17 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
     decider = binary(decider_path, DeciderModel.deserialize)
     class_fsts = {label: binary(path, ProbClassFst.deserialize)
                   for label, path in fst_paths.items()}
+    if alpha is not None:
+        decider = DeciderModel(decider.ngram, decider.prior, alpha=alpha)
     try:
-        if alpha is not None:
-            decider = DeciderModel(decider.ngram, decider.prior, alpha=alpha,
-                                   floor=decider.floor)
         return NfclmModel(vocabulary=vocabulary, classes=classes, background=background,
                           class_fsts=class_fsts, decider=decider,
                           beam_size=beam_size, beam_delta=beam_delta)
     except ComponentError as exc:
-        path = {"background": background_path, "decider": decider_path,
-                **fst_paths}[exc.component]
+        # fixed keys last: a class-FST key that is no label fails the class check
+        path = {**fst_paths, "classes": classes_path, "background": background_path,
+                "decider": decider_path}[exc.component]
         raise BundleError(f"{os.fspath(path)}: {exc}") from exc
-    except ValueError as exc:
-        raise BundleError(f"components fail model invariants: {exc}") from exc
 
 
 def load(directory, *, beam_size: Optional[int] = None,

@@ -16,10 +16,11 @@ from . import cfg as cfg_mod
 from .classfst import build_from_entities, load_entities
 from .dynfst import DynFstSession
 from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
-                     DeadHistoryError, advance, next_dist, sample, sequence_logprobs)
+                     DeadHistoryError, NfclmModel, advance, next_dist, sample,
+                     sequence_logprobs)
 from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
                        perplexity, rescore_nbest)
-from .seqmodel import (DEFAULT_ALPHA, DEFAULT_DISCOUNT, DEFAULT_ORDER, train_decider,
+from .seqmodel import (DEFAULT_DISCOUNT, DEFAULT_ORDER, DeciderModel, Rule, train_decider,
                        train_ngram, widened)
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
@@ -45,6 +46,13 @@ _OPTIONS = {
                     help="keep every alignment (no beam pruning)"),
 }
 _MODEL_OPTIONS = ("--beam-n", "--beam-delta", "--alpha")
+# the rule each numeric flag's value must hold, checked before any file is
+# read: a model setting's is its owner's, and a count must be at least 1
+_COUNT = Rule(">= 1", lambda v: v >= 1)
+_FLAG_RULES = {"--beam-n": NfclmModel.RULES["beam_size"],
+               "--beam-delta": NfclmModel.RULES["beam_delta"],
+               "--alpha": DeciderModel.RULES["alpha"],
+               "-n": _COUNT, "--max-len": _COUNT, "--size": _COUNT}
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -103,8 +111,7 @@ def cmd_train_decider(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
     classes = load_class_alphabet(args.classes)
     corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.nonbackground})
-    model = train_decider(corpus, vocabulary, classes, order=args.order, discount=args.discount,
-                          alpha=DEFAULT_ALPHA if args.alpha is None else args.alpha)
+    model = train_decider(corpus, vocabulary, classes, order=args.order, discount=args.discount)
     with open(args.out, "wb") as fh:
         fh.write(model.serialize())
     prior = "\t".join(f"{c}\t{_fmt(model.prior[c])}" for c in model.classes)
@@ -214,8 +221,6 @@ def cmd_rescore(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"-n must be >= 1, got {args.n}")
     model = _load_bundle(args)
     for i in range(args.n):
         print(" ".join(sample(model, args.max_len, args.seed + i)))
@@ -258,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_bglm)
 
     p = sub.add_parser("train-decider", help="train the class decider")
-    _add_options(p, "--corpus", "--vocab", "--classes", "--order", "--discount", "--out",
-                 "--alpha")
+    _add_options(p, "--corpus", "--vocab", "--classes", "--order", "--discount", "--out")
     p.set_defaults(func=cmd_train_decider)
 
     p = sub.add_parser("expand-cfg", help="expand grammar patterns into sentences")
@@ -336,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, rule in _FLAG_RULES.items():  # each flag the subcommand took
+            value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+            if value is not None:
+                rule.check(flag, value)
         return args.func(args)
     except (ValueError, KeyError, OSError, DeadHistoryError,
             SerializationError, bundle_mod.BundleError) as exc:

@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -109,8 +110,8 @@ from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 DEFAULT_BEAM_SIZE = 100
 DEFAULT_BEAM_DELTA = 30.0
-# a beam size no beam reaches: with an infinite delta, pruning is off
-EXACT_BEAM_SIZE = 10 ** 6
+# a beam size no list can reach, so with an infinite delta nothing is pruned
+EXACT_BEAM_SIZE = sys.maxsize
 
 # background position: the hypothesis is not inside any class span
 Position = Optional[tuple[str, int]]
@@ -128,7 +129,8 @@ class DeadHistoryError(Exception):
 class ComponentError(ValueError):
     """A model component that does not fit the others.
 
-    ``component`` is ``"background"``, ``"decider"`` or a class label.
+    ``component`` is ``"classes"`` (the class alphabet), ``"background"``,
+    ``"decider"`` or a class label.
     """
 
     def __init__(self, component: str, message: str):
@@ -220,9 +222,8 @@ class NfclmModel:
         wanted = set(self.classes.nonbackground)
         have = set(self.class_fsts)
         if wanted != have:
-            raise ValueError(
-                f"class FSTs {sorted(have)} do not match class alphabet {sorted(wanted)}"
-            )
+            raise ComponentError("classes", f"class FSTs {sorted(have)} do not match "
+                                            f"class alphabet {sorted(wanted)}")
         symbols = set(self.vocabulary.symbols)
         for label, fst in self.class_fsts.items():
             if fst.label != label:

@@ -530,10 +530,10 @@ def _normalized(weights: Sequence[float]) -> list[float]:
 class DeciderModel(ConditionalSymbolModel):
     """Class predictor over mixed histories of symbols and class tokens.
 
-    Wraps a back-off n-gram whose targets are class labels, applies a
-    small probability floor so every class stays reachable, then scales
-    by the inverse class prior and normalizes, to keep mass from pooling on
-    the background class.  ``RULES`` checks each setting and prior entry.
+    Wraps a back-off n-gram whose targets are class labels, floors its
+    probabilities at ``DECIDER_FLOOR`` so every class stays reachable, then
+    scales by the inverse prior to the power ``alpha`` and normalizes, to
+    keep mass from pooling on the background.  ``RULES`` checks each value.
 
     ``prior`` is the prior as given, restricted to the classes, and is
     what ``serialize`` writes; the scaling reads one normalized copy made
@@ -547,13 +547,11 @@ class DeciderModel(ConditionalSymbolModel):
                       lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
         "prior": Rule("finite and strictly positive",
                       lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
-        "floor": Rule("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
     }
 
     def __init__(self, ngram: BackoffNGram, prior: Mapping[str, float],
-                 alpha: float = DEFAULT_ALPHA, floor: float = DECIDER_FLOOR):
+                 alpha: float = DEFAULT_ALPHA):
         self.RULES["alpha"].check("alpha", alpha)
-        self.RULES["floor"].check("floor", floor)
         self.ngram = ngram
         self.classes = ngram.alphabet
         self.prior = {c: prior.get(c) for c in self.classes}
@@ -561,7 +559,6 @@ class DeciderModel(ConditionalSymbolModel):
             self.RULES["prior"].check(f"prior for class {c!r}", p)
         self._normalized_prior = _normalized(list(self.prior.values()))
         self.alpha = alpha
-        self.floor = floor
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -576,8 +573,8 @@ class DeciderModel(ConditionalSymbolModel):
         return self.ngram.history_alphabet
 
     def _floored(self, history: Sequence[str]) -> list[float]:
-        floor = self.floor
-        return _normalized([max(p, floor) for p in self.ngram.distribution_values(history)])
+        return _normalized([max(p, DECIDER_FLOOR)
+                            for p in self.ngram.distribution_values(history)])
 
     def distribution_values(self, history: Sequence[str]) -> list[float]:
         return _scale_by_prior(self._floored(history), self._normalized_prior, self.alpha)
@@ -594,7 +591,7 @@ class DeciderModel(ConditionalSymbolModel):
         w.raw(DECIDER_MAGIC)
         w.u16(VERSION)
         w.f64(self.alpha)
-        w.f64(self.floor)
+        w.f64(DECIDER_FLOOR)  # a field of format v3, which stores the floor
         w.u32(len(self.classes))
         for c in self.classes:
             w.string(c)
@@ -610,18 +607,19 @@ class DeciderModel(ConditionalSymbolModel):
         r.expect_magic(DECIDER_MAGIC, "decider model")
         r.expect_version("decider model")
 
-        def setting(key: str, name: str) -> float:
-            at, value, rule = r.offset, r.f64(), cls.RULES[key]
+        def setting(rule: Rule, name: str) -> float:
+            at, value = r.offset, r.f64()
             if not rule.holds(value):
                 raise SerializationError(f"{name} must be {rule.text}, got {value!r}", at)
             return value
 
-        alpha, floor = setting("alpha", "alpha"), setting("floor", "floor")
+        alpha = setting(cls.RULES["alpha"], "alpha")
+        setting(Rule(repr(DECIDER_FLOOR), DECIDER_FLOOR.__eq__), "floor")
         prior = {}
         order = []
         for _ in range(r.u32()):
             c = r.string()
-            prior[c] = setting("prior", f"prior for class {c!r}")
+            prior[c] = setting(cls.RULES["prior"], f"prior for class {c!r}")
             order.append(c)
         body_len = r.u64()
         start = r.offset
@@ -635,7 +633,7 @@ class DeciderModel(ConditionalSymbolModel):
         r.offset = start + body_len
         r.done()
         try:
-            model = cls(ngram, prior, alpha=alpha, floor=floor)
+            model = cls(ngram, prior, alpha=alpha)
         except (ValueError, OverflowError) as exc:  # prior entries can sum past float range
             raise SerializationError(f"corrupt decider payload: {exc}", start) from exc
         if list(model.classes) != order:
@@ -654,7 +652,7 @@ def widened(decider: DeciderModel, length: int) -> DeciderModel:
     empty = NGramLevel(array("B"), array("B", [0]), array("B"), array("B"))
     ngram = BackoffNGram(ngram.discount, ngram.symbols, ngram.alphabet, ngram.history_alphabet,
                          ngram.levels + (empty,) * (length - ngram.context_size))
-    return DeciderModel(ngram, decider.prior, decider.alpha, decider.floor)
+    return DeciderModel(ngram, decider.prior, decider.alpha)
 
 
 def class_prior_from_corpus(corpus: Iterable[Sequence[str]],
@@ -683,8 +681,7 @@ def class_prior_from_corpus(corpus: Iterable[Sequence[str]],
 
 def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
                   classes: ClassAlphabet, order: int = DEFAULT_ORDER,
-                  discount: float = DEFAULT_DISCOUNT,
-                  alpha: float = DEFAULT_ALPHA) -> DeciderModel:
+                  discount: float = DEFAULT_DISCOUNT) -> DeciderModel:
     """Train the class predictor on a tagged corpus over symbols and entity class tokens.
 
     Every token position contributes one training pair: the mixed history
@@ -705,7 +702,7 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
                            symbols)
     ngram = BackoffNGram(discount, symbols, predicted, history_alphabet, levels)
     prior = class_prior_from_corpus(sentences, classes)
-    return DeciderModel(ngram, prior, alpha=alpha)
+    return DeciderModel(ngram, prior)
 
 
 def ngram_sequence_logprob(model: ConditionalSymbolModel, symbols: Sequence[str]) -> float:

@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 import pytest
 
-from nfclm import (BOS, EOS, BackoffNGram, NfclmModel, ProbClassFst, build_from_entities,
-                   load_class_alphabet, load_vocabulary, train_decider,
+from nfclm import (BOS, EOS, BackoffNGram, DeciderModel, NfclmModel, ProbClassFst,
+                   build_from_entities, load_class_alphabet, load_vocabulary, train_decider,
                    train_ngram)
 from nfclm.engine import EXACT_BEAM_SIZE, _stored_suffix
 from nfclm.seqmodel import NGramLevel, widened
@@ -360,9 +360,8 @@ def random_instance(rng: random.Random, max_history: int = 8):
             else:
                 sentence.append(rng.choice(symbols))
         tagged_corpus.append(tuple(sentence))
-    decider = train_decider(tagged_corpus, vocab, classes,
-                            order=rng.randint(1, 3),
-                            alpha=rng.choice([0.0, 0.5, 1.0]))
+    trained = train_decider(tagged_corpus, vocab, classes, order=rng.randint(1, 3))
+    decider = DeciderModel(trained.ngram, trained.prior, alpha=rng.choice([0.0, 0.5, 1.0]))
 
     model = NfclmModel(
         vocabulary=vocab,

@@ -16,6 +16,7 @@ import math
 import shutil
 import struct
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -445,6 +446,31 @@ def test_roundtrip_is_byte_identical(data, model):
     v3 = kind.deserialize(data).serialize()
     assert v3 == model.serialize() != data
     assert kind.deserialize(v3).serialize() == v3
+
+
+@pytest.mark.parametrize("typecode,values", [
+    ("B", [0, 1, 0xfe]), ("H", [1, 0x1234, 0xfffe]), ("I", [2, 0x12345678, 0xfffffffe]),
+    ("Q", [3, 0x0123456789abcdef, 2 ** 64 - 2]), ("d", [0.1, -2.5, 1e300, math.inf])])
+def test_big_endian_columns(monkeypatch, typecode, values):
+    """The column path of a big-endian host, with ``_SWAP`` forced on: each
+    value is written as its in-memory bytes reversed (on such a host, its
+    little-endian bytes) and read back as itself, and the caller's array
+    is left unswapped."""
+    from nfclm import serialization
+    monkeypatch.setattr(serialization, "_SWAP", True)
+    column = array(typecode, values)
+    w = serialization.ByteWriter()
+    w.column(column)
+    data, size = w.getvalue(), column.itemsize
+    if typecode != "d":  # the width byte, then the values at the narrowest width
+        assert data[0] == size
+        data = data[1:]
+    assert [data[i:i + size] for i in range(0, len(data), size)] == \
+        [array(typecode, [v]).tobytes()[::-1] for v in values]
+    assert column == array(typecode, values)
+    r = serialization.ByteReader(w.getvalue())
+    assert r.column("d" if typecode == "d" else "I", len(values)) == column
+    r.done()
 
 
 def test_decoded_fst_shares_one_string_per_symbol():

@@ -433,21 +433,19 @@ class TestFailures:
         code, out, err = run(["score", "--bundle", bundle, "--corpus",
                               workspace / "test.txt", *flags], capsys)
         assert code == 1 and out == ""
-        assert err.startswith("nfclm: error: ") and name in err
+        # named by its flag, with the model's rule for the setting
+        assert err.startswith(f"nfclm: error: {flags[0]} must be "
+                              f"{nfclm.NfclmModel.RULES[name].text}, got ")
         assert "manifest.json" not in err
 
     @pytest.mark.parametrize("command,value", [
-        ("score", "nan"), ("score", "inf"), ("score", "-1"), ("train-decider", "nan"),
-        ("train-decider", "inf"), ("pack", "nan")])
+        ("score", "nan"), ("score", "inf"), ("score", "-1"), ("pack", "nan")])
     def test_bad_alpha_flag_rejected(self, workspace, capsys, command, value):
         """``--alpha`` is checked by the decider's rule: no traceback, no NaN score."""
         bundle = build_bundle(workspace, capsys)
         (workspace / "test.txt").write_text("_play _ro sie\n", encoding="utf-8")
         inputs = {
             "score": ["--bundle", bundle, "--corpus", workspace / "test.txt"],
-            "train-decider": ["--corpus", workspace / "mixed.txt", "--vocab",
-                              workspace / "vocab.txt", "--classes", workspace / "classes.txt",
-                              "--out", workspace / "x.bin"],
             "pack": ["--vocab", workspace / "vocab.txt", "--classes", workspace / "classes.txt",
                      "--bglm", workspace / "bg.bin", "--decider", workspace / "decider.bin",
                      "--fst", f"@song={workspace / '@song.fst'}",
@@ -457,7 +455,7 @@ class TestFailures:
         assert (code, out) == (1, "")
         assert err.startswith("nfclm: error: ") and err.count("\n") == 1
         assert f"alpha must be a finite number >= 0, got {float(value)!r}" in err
-        assert not (workspace / "x.bin").exists() and not (workspace / "x").exists()
+        assert not (workspace / "x").exists()
 
     @pytest.mark.parametrize("command", ["score", "ppl", "train-bglm", "train-decider"])
     def test_corpus_symbol_outside_alphabet_names_line(self, workspace, capsys, command):
@@ -541,6 +539,9 @@ class TestFailures:
         ["build-fst", "--class-label", "@x", "--entities", "x.txt", "--out", "x.fst",
          "--beam-n", 3],
         ["rescore", "--bundle", "b", "--nbest", "n", "--references", "r"],
+        # training reads no alpha; pack and the scoring commands set it
+        ["train-decider", "--corpus", "c", "--vocab", "v", "--classes", "k", "--out", "o",
+         "--alpha", 1],
     ])
     def test_options_a_subcommand_ignores_are_rejected(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -560,6 +561,45 @@ class TestFailures:
             (workspace / name).unlink()
         second = build_bundle(workspace, capsys)
         assert {p.name: p.read_bytes() for p in second.iterdir()} == snapshot
+
+
+# a value each checked flag's rule refuses, and the error that names it
+REFUSED_FLAG_VALUES = {
+    "--beam-n": ("0", "--beam-n must be an int >= 1, got 0"),
+    "--beam-delta": ("nan", "--beam-delta must be a number >= 0, got nan"),
+    "--alpha": ("-1", "--alpha must be a finite number >= 0, got -1.0"),
+    "-n": ("0", "-n must be >= 1, got 0"),
+    "--max-len": ("0", "--max-len must be >= 1, got 0"),
+    "--size": ("0", "--size must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((command, flag) for command in ("pack", "score", "ppl", "next", "rescore", "dump-dynfst")
+      for flag in ("--beam-n", "--beam-delta", "--alpha")),
+    ("sample", "--alpha"), ("sample", "-n"), ("sample", "--max-len"), ("expand-cfg", "-n"),
+    ("mix", "--size")])
+def test_refused_flag_value_names_its_flag(tmp_path, capsys, command, flag):
+    """A flag value that its rule refuses is named by the flag before any
+    file is read: every input here is missing, and nothing is written."""
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    args = {
+        "pack": ["--vocab", missing, "--classes", missing, "--bglm", missing,
+                 "--decider", missing, "--fst", f"@song={missing}", "--out-dir", out],
+        "score": ["--bundle", missing, "--corpus", missing],
+        "ppl": ["--bundle", missing, "--corpus", missing],
+        "next": ["--bundle", missing, "--history", "_play"],
+        "rescore": ["--bundle", missing, "--nbest", missing],
+        "dump-dynfst": ["--bundle", missing, "--sentence", "_play"],
+        "sample": ["--bundle", missing],
+        "expand-cfg": ["--patterns", missing, "--entity-dir", missing, "--vocab", missing,
+                       "--classes", missing, "--out", out],
+        "mix": ["--background", missing, "--cfg", missing, "--fraction", 0.5, "--out", out],
+    }[command]
+    value, message = REFUSED_FLAG_VALUES[flag]
+    code, printed, err = run([command, *args, flag, value], capsys)
+    assert (code, printed, err) == (1, "", f"nfclm: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,source", [

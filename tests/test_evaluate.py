@@ -364,7 +364,7 @@ class TestBundle:
             data = without(background).serialize()
         else:
             data = DeciderModel(without(decider.ngram), decider.prior,
-                                alpha=decider.alpha, floor=decider.floor).serialize()
+                                alpha=decider.alpha).serialize()
         path = tmp_path / "b" / f"{component}.bin"
         path.write_bytes(data)
         message = f"{path}: {component} history alphabet lacks {lost!r}"
@@ -449,13 +449,33 @@ class TestBundle:
         d.mkdir()
         path = d / "manifest.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(bundle.BundleError, match=r"^unreadable manifest: Expecting "):
+        with pytest.raises(bundle.BundleError,
+                           match=f"^{re.escape(str(path))}: unreadable manifest: Expecting "):
             bundle.load(d)
         for manifest in ('{"format": "other-bundle", "version": 1}', '[]'):
             path.write_text(manifest, encoding="utf-8")
             with pytest.raises(bundle.BundleError) as info:
                 bundle.load(d)
             assert str(info.value) == f"not a model bundle: {path}"
+
+    def test_manifest_with_byte_order_mark_scores_as_without(self, toy_model, tmp_path,
+                                                             capsys):
+        from nfclm.cli import main
+        bundle.pack(toy_model, tmp_path / "b")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("_play _ro sie\n_by _browne\n", encoding="utf-8")
+
+        def scores():
+            model = bundle.load(tmp_path / "b")
+            assert main(["score", "--bundle", str(tmp_path / "b"), "--corpus", str(corpus)]) == 0
+            return ([sequence_logprob(model, s).hex() for s in (FIG1_SENTENCE, ("_by",))],
+                    capsys.readouterr())
+
+        plain = scores()
+        path = tmp_path / "b" / "manifest.json"
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert scores() == plain
 
     def test_version_mismatch(self, tmp_path):
         import json

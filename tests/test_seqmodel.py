@@ -516,13 +516,14 @@ class TestDecider:
             train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=0)
 
     def test_song_dominates_after_play(self):
-        model = train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=2, alpha=0.0)
+        trained = train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=2)
+        model = DeciderModel(trained.ngram, trained.prior, alpha=0.0)
         dist = model.distribution(("_play",))
         assert dist["@song"] == max(dist.values())
 
     def test_single_class_concentrates(self):
-        model = train_decider([("@song",)] * 5, self.VOCAB, self.CLASSES,
-                              order=1, alpha=0.0)
+        trained = train_decider([("@song",)] * 5, self.VOCAB, self.CLASSES, order=1)
+        model = DeciderModel(trained.ngram, trained.prior, alpha=0.0)
         dist = model.distribution(())
         assert dist["@song"] > 0.5
         assert all(p > 0 for p in dist.values())
@@ -530,7 +531,7 @@ class TestDecider:
     def test_normalization(self):
         model = train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=3)
         # with alpha 0 the prior scaling leaves the floored distribution
-        floored = DeciderModel(model.ngram, model.prior, alpha=0.0, floor=model.floor)
+        floored = DeciderModel(model.ngram, model.prior, alpha=0.0)
         for history in [(), ("_play",), ("@song", "_ro"), ("_stop", "@artist")]:
             assert math.fsum(model.distribution(history).values()) == pytest.approx(
                 1.0, abs=1e-9)

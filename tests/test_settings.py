@@ -1,9 +1,10 @@
 """Model settings: one rule each, whatever the entry point.
 
 ``NfclmModel.RULES`` checks ``beam_size`` and ``beam_delta``;
-``DeciderModel.RULES`` checks ``alpha``, each prior entry and ``floor``.
+``DeciderModel.RULES`` checks ``alpha`` and each prior entry.
 A library call, a manifest, a command-line flag and a decider binary
 all reach those rules, and a bad value is named by where it came from.
+The decider's floor is no setting: a binary must hold ``DECIDER_FLOOR``.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from nfclm import (DeciderModel, NfclmModel, bundle, load_class_alphabet, load_vocabulary,
                    sequence_logprobs, train_decider, train_ngram)
 from nfclm.cli import main
+from nfclm.seqmodel import DECIDER_FLOOR
 from nfclm.serialization import SerializationError
 
 from conftest import ARTIST_ENTITIES, SONG_ENTITIES, TOY_SYMBOLS, entity_pairs, keyed
@@ -66,8 +68,10 @@ class TestDeciderRules:
     @pytest.mark.parametrize("kwargs,name", [
         ({"alpha": math.nan}, "alpha"), ({"alpha": math.inf}, "alpha"),
         ({"alpha": -0.5}, "alpha"), ({"alpha": True}, "alpha"), ({"alpha": "1"}, "alpha"),
-        ({"alpha": 10 ** 400}, "alpha"), ({"floor": math.inf}, "floor"),
-        ({"floor": math.nan}, "floor"), ({"floor": 1.5}, "floor"), ({"floor": -1e-9}, "floor"),
+        ({"alpha": 10 ** 400}, "alpha"), ({"alpha": -math.inf}, "alpha"),
+        ({"alpha": None}, "alpha"),
+        ({"prior": {"@bg": 0.5, "@song": 0.0, "@artist": 0.2}}, "prior for class '@song'"),
+        ({"prior": {"@bg": -0.1, "@song": 0.3, "@artist": 0.2}}, "prior for class '@bg'"),
         ({"prior": {"@bg": 0.5, "@song": math.nan, "@artist": 0.2}}, "prior for class '@song'"),
         ({"prior": {"@bg": math.inf, "@song": 0.3, "@artist": 0.2}}, "prior for class '@bg'"),
         ({"prior": {"@bg": 0.5, "@song": 0.5}}, "prior for class '@artist'"),
@@ -83,8 +87,7 @@ class TestDeciderRules:
         model = toy_model(toy_vocab, toy_classes, song_fst, artist_fst, prior=UNSTABLE_PRIOR)
         decider = model.decider
         assert decider.prior == UNSTABLE_PRIOR  # kept as given
-        rebuilt = DeciderModel(decider.ngram, decider.prior, alpha=decider.alpha,
-                               floor=decider.floor)
+        rebuilt = DeciderModel(decider.ngram, decider.prior, alpha=decider.alpha)
         assert rebuilt.ngram is decider.ngram
         assert [p.hex() for p in rebuilt.prior.values()] == \
             [p.hex() for p in decider.prior.values()]
@@ -145,7 +148,7 @@ class TestManifestSettings:
                 [p.hex() for p in reference.decider.prior.values()]
 
     def test_library_alpha_override_checked(self, packed):
-        with pytest.raises(bundle.BundleError, match="alpha must be a finite number"):
+        with pytest.raises(ValueError, match="^alpha must be a finite number"):
             bundle.load(packed, alpha=math.inf)
 
 
@@ -211,6 +214,7 @@ class TestDeciderBinary:
         ("alpha", math.nan, "alpha"), ("alpha", math.inf, "alpha"),
         ("floor", math.inf, "floor"), ("floor", math.nan, "floor"),
         ("prior", math.nan, "prior for class '@bg'"), ("prior", 0.0, "prior for class '@bg'"),
+        ("floor", 0.5, "floor"),
     ])
     def test_bad_setting_names_file_and_offset(self, packed, capsys, field, value, name):
         path = packed / "decider.bin"
@@ -222,6 +226,8 @@ class TestDeciderBinary:
         with pytest.raises(SerializationError) as info:
             bundle.load(packed)
         assert str(info.value).startswith(f"{path}: {name} must be ")
+        if field == "floor":  # the one value the field may hold
+            assert info.value.message == f"{path}: floor must be 1e-06, got {value!r}"
         assert info.value.offset == at
         corpus = packed / "corpus.txt"
         corpus.write_text("_play _ro sie\n", encoding="utf-8")
@@ -302,7 +308,7 @@ class TestExtremeDeciderSettings:
             total = math.fsum(weights.values())
             return {c: p / total for c, p in weights.items()}
 
-        raw = normalized({c: max(p, decider.floor) for c, p in
+        raw = normalized({c: max(p, DECIDER_FLOOR) for c, p in
                           zip(decider.classes, decider.ngram.distribution_values(history))})
         prior, alpha = normalized(decider.prior), decider.alpha
         try:
