@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classfst import Entity, load_entities
+from .seqmodel import Rule
 from .vocab import BACKGROUND, ClassAlphabet, Vocabulary, read_lines
+
+
+FRACTION = Rule("in [0,1]", lambda v: 0.0 <= v <= 1.0)  # a mix's; NaN fails both tests
 
 
 @dataclass
@@ -111,8 +115,7 @@ def mix_corpora(background: Sequence[Sequence[str]], tagged: Sequence[Sequence[s
     the rest from the tagged pool, both uniformly with replacement, then
     shuffles.  ``size`` defaults to the combined pool size.
     """
-    if not 0.0 <= background_fraction <= 1.0:
-        raise ValueError(f"background fraction must be in [0,1], got {background_fraction}")
+    FRACTION.check("background fraction", background_fraction)
     if size is None:
         size = len(background) + len(tagged)
     if size < 1:

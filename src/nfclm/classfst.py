@@ -11,10 +11,9 @@ re-entry into a class is decided by the class emission model, not by the
 automaton.  States are numbered in topological order; any such automaton
 loads, a trie as well as a minimal one.
 
-An automaton keeps its states and arcs in flat ``array`` columns, as
-OpenFst's ``ConstFst`` does, so it holds no object per state or arc;
-``arcs[state]`` builds a plain dict of one state's arcs from its run of
-those columns, and the engine reads the columns themselves (see
+An automaton is its states and arcs in flat ``array`` columns, as
+OpenFst's ``ConstFst`` keeps them, so it holds no object per state or
+arc, and every reader reads the columns themselves (see
 ``ProbClassFst``).  Its integer columns are held at the narrowest width
 their values need, as binary format v3 stores them after a header and
 the sorted symbol table; the decoder reads each one whole, a v2 file's
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from itertools import islice
 from operator import le, lt
 from typing import Optional
@@ -44,45 +43,11 @@ ID = "I"
 Entity = tuple[tuple[str, ...], float]
 
 
-def _unknown_state(state: int, num_states: int) -> IndexError:
-    """The error for a state id outside ``0..num_states - 1``."""
-    if state < 0:
-        return IndexError(f"state id {state} is negative")
-    return IndexError(f"state id {state} is outside the {num_states} states")
-
-
-class ArcTable(Sequence):
-    """``ProbClassFst.arcs``: per state, a new ``{symbol: (probability,
-    destination)}`` dict of its arcs, in symbol order.
-
-    State ``s`` owns the arcs ``offsets[s]:offsets[s + 1]``.
-    """
-
-    __slots__ = ("_columns", "_offsets")
-
-    def __init__(self, columns: tuple, offsets: array):
-        self._columns = columns  # (symbols, arc_ids, probs, dests)
-        self._offsets = offsets
-
-    def __getitem__(self, state: int) -> dict[str, tuple[float, int]]:
-        offsets = self._offsets
-        if not 0 <= state < len(offsets) - 1:
-            raise _unknown_state(state, len(offsets) - 1)
-        symbols, arc_ids, probs, dests = self._columns
-        lo, hi = offsets[state], offsets[state + 1]
-        return dict(zip(map(symbols.__getitem__, arc_ids[lo:hi]),
-                        zip(probs[lo:hi], dests[lo:hi])))
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-
 class ProbClassFst:
     """Deterministic acyclic stochastic automaton for one class.
 
-    States are dense ids with start = 0.  ``arcs[s]`` maps a symbol to
-    ``(probability, destination)``; ``exits[s]`` is the probability of
-    leaving the class at state ``s``.
+    States are dense ids with start = 0; ``exits[s]`` is the probability
+    of leaving the class at state ``s``.
 
     The constructor takes the columns that the binary format stores, and
     holds them as given, as read-only attributes:
@@ -104,6 +69,9 @@ class ProbClassFst:
     """
 
     start = 0
+    # inert: nothing in src/ reads either name, perfbench/tracing.py wraps
+    # both, and ROADMAP item 20 deletes this line with those wrappers
+    arcs, exit_prob = (), None
 
     def __init__(self, label: str, symbols: tuple[str, ...], offsets: array, exits: array,
                  arc_ids: array, probs: array, dests: array,
@@ -115,16 +83,10 @@ class ProbClassFst:
         self.ids = {symbol: i for i, symbol in enumerate(symbols)}
         self.offsets, self.exits = offsets, exits
         self.arc_ids, self.probs, self.dests = arc_ids, probs, dests
-        self.arcs = ArcTable((symbols, arc_ids, probs, dests), offsets)
 
     @property
     def num_states(self) -> int:
         return len(self.exits)
-
-    def exit_prob(self, state: int) -> float:
-        if not 0 <= state < len(self.exits):
-            raise _unknown_state(state, len(self.exits))
-        return self.exits[state]
 
     def validate(self) -> None:
         """Raise ValueError naming the first violated structural invariant.

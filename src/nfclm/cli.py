@@ -20,8 +20,8 @@ from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
                      sequence_logprobs)
 from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
                        perplexity, rescore_nbest)
-from .seqmodel import (DEFAULT_DISCOUNT, DEFAULT_ORDER, DeciderModel, Rule, train_decider,
-                       train_ngram, widened)
+from .seqmodel import (DEFAULT_DISCOUNT, DEFAULT_ORDER, BackoffNGram, DeciderModel,
+                       train_decider, train_ngram, widened)
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
 
@@ -47,11 +47,15 @@ _OPTIONS = {
 }
 _MODEL_OPTIONS = ("--beam-n", "--beam-delta", "--alpha")
 # the rule each numeric flag's value must hold, checked before any file is
-# read: a model setting's is its owner's, and a count must be at least 1
-_COUNT = Rule(">= 1", lambda v: v >= 1)
+# read: a setting's is its owner's, and a count must be at least 1, as an order must
+_COUNT = BackoffNGram.RULES["order"]
 _FLAG_RULES = {"--beam-n": NfclmModel.RULES["beam_size"],
                "--beam-delta": NfclmModel.RULES["beam_delta"],
                "--alpha": DeciderModel.RULES["alpha"],
+               "--order": _COUNT, "--fraction": cfg_mod.FRACTION,
+               "--discount": BackoffNGram.RULES["discount"],
+               "--lm-weight": FusionWeights.RULES["lm_weight"],
+               "--ilm-weight": FusionWeights.RULES["ilm_weight"],
                "-n": _COUNT, "--max-len": _COUNT, "--size": _COUNT}
 
 

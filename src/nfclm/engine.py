@@ -182,7 +182,8 @@ class BackgroundRow(dict):
     context key, keyed by the model's own symbol objects, with ``state``,
     the background's ``resolve`` of the key's tokens, where the missing
     ones are read, and ``dist_values``, its ``distribution_values`` there
-    in ``next_dist``'s order (None until the key's first fan-out)."""
+    in the background's alphabet order (None until the key's first
+    fan-out)."""
 
     __slots__ = ("state", "dist_values")
 
@@ -244,16 +245,14 @@ class NfclmModel:
         _check_histories("decider", self.decider,
                          symbols | {BOS} | set(self.classes.nonbackground))
         self._build_keys()
-        self._predicted = self.vocabulary.symbols + (EOS,)
         labels = self.classes.labels
         label_index = {c: i for i, c in enumerate(labels)}
         self._bg_class = label_index[BACKGROUND]
-        # what next_dist reads as index columns over ``_predicted``: per
-        # class rank, the position of each automaton symbol id; the entry
-        # routes as (class index, positions, probabilities) of the start
-        # state's arcs; and the background alphabet's positions, None when
-        # it runs in this order
-        position = {sym: i for i, sym in enumerate(self._predicted)}.__getitem__
+        # what next_dist reads as index columns over the background's
+        # alphabet: per class rank, the position of each automaton symbol
+        # id, and the entry routes as (class index, positions,
+        # probabilities) of the start state's arcs
+        position = {sym: i for i, sym in enumerate(self.background.alphabet)}.__getitem__
         self._arc_positions = [None] + [list(map(position, fst.symbols))
                                         for fst in self._fsts[1:]]
         # per vocabulary symbol: its id, the successor key bits of the
@@ -277,11 +276,10 @@ class NfclmModel:
             map(self._ids.__getitem__, vocab), map(self._token_bits.__getitem__, vocab),
             stays, map(entries.get, vocab, repeat(())))))
         self._entry_columns = tuple(entry_columns)
-        self._bg_order = _reorder(self.background.alphabet, self._predicted)
         self._decider_order = _reorder(self.decider.alphabet, labels)
         self._bg_cache: dict[int, BackgroundRow] = {}
         # the table every fan-out copies, already sized and keyed in order
-        self._fan_out = dict.fromkeys(self._predicted, 0.0)
+        self._fan_out = dict.fromkeys(self.vocabulary.symbols + (EOS,), 0.0)
         self._decider_cache: dict[int, tuple[float, ...]] = {}
 
     def _build_keys(self) -> None:
@@ -600,14 +598,15 @@ def advance(model: NfclmModel, symbols: Sequence[str]) -> AlignmentBeam:
 def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
     """Next-symbol distribution over the vocabulary plus EOS, in that order.
 
-    One linear-domain sweep over the routes, filling one list in
-    vocabulary order: the background routes' posterior weight times the
-    background's ``distribution_values`` at the context's key, read on the
-    key's first fan-out into its ``_bg_cache`` row, plus each class route's
-    posterior weight times its arcs, read as index and probability
-    columns.  Entry ``s`` equals ``exp`` of ``extend``'s step
-    log-probability for ``s`` within 1e-12 relative (0 where ``extend``
-    finds no alignment).
+    One linear-domain sweep over the routes, filling one list in the
+    background's alphabet order: the background routes' posterior weight
+    times the background's ``distribution_values`` at the context's key,
+    read on the key's first fan-out into its ``_bg_cache`` row, plus each
+    class route's posterior weight times its arcs, read as index and
+    probability columns.  The list updates a copy of ``_fan_out``, which
+    keeps its vocabulary key order.  Entry ``s`` equals ``exp`` of
+    ``extend``'s step log-probability for ``s`` within 1e-12 relative (0
+    where ``extend`` finds no alignment).
     """
     background: list[float] = []
     classes: list[tuple] = []
@@ -630,19 +629,17 @@ def next_dist(model: NfclmModel, beam: AlignmentBeam) -> dict[str, float]:
         row = model._background_row(key)
         bg = row.dist_values
         if bg is None:
-            bg = model.background.distribution_values(model._key_tokens(key))
-            if model._bg_order is not None:
-                bg = map(bg.__getitem__, model._bg_order)
-            bg = row.dist_values = array("d", bg)
+            bg = row.dist_values = array(
+                "d", model.background.distribution_values(model._key_tokens(key)))
         values = [scale * p for p in bg]
     else:
-        values = [0.0] * len(model._predicted)
+        values = [0.0] * len(model._fan_out)
     for where, probs, lw in classes:
         weight = math.exp(lw - beam.log_norm)
         for i, p in zip(where, probs):
             values[i] += weight * p
     dist = model._fan_out.copy()
-    dist.update(zip(model._predicted, values))
+    dist.update(zip(model.background.alphabet, values))
     return dist
 
 

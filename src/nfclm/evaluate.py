@@ -7,22 +7,23 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .engine import NfclmModel, sequence_logprobs
-from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob
+from .seqmodel import ConditionalSymbolModel, Rule, ngram_sequence_logprob
 from .vocab import read_lines
 
 
 @dataclass
 class FusionWeights:
-    """Non-negative interpolation weights for shallow fusion."""
+    """Non-negative interpolation weights for shallow fusion; ``RULES`` checks each."""
+
+    RULES = dict.fromkeys(("lm_weight", "ilm_weight"),
+                          Rule("finite and >= 0", lambda v: math.isfinite(v) and v >= 0))
 
     lm_weight: float = 0.0
     ilm_weight: float = 0.0
 
     def __post_init__(self):
-        for name in ("lm_weight", "ilm_weight"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name, rule in self.RULES.items():
+            rule.check(name, getattr(self, name))
 
 
 @dataclass

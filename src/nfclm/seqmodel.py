@@ -39,7 +39,7 @@ DEFAULT_ORDER, DEFAULT_DISCOUNT, DEFAULT_ALPHA = 3, 0.75, 1.0  # the training de
 
 
 class Rule(NamedTuple):
-    """What one model setting must hold: its text for errors, and its test."""
+    """What one setting must hold: its text for errors, and its test."""
 
     text: str
     holds: Callable[[object], bool]
@@ -145,12 +145,15 @@ class BackoffNGram(ConditionalSymbolModel):
     in each run; ``logprob`` is the two at once.
     """
 
+    # NaN fails both comparisons; ``order`` is the training order, a level count
+    RULES = {"discount": Rule("in (0,1)", lambda v: 0.0 < v < 1.0),
+             "order": Rule(">= 1", lambda v: v >= 1)}
+
     def __init__(self, discount: float, symbols: Sequence[str], predicted: Sequence[str],
                  history_alphabet: Sequence[str], levels: Sequence[NGramLevel]):
         if not levels:
             raise ValueError("an n-gram needs at least one count level")
-        if not 0.0 < discount < 1.0:
-            raise ValueError(f"discount must be in (0,1), got {discount}")
+        self.RULES["discount"].check("discount", discount)
         if not predicted:
             raise ValueError("n-gram needs a nonempty predicted alphabet")
         # a repeat would hold one entry but count twice in the uniform floor
@@ -462,8 +465,7 @@ def _count_events(order: int, sentences: Iterable[tuple[str, ...]],
     counts ``label`` of itself after every suffix of the ``order - 1``
     symbols before it.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    BackoffNGram.RULES["order"].check("order", order)
     ids = {sym: i for i, sym in enumerate(symbols)}
     events = [Counter() for _ in range(order)]
     pad = [ids[BOS]] * (order - 1)

@@ -571,6 +571,11 @@ REFUSED_FLAG_VALUES = {
     "-n": ("0", "-n must be >= 1, got 0"),
     "--max-len": ("0", "--max-len must be >= 1, got 0"),
     "--size": ("0", "--size must be >= 1, got 0"),
+    "--order": ("0", "--order must be >= 1, got 0"),
+    "--discount": ("nan", "--discount must be in (0,1), got nan"),
+    "--lm-weight": ("nan", "--lm-weight must be finite and >= 0, got nan"),
+    "--ilm-weight": ("-1", "--ilm-weight must be finite and >= 0, got -1.0"),
+    "--fraction": ("1.5", "--fraction must be in [0,1], got 1.5"),
 }
 
 
@@ -578,7 +583,10 @@ REFUSED_FLAG_VALUES = {
     *((command, flag) for command in ("pack", "score", "ppl", "next", "rescore", "dump-dynfst")
       for flag in ("--beam-n", "--beam-delta", "--alpha")),
     ("sample", "--alpha"), ("sample", "-n"), ("sample", "--max-len"), ("expand-cfg", "-n"),
-    ("mix", "--size")])
+    ("mix", "--size"), ("mix", "--fraction"),
+    *((command, flag) for command in ("train-bglm", "train-decider")
+      for flag in ("--order", "--discount")),
+    ("rescore", "--lm-weight"), ("rescore", "--ilm-weight")])
 def test_refused_flag_value_names_its_flag(tmp_path, capsys, command, flag):
     """A flag value that its rule refuses is named by the flag before any
     file is read: every input here is missing, and nothing is written."""
@@ -595,6 +603,9 @@ def test_refused_flag_value_names_its_flag(tmp_path, capsys, command, flag):
         "expand-cfg": ["--patterns", missing, "--entity-dir", missing, "--vocab", missing,
                        "--classes", missing, "--out", out],
         "mix": ["--background", missing, "--cfg", missing, "--fraction", 0.5, "--out", out],
+        "train-bglm": ["--corpus", missing, "--vocab", missing, "--out", out],
+        "train-decider": ["--corpus", missing, "--vocab", missing, "--classes", missing,
+                          "--out", out],
     }[command]
     value, message = REFUSED_FLAG_VALUES[flag]
     code, printed, err = run([command, *args, flag, value], capsys)

@@ -1545,14 +1545,12 @@ class TestContextKeyedCaches:
     def assert_fan_out_rows(self, model, fan_outs):
         """Each row a fan-out filled holds the bits of the background's
         ``distribution_values`` at the row's key and at every fanned-out
-        context of that key, in vocabulary order; ``next_dist`` on the warm
-        model has the bits of a cold copy."""
+        context of that key, in the background's alphabet order;
+        ``next_dist`` on the warm model has the bits of a cold copy."""
         background, size = model.background, model.background.context_size
-        symbols = model.vocabulary.symbols + (EOS,)
 
         def ordered(tokens):
-            values = dict(zip(background.alphabet, background.distribution_values(tokens)))
-            return hexes(map(values.__getitem__, symbols))
+            return hexes(background.distribution_values(tokens))
 
         filled = {key: row for key, row in model._bg_cache.items()
                   if row.dist_values is not None}
@@ -1632,9 +1630,9 @@ class TestContextKeyedCaches:
     def test_model_without_stored_contexts_keys_by_context(self, toy_vocab, toy_classes,
                                                            song_fst, artist_fst):
         base = handmade_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        plain = base
         base = dataclasses.replace(base, background=ReorderedBackground(base.background))
         assert base.background.stored_contexts() is None and base._bg_levels is None
-        assert base._bg_order is not None
         model, bg_queries, _, fan_outs = self.scored(base, self.SENTENCES)
         assert set(model._bg_cache) == ({context for _, context in bg_queries}
                                         | {beam.context for beam in fan_outs})
@@ -1642,6 +1640,11 @@ class TestContextKeyedCaches:
             assert (model._bg_cache[context][symbol].hex()
                     == model.background.logprob(symbol, context_tokens(model, context, 2)).hex())
         self.assert_fan_out_rows(model, fan_outs)
+        # the fan-out reads the reversed alphabet, but keys and bits are the plain one's
+        for beam in fan_outs:
+            dist = next_dist(model, beam)
+            assert list(dist) == [*model.vocabulary.symbols, EOS]
+            assert hexes(dist.values()) == hexes(next_dist(plain, beam).values())
 
     def test_short_history_does_not_hit_a_shorter_key(self, toy_vocab, toy_classes,
                                                       song_fst, artist_fst):

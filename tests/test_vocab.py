@@ -56,3 +56,10 @@ class TestClassAlphabet:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ClassAlphabet(["@bg", "@song", "@song"])
+
+    def test_inner_whitespace_rejected(self, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_text("@bg\n@my song\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_class_alphabet(path)
+        assert str(err.value) == f"{path}:2: class label '@my song' contains whitespace"
