@@ -355,7 +355,3 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
         print(f"nfclm: error: {message}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -60,7 +60,11 @@ enumerator written from the definitions, apart from the kernel.
 Every sentence score comes from one walk, ``sequence_logprobs``: it
 scores a batch of token lists in sorted order over a stack of beams, so
 a prefix that several lists share (as the hypotheses of an n-best list
-do) is extended once.  ``sequence_logprob`` is its one-list case.
+do) is extended once.  ``sequence_logprob`` is its one-list case.  On
+plain text the beam is one hypothesis at the background position, and
+the walk steps it over each run of symbols that no class enters on
+without building a beam per token: each step is ``extend``'s one-route
+rule (``_background_route``) on locals, with ``extend``'s bits.
 
 Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
@@ -511,6 +515,19 @@ def _mixture(model: NfclmModel, key: int, log_weight: float,
     return stay, base, model.decider_dist(history >> pos_bits), history << width & shifted_mask
 
 
+def _background_route(model: NfclmModel, key: int, log_weight: float, bg_lp: float,
+                      spoken: int) -> tuple[int, float]:
+    """``(successor key, weight)`` of the one route out of a hypothesis at
+    the background position on a symbol that no class enters on, whose
+    background log-probability is ``bg_lp`` and successor key bits
+    ``spoken``.  The weight has ``log_sum_exp``'s bits for one term;
+    ``extend``'s lone background hypothesis and ``_walk``'s runs both step
+    by this rule."""
+    _, _, _, pos_bits, width, shifted_mask = model._layout
+    return ((key << width & shifted_mask) | spoken,
+            log_weight + model.decider_dist(key >> pos_bits)[model._bg_class] + bg_lp + 0.0)
+
+
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
     """Advance the beam by one symbol; returns (new beam, log P(symbol | history)).
 
@@ -519,7 +536,9 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     the entry routes that can emit ``symbol`` are visited, and hypotheses
     are built only for the successors that survive pruning.  A lone
     finite successor is kept without ranking, and without merging when it
-    is the one route.
+    is the one route out of a lone background hypothesis
+    (``_background_route``).  With no successor left, or none of finite
+    weight, it raises ``DeadHistoryError``.
     """
     emits = model._emits.get(symbol)
     if emits is None:
@@ -527,25 +546,25 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     sid, spoken, stays, entries = emits
     bg_lp = model.background_logprob(model._names[sid], beam.context)
     bg, context = model._bg_class, (beam.context << model._width | sid) & model._bg_mask
-    hypotheses, step = beam.hypotheses, None
-    if len(hypotheses) == 1 and not entries:
-        stay, base, row, prefix = step = _mixture(model, *hypotheses[0], stays)
-        # no stay arc: one route, with log_sum_exp's bits for its weight and the total
-        if stay is None and base is not None and -math.inf < (
-                weight := base + row[bg] + bg_lp + 0.0) < math.inf:
-            lone = [_hypothesis((prefix | spoken, weight))]
-            return AlignmentBeam(context, beam.length + 1, lone, weight + 0.0, beam.size_limit,
-                                 beam.delta), weight + 0.0 - beam.log_norm
+    hypotheses = beam.hypotheses
     merged: dict[int, list[float]] = {}
-    for key, log_weight in hypotheses:  # a lone hypothesis's step, if read above, is reused
-        stay, base, row, prefix = step or _mixture(model, key, log_weight, stays)
-        if stay is not None:
-            prob, key = stay
-            merged.setdefault(key, []).append(log_weight + math.log(prob))
-        if base is not None:
-            merged.setdefault(prefix | spoken, []).append(base + row[bg] + bg_lp)
-            for c, log_p, bits in entries:
-                merged.setdefault(prefix | bits, []).append(base + row[c] + log_p)
+    if len(hypotheses) == 1 and not entries and not hypotheses[0][0] & model._layout[0]:
+        key, weight = _background_route(model, *hypotheses[0], bg_lp, spoken)
+        if -math.inf < weight < math.inf:
+            total = weight + 0.0
+            return AlignmentBeam(context, beam.length + 1, [_hypothesis((key, weight))], total,
+                                 beam.size_limit, beam.delta), total - beam.log_norm
+        merged[key] = [weight]  # ranked below, as any lone non-finite successor is
+    else:
+        for key, log_weight in hypotheses:
+            stay, base, row, prefix = _mixture(model, key, log_weight, stays)
+            if stay is not None:
+                prob, key = stay
+                merged.setdefault(key, []).append(log_weight + math.log(prob))
+            if base is not None:
+                merged.setdefault(prefix | spoken, []).append(base + row[bg] + bg_lp)
+                for c, log_p, bits in entries:
+                    merged.setdefault(prefix | bits, []).append(base + row[c] + log_p)
     if not merged:
         raise DeadHistoryError(beam.length, symbol)
     if len(merged) == 1:
@@ -567,6 +586,8 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     kept = ranked[: beam.size_limit]
     best = -kept[0][0]
     kept = [rank for rank in kept if best + rank[0] <= beam.delta]
+    if not kept:  # the best successor weighs -inf: no alignment generates the symbol
+        raise DeadHistoryError(beam.length, symbol)
     hypotheses = [_hypothesis((key, -neg)) for neg, key in kept]
 
     new_norm = (total if len(kept) == len(ranked)
@@ -673,15 +694,32 @@ def sequence_logprobs(model: NfclmModel,
     alignment is marked dead and every list that starts with it scores
     -inf.  ``extend`` depends only on (model, beam, symbol) and totals are
     summed in token order, so each result has the bits of scoring that
-    list alone.  The stack keeps a beam, of O(context) tokens, per token
-    that a list shares with the next, so a lone list holds one at a time.
+    list alone.  A lone hypothesis at the background position steps in
+    place over each run of symbols that no class enters on, with
+    ``extend``'s bits (``_walk``).  The stack keeps a beam, of O(context)
+    tokens, per token that a list shares with the next, so a lone list
+    holds one at a time.
     """
     return _walk(model, start_beam(model), token_lists)
 
 
 def _walk(model: NfclmModel, start: AlignmentBeam,
           token_lists: Sequence[Sequence[str]]) -> list[float]:
-    """``sequence_logprobs`` from ``start``, whose size limit and band every beam keeps."""
+    """``sequence_logprobs`` from ``start``, whose size limit and band every beam keeps.
+
+    Where the top beam is one hypothesis at the background position and
+    the next symbol has no entry route, the walk steps a run in place: the
+    key, weight, background context and norm are locals, the depth is the
+    length, and each step is ``extend``'s one route, ``_background_route``,
+    with the same float operations in the same order, so every total keeps
+    ``extend``'s bits.  A beam is built only where the run ends and where a
+    shared prefix needs its stack entry.  Every other step is ``extend``'s:
+    an unknown symbol, one with entry routes, a non-finite weight (its
+    lookups are then made again, as cache hits), or a hypothesis inside a
+    class.  Lookups stay calls to ``background_logprob`` and
+    ``decider_dist``, so a step in a run fills and reads the caches as
+    ``extend`` does.
+    """
     # a lone list is walked as given: with nothing to sort, it is not copied
     lone = len(token_lists) == 1 and isinstance(token_lists[0], (list, tuple))
     lists = [token_lists[0]] if lone else [tuple(tokens) for tokens in token_lists]
@@ -690,12 +728,44 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
     # entry d: (beam, running total) after the list's first d tokens, None
     # once they are dead, kept while the next list shares them
     stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start, 0.0)]
+    emits, names, pos_mask = model._emits, model._names, model._layout[0]
+    width, bg_mask = model._width, model._bg_mask
     for i, following in zip(order, [lists[j] for j in order[1:]] + [()]):
         tokens, top = lists[i], stack[-1]
         shared = sum(takewhile(bool, map(eq, tokens, following)))
-        for depth in range(len(stack), len(tokens) + 1):
-            if top is None:
-                break
+        depth, end = len(stack), len(tokens)
+        while top is not None and depth <= end:
+            beam, total = top
+            hypotheses = beam.hypotheses
+            if len(hypotheses) == 1 and not hypotheses[0][0] & pos_mask:
+                # a run: step the lone background hypothesis in place, as
+                # extend would, while no class enters on the next symbol
+                (key, weight), = hypotheses
+                context, norm, first = beam.context, beam.log_norm, depth
+                while depth <= end:
+                    emit = emits.get(tokens[depth - 1])
+                    if emit is None or emit[3]:
+                        break  # extend refuses an unknown symbol and ranks entries
+                    sid, spoken = emit[0], emit[1]
+                    successor = _background_route(
+                        model, key, weight, model.background_logprob(names[sid], context), spoken)
+                    if not -math.inf < successor[1] < math.inf:
+                        break  # extend ranks it
+                    key, weight = successor
+                    context = (context << width | sid) & bg_mask
+                    new_norm = weight + 0.0
+                    total += new_norm - norm
+                    norm = new_norm
+                    if depth <= shared:
+                        top = AlignmentBeam(context, depth, [_hypothesis(successor)], norm,
+                                            beam.size_limit, beam.delta), total
+                        stack.append(top)
+                    depth += 1
+                if depth > first and depth - 1 > shared:  # the last step pushed no beam
+                    top = AlignmentBeam(context, depth - 1, [_hypothesis((key, weight))], norm,
+                                        beam.size_limit, beam.delta), total
+                if depth > end:
+                    break
             try:
                 beam, lp = extend(model, top[0], tokens[depth - 1])
             except DeadHistoryError:
@@ -704,6 +774,7 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
                 top = beam, top[1] + lp
             if depth <= shared:
                 stack.append(top)
+            depth += 1
         if top is not None:
             results[i] = top[1] + eos_logprob(model, top[0])
         del stack[shared + 1:]

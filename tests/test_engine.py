@@ -3,8 +3,10 @@ import dataclasses
 import json
 import math
 import random
+from array import array
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,9 @@ from nfclm import (BACKGROUND, BOS, EOS, AlignmentBeam,
 from nfclm import engine
 from nfclm.engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
                           _mixture, _stored_suffix, log_sum_exp)
-from nfclm.seqmodel import widened
+from nfclm.seqmodel import NGramLevel, widened
 
-from conftest import (ARTIST_ENTITIES, READINGS, SONG_ENTITIES, TOY_SYMBOLS,
+from conftest import (ARTIST_ENTITIES, FULL_LENGTH, READINGS, SONG_ENTITIES, TOY_SYMBOLS,
                       assert_beam_matches_oracle, context, count_tables, decider_row,
                       entity_pairs, fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
                       ngram_from_tables, positions, random_instance, state_arcs,
@@ -666,9 +668,10 @@ class TestSequenceLogprob:
                 assert lp == incremental[k - 1]  # bit-for-bit
 
 
-def score_alone(model, tokens):
-    """One list scored from the start beam, as a per-hypothesis loop does."""
-    beam = start_beam(model)
+def score_alone(model, tokens, beam=None):
+    """One list scored by ``extend`` token by token from ``beam``, by
+    default the start beam."""
+    beam = start_beam(model) if beam is None else beam
     total = 0.0
     try:
         for sym in tokens:
@@ -685,6 +688,14 @@ def alive(model, tokens):
     except DeadHistoryError:
         return False
     return True
+
+
+def widened_background(ngram, length):
+    """``ngram`` reading ``length`` tokens with every bit: empty count
+    levels above its order, as ``seqmodel.widened`` gives a decider."""
+    empty = NGramLevel(array("B"), array("B", [0]), array("B"), array("B"))
+    return BackoffNGram(ngram.discount, ngram.symbols, ngram.alphabet, ngram.history_alphabet,
+                        ngram.levels + (empty,) * (length - ngram.context_size))
 
 
 def shared_prefix_lists(model, histories, rng):
@@ -739,38 +750,46 @@ class TestSequenceLogprobs:
 
     def test_each_live_prefix_extended_once(self, toy_vocab, toy_classes,
                                             song_fst, artist_fst, monkeypatch):
-        import dataclasses
+        """Every step the walk takes, by ``extend`` or in a run, reads the
+        background once, for its symbol at the context before it; with a
+        background widened to read each list whole, that context names
+        the step's prefix."""
         rng = random.Random(9)
-        calls = Counter()
+        steps, totals = Counter(), Counter()
         real_extend = engine.extend
-        # id of each beam extend returned -> (beam, its prefix); holding the
-        # beam keeps its id from being reused
-        prefixes = {}
 
-        def counted(model, beam, symbol):
-            # a beam extend did not return is the start beam
-            _, prefix = prefixes.get(id(beam), (beam, ()))
-            assert len(prefix) == beam.length
-            prefix += (symbol,)
-            calls[prefix] += 1
-            new, lp = real_extend(model, beam, symbol)
-            prefixes[id(new)] = (new, prefix)
-            return new, lp
+        def counted_extend(model, beam, symbol):
+            totals["extend"] += 1
+            return real_extend(model, beam, symbol)
 
         for base, histories in self.cases(toy_vocab, toy_classes, song_fst, artist_fst):
+            base = dataclasses.replace(
+                base, background=widened_background(base.background, FULL_LENGTH))
             for kwargs in self.VARIANTS:
                 model = dataclasses.replace(base, **kwargs)
                 lists = shared_prefix_lists(model, histories, rng)
                 # prefixes whose own prefix is alive; none below a dead one
                 expected = {t[:k] for t in lists for k in range(1, len(t) + 1)
                             if alive(model, t[:k - 1])}
-                calls.clear()
-                prefixes.clear()
-                monkeypatch.setattr(engine, "extend", counted)
+                assert max(map(len, lists)) <= FULL_LENGTH
+                lookup = model.background_logprob
+
+                def counted(symbol, context, model=model, lookup=lookup):
+                    if symbol != EOS:
+                        tokens = model._key_tokens(context)
+                        steps[tokens[tokens.count(BOS):] + (symbol,)] += 1
+                    return lookup(symbol, context)
+
+                steps.clear()
+                model.background_logprob = counted
+                monkeypatch.setattr(engine, "extend", counted_extend)
                 sequence_logprobs(model, lists)
                 monkeypatch.setattr(engine, "extend", real_extend)
-                assert set(calls) == expected
-                assert set(calls.values()) <= {1}
+                assert set(steps) == expected
+                assert set(steps.values()) <= {1}
+                totals["step"] += len(steps)
+        # both paths took steps
+        assert 0 < totals["extend"] < totals["step"]
 
     def test_edge_lists(self, toy_model):
         a = ("_play", "_ro", "sie")
@@ -858,6 +877,107 @@ class DistributionOnlyBackground(ConditionalSymbolModel):
 
     def distribution(self, history):
         return self.inner.distribution(history)
+
+
+class MutedBackground(DistributionOnlyBackground):
+    """A background that gives ``muted`` probability 0, its mass moved to EOS."""
+
+    def __init__(self, inner: ConditionalSymbolModel, muted: str):
+        super().__init__(inner)
+        self.muted = muted
+
+    def distribution(self, history):
+        dist = self.inner.distribution(history)
+        dist[EOS] += dist[self.muted]
+        dist[self.muted] = 0.0
+        return dist
+
+    def logprob(self, symbol, history):
+        p = self.distribution(history)[symbol]
+        return math.log(p) if p > 0.0 else -math.inf
+
+
+class TestBackgroundRuns:
+    """The walk steps a lone background hypothesis in place over each run
+    of symbols that no class enters on, with the bits of ``extend``
+    called token by token."""
+
+    # runs entered and left at entry symbols (_ro, _browne), one cut by a
+    # symbol the muted background cannot emit, one that is all run
+    SENTENCES = [
+        ("_play", "_by", "_play", "_ro", "sie", "_by", "_play", "_flack", "_by"),
+        ("_browne", "_by", "_play", "_ro", "berta", "_flack", "_play", "_by"),
+        ("_play", "_ro", "salie", "_play", "_browne", "_play"),
+        ("_by", "_play") * 6,
+        (),
+    ]
+
+    def models(self, toy_vocab, toy_classes, song_fst, artist_fst):
+        toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        # a decider that reads no context merges every hypothesis at the
+        # background position, so runs start again after each entity
+        blind = train_decider([("_play", "@song", "_by", "@artist")], toy_vocab, toy_classes,
+                              order=1)
+        assert blind.context_size == 0
+        yield toy
+        yield dataclasses.replace(toy, decider=blind)
+        yield dataclasses.replace(toy, beam_size=1)
+        yield dataclasses.replace(toy, background=DistributionOnlyBackground(toy.background))
+        # dies on _flack: the run hands extend a weight of -inf
+        yield dataclasses.replace(toy, decider=blind,
+                                  background=MutedBackground(toy.background, "_flack"))
+
+    def test_each_score_has_the_bits_of_extend(self, toy_vocab, toy_classes, song_fst,
+                                               artist_fst, monkeypatch):
+        real_extend = engine.extend
+        extends = []
+
+        def counted(model, beam, symbol):
+            extends.append(symbol)
+            return real_extend(model, beam, symbol)
+
+        monkeypatch.setattr(engine, "extend", counted)
+        dead = 0
+        for model in self.models(toy_vocab, toy_classes, song_fst, artist_fst):
+            exact = dataclasses.replace(start_beam(model), size_limit=EXACT_BEAM_SIZE,
+                                        delta=math.inf)
+            run_steps = 0
+            for tokens in self.SENTENCES:
+                want = score_alone(model, tokens)
+                extends.clear()
+                assert sequence_logprob(model, tokens).hex() == want.hex()
+                if want > -math.inf:
+                    run_steps += len(tokens) - len(extends)
+                dead += want == -math.inf
+                assert (engine.exact_sequence_logprob(model, tokens).hex()
+                        == score_alone(model, tokens, exact).hex())
+            assert run_steps > 0
+            # every prefix of every sentence, and a step past each: a run
+            # pushes the stack entries of the prefixes the lists share
+            lists = [t[:k] + extra for t in self.SENTENCES for k in range(len(t) + 1)
+                     for extra in ((), ("_by",))]
+            extends.clear()
+            walked = sequence_logprobs(model, lists)
+            assert [x.hex() for x in walked] == [score_alone(model, t).hex() for t in lists]
+            assert len(extends) < len({t[:k] for t in lists for k in range(1, len(t) + 1)})
+        assert dead > 0
+
+    def test_unknown_symbol_in_a_run(self, toy_model):
+        tokens = ("_play", "_by", "nope", "_by")
+        with pytest.raises(KeyError) as walked:
+            sequence_logprob(toy_model, tokens)
+        with pytest.raises(KeyError) as alone:
+            score_alone(toy_model, tokens)
+        assert walked.value.args == alone.value.args == (
+            "symbol 'nope' is outside the vocabulary",)
+
+    def test_lone_route_of_minus_infinity_is_dead(self, toy_vocab, toy_classes, song_fst,
+                                                  artist_fst):
+        toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        model = dataclasses.replace(toy, background=MutedBackground(toy.background, "_by"))
+        with pytest.raises(DeadHistoryError) as dead:
+            extend(model, advance(model, ("_play",)), "_by")
+        assert dead.value.position == 1
 
 
 def dict_next_dist(model, beam):
@@ -1344,6 +1464,31 @@ class TestSample:
         # (route drawn, from a background position)
         assert drawn_routes == {("background", True), ("background", False),
                                 ("entry", True), ("entry", False), ("stay", False)}
+
+    def test_draw_past_the_last_weight(self, monkeypatch):
+        """A draw that rounding puts past the running sum of the weights
+        takes the last positive one: seven weights of 1/7 sum to
+        1 - 2**-52 in order, their exact sum is 1, and ``random()`` may
+        return 1 - 2**-53."""
+        symbols = ("a", "b", "c", "d", "e", "f")
+        vocab, classes = load_vocabulary(symbols), load_class_alphabet(["@bg"])
+        # EOS first, so that the last weight is a symbol's and sampling goes on
+        background = ReorderedBackground(uniform_background(symbols + (EOS,)))
+        model = NfclmModel(vocab, classes, background, {},
+                           train_decider([symbols], vocab, classes, order=1))
+        weights = background.distribution_values(())
+        assert background.alphabet[-1] == "a"
+        running, top = 0.0, 1 - 2 ** -53
+        for weight in weights:
+            running += weight
+        assert top * math.fsum(weights) > running
+
+        class Top(random.Random):
+            def random(self):
+                return top
+
+        monkeypatch.setattr(engine, "random", SimpleNamespace(Random=Top))
+        assert sample(model, max_length=3, seed=0) == ["a", "a", "a"]
 
     def test_max_length_below_one_rejected(self, toy_model):
         with pytest.raises(ValueError, match=r"^max_length must be >= 1$"):
