@@ -64,7 +64,11 @@ do) is extended once.  ``sequence_logprob`` is its one-list case.  On
 plain text the beam is one hypothesis at the background position, and
 the walk steps it over each run of symbols that no class enters on
 without building a beam per token: each step is ``extend``'s one-route
-rule (``_background_route``) on locals, with ``extend``'s bits.
+rule (``_background_route``) on locals, with ``extend``'s bits.  A list
+that ends in a run takes its EOS as the run's last route, by the same
+rule, with ``eos_logprob``'s bits, so its score builds no final beam.
+Every walk starts from the model's one start beam, built with the model;
+``start_beam`` gives a caller a fresh beam of its own.
 
 Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
@@ -285,6 +289,10 @@ class NfclmModel:
         # the table every fan-out copies, already sized and keyed in order
         self._fan_out = dict.fromkeys(self.vocabulary.symbols + (EOS,), 0.0)
         self._decider_cache: dict[int, tuple[float, ...]] = {}
+        # what ``_background_route`` reads, and the beam every walk starts
+        # from, which no caller is handed
+        self._route = self._layout[3:] + (self._bg_class,)
+        self._start_beam = start_beam(self)
 
     def _build_keys(self) -> None:
         """Intern the tokens and derive the key layout (module docstring)."""
@@ -454,6 +462,7 @@ def _stored_suffix(context: int, levels) -> int:
 
 
 def start_beam(model: NfclmModel) -> AlignmentBeam:
+    """A fresh beam before a sentence's first token, with the model's limits."""
     root = AlignmentHypothesis(model._root, 0.0)
     return AlignmentBeam(context=model._start_context, length=0, hypotheses=[root],
                          log_norm=0.0, size_limit=model.beam_size, delta=model.beam_delta)
@@ -522,10 +531,10 @@ def _background_route(model: NfclmModel, key: int, log_weight: float, bg_lp: flo
     background log-probability is ``bg_lp`` and successor key bits
     ``spoken``.  The weight has ``log_sum_exp``'s bits for one term;
     ``extend``'s lone background hypothesis and ``_walk``'s runs both step
-    by this rule."""
-    _, _, _, pos_bits, width, shifted_mask = model._layout
+    by this rule, and a run takes EOS by it."""
+    pos_bits, width, shifted_mask, bg = model._route
     return ((key << width & shifted_mask) | spoken,
-            log_weight + model.decider_dist(key >> pos_bits)[model._bg_class] + bg_lp + 0.0)
+            log_weight + model.decider_dist(key >> pos_bits)[bg] + bg_lp + 0.0)
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
@@ -675,12 +684,12 @@ def sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
 def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
     """Sentence log-probability, EOS included, with pruning off.
 
-    The walk of ``sequence_logprob`` from a start beam with
+    The walk of ``sequence_logprob`` from the model's start beam with
     ``EXACT_BEAM_SIZE`` and an infinite band: the forward algorithm over
     merged alignments, exact at any length, on ``model`` itself and its
     caches.
     """
-    start = replace(start_beam(model), size_limit=EXACT_BEAM_SIZE, delta=math.inf)
+    start = replace(model._start_beam, size_limit=EXACT_BEAM_SIZE, delta=math.inf)
     return _walk(model, start, [symbols])[0]
 
 
@@ -696,11 +705,13 @@ def sequence_logprobs(model: NfclmModel,
     summed in token order, so each result has the bits of scoring that
     list alone.  A lone hypothesis at the background position steps in
     place over each run of symbols that no class enters on, with
-    ``extend``'s bits (``_walk``).  The stack keeps a beam, of O(context)
-    tokens, per token that a list shares with the next, so a lone list
-    holds one at a time.
+    ``extend``'s bits, and a list that ends in a run takes its EOS as the
+    run's last route, with ``eos_logprob``'s bits (``_walk``).  The walk
+    starts from the model's start beam, which it never changes.  The stack
+    keeps a beam, of O(context) tokens, per token that a list shares with
+    the next, so a lone list holds one at a time.
     """
-    return _walk(model, start_beam(model), token_lists)
+    return _walk(model, model._start_beam, token_lists)
 
 
 def _walk(model: NfclmModel, start: AlignmentBeam,
@@ -712,8 +723,12 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
     key, weight, background context and norm are locals, the depth is the
     length, and each step is ``extend``'s one route, ``_background_route``,
     with the same float operations in the same order, so every total keeps
-    ``extend``'s bits.  A beam is built only where the run ends and where a
-    shared prefix needs its stack entry.  Every other step is ``extend``'s:
+    ``extend``'s bits.  A beam is built only where the run ends before the
+    list does and where a shared prefix needs its stack entry.  A run that
+    takes the last token of a list that no later list shares also takes
+    its EOS, as one more ``_background_route``, at EOS, whose weight less
+    the norm has ``eos_logprob``'s bits on the lone beam: ``log_sum_exp``
+    of one term, then the norm subtracted.  Every other step is ``extend``'s:
     an unknown symbol, one with entry routes, a non-finite weight (its
     lookups are then made again, as cache hits), or a hypothesis inside a
     class.  Lookups stay calls to ``background_logprob`` and
@@ -721,16 +736,19 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
     ``extend`` does.
     """
     # a lone list is walked as given: with nothing to sort, it is not copied
-    lone = len(token_lists) == 1 and isinstance(token_lists[0], (list, tuple))
-    lists = [token_lists[0]] if lone else [tuple(tokens) for tokens in token_lists]
+    if len(token_lists) == 1 and isinstance(token_lists[0], (list, tuple)):
+        lists, order, followings = [token_lists[0]], (0,), ((),)
+    else:
+        lists = [tuple(tokens) for tokens in token_lists]
+        order = sorted(range(len(lists)), key=lists.__getitem__)
+        followings = [lists[j] for j in order[1:]] + [()]
     results = [-math.inf] * len(lists)
-    order = sorted(range(len(lists)), key=lists.__getitem__)
     # entry d: (beam, running total) after the list's first d tokens, None
     # once they are dead, kept while the next list shares them
     stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start, 0.0)]
     emits, names, pos_mask = model._emits, model._names, model._layout[0]
-    width, bg_mask = model._width, model._bg_mask
-    for i, following in zip(order, [lists[j] for j in order[1:]] + [()]):
+    width, bg_mask, background_logprob = model._width, model._bg_mask, model.background_logprob
+    for i, following in zip(order, followings):
         tokens, top = lists[i], stack[-1]
         shared = sum(takewhile(bool, map(eq, tokens, following)))
         depth, end = len(stack), len(tokens)
@@ -748,7 +766,7 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
                         break  # extend refuses an unknown symbol and ranks entries
                     sid, spoken = emit[0], emit[1]
                     successor = _background_route(
-                        model, key, weight, model.background_logprob(names[sid], context), spoken)
+                        model, key, weight, background_logprob(names[sid], context), spoken)
                     if not -math.inf < successor[1] < math.inf:
                         break  # extend ranks it
                     key, weight = successor
@@ -762,10 +780,17 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
                         stack.append(top)
                     depth += 1
                 if depth > first and depth - 1 > shared:  # the last step pushed no beam
+                    if depth > end:
+                        # the run took the list's last token: EOS is its last
+                        # route, with eos_logprob's bits on this lone beam
+                        eos = _background_route(model, key, weight,
+                                                background_logprob(EOS, context), 0)[1]
+                        results[i] = total + (eos - norm)
+                        break
                     top = AlignmentBeam(context, depth - 1, [_hypothesis((key, weight))], norm,
                                         beam.size_limit, beam.delta), total
                 if depth > end:
-                    break
+                    continue  # the top beam is the list's stack entry
             try:
                 beam, lp = extend(model, top[0], tokens[depth - 1])
             except DeadHistoryError:
@@ -775,8 +800,9 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
             if depth <= shared:
                 stack.append(top)
             depth += 1
-        if top is not None:
-            results[i] = top[1] + eos_logprob(model, top[0])
+        else:  # not scored by a run
+            if top is not None:
+                results[i] = top[1] + eos_logprob(model, top[0])
         del stack[shared + 1:]
     return results
 

@@ -69,15 +69,17 @@ class ConditionalSymbolModel(ABC):
 
     @abstractmethod
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
-        """Normalized, strictly positive distribution over the alphabet,
-        keyed in alphabet order."""
+        """Normalized distribution over the alphabet, keyed in alphabet
+        order; a share of 0 is a symbol the model cannot emit there."""
 
     def distribution_values(self, history: Sequence[str]) -> list[float]:
         """``distribution``'s values as a fresh list in alphabet order."""
         return list(self.distribution(history).values())
 
     def logprob(self, symbol: str, history: Sequence[str]) -> float:
-        return math.log(self.distribution(history)[symbol])
+        """log of ``distribution``'s share of ``symbol``: -inf for a share of 0."""
+        p = self.distribution(history)[symbol]
+        return math.log(p) if p > 0.0 else -math.inf
 
     def resolve(self, history: Sequence[str]) -> object:
         """A state that ``logprob_at`` reads as ``history``; by default, the

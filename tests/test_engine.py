@@ -880,21 +880,18 @@ class DistributionOnlyBackground(ConditionalSymbolModel):
 
 
 class MutedBackground(DistributionOnlyBackground):
-    """A background that gives ``muted`` probability 0, its mass moved to EOS."""
+    """A background that gives ``muted`` probability 0, its mass moved to
+    ``heir``; its ``logprob`` is the contract's default, -inf for ``muted``."""
 
-    def __init__(self, inner: ConditionalSymbolModel, muted: str):
+    def __init__(self, inner: ConditionalSymbolModel, muted: str, heir: str = EOS):
         super().__init__(inner)
-        self.muted = muted
+        self.muted, self.heir = muted, heir
 
     def distribution(self, history):
         dist = self.inner.distribution(history)
-        dist[EOS] += dist[self.muted]
+        dist[self.heir] += dist[self.muted]
         dist[self.muted] = 0.0
         return dist
-
-    def logprob(self, symbol, history):
-        p = self.distribution(history)[symbol]
-        return math.log(p) if p > 0.0 else -math.inf
 
 
 class TestBackgroundRuns:
@@ -962,6 +959,43 @@ class TestBackgroundRuns:
             assert len(extends) < len({t[:k] for t in lists for k in range(1, len(t) + 1)})
         assert dead > 0
 
+    def test_eos_taken_in_a_run(self, toy_vocab, toy_classes, song_fst, artist_fst,
+                                monkeypatch):
+        """A list that ends in a run takes its EOS there, without
+        ``eos_logprob`` and with its bits; a list whose last beam is a stack
+        entry or holds a class span reads ``eos_logprob``."""
+        real_eos = engine.eos_logprob
+        calls = []
+
+        def counted(model, beam):
+            calls.append(beam.length)
+            return real_eos(model, beam)
+
+        monkeypatch.setattr(engine, "eos_logprob", counted)
+        toy = make_toy_model(toy_vocab, toy_classes, song_fst, artist_fst)
+        # no class enters on these: one run from the start beam to EOS
+        in_runs = [("_play", "_by"), ("_by", "_play") * 3, ("sie", "_flack")]
+        # each ends inside a class span or on a beam of several hypotheses
+        in_spans = [("_play", "_ro"), ("_play", "_ro", "sie"), ("_browne",),
+                    ("_play", "_ro", "berta")]
+        for model, live in ((toy, True),
+                            # EOS's mass moved to _by: no history can stop
+                            (dataclasses.replace(toy, background=MutedBackground(
+                                toy.background, EOS, "_by")), False)):
+            for tokens in in_runs + in_spans:
+                want = score_alone(model, tokens)
+                assert (want > -math.inf) == live
+                calls.clear()
+                assert sequence_logprob(model, tokens).hex() == want.hex()
+                assert calls == ([] if tokens in in_runs else [len(tokens)])
+            # a list that the next one extends takes its EOS from its stack
+            # entry; the last list, all run, takes its own
+            lists = [("_play", "_by"), ("_play", "_by", "_play"), ("_play",)]
+            calls.clear()
+            walked = sequence_logprobs(model, lists)
+            assert [x.hex() for x in walked] == [score_alone(model, t).hex() for t in lists]
+            assert sorted(calls) == [1, 2]
+
     def test_unknown_symbol_in_a_run(self, toy_model):
         tokens = ("_play", "_by", "nope", "_by")
         with pytest.raises(KeyError) as walked:
@@ -978,6 +1012,32 @@ class TestBackgroundRuns:
         with pytest.raises(DeadHistoryError) as dead:
             extend(model, advance(model, ("_play",)), "_by")
         assert dead.value.position == 1
+
+
+class TestStartBeam:
+    """Every walk starts from the model's own start beam; ``start_beam``
+    hands each caller a fresh one."""
+
+    SENTENCES = [FIG1_SENTENCE, ("_play", "_ro", "sie"), ("_ro", "sie", "_ro", "berta"),
+                 ("_play", "_by")]
+
+    def test_a_callers_beam_is_its_own(self, toy_model):
+        want = [sequence_logprob(toy_model, t).hex() for t in self.SENTENCES]
+        beam = start_beam(toy_model)
+        assert beam is not start_beam(toy_model)
+        beam.hypotheses.append(hyp(toy_model, ("_play",), weight=-1.0))
+        beam.hypotheses[0] = hyp(toy_model, ("_by",), weight=-2.0)
+        assert [sequence_logprob(toy_model, t).hex() for t in self.SENTENCES] == want
+        assert [x.hex() for x in sequence_logprobs(toy_model, self.SENTENCES)] == want
+        assert start_beam(toy_model).hypotheses == [hyp(toy_model)]
+
+    def test_replaced_model_walks_with_its_own_limits(self, toy_model):
+        narrow = dataclasses.replace(toy_model, beam_size=1, beam_delta=0.5)
+        want = [score_alone(narrow, t).hex() for t in self.SENTENCES]
+        assert [sequence_logprob(narrow, t).hex() for t in self.SENTENCES] == want
+        assert [x.hex() for x in sequence_logprobs(narrow, self.SENTENCES)] == want
+        # the limits show: the narrow beam drops alignments the default keeps
+        assert want != [score_alone(toy_model, t).hex() for t in self.SENTENCES]
 
 
 def dict_next_dist(model, beam):
