@@ -20,6 +20,7 @@ from typing import Optional
 
 from .engine import (AlignmentBeam, DeadHistoryError, NfclmModel, eos_logprob,
                      extend, start_beam)
+from .seqmodel import Rule
 
 
 @dataclass
@@ -37,15 +38,19 @@ class DynFstSession:
     """Single-consumer expansion session over a shared immutable model.
 
     ``capacity`` bounds how many beams stay resident, the start state's
-    included (it is never evicted); arcs are remembered for every state
-    ever expanded, so arc queries stay cheap after eviction.  A state's
-    final weight is computed from its beam when first asked for, replaying
-    the beam if it was evicted, and remembered from then on.
+    included (it is never evicted), None for no bound; arcs are remembered
+    for every state ever expanded, so arc queries stay cheap after
+    eviction.  A state's final weight is computed from its beam when first
+    asked for, replaying the beam if it was evicted, and remembered from
+    then on.
     """
 
+    # an exact type, so that True is no capacity
+    CAPACITY = Rule("an int >= 1, or None for no bound",
+                    lambda v: v is None or type(v) is int and v >= 1)
+
     def __init__(self, model: NfclmModel, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must allow at least the start state")
+        self.CAPACITY.check("capacity", capacity)
         self.model = model
         self.capacity = capacity
         self.stats = SessionStats()

@@ -61,14 +61,9 @@ Every sentence score comes from one walk, ``sequence_logprobs``: it
 scores a batch of token lists in sorted order over a stack of beams, so
 a prefix that several lists share (as the hypotheses of an n-best list
 do) is extended once.  ``sequence_logprob`` is its one-list case.  On
-plain text the beam is one hypothesis at the background position, and
-the walk steps it over each run of symbols that no class enters on
-without building a beam per token: each step is ``extend``'s one-route
-rule (``_background_route``) on locals, with ``extend``'s bits.  A list
-that ends in a run takes its EOS as the run's last route, by the same
-rule, with ``eos_logprob``'s bits, so its score builds no final beam.
-Every walk starts from the model's one start beam, built with the model;
-``start_beam`` gives a caller a fresh beam of its own.
+plain text the walk steps the beam's lone background hypothesis in place
+(``_walk``).  Every walk starts from the model's one start beam, built
+with the model; ``start_beam`` gives a caller a fresh beam of its own.
 
 Beam arithmetic is 64-bit log-domain with max-shifted log-sum-exp over
 fixed summation orders, which keeps repeated runs bit-identical.
@@ -529,9 +524,8 @@ def _background_route(model: NfclmModel, key: int, log_weight: float, bg_lp: flo
     """``(successor key, weight)`` of the one route out of a hypothesis at
     the background position on a symbol that no class enters on, whose
     background log-probability is ``bg_lp`` and successor key bits
-    ``spoken``.  The weight has ``log_sum_exp``'s bits for one term;
-    ``extend``'s lone background hypothesis and ``_walk``'s runs both step
-    by this rule, and a run takes EOS by it."""
+    ``spoken``; the weight has ``log_sum_exp``'s bits for one term.  The
+    rule of ``_walk``'s runs."""
     pos_bits, width, shifted_mask, bg = model._route
     return ((key << width & shifted_mask) | spoken,
             log_weight + model.decider_dist(key >> pos_bits)[bg] + bg_lp + 0.0)
@@ -544,10 +538,8 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     log-sum-exp before pruning to the size and log-width limits.  Only
     the entry routes that can emit ``symbol`` are visited, and hypotheses
     are built only for the successors that survive pruning.  A lone
-    finite successor is kept without ranking, and without merging when it
-    is the one route out of a lone background hypothesis
-    (``_background_route``).  With no successor left, or none of finite
-    weight, it raises ``DeadHistoryError``.
+    finite successor is kept without ranking.  With no successor left, or
+    none of finite weight, it raises ``DeadHistoryError``.
     """
     emits = model._emits.get(symbol)
     if emits is None:
@@ -555,25 +547,16 @@ def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[Alignme
     sid, spoken, stays, entries = emits
     bg_lp = model.background_logprob(model._names[sid], beam.context)
     bg, context = model._bg_class, (beam.context << model._width | sid) & model._bg_mask
-    hypotheses = beam.hypotheses
     merged: dict[int, list[float]] = {}
-    if len(hypotheses) == 1 and not entries and not hypotheses[0][0] & model._layout[0]:
-        key, weight = _background_route(model, *hypotheses[0], bg_lp, spoken)
-        if -math.inf < weight < math.inf:
-            total = weight + 0.0
-            return AlignmentBeam(context, beam.length + 1, [_hypothesis((key, weight))], total,
-                                 beam.size_limit, beam.delta), total - beam.log_norm
-        merged[key] = [weight]  # ranked below, as any lone non-finite successor is
-    else:
-        for key, log_weight in hypotheses:
-            stay, base, row, prefix = _mixture(model, key, log_weight, stays)
-            if stay is not None:
-                prob, key = stay
-                merged.setdefault(key, []).append(log_weight + math.log(prob))
-            if base is not None:
-                merged.setdefault(prefix | spoken, []).append(base + row[bg] + bg_lp)
-                for c, log_p, bits in entries:
-                    merged.setdefault(prefix | bits, []).append(base + row[c] + log_p)
+    for key, log_weight in beam.hypotheses:
+        stay, base, row, prefix = _mixture(model, key, log_weight, stays)
+        if stay is not None:
+            prob, key = stay
+            merged.setdefault(key, []).append(log_weight + math.log(prob))
+        if base is not None:
+            merged.setdefault(prefix | spoken, []).append(base + row[bg] + bg_lp)
+            for c, log_p, bits in entries:
+                merged.setdefault(prefix | bits, []).append(base + row[c] + log_p)
     if not merged:
         raise DeadHistoryError(beam.length, symbol)
     if len(merged) == 1:
@@ -703,10 +686,7 @@ def sequence_logprobs(model: NfclmModel,
     alignment is marked dead and every list that starts with it scores
     -inf.  ``extend`` depends only on (model, beam, symbol) and totals are
     summed in token order, so each result has the bits of scoring that
-    list alone.  A lone hypothesis at the background position steps in
-    place over each run of symbols that no class enters on, with
-    ``extend``'s bits, and a list that ends in a run takes its EOS as the
-    run's last route, with ``eos_logprob``'s bits (``_walk``).  The walk
+    list alone, runs of background symbols included (``_walk``).  The walk
     starts from the model's start beam, which it never changes.  The stack
     keeps a beam, of O(context) tokens, per token that a list shares with
     the next, so a lone list holds one at a time.
@@ -721,19 +701,19 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
     Where the top beam is one hypothesis at the background position and
     the next symbol has no entry route, the walk steps a run in place: the
     key, weight, background context and norm are locals, the depth is the
-    length, and each step is ``extend``'s one route, ``_background_route``,
-    with the same float operations in the same order, so every total keeps
-    ``extend``'s bits.  A beam is built only where the run ends before the
-    list does and where a shared prefix needs its stack entry.  A run that
-    takes the last token of a list that no later list shares also takes
-    its EOS, as one more ``_background_route``, at EOS, whose weight less
-    the norm has ``eos_logprob``'s bits on the lone beam: ``log_sum_exp``
-    of one term, then the norm subtracted.  Every other step is ``extend``'s:
-    an unknown symbol, one with entry routes, a non-finite weight (its
-    lookups are then made again, as cache hits), or a hypothesis inside a
-    class.  Lookups stay calls to ``background_logprob`` and
-    ``decider_dist``, so a step in a run fills and reads the caches as
-    ``extend`` does.
+    length, and each step is ``_background_route``, the one successor of
+    ``extend``'s loop there with its float operations in their order, so
+    every total keeps ``extend``'s bits.  A beam is built only where the
+    run ends before the list does and where a shared prefix needs its
+    stack entry.  A run that takes the last token of a list that no later
+    list shares also takes its EOS, as one more ``_background_route``, at
+    EOS, whose weight less the norm has ``eos_logprob``'s bits on the lone
+    beam: ``log_sum_exp`` of one term, then the norm subtracted.  Every
+    other step is ``extend``'s: an unknown symbol, one with entry routes, a
+    non-finite weight (its lookups are then made again, as cache hits), or
+    a hypothesis inside a class.  Lookups stay calls to
+    ``background_logprob`` and ``decider_dist``, so a step in a run fills
+    and reads the caches as ``extend`` does.
     """
     # a lone list is walked as given: with nothing to sort, it is not copied
     if len(token_lists) == 1 and isinstance(token_lists[0], (list, tuple)):
@@ -815,6 +795,8 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     context (read uncached: sampling adds no ``_bg_cache`` row), or the
     drawn state's run of the ``probs`` column, whose index gives the arc.
     """
+    if type(max_length) is not int:  # an exact type, so that True is no length
+        raise ValueError(f"max_length must be an int, got {max_length!r}")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     rng = random.Random(seed)

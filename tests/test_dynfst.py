@@ -185,6 +185,10 @@ class TestEviction:
     def test_capacity_validated(self, toy_model):
         with pytest.raises(ValueError):
             DynFstSession(toy_model, capacity=0)
+        for capacity in (True, 2.5, "3", -1):
+            with pytest.raises(ValueError, match=r"^capacity must be an int >= 1, or None "):
+                DynFstSession(toy_model, capacity=capacity)
+        assert DynFstSession(toy_model, capacity=None).capacity is None
 
     def test_final_weights_computed_once_per_state(self, toy_model, monkeypatch):
         calls = []

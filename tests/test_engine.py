@@ -931,7 +931,13 @@ class TestBackgroundRuns:
 
         def counted(model, beam, symbol):
             extends.append(symbol)
-            return real_extend(model, beam, symbol)
+            stepped = real_extend(model, beam, symbol)
+            # the walk takes a finite step of a lone background hypothesis
+            # on a symbol that no class enters on itself
+            (first, _), *more = beam.hypotheses
+            assert (more or model.decode(first)[1] is not None or entries_of(model, symbol)
+                    or not math.isfinite(stepped[1]))
+            return stepped
 
         monkeypatch.setattr(engine, "extend", counted)
         dead = 0
@@ -1553,6 +1559,11 @@ class TestSample:
     def test_max_length_below_one_rejected(self, toy_model):
         with pytest.raises(ValueError, match=r"^max_length must be >= 1$"):
             sample(toy_model, max_length=0, seed=0)
+
+    def test_max_length_not_an_int_rejected(self, toy_model):
+        for length in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=r"^max_length must be an int, got "):
+                sample(toy_model, max_length=length, seed=0)
 
     def test_only_vocabulary_symbols(self, toy_model):
         for seed in range(30):
