@@ -101,23 +101,31 @@ def cmd_build_fst(args) -> int:
     return 0
 
 
-def cmd_train_bglm(args) -> int:
-    vocabulary = load_vocabulary(args.vocab)
-    corpus = _read_sentences(args.corpus, vocabulary)
-    model = train_ngram(corpus, vocabulary, order=args.order, discount=args.discount)
+def _train(args, train, alphabet, *components):
+    """The model ``train`` makes of ``--corpus``, written to ``--out``, and the
+    corpus's sentence count; an error about the whole corpus starts with its name."""
+    name, numbered = _read_numbered(args.corpus, alphabet)
+    try:
+        model = train([s for _, s in numbered], *components, args.order, args.discount)
+    except ValueError as exc:  # such as that the corpus holds no sentence
+        raise ValueError(f"{name}: {exc}") from None
     with open(args.out, "wb") as fh:
         fh.write(model.serialize())
-    print(f"bglm\torder\t{model.order}\tsentences\t{len(corpus)}")
+    return model, len(numbered)
+
+
+def cmd_train_bglm(args) -> int:
+    vocabulary = load_vocabulary(args.vocab)
+    model, sentences = _train(args, train_ngram, vocabulary, vocabulary)
+    print(f"bglm\torder\t{model.order}\tsentences\t{sentences}")
     return 0
 
 
 def cmd_train_decider(args) -> int:
     vocabulary = load_vocabulary(args.vocab)
     classes = load_class_alphabet(args.classes)
-    corpus = _read_sentences(args.corpus, {*vocabulary.symbols, *classes.nonbackground})
-    model = train_decider(corpus, vocabulary, classes, order=args.order, discount=args.discount)
-    with open(args.out, "wb") as fh:
-        fh.write(model.serialize())
+    model, _ = _train(args, train_decider, {*vocabulary.symbols, *classes.nonbackground},
+                      vocabulary, classes)
     prior = "\t".join(f"{c}\t{_fmt(model.prior[c])}" for c in model.classes)
     print(f"decider\torder\t{model.ngram.order}\tprior\t{prior}")
     return 0
@@ -189,6 +197,8 @@ def cmd_ppl(args) -> int:
     except DeadSentenceError as exc:
         raise ValueError(f"{name}:{lines[exc.index]}: sentence has probability 0; "
                          "pass --skip-dead to exclude it") from None
+    except ValueError as exc:  # no sentence left to score
+        raise ValueError(f"{name}: {exc}") from None
     print(f"perplexity\t{_fmt(report.perplexity)}")
     print(f"logprob\t{_fmt(report.total_logprob)}")
     print(f"symbols\t{report.symbol_count}")

@@ -50,7 +50,8 @@ class ``c`` weighs the exit weight plus the row's log share of ``c``.
 Arcs are read from the automata's flat columns (``ProbClassFst``): a
 stay arc for a symbol is one bisect in the state's run of the id
 column.  Each model indexes once, per symbol, the start arcs of the
-classes that can emit it, as (log-probability, successor key bits), so
+classes that can emit it, as (class index, log-probability, successor
+key bits), the class index being the class's place in a decider row, so
 ``extend`` visits only entry routes that can emit its symbol and
 ``eos_logprob`` only the background route; ``next_dist`` and ``sample``
 take every route.  ``exact_sequence_logprob`` is the same walk with
@@ -248,9 +249,8 @@ class NfclmModel:
         _check_histories("decider", self.decider,
                          symbols | {BOS} | set(self.classes.nonbackground))
         self._build_keys()
-        labels = self.classes.labels
-        label_index = {c: i for i, c in enumerate(labels)}
-        self._bg_class = label_index[BACKGROUND]
+        index = {c: i for i, c in enumerate(self.decider.alphabet)}  # a class's place in a row
+        self._bg_class = index[BACKGROUND]
         # what next_dist reads as index columns over the background's
         # alphabet: per class rank, the position of each automaton symbol
         # id, and the entry routes as (class index, positions,
@@ -271,15 +271,14 @@ class NfclmModel:
             arc_symbols = list(map(fst.symbols.__getitem__, fst.arc_ids[lo:hi]))
             probs, bits = list(fst.probs[lo:hi]), self._entry_bits[c]
             for sym, p, dest in zip(arc_symbols, probs, fst.dests[lo:hi]):
-                entries[sym] = entries.get(sym, ()) + ((label_index[c], math.log(p), bits | dest),)
-            entry_columns.append((label_index[c], list(map(position, arc_symbols)), probs))
+                entries[sym] = entries.get(sym, ()) + ((index[c], math.log(p), bits | dest),)
+            entry_columns.append((index[c], list(map(position, arc_symbols)), probs))
         vocab = self.vocabulary.symbols
         stays = zip(repeat(None), *(map(fst.ids.get, vocab) for fst in self._fsts[1:]))
         self._emits = dict(zip(vocab, zip(
             map(self._ids.__getitem__, vocab), map(self._token_bits.__getitem__, vocab),
             stays, map(entries.get, vocab, repeat(())))))
         self._entry_columns = tuple(entry_columns)
-        self._decider_order = _reorder(self.decider.alphabet, labels)
         self._bg_cache: dict[int, BackgroundRow] = {}
         # the table every fan-out copies, already sized and keyed in order
         self._fan_out = dict.fromkeys(self.vocabulary.symbols + (EOS,), 0.0)
@@ -409,17 +408,15 @@ class NfclmModel:
 
     def decider_dist(self, context: int) -> tuple[float, ...]:
         """The row the mixture step adds for a packed padded decider context:
-        the decider's log shares, in class-alphabet order, memoized per
-        context key like ``background_logprob`` and computed at the key's
-        own tokens."""
+        the decider's log shares, in the decider's own class order
+        (``decider.alphabet``), memoized per context key like
+        ``background_logprob`` and computed at the key's own tokens."""
         hit = self._decider_cache.get(context)
         if hit is None:
             key = _stored_suffix(context, self._decider_levels)
             hit = self._decider_cache.get(key)
             if hit is None:
                 values = self.decider.distribution_values(self._key_tokens(key))
-                if self._decider_order is not None:
-                    values = map(values.__getitem__, self._decider_order)
                 hit = self._decider_cache.setdefault(key, tuple(map(math.log, values)))
         return hit
 
@@ -432,15 +429,6 @@ def _check_histories(name: str, component: ConditionalSymbolModel, needed: set) 
     if missing:
         more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
         raise ComponentError(name, f"{name} history alphabet lacks {missing[0]!r}{more}")
-
-
-def _reorder(alphabet: Sequence[str], order: Sequence[str]) -> Optional[list[int]]:
-    """The index in ``alphabet`` of each symbol of ``order``, None when the
-    two run in one order."""
-    alphabet = tuple(alphabet)
-    if alphabet == tuple(order):
-        return None
-    return list(map({s: i for i, s in enumerate(alphabet)}.__getitem__, order))
 
 
 def _stored_suffix(context: int, levels) -> int:
@@ -815,6 +803,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
         return last  # guard against rounding at the top end
 
     labels, fsts, alphabet = model.classes.labels, model.class_fsts, model.background.alphabet
+    index = {c: i for i, c in enumerate(model.decider.alphabet)}  # a class's place in a row
     key, context = model._root, model._start_context
     out: list[str] = []
     while len(out) < max_length:
@@ -829,9 +818,9 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
             masses.append(math.fsum(fst.probs[lo:hi]))
             routes.append((fst, state, key - state))
         if base is not None:
-            for c, log_share in zip(labels, row):
+            for c in labels:
                 fst = fsts.get(c)
-                masses.append(math.exp(base + log_share))
+                masses.append(math.exp(base + row[index[c]]))
                 routes.append(None if fst is None else (fst, fst.start,
                                                         prefix | model._entry_bits[c]))
         route = routes[draw(masses)]

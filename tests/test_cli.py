@@ -499,6 +499,45 @@ class TestFailures:
         assert ["dead", "1"] in fields and ["sentences", "2"] in fields
         assert [f for f in fields if f[0] == "dead-line"] == [["dead-line", "3"]]
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["train-bglm", "train-decider"])
+    def test_empty_training_corpus_is_named(self, workspace, capsys, monkeypatch, command,
+                                            source):
+        """A training corpus of blank lines is an error about the whole
+        corpus, which starts with its name."""
+        import io
+        text = "\n  \n"
+        corpus = workspace / "blank.txt"
+        corpus.write_text(text, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name, arg = (str(corpus), corpus) if source == "file" else ("<stdin>", "-")
+        inputs = {"train-bglm": ["--vocab", workspace / "vocab.txt"],
+                  "train-decider": ["--vocab", workspace / "vocab.txt",
+                                    "--classes", workspace / "classes.txt"]}
+        code, out, err = run([command, "--corpus", arg, *inputs[command],
+                              "--out", workspace / "x"], capsys)
+        assert (code, out, err) == (1, "", f"nfclm: error: {name}: empty training corpus\n")
+        assert not (workspace / "x").exists()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("text, flags", [("\n  \n", []),
+                                             ("_play _ro\n", ["--beam-n", 1, "--skip-dead"])])
+    def test_ppl_with_nothing_to_score_is_named(self, workspace, capsys, monkeypatch, text,
+                                                flags, source):
+        """A corpus of blank lines, or of sentences ``--skip-dead`` skips
+        every one of, is an error about the whole corpus, which starts with
+        its name."""
+        import io
+        bundle = build_bundle(workspace, capsys)
+        corpus = workspace / "unscorable.txt"
+        corpus.write_text(text, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        name, arg = (str(corpus), corpus) if source == "file" else ("<stdin>", "-")
+        # a singleton beam keeps only the in-class reading of _ro, which
+        # cannot end a sentence
+        code, out, err = run(["ppl", "--bundle", bundle, "--corpus", arg, *flags], capsys)
+        assert (code, out, err) == (1, "", f"nfclm: error: {name}: no scorable sentences\n")
+
     def test_stdin_corpus_is_named_stdin(self, workspace, capsys, monkeypatch):
         import io
         bundle = build_bundle(workspace, capsys)

@@ -75,7 +75,7 @@ def routes(model, h):
         out[EPSILON] = ({fst.symbols[fst.arc_ids[i]]: (fst.probs[i], fst.dests[i])
                          for i in range(lo, hi)}, h.log_weight)
     if base is not None:
-        for c, log_share in zip(model.classes.labels, row):
+        for c, log_share in zip(model.decider.alphabet, row):
             fst = model.class_fsts.get(c)
             out[c] = (None if fst is None else state_arcs(fst, fst.start)), base + log_share
     return out
@@ -86,15 +86,15 @@ def emitting_routes(model, h, symbol):
     ``extend`` reads them: route -> (destination, log weight).  The
     background route's weight leaves out the background log-probability."""
     stay, base, row, _ = _mixture(model, *h, stays_of(model, symbol))
-    labels = model.classes.labels
+    place = tuple(model.decider.alphabet).index  # a class's place in a decider row
     out = {}
     if stay is not None:
         prob, key = stay
         out[EPSILON] = model.decode(key)[1][1], h.log_weight + math.log(prob)
     if base is not None:
-        out[BACKGROUND] = None, base + row[labels.index(BACKGROUND)]
+        out[BACKGROUND] = None, base + row[place(BACKGROUND)]
         for c, log_p, dest in entries_of(model, symbol):
-            out[c] = dest, base + row[labels.index(c)] + log_p
+            out[c] = dest, base + row[place(c)] + log_p
     return out
 
 
@@ -1644,8 +1644,18 @@ class TestDeciderCache:
 
     def test_decider_in_another_class_order(self, toy_model):
         """A decider that predicts the classes in another order than the
-        class alphabet scores with the bits of one in alphabet order: a
-        row holds each class's log share at the class's place."""
+        class alphabet scores, fans out and samples with the bits of one in
+        alphabet order: a row holds the decider's log shares in the
+        decider's own order, and a route reads its class's share at the
+        class's place there."""
+
+        def fanned_out(model, prefix):
+            try:
+                beam = advance(model, prefix)
+            except DeadHistoryError:
+                return None
+            return [(sym, p.hex()) for sym, p in next_dist(model, beam).items()]
+
         rng = random.Random(36)
         cases = [(toy_model, [FIG1_SENTENCE, ("_ro", "sie", "_by", "_browne")])]
         cases += [random_instance(rng) for _ in range(3)]
@@ -1656,12 +1666,19 @@ class TestDeciderCache:
                                           tuple(ngram.history_alphabet), count_tables(ngram))
             model = dataclasses.replace(
                 base, decider=DeciderModel(reordered, decider.prior, decider.alpha))
-            assert model._decider_order is not None
+            assert tuple(model.decider.alphabet) != tuple(labels)
             for sentence in sentences:
                 assert (sequence_logprob(model, sentence).hex()
                         == sequence_logprob(base, sentence).hex())
+                for k in range(len(sentence) + 1):
+                    assert fanned_out(model, sentence[:k]) == fanned_out(base, sentence[:k])
+            for seed in range(20):
+                assert sample(model, 30, seed) == sample(base, 30, seed)
+            # each row is the base's, permuted into the reordered decider's order
+            place = tuple(base.decider.alphabet).index
+            order = [place(c) for c in model.decider.alphabet]
             assert {key: hexes(row) for key, row in model._decider_cache.items()} == {
-                key: hexes(row) for key, row in base._decider_cache.items()}
+                key: hexes([row[i] for i in order]) for key, row in base._decider_cache.items()}
 
 
 def handmade_ngram(predicted, history_alphabet, tables):
@@ -1717,9 +1734,9 @@ def hexes(values):
 
 
 def log_shares(model, dist):
-    """A decider distribution as the kernel's row: its log shares, in
-    class-alphabet order."""
-    return [math.log(dist[c]) for c in model.classes.labels]
+    """A decider distribution as the kernel's row: its log shares, in the
+    decider's own class order."""
+    return [math.log(dist[c]) for c in model.decider.alphabet]
 
 
 class TestContextKeyedCaches:
