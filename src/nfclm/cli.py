@@ -79,15 +79,7 @@ def _load_bundle(args):
 
 def _read_numbered(path, alphabet=None):
     """The corpus at ``path``, ``-`` for stdin; see :func:`nfclm.cfg.read_numbered_corpus`."""
-    if path == "-":
-        return cfg_mod.read_numbered_corpus([line.rstrip("\n") for line in sys.stdin],
-                                            alphabet, "<stdin>")
-    return cfg_mod.read_numbered_corpus(path, alphabet)
-
-
-def _read_sentences(path, alphabet=None):
-    """The sentences of the corpus at ``path``, ``-`` for stdin."""
-    return [sentence for _, sentence in _read_numbered(path, alphabet)[1]]
+    return cfg_mod.read_numbered_corpus(sys.stdin if path == "-" else path, alphabet, "<stdin>")
 
 
 def cmd_build_fst(args) -> int:
@@ -150,9 +142,13 @@ def _write_sentences(sentences, out) -> None:
 
 
 def cmd_mix(args) -> int:
-    background = _read_sentences(args.background)
-    tagged = _read_sentences(args.cfg)
-    mixed = cfg_mod.mix_corpora(background, tagged, args.fraction, args.seed, size=args.size)
+    inputs = [_read_numbered(path) for path in (args.background, args.cfg)]
+    try:
+        mixed = cfg_mod.mix_corpora(*([s for _, s in numbered] for _, numbered in inputs),
+                                    args.fraction, args.seed, size=args.size)
+    except ValueError as exc:  # the flags hold their rules, so an input it draws from is empty
+        raise ValueError(f"{', '.join(name for name, numbered in inputs if not numbered)}: "
+                         f"{exc}") from None
     _write_sentences(mixed, args.out)
     return 0
 
@@ -180,7 +176,7 @@ def cmd_pack(args) -> int:
 
 def cmd_score(args) -> int:
     model = _load_bundle(args)
-    sentences = _read_sentences(args.corpus, model.vocabulary)
+    sentences = [s for _, s in _read_numbered(args.corpus, model.vocabulary)[1]]
     for sentence, lp in zip(sentences, sequence_logprobs(model, sentences)):
         print(f"{_fmt(lp)}\t{' '.join(sentence)}")
     return 0
@@ -190,12 +186,11 @@ def cmd_ppl(args) -> int:
     model = _load_bundle(args)
     scorer = model.background if args.background_only else model
     name, numbered = _read_numbered(args.corpus, model.vocabulary)
-    lines = [line for line, _ in numbered]
     try:
         report = perplexity(scorer, [sentence for _, sentence in numbered],
                             skip_dead=args.skip_dead)
     except DeadSentenceError as exc:
-        raise ValueError(f"{name}:{lines[exc.index]}: sentence has probability 0; "
+        raise ValueError(f"{name}:{numbered[exc.index][0]}: sentence has probability 0; "
                          "pass --skip-dead to exclude it") from None
     except ValueError as exc:  # no sentence left to score
         raise ValueError(f"{name}: {exc}") from None
@@ -205,7 +200,7 @@ def cmd_ppl(args) -> int:
     print(f"sentences\t{report.sentence_count}")
     print(f"dead\t{len(report.dead_sentences)}")
     for i in report.dead_sentences:
-        print(f"dead-line\t{lines[i]}")
+        print(f"dead-line\t{numbered[i][0]}")
     return 0
 
 

@@ -117,10 +117,6 @@ DEFAULT_BEAM_DELTA = 30.0
 # a beam size no list can reach, so with an infinite delta nothing is pruned
 EXACT_BEAM_SIZE = sys.maxsize
 
-# background position: the hypothesis is not inside any class span
-Position = Optional[tuple[str, int]]
-
-
 class DeadHistoryError(Exception):
     """No alignment generates ``symbol`` after the first ``position`` tokens."""
 
@@ -283,9 +279,7 @@ class NfclmModel:
         # the table every fan-out copies, already sized and keyed in order
         self._fan_out = dict.fromkeys(self.vocabulary.symbols + (EOS,), 0.0)
         self._decider_cache: dict[int, tuple[float, ...]] = {}
-        # what ``_background_route`` reads, and the beam every walk starts
-        # from, which no caller is handed
-        self._route = self._layout[3:] + (self._bg_class,)
+        # the beam every walk starts from, which no caller is handed
         self._start_beam = start_beam(self)
 
     def _build_keys(self) -> None:
@@ -365,8 +359,9 @@ class NfclmModel:
             packed = packed << width | ids[token]
         return packed
 
-    def decode(self, key: int) -> tuple[tuple[str, ...], Position]:
-        """The (decider history, position) a hypothesis key packs."""
+    def decode(self, key: int) -> tuple[tuple[str, ...], Optional[tuple[str, int]]]:
+        """The (decider history, position) a hypothesis key packs: the
+        position is None in the background, else (class, state)."""
         tokens = self._key_tokens(key >> self._pos_bits)
         tokens = tokens[tokens.count(BOS):]  # a history holds no BOS but its pads
         pos = key & (1 << self._pos_bits) - 1
@@ -505,18 +500,6 @@ def _mixture(model: NfclmModel, key: int, log_weight: float,
         base = log_weight
     history = key - pos
     return stay, base, model.decider_dist(history >> pos_bits), history << width & shifted_mask
-
-
-def _background_route(model: NfclmModel, key: int, log_weight: float, bg_lp: float,
-                      spoken: int) -> tuple[int, float]:
-    """``(successor key, weight)`` of the one route out of a hypothesis at
-    the background position on a symbol that no class enters on, whose
-    background log-probability is ``bg_lp`` and successor key bits
-    ``spoken``; the weight has ``log_sum_exp``'s bits for one term.  The
-    rule of ``_walk``'s runs."""
-    pos_bits, width, shifted_mask, bg = model._route
-    return ((key << width & shifted_mask) | spoken,
-            log_weight + model.decider_dist(key >> pos_bits)[bg] + bg_lp + 0.0)
 
 
 def extend(model: NfclmModel, beam: AlignmentBeam, symbol: str) -> tuple[AlignmentBeam, float]:
@@ -688,18 +671,20 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
 
     Where the top beam is one hypothesis at the background position and
     the next symbol has no entry route, the walk steps a run in place: the
-    key, weight, background context and norm are locals, the depth is the
-    length, and each step is ``_background_route``, the one successor of
-    ``extend``'s loop there with its float operations in their order, so
-    every total keeps ``extend``'s bits.  A beam is built only where the
-    run ends before the list does and where a shared prefix needs its
-    stack entry.  A run that takes the last token of a list that no later
-    list shares also takes its EOS, as one more ``_background_route``, at
-    EOS, whose weight less the norm has ``eos_logprob``'s bits on the lone
-    beam: ``log_sum_exp`` of one term, then the norm subtracted.  Every
-    other step is ``extend``'s: an unknown symbol, one with entry routes, a
-    non-finite weight (its lookups are then made again, as cache hits), or
-    a hypothesis inside a class.  Lookups stay calls to
+    key, weight and background context are locals, the weight is also the
+    lone beam's norm (``log_sum_exp`` of one term has its bits), the depth
+    is the length, and each step is the one successor of ``extend``'s loop
+    there, written out with its float operations in their order: the key
+    shifts in the symbol's key bits, and the weight adds the decider row's
+    background share, the symbol's background log-probability and 0.0
+    (``log_sum_exp`` of one term), so every total keeps ``extend``'s bits.
+    A beam is built only where the run ends before the list does and where
+    a shared prefix needs its stack entry.  A run that takes the last token
+    of a list that no later list shares also takes its EOS, the same weight
+    at EOS, which less the norm has ``eos_logprob``'s bits on the lone
+    beam.  Every other step is ``extend``'s: an unknown symbol, one with
+    entry routes, a non-finite weight (its lookups are then made again, as
+    cache hits), or a hypothesis inside a class.  Lookups stay calls to
     ``background_logprob`` and ``decider_dist``, so a step in a run fills
     and reads the caches as ``extend`` does.
     """
@@ -714,36 +699,36 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
     # entry d: (beam, running total) after the list's first d tokens, None
     # once they are dead, kept while the next list shares them
     stack: list[Optional[tuple[AlignmentBeam, float]]] = [(start, 0.0)]
-    emits, names, pos_mask = model._emits, model._names, model._layout[0]
-    width, bg_mask, background_logprob = model._width, model._bg_mask, model.background_logprob
+    emits, names, bg, bg_mask = model._emits, model._names, model._bg_class, model._bg_mask
+    pos_mask, _, _, pos_bits, width, shifted_mask = model._layout
+    background_logprob, decider_dist, inf = model.background_logprob, model.decider_dist, math.inf
     for i, following in zip(order, followings):
         tokens, top = lists[i], stack[-1]
-        shared = sum(takewhile(bool, map(eq, tokens, following)))
+        shared = sum(takewhile(bool, map(eq, tokens, following))) if following else 0
         depth, end = len(stack), len(tokens)
         while top is not None and depth <= end:
             beam, total = top
             hypotheses = beam.hypotheses
             if len(hypotheses) == 1 and not hypotheses[0][0] & pos_mask:
                 # a run: step the lone background hypothesis in place, as
-                # extend would, while no class enters on the next symbol
+                # extend would, while no class enters on the next symbol; a
+                # lone hypothesis's weight is its beam's norm, bit for bit
                 (key, weight), = hypotheses
-                context, norm, first = beam.context, beam.log_norm, depth
+                context, first = beam.context, depth
                 while depth <= end:
                     emit = emits.get(tokens[depth - 1])
                     if emit is None or emit[3]:
                         break  # extend refuses an unknown symbol and ranks entries
-                    sid, spoken = emit[0], emit[1]
-                    successor = _background_route(
-                        model, key, weight, background_logprob(names[sid], context), spoken)
-                    if not -math.inf < successor[1] < math.inf:
+                    sid = emit[0]
+                    step = (weight + decider_dist(key >> pos_bits)[bg]
+                            + background_logprob(names[sid], context) + 0.0)
+                    if not -inf < step < inf:
                         break  # extend ranks it
-                    key, weight = successor
+                    total += step - weight
+                    key, weight = key << width & shifted_mask | emit[1], step
                     context = (context << width | sid) & bg_mask
-                    new_norm = weight + 0.0
-                    total += new_norm - norm
-                    norm = new_norm
                     if depth <= shared:
-                        top = AlignmentBeam(context, depth, [_hypothesis(successor)], norm,
+                        top = AlignmentBeam(context, depth, [_hypothesis((key, weight))], weight,
                                             beam.size_limit, beam.delta), total
                         stack.append(top)
                     depth += 1
@@ -751,11 +736,11 @@ def _walk(model: NfclmModel, start: AlignmentBeam,
                     if depth > end:
                         # the run took the list's last token: EOS is its last
                         # route, with eos_logprob's bits on this lone beam
-                        eos = _background_route(model, key, weight,
-                                                background_logprob(EOS, context), 0)[1]
-                        results[i] = total + (eos - norm)
+                        eos = (weight + decider_dist(key >> pos_bits)[bg]
+                               + background_logprob(EOS, context) + 0.0)
+                        results[i] = total + (eos - weight)
                         break
-                    top = AlignmentBeam(context, depth - 1, [_hypothesis((key, weight))], norm,
+                    top = AlignmentBeam(context, depth - 1, [_hypothesis((key, weight))], weight,
                                         beam.size_limit, beam.delta), total
                 if depth > end:
                     continue  # the top beam is the list's stack entry

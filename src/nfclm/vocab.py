@@ -90,22 +90,34 @@ class ClassAlphabet:
 
 
 def read_lines(source, default_name: str) -> tuple[str, list[str]]:
-    """The name and lines of a text input: a file path, or lines already read.
+    """The name and lines of a text input: a file path, a file's bytes, a
+    text stream over bytes (such as stdin), or lines already read.
 
-    A path names itself; an iterable of lines is named ``default_name``,
-    such as ``<vocabulary>``.  Every text loader reads through here,
-    checks its format once, and starts an error about line ``i``
+    A path names itself; any other input is named ``default_name``, such
+    as ``<vocabulary>`` or ``<stdin>``.  Every text loader reads through
+    here, checks its format once, and starts an error about line ``i``
     (counted from 1) with ``f"{name}:{i}: "`` and any other error with
-    ``f"{name}: "``.  A file's lines end only at LF, CRLF or CR, as
-    editors count them; ``str.splitlines`` would also end them at form
-    feeds and other separators.  One leading byte-order mark (U+FEFF) is
-    dropped from the first line, of a file or of lines already read.
+    ``f"{name}: "``, as for a byte that is not UTF-8.  A file's lines end
+    only at LF, CRLF or CR, as editors count them; ``str.splitlines`` would
+    also end them at form feeds and other separators.  One leading
+    byte-order mark (U+FEFF) is dropped from the first line, of a file or
+    of lines already read.
     """
+    name = default_name
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            name, lines = os.fspath(source), [line.rstrip("\n") for line in fh]
-    else:
-        name, lines = default_name, list(source)
+        with open(source, "rb") as fh:
+            name, source = os.fspath(source), fh.read()
+    elif hasattr(source, "buffer"):  # read as a file, whatever the stream's own encoding
+        source = source.buffer.read()
+    if isinstance(source, bytes):
+        # no UTF-8 sequence holds a CR or LF byte
+        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            source = source.removesuffix(b"\n").decode("utf-8").split("\n") if source else []
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
+    lines = list(source)
     if lines:
         lines[0] = lines[0].removeprefix("\ufeff")
     return name, lines

@@ -56,6 +56,9 @@ def counts(src: str) -> dict[str, tuple[int, int]]:
 
 
 def main(argv: list[str]) -> None:
+    if not 1 <= len(argv) <= 2:
+        print(f"usage: python {sys.argv[0]} SRC [BASE_SRC]", file=sys.stderr)
+        sys.exit(2)
     tables = [counts(src) for src in argv]  # the head's, then the base's
     head, base = tables[0], tables[1] if len(tables) > 1 else None
     print("| module | lines | code lines |" + " base code lines | change |" * bool(base))

@@ -33,6 +33,9 @@ def option_counts(src: str) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> None:
+    if not 1 <= len(argv) <= 2:
+        print(f"usage: python {sys.argv[0]} SRC [BASE_SRC]", file=sys.stderr)
+        sys.exit(2)
     counts = [option_counts(src) for src in argv]  # the head's, then the base's
     names = sorted({*counts[0], *counts[-1]})
     for table in counts:

@@ -545,6 +545,38 @@ class TestFailures:
         code, _, err = run(["score", "--bundle", bundle, "--corpus", "-"], capsys)
         assert (code, err) == (1, "nfclm: error: <stdin>:2: unknown symbol 'zzz'\n")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_corpus_that_is_not_utf8_names_its_line(self, workspace, capsys, monkeypatch,
+                                                    source):
+        """A byte that is not UTF-8 is an error about its line, lines
+        counted as a file's, in a file or on stdin."""
+        import io
+        bundle = build_bundle(workspace, capsys)
+        data = b"_play\r\n_by\xff _ro\n"
+        corpus = workspace / "bad.txt"
+        corpus.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        name, arg = (str(corpus), corpus) if source == "file" else ("<stdin>", "-")
+        code, out, err = run(["score", "--bundle", bundle, "--corpus", arg], capsys)
+        assert (code, out, err) == (
+            1, "", f"nfclm: error: {name}:2: not UTF-8 text (invalid start byte)\n")
+
+    @pytest.mark.parametrize("empty,flags", [("--cfg", ["--fraction", 0.5]),
+                                             ("--background", ["--fraction", 0.5, "--size", 4])])
+    def test_mix_names_its_empty_input(self, workspace, capsys, empty, flags):
+        """An input that the fraction draws from but that holds no sentence
+        is an error that starts with its name."""
+        ws = workspace
+        (ws / "empty.txt").write_text("\n", encoding="utf-8")
+        inputs = {"--background": ws / "background.txt", "--cfg": ws / "background.txt",
+                  empty: ws / "empty.txt"}
+        code, out, err = run(["mix", *(arg for item in inputs.items() for arg in item), *flags,
+                              "--out", ws / "x"], capsys)
+        pool = "tagged" if empty == "--cfg" else "background"
+        assert (code, out, err) == (1, "", f"nfclm: error: {ws / 'empty.txt'}: {pool} corpus "
+                                           "is empty but the fraction requires it\n")
+        assert not (ws / "x").exists()
+
     def test_dead_next_history_names_its_position(self, toy_model, tmp_path, capsys):
         bundle_mod.pack(toy_model, tmp_path / "toy")
         # a singleton beam keeps only the in-class reading of _ro, which

@@ -431,6 +431,33 @@ class TestBundle:
             bundle.load(tmp_path / "b")
         assert str(info.value) == f"{path}: {message}"
 
+    def test_background_of_another_vocabulary_names_its_file(self, toy_vocab, toy_classes,
+                                                             song_fst, artist_fst, tmp_path):
+        from nfclm import NfclmModel, train_decider
+        from nfclm.engine import ComponentError
+        fsts = {"@song": song_fst, "@artist": artist_fst}
+        decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
+        # it predicts every vocabulary symbol but the last, and EOS
+        other = train_ngram([FIG1_SENTENCE], load_vocabulary(toy_vocab.symbols[:-1]), order=2)
+        message = "background model must predict the vocabulary plus EOS"
+        with pytest.raises(ComponentError, match=f"^{message}$") as info:
+            NfclmModel(vocabulary=toy_vocab, classes=toy_classes, background=other,
+                       class_fsts=fsts, decider=decider)
+        assert info.value.component == "background"
+        model = NfclmModel(
+            vocabulary=toy_vocab, classes=toy_classes, decider=decider, class_fsts=fsts,
+            background=train_ngram([FIG1_SENTENCE], toy_vocab, order=2))
+        directory = tmp_path / "b"
+        bundle.pack(model, directory)
+        path = directory / "background.bin"
+        path.write_bytes(other.serialize())
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.assemble(directory / "vocab.txt", directory / "classes.txt", path,
+                            directory / "decider.bin",
+                            {label: directory / f"{label}.fst" for label in fsts},
+                            beam_size=model.beam_size, beam_delta=model.beam_delta, alpha=None)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_pack_refuses_a_background_that_is_no_ngram(self, toy_model, tmp_path):
         from nfclm import ConditionalSymbolModel
 

@@ -1,5 +1,7 @@
 """Every text loader reads through ``read_lines`` and names its errors ``source:line``."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,27 @@ class TestReadLines:
         assert read_lines(path, "<vocabulary>") == (str(path), lines)
         assert read_lines(iter(["\ufeff" + lines[0], lines[1]]), "<stdin>") == ("<stdin>", lines)
         assert read_lines(iter(["\ufeff"]), "<stdin>") == ("<stdin>", [""])
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        # line 4, counting each of LF, CRLF and CR as one line end
+        data = b"a\r\nb\rc\n\xc3\xa9\xff\n"
+        path.write_bytes(data)
+        message = ":4: not UTF-8 text (invalid start byte)"
+        for source, name in ((path, str(path)), (data, "<stdin>")):
+            with pytest.raises(ValueError) as info:
+                read_lines(source, "<stdin>")
+            assert str(info.value) == name + message
+
+    def test_a_file_its_bytes_and_a_stream_over_them_read_alike(self, tmp_path):
+        """A text stream's own encoding is not read: its bytes are UTF-8."""
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"\xef\xbb\xbf\xc3\xa9\x0cb\r\n\rc")
+        lines = ["\xe9\x0cb", "", "c"]
+        stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="latin-1")
+        assert read_lines(path, "<stdin>") == (str(path), lines)
+        assert read_lines(path.read_bytes(), "<stdin>") == ("<stdin>", lines)
+        assert read_lines(stream, "<stdin>") == ("<stdin>", lines)
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
