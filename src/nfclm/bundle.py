@@ -139,7 +139,7 @@ def assemble(vocabulary_path, classes_path, background_path, decider_path,
     """
     def component(path):
         if not os.path.isfile(path):  # a directory is no component file either
-            raise BundleError(f"missing component file {os.fspath(path)!r}")
+            raise BundleError(f"{os.fspath(path)}: missing component file")
         return path
 
     def binary(path, deserialize):

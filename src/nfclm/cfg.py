@@ -113,9 +113,12 @@ def mix_corpora(background: Sequence[Sequence[str]], tagged: Sequence[Sequence[s
 
     Draws ``round(fraction * size)`` lines from the background pool and
     the rest from the tagged pool, both uniformly with replacement, then
-    shuffles.  ``size`` defaults to the combined pool size.
+    shuffles.  ``size`` defaults to the combined pool size; two empty pools
+    are an error, whatever the size.
     """
     FRACTION.check("background fraction", background_fraction)
+    if not background and not tagged:
+        raise ValueError("background and tagged corpora are both empty")
     if size is None:
         size = len(background) + len(tagged)
     if size < 1:

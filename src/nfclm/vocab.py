@@ -97,30 +97,42 @@ def read_lines(source, default_name: str) -> tuple[str, list[str]]:
     as ``<vocabulary>`` or ``<stdin>``.  Every text loader reads through
     here, checks its format once, and starts an error about line ``i``
     (counted from 1) with ``f"{name}:{i}: "`` and any other error with
-    ``f"{name}: "``, as for a byte that is not UTF-8.  A file's lines end
-    only at LF, CRLF or CR, as editors count them; ``str.splitlines`` would
-    also end them at form feeds and other separators.  One leading
-    byte-order mark (U+FEFF) is dropped from the first line, of a file or
-    of lines already read.
+    ``f"{name}: "``, as for a path that cannot be opened or a byte that is
+    not UTF-8.  A file is read a line at a time, and its lines end only at
+    LF, CRLF or CR, as editors count them; ``str.splitlines`` would also
+    end them at form feeds and other separators.  One leading byte-order
+    mark (U+FEFF) is dropped from the first line, of a file or of lines
+    already read.
     """
     name = default_name
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            name, source = os.fspath(source), fh.read()
-    elif hasattr(source, "buffer"):  # read as a file, whatever the stream's own encoding
-        source = source.buffer.read()
-    if isinstance(source, bytes):
-        # no UTF-8 sequence holds a CR or LF byte
-        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        name = os.fspath(source)
         try:
-            source = source.removesuffix(b"\n").decode("utf-8").split("\n") if source else []
-        except UnicodeDecodeError as exc:
-            line = source.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
-    lines = list(source)
+            fh = open(source, "rb")
+        except OSError as exc:  # such as a missing file or a directory
+            raise ValueError(f"{name}: {exc.strerror}") from None
+        with fh:
+            lines = _decoded(fh, name)
+    elif hasattr(source, "buffer"):  # read as a file, whatever the stream's own encoding
+        lines = _decoded(source.buffer, name)
+    else:
+        lines = _decoded([source], name) if isinstance(source, bytes) else list(source)
     if lines:
         lines[0] = lines[0].removeprefix("\ufeff")
     return name, lines
+
+
+def _decoded(chunks, name: str) -> list[str]:
+    """The UTF-8 lines of ``chunks`` of bytes, each a whole number of lines,
+    as a binary file's lines (ending at LF) are."""
+    lines = []
+    try:
+        for chunk in chunks:
+            for line in chunk.splitlines():  # ends lines at LF, CRLF and CR only
+                lines.append(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name}:{len(lines) + 1}: not UTF-8 text ({exc.reason})") from None
+    return lines
 
 
 def load_vocabulary(source) -> Vocabulary:

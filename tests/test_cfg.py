@@ -141,11 +141,15 @@ class TestMixCorpora:
         with pytest.raises(ValueError, match="tagged corpus is empty"):
             mix_corpora(self.BG, [], 0.5, seed=1, size=10)
 
+    @pytest.mark.parametrize("size", [None, 0, 10])
+    def test_two_empty_pools_rejected(self, size):
+        """Two empty pools are named as such, whatever the size."""
+        with pytest.raises(ValueError, match=r"^background and tagged corpora are both empty$"):
+            mix_corpora([], [], 0.5, seed=1, size=size)
+
     def test_size_below_one_rejected(self):
-        """``size`` None is the combined pool size, 0 for empty pools."""
-        for background, tagged, size in (([], [], None), (self.BG, self.CFG, 0)):
-            with pytest.raises(ValueError, match=r"^mix size must be >= 1$"):
-                mix_corpora(background, tagged, 0.5, seed=1, size=size)
+        with pytest.raises(ValueError, match=r"^mix size must be >= 1$"):
+            mix_corpora(self.BG, self.CFG, 0.5, seed=1, size=0)
 
     def test_deterministic(self):
         assert mix_corpora(self.BG, self.CFG, 0.3, seed=7, size=100) == \

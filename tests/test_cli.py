@@ -3,6 +3,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -577,6 +578,18 @@ class TestFailures:
                                            "is empty but the fraction requires it\n")
         assert not (ws / "x").exists()
 
+    @pytest.mark.parametrize("size", [[], ["--size", 4]])
+    def test_mix_names_two_empty_inputs(self, workspace, capsys, size):
+        ws = workspace
+        for name in ("empty.txt", "blank.txt"):
+            (ws / name).write_text("\n", encoding="utf-8")
+        empty, blank = ws / "empty.txt", ws / "blank.txt"
+        code, out, err = run(["mix", "--background", empty, "--cfg", blank, "--fraction", 0.5,
+                              *size, "--out", ws / "x"], capsys)
+        assert (code, out, err) == (1, "", f"nfclm: error: {empty}, {blank}: background and "
+                                           "tagged corpora are both empty\n")
+        assert not (ws / "x").exists()
+
     def test_dead_next_history_names_its_position(self, toy_model, tmp_path, capsys):
         bundle_mod.pack(toy_model, tmp_path / "toy")
         # a singleton beam keeps only the in-class reading of _ro, which
@@ -788,3 +801,120 @@ def test_readme_commands_parse(capsys):
     subcommands = next(action.choices for action in parser._actions
                        if action.dest == "command")
     assert used == set(subcommands)
+
+
+
+# each malformed kind of text input, made from the input's good bytes and a
+# line that the input may not hold (None for a path that is missing or a
+# directory), and whether a stream can carry it
+MALFORMED = {
+    "missing": None,
+    "directory": None,
+    "empty": lambda good, bad: b"",
+    "blank lines only": lambda good, bad: b"\n \n",
+    "byte-order mark": lambda good, bad: b"\xef\xbb\xbf" + good,
+    "not UTF-8": lambda good, bad: good + b"\xff\n",
+    "CRLF line ends": lambda good, bad: good.replace(b"\n", b"\r\n"),
+    "unknown symbol": lambda good, bad: good + bad + b"\n",
+}
+# each subcommand's text inputs, as files in the workspace, and its other
+# arguments; output goes to stdout or to ``out``
+COMMANDS = {
+    "build-fst": ({"--entities": "entities/@song.txt"}, ["--class-label", "@song", "--out"]),
+    "train-bglm": ({"--corpus": "background.txt", "--vocab": "vocab.txt"},
+                   ["--order", 2, "--out"]),
+    "train-decider": ({"--corpus": "tagged.txt", "--vocab": "vocab.txt",
+                       "--classes": "classes.txt"}, ["--order", 2, "--out"]),
+    "expand-cfg": ({"--patterns": "patterns.txt", "--entity-dir": "entities",
+                    "--vocab": "vocab.txt", "--classes": "classes.txt"}, ["-n", 5, "--out"]),
+    "mix": ({"--background": "background.txt", "--cfg": "tagged.txt"},
+            ["--fraction", 0.5, "--out"]),
+    "pack": ({"--vocab": "vocab.txt", "--classes": "classes.txt"},
+             ["--bglm", "bg.bin", "--decider", "decider.bin", "--fst", "@song=@song.fst",
+              "--fst", "@artist=@artist.fst", "--out-dir"]),
+    "score": ({"--corpus": "test.txt"}, ["--bundle", "bundle"]),
+    "ppl": ({"--corpus": "test.txt"}, ["--bundle", "bundle"]),
+    "rescore": ({"--nbest": "nbest.tsv"}, ["--bundle", "bundle"]),
+}
+# a line that is no symbol of the input: a reserved or unlabelled name, or
+# a symbol outside the vocabulary
+UNKNOWN = {"--entities": b"_ro zzz", "--corpus": b"_play zzz", "--vocab": b"</s>",
+           "--classes": b"zzz", "--patterns": b"_play zzz", "--entity-dir": b"_ro zzz",
+           "--background": b"_play zzz", "--cfg": b"_play zzz",
+           "--nbest": b"u2\t-1.0\t-1.0\t_play zzz"}
+# the malformed inputs that are read, and why, beside those whose byte-order
+# mark or CRLF line ends are read as the good input
+ACCEPTED = {
+    ("build-fst", "--entities", "unknown symbol"): "build-fst reads no vocabulary",
+    ("mix", "--background", "unknown symbol"): "mix reads no vocabulary",
+    ("mix", "--cfg", "unknown symbol"): "mix reads no vocabulary",
+    ("score", "--corpus", "empty"): "no sentence, so no score",
+    ("score", "--corpus", "blank lines only"): "no sentence, so no score",
+    ("rescore", "--nbest", "unknown symbol"): "the hypothesis is ranked FAILED",
+}
+# a missing entity file is named by the pattern line that needs it
+NAMED_BY = {("expand-cfg", "--entity-dir", "missing"): "patterns.txt:1"}
+
+
+@pytest.mark.parametrize("command,flag,kind,source", [
+    (command, flag, kind, source) for command, (inputs, _) in COMMANDS.items()
+    for flag in inputs for kind in MALFORMED
+    for source in ("file", "stdin")[:1 + (flag in ("--corpus", "--background", "--cfg")
+                                          and MALFORMED[kind] is not None)]])
+def test_malformed_text_input_is_named_or_accepted(workspace, capsys, monkeypatch, command,
+                                                    flag, kind, source):
+    """Each subcommand, given each malformed kind of each text input it
+    reads, exits 1 with an error that starts with the input's name and
+    writes nothing, or gives the good input's output for a byte-order mark
+    or CRLF line ends, or is listed as accepted.  An input that may be
+    ``-`` is also given on stdin, named ``<stdin>``."""
+    import io
+    ws = workspace
+    if command in ("pack", "score", "ppl", "rescore"):
+        build_bundle(ws, capsys)
+    ws.joinpath("tagged.txt").write_text("_play @song _by @artist\n_play _ro\n", encoding="utf-8")
+    ws.joinpath("test.txt").write_text("_play _ro sie\n_by _browne\n", encoding="utf-8")
+    ws.joinpath("nbest.tsv").write_text("u1\t-2.0\t-1.0\t_by _by\n"
+                                        "u1\t-2.5\t-1.0\t_play _ro sie\n", encoding="utf-8")
+    monkeypatch.chdir(ws)
+    inputs, others = COMMANDS[command]
+
+    def outputs(flag_value):
+        args = [command, *(a for item in {**inputs, **flag_value}.items() for a in item),
+                *others]
+        code, printed, err = run([*args, "out"] if args[-1].startswith("--out") else args,
+                                 capsys)
+        out, written = ws / "out", None
+        if out.is_dir():  # pack's bundle
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+        elif out.exists():
+            written = out.read_bytes()
+            out.unlink()
+        return code, printed, err, written
+
+    good = outputs({})
+    assert good[0] == 0, good[2]
+    os.mkdir("bad")
+    good_file = inputs[flag] if flag != "--entity-dir" else "entities/@song.txt"
+    bad = os.path.join("bad", os.path.basename(good_file))
+    if flag == "--entity-dir":  # the grammar's entity files, @song.txt malformed
+        shutil.copy("entities/@artist.txt", "bad")
+    value, name = ("bad" if flag == "--entity-dir" else bad), bad
+    if kind == "directory":
+        os.mkdir(bad)
+    elif MALFORMED[kind] is not None:
+        data = MALFORMED[kind](Path(good_file).read_bytes(), UNKNOWN[flag])
+        Path(bad).write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            value, name = "-", "<stdin>"
+    code, printed, err, written = outputs({flag: value})
+    if kind in ("byte-order mark", "CRLF line ends"):
+        assert (code, printed, err, written) == good
+    elif (command, flag, kind) in ACCEPTED:
+        assert (code, err) == (0, "")
+    else:
+        name = NAMED_BY.get((command, flag, kind), name)
+        assert (code, printed, written) == (1, "", None)
+        assert err.startswith(f"nfclm: error: {name}:"), err

@@ -200,7 +200,7 @@ class TestManifestComponents:
         rewrite_manifest(packed, files={**manifest["files"], "background": name})
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(packed)
-        assert str(info.value) == f"missing component file {os.path.join(packed, name)!r}"
+        assert str(info.value) == f"{os.path.join(packed, name)}: missing component file"
 
 
 def decider_offsets(data):
@@ -426,7 +426,7 @@ def test_fuzzed_manifest_components(fuzz_bundle, section, value):
             assert any(message.startswith(f"{path}: manifest {section!r} entry {key!r} ")
                        for key, v in value.items() if not plain_name(v)), message
         else:
-            assert message in {f"missing component file {os.path.join(directory, v)!r}"
+            assert message in {f"{os.path.join(directory, v)}: missing component file"
                                for v in value.values()}, message
     else:
         assert isinstance(value, dict) and all(plain_name(v) for v in value.values())

@@ -1,6 +1,7 @@
 """Every text loader reads through ``read_lines`` and names its errors ``source:line``."""
 
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,35 @@ class TestReadLines:
         assert read_lines(path, "<stdin>") == (str(path), lines)
         assert read_lines(path.read_bytes(), "<stdin>") == ("<stdin>", lines)
         assert read_lines(stream, "<stdin>") == ("<stdin>", lines)
+
+    def test_a_file_is_read_a_line_at_a_time(self, tmp_path):
+        """Reading holds the lines and about one line's bytes at a time, not
+        the whole file's bytes or text beside its lines."""
+        path = tmp_path / "corpus.txt"
+        data = b"_play _ro sie _by _browne\n" * 50_000
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            lines = read_lines(path, "<corpus>")[1]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lines == data.decode().splitlines()
+        assert peak - held < len(data) // 10
+
+    def test_a_path_that_cannot_be_opened_is_named(self, tmp_path):
+        for path, reason in ((tmp_path / "missing.txt", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            with pytest.raises(ValueError) as info:
+                read_lines(path, "<corpus>")
+            assert str(info.value) == f"{path}: {reason}"
+
+    def test_a_sequence_cut_by_a_line_end_names_its_line(self):
+        """Each line is decoded alone, so a multi-byte sequence that a line
+        end cuts short is an incomplete sequence."""
+        with pytest.raises(ValueError) as info:
+            read_lines(b"a\n\xc3\n\xa9", "<stdin>")
+        assert str(info.value) == "<stdin>:2: not UTF-8 text (unexpected end of data)"
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
