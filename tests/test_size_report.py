@@ -6,7 +6,8 @@ import pytest
 
 from size_report import code_lines
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "size_report.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "tests", "size_report.py")
 SOURCE = '''"""A module docstring
 over two lines."""
 
@@ -40,9 +41,9 @@ def build_parser():
 """
 
 
-def report(*args):
-    return subprocess.run([sys.executable, SCRIPT, *map(str, args)], capture_output=True,
-                          text=True, timeout=60)
+def report(*args, script=SCRIPT):
+    return subprocess.run([sys.executable, script, *map(str, args)], capture_output=True,
+                          text=True, timeout=60, cwd=ROOT)
 
 
 def test_code_lines_leave_out_blanks_comments_and_docstrings():
@@ -50,12 +51,16 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings():
     assert code_lines(SOURCE) == 8
 
 
+# by its absolute path, and by the path relative to the root that CI calls it by
+@pytest.mark.parametrize("script", [SCRIPT, os.path.join("tests", "size_report.py")],
+                         ids=["absolute", "relative"])
 @pytest.mark.parametrize("args", [[], ["a", "b", "c"]])
-def test_usage_without_a_checkout(args):
-    # with no checkout, or more than two, the report prints its usage and exits 2
-    ran = report(*args)
+def test_usage_without_a_checkout(args, script):
+    # with no checkout, or more than two, the report prints its usage, named by
+    # the path it was called by, and exits 2
+    ran = report(*args, script=script)
     assert (ran.returncode, ran.stdout) == (2, "")
-    assert ran.stderr == f"usage: python {SCRIPT} HEAD [BASE]\n"
+    assert ran.stderr == f"usage: python {script} HEAD [BASE]\n"
 
 
 def checkout(root, modules, options, readme):
