@@ -86,9 +86,11 @@ keyed by the model's own symbol objects so that it keeps no caller's
 string, and, once fanned out at, its V + 1 ``distribution_values`` as
 8-byte floats.  It resolves its key's tokens once, when it is made, into
 the background's state there (``ConditionalSymbolModel.resolve``), so a
-miss is one ``logprob_at`` read of that state: for an n-gram, a bisect
-for the symbol in each stored context's run, with no context walk.  A
-decider row is the log of the decider's ``distribution_values``.
+miss is one ``logprob_at`` read of that state: for an n-gram, whose
+state is the index of each level's stored context, a bisect for the
+symbol in each such context's run, with no context walk.  A decider row
+is the tuple of the logs of the decider's ``distribution_values``, and
+keys whose rows are equal share one tuple.
 
 Model components never change after construction, so one model can
 serve any number of concurrent scoring sessions; beams are cheap
@@ -181,9 +183,9 @@ class BackgroundRow(dict):
     """Background log-probabilities ``{symbol: logprob}`` cached at one
     context key, keyed by the model's own symbol objects, with ``state``,
     the background's ``resolve`` of the key's tokens, where the missing
-    ones are read, and ``dist_values``, its ``distribution_values`` there
-    in the background's alphabet order (None until the key's first
-    fan-out)."""
+    ones are read (for an n-gram, a short tuple of ints), and
+    ``dist_values``, its ``distribution_values`` there in the background's
+    alphabet order (None until the key's first fan-out)."""
 
     __slots__ = ("state", "dist_values")
 
@@ -279,6 +281,8 @@ class NfclmModel:
         # the table every fan-out copies, already sized and keyed in order
         self._fan_out = dict.fromkeys(self.vocabulary.symbols + (EOS,), 0.0)
         self._decider_cache: dict[int, tuple[float, ...]] = {}
+        # each distinct decider row made, keyed by itself
+        self._decider_rows: dict[tuple[float, ...], tuple[float, ...]] = {}
         # the beam every walk starts from, which no caller is handed
         self._start_beam = start_beam(self)
 
@@ -405,14 +409,19 @@ class NfclmModel:
         """The row the mixture step adds for a packed padded decider context:
         the decider's log shares, in the decider's own class order
         (``decider.alphabet``), memoized per context key like
-        ``background_logprob`` and computed at the key's own tokens."""
+        ``background_logprob`` and computed at the key's own tokens.  A new
+        row is stored as the tuple already held for an equal one, so keys
+        whose shares are equal share one object.  ``math.log`` never gives
+        -0.0, and a NaN equals nothing, so equal rows are equal bit for
+        bit."""
         hit = self._decider_cache.get(context)
         if hit is None:
             key = _stored_suffix(context, self._decider_levels)
             hit = self._decider_cache.get(key)
             if hit is None:
                 values = self.decider.distribution_values(self._key_tokens(key))
-                hit = self._decider_cache.setdefault(key, tuple(map(math.log, values)))
+                row = tuple(map(math.log, values))
+                hit = self._decider_cache.setdefault(key, self._decider_rows.setdefault(row, row))
         return hit
 
 

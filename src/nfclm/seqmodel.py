@@ -22,7 +22,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, filterfalse, groupby, islice, repeat
 from operator import add, and_, ge, lshift, mul, rshift, sub, truediv
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .serialization import (VERSION, ByteReader, ByteWriter, SerializationError, narrowed,
                             narrowest)
@@ -82,8 +82,10 @@ class ConditionalSymbolModel(ABC):
         return math.log(p) if p > 0.0 else -math.inf
 
     def resolve(self, history: Sequence[str]) -> object:
-        """A state that ``logprob_at`` reads as ``history``; by default, the
-        history itself."""
+        """A state that ``logprob_at`` reads as ``history``: by default, the
+        history itself.  A caller may keep one per context it reads (the
+        engine keeps one per cache row), so a state should hold little: no
+        copy of the model's tables and no caller's string."""
         return tuple(history)
 
     def logprob_at(self, symbol: str, state) -> float:
@@ -201,24 +203,6 @@ class BackoffNGram(ConditionalSymbolModel):
         usable = min(len(history), self.order - 1)
         return tuple(history[len(history) - usable:])
 
-    def _stored(self, history: Sequence[str]) -> Iterator[tuple[tuple, int]]:
-        """The stored contexts among the suffixes ``history`` reaches,
-        shortest first, each as its level's table and its index there.
-
-        Each suffix is packed and bisected among its level's contexts; one
-        that is absent or whose run is empty (total zero, as counts are
-        positive) is skipped, as ``stored_contexts`` leaves it out.
-        """
-        ids, width = self._ids, self.width
-        key = shift = 0
-        for sym, table in zip(reversed(self._check_history(history)), self._walk):
-            key |= ids[sym] << shift
-            shift += width
-            contexts, totals = table[0], table[4]
-            j = bisect_left(contexts, key)
-            if j < len(contexts) and contexts[j] == key and totals[j]:
-                yield table, j
-
     def _fold(self, values: list[float], table: tuple, j: int) -> list[float]:
         """Interpolate the run of context ``j`` of ``table`` into ``values``.
 
@@ -236,27 +220,48 @@ class BackoffNGram(ConditionalSymbolModel):
 
     def distribution_values(self, history: Sequence[str]) -> list[float]:
         values = level0 = self._level0
-        for table, j in self._stored(history):
-            values = self._fold(values, table, j)
+        for table, j in zip(self._walk, self.resolve(history)):
+            if j >= 0:
+                values = self._fold(values, table, j)
         return list(level0) if values is level0 else values
 
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         return dict(zip(self._predicted, self.distribution_values(history)))
 
-    def resolve(self, history: Sequence[str]) -> tuple[tuple[tuple, int], ...]:
-        """The stored contexts ``history`` reaches (``_stored``), shortest
-        first, each as its level's table and its index there: all that
-        ``logprob_at`` needs of the walk.  A state holds no string and no
-        copy of a column."""
-        return tuple(self._stored(history))
+    def resolve(self, history: Sequence[str]) -> tuple[int, ...]:
+        """The walk ``history`` makes, as ints: per level of ``_walk``,
+        shortest context first, up to the longest stored context among the
+        suffixes it reaches, the index of that level's suffix among the
+        level's contexts, or -1 where the level holds none.
 
-    def logprob_at(self, symbol: str, state: tuple[tuple[tuple, int], ...]) -> float:
+        Each suffix is packed and bisected among its level's contexts; one
+        that is absent or whose run is empty (total zero, as counts are
+        positive) is -1, as ``stored_contexts`` leaves it out.  That is
+        all ``logprob_at`` needs of the walk: a state holds no string, no
+        column and no table.
+        """
+        ids, width = self._ids, self.width
+        key = shift = 0
+        state = []
+        for sym, (contexts, _, _, _, totals, _) in zip(reversed(self._check_history(history)),
+                                                       self._walk):
+            key |= ids[sym] << shift
+            shift += width
+            j = bisect_left(contexts, key)
+            state.append(j if j < len(contexts) and contexts[j] == key and totals[j] else -1)
+        while state and state[-1] < 0:
+            state.pop()
+        return tuple(state)
+
+    def logprob_at(self, symbol: str, state: tuple[int, ...]) -> float:
         target = self._ids.get(symbol)
         i = None if target is None else self._slots[target]
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
         p, discount = self._level0[i], self.discount
-        for (_, offsets, targets, counts, totals, backoffs), j in state:
+        for (_, offsets, targets, counts, totals, backoffs), j in zip(self._walk, state):
+            if j < 0:
+                continue
             start, end = offsets[j], offsets[j + 1]
             k = bisect_left(targets, target, start, end)
             if k < end and targets[k] == target:
@@ -283,7 +288,7 @@ class BackoffNGram(ConditionalSymbolModel):
         """The contexts whose runs are not empty, as id columns per length up to the longest.
 
         A lookup reads only suffixes and skips absent contexts and empty
-        runs (``_stored``), so at any context every level above its longest
+        runs (``resolve``), so at any context every level above its longest
         such suffix adds nothing and every level up to it reads a suffix of
         it, whether or not the levels are closed under suffixes.
         """

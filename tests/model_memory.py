@@ -7,9 +7,10 @@ each from its bytes under ``tracemalloc`` and prints, as Markdown, what
 each stores and the bytes it holds once loaded next to the bytes of its
 payload, then each integer column of the loaded models with its array
 typecode and the bytes that array holds, then the peak that scoring one
-long line traces at two lengths, then the rows, entries and traced bytes
-of the background and decider caches once a fixed set of sentences made
-of new strings is scored:
+long line traces at two lengths, then the rows, distinct row objects,
+entries and traced bytes of the background and decider caches, and of
+the background rows' states, once a fixed set of sentences made of new
+strings is scored:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -131,33 +132,44 @@ def line_peaks(lengths=LINE_LENGTHS) -> list[tuple[int, int]]:
     return peaks
 
 
-def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int]]:
-    """(cache, rows, entries, traced bytes) of the background and the
-    decider cache of the mid-size model after it scores the first
-    ``count`` sentences of ``corpora()``, each made of new strings as
-    read text is.  A cache's bytes are those that dropping it frees, so a
-    row that kept a caller's string counts it."""
+def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int, int]]:
+    """(cache, rows, distinct row objects, entries, traced bytes) of the
+    background and the decider cache of the mid-size model after it
+    scores the first ``count`` sentences of ``corpora()``, each made of
+    new strings as read text is, then the same for the background rows'
+    states, their entries the ints they hold.  A cache's bytes are those
+    that dropping it frees, so a row that kept a caller's string counts it,
+    the background's include its rows' states, and the decider's its
+    table of distinct rows."""
     model = mid_size_model()
     sentences = corpora()[1][:count]
-    caches = (("background", model._bg_cache), ("decider", model._decider_cache))
-    report = []
+    background, decider = model._bg_cache, model._decider_cache
+
+    def sizes(values) -> tuple[int, int, int]:
+        values = list(values)
+        return len(values), len(set(map(id, values))), sum(map(len, values))
+
     gc.collect()
     tracemalloc.start()
     try:
         for sentence in sentences:
             sequence_logprob(model, ["".join(list(word)) for word in sentence])
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-        for name, cache in caches:
-            rows, entries = len(cache), sum(map(len, cache.values()))
-            cache.clear()
+        counts = [sizes(background.values()), sizes(decider.values()),
+                  sizes(row.state for row in background.values())]
+        freed = []
+        for drop in (lambda: [setattr(row, "state", None) for row in background.values()],
+                     background.clear, decider.clear, model._decider_rows.clear):
             gc.collect()
-            left = tracemalloc.get_traced_memory()[0]
-            report.append((name, rows, entries, held - left))
-            held = left
+            held = tracemalloc.get_traced_memory()[0]
+            drop()
+            gc.collect()
+            freed.append(held - tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    return report
+    states, rows, decider_rows, distinct_rows = freed
+    return [("background", *counts[0], states + rows),
+            ("decider", *counts[1], decider_rows + distinct_rows),
+            ("background row states", *counts[2], states)]
 
 
 def main() -> None:
@@ -187,11 +199,11 @@ def main() -> None:
     for length, peak in line_peaks():
         print(f"| mid-size components, two classes | {length:,} | {peak:,} |")
     print()
-    print(f"| cache, after {CACHE_SENTENCES:,} sentences of new strings | rows | entries "
-          "| traced bytes |")
-    print("|---|---|---|---|")
-    for name, rows, values, held in cache_report():
-        print(f"| {name} | {rows:,} | {values:,} | {held:,} |")
+    print(f"| cache, after {CACHE_SENTENCES:,} sentences of new strings | rows "
+          "| distinct row objects | entries | traced bytes |")
+    print("|---|---|---|---|---|")
+    for name, rows, objects, values, held in cache_report():
+        print(f"| {name} | {rows:,} | {objects:,} | {values:,} | {held:,} |")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from conftest import (ARTIST_ENTITIES, FULL_LENGTH, READINGS, SONG_ENTITIES, TOY
                       entity_pairs, fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
                       ngram_from_tables, positions, random_instance, state_arcs,
                       uniform_background)
+from model_memory import corpora, mid_size_model
 from oracle import (EPSILON, EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
@@ -1906,6 +1907,19 @@ class TestContextKeyedCaches:
             own = {id(sym) for sym in model.vocabulary.symbols + (EOS,)}
             keys = [sym for row in model._bg_cache.values() for sym in row]
             assert keys and all(id(sym) in own for sym in keys)
+
+    def test_equal_decider_rows_share_one_tuple(self):
+        """After a fixed corpus, each distinct decider row is held by one
+        object, and each row has the bits of the log of the decider's
+        ``distribution_values`` at its key's tokens."""
+        model = mid_size_model()
+        for sentence in corpora()[1][:200]:
+            sequence_logprob(model, sentence)
+        rows = list(model._decider_cache.values())
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+        for key, row in model._decider_cache.items():
+            values = model.decider.distribution_values(model._key_tokens(key))
+            assert hexes(row) == hexes(map(math.log, values)), model._key_tokens(key)
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------

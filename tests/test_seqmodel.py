@@ -182,16 +182,43 @@ class TestDistributionValues:
         listed = {tuple(symbols[i] for i in context)
                   for level in stored for context in zip(*level)}
         tables = count_tables(model)
-        lengths = {id(table): length for length, table in enumerate(model._walk, start=1)}
         for size in range(1, model.context_size + 1):
             for context in itertools.product(sorted(model.history_alphabet), repeat=size):
                 read = []
-                for table, j in model._stored(context):
-                    suffix = context[size - lengths[id(table)]:]
-                    assert list(tables[len(suffix)])[j] == suffix
+                state = model.resolve(context)
+                assert all(type(j) is int for j in state) and (not state or state[-1] >= 0)
+                for length, j in enumerate(state, start=1):
+                    if j < 0:
+                        continue
+                    suffix = context[size - length:]
+                    assert list(tables[length])[j] == suffix
                     read.append(suffix)
                 assert read == [context[size - n:] for n in range(1, size + 1)
                                 if context[size - n:] in listed]
+
+    def test_a_state_is_ints_and_skips_a_level_with_minus_one(self):
+        """``resolve`` gives one int per level up to the longest stored
+        suffix, -1 for a level that stores none; ``logprob_at`` there has
+        the bits of the log of ``distribution_values``, a skipped level
+        included."""
+        tables = [{(): {"a": 2, "b": 1, EOS: 1}},
+                  {("b",): {"a": 1, EOS: 2}},
+                  {("a", "a"): {"b": 2}, (BOS, "b"): {"a": 1}}]
+        model = ngram_from_tables(0.6, ("a", "b", EOS), ("a", "b", BOS), tables)
+        # ('a',) is stored at no level, so ('a', 'a') reads level 1 as -1;
+        # BOS sorts before 'a'
+        assert model.resolve(("a", "a")) == (-1, 1)
+        assert model.resolve((BOS, "b")) == (0, 0)
+        assert model.resolve(("a", "b")) == (0,)
+        assert model.resolve(("b", "a")) == model.resolve(()) == ()
+        for history in itertools.product(("a", "b", BOS), repeat=2):
+            state = model.resolve(history)
+            assert all(type(j) is int for j in state)
+            values = model.distribution_values(history)
+            want = walk_reference(model, history)
+            assert [p.hex() for p in values] == [want[s].hex() for s in model.alphabet]
+            for i, sym in enumerate(model.alphabet):
+                assert model.logprob_at(sym, state).hex() == math.log(values[i]).hex()
 
     def test_contexts_wider_than_64_bits(self):
         """An order-8 n-gram over 600 symbols packs a 7-symbol context into
