@@ -697,6 +697,43 @@ def test_refused_flag_value_names_its_flag(tmp_path, capsys, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,source", [
+    ("train-bglm", "vocab.txt"), ("train-decider", "classes.txt"),
+    ("build-fst", "entities/@song.txt"), ("expand-cfg", "patterns.txt"),
+    ("score", "test.txt"), ("rescore", "nbest.tsv")])
+def test_leading_byte_order_mark_is_not_read(workspace, capsys, command, source):
+    """A text input that starts with a byte-order mark gives the output,
+    printed and written, of the same input without it."""
+    ws, out = workspace, workspace / "out"
+    bundle = build_bundle(ws, capsys)
+    (ws / "test.txt").write_text("_play _ro sie\n_by _browne\n", encoding="utf-8")
+    (ws / "nbest.tsv").write_text("u1\t-2.0\t-1.0\t_by _by\n"
+                                  "u1\t-2.5\t-1.0\t_play _ro sie\n", encoding="utf-8")
+    args = {
+        "train-bglm": ["--corpus", ws / "background.txt", "--vocab", ws / "vocab.txt",
+                       "--order", 2, "--out", out],
+        "train-decider": ["--corpus", ws / "mixed.txt", "--vocab", ws / "vocab.txt",
+                          "--classes", ws / "classes.txt", "--order", 2, "--out", out],
+        "build-fst": ["--class-label", "@song", "--entities", ws / "entities" / "@song.txt",
+                      "--out", out],
+        "expand-cfg": ["--patterns", ws / "patterns.txt", "--entity-dir", ws / "entities",
+                       "--vocab", ws / "vocab.txt", "--classes", ws / "classes.txt",
+                       "-n", 20, "--out", out],
+        "score": ["--bundle", bundle, "--corpus", ws / "test.txt"],
+        "rescore": ["--bundle", bundle, "--nbest", ws / "nbest.tsv"],
+    }[command]
+
+    def outputs():
+        code, printed, err = run([command, *args], capsys)
+        assert code == 0, err
+        return printed, out.read_bytes() if out.exists() else None
+
+    plain = outputs()
+    path = ws / source
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert outputs() == plain
+
+
 def test_module_runs_the_command_line(tmp_path):
     """``python -m nfclm`` runs the same command line from a source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nfclm.__file__)))
