@@ -10,7 +10,8 @@ typecode and the bytes that array holds, then the peak that scoring one
 long line traces at two lengths, then the rows, distinct row objects,
 entries and traced bytes of the background and decider caches, and of
 the background rows' states, once a fixed set of sentences made of new
-strings is scored:
+strings is scored, then the states, traced bytes and bytes per state of
+one ``DynFstSession`` that walks the same sentences:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -25,9 +26,9 @@ import sys
 import tracemalloc
 from itertools import chain, cycle, islice
 
-from nfclm import (BackoffNGram, DeciderModel, NfclmModel, ProbClassFst, build_from_entities,
-                   load_class_alphabet, load_vocabulary, sequence_logprob, train_decider,
-                   train_ngram)
+from nfclm import (BackoffNGram, DeciderModel, DynFstSession, NfclmModel, ProbClassFst,
+                   build_from_entities, load_class_alphabet, load_vocabulary, sequence_logprob,
+                   train_decider, train_ngram)
 
 SEED = 29
 WORDS = 600
@@ -35,8 +36,10 @@ SENTENCES = 2000
 CLASSES = ("@bg", "@a", "@b")
 # tokens of the long lines that ``line_peaks`` scores
 LINE_LENGTHS = (5_000, 20_000)
-# sentences of ``corpora()`` that ``cache_report`` scores
+# sentences of ``corpora()`` that ``cache_report`` scores and ``session_report`` walks
 CACHE_SENTENCES = 1000
+# resident beams of ``session_report``'s session, as in the benchmark's lazy-fst decoder
+SESSION_CAPACITY = 64
 
 
 def corpora(seed: int = SEED):
@@ -132,6 +135,11 @@ def line_peaks(lengths=LINE_LENGTHS) -> list[tuple[int, int]]:
     return peaks
 
 
+def fresh(sentence) -> list[str]:
+    """``sentence`` made of new strings, as read text is."""
+    return ["".join(list(word)) for word in sentence]
+
+
 def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int, int]]:
     """(cache, rows, distinct row objects, entries, traced bytes) of the
     background and the decider cache of the mid-size model after it
@@ -153,7 +161,7 @@ def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int, int]]:
     tracemalloc.start()
     try:
         for sentence in sentences:
-            sequence_logprob(model, ["".join(list(word)) for word in sentence])
+            sequence_logprob(model, fresh(sentence))
         counts = [sizes(background.values()), sizes(decider.values()),
                   sizes(row.state for row in background.values())]
         freed = []
@@ -170,6 +178,48 @@ def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int, int]]:
     return [("background", *counts[0], states + rows),
             ("decider", *counts[1], decider_rows + distinct_rows),
             ("background row states", *counts[2], states)]
+
+
+def walk(session: DynFstSession, sentences) -> int:
+    """Walk each sentence, made of new strings, from the start state with
+    ``transition``, and ask a live one's ``final_weight``; returns the
+    states recorded, one more than the largest state id reached."""
+    last = 0
+    for sentence in sentences:
+        state = session.start_state()
+        for word in fresh(sentence):
+            arc = session.transition(state, word)
+            if arc is None:
+                break
+            state = arc[0]
+            last = max(last, state)
+        else:
+            session.final_weight(state)
+    return last + 1
+
+
+def session_report(count=CACHE_SENTENCES) -> tuple[int, int]:
+    """(states, traced bytes) of one ``DynFstSession`` over the mid-size
+    model, with ``SESSION_CAPACITY`` resident beams, after ``walk`` over the
+    first ``count`` sentences of ``corpora()``.  The bytes are those that
+    dropping the session frees: its states' bookkeeping, final weights and
+    resident beams, and any caller's string it kept (ROADMAP item 14's
+    per-state growth)."""
+    model = mid_size_model()
+    sentences = corpora()[1][:count]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = DynFstSession(model, capacity=SESSION_CAPACITY)
+        states = walk(session, sentences)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del session
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return states, held
 
 
 def main() -> None:
@@ -204,6 +254,12 @@ def main() -> None:
     print("|---|---|---|---|---|")
     for name, rows, objects, values, held in cache_report():
         print(f"| {name} | {rows:,} | {objects:,} | {values:,} | {held:,} |")
+    print()
+    print(f"| `DynFstSession`, capacity {SESSION_CAPACITY}, after {CACHE_SENTENCES:,} sentences "
+          "of new strings | states | traced bytes | bytes per state |")
+    print("|---|---|---|---|")
+    states, held = session_report()
+    print(f"| mid-size components, two classes | {states:,} | {held:,} | {held / states:.1f} |")
 
 
 if __name__ == "__main__":

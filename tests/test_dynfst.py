@@ -11,9 +11,12 @@ from nfclm.engine import advance, eos_logprob, next_dist
 
 from conftest import (decider_row, entity_pairs, histories, positions, random_instance,
                       shared_key_lists)
+from model_memory import fresh, session_report
 from oracle import exact_next_dist
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
+# sentences of ``model_memory.corpora()`` that ``TestStateBytes`` walks
+SESSION_SENTENCES = 300
 
 
 class TestStartState:
@@ -297,20 +300,65 @@ class TestLazyFinals:
 
 
 class TestUnknownStates:
-    @pytest.mark.parametrize("unknown", [-1, 3])  # ids 0-2 exist
-    def test_unknown_ids_raise_key_error(self, toy_model, unknown):
-        session = DynFstSession(toy_model, capacity=2)
+    def walked(self, model):
+        session = DynFstSession(model, capacity=2)
         state = session.start_state()
         for sym in ("_play", "_ro"):
             state, _ = session.transition(state, sym)
-        with pytest.raises(KeyError):
-            session.transition(unknown, "_play")
-        with pytest.raises(KeyError):
-            session.final_weight(unknown)
-        with pytest.raises(KeyError):
-            session.beam_of(unknown)
-        with pytest.raises(KeyError):
-            session.history_of(unknown)
+        return session
+
+    # ids 0-2 exist; an id whose type is not exactly int is none of them
+    @pytest.mark.parametrize("unknown", [-1, 3, 1.0, True, 1.5, "1", None])
+    def test_unknown_ids_raise_key_error(self, toy_model, unknown):
+        session = self.walked(toy_model)
+        session.final_weight(1)  # remembered, so no lookup can reach it by 1.0 or True
+        for call in (lambda: session.transition(unknown, "_play"),
+                     lambda: session.final_weight(unknown),
+                     lambda: session.beam_of(unknown),
+                     lambda: session.history_of(unknown)):
+            with pytest.raises(KeyError, match="unknown state id "):
+                call()
+
+    def test_symbol_outside_the_vocabulary_records_nothing(self, toy_model):
+        session = self.walked(toy_model)
+        dump, stats = session.dump(), session.stats.as_dict()
+        # a class label has an engine id, but no arc
+        for state in (0, 2):
+            for symbol in ("_nowhere", "@song"):
+                with pytest.raises(KeyError, match="outside the vocabulary"):
+                    session.transition(state, symbol)
+        assert session.dump() == dump and session.stats.as_dict() == stats
+        assert session.transition(2, "sie")[0] == 3
+
+
+class TestStateBytes:
+    """A state is recorded in flat columns and names its symbols through
+    the model, so it holds none of the strings a caller walked with."""
+
+    # about 145 bytes per state here, 295 when each state kept its caller's
+    # string and tuples of it
+    BOUND = 200
+
+    def test_bytes_per_state_are_bounded(self):
+        states, held = session_report(SESSION_SENTENCES)
+        assert states > 2000
+        assert held < self.BOUND * states, (states, held, held / states)
+
+    def test_history_is_the_models_own_strings(self, toy_model):
+        session = DynFstSession(toy_model)
+        walked = [fresh(FIG1_SENTENCE), fresh(("_play", "_ro", "salie"))]
+        own = {id(sym) for sym in toy_model.vocabulary.symbols}
+        assert not own & {id(sym) for sentence in walked for sym in sentence}
+        ends = []
+        for sentence in walked:
+            state = session.start_state()
+            for sym in sentence:
+                state, _ = session.transition(state, sym)
+            ends.append(state)
+        for sentence, state in zip(walked, ends):
+            history = session.history_of(state)
+            assert history == tuple(sentence)
+            assert all(id(sym) in own for sym in history)
 
 
 class TestRecordedWalk:
