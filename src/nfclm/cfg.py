@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classfst import Entity, load_entities
-from .seqmodel import Rule
+from .seqmodel import COUNT, number
 from .vocab import BACKGROUND, ClassAlphabet, Vocabulary, read_lines
 
 
-FRACTION = Rule("in [0,1]", lambda v: 0.0 <= v <= 1.0)  # a mix's; NaN fails both tests
+FRACTION = number("in [0,1]", lambda v: 0.0 <= v <= 1.0)  # a mix's
 
 
 @dataclass
@@ -70,8 +70,7 @@ def parse_grammar(pattern_source, entity_dir, vocabulary: Vocabulary,
 
 def _draws(grammar: CfgGrammar, n_samples: int, seed: int):
     """Shared sampling stream: pattern index plus one entity index per slot."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    COUNT.check("n_samples", n_samples)
     rng = random.Random(seed)
     for _ in range(n_samples):
         p = rng.randrange(len(grammar.patterns))
@@ -121,8 +120,7 @@ def mix_corpora(background: Sequence[Sequence[str]], tagged: Sequence[Sequence[s
         raise ValueError("background and tagged corpora are both empty")
     if size is None:
         size = len(background) + len(tagged)
-    if size < 1:
-        raise ValueError("mix size must be >= 1")
+    COUNT.check("size", size)
     n_background = round(background_fraction * size)
     n_tagged = size - n_background
     if n_background > 0 and not background:

@@ -31,6 +31,7 @@ from itertools import islice
 from operator import le, lt
 from typing import Optional
 
+from .seqmodel import is_number
 from .serialization import VERSION, ByteReader, ByteWriter, SerializationError, narrowed
 from .vocab import Vocabulary, read_lines
 
@@ -227,6 +228,8 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
             raise ValueError(f"{label}: entity {symbols!r} is one string, not a sequence "
                              "of symbols")
         symbols = tuple(symbols)
+        if not is_number(count):
+            raise ValueError(f"{label}: entity count {count!r} is not a number")
         count = float(count)
         if not symbols:
             raise ValueError(f"{label}: empty entity")

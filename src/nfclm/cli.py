@@ -20,7 +20,7 @@ from .engine import (DEFAULT_BEAM_DELTA, DEFAULT_BEAM_SIZE, EXACT_BEAM_SIZE,
                      sequence_logprobs)
 from .evaluate import (DeadSentenceError, FusionWeights, parse_nbest_file,
                        perplexity, rescore_nbest)
-from .seqmodel import (DEFAULT_DISCOUNT, DEFAULT_ORDER, BackoffNGram, DeciderModel,
+from .seqmodel import (COUNT, DEFAULT_DISCOUNT, DEFAULT_ORDER, BackoffNGram, DeciderModel,
                        train_decider, train_ngram, widened)
 from .serialization import SerializationError
 from .vocab import load_class_alphabet, load_vocabulary
@@ -47,16 +47,15 @@ _OPTIONS = {
 }
 _MODEL_OPTIONS = ("--beam-n", "--beam-delta", "--alpha")
 # the rule each numeric flag's value must hold, checked before any file is
-# read: a setting's is its owner's, and a count must be at least 1, as an order must
-_COUNT = BackoffNGram.RULES["order"]
+# read: a setting's is its owner's, and every count meets ``COUNT``
 _FLAG_RULES = {"--beam-n": NfclmModel.RULES["beam_size"],
                "--beam-delta": NfclmModel.RULES["beam_delta"],
                "--alpha": DeciderModel.RULES["alpha"],
-               "--order": _COUNT, "--fraction": cfg_mod.FRACTION,
+               "--order": COUNT, "--fraction": cfg_mod.FRACTION,
                "--discount": BackoffNGram.RULES["discount"],
                "--lm-weight": FusionWeights.RULES["lm_weight"],
                "--ilm-weight": FusionWeights.RULES["ilm_weight"],
-               "-n": _COUNT, "--max-len": _COUNT, "--size": _COUNT}
+               "-n": COUNT, "--max-len": COUNT, "--size": COUNT}
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -157,7 +156,7 @@ def cmd_pack(args) -> int:
     class_fsts = {}
     for spec in args.fst or []:
         label, _, path = spec.partition("=")
-        if not path:
+        if not label or not path:
             raise ValueError(f"--fst expects label=path, got {spec!r}")
         if label in class_fsts:
             raise ValueError(f"--fst gives class {label!r} twice")

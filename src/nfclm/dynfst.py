@@ -26,7 +26,7 @@ from typing import Optional
 
 from .engine import (AlignmentBeam, DeadHistoryError, NfclmModel, eos_logprob,
                      extend, start_beam)
-from .seqmodel import Rule
+from .seqmodel import COUNT, Rule
 
 
 @dataclass
@@ -53,9 +53,7 @@ class DynFstSession:
     vocabulary, which records nothing.
     """
 
-    # an exact type, so that True is no capacity
-    CAPACITY = Rule("an int >= 1, or None for no bound",
-                    lambda v: v is None or type(v) is int and v >= 1)
+    CAPACITY = Rule("an int >= 1, or None for no bound", lambda v: v is None or COUNT.holds(v))
 
     def __init__(self, model: NfclmModel, capacity: Optional[int] = None):
         self.CAPACITY.check("capacity", capacity)
@@ -96,7 +94,6 @@ class DynFstSession:
         return -final if final != -math.inf else None
 
     def _check(self, state_id: int) -> None:
-        # an exact type, so that True and 1.0 are no state id
         if type(state_id) is not int or not 0 <= state_id < len(self._parents):
             raise KeyError(f"unknown state id {state_id!r}")
 

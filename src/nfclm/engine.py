@@ -111,7 +111,7 @@ from operator import add, eq, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
-from .seqmodel import ConditionalSymbolModel, DeciderModel, Rule
+from .seqmodel import COUNT, ConditionalSymbolModel, DeciderModel, number
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 DEFAULT_BEAM_SIZE = 100
@@ -205,11 +205,7 @@ class NfclmModel:
     setting.
     """
 
-    # exact types, so that True is no beam size; NaN fails ``>= 0``
-    RULES = {
-        "beam_size": Rule("an int >= 1", lambda v: type(v) is int and v >= 1),
-        "beam_delta": Rule("a number >= 0", lambda v: type(v) in (int, float) and v >= 0),
-    }
+    RULES = {"beam_size": COUNT, "beam_delta": number("a number >= 0", lambda v: v >= 0)}
 
     vocabulary: Vocabulary
     classes: ClassAlphabet
@@ -777,10 +773,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     context (read uncached: sampling adds no ``_bg_cache`` row), or the
     drawn state's run of the ``probs`` column, whose index gives the arc.
     """
-    if type(max_length) is not int:  # an exact type, so that True is no length
-        raise ValueError(f"max_length must be an int, got {max_length!r}")
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
+    COUNT.check("max_length", max_length)
     rng = random.Random(seed)
 
     def draw(weights: Sequence[float]) -> int:

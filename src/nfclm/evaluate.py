@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .engine import NfclmModel, sequence_logprobs
-from .seqmodel import ConditionalSymbolModel, Rule, ngram_sequence_logprob
+from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob, number
 from .vocab import read_lines
 
 
@@ -16,7 +17,7 @@ class FusionWeights:
     """Non-negative interpolation weights for shallow fusion; ``RULES`` checks each."""
 
     RULES = dict.fromkeys(("lm_weight", "ilm_weight"),
-                          Rule("finite and >= 0", lambda v: math.isfinite(v) and v >= 0))
+                          number("finite and >= 0", lambda v: 0 <= v <= sys.float_info.max))
 
     lm_weight: float = 0.0
     ilm_weight: float = 0.0

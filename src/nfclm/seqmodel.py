@@ -32,14 +32,14 @@ NGRAM_MAGIC = b"NGBO\x00"
 DECIDER_MAGIC = b"NDCD\x00"
 # typecodes format v2 stores the symbol-id and count columns as, a u32 and
 # a u64; a back-off weight is held as an f64
-ID, COUNT, WEIGHT = "I", "Q", "d"
+ID, TALLY, WEIGHT = "I", "Q", "d"
 
 DECIDER_FLOOR = 1e-6
 DEFAULT_ORDER, DEFAULT_DISCOUNT, DEFAULT_ALPHA = 3, 0.75, 1.0  # the training defaults
 
 
 class Rule(NamedTuple):
-    """What one setting must hold: its text for errors, and its test."""
+    """A setting's rule: its text for errors, and its test, which checks the exact type."""
 
     text: str
     holds: Callable[[object], bool]
@@ -47,6 +47,19 @@ class Rule(NamedTuple):
     def check(self, name: str, value) -> None:
         if not self.holds(value):
             raise ValueError(f"{name} must be {self.text}, got {value!r}")
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float``: True, ``"1"`` and None are not."""
+    return type(value) in (int, float)
+
+
+def number(text: str, in_range: Callable[[float], bool]) -> Rule:
+    """A number setting's rule; NaN fails ``in_range`` if each comparison in it does."""
+    return Rule(text, lambda v: is_number(v) and in_range(v))
+
+
+COUNT = Rule("an int >= 1", lambda v: type(v) is int and v >= 1)  # every count's rule
 
 
 class ConditionalSymbolModel(ABC):
@@ -149,9 +162,8 @@ class BackoffNGram(ConditionalSymbolModel):
     in each run; ``logprob`` is the two at once.
     """
 
-    # NaN fails both comparisons; ``order`` is the training order, a level count
-    RULES = {"discount": Rule("in (0,1)", lambda v: 0.0 < v < 1.0),
-             "order": Rule(">= 1", lambda v: v >= 1)}
+    # ``order`` is the training order, a level count
+    RULES = {"discount": number("in (0,1)", lambda v: 0.0 < v < 1.0), "order": COUNT}
 
     def __init__(self, discount: float, symbols: Sequence[str], predicted: Sequence[str],
                  history_alphabet: Sequence[str], levels: Sequence[NGramLevel]):
@@ -360,7 +372,7 @@ class BackoffNGram(ConditionalSymbolModel):
             flat, contexts_at = ids(n_contexts * length)
             sizes = r.column(ID, n_contexts)
             targets, targets_at = ids(sum(sizes))
-            counts = r.column(COUNT, len(targets))
+            counts = r.column(TALLY, len(targets))
             counts_at = r.offset - counts.itemsize * len(counts)
             if not allowed.issuperset(targets):
                 k = next(k for k, t in enumerate(targets) if t not in allowed)
@@ -550,13 +562,9 @@ class DeciderModel(ConditionalSymbolModel):
     distribution is computed as a list in class order, with no dict.
     """
 
-    # exact types, so that True is no number; NaN fails every comparison
-    RULES = {
-        "alpha": Rule("a finite number >= 0",
-                      lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
-        "prior": Rule("finite and strictly positive",
-                      lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
-    }
+    RULES = {"alpha": number("a finite number >= 0", lambda v: 0 <= v <= sys.float_info.max),
+             "prior": number("finite and strictly positive",
+                             lambda v: 0 < v <= sys.float_info.max)}
 
     def __init__(self, ngram: BackoffNGram, prior: Mapping[str, float],
                  alpha: float = DEFAULT_ALPHA):

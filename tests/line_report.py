@@ -5,8 +5,7 @@ A report, not a gate.  The suite runs in this process under
 records the line events of frames whose code lives in ``src/nfclm``.  A
 module's executable lines are those its compiled code objects map an
 instruction to; each run of them that never ran is listed.  Code that
-runs only in a child process, such as ``python -m nfclm``, is never seen,
-so it is listed too.  The benchmark smoke test runs only child processes,
+runs only in a child process is never seen, so it is listed too.  The benchmark smoke test runs only child processes,
 and is left out.  Run from anywhere, with arguments passed on to pytest:
 
     python tests/line_report.py [PYTEST_ARGS...] >> report.md

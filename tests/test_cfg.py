@@ -148,7 +148,7 @@ class TestMixCorpora:
             mix_corpora([], [], 0.5, seed=1, size=size)
 
     def test_size_below_one_rejected(self):
-        with pytest.raises(ValueError, match=r"^mix size must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^size must be an int >= 1, got 0$"):
             mix_corpora(self.BG, self.CFG, 0.5, seed=1, size=0)
 
     def test_deterministic(self):

@@ -101,6 +101,10 @@ class TestBuildFromEntities:
         for count in (0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-positive"):
                 build_from_entities("@x", [(("a",), count)])
+        for count in ("2", True, None, [1]):  # a number's type only, never parsed
+            with pytest.raises(ValueError) as info:
+                build_from_entities("@x", [(("a",), count)])
+            assert str(info.value) == f"@x: entity count {count!r} is not a number"
 
     def test_count_total_past_float_range_rejected(self):
         """Finite counts whose total overflows are refused by that total,

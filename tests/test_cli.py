@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import shutil
 import subprocess
@@ -415,15 +416,17 @@ class TestFailures:
         assert not (workspace / "twice").exists()
 
     def test_pack_fst_without_path_rejected(self, workspace, capsys):
+        """A spec with no path, or with no label, names the spec."""
         build_bundle(workspace, capsys)
-        code, out, err = run(["pack", "--vocab", workspace / "vocab.txt",
-                              "--classes", workspace / "classes.txt",
-                              "--bglm", workspace / "bg.bin",
-                              "--decider", workspace / "decider.bin",
-                              "--fst", "@song", "--out-dir", workspace / "none"], capsys)
-        assert (code, out) == (1, "")
-        assert err == "nfclm: error: --fst expects label=path, got '@song'\n"
-        assert not (workspace / "none").exists()
+        for spec in ("@song", f"={workspace / '@song.fst'}"):
+            code, out, err = run(["pack", "--vocab", workspace / "vocab.txt",
+                                  "--classes", workspace / "classes.txt",
+                                  "--bglm", workspace / "bg.bin",
+                                  "--decider", workspace / "decider.bin",
+                                  "--fst", spec, "--out-dir", workspace / "none"], capsys)
+            assert (code, out) == (1, "")
+            assert err == f"nfclm: error: --fst expects label=path, got {spec!r}\n"
+            assert not (workspace / "none").exists()
 
     @pytest.mark.parametrize("flags,name", [
         (["--beam-n", 0], "beam_size"), (["--beam-n", -2], "beam_size"),
@@ -609,7 +612,7 @@ class TestFailures:
     def test_sample_count_below_one_refused(self, toy_model, tmp_path, capsys, n):
         bundle_mod.pack(toy_model, tmp_path / "toy")
         code, out, err = run(["sample", "--bundle", tmp_path / "toy", "-n", n], capsys)
-        assert (code, out, err) == (1, "", f"nfclm: error: -n must be >= 1, got {n}\n")
+        assert (code, out, err) == (1, "", f"nfclm: error: -n must be an int >= 1, got {n}\n")
 
     def test_key_error_printed_without_repr_quotes(self, workspace, capsys):
         bundle = build_bundle(workspace, capsys)
@@ -652,10 +655,10 @@ REFUSED_FLAG_VALUES = {
     "--beam-n": ("0", "--beam-n must be an int >= 1, got 0"),
     "--beam-delta": ("nan", "--beam-delta must be a number >= 0, got nan"),
     "--alpha": ("-1", "--alpha must be a finite number >= 0, got -1.0"),
-    "-n": ("0", "-n must be >= 1, got 0"),
-    "--max-len": ("0", "--max-len must be >= 1, got 0"),
-    "--size": ("0", "--size must be >= 1, got 0"),
-    "--order": ("0", "--order must be >= 1, got 0"),
+    "-n": ("0", "-n must be an int >= 1, got 0"),
+    "--max-len": ("0", "--max-len must be an int >= 1, got 0"),
+    "--size": ("0", "--size must be an int >= 1, got 0"),
+    "--order": ("0", "--order must be an int >= 1, got 0"),
     "--discount": ("nan", "--discount must be in (0,1), got nan"),
     "--lm-weight": ("nan", "--lm-weight must be finite and >= 0, got nan"),
     "--ilm-weight": ("-1", "--ilm-weight must be finite and >= 0, got -1.0"),
@@ -734,8 +737,14 @@ def test_leading_byte_order_mark_is_not_read(workspace, capsys, command, source)
     assert outputs() == plain
 
 
-def test_module_runs_the_command_line(tmp_path):
-    """``python -m nfclm`` runs the same command line from a source tree."""
+def test_module_runs_the_command_line(tmp_path, monkeypatch, capsys):
+    """``python -m nfclm`` runs the same command line from a source tree,
+    and in this process, where a line tracer sees ``__main__`` run."""
+    monkeypatch.setattr(sys, "argv", ["nfclm", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("nfclm", run_name="__main__", alter_sys=True)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nfclm ")
     src = os.path.dirname(os.path.dirname(os.path.abspath(nfclm.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     ran = subprocess.run([sys.executable, "-m", "nfclm", "--help"], env=env,

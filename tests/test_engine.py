@@ -1558,13 +1558,14 @@ class TestSample:
         assert sample(model, max_length=3, seed=0) == ["a", "a", "a"]
 
     def test_max_length_below_one_rejected(self, toy_model):
-        with pytest.raises(ValueError, match=r"^max_length must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^max_length must be an int >= 1, got 0$"):
             sample(toy_model, max_length=0, seed=0)
 
     def test_max_length_not_an_int_rejected(self, toy_model):
         for length in (2.5, True, "3"):
-            with pytest.raises(ValueError, match=r"^max_length must be an int, got "):
+            with pytest.raises(ValueError) as info:
                 sample(toy_model, max_length=length, seed=0)
+            assert str(info.value) == f"max_length must be an int >= 1, got {length!r}"
 
     def test_only_vocabulary_symbols(self, toy_model):
         for seed in range(30):

@@ -105,7 +105,7 @@ class TestTrainNgram:
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError, match=r"^an n-gram needs at least one count level$"):
             ngram_from_tables(0.5, ["a"], ["a"], [])
-        with pytest.raises(ValueError, match=r"^order must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^order must be an int >= 1, got 0$"):
             train_ngram([("a",)], ["a"], order=0)
         with pytest.raises(ValueError):
             ngram_from_tables(1.0, ["a"], ["a"], [{}, {}])
@@ -539,7 +539,7 @@ class TestDecider:
             train_decider([], self.VOCAB, self.CLASSES, order=2)
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError, match=r"^order must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^order must be an int >= 1, got 0$"):
             train_decider(self.corpus(), self.VOCAB, self.CLASSES, order=0)
 
     def test_song_dominates_after_play(self):

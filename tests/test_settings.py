@@ -5,6 +5,8 @@
 A library call, a manifest, a command-line flag and a decider binary
 all reach those rules, and a bad value is named by where it came from.
 The decider's floor is no setting: a binary must hold ``DECIDER_FLOOR``.
+Every count meets ``nfclm.seqmodel.COUNT``, and every number setting a
+rule built by ``nfclm.seqmodel.number``: each tests the value's exact type.
 """
 
 import dataclasses
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfclm import (DeciderModel, NfclmModel, bundle, load_class_alphabet, load_vocabulary,
-                   sequence_logprobs, train_decider, train_ngram)
+from nfclm import (CfgGrammar, DeciderModel, DynFstSession, FusionWeights, NfclmModel, bundle,
+                   expand, expand_tagged, load_class_alphabet, load_vocabulary, mix_corpora,
+                   sample, sequence_logprobs, train_decider, train_ngram)
 from nfclm.cli import main
 from nfclm.seqmodel import DECIDER_FLOOR
 from nfclm.serialization import SerializationError
@@ -101,6 +104,51 @@ class TestDeciderRules:
         sentences = list(itertools.product(TOY_SYMBOLS, repeat=3))
         assert [x.hex() for x in sequence_logprobs(loaded, sentences)] == \
             [x.hex() for x in sequence_logprobs(model, sentences)]
+
+
+# (library call, the setting's name in its errors, a count?, None valid?)
+LIBRARY_SETTINGS = [
+    ("NfclmModel", "beam_size", True, False), ("NfclmModel", "beam_delta", False, False),
+    ("DeciderModel", "alpha", False, False),
+    ("DeciderModel", "prior for class '@song'", False, False),
+    ("train_ngram", "order", True, False), ("train_ngram", "discount", False, False),
+    ("train_decider", "order", True, False), ("train_decider", "discount", False, False),
+    ("DynFstSession", "capacity", True, True), ("sample", "max_length", True, False),
+    ("expand", "n_samples", True, False), ("expand_tagged", "n_samples", True, False),
+    ("mix_corpora", "background fraction", False, False), ("mix_corpora", "size", True, True),
+    ("FusionWeights", "lm_weight", False, False), ("FusionWeights", "ilm_weight", False, False),
+]
+
+
+@pytest.mark.parametrize("call,name,value", [
+    (call, name, value) for call, name, count, none_valid in LIBRARY_SETTINGS
+    for value in (True, "1", None, *((2.5, 2.0) if count else ()))
+    if not (value is None and none_valid)])
+def test_library_setting_of_a_wrong_type_refused(toy_model, call, name, value):
+    """True, a string and None are no number, and a float no count: each
+    is refused by its rule, named, never taken nor left to a TypeError."""
+    vocab, classes, decider = toy_model.vocabulary, toy_model.classes, toy_model.decider
+    grammar = CfgGrammar([("_play", "@song")], {"@song": [(("_ro", "sie"), 1.0)]})
+    tagged = [("_play", "@song", "_by", "@artist")]
+    calls = {
+        "NfclmModel": lambda: dataclasses.replace(toy_model, **{name: value}),
+        "DeciderModel": lambda: (DeciderModel(decider.ngram, decider.prior, alpha=value)
+                                 if name == "alpha" else
+                                 DeciderModel(decider.ngram, {**decider.prior, "@song": value})),
+        "train_ngram": lambda: train_ngram(SENTENCES, vocab, **{name: value}),
+        "train_decider": lambda: train_decider(tagged, vocab, classes, **{name: value}),
+        "DynFstSession": lambda: DynFstSession(toy_model, capacity=value),
+        "sample": lambda: sample(toy_model, max_length=value, seed=0),
+        "expand": lambda: expand(grammar, value, seed=0),
+        "expand_tagged": lambda: expand_tagged(grammar, value, seed=0),
+        "mix_corpora": lambda: (mix_corpora(SENTENCES, tagged, value, seed=0)
+                                if name == "background fraction" else
+                                mix_corpora(SENTENCES, tagged, 0.5, seed=0, size=value)),
+        "FusionWeights": lambda: FusionWeights(**{name: value}),
+    }
+    with pytest.raises(ValueError) as info:
+        calls[call]()
+    assert str(info.value).startswith(f"{name} must be "), str(info.value)
 
 
 class TestManifestSettings:
