@@ -31,7 +31,7 @@ from itertools import islice
 from operator import le, lt
 from typing import Optional
 
-from .seqmodel import is_number
+from .seqmodel import check_sentences, is_number
 from .serialization import VERSION, ByteReader, ByteWriter, SerializationError, narrowed
 from .vocab import Vocabulary, read_lines
 
@@ -224,13 +224,14 @@ def build_from_entities(label: str, entities: Iterable) -> ProbClassFst:
     """
     normalized: list[Entity] = []
     for symbols, count in entities:
-        if isinstance(symbols, str):
-            raise ValueError(f"{label}: entity {symbols!r} is one string, not a sequence "
-                             "of symbols")
+        check_sentences(f"{label}: entity", (symbols,))
         symbols = tuple(symbols)
         if not is_number(count):
             raise ValueError(f"{label}: entity count {count!r} is not a number")
-        count = float(count)
+        try:
+            count = float(count)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{label}: entity count {count!r} is past the float range") from None
         if not symbols:
             raise ValueError(f"{label}: empty entity")
         if not 0 < count < math.inf:

@@ -87,8 +87,9 @@ string, and, once fanned out at, its V + 1 ``distribution_values`` as
 8-byte floats.  It resolves its key's tokens once, when it is made, into
 the background's state there (``ConditionalSymbolModel.resolve``), so a
 miss is one ``logprob_at`` read of that state: for an n-gram, whose
-state is the index of each level's stored context, a bisect for the
-symbol in each such context's run, with no context walk.  A decider row
+state is one int packing 1 + the index of each level's stored context in
+that level's bit field, a mask and a shift per level and a bisect for
+the symbol in each such context's run, with no context walk.  A decider row
 is the tuple of the logs of the decider's ``distribution_values``, and
 keys whose rows are equal share one tuple.
 
@@ -111,7 +112,7 @@ from operator import add, eq, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .classfst import ProbClassFst
-from .seqmodel import COUNT, ConditionalSymbolModel, DeciderModel, number
+from .seqmodel import COUNT, SEED, ConditionalSymbolModel, DeciderModel, check_sentences, number
 from .vocab import BACKGROUND, BOS, EOS, ClassAlphabet, Vocabulary
 
 DEFAULT_BEAM_SIZE = 100
@@ -183,7 +184,7 @@ class BackgroundRow(dict):
     """Background log-probabilities ``{symbol: logprob}`` cached at one
     context key, keyed by the model's own symbol objects, with ``state``,
     the background's ``resolve`` of the key's tokens, where the missing
-    ones are read (for an n-gram, a short tuple of ints), and
+    ones are read (for an n-gram, one int with a bit field per level), and
     ``dist_values``, its ``distribution_values`` there in the background's
     alphabet order (None until the key's first fan-out)."""
 
@@ -578,6 +579,7 @@ def eos_logprob(model: NfclmModel, beam: AlignmentBeam) -> float:
 
 def advance(model: NfclmModel, symbols: Sequence[str]) -> AlignmentBeam:
     """Beam after consuming ``symbols`` from the start state."""
+    check_sentences("symbols", (symbols,))
     beam = start_beam(model)
     for sym in symbols:
         beam, _ = extend(model, beam, sym)
@@ -637,7 +639,8 @@ def sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
 
     The one-list case of ``sequence_logprobs``; a dead history yields -inf.
     """
-    return sequence_logprobs(model, [symbols])[0]
+    check_sentences("symbols", (symbols,))
+    return _walk(model, model._start_beam, [symbols])[0]
 
 
 def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
@@ -648,6 +651,7 @@ def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
     merged alignments, exact at any length, on ``model`` itself and its
     caches.
     """
+    check_sentences("symbols", (symbols,))
     start = replace(model._start_beam, size_limit=EXACT_BEAM_SIZE, delta=math.inf)
     return _walk(model, start, [symbols])[0]
 
@@ -667,7 +671,7 @@ def sequence_logprobs(model: NfclmModel,
     keeps a beam, of O(context) tokens, per token that a list shares with
     the next, so a lone list holds one at a time.
     """
-    return _walk(model, model._start_beam, token_lists)
+    return _walk(model, model._start_beam, check_sentences("token_lists entry", token_lists))
 
 
 def _walk(model: NfclmModel, start: AlignmentBeam,
@@ -774,6 +778,7 @@ def sample(model: NfclmModel, max_length: int, seed: int) -> list[str]:
     drawn state's run of the ``probs`` column, whose index gives the arc.
     """
     COUNT.check("max_length", max_length)
+    SEED.check("seed", seed)
     rng = random.Random(seed)
 
     def draw(weights: Sequence[float]) -> int:

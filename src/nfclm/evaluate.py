@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .engine import NfclmModel, sequence_logprobs
-from .seqmodel import ConditionalSymbolModel, ngram_sequence_logprob, number
+from .seqmodel import ConditionalSymbolModel, check_sentences, ngram_sequence_logprob, number
 from .vocab import read_lines
 
 
@@ -76,7 +76,7 @@ def perplexity(model, corpus: Iterable[Sequence[str]],
     unless ``skip_dead`` excludes it from both the mass and the symbol
     count; the positions of excluded sentences in ``corpus`` are reported.
     """
-    corpus = list(corpus)
+    corpus = check_sentences("corpus sentence", list(corpus))
     if isinstance(model, NfclmModel):
         scores = sequence_logprobs(model, corpus)
     elif isinstance(model, ConditionalSymbolModel):

@@ -60,6 +60,18 @@ def number(text: str, in_range: Callable[[float], bool]) -> Rule:
 
 
 COUNT = Rule("an int >= 1", lambda v: type(v) is int and v >= 1)  # every count's rule
+SEED = Rule("an int", lambda v: type(v) is int)  # a random seed's, as ``--seed`` reads it
+
+
+def check_sentences(name: str, sentences: Sequence) -> Sequence:
+    """``sentences``, having refused a lone ``str`` among them, named
+    ``name``: a sentence, as an entity, is a sequence of symbols, and a
+    string would read as its characters.  One test per sentence, none per
+    symbol."""
+    for symbols in sentences:
+        if isinstance(symbols, str):
+            raise ValueError(f"{name} {symbols!r} is one string, not a sequence of symbols")
+    return sentences
 
 
 class ConditionalSymbolModel(ABC):
@@ -98,7 +110,8 @@ class ConditionalSymbolModel(ABC):
         """A state that ``logprob_at`` reads as ``history``: by default, the
         history itself.  A caller may keep one per context it reads (the
         engine keeps one per cache row), so a state should hold little: no
-        copy of the model's tables and no caller's string."""
+        copy of the model's tables and no caller's string (an n-gram's is one
+        int)."""
         return tuple(history)
 
     def logprob_at(self, symbol: str, state) -> float:
@@ -158,8 +171,8 @@ class BackoffNGram(ConditionalSymbolModel):
     suffix by one bisect over its level's contexts:
     ``distribution_values`` as one scaled copy of the list per level plus
     a head term per target in the context's run.  ``resolve`` keeps what
-    that walk finds, and ``logprob_at`` reads one symbol there, bisected
-    in each run; ``logprob`` is the two at once.
+    that walk finds, packed in one int, and ``logprob_at`` reads one symbol
+    there, bisected in each run; ``logprob`` is the two at once.
     """
 
     # ``order`` is the training order, a level count
@@ -187,9 +200,14 @@ class BackoffNGram(ConditionalSymbolModel):
             self._slots[self._ids[sym]] = i
         self._history_alphabet = frozenset(history_alphabet)
         self.levels = tuple(NGramLevel(*level) for level in levels)
-        # each level as a lookup reads it: the contexts, runs and weights
-        tables = [(*level, *_weights(level.offsets, level.counts, discount))
-                  for level in self.levels]
+        # each level as a lookup reads it: the contexts, runs and weights,
+        # then its field of a ``resolve`` state: as many bits as 1 + its
+        # last context index needs, and their mask
+        tables = []
+        for level in self.levels:
+            bits = len(level.contexts).bit_length()
+            tables.append((*level, *_weights(level.offsets, level.counts, discount),
+                           bits, (1 << bits) - 1))
         self._walk = tuple(tables[1:])
         self._level0 = [1.0 / len(self._predicted)] * len(self._predicted)
         totals = tables[0][4]  # of at most the context (); as in the walk, empty is absent
@@ -222,7 +240,7 @@ class BackoffNGram(ConditionalSymbolModel):
         the run: per entry the sum ``logprob`` takes for its one symbol, so
         both read the same bits.
         """
-        _, offsets, targets, counts, totals, backoffs = table
+        _, offsets, targets, counts, totals, backoffs, _, _ = table
         values = list(map(mul, repeat(backoffs[j]), values))
         discount, total, slots = self.discount, totals[j], self._slots
         for k in range(offsets[j], offsets[j + 1]):
@@ -232,7 +250,10 @@ class BackoffNGram(ConditionalSymbolModel):
 
     def distribution_values(self, history: Sequence[str]) -> list[float]:
         values = level0 = self._level0
-        for table, j in zip(self._walk, self.resolve(history)):
+        state = self.resolve(history)
+        for table in self._walk:
+            j = (state & table[-1]) - 1  # the field under the level's mask, less 1
+            state >>= table[-2]
             if j >= 0:
                 values = self._fold(values, table, j)
         return list(level0) if values is level0 else values
@@ -240,38 +261,43 @@ class BackoffNGram(ConditionalSymbolModel):
     def distribution(self, history: Sequence[str]) -> dict[str, float]:
         return dict(zip(self._predicted, self.distribution_values(history)))
 
-    def resolve(self, history: Sequence[str]) -> tuple[int, ...]:
-        """The walk ``history`` makes, as ints: per level of ``_walk``,
-        shortest context first, up to the longest stored context among the
-        suffixes it reaches, the index of that level's suffix among the
-        level's contexts, or -1 where the level holds none.
+    def resolve(self, history: Sequence[str]) -> int:
+        """The walk ``history`` makes, packed in one int: per level of
+        ``_walk``, shortest context first from the lowest bits, a field of
+        as many bits as the level's context count needs, holding 1 + the
+        index of that level's suffix among the level's contexts, or 0 where
+        the level holds none.
 
         Each suffix is packed and bisected among its level's contexts; one
         that is absent or whose run is empty (total zero, as counts are
-        positive) is -1, as ``stored_contexts`` leaves it out.  That is
-        all ``logprob_at`` needs of the walk: a state holds no string, no
-        column and no table.
+        positive) is 0, as ``stored_contexts`` leaves it out.  That is all
+        ``logprob_at`` needs of the walk: a state holds no string, no
+        column and no table, and above its longest stored suffix it is 0.
         """
         ids, width = self._ids, self.width
-        key = shift = 0
-        state = []
-        for sym, (contexts, _, _, _, totals, _) in zip(reversed(self._check_history(history)),
-                                                       self._walk):
+        key = shift = state = at = 0
+        for sym, (contexts, _, _, _, totals, _, bits, _) in zip(
+                reversed(self._check_history(history)), self._walk):
             key |= ids[sym] << shift
             shift += width
             j = bisect_left(contexts, key)
-            state.append(j if j < len(contexts) and contexts[j] == key and totals[j] else -1)
-        while state and state[-1] < 0:
-            state.pop()
-        return tuple(state)
+            if j < len(contexts) and contexts[j] == key and totals[j]:
+                state |= j + 1 << at
+            at += bits
+        return state
 
-    def logprob_at(self, symbol: str, state: tuple[int, ...]) -> float:
+    def logprob_at(self, symbol: str, state: int) -> float:
+        """``logprob(symbol, history)`` at ``state = resolve(history)``: each
+        level's field read with a mask and a shift, then a bisect for the
+        symbol in the run of each level that holds a suffix."""
         target = self._ids.get(symbol)
         i = None if target is None else self._slots[target]
         if i is None:
             raise KeyError(f"symbol {symbol!r} is not predictable")
         p, discount = self._level0[i], self.discount
-        for (_, offsets, targets, counts, totals, backoffs), j in zip(self._walk, state):
+        for _, offsets, targets, counts, totals, backoffs, bits, mask in self._walk:
+            j = (state & mask) - 1
+            state >>= bits
             if j < 0:
                 continue
             start, end = offsets[j], offsets[j + 1]
@@ -304,7 +330,8 @@ class BackoffNGram(ConditionalSymbolModel):
         such suffix adds nothing and every level up to it reads a suffix of
         it, whether or not the levels are closed under suffixes.
         """
-        stored = [list(compress(contexts, totals)) for contexts, _, _, _, totals, _ in self._walk]
+        stored = [list(compress(contexts, totals))
+                  for contexts, _, _, _, totals, _, _, _ in self._walk]
         while stored and not stored[-1]:
             stored.pop()
         return self.symbols, [self._columns(keys, length)
@@ -462,7 +489,7 @@ def train_ngram(corpus: Iterable[Sequence[str]], alphabet: Sequence[str],
     """
     if isinstance(alphabet, Vocabulary):
         alphabet = alphabet.symbols
-    sentences = [tuple(s) for s in corpus]
+    sentences = [tuple(s) for s in check_sentences("corpus sentence", list(corpus))]
     if not sentences:
         raise ValueError("empty training corpus")
     allowed = set(alphabet)
@@ -569,6 +596,8 @@ class DeciderModel(ConditionalSymbolModel):
     def __init__(self, ngram: BackoffNGram, prior: Mapping[str, float],
                  alpha: float = DEFAULT_ALPHA):
         self.RULES["alpha"].check("alpha", alpha)
+        if not isinstance(prior, Mapping):
+            raise ValueError(f"prior must be a mapping of class label to number, got {prior!r}")
         self.ngram = ngram
         self.classes = ngram.alphabet
         self.prior = {c: prior.get(c) for c in self.classes}
@@ -705,7 +734,7 @@ def train_decider(corpus: Iterable[Sequence[str]], vocabulary: Vocabulary,
     predicts the class of the next token, with ordinary symbols counting
     as background.
     """
-    sentences = [tuple(s) for s in corpus]
+    sentences = [tuple(s) for s in check_sentences("corpus sentence", list(corpus))]
     if not sentences:
         raise ValueError("empty training corpus")
     for sentence in sentences:

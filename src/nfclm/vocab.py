@@ -25,6 +25,8 @@ class Vocabulary:
             raise ValueError(f"{name}: empty vocabulary")
         seen: dict[str, int] = {}
         for i, sym in enumerate(self.symbols, start=1):
+            if not isinstance(sym, str):
+                raise ValueError(f"{name}:{i}: symbol {sym!r} is not a str")
             if not sym.strip():
                 raise ValueError(f"{name}:{i}: blank line")
             if sym in (BOS, EOS):
@@ -63,6 +65,8 @@ class ClassAlphabet:
     def __init__(self, labels: Sequence[str], name: str = "<classes>"):
         seen: dict[str, int] = {}
         for i, line in enumerate(labels, start=1):
+            if not isinstance(line, str):
+                raise ValueError(f"{name}:{i}: class label {line!r} is not a str")
             label = line.strip()
             if not label:
                 continue

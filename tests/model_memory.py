@@ -135,6 +135,21 @@ def line_peaks(lengths=LINE_LENGTHS) -> list[tuple[int, int]]:
     return peaks
 
 
+def state_fields(ngram: BackoffNGram, state: int) -> list[int]:
+    """The fields of an n-gram's ``resolve`` state, one per level above
+    level 0, decoded by the layout ``BackoffNGram.resolve`` documents:
+    each is 1 + the index of that level's stored suffix, 0 for a level that
+    holds none, in as many bits as the level's context count needs."""
+    fields = []
+    for level in ngram.levels[1:]:
+        bits = len(level.contexts).bit_length()
+        fields.append(state & (1 << bits) - 1)
+        state >>= bits
+    if state:
+        raise ValueError("the state has bits above its last field")
+    return fields
+
+
 def fresh(sentence) -> list[str]:
     """``sentence`` made of new strings, as read text is."""
     return ["".join(list(word)) for word in sentence]
@@ -145,17 +160,20 @@ def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int, int]]:
     background and the decider cache of the mid-size model after it
     scores the first ``count`` sentences of ``corpora()``, each made of
     new strings as read text is, then the same for the background rows'
-    states, their entries the ints they hold.  A cache's bytes are those
-    that dropping it frees, so a row that kept a caller's string counts it,
-    the background's include its rows' states, and the decider's its
-    table of distinct rows."""
+    states, their entries the levels they store (the ``state_fields`` not
+    0).  A cache's bytes are those that dropping it frees, so a row that
+    kept a caller's string counts it, the background's include its rows'
+    states, and the decider's its table of distinct rows."""
     model = mid_size_model()
     sentences = corpora()[1][:count]
     background, decider = model._bg_cache, model._decider_cache
 
-    def sizes(values) -> tuple[int, int, int]:
+    def sizes(values, entries=len) -> tuple[int, int, int]:
         values = list(values)
-        return len(values), len(set(map(id, values))), sum(map(len, values))
+        return len(values), len(set(map(id, values))), sum(map(entries, values))
+
+    def stored(state: int) -> int:
+        return sum(map(bool, state_fields(model.background, state)))
 
     gc.collect()
     tracemalloc.start()
@@ -163,7 +181,7 @@ def cache_report(count=CACHE_SENTENCES) -> list[tuple[str, int, int, int, int]]:
         for sentence in sentences:
             sequence_logprob(model, fresh(sentence))
         counts = [sizes(background.values()), sizes(decider.values()),
-                  sizes(row.state for row in background.values())]
+                  sizes((row.state for row in background.values()), stored)]
         freed = []
         for drop in (lambda: [setattr(row, "state", None) for row in background.values()],
                      background.clear, decider.clear, model._decider_rows.clear):

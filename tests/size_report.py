@@ -2,16 +2,18 @@
 
     python tests/size_report.py HEAD [BASE]
 
-``HEAD`` and ``BASE`` are each the root of a checkout.  For each, the lines
-of ``src/nfclm/*.py`` and ``tests/*.py``, README.md's words (runs of
-characters between whitespace; POSIX ``wc -w`` also skips one that is not
-text in its locale, such as a lone ``×``), each module's lines and code
-lines, and each subcommand's option count, ``--help`` aside; with ``BASE``,
-the change in each.  A code line is one that holds a token of code: not
-blank, not a comment alone, and not inside a module, class or function
-docstring.  A string that is no docstring holds code lines, each line it
-spans.  Deleting a docstring shrinks a module's lines but not its code
-lines, so the two columns tell removed code from removed text.
+``HEAD`` and ``BASE`` are each the root of a checkout; a root without
+``src/nfclm/cli.py`` or README.md is named after the usage, with exit
+status 2.  For each, the lines of ``src/nfclm/*.py`` and ``tests/*.py``,
+README.md's words (runs of characters between whitespace; POSIX ``wc -w``
+also skips one that is not text in its locale, such as a lone ``×``),
+each module's lines and code lines, and each subcommand's option count,
+``--help`` aside; with ``BASE``, the change in each.  A code line is one
+that holds a token of code: not blank, not a comment alone, and not inside
+a module, class or function docstring.  A string that is no docstring
+holds code lines, each line it spans.  Deleting a docstring shrinks a
+module's lines but not its code lines, so the two columns tell removed
+code from removed text.
 """
 
 import ast
@@ -80,9 +82,14 @@ def print_table(key: str, columns: list[str], trees: list[dict], total: bool) ->
 
 
 def main(argv: list[str]) -> None:
+    usage = f"usage: python {sys.argv[0]} HEAD [BASE]"
     if not 1 <= len(argv) <= 2:
-        print(f"usage: python {sys.argv[0]} HEAD [BASE]", file=sys.stderr)
+        print(usage, file=sys.stderr)
         sys.exit(2)
+    for root in argv:  # the files of a checkout that every table reads
+        if not all(Path(root, name).is_file() for name in ("src/nfclm/cli.py", "README.md")):
+            print(f"{usage}\n{root} is not the root of a checkout", file=sys.stderr)
+            sys.exit(2)
     trees = list(zip(*map(sizes, argv)))  # per table, the head's and then the base's
     print_table("size", ["count"], trees[0], total=False)
     print_table("module", ["lines", "code lines"], trees[1], total=True)

@@ -6,9 +6,9 @@ lines alongside the pytest verdicts.
 
 import math
 import random
+import statistics
 import time
 
-import numpy as np
 import pytest
 
 from nfclm import (DynFstSession, NfclmModel,
@@ -261,11 +261,9 @@ def test_criterion_07_compactness(tmp_path, toy_vocab, toy_classes, song_fst,
         fst = build_from_entities("@probe", entity_pairs(entities))
         totals.append(sum(len(e) for e in entities))
         sizes.append(len(fst.serialize()))
-    x = np.asarray(totals, dtype=float)
-    y = np.asarray(sizes, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    r_squared = 1.0 - residuals.var() / y.var()
+    slope, intercept = statistics.linear_regression(totals, sizes)
+    residuals = [y - (slope * x + intercept) for x, y in zip(totals, sizes)]
+    r_squared = 1.0 - statistics.pvariance(residuals) / statistics.pvariance(sizes)
     assert r_squared >= 0.99, r_squared
 
     # repacking after editing one class changes only that component

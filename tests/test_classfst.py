@@ -111,6 +111,10 @@ class TestBuildFromEntities:
         not by a zero arc probability found later."""
         with pytest.raises(ValueError, match=r"^@x: entity count total inf is not finite$"):
             build_from_entities("@x", [(("a",), 1e308), (("b",), 1e308)])
+        # an int count that no float holds is named, not a bare OverflowError
+        with pytest.raises(ValueError,
+                           match=r"^@x: entity count 10{400} is past the float range$"):
+            build_from_entities("@x", [(("a",), 10 ** 400)])
         fst = build_from_entities("@x", [(("a",), 8e307), (("b",), 8e307)])
         assert arc_prob(fst, fst.start, "a") == arc_prob(fst, fst.start, "b") == 0.5
 

@@ -16,7 +16,7 @@ from nfclm import (BACKGROUND, BOS, EOS, AlignmentBeam,
                    AlignmentHypothesis, BackoffNGram, ConditionalSymbolModel,
                    DeadHistoryError, DeciderModel, NfclmModel, advance,
                    build_from_entities, eos_logprob, extend,
-                   load_class_alphabet, load_vocabulary, next_dist, sample,
+                   load_class_alphabet, load_vocabulary, next_dist, perplexity, sample,
                    sequence_logprob, sequence_logprobs, start_beam, train_decider,
                    train_ngram)
 from nfclm import engine
@@ -29,7 +29,7 @@ from conftest import (ARTIST_ENTITIES, FULL_LENGTH, READINGS, SONG_ENTITIES, TOY
                       entity_pairs, fst_from_dicts, full, histories, hypothesis_key, make_toy_model,
                       ngram_from_tables, positions, random_instance, state_arcs,
                       uniform_background)
-from model_memory import corpora, mid_size_model
+from model_memory import cache_report, corpora, mid_size_model
 from oracle import (EPSILON, EXACT_HISTORY_LIMIT, arc_prob, class_prefix, decider_history,
                     exact_alignment_histories, exact_next_dist, exact_sequence_logprob,
                     last_class, padded, walk)
@@ -812,6 +812,29 @@ class TestSequenceLogprobs:
     def test_outside_vocabulary_raises(self, toy_model):
         with pytest.raises(KeyError):
             sequence_logprobs(toy_model, [("_play",), ("_play", "nope")])
+
+
+@pytest.mark.parametrize("call,name,refused", [
+    (lambda m, s: sequence_logprob(m, s), "symbols", "_ro"),
+    (lambda m, s: engine.exact_sequence_logprob(m, s), "symbols", "_ro"),
+    (lambda m, s: sequence_logprobs(m, [("_play",), s]), "token_lists entry", "_ro"),
+    (lambda m, s: advance(m, s), "symbols", "_ro"),
+    (lambda m, s: perplexity(m, [("_play",), s]), "corpus sentence", "_ro"),
+    (lambda m, s: perplexity(m.background, [s]), "corpus sentence", "_ro"),
+    (lambda m, s: train_ngram([("_play",), s], m.vocabulary), "corpus sentence", "_ro"),
+    # a corpus that is one string reads as sentences of one character each
+    (lambda m, s: train_ngram(s, m.vocabulary), "corpus sentence", "_"),
+    (lambda m, s: train_decider([("_play", "@song"), s], m.vocabulary, m.classes),
+     "corpus sentence", "_ro"),
+], ids=["sequence_logprob", "exact_sequence_logprob", "sequence_logprobs", "advance",
+        "perplexity", "perplexity-ngram", "train_ngram", "train_ngram-one-string",
+        "train_decider"])
+def test_a_lone_string_is_no_sentence(toy_model, call, name, refused):
+    """A sentence is a sequence of symbols: a lone ``str`` is refused by the
+    argument's name, never read as one symbol per character."""
+    with pytest.raises(ValueError) as info:
+        call(toy_model, "_ro")
+    assert str(info.value) == f"{name} {refused!r} is one string, not a sequence of symbols"
 
 
 class TestLogSumExp:
@@ -1921,6 +1944,18 @@ class TestContextKeyedCaches:
         for key, row in model._decider_cache.items():
             values = model.decider.distribution_values(model._key_tokens(key))
             assert hexes(row) == hexes(map(math.log, values)), model._key_tokens(key)
+
+    def test_cache_report_reads_the_row_states(self):
+        """``tests/model_memory.py``'s cache table runs on a few sentences:
+        one state per background row, each storing at most the two levels of
+        the order-3 background above level 0, and the states' bytes part of
+        the background's."""
+        background, decider, states = cache_report(20)
+        assert [background[0], decider[0], states[0]] == [
+            "background", "decider", "background row states"]
+        assert states[1] == background[1] > 0
+        assert 0 < states[3] <= 2 * states[1]
+        assert 0 <= states[4] < background[4] and decider[4] > 0
 
 
 # -- recorded bits of extend and eos_logprob --------------------------------

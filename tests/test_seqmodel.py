@@ -19,7 +19,7 @@ from nfclm.seqmodel import (NGRAM_MAGIC, BackoffNGram, ConditionalSymbolModel, D
 from conftest import (V2_DATA, count_tables, keyed, ngram_from_tables, ngram_levels, put,
                       uniform_background)
 from model_memory import (corpora, entries, held_bytes, integer_columns, mid_size_automaton,
-                          mid_size_models)
+                          mid_size_models, state_fields)
 
 
 def reference_prob(corpus, order, discount, alphabet, symbol, history):
@@ -186,10 +186,11 @@ class TestDistributionValues:
             for context in itertools.product(sorted(model.history_alphabet), repeat=size):
                 read = []
                 state = model.resolve(context)
-                assert all(type(j) is int for j in state) and (not state or state[-1] >= 0)
-                for length, j in enumerate(state, start=1):
-                    if j < 0:
+                assert type(state) is int and state >= 0
+                for length, field in enumerate(state_fields(model, state), start=1):
+                    if not field:
                         continue
+                    j = field - 1
                     suffix = context[size - length:]
                     assert list(tables[length])[j] == suffix
                     read.append(suffix)
@@ -197,23 +198,24 @@ class TestDistributionValues:
                                 if context[size - n:] in listed]
 
     def test_a_state_is_ints_and_skips_a_level_with_minus_one(self):
-        """``resolve`` gives one int per level up to the longest stored
-        suffix, -1 for a level that stores none; ``logprob_at`` there has
-        the bits of the log of ``distribution_values``, a skipped level
-        included."""
+        """``resolve`` packs one field per level into one int, 1 + the index
+        of the level's stored suffix, 0 for a level that stores none (the
+        index -1); ``logprob_at`` there has the bits of the log of
+        ``distribution_values``, a skipped level included."""
         tables = [{(): {"a": 2, "b": 1, EOS: 1}},
                   {("b",): {"a": 1, EOS: 2}},
                   {("a", "a"): {"b": 2}, (BOS, "b"): {"a": 1}}]
         model = ngram_from_tables(0.6, ("a", "b", EOS), ("a", "b", BOS), tables)
-        # ('a',) is stored at no level, so ('a', 'a') reads level 1 as -1;
-        # BOS sorts before 'a'
-        assert model.resolve(("a", "a")) == (-1, 1)
-        assert model.resolve((BOS, "b")) == (0, 0)
-        assert model.resolve(("a", "b")) == (0,)
-        assert model.resolve(("b", "a")) == model.resolve(()) == ()
+        # level 1 holds one context, a 1-bit field; level 2 two, a 2-bit
+        # field above it.  ('a',) is stored at no level, so ('a', 'a') reads
+        # level 1 as 0 (index -1); BOS sorts before 'a'
+        assert model.resolve(("a", "a")) == 0b10_0  # indices (-1, 1)
+        assert model.resolve((BOS, "b")) == 0b01_1  # (0, 0)
+        assert model.resolve(("a", "b")) == 0b00_1  # (0,)
+        assert model.resolve(("b", "a")) == model.resolve(()) == 0  # ()
         for history in itertools.product(("a", "b", BOS), repeat=2):
             state = model.resolve(history)
-            assert all(type(j) is int for j in state)
+            assert type(state) is int
             values = model.distribution_values(history)
             want = walk_reference(model, history)
             assert [p.hex() for p in values] == [want[s].hex() for s in model.alphabet]

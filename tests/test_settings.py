@@ -78,6 +78,7 @@ class TestDeciderRules:
         ({"prior": {"@bg": 0.5, "@song": math.nan, "@artist": 0.2}}, "prior for class '@song'"),
         ({"prior": {"@bg": math.inf, "@song": 0.3, "@artist": 0.2}}, "prior for class '@bg'"),
         ({"prior": {"@bg": 0.5, "@song": 0.5}}, "prior for class '@artist'"),
+        ({"prior": None}, "prior"), ({"prior": [0.5, 0.3, 0.2]}, "prior"),
     ])
     def test_invalid_rejected(self, toy_vocab, toy_classes, song_fst, artist_fst,
                               kwargs, name):
@@ -106,7 +107,7 @@ class TestDeciderRules:
             [x.hex() for x in sequence_logprobs(model, sentences)]
 
 
-# (library call, the setting's name in its errors, a count?, None valid?)
+# (library call, the setting's name in its errors, an int?, None valid?)
 LIBRARY_SETTINGS = [
     ("NfclmModel", "beam_size", True, False), ("NfclmModel", "beam_delta", False, False),
     ("DeciderModel", "alpha", False, False),
@@ -114,6 +115,7 @@ LIBRARY_SETTINGS = [
     ("train_ngram", "order", True, False), ("train_ngram", "discount", False, False),
     ("train_decider", "order", True, False), ("train_decider", "discount", False, False),
     ("DynFstSession", "capacity", True, True), ("sample", "max_length", True, False),
+    ("sample", "seed", True, False),
     ("expand", "n_samples", True, False), ("expand_tagged", "n_samples", True, False),
     ("mix_corpora", "background fraction", False, False), ("mix_corpora", "size", True, True),
     ("FusionWeights", "lm_weight", False, False), ("FusionWeights", "ilm_weight", False, False),
@@ -125,7 +127,7 @@ LIBRARY_SETTINGS = [
     for value in (True, "1", None, *((2.5, 2.0) if count else ()))
     if not (value is None and none_valid)])
 def test_library_setting_of_a_wrong_type_refused(toy_model, call, name, value):
-    """True, a string and None are no number, and a float no count: each
+    """True, a string and None are no number, and a float no count or seed: each
     is refused by its rule, named, never taken nor left to a TypeError."""
     vocab, classes, decider = toy_model.vocabulary, toy_model.classes, toy_model.decider
     grammar = CfgGrammar([("_play", "@song")], {"@song": [(("_ro", "sie"), 1.0)]})
@@ -138,7 +140,8 @@ def test_library_setting_of_a_wrong_type_refused(toy_model, call, name, value):
         "train_ngram": lambda: train_ngram(SENTENCES, vocab, **{name: value}),
         "train_decider": lambda: train_decider(tagged, vocab, classes, **{name: value}),
         "DynFstSession": lambda: DynFstSession(toy_model, capacity=value),
-        "sample": lambda: sample(toy_model, max_length=value, seed=0),
+        "sample": lambda: (sample(toy_model, max_length=value, seed=0) if name == "max_length"
+                           else sample(toy_model, max_length=5, seed=value)),
         "expand": lambda: expand(grammar, value, seed=0),
         "expand_tagged": lambda: expand_tagged(grammar, value, seed=0),
         "mix_corpora": lambda: (mix_corpora(SENTENCES, tagged, value, seed=0)

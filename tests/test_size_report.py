@@ -63,6 +63,16 @@ def test_usage_without_a_checkout(args, script):
     assert ran.stderr == f"usage: python {script} HEAD [BASE]\n"
 
 
+def test_a_root_that_is_no_checkout_is_named_after_the_usage(tmp_path):
+    # a literal HEAD (no such directory), and a directory with no sources,
+    # as head or as base: no table and no traceback
+    for args in (["HEAD"], [ROOT, "HEAD"], [tmp_path]):
+        ran = report(*args)
+        assert (ran.returncode, ran.stdout) == (2, "")
+        assert ran.stderr == (f"usage: python {SCRIPT} HEAD [BASE]\n"
+                              f"{args[-1]} is not the root of a checkout\n")
+
+
 def checkout(root, modules, options, readme):
     (root / "src" / "nfclm").mkdir(parents=True)
     (root / "tests").mkdir()

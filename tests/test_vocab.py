@@ -1,6 +1,17 @@
 import pytest
 
-from nfclm import BOS, ClassAlphabet, load_class_alphabet, load_vocabulary
+from nfclm import BOS, ClassAlphabet, Vocabulary, load_class_alphabet, load_vocabulary
+
+
+@pytest.mark.parametrize("make,entries,message", [
+    (Vocabulary, [1, 2], "<vocabulary>:1: symbol 1 is not a str"),
+    (Vocabulary, ["_play", None], "<vocabulary>:2: symbol None is not a str"),
+    (ClassAlphabet, ["@bg", b"@song"], "<classes>:2: class label b'@song' is not a str"),
+])
+def test_an_entry_that_is_no_str_is_named_by_its_line(make, entries, message):
+    with pytest.raises(ValueError) as err:
+        make(entries)
+    assert str(err.value) == message
 
 
 class TestLoadVocabulary:
