@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classfst import Entity, load_entities
-from .seqmodel import COUNT, number
+from .seqmodel import COUNT, SEED, check_sentences, number
 from .vocab import BACKGROUND, ClassAlphabet, Vocabulary, read_lines
 
 
@@ -71,6 +71,7 @@ def parse_grammar(pattern_source, entity_dir, vocabulary: Vocabulary,
 def _draws(grammar: CfgGrammar, n_samples: int, seed: int):
     """Shared sampling stream: pattern index plus one entity index per slot."""
     COUNT.check("n_samples", n_samples)
+    SEED.check("seed", seed)
     rng = random.Random(seed)
     for _ in range(n_samples):
         p = rng.randrange(len(grammar.patterns))
@@ -116,6 +117,9 @@ def mix_corpora(background: Sequence[Sequence[str]], tagged: Sequence[Sequence[s
     are an error, whatever the size.
     """
     FRACTION.check("background fraction", background_fraction)
+    SEED.check("seed", seed)
+    check_sentences("background sentence", background)
+    check_sentences("tagged sentence", tagged)
     if not background and not tagged:
         raise ValueError("background and tagged corpora are both empty")
     if size is None:

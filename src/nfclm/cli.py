@@ -162,7 +162,7 @@ def cmd_pack(args) -> int:
             raise ValueError(f"--fst gives class {label!r} twice")
         class_fsts[label] = path
     model = bundle_mod.assemble(
-        args.vocab, args.classes, args.bglm, args.decider, class_fsts,
+        args.bglm, args.decider, class_fsts,
         beam_size=args.beam_n if args.beam_n is not None else DEFAULT_BEAM_SIZE,
         beam_delta=args.beam_delta if args.beam_delta is not None else DEFAULT_BEAM_DELTA,
         alpha=args.alpha,
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("pack", help="assemble a model bundle directory")
-    _add_options(p, "--vocab", "--classes")
     p.add_argument("--bglm", required=True)
     p.add_argument("--decider", required=True)
     p.add_argument("--fst", action="append", metavar="LABEL=PATH")

@@ -656,9 +656,11 @@ def exact_sequence_logprob(model: NfclmModel, symbols: Sequence[str]) -> float:
     return _walk(model, start, [symbols])[0]
 
 
-def sequence_logprobs(model: NfclmModel,
-                      token_lists: Sequence[Sequence[str]]) -> list[float]:
+def sequence_logprobs(model: NfclmModel, token_lists: Sequence[Sequence[str]], *,
+                      name: str = "token_lists entry") -> list[float]:
     """Sentence log-probability, EOS included, of each list, in input order.
+
+    A lone ``str`` among the lists raises ValueError naming ``name``.
 
     The lists are walked in sorted order over a stack whose entry ``d``
     holds (beam, running total) after ``d`` tokens, so a prefix shared
@@ -671,7 +673,7 @@ def sequence_logprobs(model: NfclmModel,
     keeps a beam, of O(context) tokens, per token that a list shares with
     the next, so a lone list holds one at a time.
     """
-    return _walk(model, model._start_beam, check_sentences("token_lists entry", token_lists))
+    return _walk(model, model._start_beam, check_sentences(name, token_lists))
 
 
 def _walk(model: NfclmModel, start: AlignmentBeam,

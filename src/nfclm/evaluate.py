@@ -35,6 +35,7 @@ class NBestEntry:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        check_sentences("tokens", (self.tokens,))
         if not math.isfinite(self.asr_score) or not math.isfinite(self.ilm_score):
             raise ValueError(f"{self.utterance_id}: scores must be finite")
 
@@ -76,11 +77,12 @@ def perplexity(model, corpus: Iterable[Sequence[str]],
     unless ``skip_dead`` excludes it from both the mass and the symbol
     count; the positions of excluded sentences in ``corpus`` are reported.
     """
-    corpus = check_sentences("corpus sentence", list(corpus))
+    corpus = list(corpus)
     if isinstance(model, NfclmModel):
-        scores = sequence_logprobs(model, corpus)
+        scores = sequence_logprobs(model, corpus, name="corpus sentence")
     elif isinstance(model, ConditionalSymbolModel):
-        scores = [ngram_sequence_logprob(model, sentence) for sentence in corpus]
+        scores = [ngram_sequence_logprob(model, sentence)
+                  for sentence in check_sentences("corpus sentence", corpus)]
     else:
         raise TypeError(f"cannot score with {type(model).__name__}")
     total = 0.0

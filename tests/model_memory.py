@@ -11,7 +11,8 @@ long line traces at two lengths, then the rows, distinct row objects,
 entries and traced bytes of the background and decider caches, and of
 the background rows' states, once a fixed set of sentences made of new
 strings is scored, then the states, traced bytes and bytes per state of
-one ``DynFstSession`` that walks the same sentences:
+one ``DynFstSession`` that walks the same sentences, then each file that
+``bundle.pack`` writes for the model of those components, with its bytes:
 
     PYTHONPATH=src python tests/model_memory.py
 
@@ -23,10 +24,11 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import tempfile
 import tracemalloc
 from itertools import chain, cycle, islice
 
-from nfclm import (BackoffNGram, DeciderModel, DynFstSession, NfclmModel, ProbClassFst,
+from nfclm import (BackoffNGram, DeciderModel, DynFstSession, NfclmModel, ProbClassFst, bundle,
                    build_from_entities, load_class_alphabet, load_vocabulary, sequence_logprob,
                    train_decider, train_ngram)
 
@@ -240,6 +242,14 @@ def session_report(count=CACHE_SENTENCES) -> tuple[int, int]:
     return states, held
 
 
+def bundle_report(model=None) -> list[tuple[str, int]]:
+    """(file name, bytes) of each file that ``bundle.pack`` writes for
+    ``model``, by default ``mid_size_model()``, in name order: the size
+    that the paper's compactness claim is about."""
+    with tempfile.TemporaryDirectory() as directory:
+        return sorted(bundle.pack(model or mid_size_model(), directory).items())
+
+
 def main() -> None:
     background, decider = mid_size_models()
     fst = mid_size_automaton()
@@ -278,6 +288,13 @@ def main() -> None:
     print("|---|---|---|---|")
     states, held = session_report()
     print(f"| mid-size components, two classes | {states:,} | {held:,} | {held / states:.1f} |")
+    print()
+    print("| `bundle.pack` of the mid-size model, two classes | bytes |")
+    print("|---|---|")
+    files = bundle_report()
+    for name, size in files:
+        print(f"| `{name}` | {size:,} |")
+    print(f"| total | {sum(size for _, size in files):,} |")
 
 
 if __name__ == "__main__":

@@ -75,9 +75,7 @@ def build_bundle(ws, capsys, seed=7):
                             "--entities", ws / "entities" / f"{label}.txt",
                             "--out", ws / f"{label}.fst"], capsys)
         assert code == 0, err
-    code, _, err = run(["pack", "--vocab", ws / "vocab.txt",
-                        "--classes", ws / "classes.txt", "--bglm", ws / "bg.bin",
-                        "--decider", ws / "decider.bin",
+    code, _, err = run(["pack", "--bglm", ws / "bg.bin", "--decider", ws / "decider.bin",
                         "--fst", f"@song={ws / '@song.fst'}",
                         "--fst", f"@artist={ws / '@artist.fst'}",
                         "--out-dir", ws / "bundle"], capsys)
@@ -392,20 +390,19 @@ class TestFailures:
 
     def test_pack_class_without_fst_rejected(self, workspace, capsys):
         build_bundle(workspace, capsys)
-        code, _, err = run(["pack", "--vocab", workspace / "vocab.txt",
-                            "--classes", workspace / "classes.txt",
-                            "--bglm", workspace / "bg.bin",
-                            "--decider", workspace / "decider.bin",
-                            "--fst", f"@song={workspace / '@song.fst'}",
-                            "--out-dir", workspace / "partial"], capsys)
-        assert code == 1
-        assert "do not match class alphabet" in err
+        code, out, err = run(["pack", "--bglm", workspace / "bg.bin",
+                              "--decider", workspace / "decider.bin",
+                              "--fst", f"@song={workspace / '@song.fst'}",
+                              "--out-dir", workspace / "partial"], capsys)
+        # the decider holds the class alphabet, so its file is named
+        assert (code, out, err) == (1, "", f"nfclm: error: {workspace / 'decider.bin'}: class "
+                                           "FSTs ['@song'] do not match class alphabet "
+                                           "['@artist', '@song']\n")
+        assert not (workspace / "partial").exists()
 
     def test_pack_repeated_fst_label_rejected(self, workspace, capsys):
         build_bundle(workspace, capsys)
-        code, out, err = run(["pack", "--vocab", workspace / "vocab.txt",
-                              "--classes", workspace / "classes.txt",
-                              "--bglm", workspace / "bg.bin",
+        code, out, err = run(["pack", "--bglm", workspace / "bg.bin",
                               "--decider", workspace / "decider.bin",
                               "--fst", f"@song={workspace / '@song.fst'}",
                               "--fst", f"@artist={workspace / '@artist.fst'}",
@@ -419,9 +416,7 @@ class TestFailures:
         """A spec with no path, or with no label, names the spec."""
         build_bundle(workspace, capsys)
         for spec in ("@song", f"={workspace / '@song.fst'}"):
-            code, out, err = run(["pack", "--vocab", workspace / "vocab.txt",
-                                  "--classes", workspace / "classes.txt",
-                                  "--bglm", workspace / "bg.bin",
+            code, out, err = run(["pack", "--bglm", workspace / "bg.bin",
                                   "--decider", workspace / "decider.bin",
                                   "--fst", spec, "--out-dir", workspace / "none"], capsys)
             assert (code, out) == (1, "")
@@ -450,8 +445,7 @@ class TestFailures:
         (workspace / "test.txt").write_text("_play _ro sie\n", encoding="utf-8")
         inputs = {
             "score": ["--bundle", bundle, "--corpus", workspace / "test.txt"],
-            "pack": ["--vocab", workspace / "vocab.txt", "--classes", workspace / "classes.txt",
-                     "--bglm", workspace / "bg.bin", "--decider", workspace / "decider.bin",
+            "pack": ["--bglm", workspace / "bg.bin", "--decider", workspace / "decider.bin",
                      "--fst", f"@song={workspace / '@song.fst'}",
                      "--fst", f"@artist={workspace / '@artist.fst'}",
                      "--out-dir", workspace / "x"]}
@@ -679,8 +673,8 @@ def test_refused_flag_value_names_its_flag(tmp_path, capsys, command, flag):
     file is read: every input here is missing, and nothing is written."""
     missing, out = tmp_path / "missing", tmp_path / "out"
     args = {
-        "pack": ["--vocab", missing, "--classes", missing, "--bglm", missing,
-                 "--decider", missing, "--fst", f"@song={missing}", "--out-dir", out],
+        "pack": ["--bglm", missing, "--decider", missing, "--fst", f"@song={missing}",
+                 "--out-dir", out],
         "score": ["--bundle", missing, "--corpus", missing],
         "ppl": ["--bundle", missing, "--corpus", missing],
         "next": ["--bundle", missing, "--history", "_play"],
@@ -838,9 +832,6 @@ COMMANDS = {
                     "--vocab": "vocab.txt", "--classes": "classes.txt"}, ["-n", 5, "--out"]),
     "mix": ({"--background": "background.txt", "--cfg": "tagged.txt"},
             ["--fraction", 0.5, "--out"]),
-    "pack": ({"--vocab": "vocab.txt", "--classes": "classes.txt"},
-             ["--bglm", "bg.bin", "--decider", "decider.bin", "--fst", "@song=@song.fst",
-              "--fst", "@artist=@artist.fst", "--out-dir"]),
     "score": ({"--corpus": "test.txt"}, ["--bundle", "bundle"]),
     "ppl": ({"--corpus": "test.txt"}, ["--bundle", "bundle"]),
     "rescore": ({"--nbest": "nbest.tsv"}, ["--bundle", "bundle"]),
@@ -879,7 +870,7 @@ def test_malformed_text_input_is_named_or_accepted(workspace, capsys, monkeypatc
     ``-`` is also given on stdin, named ``<stdin>``."""
     import io
     ws = workspace
-    if command in ("pack", "score", "ppl", "rescore"):
+    if command in ("score", "ppl", "rescore"):
         build_bundle(ws, capsys)
     ws.joinpath("tagged.txt").write_text("_play @song _by @artist\n_play _ro\n", encoding="utf-8")
     ws.joinpath("test.txt").write_text("_play _ro sie\n_by _browne\n", encoding="utf-8")
@@ -891,13 +882,10 @@ def test_malformed_text_input_is_named_or_accepted(workspace, capsys, monkeypatc
     def outputs(flag_value):
         args = [command, *(a for item in {**inputs, **flag_value}.items() for a in item),
                 *others]
-        code, printed, err = run([*args, "out"] if args[-1].startswith("--out") else args,
+        code, printed, err = run([*args, "out"] if args[-1] == "--out" else args,
                                  capsys)
         out, written = ws / "out", None
-        if out.is_dir():  # pack's bundle
-            written = {p.name: p.read_bytes() for p in out.iterdir()}
-            shutil.rmtree(out)
-        elif out.exists():
+        if out.exists():
             written = out.read_bytes()
             out.unlink()
         return code, printed, err, written

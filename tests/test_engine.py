@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from nfclm import (BACKGROUND, BOS, EOS, AlignmentBeam,
                    AlignmentHypothesis, BackoffNGram, ConditionalSymbolModel,
-                   DeadHistoryError, DeciderModel, NfclmModel, advance,
+                   DeadHistoryError, DeciderModel, NBestEntry, NfclmModel, advance,
                    build_from_entities, eos_logprob, extend,
-                   load_class_alphabet, load_vocabulary, next_dist, perplexity, sample,
+                   load_class_alphabet, load_vocabulary, mix_corpora, next_dist, perplexity,
+                   sample,
                    sequence_logprob, sequence_logprobs, start_beam, train_decider,
                    train_ngram)
 from nfclm import engine
@@ -826,9 +827,13 @@ class TestSequenceLogprobs:
     (lambda m, s: train_ngram(s, m.vocabulary), "corpus sentence", "_"),
     (lambda m, s: train_decider([("_play", "@song"), s], m.vocabulary, m.classes),
      "corpus sentence", "_ro"),
+    (lambda m, s: NBestEntry("u1", -1.0, -1.0, s), "tokens", "_ro"),
+    (lambda m, s: mix_corpora([("_play",), s], [("@song",)], 0.5, 0), "background sentence",
+     "_ro"),
+    (lambda m, s: mix_corpora([("_play",)], [s], 0.5, 0), "tagged sentence", "_ro"),
 ], ids=["sequence_logprob", "exact_sequence_logprob", "sequence_logprobs", "advance",
         "perplexity", "perplexity-ngram", "train_ngram", "train_ngram-one-string",
-        "train_decider"])
+        "train_decider", "NBestEntry", "mix_corpora-background", "mix_corpora-tagged"])
 def test_a_lone_string_is_no_sentence(toy_model, call, name, refused):
     """A sentence is a sequence of symbols: a lone ``str`` is refused by the
     argument's name, never read as one symbol per character."""

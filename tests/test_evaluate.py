@@ -9,13 +9,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from nfclm import (EOS, FusionWeights, NBestEntry, bundle, load_class_alphabet,
-                   load_vocabulary, perplexity, rescore_nbest,
-                   sequence_logprob, train_ngram)
+from nfclm import (BOS, EOS, FusionWeights, NBestEntry, bundle, load_class_alphabet,
+                   perplexity, rescore_nbest, sequence_logprob, train_ngram)
 from nfclm.evaluate import parse_nbest_file
+from nfclm.seqmodel import check_sentences
 
-from conftest import (count_tables, entity_pairs, make_toy_model, random_instance,
-                      shared_key_lists, uniform_background)
+from conftest import (count_tables, entity_pairs, make_toy_model, ngram_from_tables,
+                      random_instance, shared_key_lists, uniform_background)
 
 FIG1_SENTENCE = ("_play", "_ro", "sie", "_by", "_browne")
 
@@ -67,6 +67,26 @@ class TestPerplexity:
         corpus = [FIG1_SENTENCE, ("_play",), ("_ro", "sie")]
         for model in (toy_model, toy_model.background):
             assert perplexity(model, (s for s in corpus)) == perplexity(model, corpus)
+
+    def test_corpus_checked_once(self, toy_model, monkeypatch):
+        """One ``check_sentences`` pass per call, on the full model and on a
+        plain n-gram, with the scores of ``sequence_logprobs``."""
+        from nfclm import engine, evaluate, sequence_logprobs
+        corpus = [FIG1_SENTENCE, ("_play",), ("_ro", "sie")]
+        expected = sum(sequence_logprobs(toy_model, corpus), 0.0).hex()
+        passes = []
+
+        def counted(name, sentences):
+            passes.append(name)
+            return check_sentences(name, sentences)
+
+        for module in (engine, evaluate):
+            monkeypatch.setattr(module, "check_sentences", counted)
+        for model in (toy_model, toy_model.background):
+            passes.clear()
+            perplexity(model, corpus)
+            assert passes == ["corpus sentence"]
+        assert perplexity(toy_model, corpus).total_logprob.hex() == expected
 
     def test_empty_corpus_rejected(self, toy_model):
         with pytest.raises(ValueError):
@@ -290,7 +310,8 @@ class TestBundle:
             class_fsts={"@song": song_fst, "@artist": artist_fst},
             decider=decider, beam_size=50, beam_delta=25.0)
         report = bundle.pack(model, tmp_path / "bundle")
-        assert "@song.fst" in report and "@artist.fst" in report
+        assert sorted(report) == ["@artist.fst", "@song.fst", "background.bin",
+                                  "decider.bin", "manifest.json"]
         assert sorted(report) == sorted(os.listdir(tmp_path / "bundle"))
         for name, size in report.items():
             assert size == os.path.getsize(tmp_path / "bundle" / name)
@@ -368,6 +389,8 @@ class TestBundle:
         path = tmp_path / "b" / f"{component}.bin"
         path.write_bytes(data)
         message = f"{path}: {component} history alphabet lacks {lost!r}"
+        if component == "decider":  # checked against the background's vocabulary
+            message += f" (vocabulary from {tmp_path / 'b' / 'background.bin'})"
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(tmp_path / "b")
         assert str(info.value) == message
@@ -406,10 +429,14 @@ class TestBundle:
         path.write_bytes(fst.serialize())
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(tmp_path / "b")
-        assert str(info.value) == f"{path}: @song: arc symbol 'aa' is outside the vocabulary"
+        assert str(info.value) == (f"{path}: @song: arc symbol 'aa' is outside the vocabulary "
+                                   f"(vocabulary from {tmp_path / 'b' / 'background.bin'})")
 
     def test_decider_of_other_classes_names_its_file(self, toy_vocab, toy_classes, song_fst,
                                                      artist_fst, tmp_path):
+        """The decider's classes are the class alphabet: a decider of fewer
+        classes loads without the other classes' FSTs, and a decider class
+        that has no FST names its missing file."""
         from nfclm import NfclmModel, train_decider
         from nfclm.engine import ComponentError
         background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
@@ -427,18 +454,24 @@ class TestBundle:
         assert info.value.component == "decider"
         path = tmp_path / "b" / "decider.bin"
         path.write_bytes(other.serialize())
+        loaded = bundle.load(tmp_path / "b")
+        assert loaded.classes.labels == ("@bg", "@song") and list(loaded.class_fsts) == ["@song"]
+        more = train_decider([("_play", "@song"), ("_by", "@album")], toy_vocab,
+                             load_class_alphabet(["@bg", "@song", "@artist", "@album"]), order=2)
+        path.write_bytes(more.serialize())
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(tmp_path / "b")
-        assert str(info.value) == f"{path}: {message}"
+        assert str(info.value) == f"{tmp_path / 'b' / '@album.fst'}: missing component file"
 
     def test_background_of_another_vocabulary_names_its_file(self, toy_vocab, toy_classes,
                                                              song_fst, artist_fst, tmp_path):
+        """The vocabulary is the background's predicted alphabet less EOS, so
+        a background that predicts no EOS fits no vocabulary and is named."""
         from nfclm import NfclmModel, train_decider
         from nfclm.engine import ComponentError
         fsts = {"@song": song_fst, "@artist": artist_fst}
         decider = train_decider([("_play", "@song")], toy_vocab, toy_classes, order=2)
-        # it predicts every vocabulary symbol but the last, and EOS
-        other = train_ngram([FIG1_SENTENCE], load_vocabulary(toy_vocab.symbols[:-1]), order=2)
+        other = ngram_from_tables(0.5, toy_vocab.symbols, toy_vocab.symbols + (BOS,), [{}])
         message = "background model must predict the vocabulary plus EOS"
         with pytest.raises(ComponentError, match=f"^{message}$") as info:
             NfclmModel(vocabulary=toy_vocab, classes=toy_classes, background=other,
@@ -452,10 +485,12 @@ class TestBundle:
         path = directory / "background.bin"
         path.write_bytes(other.serialize())
         with pytest.raises(bundle.BundleError) as info:
-            bundle.assemble(directory / "vocab.txt", directory / "classes.txt", path,
-                            directory / "decider.bin",
+            bundle.assemble(path, directory / "decider.bin",
                             {label: directory / f"{label}.fst" for label in fsts},
                             beam_size=model.beam_size, beam_delta=model.beam_delta, alpha=None)
+        assert str(info.value) == f"{path}: {message}"
+        with pytest.raises(bundle.BundleError) as info:
+            bundle.load(directory)
         assert str(info.value) == f"{path}: {message}"
 
     def test_pack_refuses_a_background_that_is_no_ngram(self, toy_model, tmp_path):
@@ -515,6 +550,8 @@ class TestBundle:
 
     def test_manifest_missing_key(self, toy_vocab, toy_classes, song_fst,
                                   artist_fst, tmp_path):
+        """A manifest without a beam setting is named; alpha may be left out,
+        which keeps the decider's."""
         import json
         from nfclm import NfclmModel, train_decider
         background = train_ngram([FIG1_SENTENCE], toy_vocab, order=2)
@@ -525,15 +562,16 @@ class TestBundle:
         bundle.pack(model, tmp_path / "b")
         path = tmp_path / "b" / "manifest.json"
         good = json.loads(path.read_text(encoding="utf-8"))
-        for drop in ("files", "class_fsts", "files.vocabulary", "files.decider"):
-            manifest = json.loads(json.dumps(good))
-            *parents, key = drop.split(".")
-            table = manifest[parents[0]] if parents else manifest
-            del table[key]
+        assert sorted(good) == ["alpha", "beam_delta", "beam_size", "format", "version"]
+        for key in ("beam_size", "beam_delta", "alpha"):
+            manifest = {name: value for name, value in good.items() if name != key}
             path.write_text(json.dumps(manifest), encoding="utf-8")
+            if key == "alpha":
+                assert bundle.load(tmp_path / "b").decider.alpha == decider.alpha
+                continue
             with pytest.raises(bundle.BundleError) as info:
                 bundle.load(tmp_path / "b")
-            assert str(path) in str(info.value) and repr(key) in str(info.value)
+            assert str(info.value).startswith(f"{path}: manifest {key!r} must be ")
 
     @pytest.mark.parametrize("key,value", [
         ("beam_size", "100"), ("beam_size", 0), ("beam_delta", -1.0),

@@ -117,7 +117,9 @@ LIBRARY_SETTINGS = [
     ("DynFstSession", "capacity", True, True), ("sample", "max_length", True, False),
     ("sample", "seed", True, False),
     ("expand", "n_samples", True, False), ("expand_tagged", "n_samples", True, False),
+    ("expand", "seed", True, False), ("expand_tagged", "seed", True, False),
     ("mix_corpora", "background fraction", False, False), ("mix_corpora", "size", True, True),
+    ("mix_corpora", "seed", True, False),
     ("FusionWeights", "lm_weight", False, False), ("FusionWeights", "ilm_weight", False, False),
 ]
 
@@ -142,16 +144,22 @@ def test_library_setting_of_a_wrong_type_refused(toy_model, call, name, value):
         "DynFstSession": lambda: DynFstSession(toy_model, capacity=value),
         "sample": lambda: (sample(toy_model, max_length=value, seed=0) if name == "max_length"
                            else sample(toy_model, max_length=5, seed=value)),
-        "expand": lambda: expand(grammar, value, seed=0),
-        "expand_tagged": lambda: expand_tagged(grammar, value, seed=0),
+        "expand": lambda: (expand(grammar, value, seed=0) if name == "n_samples"
+                           else expand(grammar, 2, seed=value)),
+        "expand_tagged": lambda: (expand_tagged(grammar, value, seed=0) if name == "n_samples"
+                                  else expand_tagged(grammar, 2, seed=value)),
         "mix_corpora": lambda: (mix_corpora(SENTENCES, tagged, value, seed=0)
                                 if name == "background fraction" else
+                                mix_corpora(SENTENCES, tagged, 0.5, seed=value, size=2)
+                                if name == "seed" else
                                 mix_corpora(SENTENCES, tagged, 0.5, seed=0, size=value)),
         "FusionWeights": lambda: FusionWeights(**{name: value}),
     }
     with pytest.raises(ValueError) as info:
         calls[call]()
     assert str(info.value).startswith(f"{name} must be "), str(info.value)
+    if name == "seed":  # every seed by one rule, as ``--seed`` reads it
+        assert str(info.value) == f"seed must be an int, got {value!r}"
 
 
 class TestManifestSettings:
@@ -204,37 +212,39 @@ class TestManifestSettings:
 
 
 class TestManifestComponents:
+    """A bundle's files have fixed names; the ``files`` and ``class_fsts``
+    name maps that older manifests held are not read."""
+
     @pytest.mark.parametrize("section,key,value", [
         ("class_fsts", "@song", 5), ("files", "vocabulary", None),
         ("files", "decider", ["decider.bin"]), ("class_fsts", "@artist", {"a": 1})])
-    def test_non_string_entry_names_key(self, packed, capsys, section, key, value):
-        manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
-        path = rewrite_manifest(packed, **{section: {**manifest[section], key: value}})
-        prefix = f"{path}: manifest {section!r} entry {key!r} must be a file name, got "
-        with pytest.raises(bundle.BundleError) as info:
-            bundle.load(packed)
-        assert str(info.value) == prefix + repr(value)
-        corpus = packed / "corpus.txt"
-        corpus.write_text("_play _ro sie\n", encoding="utf-8")
-        assert main(["score", "--bundle", str(packed), "--corpus", str(corpus)]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"nfclm: error: {prefix}")
+    def test_legacy_entry_is_ignored(self, packed, section, key, value):
+        scores = hex_scores(bundle.load(packed))
+        rewrite_manifest(packed, **{section: {key: value}})
+        assert hex_scores(bundle.load(packed)) == scores
 
     @pytest.mark.parametrize("section,key", [("files", "classes"), ("class_fsts", "@song")])
     @pytest.mark.parametrize("where", ["absolute", "parent", "sub", "dot", "dotdot", "empty"])
-    def test_entry_outside_the_bundle_names_key(self, packed, capsys, section, key, where):
-        """Only a plain file name is read, even where another names a loadable file."""
-        manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
-        own = manifest[section][key]
+    def test_entry_outside_the_bundle_is_not_read(self, packed, capsys, section, key, where):
+        """Only the fixed names are read, even where a legacy entry names a
+        loadable file: a class alphabet that disagrees with the decider's
+        classes is not read, and a missing ``@song.fst`` is named."""
+        own = {"classes": "classes.txt", "@song": "@song.fst"}[key]
         other = packed.parent / "other"
         for directory in (other, packed / "sub"):
             directory.mkdir()
-            shutil.copy(packed / own, directory / own)
+            if key == "@song":
+                shutil.copy(packed / own, directory / own)
+            else:
+                (directory / own).write_text("@bg\n@song\n", encoding="utf-8")
         value = {"absolute": str(other / own), "parent": f"../other/{own}",
                  "sub": f"sub/{own}", "dot": ".", "dotdot": "..", "empty": ""}[where]
-        path = rewrite_manifest(packed, **{section: {**manifest[section], key: value}})
+        rewrite_manifest(packed, **{section: {key: value}})
+        if key == "classes":
+            assert bundle.load(packed).classes.labels == ("@bg", "@song", "@artist")
+            return
         (packed / own).unlink()
-        message = f"{path}: manifest {section!r} entry {key!r} must be a file name, got {value!r}"
+        message = f"{packed / own}: missing component file"
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(packed)
         assert str(info.value) == message
@@ -244,11 +254,10 @@ class TestManifestComponents:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"nfclm: error: {message}\n")
 
-    @pytest.mark.parametrize("name", ["sub"])
+    @pytest.mark.parametrize("name", ["background.bin", "decider.bin", "@song.fst"])
     def test_directory_is_a_missing_component(self, packed, name):
-        (packed / "sub").mkdir()
-        manifest = json.loads((packed / "manifest.json").read_text(encoding="utf-8"))
-        rewrite_manifest(packed, files={**manifest["files"], "background": name})
+        (packed / name).unlink()
+        (packed / name).mkdir()
         with pytest.raises(bundle.BundleError) as info:
             bundle.load(packed)
         assert str(info.value) == f"{os.path.join(packed, name)}: missing component file"
@@ -445,41 +454,21 @@ def test_fuzzed_manifest_settings(fuzz_bundle, values):
         path.write_text(original, encoding="utf-8")
 
 
-def plain_name(value) -> bool:
-    """Whether a manifest entry names a file in the bundle's own directory."""
-    return (isinstance(value, str) and value not in ("", ".", "..")
-            and not os.path.isabs(value)
-            and not any(sep in value for sep in ("/", os.sep, os.altsep) if sep))
-
-
-MANIFEST_KEYS = st.sampled_from([*bundle.COMPONENT_KEYS, "@song", "@artist", "extra"])
-
-
 @settings(max_examples=150, deadline=None)
 @given(section=st.sampled_from(["files", "class_fsts"]),
-       value=st.one_of(JSON_VALUES, st.dictionaries(MANIFEST_KEYS, JSON_VALUES, min_size=1)))
+       value=st.one_of(JSON_VALUES, st.dictionaries(
+           st.sampled_from(["vocabulary", "classes", "background", "decider", "@song",
+                            "@artist", "extra"]), JSON_VALUES, min_size=1)))
 def test_fuzzed_manifest_components(fuzz_bundle, section, value):
-    """A manifest's component entries either load or are named: the
-    section, the key of an entry that is no plain file name, or the
-    missing file."""
+    """A legacy ``files`` or ``class_fsts`` section, whatever it holds,
+    loads the bundle with its bits."""
     directory, original = fuzz_bundle
     path = directory / "manifest.json"
+    scores = hex_scores(bundle.load(directory))
     manifest = json.loads(original)
-    manifest[section] = {**manifest[section], **value} if isinstance(value, dict) else value
+    manifest[section] = value
     path.write_text(json.dumps(manifest), encoding="utf-8")
     try:
-        bundle.load(directory)
-    except bundle.BundleError as exc:
-        message = str(exc)
-        if not isinstance(value, dict):
-            assert message.startswith(f"{path}: manifest {section!r} must be an object"), message
-        elif any(not plain_name(v) for v in value.values()):
-            assert any(message.startswith(f"{path}: manifest {section!r} entry {key!r} ")
-                       for key, v in value.items() if not plain_name(v)), message
-        else:
-            assert message in {f"{os.path.join(directory, v)}: missing component file"
-                               for v in value.values()}, message
-    else:
-        assert isinstance(value, dict) and all(plain_name(v) for v in value.values())
+        assert hex_scores(bundle.load(directory)) == scores
     finally:
         path.write_text(original, encoding="utf-8")
